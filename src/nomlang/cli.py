@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .names import Name
 from .words import alpha_canonical, tokenize
 from .syntax import ParseError, parse_nre, parse_word, render_word
 from .regex import enumerate_slice
@@ -84,8 +83,7 @@ def cmd_accept(args) -> int:
 def cmd_enumerate(args) -> int:
     if args.input.endswith(".hds"):
         h = _load_hds(args.input)
-        pool = frozenset(Name(x) for x in args.pool) if args.pool else None
-        words = automata.language_slice(h, args.bound, pool=pool)
+        words = automata.language_slice(h, args.bound)
         lines = sorted(render_word(w) for w in words)
     else:
         e, _letters = parse_nre(_read(args.input))
@@ -136,8 +134,6 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--bound", type=int, required=True, help="token length bound")
     e.add_argument("--sort", choices=sorted(SORTS), default="M",
                    help="word sort for expression semantics (default M)")
-    e.add_argument("--pool", nargs="*", default=None,
-                   help="free-name pool an automaton slice may mention")
     e.set_defaults(fn=cmd_enumerate)
 
     k = sub.add_parser("check", help="compare an expression against its compilation")

@@ -6,12 +6,15 @@ locals and may consume a name or letter token, stay silent, push or pop
 a stack frame, or allocate/deallocate a bound name at the matching
 open/close tokens of the input stream.
 
-Recognition explores the nondeterministic configuration graph with
-memoization.  Non-consuming loops can push frames forever, so the
-search is pruned: stack depth is capped (input length + state count + 1
-by default, overridable) and by default a given push transition fires
-at most once between two token consumptions; both policies can be
-relaxed for cross-checking.
+`step` is the one definition of the moves: what each of the seven move
+kinds reads and what it does to the stack.  `run` takes from it the
+moves that read the next input token; `language_slice` takes every
+move and emits the token each consuming move reads.  Both explore the
+nondeterministic configuration graph with memoization.  Non-consuming
+loops can push frames forever, so the search is pruned: stack depth is
+capped (input length + state count + 1 by default, overridable) and by
+default a given push transition fires at most once between two token
+consumptions; both policies can be relaxed for cross-checking.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ MapValue = Union[Name, type(STAR)]
 class NameMap:
     """A finite partial map from names to names-or-star."""
 
-    entries: tuple[tuple[Name, object], ...]
+    entries: tuple[tuple[Name, object], ...]  # sorted by key id, as `of` builds them
 
     @classmethod
     def of(cls, mapping: dict | None = None, **kw) -> "NameMap":
@@ -98,11 +101,8 @@ def pop(stack: Stack) -> Stack:
 
 def compose(sigma: NameMap, f: dict) -> NameMap:
     """The map x -> f(sigma(x)), defined where both legs are."""
-    out = {}
-    for k, v in sigma.entries:
-        if v in f:
-            out[k] = f[v]
-    return NameMap.of(out)
+    # a subsequence of sigma's sorted entries is sorted: no need to sort again
+    return NameMap(tuple([(k, f[v]) for k, v in sigma.entries if v in f]))
 
 
 def stack_update(stack: Stack, sigma: NameMap) -> Stack:
@@ -122,7 +122,7 @@ def push_frame(sigma: NameMap, top_frame: NameMap) -> NameMap:
     any other value is a global name and is pushed as such.
     """
     f = top_frame.as_dict()
-    return NameMap.of({k: f.get(v, v) for k, v in sigma.entries})
+    return NameMap(tuple([(k, f.get(v, v)) for k, v in sigma.entries]))
 
 
 # ---------------------------------------------------------------------------
@@ -252,37 +252,71 @@ def validate(h: Hds) -> list[str]:
 
 Config = tuple  # (state id, position in input, Stack)
 
+END = object()  # the input token past the last one: no consuming move reads it
 
-def step(h: Hds, cfg: Config, tokens: tuple[Tok, ...]) -> list[tuple[Config, Transition]]:
-    """All one-step successors of a configuration."""
-    state, pos, stk = cfg
-    tok = tokens[pos] if pos < len(tokens) else None
+
+def step(
+    h: Hds, state: str, stk: Stack, tok: Optional[Tok], fresh: Optional[Name] = None
+) -> list[tuple[Transition, Optional[Tok], Stack]]:
+    """The moves enabled in `state` with stack `stk`: (transition, token read, new stack).
+
+    A name, letter, open or close move reads one token; eps, push and
+    pop moves read none (token read None).  When running on an input,
+    `tok` is the next input token, or END past the last one, and a
+    consuming move is enabled only if it reads `tok`; an open move binds
+    the name of the open token.  When generating (`tok` None), every
+    move is enabled: a name move reads the name its label currently
+    denotes (if it denotes one), and an open move allocates `fresh`.
+    """
     out = []
     for t in h.trans.get(state, ()):
         k = t.label.kind
+        # a consuming move reads the generated token, or else the input token
         if k == "name":
-            if isinstance(tok, TName) and top(stk).get(t.label.name) == tok.name:
-                out.append(((t.target, pos + 1, stack_update(stk, t.sigma)), t))
+            v = top(stk).get(t.label.name)
+            tok_read = TName(v) if tok is None else tok
+            if isinstance(v, Name) and isinstance(tok_read, TName) and tok_read.name is v:
+                out.append((t, tok_read, stack_update(stk, t.sigma)))
         elif k == "letter":
-            if isinstance(tok, TLetter) and tok.letter == t.label.letter:
-                out.append(((t.target, pos + 1, stack_update(stk, t.sigma)), t))
+            tok_read = TLetter(t.label.letter) if tok is None else tok
+            if isinstance(tok_read, TLetter) and tok_read.letter == t.label.letter:
+                out.append((t, tok_read, stack_update(stk, t.sigma)))
         elif k == "eps":
-            out.append(((t.target, pos, stack_update(stk, t.sigma)), t))
+            out.append((t, None, stack_update(stk, t.sigma)))
         elif k == "push":
-            out.append(((t.target, pos, (push_frame(t.sigma, top(stk)),) + stk), t))
+            out.append((t, None, (push_frame(t.sigma, top(stk)),) + stk))
         elif k == "pop":
-            frame = compose(t.sigma, top(pop(stk)).as_dict())
-            out.append(((t.target, pos, (frame,) + stk[2:]), t))
+            out.append((t, None, (compose(t.sigma, top(pop(stk)).as_dict()),) + stk[2:]))
         elif k == "open":
-            if isinstance(tok, TOpen):
+            tok_read = TOpen(fresh) if tok is None else tok
+            if isinstance(tok_read, TOpen):
                 f = top(stk).as_dict()
-                f[STAR] = tok.name
-                out.append(((t.target, pos + 1, (compose(t.sigma, f),) + stk), t))
+                f[STAR] = tok_read.name
+                out.append((t, tok_read, (compose(t.sigma, f),) + stk))
         else:  # close
-            if isinstance(tok, TClose):
+            tok_read = TCLOSE if tok is None else tok
+            if isinstance(tok_read, TClose):
                 frame = compose(t.sigma, top(pop(stk)).as_dict())
-                out.append(((t.target, pos + 1, (frame,) + stk[2:]), t))
+                out.append((t, tok_read, (frame,) + stk[2:]))
     return out
+
+
+NO_GAP = frozenset()
+
+
+def _gap_after(gap: frozenset, t: Transition, tok_read: Optional[Tok], reuse_pushes: bool):
+    """The push transitions fired since the last consumed token, after move `t`.
+
+    None when `t` is a push that already fired in this gap and pushes
+    may not be reused: the search drops that move.
+    """
+    if tok_read is not None:
+        return NO_GAP
+    if t.label.kind != "push":
+        return gap
+    if t in gap and not reuse_pushes:
+        return None
+    return gap | {t}
 
 
 ACCEPT = "accept"
@@ -337,13 +371,12 @@ def run(
     # Search node: (config, frozenset of push transitions used since a consume)
     seen = set()
     parents: dict = {}
-    frontier = [(start, frozenset())]
-    seen.add((start, frozenset()))
+    frontier = [(start, NO_GAP)]
+    seen.add((start, NO_GAP))
     pruned_live = False
     while frontier:
         node = frontier.pop()
-        cfg, gap = node
-        state, pos, stk = cfg
+        (state, pos, stk), gap = node
         if pos == len(tokens) and state in h.finals:
             trace = None
             if want_trace:
@@ -355,22 +388,18 @@ def run(
                     cur = prev[0] if prev else None
                 trace.reverse()
             return RunResult(ACCEPT, trace)
-        for nxt, t in step(h, cfg, tokens):
-            consumed = nxt[1] > pos
-            if consumed:
-                gap2 = frozenset()
-            elif t.label.kind == "push":
-                if not reuse_pushes and t in gap:
-                    continue
-                gap2 = gap | {t}
-            else:
-                gap2 = gap
+        tok = tokens[pos] if pos < len(tokens) else END
+        for t, tok_read, stk2 in step(h, state, stk, tok):
+            gap2 = _gap_after(gap, t, tok_read, reuse_pushes)
+            if gap2 is None:
+                continue
+            pos2 = pos if tok_read is None else pos + 1
             if not has_pop:
-                nxt = (nxt[0], nxt[1], nxt[2][: len(tokens) - nxt[1] + 1])
-            if len(nxt[2]) > max_depth:
+                stk2 = stk2[: len(tokens) - pos2 + 1]
+            if len(stk2) > max_depth:
                 pruned_live = True
                 continue
-            node2 = (nxt, gap2)
+            node2 = ((t.target, pos2, stk2), gap2)
             if node2 in seen:
                 continue
             seen.add(node2)
@@ -397,98 +426,67 @@ def accepts_word(h: Hds, w: MWord, max_depth: Optional[int] = None) -> bool:
 def language_slice(
     h: Hds,
     bound: int,
-    pool: Optional[frozenset[Name]] = None,
     max_extra_depth: Optional[int] = None,
     reuse_pushes: bool = False,
 ) -> frozenset[MWord]:
     """Canonical words of token length at most `bound` accepted by `h`.
 
     Explores the configuration graph forwards, emitting the token each
-    consuming transition would read; allocation transitions emit a
-    fresh canonical bound name.  The same pruning policies as `run`
-    apply, with the emitted length playing the role of the position.
+    consuming move reads when `step` generates it; the i-th open move
+    allocates the i-th canonical bound name.  The same pruning policies
+    as `run` apply, with the emitted length playing the role of the
+    position.
     """
-    if pool is not None:
-        missing = frozenset(h.eta.values()) - frozenset(pool)
-        if missing:
-            raise ValueError(
-                f"pool omits eta names: {sorted(n.label for n in missing)}"
-            )
     if max_extra_depth is None:
         max_extra_depth = len(h.states) + 1
     max_depth = bound + max_extra_depth
     has_pop = any(t.label.kind == "pop" for _, t in h.transitions())
-    avoid = set(h.eta.values())
-    supply = canonical_supply(avoid)
-    fresh_pool = [next(supply) for _ in range(bound // 2 + 1)]
+    supply = canonical_supply(h.eta.values())
+    # fresh[i] is the name the i-th open allocates; moves are generated only
+    # below the bound, so fewer than `bound` opens come before one
+    fresh = [next(supply) for _ in range(bound)]
 
     out: set[MWord] = set()
     start = (h.initial, (), 0, (NameMap.of(h.eta),))  # state, emitted, open-depth, stack
-    seen = {(start, frozenset())}
-    frontier = [(start, frozenset())]
+    seen = {(start, NO_GAP)}
+    frontier = [(start, NO_GAP, 0)]  # search node and the number of opens emitted
     while frontier:
-        node = frontier.pop()
-        (state, emitted, depth, stk), gap = node
+        (state, emitted, depth, stk), gap, opens = frontier.pop()
         if state in h.finals and depth == 0:
             out.add(alpha_canonical(parse_tokens(emitted)))
-        for t in h.trans.get(state, ()):
-            k = t.label.kind
-            emit: Optional[Tok] = None
-            depth2 = depth
-            if k == "name":
-                v = top(stk).get(t.label.name)
-                if not isinstance(v, Name):
-                    continue
-                emit = TName(v)
-                stk2 = stack_update(stk, t.sigma)
-            elif k == "letter":
-                emit = TLetter(t.label.letter)
-                stk2 = stack_update(stk, t.sigma)
-            elif k == "eps":
-                stk2 = stack_update(stk, t.sigma)
-            elif k == "push":
-                if not reuse_pushes and t in gap:
-                    continue
-                stk2 = (push_frame(t.sigma, top(stk)),) + stk
-            elif k == "pop":
-                stk2 = (compose(t.sigma, top(pop(stk)).as_dict()),) + stk[2:]
-            elif k == "open":
-                opens = sum(1 for x in emitted if isinstance(x, TOpen))
-                c = fresh_pool[opens] if opens < len(fresh_pool) else next(supply)
-                emit = TOpen(c)
-                f = top(stk).as_dict()
-                f[STAR] = c
-                stk2 = (compose(t.sigma, f),) + stk
-                depth2 = depth + 1
-            else:  # close
-                if depth == 0:
-                    continue
-                emit = TCLOSE
-                stk2 = (compose(t.sigma, top(pop(stk)).as_dict()),) + stk[2:]
-                depth2 = depth - 1
-            if emit is not None:
-                if len(emitted) >= bound:
-                    continue
-                emitted2 = emitted + (emit,)
-                gap2 = frozenset()
-            else:
-                emitted2 = emitted
-                gap2 = gap | {t} if k == "push" else gap
+        if len(emitted) < bound:
+            moves = step(h, state, stk, None, fresh[opens])
+        else:
+            moves = step(h, state, stk, END)
+        for t, tok_read, stk2 in moves:
+            gap2 = _gap_after(gap, t, tok_read, reuse_pushes)
+            if gap2 is None:
+                continue
+            emitted2, depth2, opens2 = emitted, depth, opens
+            if tok_read is not None:
+                if tok_read is TCLOSE:
+                    if depth == 0:
+                        continue
+                    depth2 = depth - 1
+                elif isinstance(tok_read, TOpen):
+                    depth2 = depth + 1
+                    opens2 = opens + 1
+                emitted2 = emitted + (tok_read,)
             if not has_pop:
                 # below-top frames beyond one per remaining token are dead
                 stk2 = stk2[: bound - len(emitted2) + 1]
             if len(stk2) > max_depth:
                 continue
-            node2 = ((t.target, emitted2, depth2, stk2), gap2)
-            if node2 in seen:
+            cfg2 = (t.target, emitted2, depth2, stk2)
+            if (cfg2, gap2) in seen:
                 continue
-            seen.add(node2)
-            frontier.append(node2)
+            seen.add((cfg2, gap2))
+            frontier.append((cfg2, gap2, opens2))
     return frozenset(out)
 
 
 # ---------------------------------------------------------------------------
-# Local-name renaming and isomorphism
+# Local-name renaming
 
 def rename_local(h: Hds, q: str, fresh: dict[Name, Name]) -> Hds:
     """Consistently rename the local names of one state.
@@ -534,130 +532,3 @@ def rename_local(h: Hds, q: str, fresh: dict[Name, Name]) -> Hds:
     if q == h.initial:
         eta = {fresh[k]: v for k, v in h.eta.items()}
     return Hds(states, h.initial, eta, h.finals, trans, h.relaxed_star)
-
-
-def _signature(h: Hds, q: str):
-    labels = sorted(
-        (t.label.kind, t.label.letter.symbol if t.label.letter else "")
-        for t in h.trans.get(q, ())
-    )
-    indeg = sum(1 for _, t in h.transitions() if t.target == q)
-    return (
-        len(h.states[q]),
-        q == h.initial,
-        q in h.finals,
-        tuple(labels),
-        indeg,
-    )
-
-
-def isomorphic(h1: Hds, h2: Hds) -> bool:
-    """Structural equivalence up to renaming of state ids and local names."""
-    if len(h1.states) != len(h2.states) or len(h1.finals) != len(h2.finals):
-        return False
-    sig1 = {q: _signature(h1, q) for q in h1.states}
-    sig2 = {q: _signature(h2, q) for q in h2.states}
-    if sorted(sig1.values()) != sorted(sig2.values()):
-        return False
-
-    order = sorted(h1.states, key=lambda q: (sig1[q], q))
-
-    def match_sigma(s1: NameMap, s2: NameMap, dom_map: dict, cod_map: dict, is_push: bool) -> bool:
-        d1, d2 = s1.as_dict(), s2.as_dict()
-        if len(d1) != len(d2):
-            return False
-        for k, v in d1.items():
-            k2 = dom_map.get(k)
-            if k2 is None or k2 not in d2:
-                return False
-            v2 = d2[k2]
-            if v is STAR:
-                if v2 is not STAR:
-                    return False
-            elif is_push and v not in cod_map:
-                # a global name in a pushed frame must match verbatim
-                if v2 != v:
-                    return False
-            else:
-                if cod_map.get(v) != v2:
-                    return False
-        return True
-
-    def extend(i: int, smap: dict, nmaps: dict) -> bool:
-        if i == len(order):
-            return check_all(smap, nmaps)
-        q1 = order[i]
-        used = set(smap.values())
-        for q2 in h2.states:
-            if q2 in used or sig2[q2] != sig1[q1]:
-                continue
-            for nmap in _name_bijections(h1.states[q1], h2.states[q2]):
-                smap[q1] = q2
-                nmaps[q1] = nmap
-                if partial_ok(q1, smap, nmaps) and extend(i + 1, smap, nmaps):
-                    return True
-                del smap[q1]
-                del nmaps[q1]
-        return False
-
-    def partial_ok(q1: str, smap: dict, nmaps: dict) -> bool:
-        # check every transition whose endpoints are both mapped
-        for s in smap:
-            for t in h1.trans.get(s, ()):
-                if t.target not in smap:
-                    continue
-                if not transition_matched(s, t, smap, nmaps):
-                    return False
-            s2 = smap[s]
-            mapped_count = sum(1 for t in h1.trans.get(s, ()) if t.target in smap)
-            inv = {v: k for k, v in smap.items()}
-            mapped_count2 = sum(
-                1 for t in h2.trans.get(s2, ()) if t.target in inv
-            )
-            if mapped_count != mapped_count2:
-                return False
-        return True
-
-    def transition_matched(s: str, t: Transition, smap: dict, nmaps: dict) -> bool:
-        s2 = smap[s]
-        for t2 in h2.trans.get(s2, ()):
-            if t2.target != smap[t.target] or t2.label.kind != t.label.kind:
-                continue
-            if t.label.kind == "letter" and t2.label.letter != t.label.letter:
-                continue
-            if t.label.kind == "name" and nmaps[s].get(t.label.name) != t2.label.name:
-                continue
-            if match_sigma(
-                t.sigma, t2.sigma, nmaps[t.target], nmaps[s], t.label.kind == "push"
-            ):
-                return True
-        return False
-
-    def check_all(smap: dict, nmaps: dict) -> bool:
-        if smap[h1.initial] != h2.initial:
-            return False
-        if {smap[q] for q in h1.finals} != set(h2.finals):
-            return False
-        q0map = nmaps[h1.initial]
-        eta2 = {q0map[k]: v for k, v in h1.eta.items()}
-        if eta2 != h2.eta:
-            return False
-        for s in h1.states:
-            if len(h1.trans.get(s, ())) != len(h2.trans.get(smap[s], ())):
-                return False
-            for t in h1.trans.get(s, ()):
-                if not transition_matched(s, t, smap, nmaps):
-                    return False
-        return True
-
-    return extend(0, {}, {})
-
-
-def _name_bijections(a: frozenset[Name], b: frozenset[Name]):
-    from itertools import permutations
-
-    if len(a) != len(b):
-        return
-    xs = sorted(a)
-    for perm in permutations(sorted(b)):
-        yield dict(zip(xs, perm))

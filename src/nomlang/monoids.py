@@ -336,6 +336,47 @@ def embed_sm(x: SWord) -> MWord:
 
 
 # ---------------------------------------------------------------------------
+# Quotients m -> g -> l -> s
+#
+# The maps that forget structure.  They are monoid homomorphisms, and
+# each embedding above is a section of the matching quotient.
+
+def quot_mg(w: MWord) -> GWord:
+    """Extend every binder scope to the end of the word."""
+    if isinstance(w, words.Empty):
+        return GEPSILON
+    if isinstance(w, words.NameAtom):
+        return GCons(w.name, GEPSILON)
+    if isinstance(w, words.LetterAtom):
+        return GCons(w.letter, GEPSILON)
+    if isinstance(w, words.Seq):
+        out = GEPSILON
+        for p in reversed(w.parts):
+            out = concat_g(quot_mg(p), out)
+        return out
+    assert isinstance(w, Bind)
+    return GBind(w.name, quot_mg(w.body))
+
+
+def quot_gl(w: GWord) -> LWord:
+    """Hoist every binder into the prefix, keeping their order."""
+    if isinstance(w, GEmpty):
+        return LEPSILON
+    if isinstance(w, GCons):
+        return concat_l(LWord((), (w.head,)), quot_gl(w.tail))
+    assert isinstance(w, GBind)
+    return bind_l(w.name, quot_gl(w.tail))
+
+
+def quot_ls(x: LWord) -> SWord:
+    """Forget the order of the binder prefix."""
+    w = SWord(frozenset(), x.body)
+    for n in reversed(x.prefix):
+        w = bind_s(n, w)
+    return w
+
+
+# ---------------------------------------------------------------------------
 # Plain-word projection (pool-bounded)
 
 PlainWord = tuple

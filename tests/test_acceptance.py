@@ -285,10 +285,10 @@ def test_criterion_8_alpha_oracle_and_quotients():
         if not alpha_oracle(u, v, wide):
             bad.append(f"variant #{i}")
 
-    from test_monoids import quot_gl, quot_ls, quot_mg
     from nomlang.monoids import (
         SORT_G, SORT_L, canon_g, canon_l, canon_s,
         concat_g, concat_l, embed_gm, embed_lg, embed_sl,
+        quot_gl, quot_ls, quot_mg,
     )
     from nomlang.oracle import _build
 

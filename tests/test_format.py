@@ -3,7 +3,7 @@ import pytest
 from nomlang.names import Name
 from nomlang.compiler import compile_regex
 from nomlang.syntax import parse_regex
-from nomlang.hds import language_slice, isomorphic, validate
+from nomlang.hds import language_slice, validate
 from nomlang import hds_format
 from nomlang.hds_format import FormatError, parse, serialize, to_dot
 

@@ -5,6 +5,7 @@ from nomlang.hds import (
     ACCEPT,
     BOTTOM,
     CUTOFF,
+    END,
     Hds,
     L_CLOSE,
     L_EPS,
@@ -17,7 +18,6 @@ from nomlang.hds import (
     accepts,
     accepts_word,
     compose,
-    isomorphic,
     language_slice,
     lname,
     lletter,
@@ -25,6 +25,7 @@ from nomlang.hds import (
     rename_local,
     run,
     stack_update,
+    step,
     validate,
 )
 from nomlang.words import TCLOSE, TLetter, TName, TOpen
@@ -76,6 +77,53 @@ def test_push_frame_resolves_through_top():
     # that local currently denotes"; other values are taken literally
     assert push_frame(NM({y: x}), top) == NM({y: n})
     assert push_frame(NM({y: m}), top) == NM({y: m})
+
+
+# -- moves -------------------------------------------------------------------
+
+def test_step_defines_every_move():
+    # one transition of each kind out of q, each to a target named after it
+    moves = {
+        "name": (lname(x), NM({x: x})),
+        "unmapped": (lname(y), NM({x: x})),  # y has no meaning in the top frame
+        "letter": (lletter(a), BOTTOM),
+        "eps": (L_EPS, NM({y: x})),
+        "push": (L_PUSH, NM({x: x, y: m})),
+        "pop": (L_POP, NM({x: x})),
+        "open": (L_OPEN, NM({y: STAR, x: x})),
+        "close": (L_CLOSE, NM({x: x})),
+    }
+    h = Hds(
+        states={"q": frozenset({x, y}), **{q: frozenset({x, y}) for q in moves}},
+        initial="q",
+        eta={x: n},
+        finals=frozenset(),
+        trans={"q": tuple(Transition(lab, q, sig) for q, (lab, sig) in moves.items())},
+    )
+    below = NM({x: k})
+    stk = (NM({x: n}), below)
+    c = Name("c")
+
+    def enabled(tok, fresh=None):
+        return {t.target: (tok_read, stk2) for t, tok_read, stk2 in step(h, "q", stk, tok, fresh)}
+
+    silent = {
+        "eps": (None, (NM({y: n}), below)),
+        "push": (None, (NM({x: n, y: m}), NM({x: n}), below)),  # y > m is a global
+        "pop": (None, (below,)),
+    }
+    reads = {
+        "name": (TName(n), (NM({x: n}), below)),
+        "letter": (TLetter(a), (BOTTOM, below)),
+        "open": (TOpen(c), (NM({x: n, y: c}), NM({x: n}), below)),
+        "close": (TCLOSE, (below,)),
+    }
+    assert enabled(None, fresh=c) == {**silent, **reads}  # generating
+    for kind, (tok, _) in reads.items():
+        assert enabled(tok) == {**silent, kind: reads[kind]}
+    assert enabled(TName(m)) == silent
+    assert enabled(TLetter(b)) == silent
+    assert enabled(END) == silent
 
 
 # -- hand-built automata -----------------------------------------------------
@@ -236,7 +284,7 @@ def test_depth_cutoff_reported():
     assert r.outcome == CUTOFF
 
 
-# -- local-name renaming and isomorphism -------------------------------------
+# -- local-name renaming -----------------------------------------------------
 
 def test_rename_local_preserves_language(push_pop_hds):
     h = push_pop_hds
@@ -245,7 +293,7 @@ def test_rename_local_preserves_language(push_pop_hds):
     assert validate(h2) == []
     assert z in h2.states["q1"] and y not in h2.states["q1"]
     assert language_slice(h2, 3) == language_slice(h, 3)
-    assert isomorphic(h, h2)
+    assert rename_local(h2, "q1", {z: y, x: x}) == h
 
 
 def test_rename_local_initial_state(open_close_hds):
@@ -255,11 +303,4 @@ def test_rename_local_initial_state(open_close_hds):
     assert validate(h2) == []
     assert h2.eta == {z: n}
     assert language_slice(h2, 4) == language_slice(h, 4)
-    assert isomorphic(h, h2)
-
-
-def test_isomorphic_distinguishes(push_pop_hds, open_close_hds):
-    assert not isomorphic(push_pop_hds, open_close_hds)
-    h = push_pop_hds
-    h2 = Hds(h.states, h.initial, h.eta, frozenset({"q3"}), h.trans)
-    assert not isomorphic(h, h2)
+    assert rename_local(h2, "p0", {z: x}) == h

@@ -142,52 +142,15 @@ def test_ax6_extra_in_s(rng):
 # homomorphisms, and each embedding is a section of its quotient.
 
 from nomlang.monoids import (  # noqa: E402
-    GBind,
-    GCons,
-    GEmpty,
-    GEPSILON,
-    SWord,
-    bind_l,
     canon_g,
     canon_l,
     canon_s,
     concat_g,
     concat_l,
-    LWord,
+    quot_gl,
+    quot_ls,
+    quot_mg,
 )
-
-
-def quot_ls(x: LWord) -> SWord:
-    w = SWord(frozenset(), x.body)
-    for nm in reversed(x.prefix):
-        w = SORT_S.bind(nm, w)
-    return w
-
-
-def quot_gl(w) -> LWord:
-    if isinstance(w, GEmpty):
-        return SORT_L.unit
-    if isinstance(w, GCons):
-        head = LWord((), (w.head,))
-        return concat_l(head, quot_gl(w.tail))
-    assert isinstance(w, GBind)
-    return bind_l(w.name, quot_gl(w.tail))
-
-
-def quot_mg(w):
-    if isinstance(w, words.Empty):
-        return GEPSILON
-    if isinstance(w, words.NameAtom):
-        return GCons(w.name, GEPSILON)
-    if isinstance(w, words.LetterAtom):
-        return GCons(w.letter, GEPSILON)
-    if isinstance(w, words.Seq):
-        out = GEPSILON
-        for p in reversed(w.parts):
-            out = concat_g(quot_mg(p), out)
-        return out
-    assert isinstance(w, words.Bind)
-    return GBind(w.name, quot_mg(w.body))
 
 
 def _rand_s(rng, size=4):
