@@ -7,16 +7,17 @@ two automata under a fresh initial state; concatenation linking the
 the second after extending the first with the second's initial locals;
 iteration via a push transition re-establishing the initial name
 bindings; and name binding via an allocating open transition and a
-deallocating close transition.
+deallocating close transition.  Every construction takes its new
+state ids and local names from one `FreshSupply`, which
+`compile_regex` threads through the whole translation, so the operands
+of a construction never share a state or a local name.
 
 Two points deserve attention:
 
 * `add_name` threads the new name through every transition with the
-  identity, except through push transitions, where the pushed frame
-  would otherwise record the local name itself as the datum and
-  clobber the threaded value for the rest of the run.  Pushes instead
-  record the name's static initial value, which the concatenation
-  construction knows (it is the second automaton's eta).
+  identity, push transitions included.  `push_frame` resolves the
+  pushed entry `x>x` to the meaning `x` has when the push fires, so
+  the threaded value survives every iteration of a star.
 
 * Binding a name whose initial map has several preimages (which
   arises as soon as the bound name occurs both directly in a
@@ -28,8 +29,8 @@ Two points deserve attention:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from dataclasses import dataclass
+from typing import Iterable
 
 from .names import Name, STAR
 from .hds import (
@@ -39,12 +40,10 @@ from .hds import (
     L_EPS,
     L_OPEN,
     L_PUSH,
-    Label,
     NameMap,
     Transition,
     lletter,
     lname,
-    rename_local,
 )
 from . import regex as rx
 
@@ -126,10 +125,8 @@ def hds_letter(s, supply: FreshSupply) -> Hds:
     )
 
 
-def hds_sum(h1: Hds, h2: Hds, supply: Optional[FreshSupply] = None) -> Hds:
+def hds_sum(h1: Hds, h2: Hds, supply: FreshSupply) -> Hds:
     """Union: fresh initial state with silent transitions into both operands."""
-    supply = supply or _supply_for(h1, h2)
-    h1, h2 = _ensure_disjoint(h1, h2, supply)
     q0 = supply.state()
     loc1 = h1.states[h1.initial]
     loc2 = h2.states[h2.initial]
@@ -149,9 +146,8 @@ def hds_sum(h1: Hds, h2: Hds, supply: Optional[FreshSupply] = None) -> Hds:
     )
 
 
-def unique_final(h: Hds, supply: Optional[FreshSupply] = None) -> Hds:
+def unique_final(h: Hds, supply: FreshSupply) -> Hds:
     """Wrap with a fresh no-name final state (always, even if already unique)."""
-    supply = supply or _supply_for(h)
     qf = supply.state()
     states = {**h.states, qf: frozenset()}
     trans = dict(h.trans)
@@ -168,9 +164,10 @@ def add_name(h: Hds, x: Name) -> Hds:
     it), so the language is unchanged.  In pushed frames the identity
     entry resolves to the name's current meaning, so a caller that
     later gives `x` an initial meaning keeps it across iterations.
+    `x` must not be a local name of `h` yet.
     """
     if any(x in locs for locs in h.states.values()):
-        h = _displace_local(h, x)
+        raise ValueError(f"{x.label} is already a local name")
     states = {q: locs | {x} for q, locs in h.states.items()}
     trans: dict[str, tuple[Transition, ...]] = {}
     for q, ts in h.trans.items():
@@ -183,14 +180,12 @@ def add_name(h: Hds, x: Name) -> Hds:
     return Hds(states, h.initial, dict(h.eta), h.finals, trans, h.relaxed_star)
 
 
-def hds_concat(h1: Hds, h2: Hds, supply: Optional[FreshSupply] = None) -> Hds:
+def hds_concat(h1: Hds, h2: Hds, supply: FreshSupply) -> Hds:
     """Sequential composition: H1's final feeds H2's initial.
 
     H2's initial locals are first added throughout H1 so the linking
     silent transition can hand over their initial meanings.
     """
-    supply = supply or _supply_for(h1, h2)
-    h1, h2 = _ensure_disjoint(h1, h2, supply)
     if len(h1.finals) != 1:
         h1 = unique_final(h1, supply)
     (qf1,) = h1.finals
@@ -210,14 +205,13 @@ def hds_concat(h1: Hds, h2: Hds, supply: Optional[FreshSupply] = None) -> Hds:
     )
 
 
-def hds_star(h: Hds, supply: Optional[FreshSupply] = None) -> Hds:
+def hds_star(h: Hds, supply: FreshSupply) -> Hds:
     """Iteration: silent skip for the empty word, push transition looping back.
 
     The pushed frame is the initial name map, so each iteration starts
     from the initial meanings while the previous frame is preserved
     below.
     """
-    supply = supply or _supply_for(h)
     h = unique_final(h, supply)
     (qf,) = h.finals
     states = dict(h.states)
@@ -237,7 +231,7 @@ def hds_star(h: Hds, supply: Optional[FreshSupply] = None) -> Hds:
     return Hds(states, initial, dict(h.eta), h.finals, trans, h.relaxed_star)
 
 
-def hds_bind(n: Name, h: Hds, supply: Optional[FreshSupply] = None) -> Hds:
+def hds_bind(n: Name, h: Hds, supply: FreshSupply) -> Hds:
     """Name binding: allocate at open, recognize the body, deallocate at close.
 
     Every initial local denoting `n` is sent to the placeholder by the
@@ -245,7 +239,6 @@ def hds_bind(n: Name, h: Hds, supply: Optional[FreshSupply] = None) -> Hds:
     such locals the open map is injective only up to placeholder
     collisions and the automaton is flagged as relaxed.
     """
-    supply = supply or _supply_for(h)
     h = unique_final(h, supply)
     (qf,) = h.finals
     loc0 = h.states[h.initial]
@@ -307,10 +300,13 @@ def _repoint_stale_pushes(h: Hds, n: Name, bound: frozenset[Name]) -> Hds:
 # ---------------------------------------------------------------------------
 # The compiler
 
-def compile_regex(e: rx.Regex, supply: Optional[FreshSupply] = None) -> Hds:
+def compile_regex(e: rx.Regex) -> Hds:
     """Translate an expression into an automaton recognizing its language."""
-    if supply is None:
-        supply = FreshSupply(avoid=rx.free_names(e))
+    return _compile(e, FreshSupply(avoid=rx.free_names(e)))
+
+
+def _compile(e: rx.Regex, supply: FreshSupply) -> Hds:
+    """Build the automaton of `e` from the states and locals `supply` hands out."""
     if isinstance(e, rx.One):
         return hds_one(supply)
     if isinstance(e, rx.Zero):
@@ -320,75 +316,11 @@ def compile_regex(e: rx.Regex, supply: Optional[FreshSupply] = None) -> Hds:
     if isinstance(e, rx.LetterLit):
         return hds_letter(e.letter, supply)
     if isinstance(e, rx.Sum):
-        return hds_sum(
-            compile_regex(e.left, supply), compile_regex(e.right, supply), supply
-        )
+        return hds_sum(_compile(e.left, supply), _compile(e.right, supply), supply)
     if isinstance(e, rx.Cat):
-        return hds_concat(
-            compile_regex(e.left, supply), compile_regex(e.right, supply), supply
-        )
+        return hds_concat(_compile(e.left, supply), _compile(e.right, supply), supply)
     if isinstance(e, rx.Star):
-        return hds_star(compile_regex(e.body, supply), supply)
+        return hds_star(_compile(e.body, supply), supply)
     if isinstance(e, rx.Binder):
-        return hds_bind(e.name, compile_regex(e.body, supply), supply)
+        return hds_bind(e.name, _compile(e.body, supply), supply)
     raise CompileError(f"unknown expression node {type(e).__name__}")
-
-
-# ---------------------------------------------------------------------------
-# Freshness plumbing for public use on hand-built automata
-
-def _supply_for(*hs: Hds) -> FreshSupply:
-    avoid = frozenset().union(*(h.local_names() for h in hs)) | frozenset(
-        v for h in hs for v in h.eta.values()
-    )
-    s = FreshSupply(avoid=avoid)
-    used_states = {q for h in hs for q in h.states}
-    ks = [int(q[1:]) for q in used_states if q[:1] == "q" and q[1:].isdigit()]
-    if ks:
-        s._state = max(ks) + 1
-    return s
-
-
-def _displace_local(h: Hds, x: Name) -> Hds:
-    """Rename `x` away wherever it is local, freeing it for `add_name`."""
-    from .names import fresh_name
-
-    for q, locs in list(h.states.items()):
-        if x in locs:
-            avoid = h.local_names() | frozenset(h.eta.values())
-            y = fresh_name(x.label)
-            while y in avoid:
-                y = fresh_name(x.label)
-            mapping = {z: (y if z is x else z) for z in locs}
-            h = rename_local(h, q, mapping)
-    return h
-
-
-def _ensure_disjoint(h1: Hds, h2: Hds, supply: FreshSupply) -> tuple[Hds, Hds]:
-    """Rename h2 apart from h1 in state ids and local names if needed."""
-    if not (set(h1.states) & set(h2.states)) and not (
-        h1.local_names() & h2.local_names()
-    ):
-        return h1, h2
-    # fresh state ids for h2
-    ren = {q: supply.state() for q in h2.states}
-    states = {ren[q]: locs for q, locs in h2.states.items()}
-    trans = {
-        ren[q]: tuple(Transition(t.label, ren[t.target], t.sigma) for t in ts)
-        for q, ts in h2.trans.items()
-    }
-    h2 = Hds(
-        states,
-        ren[h2.initial],
-        dict(h2.eta),
-        frozenset(ren[q] for q in h2.finals),
-        trans,
-        h2.relaxed_star,
-    )
-    clash = h1.local_names() & h2.local_names()
-    for x in sorted(clash):
-        y = supply.local()
-        for q, locs in list(h2.states.items()):
-            if x in locs:
-                h2 = rename_local(h2, q, {z: (y if z is x else z) for z in locs})
-    return h1, h2

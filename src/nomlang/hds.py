@@ -19,7 +19,7 @@ consumptions; both policies can be relaxed for cross-checking.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Iterable, Optional, Union
 
 from .names import Letter, Name, STAR
@@ -483,52 +483,3 @@ def language_slice(
             seen.add((cfg2, gap2))
             frontier.append((cfg2, gap2, opens2))
     return frozenset(out)
-
-
-# ---------------------------------------------------------------------------
-# Local-name renaming
-
-def rename_local(h: Hds, q: str, fresh: dict[Name, Name]) -> Hds:
-    """Consistently rename the local names of one state.
-
-    Rewrites the state's locals, eta if `q` is initial, and the name
-    maps of every transition entering or leaving `q`.  The recognized
-    language is unchanged.
-    """
-    if q not in h.states:
-        raise ValueError(f"unknown state {q}")
-    locs = h.states[q]
-    if set(fresh) != set(locs):
-        raise ValueError("renaming must cover exactly the state's local names")
-    if len(set(fresh.values())) != len(fresh):
-        raise ValueError("renaming must be injective")
-    new_locs = frozenset(fresh.values())
-
-    def src_value(v):
-        if v is STAR or not isinstance(v, Name):
-            return v
-        return fresh.get(v, v)
-
-    states = dict(h.states)
-    states[q] = new_locs
-    trans: dict[str, tuple[Transition, ...]] = {}
-    for s, ts in h.trans.items():
-        new_ts = []
-        for t in ts:
-            label = t.label
-            sigma = t.sigma.as_dict()
-            if s == q:
-                if label.kind == "name":
-                    label = lname(fresh[label.name])
-                # push values that are source locals resolve through the
-                # top frame, so they are renamed like any other; genuinely
-                # global push values are not in `fresh` and pass through
-                sigma = {k: src_value(v) for k, v in sigma.items()}
-            if t.target == q:
-                sigma = {fresh.get(k, k): v for k, v in sigma.items()}
-            new_ts.append(Transition(label, t.target, NameMap.of(sigma)))
-        trans[s] = tuple(new_ts)
-    eta = h.eta
-    if q == h.initial:
-        eta = {fresh[k]: v for k, v in h.eta.items()}
-    return Hds(states, h.initial, eta, h.finals, trans, h.relaxed_star)

@@ -10,9 +10,7 @@ from nomlang.compiler import (
     CompileError,
     add_name,
     compile_regex,
-    hds_concat,
     hds_name,
-    hds_star,
     FreshSupply,
 )
 from nomlang.oracle import brute_slice, check_equivalence, random_regex
@@ -128,6 +126,8 @@ def test_add_name_preserves_language():
     assert validate(h2) == []
     assert x9 in h2.states[h2.initial]
     assert language_slice(h2, 4) == language_slice(h, 4)
+    with pytest.raises(ValueError):
+        add_name(h2, x9)  # already local
 
 
 def test_relaxed_star_flag_for_shared_bindings():

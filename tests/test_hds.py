@@ -22,7 +22,6 @@ from nomlang.hds import (
     lname,
     lletter,
     push_frame,
-    rename_local,
     run,
     stack_update,
     step,
@@ -283,24 +282,3 @@ def test_depth_cutoff_reported():
     r = run(h, (TName(m),), max_depth=2, reuse_pushes=True, truncate=False)
     assert r.outcome == CUTOFF
 
-
-# -- local-name renaming -----------------------------------------------------
-
-def test_rename_local_preserves_language(push_pop_hds):
-    h = push_pop_hds
-    z = Name("z")
-    h2 = rename_local(h, "q1", {y: z, x: x})
-    assert validate(h2) == []
-    assert z in h2.states["q1"] and y not in h2.states["q1"]
-    assert language_slice(h2, 3) == language_slice(h, 3)
-    assert rename_local(h2, "q1", {z: y, x: x}) == h
-
-
-def test_rename_local_initial_state(open_close_hds):
-    h = open_close_hds
-    z = Name("z")
-    h2 = rename_local(h, "p0", {x: z})
-    assert validate(h2) == []
-    assert h2.eta == {z: n}
-    assert language_slice(h2, 4) == language_slice(h, 4)
-    assert rename_local(h2, "p0", {z: x}) == h
