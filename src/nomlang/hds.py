@@ -197,9 +197,6 @@ class Hds:
             for t in ts:
                 yield q, t
 
-    def size(self) -> int:
-        return len(self.states)
-
 
 def validate(h: Hds) -> list[str]:
     """Well-formedness violations (empty list means well-formed)."""

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Union
 
-from .names import Letter, Name, Permutation, canonical_supply, fresh_name
+from .names import Letter, Name, canonical_supply, fresh_name
 from . import words
 from .words import Bind, MWord, alpha_canonical, atom, concat, token_length
 
@@ -77,26 +77,6 @@ def support_g(w: GWord) -> frozenset[Name]:
     if isinstance(w, GBind):
         return support_g(w.tail) - {w.name}
     return frozenset()
-
-
-def all_names_g(w: GWord) -> frozenset[Name]:
-    if isinstance(w, GCons):
-        tail = all_names_g(w.tail)
-        if isinstance(w.head, Name):
-            return tail | {w.head}
-        return tail
-    if isinstance(w, GBind):
-        return all_names_g(w.tail) | {w.name}
-    return frozenset()
-
-
-def permute_g(pi: Permutation, w: GWord) -> GWord:
-    if isinstance(w, GCons):
-        head = pi(w.head) if isinstance(w.head, Name) else w.head
-        return GCons(head, permute_g(pi, w.tail))
-    if isinstance(w, GBind):
-        return GBind(pi(w.name), permute_g(pi, w.tail))
-    return w
 
 
 def _rename_free_g(w: GWord, old: Name, new: Name) -> GWord:
@@ -175,13 +155,6 @@ def all_names_l(x: LWord) -> frozenset[Name]:
     return frozenset(x.prefix) | frozenset(s for s in x.body if isinstance(s, Name))
 
 
-def permute_l(pi: Permutation, x: LWord) -> LWord:
-    return LWord(
-        tuple(pi(n) for n in x.prefix),
-        tuple(pi(s) if isinstance(s, Name) else s for s in x.body),
-    )
-
-
 def _rename_prefix(x: LWord, new_names: list[Name]) -> LWord:
     """Rename prefix positions to `new_names`, updating bound body occurrences.
 
@@ -254,13 +227,6 @@ def support_s(x: SWord) -> frozenset[Name]:
 
 def all_names_s(x: SWord) -> frozenset[Name]:
     return frozenset(s for s in x.body if isinstance(s, Name))
-
-
-def permute_s(pi: Permutation, x: SWord) -> SWord:
-    return SWord(
-        frozenset(pi(n) for n in x.bound),
-        tuple(pi(s) if isinstance(s, Name) else s for s in x.body),
-    )
 
 
 def _rename_bound_s(x: SWord, mapping: dict[Name, Name]) -> SWord:
