@@ -12,9 +12,9 @@ moves that read the next input token; `language_slice` takes every
 move and emits the token each consuming move reads.  Both explore the
 nondeterministic configuration graph with memoization.  Non-consuming
 loops can push frames forever, so the search is pruned: stack depth is
-capped (input length + state count + 1 by default, overridable) and by
-default a given push transition fires at most once between two token
-consumptions; both policies can be relaxed for cross-checking.
+capped (input length + state count + 1) and a given push transition
+fires at most once between two token consumptions.  `run` can relax
+both policies for cross-checking.
 """
 
 from __future__ import annotations
@@ -420,23 +420,17 @@ def accepts_word(h: Hds, w: MWord, max_depth: Optional[int] = None) -> bool:
 # ---------------------------------------------------------------------------
 # Bounded language enumeration
 
-def language_slice(
-    h: Hds,
-    bound: int,
-    max_extra_depth: Optional[int] = None,
-    reuse_pushes: bool = False,
-) -> frozenset[MWord]:
+def language_slice(h: Hds, bound: int) -> frozenset[MWord]:
     """Canonical words of token length at most `bound` accepted by `h`.
 
     Explores the configuration graph forwards, emitting the token each
     consuming move reads when `step` generates it; the i-th open move
-    allocates the i-th canonical bound name.  The same pruning policies
-    as `run` apply, with the emitted length playing the role of the
-    position.
+    allocates the i-th canonical bound name.  The default pruning
+    policies of `run` apply, with the emitted length playing the role
+    of the position.  A node with more open binders than tokens left
+    under the bound can never close them all, and is dropped.
     """
-    if max_extra_depth is None:
-        max_extra_depth = len(h.states) + 1
-    max_depth = bound + max_extra_depth
+    max_depth = bound + len(h.states) + 1
     has_pop = any(t.label.kind == "pop" for _, t in h.transitions())
     supply = canonical_supply(h.eta.values())
     # fresh[i] is the name the i-th open allocates; moves are generated only
@@ -456,7 +450,7 @@ def language_slice(
         else:
             moves = step(h, state, stk, END)
         for t, tok_read, stk2 in moves:
-            gap2 = _gap_after(gap, t, tok_read, reuse_pushes)
+            gap2 = _gap_after(gap, t, tok_read, False)
             if gap2 is None:
                 continue
             emitted2, depth2, opens2 = emitted, depth, opens
@@ -469,6 +463,8 @@ def language_slice(
                     depth2 = depth + 1
                     opens2 = opens + 1
                 emitted2 = emitted + (tok_read,)
+                if depth2 > bound - len(emitted2):
+                    continue
             if not has_pop:
                 # below-top frames beyond one per remaining token are dead
                 stk2 = stk2[: bound - len(emitted2) + 1]
