@@ -82,6 +82,9 @@ def cmd_accept(args) -> int:
 
 def cmd_enumerate(args) -> int:
     if args.input.endswith(".hds"):
+        if args.sort != "M":
+            print("error: --sort applies only to expression input", file=sys.stderr)
+            return EXIT_USAGE
         h = _load_hds(args.input)
         words = automata.language_slice(h, args.bound)
         lines = sorted(render_word(w) for w in words)
@@ -133,7 +136,7 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("input", help=".nre expression or .hds automaton file")
     e.add_argument("--bound", type=int, required=True, help="token length bound")
     e.add_argument("--sort", choices=sorted(SORTS), default="M",
-                   help="word sort for expression semantics (default M)")
+                   help="word sort, for expression input only (default M)")
     e.set_defaults(fn=cmd_enumerate)
 
     k = sub.add_parser("check", help="compare an expression against its compilation")

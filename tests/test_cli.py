@@ -67,6 +67,14 @@ def test_enumerate_automaton_matches_expression(expr_file, hds_file, capsys):
     assert from_expr == from_hds
 
 
+def test_enumerate_automaton_rejects_other_sorts(hds_file, capsys):
+    # an automaton recognizes M-words only; it has no slice in another sort
+    assert main(["enumerate", hds_file, "--bound", "8", "--sort", "S"]) == 2
+    captured = capsys.readouterr()
+    assert "--sort" in captured.err
+    assert captured.out == ""
+
+
 def test_check_passes(expr_file, capsys):
     assert main(["check", expr_file, "--bound", "8"]) == 0
     assert capsys.readouterr().out.startswith("PASS")
