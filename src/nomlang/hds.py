@@ -43,12 +43,12 @@ MapValue = Union[Name, type(STAR)]
 class NameMap:
     """A finite partial map from names to names-or-star."""
 
-    entries: tuple[tuple[Name, object], ...]  # sorted by key id, as `of` builds them
+    entries: tuple[tuple[Name, object], ...]  # sorted by key, as `of` builds them
 
     @classmethod
-    def of(cls, mapping: dict | None = None, **kw) -> "NameMap":
+    def of(cls, mapping: dict | None = None) -> "NameMap":
         m = dict(mapping or {})
-        return cls(tuple(sorted(m.items(), key=lambda kv: kv[0].id)))
+        return cls(tuple(sorted(m.items(), key=lambda kv: kv[0])))
 
     def get(self, n: Name, default=None):
         for k, v in self.entries:

@@ -58,7 +58,7 @@ def serialize(h: Hds) -> str:
         locs = " ".join(n.label for n in sorted(h.states[q]))
         lines.append(f"  {q} {locs}".rstrip())
     eta = " ".join(
-        f"{x.label}=#{v.label}" for x, v in sorted(h.eta.items(), key=lambda kv: kv[0].id)
+        f"{x.label}=#{v.label}" for x, v in sorted(h.eta.items())
     )
     lines.append(f"initial {h.initial} {eta}".rstrip())
     lines.append(("finals " + " ".join(sorted(h.finals))).rstrip())
@@ -185,7 +185,7 @@ def to_dot(h: Hds, name: str = "H") -> str:
         shape = "doublecircle" if q in h.finals else "circle"
         label = f"{q}\\n{{{locs}}}" if locs else q
         lines.append(f'  "{esc(q)}" [shape={shape}, label="{label}"];')
-    eta = ",".join(f"{x.label}={v.label}" for x, v in sorted(h.eta.items(), key=lambda kv: kv[0].id))
+    eta = ",".join(f"{x.label}={v.label}" for x, v in sorted(h.eta.items()))
     lines.append(f'  __start -> "{esc(h.initial)}" [label="{esc(eta)}"];')
     for q in sorted(h.trans):
         for t in h.trans[q]:

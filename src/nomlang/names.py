@@ -2,8 +2,9 @@
 
 The alphabet is split into a countably infinite set of *names* (testable
 only for equality) and a finite, user-declared set of *letters*.  Names
-are interned: constructing ``Name("n1")`` twice gives the same object,
-and each distinct label gets a distinct numeric id.  The placeholder
+are interned: constructing ``Name("n1")`` twice gives the same object.
+Names order by label, so no output depends on the order in which
+names were first made.  The placeholder
 ``STAR`` used in automaton name maps is deliberately not a ``Name`` so
 it can never leak into words.
 """
@@ -16,19 +17,17 @@ from typing import Iterable, Iterator
 
 
 class Name:
-    """An interned name.  Identity is the numeric id; the label is for display."""
+    """An interned name: one object per label."""
 
-    __slots__ = ("id", "label")
+    __slots__ = ("label",)
 
     _registry: dict[str, "Name"] = {}
-    _ids = itertools.count()
 
     def __new__(cls, label: str) -> "Name":
         existing = cls._registry.get(label)
         if existing is not None:
             return existing
         obj = object.__new__(cls)
-        object.__setattr__(obj, "id", next(cls._ids))
         object.__setattr__(obj, "label", label)
         cls._registry[label] = obj
         return obj
@@ -40,7 +39,7 @@ class Name:
         return f"#{self.label}"
 
     def __lt__(self, other: "Name") -> bool:
-        return self.id < other.id
+        return self.label < other.label
 
 
 _fresh_counter = itertools.count()

@@ -1,5 +1,10 @@
+import os
+import subprocess
+import sys
+
 import pytest
 
+import nomlang
 from nomlang.names import Name
 from nomlang.compiler import compile_regex
 from nomlang.syntax import parse_regex
@@ -65,3 +70,40 @@ def test_to_dot_mentions_every_state_and_label():
     assert "doublecircle" in dot
     for kind in ("open", "close", "push"):
         assert kind in dot
+
+
+# Compile and serialize the NS-protocol corpus expression in a new
+# process, after interning x12 ... x0 first when asked: local names
+# x0, x1, ... then get their interning order reversed.
+_SERIALIZE_NS_PROTOCOL = """
+import sys
+from nomlang.names import Name
+from nomlang.compiler import compile_regex
+from nomlang.hds_format import serialize
+from nomlang.syntax import parse_nre
+if sys.argv[2] == "reversed":
+    for i in range(12, -1, -1):
+        Name(f"x{i}")
+with open(sys.argv[1], encoding="utf-8") as f:
+    e, _ = parse_nre(f.read())
+sys.stdout.write(serialize(compile_regex(e)))
+"""
+
+
+def _serialize_ns_protocol(history):
+    src = os.path.dirname(os.path.dirname(nomlang.__file__))
+    path = os.path.join(os.path.dirname(__file__), "..", "expressions", "ns_protocol.nre")
+    done = subprocess.run(
+        [sys.executable, "-c", _SERIALIZE_NS_PROTOCOL, path, history],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, check=True, timeout=120,
+    )
+    return done.stdout
+
+
+def test_output_does_not_depend_on_interning_history():
+    later, earlier = Name("order_test_9"), Name("order_test_1")  # interned in reverse
+    assert sorted([later, earlier]) == [earlier, later]
+    fresh = _serialize_ns_protocol("fresh")
+    assert fresh.startswith("states")
+    assert _serialize_ns_protocol("reversed") == fresh
