@@ -450,7 +450,7 @@ def language_slice(h: Hds, bound: int) -> frozenset[MWord]:
         else:
             moves = step(h, state, stk, END)
         for t, tok_read, stk2 in moves:
-            gap2 = _gap_after(gap, t, tok_read, False)
+            gap2 = _gap_after(gap, t, tok_read, reuse_pushes=False)
             if gap2 is None:
                 continue
             emitted2, depth2, opens2 = emitted, depth, opens
