@@ -128,7 +128,8 @@ def build_parser() -> argparse.ArgumentParser:
     a = sub.add_parser("accept", help="run an automaton on a word")
     a.add_argument("automaton", help=".hds automaton file")
     a.add_argument("word", help="word in concrete syntax, e.g. '<#n. #m #n >'")
-    a.add_argument("--fuel", type=int, default=None, help="stack depth budget")
+    a.add_argument("--fuel", type=int, default=None,
+                   help="maximum stack depth (default: input length + states + 1)")
     a.add_argument("--trace", action="store_true", help="print the accepting run")
     a.set_defaults(fn=cmd_accept)
 

@@ -15,10 +15,18 @@ loops can push frames forever, so the search is pruned: stack depth is
 capped (input length + state count + 1) and a given push transition
 fires at most once between two token consumptions.  `run` can relax
 both policies for cross-checking.
+
+In an automaton without pop transitions (every compiled one) only a
+close move reads below the top of the stack, and it reads one frame
+down.  So with at most c close tokens still to come, the frames at
+index c + 1 and deeper are never read: both searches drop them, which
+changes no verdict and no slice.  Name maps are hash-consed, so the
+stacks the searches memoize hash and compare by identity.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from typing import Iterable, Optional, Union
 
@@ -39,11 +47,30 @@ from .names import canonical_supply
 MapValue = Union[Name, type(STAR)]
 
 
-@dataclass(frozen=True)
 class NameMap:
-    """A finite partial map from names to names-or-star."""
+    """A finite partial map from names to names-or-star.
 
-    entries: tuple[tuple[Name, object], ...]  # sorted by key, as `of` builds them
+    Name maps are hash-consed: one object per `entries` tuple, so
+    equality and hashing are identity and a stack of maps hashes in C.
+    The table holds its maps weakly, so the frames a search makes are
+    freed when the search ends.
+    """
+
+    __slots__ = ("entries", "__weakref__")
+
+    _table: "weakref.WeakValueDictionary[tuple, NameMap]" = weakref.WeakValueDictionary()
+
+    def __new__(cls, entries: tuple[tuple[Name, object], ...]) -> "NameMap":
+        # entries are sorted by key, as `of` builds them
+        m = cls._table.get(entries)
+        if m is None:
+            m = object.__new__(cls)
+            object.__setattr__(m, "entries", entries)
+            cls._table[entries] = m
+        return m
+
+    def __setattr__(self, key, value):
+        raise AttributeError("NameMap is immutable")
 
     @classmethod
     def of(cls, mapping: dict | None = None) -> "NameMap":
@@ -351,17 +378,20 @@ def run(
     at most once between two token consumptions, which cuts the
     unproductive loops star constructions introduce.  `initial_stack`
     overrides the frames below the initial name map (useful for
-    checking that they cannot influence acceptance); `truncate`
-    controls the dead-frame optimization below.
+    checking that they cannot influence acceptance).  Unless `truncate`
+    is off or `h` has pop transitions, a successor keeps one frame more
+    than the close tokens left in the input: no close can read the
+    others.
     """
     if max_depth is None:
         max_depth = len(tokens) + len(h.states) + 1 + len(initial_stack or ())
-    # Without pop transitions, only close transitions read below the top,
-    # one frame per remaining close token: deeper frames are dead and can
-    # be dropped, which keeps the explored configuration space small.
     has_pop = (
         any(t.label.kind == "pop" for _, t in h.transitions()) or not truncate
     )
+    # keep[pos]: 1 + the close tokens in tokens[pos:], the frames a close can read
+    keep = [1] * (len(tokens) + 1)
+    for i in range(len(tokens) - 1, -1, -1):
+        keep[i] = keep[i + 1] + isinstance(tokens[i], TClose)
     start = initial_config(h)
     if initial_stack is not None:
         start = (start[0], start[1], start[2] + tuple(initial_stack))
@@ -392,7 +422,7 @@ def run(
                 continue
             pos2 = pos if tok_read is None else pos + 1
             if not has_pop:
-                stk2 = stk2[: len(tokens) - pos2 + 1]
+                stk2 = stk2[: keep[pos2]]
             if len(stk2) > max_depth:
                 pruned_live = True
                 continue
@@ -428,7 +458,10 @@ def language_slice(h: Hds, bound: int) -> frozenset[MWord]:
     allocates the i-th canonical bound name.  The default pruning
     policies of `run` apply, with the emitted length playing the role
     of the position.  A node with more open binders than tokens left
-    under the bound can never close them all, and is dropped.
+    under the bound can never close them all, and is dropped.  Without
+    pop transitions a node keeps one frame more than the closes an
+    accepted word can still read: its open binders plus one per two
+    further tokens under the bound.
     """
     max_depth = bound + len(h.states) + 1
     has_pop = any(t.label.kind == "pop" for _, t in h.transitions())
@@ -466,8 +499,10 @@ def language_slice(h: Hds, bound: int) -> frozenset[MWord]:
                 if depth2 > bound - len(emitted2):
                     continue
             if not has_pop:
-                # below-top frames beyond one per remaining token are dead
-                stk2 = stk2[: bound - len(emitted2) + 1]
+                # a word ends with no binder open, so the closes still to come
+                # are the open binders plus at most one per two further tokens
+                left = bound - len(emitted2)
+                stk2 = stk2[: depth2 + (left - depth2) // 2 + 1]
             if len(stk2) > max_depth:
                 continue
             cfg2 = (t.target, emitted2, depth2, stk2)

@@ -40,6 +40,15 @@ def test_accept_exit_codes(hds_file):
     assert main(["accept", hds_file, "#m <#n. #n #n >"]) == 1
 
 
+def test_accept_undecided_exit_code(hds_file, capsys):
+    # the open needs a second frame, which a depth budget of 1 forbids
+    assert main(["accept", hds_file, "#m <#n. #m #n >", "--fuel", "1"]) == 3
+    assert capsys.readouterr().out.startswith("UNDECIDED")
+    with pytest.raises(SystemExit):
+        main(["accept", "--help"])
+    assert "maximum stack depth" in capsys.readouterr().out
+
+
 def test_accept_trace(hds_file, capsys):
     assert main(["accept", hds_file, "--trace", "#m"]) == 0
     captured = capsys.readouterr()

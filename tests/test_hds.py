@@ -1,3 +1,7 @@
+import gc
+import random
+import time
+
 import pytest
 
 from nomlang.names import Letter, Name, STAR
@@ -27,9 +31,10 @@ from nomlang.hds import (
     step,
     validate,
 )
-from nomlang.words import TCLOSE, TLetter, TName, TOpen
-from nomlang.syntax import parse_word, render_word
-from nomlang.oracle import brute_slice
+from nomlang.compiler import compile_regex
+from nomlang.words import TCLOSE, TLetter, TName, TOpen, alpha_canonical, tokenize
+from nomlang.syntax import parse_regex, parse_word, render_word
+from nomlang.oracle import brute_slice, random_regex
 
 from conftest import NAMES, LETTERS
 
@@ -52,6 +57,21 @@ def test_namemap_basics():
     assert set(f.values()) == {n, m}
     assert NM({y: m, x: n}) == f  # entry order is canonical
     assert BOTTOM.domain == frozenset()
+
+
+def test_namemaps_are_interned():
+    assert NM({x: n}) is NM({x: n})
+    assert NameMap(()) is BOTTOM
+    with pytest.raises(AttributeError):
+        NM({x: n}).entries = ()
+    # frames made during a search are freed when it ends
+    h = compile_regex(parse_regex("( <#n. #n ( #m + #n )* > )*", set()))
+    tokens = tokenize(parse_word("<#n. #n #m > <#n. #n #n #m > #k"))
+    gc.collect()
+    before = len(NameMap._table)
+    assert run(h, tokens).outcome == REJECT
+    gc.collect()
+    assert len(NameMap._table) == before
 
 
 def test_namemap_injectivity():
@@ -282,3 +302,43 @@ def test_depth_cutoff_reported():
     r = run(h, (TName(m),), max_depth=2, reuse_pushes=True, truncate=False)
     assert r.outcome == CUTOFF
 
+
+# -- dead-frame truncation -----------------------------------------------------
+
+def _words_and_near_misses(h, bound):
+    """Token streams of a few slice words, each with its one-token deletions
+    and one-name substitutions."""
+    out = []
+    for w in sorted(language_slice(h, bound), key=repr)[:4]:
+        t = tokenize(w)
+        out.append(t)
+        for i, tok in enumerate(t):
+            out.append(t[:i] + t[i + 1:])
+            if isinstance(tok, TName):
+                out.append(t[:i] + (TName(m if tok.name is n else n),) + t[i + 1:])
+    return out[:12]
+
+
+def test_truncation_is_exact_on_random_automata():
+    # only close moves read below the top, one frame down, so dropping the
+    # frames no remaining close token can reach never changes a verdict
+    rng = random.Random(4)
+    checked = 0
+    for _ in range(100):
+        h = compile_regex(random_regex(rng, NAMES, LETTERS, 4))
+        for t in _words_and_near_misses(h, 6):
+            full = run(h, t).outcome
+            assert full in (ACCEPT, REJECT)
+            assert run(h, t, truncate=False).outcome == full
+            capped = run(h, t, max_depth=3).outcome
+            assert capped in (CUTOFF, full)
+            checked += 1
+    assert checked > 500
+
+
+def test_binder_star_reject_is_fast():
+    h = compile_regex(parse_regex("( <#n. #n ( #m + #n )* > )*", set()))
+    w = parse_word(" ".join(["<#n. #n #m #n #m >"] * 12) + " #k")
+    t0 = time.perf_counter()
+    assert run(h, tokenize(alpha_canonical(w))).outcome == REJECT
+    assert time.perf_counter() - t0 < 2.0
