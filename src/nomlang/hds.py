@@ -27,6 +27,7 @@ stacks the searches memoize hash and compare by identity.
 from __future__ import annotations
 
 import weakref
+from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Optional, Union
 
@@ -407,13 +408,12 @@ def run(
         if pos == len(tokens) and state in h.finals:
             trace = None
             if want_trace:
-                trace = []
-                cur = node
-                while cur is not None:
-                    prev = parents.get(cur)
-                    trace.append((cur[0], prev[1] if prev else None))
-                    cur = prev[0] if prev else None
-                trace.reverse()
+                path = []
+                while node in parents:
+                    node, t = parents[node]
+                    path.append(t)
+                path.reverse()
+                trace = _replay(h, tokens, start, path)
             return RunResult(ACCEPT, trace)
         tok = tokens[pos] if pos < len(tokens) else END
         for t, tok_read, stk2 in step(h, state, stk, tok):
@@ -436,6 +436,23 @@ def run(
     return RunResult(CUTOFF if pruned_live else REJECT)
 
 
+def _replay(h: Hds, tokens: tuple[Tok, ...], start: Config, path: list) -> list:
+    """The run that takes the transitions of `path` from `start`, every frame kept.
+
+    The search drops frames no close can read, so its configurations
+    show only the top of the automaton's stacks; the same transitions
+    are enabled on the whole stacks, and this rebuilds them.
+    """
+    state, pos, stk = start
+    trace = [(start, None)]
+    for t in path:
+        tok = tokens[pos] if pos < len(tokens) else END
+        tok_read, stk = next((r, s) for u, r, s in step(h, state, stk, tok) if u is t)
+        state, pos = t.target, pos + (tok_read is not None)
+        trace.append(((state, pos, stk), t))
+    return trace
+
+
 def accepts(h: Hds, tokens: tuple[Tok, ...], max_depth: Optional[int] = None) -> bool:
     return run(h, tokens, max_depth=max_depth).accepted
 
@@ -450,6 +467,33 @@ def accepts_word(h: Hds, w: MWord, max_depth: Optional[int] = None) -> bool:
 # ---------------------------------------------------------------------------
 # Bounded language enumeration
 
+_CONSUMING = frozenset(("name", "letter", "open", "close"))
+
+
+def steps_to_final(h: Hds) -> dict[str, int]:
+    """The fewest consuming moves on any path from each state to a final one.
+
+    A 0-1 breadth-first search over the reversed transitions; a state
+    with no path to a final state is absent.
+    """
+    preds: dict[str, list] = {}
+    for q, t in h.transitions():
+        preds.setdefault(t.target, []).append((q, t.label.kind in _CONSUMING))
+    need = {q: 0 for q in h.finals}
+    queue = deque(h.finals)
+    while queue:
+        q = queue.popleft()
+        for p, cost in preds.get(q, ()):
+            d = need[q] + cost
+            if d < need.get(p, d + 1):
+                need[p] = d
+                if cost:
+                    queue.append(p)
+                else:
+                    queue.appendleft(p)
+    return need
+
+
 def language_slice(h: Hds, bound: int) -> frozenset[MWord]:
     """Canonical words of token length at most `bound` accepted by `h`.
 
@@ -457,13 +501,15 @@ def language_slice(h: Hds, bound: int) -> frozenset[MWord]:
     consuming move reads when `step` generates it; the i-th open move
     allocates the i-th canonical bound name.  The default pruning
     policies of `run` apply, with the emitted length playing the role
-    of the position.  A node with more open binders than tokens left
-    under the bound can never close them all, and is dropped.  Without
-    pop transitions a node keeps one frame more than the closes an
-    accepted word can still read: its open binders plus one per two
-    further tokens under the bound.
+    of the position.  A node is dropped when the tokens left under the
+    bound cannot both close its open binders and take its state to a
+    final one (`steps_to_final`); a state with no path to a final
+    state is always dropped.  Without pop transitions a node keeps one
+    frame more than the closes an accepted word can still read: its
+    open binders plus one per two further tokens under the bound.
     """
     max_depth = bound + len(h.states) + 1
+    need = steps_to_final(h)
     has_pop = any(t.label.kind == "pop" for _, t in h.transitions())
     supply = canonical_supply(h.eta.values())
     # fresh[i] is the name the i-th open allocates; moves are generated only
@@ -496,12 +542,12 @@ def language_slice(h: Hds, bound: int) -> frozenset[MWord]:
                     depth2 = depth + 1
                     opens2 = opens + 1
                 emitted2 = emitted + (tok_read,)
-                if depth2 > bound - len(emitted2):
-                    continue
+            left = bound - len(emitted2)
+            if max(need.get(t.target, left + 1), depth2) > left:
+                continue
             if not has_pop:
                 # a word ends with no binder open, so the closes still to come
                 # are the open binders plus at most one per two further tokens
-                left = bound - len(emitted2)
                 stk2 = stk2[: depth2 + (left - depth2) // 2 + 1]
             if len(stk2) > max_depth:
                 continue

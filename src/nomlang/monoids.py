@@ -18,11 +18,13 @@ connect the sorts: s -> l -> g -> m.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Callable, Optional, Union
 
 from .names import Letter, Name, canonical_supply, fresh_name
 from . import words
-from .words import Bind, MWord, alpha_canonical, atom, concat, token_length
+from .words import (
+    Bind, MWord, alpha_canonical, atom, concat, from_key, key_bind, token_length,
+)
 
 AtomSym = Union[Name, Letter]
 
@@ -404,7 +406,14 @@ def _project(w: MWord, pool: frozenset[Name]) -> set[PlainWord]:
 
 @dataclass(frozen=True)
 class SortOps:
-    """The operations a sort must provide to interpret regular expressions."""
+    """The operations a sort must provide to interpret regular expressions.
+
+    Token length adds up under `concat` in every sort.  `keyed`, when
+    set, is the same sort on canonical keys: its `canon` is the
+    identity, its `tok_len` is O(1), and its `to_mword` decodes a key
+    to the canonical value of this sort.  `regex.enumerate_slice` then
+    runs on the keys and decodes each output word once.
+    """
 
     tag: str
     unit: object
@@ -415,7 +424,26 @@ class SortOps:
     canon: Callable
     tok_len: Callable
     to_mword: Callable
+    keyed: Optional["SortOps"] = None
 
+
+def _identity(x):
+    return x
+
+
+# M-words as alpha keys (see `words`): bound names are de Bruijn
+# indices, so concatenation is tuple concatenation, with no renaming.
+SORT_M_KEYS = SortOps(
+    tag="M",
+    unit=(),
+    from_name=lambda n: (n,),
+    from_letter=lambda s: (s.symbol,),
+    concat=tuple.__add__,
+    bind=key_bind,
+    canon=_identity,
+    tok_len=len,
+    to_mword=from_key,
+)
 
 SORT_M = SortOps(
     tag="M",
@@ -426,7 +454,8 @@ SORT_M = SortOps(
     bind=Bind,
     canon=alpha_canonical,
     tok_len=token_length,
-    to_mword=lambda w: w,
+    to_mword=_identity,
+    keyed=SORT_M_KEYS,
 )
 
 SORT_G = SortOps(

@@ -5,12 +5,18 @@ infinite set; `enumerate_slice` computes its finite window of words up
 to a token-length bound.  Every semantic clause is token-length
 non-decreasing, so membership can be decided by enumerating up to the
 length of the candidate word.
+
+One enumeration serves every sort.  It keeps each partial slice
+bucketed by token length, which adds up under concatenation, so a
+product is built only for pairs whose lengths fit the bound and is
+filed without measuring it.  A sort with `keyed` operations (M) is
+enumerated on canonical keys, where concatenation and binding need no
+renaming, and each output key is decoded once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 
 from .names import Letter, Name, Permutation
 from .monoids import SORTS, SortOps
@@ -112,66 +118,101 @@ class LangSlice:
     words: frozenset
 
 
-def _by_length(ws, ops: SortOps) -> dict[int, list]:
-    out: dict[int, list] = {}
-    for w in ws:
-        out.setdefault(ops.tok_len(w), []).append(w)
-    return out
+# A slice in the making: {token length: set of canonical values}, with
+# no empty set.  Token length adds up under concatenation in every sort,
+# so a product pair's bucket is known before it is built, and `tok_len`
+# runs only on atoms and binder results.
 
 
-def _concat_slices(a, b, ops: SortOps, bound: int) -> set:
-    out = set()
-    la, lb = _by_length(a, ops), _by_length(b, ops)
-    for na, xs in la.items():
-        for nb, ys in lb.items():
+def _single(v, ops: SortOps, bound: int) -> dict[int, set]:
+    n = ops.tok_len(v)
+    return {n: {v}} if n <= bound else {}
+
+
+def _concat_slices(a: dict, b: dict, ops: SortOps, bound: int) -> dict[int, set]:
+    out: dict[int, set] = {}
+    concat, canon = ops.concat, ops.canon
+    for na, xs in a.items():
+        for nb, ys in b.items():
             if na + nb > bound:
                 continue
-            for x, y in product(xs, ys):
-                w = ops.canon(ops.concat(x, y))
-                if ops.tok_len(w) <= bound:
-                    out.add(w)
+            bucket = out.setdefault(na + nb, set())
+            bucket.update([canon(concat(x, y)) for x in xs for y in ys])
     return out
 
 
-def _enum(e: Regex, ops: SortOps, bound: int) -> set:
+def _enum(e: Regex, ops: SortOps, bound: int) -> dict[int, set]:
     if isinstance(e, Zero):
-        return set()
+        return {}
     if isinstance(e, One):
-        return {ops.canon(ops.unit)}
+        return _single(ops.canon(ops.unit), ops, bound)
     if isinstance(e, NameLit):
-        return {ops.canon(ops.from_name(e.name))} if bound >= 1 else set()
+        return _single(ops.canon(ops.from_name(e.name)), ops, bound)
     if isinstance(e, LetterLit):
-        return {ops.canon(ops.from_letter(e.letter))} if bound >= 1 else set()
+        return _single(ops.canon(ops.from_letter(e.letter)), ops, bound)
     if isinstance(e, Sum):
-        return _enum(e.left, ops, bound) | _enum(e.right, ops, bound)
+        out = _enum(e.left, ops, bound)
+        for n, ws in _enum(e.right, ops, bound).items():
+            if n in out:
+                out[n] |= ws
+            else:
+                out[n] = ws
+        return out
     if isinstance(e, Cat):
         return _concat_slices(
             _enum(e.left, ops, bound), _enum(e.right, ops, bound), ops, bound
         )
     if isinstance(e, Binder):
-        out = set()
-        for w in _enum(e.body, ops, bound):
-            v = ops.canon(ops.bind(e.name, w))
-            if ops.tok_len(v) <= bound:
-                out.add(v)
+        out = {}
+        for ws in _enum(e.body, ops, bound).values():
+            for w in ws:
+                v = ops.canon(ops.bind(e.name, w))
+                n = ops.tok_len(v)
+                if n <= bound:
+                    out.setdefault(n, set()).add(v)
         return out
     assert isinstance(e, Star)
     base = _enum(e.body, ops, bound)
-    acc = {ops.canon(ops.unit)}
-    frontier = set(acc)
+    acc = _single(ops.canon(ops.unit), ops, bound)
+    frontier = {n: set(ws) for n, ws in acc.items()}
     while frontier:
-        fresh = _concat_slices(frontier, base, ops, bound) - acc
-        acc |= fresh
+        fresh = {}
+        for n, ws in _concat_slices(frontier, base, ops, bound).items():
+            have = acc.get(n)
+            if have is None:
+                fresh[n] = acc[n] = ws
+                continue
+            ws -= have
+            if ws:
+                fresh[n] = ws
+                have |= ws
+        # a fresh set may be acc's own bucket: it is only read before acc grows
         frontier = fresh
     return acc
 
 
+def _drain(buckets: dict[int, set]):
+    """Every value of the buckets, removed from them as it is yielded."""
+    while buckets:
+        _, ws = buckets.popitem()
+        while ws:
+            yield ws.pop()
+
+
 def enumerate_slice(e: Regex, sort: str | SortOps, bound: int) -> LangSlice:
-    """All words of the language of `e` with token length at most `bound`."""
+    """All words of the language of `e` with token length at most `bound`.
+
+    A sort with `keyed` operations is enumerated on its keys, and each
+    output key is decoded once.
+    """
     if bound < 0:
         raise ValueError("bound must be non-negative")
     ops = SORTS[sort] if isinstance(sort, str) else sort
-    return LangSlice(ops.tag, bound, frozenset(_enum(e, ops, bound)))
+    buckets = _enum(e, ops.keyed or ops, bound)
+    values = _drain(buckets)
+    if ops.keyed is not None:
+        values = map(ops.keyed.to_mword, values)
+    return LangSlice(ops.tag, bound, frozenset(values))
 
 
 def member(e: Regex, w, sort: str | SortOps = "M") -> bool:

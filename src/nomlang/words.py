@@ -10,6 +10,15 @@ representative used for hashing and set membership.
 Words linearize to token streams where a binder becomes a matched
 open/close pair; `tokenize` and `parse_tokens` are mutually inverse up
 to alpha-equivalence and monoid normal form.
+
+`alpha_key` gives each alpha-class one flat key: the token stream with
+every bound occurrence replaced by its de Bruijn index (the number of
+binders between it and its own) and binder names dropped.  Its
+elements are free `Name`s, letter symbols (`str`), indices (`int`) and
+the sentinels `KEY_OPEN` and `KEY_CLOSE`, all hashed in C.  Indices
+make concatenation plain tuple concatenation, `key_bind` binds a name
+in a key, the token length of a word is the length of its key, and
+`from_key` decodes a key to the canonical word.
 """
 
 from __future__ import annotations
@@ -142,6 +151,108 @@ def permute(pi: Permutation, w: MWord) -> MWord:
     return w
 
 
+# ---------------------------------------------------------------------------
+# Canonical keys
+
+class _KeyBracket:
+    """A binder bracket in a key; hashed and compared by identity."""
+
+    __slots__ = ("text",)
+
+    def __init__(self, text: str):
+        self.text = text
+
+    def __repr__(self):
+        return self.text
+
+
+KEY_OPEN = _KeyBracket("<.")
+KEY_CLOSE = _KeyBracket(">")
+
+Key = tuple  # of Name | str | int | KEY_OPEN | KEY_CLOSE
+
+
+def alpha_key(w: MWord) -> Key:
+    """The key of the alpha-class of `w`: equal keys iff alpha-equivalent words."""
+    out: list = []
+
+    def go(t: MWord, env: dict[Name, int], depth: int) -> None:
+        # env maps a bound name to the depth of its binder
+        if isinstance(t, NameAtom):
+            level = env.get(t.name)
+            out.append(t.name if level is None else depth - 1 - level)
+        elif isinstance(t, LetterAtom):
+            out.append(t.letter.symbol)
+        elif isinstance(t, Seq):
+            for p in t.parts:
+                go(p, env, depth)
+        elif isinstance(t, Bind):
+            out.append(KEY_OPEN)
+            go(t.body, {**env, t.name: depth}, depth + 1)
+            out.append(KEY_CLOSE)
+
+    go(w, {}, 0)
+    return tuple(out)
+
+
+def key_bind(n: Name, key: Key) -> Key:
+    """The key of ``Bind(n, w)`` from the key of `w`."""
+    if n not in key:
+        return (KEY_OPEN,) + key + (KEY_CLOSE,)
+    out = [KEY_OPEN]
+    depth = 0
+    for x in key:
+        if x is n:
+            x = depth
+        elif x is KEY_OPEN:
+            depth += 1
+        elif x is KEY_CLOSE:
+            depth -= 1
+        out.append(x)
+    out.append(KEY_CLOSE)
+    return tuple(out)
+
+
+def _seq(parts: list[MWord]) -> MWord:
+    # `concat` for parts that are already atoms or binders
+    if len(parts) > 1:
+        return Seq(tuple(parts))
+    return parts[0] if parts else EPSILON
+
+
+def from_key(key: Key) -> MWord:
+    """The canonical word of a key.
+
+    Binders are named from the reserved sequence in traversal order,
+    skipping any reserved name that occurs free.  Equal atoms within
+    the word are one object.
+    """
+    supply = None
+    atoms: dict = {}
+    binders: list[Name] = []
+    frames: list[list[MWord]] = [[]]
+    parts = frames[0]
+    for x in key:
+        if x is KEY_OPEN:
+            if supply is None:
+                supply = canonical_supply([y for y in key if isinstance(y, Name)])
+            binders.append(next(supply))
+            parts = []
+            frames.append(parts)
+        elif x is KEY_CLOSE:
+            body = _seq(frames.pop())
+            parts = frames[-1]
+            parts.append(Bind(binders.pop(), body))
+        else:
+            if type(x) is int:
+                x = binders[-1 - x]
+            a = atoms.get(x)
+            if a is None:
+                a = atoms[x] = NameAtom(x) if isinstance(x, Name) else LetterAtom(Letter(x))
+            parts.append(a)
+    return _seq(frames[0])
+
+
 def alpha_canonical(w: MWord) -> MWord:
     """Canonical representative of the alpha-equivalence class of `w`.
 
@@ -150,27 +261,11 @@ def alpha_canonical(w: MWord) -> MWord:
     free names are kept verbatim.  Two words are alpha-equivalent iff
     their canonical forms are equal.
     """
-    w = normalize(w)
-    supply = canonical_supply(support(w))
-
-    def go(t: MWord, env: dict[Name, Name]) -> MWord:
-        if isinstance(t, NameAtom):
-            return NameAtom(env.get(t.name, t.name))
-        if isinstance(t, LetterAtom) or isinstance(t, Empty):
-            return t
-        if isinstance(t, Seq):
-            return Seq(tuple(go(p, env) for p in t.parts))
-        assert isinstance(t, Bind)
-        c = next(supply)
-        inner = dict(env)
-        inner[t.name] = c
-        return Bind(c, go(t.body, inner))
-
-    return go(w, {})
+    return from_key(alpha_key(w))
 
 
 def alpha_equal(w: MWord, v: MWord) -> bool:
-    return alpha_canonical(w) == alpha_canonical(v)
+    return alpha_key(w) == alpha_key(v)
 
 
 # ---------------------------------------------------------------------------

@@ -285,6 +285,27 @@ def test_run_trace_reaches_final(push_pop_hds):
     assert r.trace[0][1] is None  # the first entry has no incoming move
 
 
+def test_trace_shows_the_whole_stacks():
+    # the search drops frames no close can read; the trace replays the
+    # accepting transitions on the automaton's own stacks
+    h = compile_regex(parse_regex("#m <#n. #m #n >*", set()))
+    w = parse_word("#m <#n. #m #n > <#n. #m #n >")
+    tokens = tokenize(alpha_canonical(w))
+    r = run(h, tokens, want_trace=True)
+    assert r.outcome == ACCEPT
+    (state, pos, stk), _ = r.trace[-1]
+    assert state in h.finals and pos == len(tokens)
+    assert stk == (BOTTOM, BOTTOM, BOTTOM)
+    for (before, _), (after, t) in zip(r.trace, r.trace[1:]):
+        state, pos, stk = before
+        tok = tokens[pos] if pos < len(tokens) else END
+        successors = [
+            (u.target, pos + (read is not None), stk2) for u, read, stk2 in step(h, state, stk, tok)
+            if u is t
+        ]
+        assert after in successors
+
+
 def test_depth_cutoff_reported():
     # pop below the only frame is impossible, but a pop/push pair can
     # grow the stack forever when pushes may be reused
@@ -342,3 +363,25 @@ def test_binder_star_reject_is_fast():
     t0 = time.perf_counter()
     assert run(h, tokenize(alpha_canonical(w))).outcome == REJECT
     assert time.perf_counter() - t0 < 2.0
+
+
+def test_slice_drops_states_that_cannot_finish_in_time(monkeypatch):
+    # the 0 makes every word impossible: no state before it reaches a final one
+    from nomlang import hds
+
+    h = compile_regex(parse_regex("( b + #n + a )* <#k. 0 #k > ( <#n. #n > + #k + #m )",
+                                  {"a", "b"}))
+    assert h.initial not in hds.steps_to_final(h)
+    calls = []
+    monkeypatch.setattr(hds, "step", lambda *args: calls.append(args) or step(*args))
+    assert language_slice(h, 6) == frozenset()
+    assert len(calls) == 1  # the start node only
+
+
+def test_steps_to_final_counts_consuming_moves():
+    from nomlang.hds import steps_to_final
+
+    h = compile_regex(parse_regex("<#n. #n a >", {"a"}))
+    need = steps_to_final(h)
+    assert need[h.initial] == 4  # open, name, letter, close
+    assert all(need[q] == 0 for q in h.finals)

@@ -135,6 +135,31 @@ def test_ax6_extra_in_s(rng):
     assert ops.canon(lhs) != ops.canon(rhs)
 
 
+# -- token length ---------------------------------------------------------------
+
+@pytest.mark.parametrize("ops", [*SORTS.values(), SORT_M.keyed], ids=[*SORTS, "M-keys"])
+def test_token_length_adds_up_under_concat(rng, ops):
+    # enumerate_slice files a product under the sum of its operands' lengths
+    from nomlang.oracle import _build
+
+    for _ in range(80):
+        x, y = (ops.canon(_build(ops, rng, NAMES, LETTERS, rng.randint(0, 5)))
+                for _ in range(2))
+        w = ops.canon(ops.concat(x, y))
+        assert ops.tok_len(w) == ops.tok_len(x) + ops.tok_len(y)
+
+
+def test_keyed_m_sort_decodes_to_canonical_words(rng):
+    from nomlang.oracle import random_mword
+
+    keyed = SORT_M.keyed
+    for _ in range(100):
+        u, v = (random_mword(rng, NAMES, LETTERS, 4) for _ in range(2))
+        ku, kv = words.alpha_key(u), words.alpha_key(v)
+        assert keyed.to_mword(keyed.concat(ku, kv)) == SORT_M.canon(SORT_M.concat(u, v))
+        assert keyed.to_mword(keyed.bind(n, ku)) == SORT_M.canon(SORT_M.bind(n, u))
+
+
 # -- embeddings and the quotients they section -------------------------------
 #
 # The embeddings pick one representative per word of the coarser sort.

@@ -1,10 +1,12 @@
+import random
+
 import pytest
 
 from nomlang.names import Name
 from nomlang import regex as rx
 from nomlang.regex import enumerate_slice, free_names, member
 from nomlang.syntax import ParseError, parse_nre, parse_regex, parse_word, render_regex
-from nomlang.words import alpha_canonical, token_length
+from nomlang.words import Bind, NameAtom, alpha_canonical, concat, token_length
 
 from conftest import NAMES, LETTERS
 
@@ -109,6 +111,31 @@ def test_member():
     assert member(e, parse_word("<#k. #k #m >"))
     assert not member(e, parse_word("<#k. #m #k >"))
     assert not member(e, parse_word("<#k. #k #k >"))
+
+
+def test_slice_with_free_reserved_name_decodes_canonically():
+    # the binder must skip ~0, which occurs free
+    t0 = Name("~0")
+    e = rx.Cat(rx.Binder(n, rx.NameLit(n)), rx.NameLit(t0))
+    want = alpha_canonical(concat(Bind(n, NameAtom(n)), NameAtom(t0)))
+    got = enumerate_slice(e, "M", 4).words
+    assert got == {want}
+    assert next(iter(got)).parts[0].name is Name("~1")
+
+
+def test_slices_commute_with_the_quotient_maps():
+    # G is the image of M, L the image of G; a vacuous binder costs two
+    # tokens in L but none in S, so S holds the image of L and may hold more
+    from nomlang.monoids import canon_g, canon_l, canon_s, quot_gl, quot_ls, quot_mg
+    from nomlang.oracle import random_regex
+
+    rng = random.Random(6)
+    for _ in range(100):
+        e = random_regex(rng, NAMES, LETTERS, 4)
+        slices = {s: enumerate_slice(e, s, 6).words for s in "MGLS"}
+        assert slices["G"] == {canon_g(quot_mg(w)) for w in slices["M"]}
+        assert slices["L"] == {canon_l(quot_gl(w)) for w in slices["G"]}
+        assert slices["S"] >= {canon_s(quot_ls(w)) for w in slices["L"]}
 
 
 # -- sort-dependent semantics ------------------------------------------------

@@ -8,13 +8,17 @@ from nomlang.words import (
     Bind,
     EPSILON,
     Empty,
+    KEY_CLOSE,
+    KEY_OPEN,
     LetterAtom,
     NameAtom,
     Seq,
     alpha_canonical,
     alpha_equal,
+    alpha_key,
     all_names,
     concat,
+    key_bind,
     normalize,
     parse_tokens,
     permute,
@@ -26,7 +30,7 @@ from nomlang.words import (
     TCLOSE,
 )
 from nomlang.syntax import parse_word, render_word
-from nomlang.oracle import random_mword
+from nomlang.oracle import alpha_oracle, fresh_binder_variant, random_mword
 
 from conftest import NAMES, LETTERS
 
@@ -136,6 +140,45 @@ def test_canonical_avoids_free_reserved_names():
     assert isinstance(bnd, Bind)
     assert bnd.name is not t0
     assert support(c) == {t0}
+
+
+# -- alpha keys --------------------------------------------------------------
+
+def test_alpha_key_decides_alpha_equivalence(rng):
+    pool = frozenset(NAMES) | {Name("p"), Name("q")}
+    outcomes = set()
+    for _ in range(400):
+        u = random_mword(rng, NAMES, LETTERS, rng.randint(0, 4))
+        if rng.random() < 0.5:
+            v = fresh_binder_variant(u)
+        else:
+            v = random_mword(rng, NAMES, LETTERS, rng.randint(0, 4))
+        wide = pool | all_names(u) | all_names(v)
+        same = alpha_key(u) == alpha_key(v)
+        assert same == alpha_oracle(u, v, wide)
+        outcomes.add(same)
+    assert outcomes == {True, False}
+
+
+def test_alpha_key_is_a_homomorphism(rng):
+    # indices make concatenation plain tuple concatenation, with no renaming
+    for _ in range(300):
+        u = random_mword(rng, NAMES, LETTERS, rng.randint(0, 4))
+        v = random_mword(rng, NAMES, LETTERS, rng.randint(0, 4))
+        x = rng.choice(NAMES)
+        assert alpha_key(concat(u, v)) == alpha_key(u) + alpha_key(v)
+        assert alpha_key(Bind(x, u)) == key_bind(x, alpha_key(u))
+        assert len(alpha_key(u)) == token_length(u)
+
+
+def test_alpha_key_uses_de_bruijn_indices():
+    w = parse_word("<#n. #m #n <#k. #n #k a > > #n")
+    keys = alpha_key(w)
+    # n is one binder up inside k's scope; the last #n is free
+    assert [x for x in keys if isinstance(x, int)] == [0, 1, 0]
+    assert keys[-1] is n
+    # every element hashes in C: no dataclass goes into a key
+    assert all(type(x) in (Name, str, int) or x in (KEY_OPEN, KEY_CLOSE) for x in keys)
 
 
 # -- token streams -----------------------------------------------------------
