@@ -8,13 +8,17 @@ open/close tokens of the input stream.
 
 `step` is the one definition of the moves: what each of the seven move
 kinds reads and what it does to the stack.  `run` takes from it the
-moves that read the next input token; `language_slice` takes every
-move and emits the token each consuming move reads.  Both explore the
-nondeterministic configuration graph with memoization.  Non-consuming
-loops can push frames forever, so the search is pruned: stack depth is
-capped (input length + state count + 1) and a given push transition
-fires at most once between two token consumptions.  `run` can relax
-both policies for cross-checking.
+moves that read the next input token and searches the nondeterministic
+configuration graph with memoization.  `language_slice` takes every
+move and walks the tree of emitted prefixes instead: each prefix holds
+the set of configurations that generate it, and a memo keyed on that
+set (with the open depth, the opens and the tokens left) computes each
+set's non-consuming closure and token successors once, as the subset
+construction does; each accepted word is canonicalized once.
+Non-consuming loops can push frames forever, so both are pruned: stack
+depth is capped (input length + state count + 1) and a given push
+transition fires at most once between two token consumptions.  `run`
+can relax both policies for cross-checking.
 
 In an automaton without pop transitions (every compiled one) only a
 close move reads below the top of the stack, and it reads one frame
@@ -205,12 +209,6 @@ class Hds:
     finals: frozenset[str]
     trans: dict[str, tuple[Transition, ...]]
     relaxed_star: bool = False  # allow several star preimages in sigma
-
-    def local_names(self) -> frozenset[Name]:
-        out: frozenset[Name] = frozenset()
-        for locs in self.states.values():
-            out |= locs
-        return out
 
     def letters(self) -> frozenset[Letter]:
         return frozenset(
@@ -497,16 +495,27 @@ def steps_to_final(h: Hds) -> dict[str, int]:
 def language_slice(h: Hds, bound: int) -> frozenset[MWord]:
     """Canonical words of token length at most `bound` accepted by `h`.
 
-    Explores the configuration graph forwards, emitting the token each
-    consuming move reads when `step` generates it; the i-th open move
-    allocates the i-th canonical bound name.  The default pruning
-    policies of `run` apply, with the emitted length playing the role
-    of the position.  A node is dropped when the tokens left under the
-    bound cannot both close its open binders and take its state to a
-    final one (`steps_to_final`); a state with no path to a final
-    state is always dropped.  Without pop transitions a node keeps one
-    frame more than the closes an accepted word can still read: its
-    open binders plus one per two further tokens under the bound.
+    Walks the tree of emitted prefixes, determinizing on the fly as the
+    subset construction does.  A prefix node holds the set of
+    (state, stack, push gap) configurations that `step` reaches while
+    generating that prefix, its open depth and its number of opens;
+    the i-th open move allocates the i-th canonical bound name.  One
+    memo per call, keyed on (configuration set, open depth, opens,
+    tokens left), holds what a node's set closes to under non-consuming
+    moves: whether the closure has a final state at open depth 0, and
+    the node each token read from it leads to.  Prefixes that reach the
+    same set share that work, and a prefix is never hashed.  A final
+    prefix is parsed and canonicalized once: no other prefix spells the
+    same token stream.
+
+    The default pruning policies of `run` apply, with the emitted length
+    playing the role of the position.  A configuration is dropped when
+    the tokens left under the bound cannot both close its open binders
+    and take its state to a final one (`steps_to_final`); a state with
+    no path to a final state is always dropped.  Without pop transitions
+    a configuration keeps one frame more than the closes an accepted
+    word can still read: its open binders plus one per two further
+    tokens under the bound.
     """
     max_depth = bound + len(h.states) + 1
     need = steps_to_final(h)
@@ -515,45 +524,67 @@ def language_slice(h: Hds, bound: int) -> frozenset[MWord]:
     # fresh[i] is the name the i-th open allocates; moves are generated only
     # below the bound, so fewer than `bound` opens come before one
     fresh = [next(supply) for _ in range(bound)]
+    memo: dict = {}
+
+    def expand(node):
+        """(final?, [(token, successor node)]) of a prefix node, memoized."""
+        hit = memo.get(node)
+        if hit is not None:
+            return hit
+        configs, depth, opens, left = node
+        final = False
+        reads: dict[tuple, set] = {}  # (token, open depth) -> configurations after it
+        seen = set(configs)
+        frontier = list(configs)
+        while frontier:
+            state, stk, gap = frontier.pop()
+            if state in h.finals and depth == 0:
+                final = True
+            if left:
+                moves = step(h, state, stk, None, fresh[opens])
+            else:
+                moves = step(h, state, stk, END)
+            for t, tok_read, stk2 in moves:
+                gap2 = _gap_after(gap, t, tok_read, reuse_pushes=False)
+                if gap2 is None:
+                    continue
+                depth2, left2 = depth, left
+                if tok_read is not None:
+                    left2 = left - 1
+                    if tok_read is TCLOSE:
+                        if depth == 0:
+                            continue
+                        depth2 = depth - 1
+                    elif isinstance(tok_read, TOpen):
+                        depth2 = depth + 1
+                if max(need.get(t.target, left2 + 1), depth2) > left2:
+                    continue
+                if not has_pop:
+                    # a word ends with no binder open, so the closes still to come
+                    # are the open binders plus at most one per two further tokens
+                    stk2 = stk2[: depth2 + (left2 - depth2) // 2 + 1]
+                if len(stk2) > max_depth:
+                    continue
+                cfg2 = (t.target, stk2, gap2)
+                if tok_read is not None:
+                    reads.setdefault((tok_read, depth2), set()).add(cfg2)
+                elif cfg2 not in seen:
+                    seen.add(cfg2)
+                    frontier.append(cfg2)
+        succ = [
+            (tok, (frozenset(cfgs), depth2, opens + isinstance(tok, TOpen), left - 1))
+            for (tok, depth2), cfgs in reads.items()
+        ]
+        memo[node] = hit = (final, succ)
+        return hit
 
     out: set[MWord] = set()
-    start = (h.initial, (), 0, (NameMap.of(h.eta),))  # state, emitted, open-depth, stack
-    seen = {(start, NO_GAP)}
-    frontier = [(start, NO_GAP, 0)]  # search node and the number of opens emitted
-    while frontier:
-        (state, emitted, depth, stk), gap, opens = frontier.pop()
-        if state in h.finals and depth == 0:
-            out.add(alpha_canonical(parse_tokens(emitted)))
-        if len(emitted) < bound:
-            moves = step(h, state, stk, None, fresh[opens])
-        else:
-            moves = step(h, state, stk, END)
-        for t, tok_read, stk2 in moves:
-            gap2 = _gap_after(gap, t, tok_read, reuse_pushes=False)
-            if gap2 is None:
-                continue
-            emitted2, depth2, opens2 = emitted, depth, opens
-            if tok_read is not None:
-                if tok_read is TCLOSE:
-                    if depth == 0:
-                        continue
-                    depth2 = depth - 1
-                elif isinstance(tok_read, TOpen):
-                    depth2 = depth + 1
-                    opens2 = opens + 1
-                emitted2 = emitted + (tok_read,)
-            left = bound - len(emitted2)
-            if max(need.get(t.target, left + 1), depth2) > left:
-                continue
-            if not has_pop:
-                # a word ends with no binder open, so the closes still to come
-                # are the open binders plus at most one per two further tokens
-                stk2 = stk2[: depth2 + (left - depth2) // 2 + 1]
-            if len(stk2) > max_depth:
-                continue
-            cfg2 = (t.target, emitted2, depth2, stk2)
-            if (cfg2, gap2) in seen:
-                continue
-            seen.add((cfg2, gap2))
-            frontier.append((cfg2, gap2, opens2))
+    start = frozenset({(h.initial, (NameMap.of(h.eta),), NO_GAP)})
+    todo = [((), (start, 0, 0, bound))]  # emitted prefix and its node
+    while todo:
+        prefix, node = todo.pop()
+        final, succ = expand(node)
+        if final:
+            out.add(alpha_canonical(parse_tokens(prefix)))
+        todo.extend((prefix + (tok,), node2) for tok, node2 in succ)
     return frozenset(out)

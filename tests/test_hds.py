@@ -35,6 +35,7 @@ from nomlang.compiler import compile_regex
 from nomlang.words import TCLOSE, TLetter, TName, TOpen, alpha_canonical, tokenize
 from nomlang.syntax import parse_regex, parse_word, render_word
 from nomlang.oracle import brute_slice, random_regex
+from nomlang.regex import enumerate_slice
 
 from conftest import NAMES, LETTERS
 
@@ -385,3 +386,30 @@ def test_steps_to_final_counts_consuming_moves():
     need = steps_to_final(h)
     assert need[h.initial] == 4  # open, name, letter, close
     assert all(need[q] == 0 for q in h.finals)
+
+
+STAR_EXPRS = ("( ( #k + b* ) ( #n + a )* )*", "( #k* + b* + #n + #m )*")
+
+
+def test_star_slices_at_bound_seven_are_fast():
+    for text in STAR_EXPRS:
+        e = parse_regex(text, {"a", "b"})
+        h = compile_regex(e)
+        t0 = time.perf_counter()
+        got = language_slice(h, 7)
+        assert time.perf_counter() - t0 < 3.0, text
+        assert got == enumerate_slice(e, "M", 7).words, text
+
+
+def test_slice_canonicalises_each_word_once(monkeypatch):
+    from nomlang import hds
+
+    calls = []
+    monkeypatch.setattr(hds, "alpha_canonical", lambda w: calls.append(w) or alpha_canonical(w))
+    cases = [(compile_regex(parse_regex(text, {"a", "b"})), 5) for text in STAR_EXPRS]
+    rng = random.Random(11)
+    cases += [(compile_regex(random_regex(rng, NAMES, LETTERS, 4)), 6) for _ in range(50)]
+    for h, bound in cases:
+        calls.clear()
+        words = language_slice(h, bound)
+        assert len(calls) == len(words)
