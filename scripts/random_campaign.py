@@ -4,8 +4,10 @@
 Generates random expressions, compiles each, and compares the bounded
 language of the expression against the bounded language of the
 automaton.  It also checks that the expression's G slice is the image
-of its M slice under the quotient map, and its L slice the image of
-its G slice.  Prints every mismatch and a summary line.
+of its M slice under the quotient map, its L slice the image of its G
+slice, and that its S slice holds the image of its L slice (a vacuous
+binder costs two tokens in L but none in S, so S may hold more).
+Prints every mismatch and a summary line.
 
 Usage: python3 scripts/random_campaign.py --count 500 --depth 4 --bound 7
 """
@@ -22,7 +24,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "src"))
 from nomlang.names import Letter, Name
 from nomlang.compiler import compile_regex
 from nomlang.hds import language_slice, validate
-from nomlang.monoids import canon_g, canon_l, quot_gl, quot_mg
+from nomlang.monoids import canon_g, canon_l, canon_s, quot_gl, quot_ls, quot_mg
 from nomlang.oracle import random_regex
 from nomlang.regex import enumerate_slice
 from nomlang.syntax import render_regex, render_word
@@ -63,12 +65,16 @@ def run_campaign(cfg: CampaignConfig) -> int:
                 print(f"  extra in automaton:     {render_word(w)}")
         g = enumerate_slice(e, "G", cfg.bound).words
         l = enumerate_slice(e, "L", cfg.bound).words
+        s = enumerate_slice(e, "S", cfg.bound).words
         if g != {canon_g(quot_mg(w)) for w in want}:
             mismatches += 1
             print(f"QUOTIENT M->G #{i}: {render_regex(e)}")
         if l != {canon_l(quot_gl(w)) for w in g}:
             mismatches += 1
             print(f"QUOTIENT G->L #{i}: {render_regex(e)}")
+        if not s >= {canon_s(quot_ls(w)) for w in l}:
+            mismatches += 1
+            print(f"QUOTIENT L->S #{i}: {render_regex(e)}")
     dt = time.monotonic() - t0
     print(
         f"{cfg.count} expressions, depth {cfg.depth}, bound {cfg.bound}, "

@@ -517,6 +517,8 @@ def language_slice(h: Hds, bound: int) -> frozenset[MWord]:
     word can still read: its open binders plus one per two further
     tokens under the bound.
     """
+    if bound < 0:
+        raise ValueError("bound must be non-negative")
     max_depth = bound + len(h.states) + 1
     need = steps_to_final(h)
     has_pop = any(t.label.kind == "pop" for _, t in h.transitions())

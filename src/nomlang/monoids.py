@@ -9,21 +9,37 @@ progressively more rigid sorts:
 * l-words: a prefix of binders followed by a binder-free body;
 * s-words: an unordered set of bound names plus a binder-free body.
 
-Each sort carries concatenation and a binding operation.  The freshness
-side conditions of the defining equations are discharged internally by
-renaming bound names apart, so all operations are total.  Embeddings
-connect the sorts: s -> l -> g -> m.
+Each sort carries concatenation and a binding operation, computed on
+nameless keys as M's are on `words.alpha_key`.  A bound occurrence in a
+key is a number that says which binder holds it, so binders carry no
+names and the freshness side conditions of the defining equations never
+arise:
+
+* a G key is the token stream with closes dropped and bound occurrences
+  as de Bruijn indices, so ``x·y`` is tuple concatenation;
+* an L key is (prefix length, body), a bound occurrence being its
+  binder's position counted from the right end of the prefix (the
+  rightmost binder of a name wins);
+* an S key is (number of bound names, body), the bound names numbered
+  by first occurrence; binding a name that does not occur is the
+  identity.
+
+Equal keys mean alpha-equivalent words.  A value operation encodes its
+arguments, applies the key operation and decodes the result to the
+canonical value, whose binders are named from the reserved sequence.
+Embeddings connect the sorts: s -> l -> g -> m.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from itertools import islice
 from typing import Callable, Optional, Union
 
-from .names import Letter, Name, canonical_supply, fresh_name
+from .names import Letter, Name, canonical_supply
 from . import words
 from .words import (
-    Bind, MWord, alpha_canonical, atom, concat, from_key, key_bind, token_length,
+    KEY_OPEN, Bind, MWord, alpha_canonical, atom, concat, from_key, key_bind, token_length,
 )
 
 AtomSym = Union[Name, Letter]
@@ -36,13 +52,13 @@ class GWord:
     __slots__ = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GEmpty(GWord):
     def __repr__(self):
         return "^"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GCons(GWord):
     head: AtomSym
     tail: GWord
@@ -51,7 +67,7 @@ class GCons(GWord):
         return f"{self.head!r} {self.tail!r}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GBind(GWord):
     name: Name
     tail: GWord
@@ -70,73 +86,10 @@ def gword(*syms: AtomSym) -> GWord:
     return out
 
 
-def support_g(w: GWord) -> frozenset[Name]:
-    if isinstance(w, GCons):
-        tail = support_g(w.tail)
-        if isinstance(w.head, Name):
-            return tail | {w.head}
-        return tail
-    if isinstance(w, GBind):
-        return support_g(w.tail) - {w.name}
-    return frozenset()
-
-
-def _rename_free_g(w: GWord, old: Name, new: Name) -> GWord:
-    if isinstance(w, GCons):
-        head = new if w.head is old else w.head
-        return GCons(head, _rename_free_g(w.tail, old, new))
-    if isinstance(w, GBind):
-        if w.name is old:
-            return w
-        return GBind(w.name, _rename_free_g(w.tail, old, new))
-    return w
-
-
-def concat_g(w: GWord, v: GWord) -> GWord:
-    """Concatenation of g-words; binder scopes are extruded over `v`.
-
-    The bound name of a traversed binder is renamed fresh for `v`
-    before its scope is extended.
-    """
-    if isinstance(w, GEmpty):
-        return v
-    if isinstance(w, GCons):
-        return GCons(w.head, concat_g(w.tail, v))
-    assert isinstance(w, GBind)
-    n2 = fresh_name(w.name.label)
-    return GBind(n2, concat_g(_rename_free_g(w.tail, w.name, n2), v))
-
-
-def canon_g(w: GWord) -> GWord:
-    """Canonical alpha-representative of a g-word."""
-    supply = canonical_supply(support_g(w))
-
-    def go(t: GWord, env: dict[Name, Name]) -> GWord:
-        if isinstance(t, GCons):
-            head = env.get(t.head, t.head) if isinstance(t.head, Name) else t.head
-            return GCons(head, go(t.tail, env))
-        if isinstance(t, GBind):
-            c = next(supply)
-            inner = dict(env)
-            inner[t.name] = c
-            return GBind(c, go(t.tail, inner))
-        return t
-
-    return go(w, {})
-
-
-def tok_len_g(w: GWord) -> int:
-    if isinstance(w, GCons):
-        return 1 + tok_len_g(w.tail)
-    if isinstance(w, GBind):
-        return 2 + tok_len_g(w.tail)
-    return 0
-
-
 # ---------------------------------------------------------------------------
 # l-words
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LWord:
     prefix: tuple[Name, ...]
     body: tuple[AtomSym, ...]
@@ -146,66 +99,10 @@ class LWord:
         return pre + " ".join(map(repr, self.body))
 
 
-LEPSILON = LWord((), ())
-
-
-def support_l(x: LWord) -> frozenset[Name]:
-    return frozenset(s for s in x.body if isinstance(s, Name)) - set(x.prefix)
-
-
-def all_names_l(x: LWord) -> frozenset[Name]:
-    return frozenset(x.prefix) | frozenset(s for s in x.body if isinstance(s, Name))
-
-
-def _rename_prefix(x: LWord, new_names: list[Name]) -> LWord:
-    """Rename prefix positions to `new_names`, updating bound body occurrences.
-
-    A body occurrence of a prefix name is bound by the rightmost prefix
-    position carrying that name.
-    """
-    assert len(new_names) == len(x.prefix)
-    binder_of: dict[Name, Name] = {}
-    for old, new in zip(x.prefix, new_names):
-        binder_of[old] = new
-    body = tuple(
-        binder_of.get(s, s) if isinstance(s, Name) else s for s in x.body
-    )
-    return LWord(tuple(new_names), body)
-
-
-def _freshen_l(x: LWord, avoid: frozenset[Name]) -> LWord:
-    if not (set(x.prefix) & avoid) and len(set(x.prefix)) == len(x.prefix):
-        return x
-    return _rename_prefix(x, [fresh_name(n.label) for n in x.prefix])
-
-
-def concat_l(x: LWord, y: LWord) -> LWord:
-    """Prefix and body concatenation, after renaming the binders apart."""
-    x = _freshen_l(x, all_names_l(y))
-    y = _freshen_l(y, all_names_l(x))
-    return LWord(x.prefix + y.prefix, x.body + y.body)
-
-
-def bind_l(n: Name, x: LWord) -> LWord:
-    """Extend the binder prefix with `n` (binding its free body occurrences)."""
-    if n in x.prefix:
-        x = _freshen_l(x, frozenset((n,)))
-    return LWord((n,) + x.prefix, x.body)
-
-
-def canon_l(x: LWord) -> LWord:
-    supply = canonical_supply(support_l(x))
-    return _rename_prefix(x, [next(supply) for _ in x.prefix])
-
-
-def tok_len_l(x: LWord) -> int:
-    return 2 * len(x.prefix) + len(x.body)
-
-
 # ---------------------------------------------------------------------------
 # s-words
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SWord:
     bound: frozenset[Name]
     body: tuple[AtomSym, ...]
@@ -220,62 +117,139 @@ class SWord:
         return pre + " ".join(map(repr, self.body))
 
 
-SEPSILON = SWord(frozenset(), ())
+# ---------------------------------------------------------------------------
+# Nameless keys
+#
+# Key elements are free `Name`s, letter symbols (`str`), bound
+# occurrences (`int`) and, in G keys, `KEY_OPEN`.
+
+def _key_sym(s: AtomSym, bound: dict[Name, int]):
+    """The key element of an atom, given the numbers of the bound names."""
+    if isinstance(s, Name):
+        return bound.get(s, s)
+    return s.symbol
 
 
-def support_s(x: SWord) -> frozenset[Name]:
-    return frozenset(s for s in x.body if isinstance(s, Name)) - x.bound
+def _decode_body(body: tuple, names: tuple) -> tuple:
+    """The atoms of a key body; `names[i]` is the name of bound occurrence i."""
+    out = []
+    for x in body:
+        if type(x) is int:
+            x = names[x]
+        elif type(x) is str:
+            x = Letter(x)
+        out.append(x)
+    return tuple(out)
 
 
-def all_names_s(x: SWord) -> frozenset[Name]:
-    return frozenset(s for s in x.body if isinstance(s, Name))
+def _binder_names(body: tuple):
+    """The reserved binder names, skipping those that occur free."""
+    return canonical_supply(x for x in body if isinstance(x, Name))
 
 
-def _rename_bound_s(x: SWord, mapping: dict[Name, Name]) -> SWord:
-    body = tuple(mapping.get(s, s) if isinstance(s, Name) else s for s in x.body)
-    return SWord(frozenset(mapping.get(n, n) for n in x.bound), body)
+def _shift(body: tuple, k: int) -> tuple:
+    """The body with every bound occurrence raised by `k`."""
+    if not k:
+        return body
+    return tuple(x + k if type(x) is int else x for x in body)
 
 
-def _freshen_s(x: SWord, avoid: frozenset[Name]) -> SWord:
-    clashing = x.bound & avoid
-    if not clashing:
-        return x
-    return _rename_bound_s(x, {n: fresh_name(n.label) for n in clashing})
+def _encode_g(w: GWord) -> tuple:
+    out: list = []
+    level: dict[Name, int] = {}  # bound name -> number of binders before its own
+    opens = 0
+    while not isinstance(w, GEmpty):
+        if isinstance(w, GBind):
+            out.append(KEY_OPEN)
+            level[w.name] = opens
+            opens += 1
+        elif isinstance(w.head, Name):
+            at = level.get(w.head)
+            out.append(w.head if at is None else opens - 1 - at)
+        else:
+            out.append(w.head.symbol)
+        w = w.tail
+    return tuple(out)
 
 
-def concat_s(x: SWord, y: SWord) -> SWord:
-    x = _freshen_s(x, all_names_s(y))
-    y = _freshen_s(y, all_names_s(x))
-    return SWord(x.bound | y.bound, x.body + y.body)
+def _decode_g(key: tuple) -> GWord:
+    opens = key.count(KEY_OPEN)
+    names = tuple(islice(_binder_names(key), opens))  # in binder order
+    out: GWord = GEPSILON
+    for x in reversed(key):  # `opens` binders lie to the left of x
+        if x is KEY_OPEN:
+            opens -= 1
+            out = GBind(names[opens], out)
+            continue
+        if type(x) is int:
+            x = names[opens - 1 - x]
+        elif type(x) is str:
+            x = Letter(x)
+        out = GCons(x, out)
+    return out
 
 
-def bind_s(n: Name, x: SWord) -> SWord:
-    """Add `n` to the bound set; a binder for an unused name is dropped."""
-    if n in x.bound:
-        x = _freshen_s(x, frozenset((n,)))
-    if any(s is n for s in x.body):
-        return SWord(x.bound | {n}, x.body)
-    return x
+def _bind_g(n: Name, key: tuple) -> tuple:
+    # a G key has no closes, so this is M's bind less the close it appends
+    return key_bind(n, key)[:-1]
 
 
-def canon_s(x: SWord) -> SWord:
-    supply = canonical_supply(support_s(x))
-    mapping: dict[Name, Name] = {}
+def _encode_l(x: LWord) -> tuple:
+    p = len(x.prefix)
+    pos = {n: p - 1 - j for j, n in enumerate(x.prefix)}  # the rightmost binder wins
+    return (p, tuple(_key_sym(s, pos) for s in x.body))
+
+
+def _decode_l(key: tuple) -> LWord:
+    p, body = key
+    prefix = tuple(islice(_binder_names(body), p))
+    return LWord(prefix, _decode_body(body, prefix[::-1]))
+
+
+def _concat_l(x: tuple, y: tuple) -> tuple:
+    # y's prefix comes between x's binders and the right end
+    return (x[0] + y[0], _shift(x[1], y[0]) + y[1])
+
+
+def _bind_l(n: Name, key: tuple) -> tuple:
+    p, body = key
+    return (p + 1, tuple(p if x is n else x for x in body))
+
+
+def _encode_s(x: SWord) -> tuple:
+    number: dict[Name, int] = {}
     for s in x.body:
-        if isinstance(s, Name) and s in x.bound and s not in mapping:
-            mapping[s] = next(supply)
-    return _rename_bound_s(x, mapping)
+        if s in x.bound:
+            number.setdefault(s, len(number))
+    return (len(number), tuple(_key_sym(s, number) for s in x.body))
 
 
-def tok_len_s(x: SWord) -> int:
-    return 2 * len(x.bound) + len(x.body)
+def _decode_s(key: tuple) -> SWord:
+    k, body = key
+    names = tuple(islice(_binder_names(body), k))
+    return SWord(frozenset(names), _decode_body(body, names))
+
+
+def _concat_s(x: tuple, y: tuple) -> tuple:
+    # x's bound names occur first
+    return (x[0] + y[0], x[1] + _shift(y[1], x[0]))
+
+
+def _bind_s(n: Name, key: tuple) -> tuple:
+    k, body = key
+    if n not in body:
+        return key
+    number: dict = {}
+    return (k + 1, tuple(
+        number.setdefault(x, len(number)) if x is n or type(x) is int else x for x in body
+    ))
 
 
 # ---------------------------------------------------------------------------
 # Embeddings s -> l -> g -> m
 
 def embed_sl(x: SWord) -> LWord:
-    """Order the bound-name set (ascending id) into a binder prefix."""
+    """Order the bound-name set (by label) into a binder prefix."""
     return LWord(tuple(sorted(x.bound)), x.body)
 
 
@@ -329,7 +303,7 @@ def quot_mg(w: MWord) -> GWord:
 def quot_gl(w: GWord) -> LWord:
     """Hoist every binder into the prefix, keeping their order."""
     if isinstance(w, GEmpty):
-        return LEPSILON
+        return LWord((), ())
     if isinstance(w, GCons):
         return concat_l(LWord((), (w.head,)), quot_gl(w.tail))
     assert isinstance(w, GBind)
@@ -408,11 +382,12 @@ def _project(w: MWord, pool: frozenset[Name]) -> set[PlainWord]:
 class SortOps:
     """The operations a sort must provide to interpret regular expressions.
 
-    Token length adds up under `concat` in every sort.  `keyed`, when
-    set, is the same sort on canonical keys: its `canon` is the
-    identity, its `tok_len` is O(1), and its `to_mword` decodes a key
-    to the canonical value of this sort.  `regex.enumerate_slice` then
-    runs on the keys and decodes each output word once.
+    Token length adds up under `concat` in every sort.  Every sort in
+    `SORTS` sets `keyed`, the same sort on its nameless keys: a key
+    sort's `canon` is the identity, its `to_mword` decodes a key to the
+    canonical value of this sort, and it has no `keyed` of its own.
+    `regex.enumerate_slice` runs on the keys and decodes each output
+    word once.
     """
 
     tag: str
@@ -429,6 +404,24 @@ class SortOps:
 
 def _identity(x):
     return x
+
+
+def _on_keys(tag: str, keys: SortOps, encode: Callable, to_mword: Callable) -> SortOps:
+    """The sort whose values are decoded keys: each operation encodes its
+    arguments, applies the operation of `keys` and decodes the result."""
+    decode = keys.to_mword
+    return SortOps(
+        tag=tag,
+        unit=decode(keys.unit),
+        from_name=lambda n: decode(keys.from_name(n)),
+        from_letter=lambda s: decode(keys.from_letter(s)),
+        concat=lambda x, y: decode(keys.concat(encode(x), encode(y))),
+        bind=lambda n, x: decode(keys.bind(n, encode(x))),
+        canon=lambda x: decode(encode(x)),
+        tok_len=lambda x: keys.tok_len(encode(x)),
+        to_mword=to_mword,
+        keyed=keys,
+    )
 
 
 # M-words as alpha keys (see `words`): bound names are de Bruijn
@@ -458,40 +451,31 @@ SORT_M = SortOps(
     keyed=SORT_M_KEYS,
 )
 
-SORT_G = SortOps(
-    tag="G",
-    unit=GEPSILON,
-    from_name=lambda n: GCons(n, GEPSILON),
-    from_letter=lambda s: GCons(s, GEPSILON),
-    concat=concat_g,
-    bind=GBind,
-    canon=canon_g,
-    tok_len=tok_len_g,
-    to_mword=embed_gm,
-)
+# A G key is an M key without closes.
+SORT_G = _on_keys("G", replace(
+    SORT_M_KEYS, tag="G", bind=_bind_g, tok_len=lambda key: len(key) + key.count(KEY_OPEN),
+    to_mword=_decode_g,
+), _encode_g, embed_gm)
 
-SORT_L = SortOps(
+SORT_L_KEYS = SortOps(
     tag="L",
-    unit=LEPSILON,
-    from_name=lambda n: LWord((), (n,)),
-    from_letter=lambda s: LWord((), (s,)),
-    concat=concat_l,
-    bind=bind_l,
-    canon=canon_l,
-    tok_len=tok_len_l,
-    to_mword=embed_lm,
+    unit=(0, ()),
+    from_name=lambda n: (0, (n,)),
+    from_letter=lambda s: (0, (s.symbol,)),
+    concat=_concat_l,
+    bind=_bind_l,
+    canon=_identity,
+    tok_len=lambda key: 2 * key[0] + len(key[1]),  # a binder is an open and a close
+    to_mword=_decode_l,
 )
+SORT_L = _on_keys("L", SORT_L_KEYS, _encode_l, embed_lm)
 
-SORT_S = SortOps(
-    tag="S",
-    unit=SEPSILON,
-    from_name=lambda n: SWord(frozenset(), (n,)),
-    from_letter=lambda s: SWord(frozenset(), (s,)),
-    concat=concat_s,
-    bind=bind_s,
-    canon=canon_s,
-    tok_len=tok_len_s,
-    to_mword=embed_sm,
-)
+SORT_S = _on_keys("S", replace(
+    SORT_L_KEYS, tag="S", concat=_concat_s, bind=_bind_s, to_mword=_decode_s,
+), _encode_s, embed_sm)
 
 SORTS = {"M": SORT_M, "G": SORT_G, "L": SORT_L, "S": SORT_S}
+
+concat_g, canon_g = SORT_G.concat, SORT_G.canon
+concat_l, bind_l, canon_l = SORT_L.concat, SORT_L.bind, SORT_L.canon
+bind_s, canon_s = SORT_S.bind, SORT_S.canon

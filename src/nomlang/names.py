@@ -69,7 +69,7 @@ def canonical_supply(avoid: Iterable[Name]) -> Iterator[Name]:
             yield c
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class Letter:
     """An element of the finite letter alphabet."""
 

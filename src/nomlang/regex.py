@@ -6,12 +6,13 @@ to a token-length bound.  Every semantic clause is token-length
 non-decreasing, so membership can be decided by enumerating up to the
 length of the candidate word.
 
-One enumeration serves every sort.  It keeps each partial slice
-bucketed by token length, which adds up under concatenation, so a
-product is built only for pairs whose lengths fit the bound and is
-filed without measuring it.  A sort with `keyed` operations (M) is
-enumerated on canonical keys, where concatenation and binding need no
-renaming, and each output key is decoded once.
+One enumeration serves every sort.  It runs on the sort's nameless
+keys (`SortOps.keyed`), which are canonical by construction, so
+concatenation and binding need no renaming and no set insert
+re-canonicalizes; each output key is decoded once.  It keeps each
+partial slice bucketed by token length, which adds up under
+concatenation, so a product is built only for pairs whose lengths fit
+the bound and is filed without measuring it.
 """
 
 from __future__ import annotations
@@ -118,10 +119,10 @@ class LangSlice:
     words: frozenset
 
 
-# A slice in the making: {token length: set of canonical values}, with
-# no empty set.  Token length adds up under concatenation in every sort,
-# so a product pair's bucket is known before it is built, and `tok_len`
-# runs only on atoms and binder results.
+# A slice in the making: {token length: set of keys}, with no empty set.
+# Token length adds up under concatenation in every sort, so a product
+# pair's bucket is known before it is built, and `tok_len` runs only on
+# atoms and binder results.
 
 
 def _single(v, ops: SortOps, bound: int) -> dict[int, set]:
@@ -131,13 +132,13 @@ def _single(v, ops: SortOps, bound: int) -> dict[int, set]:
 
 def _concat_slices(a: dict, b: dict, ops: SortOps, bound: int) -> dict[int, set]:
     out: dict[int, set] = {}
-    concat, canon = ops.concat, ops.canon
+    concat = ops.concat
     for na, xs in a.items():
         for nb, ys in b.items():
             if na + nb > bound:
                 continue
             bucket = out.setdefault(na + nb, set())
-            bucket.update([canon(concat(x, y)) for x in xs for y in ys])
+            bucket.update([concat(x, y) for x in xs for y in ys])
     return out
 
 
@@ -145,11 +146,11 @@ def _enum(e: Regex, ops: SortOps, bound: int) -> dict[int, set]:
     if isinstance(e, Zero):
         return {}
     if isinstance(e, One):
-        return _single(ops.canon(ops.unit), ops, bound)
+        return _single(ops.unit, ops, bound)
     if isinstance(e, NameLit):
-        return _single(ops.canon(ops.from_name(e.name)), ops, bound)
+        return _single(ops.from_name(e.name), ops, bound)
     if isinstance(e, LetterLit):
-        return _single(ops.canon(ops.from_letter(e.letter)), ops, bound)
+        return _single(ops.from_letter(e.letter), ops, bound)
     if isinstance(e, Sum):
         out = _enum(e.left, ops, bound)
         for n, ws in _enum(e.right, ops, bound).items():
@@ -166,14 +167,14 @@ def _enum(e: Regex, ops: SortOps, bound: int) -> dict[int, set]:
         out = {}
         for ws in _enum(e.body, ops, bound).values():
             for w in ws:
-                v = ops.canon(ops.bind(e.name, w))
+                v = ops.bind(e.name, w)
                 n = ops.tok_len(v)
                 if n <= bound:
                     out.setdefault(n, set()).add(v)
         return out
     assert isinstance(e, Star)
     base = _enum(e.body, ops, bound)
-    acc = _single(ops.canon(ops.unit), ops, bound)
+    acc = _single(ops.unit, ops, bound)
     frontier = {n: set(ws) for n, ws in acc.items()}
     while frontier:
         fresh = {}
@@ -202,17 +203,15 @@ def _drain(buckets: dict[int, set]):
 def enumerate_slice(e: Regex, sort: str | SortOps, bound: int) -> LangSlice:
     """All words of the language of `e` with token length at most `bound`.
 
-    A sort with `keyed` operations is enumerated on its keys, and each
-    output key is decoded once.
+    The sort is enumerated on its keys, and each output key is decoded
+    once.
     """
     if bound < 0:
         raise ValueError("bound must be non-negative")
     ops = SORTS[sort] if isinstance(sort, str) else sort
-    buckets = _enum(e, ops.keyed or ops, bound)
-    values = _drain(buckets)
-    if ops.keyed is not None:
-        values = map(ops.keyed.to_mword, values)
-    return LangSlice(ops.tag, bound, frozenset(values))
+    keys = ops.keyed
+    words = map(keys.to_mword, _drain(_enum(e, keys, bound)))
+    return LangSlice(ops.tag, bound, frozenset(words))
 
 
 def member(e: Regex, w, sort: str | SortOps = "M") -> bool:

@@ -35,13 +35,13 @@ class MWord:
     __slots__ = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Empty(MWord):
     def __repr__(self):
         return "^"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NameAtom(MWord):
     name: Name
 
@@ -49,7 +49,7 @@ class NameAtom(MWord):
         return f"#{self.name.label}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LetterAtom(MWord):
     letter: Letter
 
@@ -57,7 +57,7 @@ class LetterAtom(MWord):
         return self.letter.symbol
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Seq(MWord):
     # Normal form: at least two parts, none of which is Empty or Seq.
     parts: tuple[MWord, ...]
@@ -66,7 +66,7 @@ class Seq(MWord):
         return " ".join(map(repr, self.parts))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Bind(MWord):
     name: Name
     body: MWord
@@ -271,7 +271,7 @@ def alpha_equal(w: MWord, v: MWord) -> bool:
 # ---------------------------------------------------------------------------
 # Token streams
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TName:
     name: Name
 
@@ -279,7 +279,7 @@ class TName:
         return f"#{self.name.label}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TLetter:
     letter: Letter
 
@@ -287,7 +287,7 @@ class TLetter:
         return self.letter.symbol
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TOpen:
     name: Name
 
@@ -295,7 +295,7 @@ class TOpen:
         return f"<#{self.name.label}."
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TClose:
     def __repr__(self):
         return ">"

@@ -72,6 +72,12 @@ def test_enumerate_expression(expr_file, capsys):
     assert "#m <#~0. #m #~0 >" in lines
 
 
+def test_enumerate_negative_bound_is_usage_error(expr_file, hds_file, capsys):
+    assert main(["enumerate", hds_file, "--bound", "-1"]) == 2
+    assert main(["enumerate", expr_file, "--bound", "-1"]) == 2
+    assert "bound must be non-negative" in capsys.readouterr().err
+
+
 def test_enumerate_automaton_matches_expression(expr_file, hds_file, capsys):
     assert main(["enumerate", expr_file, "--bound", "8"]) == 0
     from_expr = capsys.readouterr().out

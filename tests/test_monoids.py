@@ -83,6 +83,10 @@ def test_canon_idempotent(tag, rng):
         w = _build(ops, rng, NAMES, LETTERS, 4)
         c = ops.canon(w)
         assert ops.canon(c) == c
+    # the key operations keep keys canonical, so a decoded key is too
+    for _ in range(200):
+        c = ops.keyed.to_mword(_build(ops.keyed, rng, NAMES, LETTERS, 8))
+        assert ops.canon(c) == c
 
 
 # -- which laws hold where ---------------------------------------------------
@@ -137,7 +141,10 @@ def test_ax6_extra_in_s(rng):
 
 # -- token length ---------------------------------------------------------------
 
-@pytest.mark.parametrize("ops", [*SORTS.values(), SORT_M.keyed], ids=[*SORTS, "M-keys"])
+@pytest.mark.parametrize(
+    "ops", [*SORTS.values(), *(o.keyed for o in SORTS.values())],
+    ids=[*SORTS, *(f"{s}-keys" for s in SORTS)],
+)
 def test_token_length_adds_up_under_concat(rng, ops):
     # enumerate_slice files a product under the sum of its operands' lengths
     from nomlang.oracle import _build

@@ -115,12 +115,33 @@ def test_member():
 
 def test_slice_with_free_reserved_name_decodes_canonically():
     # the binder must skip ~0, which occurs free
-    t0 = Name("~0")
+    from nomlang.monoids import GBind, GCons, GEPSILON, LWord, SWord
+
+    t0, t1 = Name("~0"), Name("~1")
     e = rx.Cat(rx.Binder(n, rx.NameLit(n)), rx.NameLit(t0))
-    want = alpha_canonical(concat(Bind(n, NameAtom(n)), NameAtom(t0)))
-    got = enumerate_slice(e, "M", 4).words
-    assert got == {want}
-    assert next(iter(got)).parts[0].name is Name("~1")
+    want = {
+        "M": alpha_canonical(concat(Bind(n, NameAtom(n)), NameAtom(t0))),
+        "G": GBind(t1, GCons(t1, GCons(t0, GEPSILON))),
+        "L": LWord((t1,), (t1, t0)),
+        "S": SWord(frozenset({t1}), (t1, t0)),
+    }
+    for sort, w in want.items():
+        assert enumerate_slice(e, sort, 4).words == {w}
+    assert want["M"].parts[0].name is t1
+
+
+@pytest.mark.parametrize("sort", "GLS")
+def test_enumeration_interns_no_names(sort):
+    # bound names are numbers in a key, so nothing is renamed apart; the
+    # decoder names binders from the reserved sequence, interned up front
+    from nomlang.names import bound_name
+
+    e = parse_regex("( <#n. #n #m > + a + #m )*", letters={"a"})
+    for i in range(12):
+        bound_name(i)
+    before = len(Name._registry)
+    assert len(enumerate_slice(e, sort, 12).words) == 12640
+    assert len(Name._registry) == before
 
 
 def test_slices_commute_with_the_quotient_maps():
