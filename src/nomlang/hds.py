@@ -18,7 +18,7 @@ construction does; each accepted word is canonicalized once.
 Non-consuming loops can push frames forever, so both are pruned: stack
 depth is capped (input length + state count + 1) and a given push
 transition fires at most once between two token consumptions.  `run`
-can relax both policies for cross-checking.
+can raise or lower the depth cap for cross-checking.
 
 In an automaton without pop transitions (every compiled one) only a
 close move reads below the top of the stack, and it reads one frame
@@ -36,17 +36,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Union
 
 from .names import Letter, Name, STAR
-from .words import (
-    MWord,
-    TClose,
-    TCLOSE,
-    TLetter,
-    TName,
-    TOpen,
-    Tok,
-    alpha_canonical,
-    parse_tokens,
-)
+from .words import MWord, TClose, TCLOSE, TOpen, Tok, alpha_canonical, parse_tokens
 from .names import canonical_supply
 
 MapValue = Union[Name, type(STAR)]
@@ -284,12 +274,14 @@ def step(
     """The moves enabled in `state` with stack `stk`: (transition, token read, new stack).
 
     A name, letter, open or close move reads one token; eps, push and
-    pop moves read none (token read None).  When running on an input,
-    `tok` is the next input token, or END past the last one, and a
-    consuming move is enabled only if it reads `tok`; an open move binds
-    the name of the open token.  When generating (`tok` None), every
-    move is enabled: a name move reads the name its label currently
-    denotes (if it denotes one), and an open move allocates `fresh`.
+    pop moves read none (token read None).  A name or a letter is its
+    own token.  When running on an input, `tok` is the next input token,
+    or END past the last one, and a consuming move is enabled only if it
+    reads `tok`: a name move reads the name its label currently denotes,
+    a letter move its letter, and an open move binds the name of the
+    open token.  When generating (`tok` None), every move is enabled,
+    except a name move whose label denotes no name; an open move
+    allocates `fresh`.
     """
     out = []
     for t in h.trans.get(state, ()):
@@ -297,13 +289,11 @@ def step(
         # a consuming move reads the generated token, or else the input token
         if k == "name":
             v = top(stk).get(t.label.name)
-            tok_read = TName(v) if tok is None else tok
-            if isinstance(v, Name) and isinstance(tok_read, TName) and tok_read.name is v:
-                out.append((t, tok_read, stack_update(stk, t.sigma)))
+            if isinstance(v, Name) and (tok is None or tok is v):
+                out.append((t, v, stack_update(stk, t.sigma)))
         elif k == "letter":
-            tok_read = TLetter(t.label.letter) if tok is None else tok
-            if isinstance(tok_read, TLetter) and tok_read.letter == t.label.letter:
-                out.append((t, tok_read, stack_update(stk, t.sigma)))
+            if tok is None or tok == t.label.letter:
+                out.append((t, t.label.letter, stack_update(stk, t.sigma)))
         elif k == "eps":
             out.append((t, None, stack_update(stk, t.sigma)))
         elif k == "push":
@@ -327,17 +317,17 @@ def step(
 NO_GAP = frozenset()
 
 
-def _gap_after(gap: frozenset, t: Transition, tok_read: Optional[Tok], reuse_pushes: bool):
+def _gap_after(gap: frozenset, t: Transition, tok_read: Optional[Tok]):
     """The push transitions fired since the last consumed token, after move `t`.
 
-    None when `t` is a push that already fired in this gap and pushes
-    may not be reused: the search drops that move.
+    None when `t` is a push that already fired in this gap: the search
+    drops that move.
     """
     if tok_read is not None:
         return NO_GAP
     if t.label.kind != "push":
         return gap
-    if t in gap and not reuse_pushes:
+    if t in gap:
         return None
     return gap | {t}
 
@@ -365,7 +355,6 @@ def run(
     h: Hds,
     tokens: tuple[Tok, ...],
     max_depth: Optional[int] = None,
-    reuse_pushes: bool = False,
     want_trace: bool = False,
     initial_stack: Optional[Stack] = None,
     truncate: bool = True,
@@ -373,14 +362,13 @@ def run(
     """Search for an accepting run on the token stream.
 
     `max_depth` caps the stack depth (default: input length + state
-    count + 1).  Unless `reuse_pushes` is set, a push transition fires
-    at most once between two token consumptions, which cuts the
-    unproductive loops star constructions introduce.  `initial_stack`
-    overrides the frames below the initial name map (useful for
-    checking that they cannot influence acceptance).  Unless `truncate`
-    is off or `h` has pop transitions, a successor keeps one frame more
-    than the close tokens left in the input: no close can read the
-    others.
+    count + 1).  A push transition fires at most once between two token
+    consumptions, which cuts the unproductive loops star constructions
+    introduce.  `initial_stack` overrides the frames below the initial
+    name map (useful for checking that they cannot influence
+    acceptance).  Unless `truncate` is off or `h` has pop transitions,
+    a successor keeps one frame more than the close tokens left in the
+    input: no close can read the others.
     """
     if max_depth is None:
         max_depth = len(tokens) + len(h.states) + 1 + len(initial_stack or ())
@@ -415,7 +403,7 @@ def run(
             return RunResult(ACCEPT, trace)
         tok = tokens[pos] if pos < len(tokens) else END
         for t, tok_read, stk2 in step(h, state, stk, tok):
-            gap2 = _gap_after(gap, t, tok_read, reuse_pushes)
+            gap2 = _gap_after(gap, t, tok_read)
             if gap2 is None:
                 continue
             pos2 = pos if tok_read is None else pos + 1
@@ -523,9 +511,7 @@ def language_slice(h: Hds, bound: int) -> frozenset[MWord]:
     need = steps_to_final(h)
     has_pop = any(t.label.kind == "pop" for _, t in h.transitions())
     supply = canonical_supply(h.eta.values())
-    # fresh[i] is the name the i-th open allocates; moves are generated only
-    # below the bound, so fewer than `bound` opens come before one
-    fresh = [next(supply) for _ in range(bound)]
+    fresh: list[Name] = []  # fresh[i] is the name the i-th open allocates
     memo: dict = {}
 
     def expand(node):
@@ -534,6 +520,8 @@ def language_slice(h: Hds, bound: int) -> frozenset[MWord]:
         if hit is not None:
             return hit
         configs, depth, opens, left = node
+        if left and opens == len(fresh):  # the first node that may open one more binder
+            fresh.append(next(supply))
         final = False
         reads: dict[tuple, set] = {}  # (token, open depth) -> configurations after it
         seen = set(configs)
@@ -547,7 +535,7 @@ def language_slice(h: Hds, bound: int) -> frozenset[MWord]:
             else:
                 moves = step(h, state, stk, END)
             for t, tok_read, stk2 in moves:
-                gap2 = _gap_after(gap, t, tok_read, reuse_pushes=False)
+                gap2 = _gap_after(gap, t, tok_read)
                 if gap2 is None:
                     continue
                 depth2, left2 = depth, left

@@ -4,8 +4,8 @@ Besides the fully general binder-tree words of `words`, there are three
 progressively more rigid sorts:
 
 * g-words: binder scopes always extend to the end of the word, so a
-  word is a cons-list of atoms terminated by the empty word or by a
-  binder wrapping the rest;
+  word is a row of tokens (names, letters and `TOpen` binders) with no
+  closes;
 * l-words: a prefix of binders followed by a binder-free body;
 * s-words: an unordered set of bound names plus a binder-free body.
 
@@ -27,7 +27,10 @@ arise:
 Equal keys mean alpha-equivalent words.  A value operation encodes its
 arguments, applies the key operation and decodes the result to the
 canonical value, whose binders are named from the reserved sequence.
-Embeddings connect the sorts: s -> l -> g -> m.
+Embeddings connect the sorts: s -> l -> g -> m.  The quotients in the
+other direction start from the canonical word, whose binders have
+distinct names that occur free nowhere, so moving a binder captures
+nothing.
 """
 
 from __future__ import annotations
@@ -39,7 +42,8 @@ from typing import Callable, Optional, Union
 from .names import Letter, Name, canonical_supply
 from . import words
 from .words import (
-    KEY_OPEN, Bind, MWord, alpha_canonical, atom, concat, from_key, key_bind, token_length,
+    KEY_OPEN, TCLOSE, Bind, MWord, TOpen, alpha_canonical, concat, from_key, key_bind,
+    parse_tokens, token_length, tokenize,
 )
 
 AtomSym = Union[Name, Letter]
@@ -48,42 +52,18 @@ AtomSym = Union[Name, Letter]
 # ---------------------------------------------------------------------------
 # g-words
 
+@dataclass(frozen=True, slots=True)
 class GWord:
-    __slots__ = ()
+    """A row of names, letters and binders; a binder's scope runs to the end."""
 
+    tokens: tuple[AtomSym | TOpen, ...]
 
-@dataclass(frozen=True, slots=True)
-class GEmpty(GWord):
-    def __repr__(self):
-        return "^"
-
-
-@dataclass(frozen=True, slots=True)
-class GCons(GWord):
-    head: AtomSym
-    tail: GWord
+    def closed(self) -> tuple:
+        """The token stream of the word: its row, then a close per binder."""
+        return self.tokens + (TCLOSE,) * sum(type(t) is TOpen for t in self.tokens)
 
     def __repr__(self):
-        return f"{self.head!r} {self.tail!r}"
-
-
-@dataclass(frozen=True, slots=True)
-class GBind(GWord):
-    name: Name
-    tail: GWord
-
-    def __repr__(self):
-        return f"<#{self.name.label}. {self.tail!r} >"
-
-
-GEPSILON = GEmpty()
-
-
-def gword(*syms: AtomSym) -> GWord:
-    out: GWord = GEPSILON
-    for s in reversed(syms):
-        out = GCons(s, out)
-    return out
+        return " ".join(map(repr, self.closed())) or "^"
 
 
 # ---------------------------------------------------------------------------
@@ -158,35 +138,33 @@ def _encode_g(w: GWord) -> tuple:
     out: list = []
     level: dict[Name, int] = {}  # bound name -> number of binders before its own
     opens = 0
-    while not isinstance(w, GEmpty):
-        if isinstance(w, GBind):
+    for x in w.tokens:
+        if type(x) is TOpen:
             out.append(KEY_OPEN)
-            level[w.name] = opens
+            level[x.name] = opens
             opens += 1
-        elif isinstance(w.head, Name):
-            at = level.get(w.head)
-            out.append(w.head if at is None else opens - 1 - at)
+        elif isinstance(x, Name):
+            at = level.get(x)
+            out.append(x if at is None else opens - 1 - at)
         else:
-            out.append(w.head.symbol)
-        w = w.tail
+            out.append(x.symbol)
     return tuple(out)
 
 
 def _decode_g(key: tuple) -> GWord:
-    opens = key.count(KEY_OPEN)
-    names = tuple(islice(_binder_names(key), opens))  # in binder order
-    out: GWord = GEPSILON
-    for x in reversed(key):  # `opens` binders lie to the left of x
+    supply = _binder_names(key)
+    binders: list[Name] = []
+    out: list = []
+    for x in key:
         if x is KEY_OPEN:
-            opens -= 1
-            out = GBind(names[opens], out)
-            continue
-        if type(x) is int:
-            x = names[opens - 1 - x]
+            binders.append(next(supply))
+            x = TOpen(binders[-1])
+        elif type(x) is int:
+            x = binders[-1 - x]
         elif type(x) is str:
             x = Letter(x)
-        out = GCons(x, out)
-    return out
+        out.append(x)
+    return GWord(tuple(out))
 
 
 def _bind_g(n: Name, key: tuple) -> tuple:
@@ -254,19 +232,11 @@ def embed_sl(x: SWord) -> LWord:
 
 
 def embed_lg(x: LWord) -> GWord:
-    out = gword(*x.body)
-    for n in reversed(x.prefix):
-        out = GBind(n, out)
-    return out
+    return GWord(tuple(map(TOpen, x.prefix)) + x.body)
 
 
 def embed_gm(w: GWord) -> MWord:
-    if isinstance(w, GEmpty):
-        return words.EPSILON
-    if isinstance(w, GCons):
-        return concat(atom(w.head), embed_gm(w.tail))
-    assert isinstance(w, GBind)
-    return Bind(w.name, embed_gm(w.tail))
+    return parse_tokens(w.closed())
 
 
 def embed_lm(x: LWord) -> MWord:
@@ -285,37 +255,21 @@ def embed_sm(x: SWord) -> MWord:
 
 def quot_mg(w: MWord) -> GWord:
     """Extend every binder scope to the end of the word."""
-    if isinstance(w, words.Empty):
-        return GEPSILON
-    if isinstance(w, words.NameAtom):
-        return GCons(w.name, GEPSILON)
-    if isinstance(w, words.LetterAtom):
-        return GCons(w.letter, GEPSILON)
-    if isinstance(w, words.Seq):
-        out = GEPSILON
-        for p in reversed(w.parts):
-            out = concat_g(quot_mg(p), out)
-        return out
-    assert isinstance(w, Bind)
-    return GBind(w.name, quot_mg(w.body))
+    return GWord(tuple(t for t in tokenize(alpha_canonical(w)) if t is not TCLOSE))
 
 
 def quot_gl(w: GWord) -> LWord:
     """Hoist every binder into the prefix, keeping their order."""
-    if isinstance(w, GEmpty):
-        return LWord((), ())
-    if isinstance(w, GCons):
-        return concat_l(LWord((), (w.head,)), quot_gl(w.tail))
-    assert isinstance(w, GBind)
-    return bind_l(w.name, quot_gl(w.tail))
+    row = canon_g(w).tokens
+    return LWord(tuple(t.name for t in row if type(t) is TOpen),
+                 tuple(t for t in row if type(t) is not TOpen))
 
 
 def quot_ls(x: LWord) -> SWord:
-    """Forget the order of the binder prefix."""
-    w = SWord(frozenset(), x.body)
-    for n in reversed(x.prefix):
-        w = bind_s(n, w)
-    return w
+    """Forget the order of the binder prefix, and drop the binders of no occurrence."""
+    x = canon_l(x)
+    occurring = set(x.body)
+    return SWord(frozenset(n for n in x.prefix if n in occurring), x.body)
 
 
 # ---------------------------------------------------------------------------
@@ -477,5 +431,5 @@ SORT_S = _on_keys("S", replace(
 SORTS = {"M": SORT_M, "G": SORT_G, "L": SORT_L, "S": SORT_S}
 
 concat_g, canon_g = SORT_G.concat, SORT_G.canon
-concat_l, bind_l, canon_l = SORT_L.concat, SORT_L.bind, SORT_L.canon
-bind_s, canon_s = SORT_S.bind, SORT_S.canon
+concat_l, canon_l = SORT_L.concat, SORT_L.canon
+canon_s = SORT_S.canon

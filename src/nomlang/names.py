@@ -108,10 +108,6 @@ class Permutation:
         self._map = m
 
     @classmethod
-    def identity(cls) -> "Permutation":
-        return cls()
-
-    @classmethod
     def transposition(cls, a: Name, b: Name) -> "Permutation":
         if a is b:
             return cls()
@@ -119,23 +115,6 @@ class Permutation:
 
     def __call__(self, n: Name) -> Name:
         return self._map.get(n, n)
-
-    def after(self, other: "Permutation") -> "Permutation":
-        """Composite permutation: apply `other` first, then `self`."""
-        keys = set(self._map) | set(other._map)
-        return Permutation({k: self(other(k)) for k in keys})
-
-    def inverse(self) -> "Permutation":
-        return Permutation({v: k for k, v in self._map.items()})
-
-    def moved(self) -> frozenset[Name]:
-        return frozenset(self._map)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Permutation) and self._map == other._map
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self._map.items()))
 
     def __repr__(self) -> str:
         if not self._map:

@@ -24,8 +24,6 @@ from .words import (
     NameAtom,
     Seq,
     TCLOSE,
-    TLetter,
-    TName,
     TOpen,
     alpha_canonical,
     concat,
@@ -94,8 +92,8 @@ def alpha_oracle(w: MWord, v: MWord, pool: frozenset[Name]) -> bool:
 
 def balanced_streams(length: int, pool: frozenset[Name], letters: frozenset[Letter]):
     """All balanced token streams of exactly the given length."""
-    name_toks = [TName(n) for n in sorted(pool)]
-    letter_toks = [TLetter(s) for s in sorted(letters, key=lambda s: s.symbol)]
+    name_toks = sorted(pool)
+    letter_toks = sorted(letters, key=lambda s: s.symbol)
     open_toks = [TOpen(n) for n in sorted(pool)]
 
     def go(remaining: int, depth: int):

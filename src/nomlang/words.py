@@ -7,9 +7,10 @@ laws (concatenation is associative with the empty word as unit) and up
 to renaming of bound names; `alpha_canonical` computes the canonical
 representative used for hashing and set membership.
 
-Words linearize to token streams where a binder becomes a matched
-open/close pair; `tokenize` and `parse_tokens` are mutually inverse up
-to alpha-equivalence and monoid normal form.
+Words linearize to token streams over one alphabet: a name or a letter
+is its own token, and a binder becomes a matched `TOpen(n)`/`TCLOSE`
+pair; `tokenize` and `parse_tokens` are mutually inverse up to
+alpha-equivalence and monoid normal form.
 
 `alpha_key` gives each alpha-class one flat key: the token stream with
 every bound occurrence replaced by its de Bruijn index (the number of
@@ -76,14 +77,6 @@ class Bind(MWord):
 
 
 EPSILON = Empty()
-
-Atom = Union[NameAtom, LetterAtom]
-
-
-def atom(x: Name | Letter) -> Atom:
-    if isinstance(x, Name):
-        return NameAtom(x)
-    return LetterAtom(x)
 
 
 def concat(*ws: MWord) -> MWord:
@@ -272,22 +265,6 @@ def alpha_equal(w: MWord, v: MWord) -> bool:
 # Token streams
 
 @dataclass(frozen=True, slots=True)
-class TName:
-    name: Name
-
-    def __repr__(self):
-        return f"#{self.name.label}"
-
-
-@dataclass(frozen=True, slots=True)
-class TLetter:
-    letter: Letter
-
-    def __repr__(self):
-        return self.letter.symbol
-
-
-@dataclass(frozen=True, slots=True)
 class TOpen:
     name: Name
 
@@ -301,24 +278,23 @@ class TClose:
         return ">"
 
 
-Tok = Union[TName, TLetter, TOpen, TClose]
-TokenStream = tuple
+Tok = Union[Name, Letter, TOpen, TClose]
 
 
 TCLOSE = TClose()
 
 
 def tokenize(w: MWord) -> tuple[Tok, ...]:
-    """Linearize `w`; a binder becomes TOpen(n) ... TClose."""
+    """Linearize `w`; a binder becomes TOpen(n) ... TCLOSE."""
     out: list[Tok] = []
 
     def go(t: MWord):
         if isinstance(t, Empty):
             return
         if isinstance(t, NameAtom):
-            out.append(TName(t.name))
+            out.append(t.name)
         elif isinstance(t, LetterAtom):
-            out.append(TLetter(t.letter))
+            out.append(t.letter)
         elif isinstance(t, Seq):
             for p in t.parts:
                 go(p)
@@ -336,10 +312,10 @@ def parse_tokens(toks: tuple[Tok, ...]) -> MWord:
     """Inverse of `tokenize`.  Rejects unbalanced streams."""
     frames: list[tuple[Name | None, list[MWord]]] = [(None, [])]
     for t in toks:
-        if isinstance(t, TName):
-            frames[-1][1].append(NameAtom(t.name))
-        elif isinstance(t, TLetter):
-            frames[-1][1].append(LetterAtom(t.letter))
+        if isinstance(t, Name):
+            frames[-1][1].append(NameAtom(t))
+        elif isinstance(t, Letter):
+            frames[-1][1].append(LetterAtom(t))
         elif isinstance(t, TOpen):
             frames.append((t.name, []))
         else:

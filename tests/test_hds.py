@@ -32,7 +32,7 @@ from nomlang.hds import (
     validate,
 )
 from nomlang.compiler import compile_regex
-from nomlang.words import TCLOSE, TLetter, TName, TOpen, alpha_canonical, tokenize
+from nomlang.words import TCLOSE, TOpen, alpha_canonical, tokenize
 from nomlang.syntax import parse_regex, parse_word, render_word
 from nomlang.oracle import brute_slice, random_regex
 from nomlang.regex import enumerate_slice
@@ -133,16 +133,16 @@ def test_step_defines_every_move():
         "pop": (None, (below,)),
     }
     reads = {
-        "name": (TName(n), (NM({x: n}), below)),
-        "letter": (TLetter(a), (BOTTOM, below)),
+        "name": (n, (NM({x: n}), below)),
+        "letter": (a, (BOTTOM, below)),
         "open": (TOpen(c), (NM({x: n, y: c}), NM({x: n}), below)),
         "close": (TCLOSE, (below,)),
     }
     assert enabled(None, fresh=c) == {**silent, **reads}  # generating
     for kind, (tok, _) in reads.items():
         assert enabled(tok) == {**silent, kind: reads[kind]}
-    assert enabled(TName(m)) == silent
-    assert enabled(TLetter(b)) == silent
+    assert enabled(m) == silent
+    assert enabled(b) == silent
     assert enabled(END) == silent
 
 
@@ -219,10 +219,10 @@ def test_validate_flags_problems(push_pop_hds):
 
 def test_push_pop_language(push_pop_hds):
     h = push_pop_hds
-    assert accepts(h, (TName(m), TName(n)))
-    assert not accepts(h, (TName(n), TName(n)))
-    assert not accepts(h, (TName(m),))
-    assert not accepts(h, (TName(m), TName(n), TName(n)))
+    assert accepts(h, (m, n))
+    assert not accepts(h, (n, n))
+    assert not accepts(h, (m,))
+    assert not accepts(h, (m, n, n))
     got = brute_slice(h, 3, frozenset({n, m}), frozenset({a}))
     assert got == language_slice(h, 3) == {parse_word("#m #n")}
 
@@ -248,17 +248,17 @@ def test_letter_transitions():
             "q1": (Transition(lletter(b), "q0", BOTTOM),),
         },
     )
-    assert accepts(h, (TLetter(a),))
-    assert accepts(h, (TLetter(a), TLetter(b), TLetter(a)))
-    assert not accepts(h, (TLetter(b),))
+    assert accepts(h, (a,))
+    assert accepts(h, (a, b, a))
+    assert not accepts(h, (b,))
     got = brute_slice(h, 3, frozenset({n}), frozenset({a, b}))
     assert got == language_slice(h, 3)
 
 
 def test_junk_frames_below_eta_are_inert(push_pop_hds):
     h = push_pop_hds
-    good = (TName(m), TName(n))
-    bad = (TName(n), TName(m))
+    good = (m, n)
+    bad = (n, m)
     for junk in ((), (NM({x: k}),), (NM({x: m}), NM({y: n}))):
         assert run(h, good, initial_stack=junk, truncate=False).outcome == ACCEPT
         assert run(h, bad, initial_stack=junk, truncate=False).outcome == REJECT
@@ -274,11 +274,11 @@ def test_push_loop_terminates_without_consuming():
         trans={"q0": (Transition(L_PUSH, "q0", NM({x: x})),)},
     )
     assert accepts(h, ())
-    assert not accepts(h, (TName(m),))
+    assert not accepts(h, (m,))
 
 
 def test_run_trace_reaches_final(push_pop_hds):
-    r = run(push_pop_hds, (TName(m), TName(n)), want_trace=True)
+    r = run(push_pop_hds, (m, n), want_trace=True)
     assert r.outcome == ACCEPT
     states = [cfg[0] for cfg, _ in r.trace]
     assert states[0] == "q0"
@@ -308,8 +308,8 @@ def test_trace_shows_the_whole_stacks():
 
 
 def test_depth_cutoff_reported():
-    # pop below the only frame is impossible, but a pop/push pair can
-    # grow the stack forever when pushes may be reused
+    # the name move does not read #m, and the push on q0 would take the
+    # stack past the cap of one frame: a live branch was cut
     h = Hds(
         states={"q0": frozenset({x}), "q1": frozenset({x})},
         initial="q0",
@@ -321,7 +321,7 @@ def test_depth_cutoff_reported():
             "q1": (),
         },
     )
-    r = run(h, (TName(m),), max_depth=2, reuse_pushes=True, truncate=False)
+    r = run(h, (m,), max_depth=1, truncate=False)
     assert r.outcome == CUTOFF
 
 
@@ -336,8 +336,8 @@ def _words_and_near_misses(h, bound):
         out.append(t)
         for i, tok in enumerate(t):
             out.append(t[:i] + t[i + 1:])
-            if isinstance(tok, TName):
-                out.append(t[:i] + (TName(m if tok.name is n else n),) + t[i + 1:])
+            if isinstance(tok, Name):
+                out.append(t[:i] + (m if tok is n else n,) + t[i + 1:])
     return out[:12]
 
 
@@ -377,6 +377,14 @@ def test_slice_drops_states_that_cannot_finish_in_time(monkeypatch):
     monkeypatch.setattr(hds, "step", lambda *args: calls.append(args) or step(*args))
     assert language_slice(h, 6) == frozenset()
     assert len(calls) == 1  # the start node only
+
+
+def test_slice_allocates_no_names_beyond_its_opens():
+    # the bound must not decide how many binder names are interned
+    h = compile_regex(parse_regex("a", {"a"}))
+    before = len(Name._registry)
+    assert language_slice(h, 200_000) == {parse_word("a")}
+    assert len(Name._registry) - before <= 1
 
 
 def test_steps_to_final_counts_consuming_moves():

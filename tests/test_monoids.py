@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nomlang.names import Name, Letter, Permutation
+from nomlang.names import Name, Letter
 from nomlang import words
 from nomlang.monoids import (
     SORT_G,
@@ -256,6 +256,18 @@ def test_embedding_composition(rng):
         via_l = words.alpha_canonical(embed_gm(embed_lg(embed_sl(x))))
         direct = words.alpha_canonical(embed_sm(x))
         assert via_l == direct
+
+
+def test_long_g_word_needs_no_recursion():
+    from nomlang.monoids import GWord
+    from nomlang.regex import member
+    from nomlang.syntax import parse_regex
+
+    w = GWord((a,) * 1500)
+    assert hash(w) == hash(GWord((a,) * 1500))
+    assert words.token_length(embed_gm(w)) == 1500
+    assert quot_gl(w).body == w.tokens
+    assert member(parse_regex("a*", {"a"}), w, "G")
 
 
 # -- projection to binder-free words -----------------------------------------

@@ -5,7 +5,6 @@ import pytest
 from nomlang.names import Name, Letter
 from nomlang.words import (
     TCLOSE,
-    TName,
     TOpen,
     alpha_canonical,
     alpha_equal,

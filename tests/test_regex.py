@@ -115,13 +115,14 @@ def test_member():
 
 def test_slice_with_free_reserved_name_decodes_canonically():
     # the binder must skip ~0, which occurs free
-    from nomlang.monoids import GBind, GCons, GEPSILON, LWord, SWord
+    from nomlang.monoids import GWord, LWord, SWord
+    from nomlang.words import TOpen
 
     t0, t1 = Name("~0"), Name("~1")
     e = rx.Cat(rx.Binder(n, rx.NameLit(n)), rx.NameLit(t0))
     want = {
         "M": alpha_canonical(concat(Bind(n, NameAtom(n)), NameAtom(t0))),
-        "G": GBind(t1, GCons(t1, GCons(t0, GEPSILON))),
+        "G": GWord((TOpen(t1), t1, t0)),
         "L": LWord((t1,), (t1, t0)),
         "S": SWord(frozenset({t1}), (t1, t0)),
     }

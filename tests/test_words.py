@@ -26,7 +26,6 @@ from nomlang.words import (
     token_length,
     tokenize,
     TOpen,
-    TName,
     TCLOSE,
 )
 from nomlang.syntax import parse_word, render_word
@@ -199,7 +198,7 @@ def test_parse_tokens_rejects_unbalanced():
     with pytest.raises(ValueError):
         parse_tokens((TCLOSE,))
     with pytest.raises(ValueError):
-        parse_tokens((TOpen(n), TName(n)))
+        parse_tokens((TOpen(n), n))
 
 
 # -- concrete syntax ---------------------------------------------------------
