@@ -8,15 +8,11 @@ expressions to automata, brute-force oracles, and a CLI.
 
 from .names import Letter, Name, Permutation, STAR, fresh_name
 from .words import (
-    Bind,
-    Empty,
     EPSILON,
-    LetterAtom,
     MWord,
-    NameAtom,
-    Seq,
     alpha_canonical,
     alpha_equal,
+    bind,
     concat,
     parse_tokens,
     support,

@@ -445,9 +445,7 @@ def accepts(h: Hds, tokens: tuple[Tok, ...], max_depth: Optional[int] = None) ->
 
 def accepts_word(h: Hds, w: MWord, max_depth: Optional[int] = None) -> bool:
     """Acceptance of a word, decided on its canonical tokenization."""
-    from .words import tokenize
-
-    return accepts(h, tokenize(alpha_canonical(w)), max_depth=max_depth)
+    return accepts(h, alpha_canonical(w).tokens, max_depth=max_depth)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,8 @@
 """The three restricted word sorts and their monoid structure.
 
-Besides the fully general binder-tree words of `words`, there are three
-progressively more rigid sorts:
+Besides the fully general words of `words`, balanced token rows whose
+binders scope over any subword, there are three progressively more
+rigid sorts:
 
 * g-words: binder scopes always extend to the end of the word, so a
   word is a row of tokens (names, letters and `TOpen` binders) with no
@@ -42,8 +43,8 @@ from typing import Callable, Optional, Union
 from .names import Letter, Name, canonical_supply
 from . import words
 from .words import (
-    KEY_OPEN, TCLOSE, Bind, MWord, TOpen, alpha_canonical, concat, from_key, key_bind,
-    parse_tokens, token_length, tokenize,
+    KEY_OPEN, TCLOSE, TClose, MWord, TOpen, alpha_canonical, bind, concat, from_key, key_bind,
+    token_length,
 )
 
 AtomSym = Union[Name, Letter]
@@ -236,7 +237,7 @@ def embed_lg(x: LWord) -> GWord:
 
 
 def embed_gm(w: GWord) -> MWord:
-    return parse_tokens(w.closed())
+    return MWord(w.closed())
 
 
 def embed_lm(x: LWord) -> MWord:
@@ -255,7 +256,7 @@ def embed_sm(x: SWord) -> MWord:
 
 def quot_mg(w: MWord) -> GWord:
     """Extend every binder scope to the end of the word."""
-    return GWord(tuple(t for t in tokenize(alpha_canonical(w)) if t is not TCLOSE))
+    return GWord(tuple(t for t in alpha_canonical(w).tokens if type(t) is not TClose))
 
 
 def quot_gl(w: GWord) -> LWord:
@@ -307,26 +308,23 @@ def plain_words_bounded(ws, pool: frozenset[Name]) -> frozenset[PlainWord]:
 
 
 def _project(w: MWord, pool: frozenset[Name]) -> set[PlainWord]:
-    if isinstance(w, words.Empty):
-        return {()}
-    if isinstance(w, words.NameAtom):
-        return {(w.name,)}
-    if isinstance(w, words.LetterAtom):
-        return {(w.letter,)}
-    if isinstance(w, words.Seq):
-        acc: set[PlainWord] = {()}
-        for p in w.parts:
-            part = _project(p, pool)
-            acc = {u + v for u in acc for v in part}
-        return acc
-    assert isinstance(w, words.Bind)
-    base = _project(w.body, pool)
-    out = set(base)
-    for v in base:
-        for m in pool:
-            if m not in v:
-                out.add(_swap_plain(v, w.name, m))
-    return out
+    names: list[Name] = []  # the open binders
+    accs: list[set] = [{()}]  # projections so far: of the word, then of each open body
+    for t in w.tokens:
+        if type(t) is TOpen:
+            names.append(t.name)
+            accs.append({()})
+        elif type(t) is TClose:
+            n, base = names.pop(), accs.pop()
+            part = set(base)
+            for v in base:
+                for m in pool:
+                    if m not in v:
+                        part.add(_swap_plain(v, n, m))
+            accs[-1] = {u + v for u in accs[-1] for v in part}
+        else:
+            accs[-1] = {u + (t,) for u in accs[-1]}
+    return accs[0]
 
 
 # ---------------------------------------------------------------------------
@@ -395,10 +393,10 @@ SORT_M_KEYS = SortOps(
 SORT_M = SortOps(
     tag="M",
     unit=words.EPSILON,
-    from_name=words.NameAtom,
-    from_letter=words.LetterAtom,
+    from_name=lambda n: MWord((n,)),
+    from_letter=lambda s: MWord((s,)),
     concat=concat,
-    bind=Bind,
+    bind=bind,
     canon=alpha_canonical,
     tok_len=token_length,
     to_mword=_identity,

@@ -17,17 +17,11 @@ from typing import Iterable, Optional
 
 from .names import Letter, Name
 from .words import (
-    Bind,
-    Empty,
-    LetterAtom,
     MWord,
-    NameAtom,
-    Seq,
     TCLOSE,
+    TClose,
     TOpen,
     alpha_canonical,
-    concat,
-    normalize,
     parse_tokens,
     support,
     tokenize,
@@ -43,28 +37,38 @@ from .hds import Hds, accepts, language_slice
 
 def _binder_renamings(w: MWord, pool: frozenset[Name]) -> Iterable[MWord]:
     """All words obtained by one capture-avoiding renaming of one binder."""
-    if isinstance(w, Bind):
+    toks = w.tokens
+    for i, t in enumerate(toks):
+        if type(t) is not TOpen:
+            continue
+        depth, j = 1, i
+        while depth:  # j goes to the binder's close
+            j += 1
+            depth += (type(toks[j]) is TOpen) - (type(toks[j]) is TClose)
+        body = toks[i + 1:j]
+        free = support(MWord(body))
         for m in pool:
-            if m is not w.name and m not in support(w.body):
-                yield Bind(m, _swap_free(w.body, w.name, m))
-        for v in _binder_renamings(w.body, pool):
-            yield Bind(w.name, v)
-    elif isinstance(w, Seq):
-        for i, p in enumerate(w.parts):
-            for v in _binder_renamings(p, pool):
-                yield concat(*w.parts[:i], v, *w.parts[i + 1:])
+            if m is not t.name and m not in free:
+                renamed = _swap_free(body, t.name, m)
+                if renamed is not None:
+                    yield MWord(toks[:i] + (TOpen(m),) + renamed + toks[j:])
 
 
-def _swap_free(w: MWord, old: Name, new: Name) -> MWord:
-    if isinstance(w, NameAtom):
-        return NameAtom(new) if w.name is old else w
-    if isinstance(w, Seq):
-        return Seq(tuple(_swap_free(p, old, new) for p in w.parts))
-    if isinstance(w, Bind):
-        if w.name is old:
-            return w
-        return Bind(w.name, _swap_free(w.body, old, new))
-    return w
+def _swap_free(body: tuple, old: Name, new: Name) -> Optional[tuple]:
+    """The row with its free `old` renamed to `new`; None if a binder of `new` captures one."""
+    out = []
+    binders: list[Name] = []
+    for t in body:
+        if type(t) is TOpen:
+            binders.append(t.name)
+        elif type(t) is TClose:
+            binders.pop()
+        elif t is old and old not in binders:
+            if new in binders:
+                return None
+            t = new
+        out.append(t)
+    return tuple(out)
 
 
 def alpha_oracle(w: MWord, v: MWord, pool: frozenset[Name]) -> bool:
@@ -73,7 +77,6 @@ def alpha_oracle(w: MWord, v: MWord, pool: frozenset[Name]) -> bool:
     `pool` must contain enough names to connect the two words, i.e. the
     names of both plus at least as many spares as either has binders.
     """
-    w, v = normalize(w), normalize(v)
     seen = {w}
     frontier = [w]
     while frontier:
@@ -157,20 +160,29 @@ def random_mword(
     letters: list[Letter],
     size: int,
 ) -> MWord:
-    if size <= 0:
-        return Empty()
-    roll = rng.random()
-    if size == 1 or roll < 0.45:
-        if letters and rng.random() < 0.4:
-            return LetterAtom(rng.choice(letters))
-        return NameAtom(rng.choice(pool))
-    if roll < 0.7:
-        k = rng.randint(1, size - 1)
-        return concat(
-            random_mword(rng, pool, letters, k),
-            random_mword(rng, pool, letters, size - k),
-        )
-    return Bind(rng.choice(pool), random_mword(rng, pool, letters, size - 1))
+    """A random word of at most `size` atoms and binders, drawn top-down."""
+    out = []
+    todo: list = [size]  # sizes of the subwords still to draw, and closes
+    while todo:
+        s = todo.pop()
+        if s is TCLOSE:
+            out.append(TCLOSE)
+            continue
+        if s <= 0:
+            continue
+        roll = rng.random()
+        if s == 1 or roll < 0.45:
+            if letters and rng.random() < 0.4:
+                out.append(rng.choice(letters))
+            else:
+                out.append(rng.choice(pool))
+        elif roll < 0.7:
+            k = rng.randint(1, s - 1)
+            todo += [s - k, k]
+        else:
+            out.append(TOpen(rng.choice(pool)))
+            todo += [TCLOSE, s - 1]
+    return MWord(tuple(out))
 
 
 def fresh_binder_variant(w: MWord) -> MWord:
@@ -181,12 +193,18 @@ def fresh_binder_variant(w: MWord) -> MWord:
     """
     from .names import fresh_name
 
-    if isinstance(w, Bind):
-        c = fresh_name("f")
-        return Bind(c, fresh_binder_variant(_swap_free(w.body, w.name, c)))
-    if isinstance(w, Seq):
-        return Seq(tuple(fresh_binder_variant(p) for p in w.parts))
-    return w
+    out = []
+    renamed: list[tuple[Name, Name]] = []  # per open binder: its name, its fresh name
+    for t in w.tokens:
+        if type(t) is TOpen:
+            renamed.append((t.name, fresh_name("f")))
+            t = TOpen(renamed[-1][1])
+        elif type(t) is TClose:
+            renamed.pop()
+        elif type(t) is Name:
+            t = next((c for n, c in reversed(renamed) if n is t), t)
+        out.append(t)
+    return MWord(tuple(out))
 
 
 def random_regex(

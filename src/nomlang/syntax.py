@@ -17,8 +17,7 @@ from dataclasses import dataclass
 
 from .names import Letter, Name
 from . import regex as rx
-from . import words
-from .words import Bind, Empty, LetterAtom, MWord, NameAtom, Seq, concat
+from .words import TCLOSE, MWord, TOpen
 
 
 class ParseError(ValueError):
@@ -92,51 +91,32 @@ class _Cursor:
 
 def parse_word(text: str) -> MWord:
     cur = _Cursor(_lex(text), len(text))
-    w = _word_items(cur)
-    t = cur.peek()
-    if t is not None:
-        raise ParseError(f"unexpected {t.text!r}", t.pos)
-    return w
-
-
-def _word_items(cur: _Cursor) -> MWord:
-    parts = []
-    while True:
-        t = cur.peek()
-        if t is None or t.kind in (">",):
-            break
-        parts.append(_word_item(cur))
-    return concat(*parts)
-
-
-def _word_item(cur: _Cursor) -> MWord:
-    t = cur.next()
-    if t.kind == "name":
-        return NameAtom(Name(t.text[1:]))
-    if t.kind == "ident":
-        return LetterAtom(Letter(t.text))
-    if t.kind == "^":
-        return words.EPSILON
-    if t.kind == "<":
-        n = cur.expect("name")
-        cur.expect(".")
-        body = _word_items(cur)
-        cur.expect(">")
-        return Bind(Name(n.text[1:]), body)
-    raise ParseError(f"unexpected {t.text!r} in word", t.pos)
+    out = []
+    depth = 0  # open binders
+    while cur.peek() is not None or depth:
+        t = cur.next()  # past the end with a binder open: "unexpected end of input"
+        if t.kind == "name":
+            out.append(Name(t.text[1:]))
+        elif t.kind == "ident":
+            out.append(Letter(t.text))
+        elif t.kind == "<":
+            n = cur.expect("name")
+            cur.expect(".")
+            out.append(TOpen(Name(n.text[1:])))
+            depth += 1
+        elif t.kind == ">" and depth:
+            out.append(TCLOSE)
+            depth -= 1
+        elif t.kind == ">":
+            raise ParseError(f"unexpected {t.text!r}", t.pos)
+        elif t.kind != "^":
+            raise ParseError(f"unexpected {t.text!r} in word", t.pos)
+    return MWord(tuple(out))
 
 
 def render_word(w: MWord) -> str:
-    if isinstance(w, Empty):
-        return "^"
-    if isinstance(w, NameAtom):
-        return f"#{w.name.label}"
-    if isinstance(w, LetterAtom):
-        return w.letter.symbol
-    if isinstance(w, Seq):
-        return " ".join(render_word(p) for p in w.parts)
-    assert isinstance(w, Bind)
-    return f"<#{w.name.label}. {render_word(w.body)} >"
+    """The concrete syntax of `w`; `MWord.__repr__` writes it in one loop."""
+    return repr(w)
 
 
 # ---------------------------------------------------------------------------

@@ -1,16 +1,15 @@
 """Words over names and letters with binders (the most general sort).
 
-A word is a term built from the empty word, names, letters, binary
-concatenation, and a binder ``Bind(n, w)`` that binds the free
-occurrences of ``n`` in ``w``.  Words are compared up to the monoid
-laws (concatenation is associative with the empty word as unit) and up
-to renaming of bound names; `alpha_canonical` computes the canonical
+A word is a balanced row of tokens over one alphabet: a name or a
+letter is its own token, and a binder that binds the free occurrences
+of ``n`` in a subword is a matched `TOpen(n)` ... `TCLOSE` pair around
+it.  A row is the word modulo the monoid laws: concatenation is row
+concatenation and the empty word is the empty row.  Words are compared
+up to renaming of bound names; `alpha_canonical` computes the canonical
 representative used for hashing and set membership.
 
-Words linearize to token streams over one alphabet: a name or a letter
-is its own token, and a binder becomes a matched `TOpen(n)`/`TCLOSE`
-pair; `tokenize` and `parse_tokens` are mutually inverse up to
-alpha-equivalence and monoid normal form.
+Every operation on a word is one loop over its row, so no nesting depth
+of binders is too deep for it.
 
 `alpha_key` gives each alpha-class one flat key: the token stream with
 every bound occurrence replaced by its de Bruijn index (the number of
@@ -30,118 +29,90 @@ from typing import Union
 from .names import Letter, Name, Permutation, canonical_supply
 
 
+# ---------------------------------------------------------------------------
+# Tokens and words
+
+@dataclass(frozen=True, slots=True)
+class TOpen:
+    name: Name
+
+    def __repr__(self):
+        return f"<#{self.name.label}."
+
+
+@dataclass(frozen=True, slots=True)
+class TClose:
+    def __repr__(self):
+        return ">"
+
+
+Tok = Union[Name, Letter, TOpen, TClose]
+
+
+TCLOSE = TClose()
+
+
+@dataclass(frozen=True, slots=True)
 class MWord:
-    """Base class for word terms."""
+    """A balanced row of names, letters, binder opens and closes."""
 
-    __slots__ = ()
-
-
-@dataclass(frozen=True, slots=True)
-class Empty(MWord):
-    def __repr__(self):
-        return "^"
-
-
-@dataclass(frozen=True, slots=True)
-class NameAtom(MWord):
-    name: Name
+    tokens: tuple[Tok, ...]
 
     def __repr__(self):
-        return f"#{self.name.label}"
+        # the concrete syntax: `^` spells an empty word or binder body
+        out = []
+        prev = None
+        for t in self.tokens:
+            if type(t) is TClose and type(prev) is TOpen:
+                out.append("^")
+            out.append(repr(t))
+            prev = t
+        return " ".join(out) or "^"
 
 
-@dataclass(frozen=True, slots=True)
-class LetterAtom(MWord):
-    letter: Letter
-
-    def __repr__(self):
-        return self.letter.symbol
-
-
-@dataclass(frozen=True, slots=True)
-class Seq(MWord):
-    # Normal form: at least two parts, none of which is Empty or Seq.
-    parts: tuple[MWord, ...]
-
-    def __repr__(self):
-        return " ".join(map(repr, self.parts))
-
-
-@dataclass(frozen=True, slots=True)
-class Bind(MWord):
-    name: Name
-    body: MWord
-
-    def __repr__(self):
-        return f"<#{self.name.label}. {self.body!r} >"
-
-
-EPSILON = Empty()
+EPSILON = MWord(())
 
 
 def concat(*ws: MWord) -> MWord:
-    """Concatenation in monoid normal form: flat, with empty units erased."""
-    parts: list[MWord] = []
-    for w in ws:
-        if isinstance(w, Empty):
-            continue
-        if isinstance(w, Seq):
-            parts.extend(w.parts)
-        else:
-            parts.append(w)
-    if not parts:
-        return EPSILON
-    if len(parts) == 1:
-        return parts[0]
-    return Seq(tuple(parts))
+    """The rows of the words, one after another."""
+    return MWord(tuple(t for w in ws for t in w.tokens))
 
 
-def normalize(w: MWord) -> MWord:
-    """Rebuild `w` in monoid normal form (binder bodies included)."""
-    if isinstance(w, (Empty, NameAtom, LetterAtom)):
-        return w
-    if isinstance(w, Bind):
-        return Bind(w.name, normalize(w.body))
-    return concat(*(normalize(p) for p in w.parts))
+def bind(n: Name, w: MWord) -> MWord:
+    """The word binding the free occurrences of `n` in `w`."""
+    return MWord((TOpen(n),) + w.tokens + (TCLOSE,))
 
 
 def support(w: MWord) -> frozenset[Name]:
     """The free names of `w`."""
-    if isinstance(w, NameAtom):
-        return frozenset((w.name,))
-    if isinstance(w, Seq):
-        out: frozenset[Name] = frozenset()
-        for p in w.parts:
-            out |= support(p)
-        return out
-    if isinstance(w, Bind):
-        return support(w.body) - {w.name}
-    return frozenset()
+    free = set()
+    binders: list[Name] = []
+    for t in w.tokens:
+        if type(t) is TOpen:
+            binders.append(t.name)
+        elif type(t) is TClose:
+            binders.pop()
+        elif type(t) is Name and t not in binders:
+            free.add(t)
+    return frozenset(free)
 
 
 def all_names(w: MWord) -> frozenset[Name]:
     """Every name occurring in `w`, free or bound, binder positions included."""
-    if isinstance(w, NameAtom):
-        return frozenset((w.name,))
-    if isinstance(w, Seq):
-        out: frozenset[Name] = frozenset()
-        for p in w.parts:
-            out |= all_names(p)
-        return out
-    if isinstance(w, Bind):
-        return all_names(w.body) | {w.name}
-    return frozenset()
+    return frozenset(t.name if type(t) is TOpen else t
+                     for t in w.tokens if type(t) in (Name, TOpen))
 
 
 def permute(pi: Permutation, w: MWord) -> MWord:
     """Apply the permutation to every name occurrence, free and bound."""
-    if isinstance(w, NameAtom):
-        return NameAtom(pi(w.name))
-    if isinstance(w, Seq):
-        return Seq(tuple(permute(pi, p) for p in w.parts))
-    if isinstance(w, Bind):
-        return Bind(pi(w.name), permute(pi, w.body))
-    return w
+    out: list[Tok] = []
+    for t in w.tokens:
+        if type(t) is Name:
+            t = pi(t)
+        elif type(t) is TOpen:
+            t = TOpen(pi(t.name))
+        out.append(t)
+    return MWord(tuple(out))
 
 
 # ---------------------------------------------------------------------------
@@ -168,28 +139,30 @@ Key = tuple  # of Name | str | int | KEY_OPEN | KEY_CLOSE
 def alpha_key(w: MWord) -> Key:
     """The key of the alpha-class of `w`: equal keys iff alpha-equivalent words."""
     out: list = []
-
-    def go(t: MWord, env: dict[Name, int], depth: int) -> None:
-        # env maps a bound name to the depth of its binder
-        if isinstance(t, NameAtom):
-            level = env.get(t.name)
-            out.append(t.name if level is None else depth - 1 - level)
-        elif isinstance(t, LetterAtom):
-            out.append(t.letter.symbol)
-        elif isinstance(t, Seq):
-            for p in t.parts:
-                go(p, env, depth)
-        elif isinstance(t, Bind):
+    level: dict[Name, int] = {}  # bound name -> depth of its innermost binder
+    shadowed: list = []  # per open binder: its name and the level it hides
+    for t in w.tokens:
+        if type(t) is Name:
+            at = level.get(t)
+            out.append(t if at is None else len(shadowed) - 1 - at)
+        elif type(t) is TOpen:
+            shadowed.append((t.name, level.get(t.name)))
+            level[t.name] = len(shadowed) - 1
             out.append(KEY_OPEN)
-            go(t.body, {**env, t.name: depth}, depth + 1)
+        elif type(t) is TClose:
+            n, at = shadowed.pop()
+            if at is None:
+                del level[n]
+            else:
+                level[n] = at
             out.append(KEY_CLOSE)
-
-    go(w, {}, 0)
+        else:
+            out.append(t.symbol)
     return tuple(out)
 
 
 def key_bind(n: Name, key: Key) -> Key:
-    """The key of ``Bind(n, w)`` from the key of `w`."""
+    """The key of ``bind(n, w)`` from the key of `w`."""
     if n not in key:
         return (KEY_OPEN,) + key + (KEY_CLOSE,)
     out = [KEY_OPEN]
@@ -206,44 +179,30 @@ def key_bind(n: Name, key: Key) -> Key:
     return tuple(out)
 
 
-def _seq(parts: list[MWord]) -> MWord:
-    # `concat` for parts that are already atoms or binders
-    if len(parts) > 1:
-        return Seq(tuple(parts))
-    return parts[0] if parts else EPSILON
-
-
 def from_key(key: Key) -> MWord:
     """The canonical word of a key.
 
     Binders are named from the reserved sequence in traversal order,
-    skipping any reserved name that occurs free.  Equal atoms within
-    the word are one object.
+    skipping any reserved name that occurs free.
     """
     supply = None
-    atoms: dict = {}
     binders: list[Name] = []
-    frames: list[list[MWord]] = [[]]
-    parts = frames[0]
+    out: list[Tok] = []
     for x in key:
-        if x is KEY_OPEN:
+        if type(x) is int:
+            x = binders[-1 - x]
+        elif type(x) is str:
+            x = Letter(x)
+        elif x is KEY_OPEN:
             if supply is None:
-                supply = canonical_supply([y for y in key if isinstance(y, Name)])
+                supply = canonical_supply([y for y in key if type(y) is Name])
             binders.append(next(supply))
-            parts = []
-            frames.append(parts)
+            x = TOpen(binders[-1])
         elif x is KEY_CLOSE:
-            body = _seq(frames.pop())
-            parts = frames[-1]
-            parts.append(Bind(binders.pop(), body))
-        else:
-            if type(x) is int:
-                x = binders[-1 - x]
-            a = atoms.get(x)
-            if a is None:
-                a = atoms[x] = NameAtom(x) if isinstance(x, Name) else LetterAtom(Letter(x))
-            parts.append(a)
-    return _seq(frames[0])
+            binders.pop()
+            x = TCLOSE
+        out.append(x)
+    return MWord(tuple(out))
 
 
 def alpha_canonical(w: MWord) -> MWord:
@@ -264,69 +223,25 @@ def alpha_equal(w: MWord, v: MWord) -> bool:
 # ---------------------------------------------------------------------------
 # Token streams
 
-@dataclass(frozen=True, slots=True)
-class TOpen:
-    name: Name
-
-    def __repr__(self):
-        return f"<#{self.name.label}."
-
-
-@dataclass(frozen=True, slots=True)
-class TClose:
-    def __repr__(self):
-        return ">"
-
-
-Tok = Union[Name, Letter, TOpen, TClose]
-
-
-TCLOSE = TClose()
-
-
 def tokenize(w: MWord) -> tuple[Tok, ...]:
-    """Linearize `w`; a binder becomes TOpen(n) ... TCLOSE."""
-    out: list[Tok] = []
-
-    def go(t: MWord):
-        if isinstance(t, Empty):
-            return
-        if isinstance(t, NameAtom):
-            out.append(t.name)
-        elif isinstance(t, LetterAtom):
-            out.append(t.letter)
-        elif isinstance(t, Seq):
-            for p in t.parts:
-                go(p)
-        else:
-            assert isinstance(t, Bind)
-            out.append(TOpen(t.name))
-            go(t.body)
-            out.append(TCLOSE)
-
-    go(w)
-    return tuple(out)
+    """The token stream of `w`: its row."""
+    return w.tokens
 
 
 def parse_tokens(toks: tuple[Tok, ...]) -> MWord:
-    """Inverse of `tokenize`.  Rejects unbalanced streams."""
-    frames: list[tuple[Name | None, list[MWord]]] = [(None, [])]
+    """The word of a token stream.  Rejects unbalanced streams."""
+    depth = 0
     for t in toks:
-        if isinstance(t, Name):
-            frames[-1][1].append(NameAtom(t))
-        elif isinstance(t, Letter):
-            frames[-1][1].append(LetterAtom(t))
-        elif isinstance(t, TOpen):
-            frames.append((t.name, []))
-        else:
-            if len(frames) == 1:
+        if type(t) is TOpen:
+            depth += 1
+        elif type(t) is TClose:
+            if not depth:
                 raise ValueError("unbalanced token stream: unmatched close")
-            n, parts = frames.pop()
-            frames[-1][1].append(Bind(n, concat(*parts)))
-    if len(frames) != 1:
+            depth -= 1
+    if depth:
         raise ValueError("unbalanced token stream: unmatched open")
-    return concat(*frames[0][1])
+    return MWord(tuple(toks))
 
 
 def token_length(w: MWord) -> int:
-    return len(tokenize(w))
+    return len(w.tokens)

@@ -21,7 +21,7 @@ from nomlang.words import (
     token_length,
     tokenize,
 )
-from nomlang.syntax import parse_nre, parse_regex, render_regex
+from nomlang.syntax import parse_nre, parse_regex, parse_word, render_regex
 from nomlang.regex import enumerate_slice
 from nomlang.monoids import SORTS, SORT_S, plain_words_bounded
 from nomlang.hds import (
@@ -128,7 +128,7 @@ def test_criterion_2_operator_compositionality():
         if slice_of(rx.Star(e1)) != star:
             bad.append(f"star #{i}")
         binder = frozenset(
-            alpha_canonical(words.Bind(n, w)) for w in slice_of(e1, bound - 2)
+            alpha_canonical(words.bind(n, w)) for w in slice_of(e1, bound - 2)
         )
         if slice_of(rx.Binder(n, e1)) != binder:
             bad.append(f"binder #{i}")
@@ -158,11 +158,7 @@ def test_criterion_3_pop_automaton_exact_language():
     )
     ok = validate(h) == []
     got = brute_slice(h, 6, frozenset({n, m}), frozenset())
-    want = frozenset(
-        words.Seq(tuple(words.NameAtom(n) for _ in range(i))) if i > 1
-        else words.NameAtom(n)
-        for i in range(1, 7)
-    )
+    want = frozenset(parse_word(" ".join(["#n"] * i)) for i in range(1, 7))
     ok = ok and got == want and got == language_slice(h, 6)
     _verdict(3, "push/pop automaton language is exactly {#n^i | 1<=i<=6}", ok)
 

@@ -1,3 +1,5 @@
+import os
+
 import pytest
 
 from nomlang.cli import main
@@ -119,3 +121,15 @@ def test_undeclared_letter_exit_code(tmp_path, capsys):
     p = tmp_path / "bad.nre"
     p.write_text("#n a\n")  # letter a never declared
     assert main(["compile", str(p)]) == 2
+
+
+def test_accept_deeply_nested_word_rejects(tmp_path, capsys):
+    # 1,500 nested binders: the word is read in loops, with no recursion
+    out = tmp_path / "session.hds"
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "expressions", "session_nonce.nre")
+    assert main(["compile", src, str(out)]) == 0
+    capsys.readouterr()
+    depth = 1500
+    word = "<#n. " * depth + "#n" + " >" * depth
+    assert main(["accept", str(out), word]) == 1
+    assert capsys.readouterr().out == "REJECT\n"

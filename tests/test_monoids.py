@@ -17,6 +17,7 @@ from nomlang.monoids import (
     plain_words_bounded,
 )
 from nomlang.oracle import gen_axiom_instances
+from nomlang.syntax import parse_word
 
 from conftest import NAMES, LETTERS
 
@@ -274,7 +275,7 @@ def test_long_g_word_needs_no_recursion():
 
 def test_plain_words_bounded_simple():
     pool = frozenset(NAMES)
-    w = words.Bind(n, words.NameAtom(n))
+    w = parse_word("<#n. #n >")
     got = plain_words_bounded([w], pool)
     assert got == frozenset({(x,) for x in pool} | {(n,)})
 
@@ -282,7 +283,7 @@ def test_plain_words_bounded_simple():
 def test_plain_words_bounded_freshness():
     pool = frozenset(NAMES)
     # the bound name may become any pool name absent from the rest
-    w = words.Bind(n, words.concat(words.NameAtom(n), words.NameAtom(m)))
+    w = parse_word("<#n. #n #m >")
     got = plain_words_bounded([w], pool)
     assert (k, m) in got
     assert (n, m) in got
@@ -291,4 +292,4 @@ def test_plain_words_bounded_freshness():
 
 def test_plain_words_pool_must_cover_support():
     with pytest.raises(ValueError):
-        plain_words_bounded([words.NameAtom(Name("zz"))], frozenset(NAMES))
+        plain_words_bounded([parse_word("#zz")], frozenset(NAMES))

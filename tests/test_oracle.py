@@ -4,6 +4,7 @@ import pytest
 
 from nomlang.names import Name, Letter
 from nomlang.words import (
+    EPSILON,
     TCLOSE,
     TOpen,
     alpha_canonical,
@@ -43,6 +44,12 @@ def test_alpha_oracle_examples():
     assert not alpha_oracle(
         parse_word("<#n. <#m. #n #m > >"),
         parse_word("<#n. <#m. #m #n > >"),
+        POOL,
+    )
+    # renaming the outer n to m would let the inner binder capture it
+    assert not alpha_oracle(
+        parse_word("<#n. <#m. #n > >"),
+        parse_word("<#m. <#m. #m > >"),
         POOL,
     )
 
@@ -106,18 +113,21 @@ def test_random_regex_depth_and_alphabet(rng):
 
 def test_axiom_instances_satisfy_premises(rng):
     # Ax1's premise says the bound name must be fresh for the right
-    # operand; check the generator respects it in the raw sort
-    from nomlang.monoids import SORTS
-
+    # operand; check the generator respects it in the raw sort, where
+    # the left side is the row of [n]X, then the row of Y
+    checked = 0
     for inst in gen_axiom_instances("Ax1", "M", 50, NAMES, LETTERS, rng):
-        lhs = inst.lhs  # Seq(Bind(n, x), y) or Bind alone
-        # recover n as the outermost bound name of the left part
-        from nomlang.words import Bind, Seq
-
-        head = lhs.parts[0] if isinstance(lhs, Seq) else lhs
-        if isinstance(head, Bind) and isinstance(lhs, Seq):
-            rest = Seq(lhs.parts[1:]) if len(lhs.parts) > 2 else lhs.parts[1]
-            assert head.name not in support(rest)
+        toks = inst.lhs.tokens
+        head = toks[0]
+        assert isinstance(head, TOpen)
+        depth, j = 1, 0
+        while depth:  # j goes to the first binder's close
+            j += 1
+            depth += isinstance(toks[j], TOpen) - (toks[j] is TCLOSE)
+        rest = parse_tokens(toks[j + 1:])
+        assert head.name not in support(rest)
+        checked += rest != EPSILON
+    assert checked > 0
 
 
 def test_unknown_axiom_rejected(rng):

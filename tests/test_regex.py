@@ -6,7 +6,7 @@ from nomlang.names import Name
 from nomlang import regex as rx
 from nomlang.regex import enumerate_slice, free_names, member
 from nomlang.syntax import ParseError, parse_nre, parse_regex, parse_word, render_regex
-from nomlang.words import Bind, NameAtom, alpha_canonical, concat, token_length
+from nomlang.words import alpha_canonical, token_length
 
 from conftest import NAMES, LETTERS
 
@@ -121,14 +121,14 @@ def test_slice_with_free_reserved_name_decodes_canonically():
     t0, t1 = Name("~0"), Name("~1")
     e = rx.Cat(rx.Binder(n, rx.NameLit(n)), rx.NameLit(t0))
     want = {
-        "M": alpha_canonical(concat(Bind(n, NameAtom(n)), NameAtom(t0))),
+        "M": alpha_canonical(parse_word("<#n. #n > #~0")),
         "G": GWord((TOpen(t1), t1, t0)),
         "L": LWord((t1,), (t1, t0)),
         "S": SWord(frozenset({t1}), (t1, t0)),
     }
     for sort, w in want.items():
         assert enumerate_slice(e, sort, 4).words == {w}
-    assert want["M"].parts[0].name is t1
+    assert want["M"].tokens[0].name is t1
 
 
 @pytest.mark.parametrize("sort", "GLS")

@@ -4,22 +4,19 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nomlang.names import Name, Letter, Permutation, STAR
+from nomlang import monoids
 from nomlang.words import (
-    Bind,
     EPSILON,
-    Empty,
     KEY_CLOSE,
     KEY_OPEN,
-    LetterAtom,
-    NameAtom,
-    Seq,
+    MWord,
     alpha_canonical,
     alpha_equal,
     alpha_key,
     all_names,
+    bind,
     concat,
     key_bind,
-    normalize,
     parse_tokens,
     permute,
     support,
@@ -46,14 +43,14 @@ letters_st = st.sampled_from(LETTERS)
 def words_st(depth=3):
     base = st.one_of(
         st.just(EPSILON),
-        names_st.map(NameAtom),
-        letters_st.map(LetterAtom),
+        names_st.map(lambda x: MWord((x,))),
+        letters_st.map(lambda x: MWord((x,))),
     )
     return st.recursive(
         base,
         lambda kids: st.one_of(
             st.lists(kids, min_size=2, max_size=3).map(lambda ps: concat(*ps)),
-            st.tuples(names_st, kids).map(lambda t: Bind(*t)),
+            st.tuples(names_st, kids).map(lambda t: bind(*t)),
         ),
         max_leaves=8,
     )
@@ -62,11 +59,11 @@ def words_st(depth=3):
 # -- monoid structure --------------------------------------------------------
 
 def test_concat_unit_and_flattening():
-    w = concat(NameAtom(n), EPSILON, LetterAtom(a))
-    assert w == Seq((NameAtom(n), LetterAtom(a)))
+    w = concat(parse_word("#n"), EPSILON, parse_word("a"))
+    assert w == MWord((n, a)) == parse_word("#n ^ a")
     assert concat() == EPSILON
     assert concat(EPSILON, EPSILON) == EPSILON
-    assert concat(NameAtom(n)) == NameAtom(n)
+    assert concat(parse_word("#n")) == parse_word("#n")
 
 
 @given(words_st(), words_st(), words_st())
@@ -82,8 +79,9 @@ def test_support_and_all_names():
 
 
 def test_support_shadowing():
-    assert support(Bind(n, NameAtom(n))) == frozenset()
-    assert support(Bind(n, NameAtom(m))) == {m}
+    assert support(parse_word("<#n. #n >")) == frozenset()
+    assert support(parse_word("<#n. #m >")) == {m}
+    assert support(parse_word("<#n. <#n. #n > #n > #n")) == {n}
 
 
 # -- alpha equivalence -------------------------------------------------------
@@ -132,12 +130,10 @@ def test_permutation_equivariance(w, x, y):
 def test_canonical_avoids_free_reserved_names():
     # a word whose free names collide with the reserved bound-name pool
     t0 = Name("~0")
-    w = concat(NameAtom(t0), Bind(n, NameAtom(n)))
+    w = concat(MWord((t0,)), bind(n, MWord((n,))))
     c = alpha_canonical(w)
-    assert isinstance(c, Seq)
-    bnd = c.parts[1]
-    assert isinstance(bnd, Bind)
-    assert bnd.name is not t0
+    assert c.tokens[0] is t0
+    assert c.tokens[1].name is not t0
     assert support(c) == {t0}
 
 
@@ -166,7 +162,7 @@ def test_alpha_key_is_a_homomorphism(rng):
         v = random_mword(rng, NAMES, LETTERS, rng.randint(0, 4))
         x = rng.choice(NAMES)
         assert alpha_key(concat(u, v)) == alpha_key(u) + alpha_key(v)
-        assert alpha_key(Bind(x, u)) == key_bind(x, alpha_key(u))
+        assert alpha_key(bind(x, u)) == key_bind(x, alpha_key(u))
         assert len(alpha_key(u)) == token_length(u)
 
 
@@ -185,7 +181,7 @@ def test_alpha_key_uses_de_bruijn_indices():
 @given(words_st())
 @settings(max_examples=150, deadline=None)
 def test_tokenize_parse_roundtrip(w):
-    assert parse_tokens(tokenize(w)) == normalize(w)
+    assert parse_tokens(tokenize(w)) == w
 
 
 def test_token_length_counts_binders():
@@ -206,7 +202,29 @@ def test_parse_tokens_rejects_unbalanced():
 @given(words_st())
 @settings(max_examples=150, deadline=None)
 def test_render_parse_roundtrip(w):
-    assert parse_word(render_word(w)) == normalize(w)
+    assert parse_word(render_word(w)) == w
+
+
+def test_empty_words_and_bodies_render_as_caret():
+    # fixture digests hash these exact strings
+    for text in ("^", "<#n. ^ >", "<#n. <#m. ^ > #n >"):
+        w = parse_word(text)
+        assert render_word(w) == text
+        assert parse_word(render_word(w)).tokens == w.tokens
+    assert parse_word("<#n. <#m. ^ > #n >").tokens == (TOpen(n), TOpen(m), TCLOSE, n, TCLOSE)
+    assert render_word(EPSILON) == render_word(parse_word("^ ^")) == "^"
+    assert render_word(bind(n, EPSILON)) == "<#n. ^ >"
+
+
+def test_deeply_nested_word_needs_no_recursion():
+    depth = 1500
+    w = parse_word("<#n. " * depth + "#n" + " >" * depth)
+    assert hash(w) == hash(parse_word(render_word(w)))
+    c = alpha_canonical(w)
+    assert tokenize(c)[depth] is c.tokens[depth - 1].name
+    assert len(tokenize(w)) == 2 * depth + 1
+    assert render_word(c).count(">") == depth
+    assert len(monoids.quot_mg(w).tokens) == depth + 1
 
 
 def test_random_mword_generator_terminates(rng):
