@@ -6,7 +6,9 @@ language of the expression against the bounded language of the
 automaton.  It also checks that the expression's G slice is the image
 of its M slice under the quotient map, its L slice the image of its G
 slice, and that its S slice holds the image of its L slice (a vacuous
-binder costs two tokens in L but none in S, so S may hold more).
+binder costs two tokens in L but none in S, so S may hold more).  In
+every sort, `member` must agree with the slice on a sample of words
+drawn from the expression's slice and the previous expression's.
 Prints every mismatch and a summary line.
 
 Usage: python3 scripts/random_campaign.py --count 500 --depth 4 --bound 7
@@ -24,10 +26,13 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "src"))
 from nomlang.names import Letter, Name
 from nomlang.compiler import compile_regex
 from nomlang.hds import language_slice, validate
-from nomlang.monoids import canon_g, canon_l, canon_s, quot_gl, quot_ls, quot_mg
+from nomlang.monoids import SORTS, canon_g, canon_l, canon_s, quot_gl, quot_ls, quot_mg
 from nomlang.oracle import random_regex
-from nomlang.regex import enumerate_slice
+from nomlang.regex import enumerate_slice, member
 from nomlang.syntax import render_regex, render_word
+
+
+MEMBER_SAMPLE = 3  # words per sort per expression on which `member` is checked
 
 
 @dataclass(frozen=True)
@@ -44,6 +49,8 @@ def run_campaign(cfg: CampaignConfig) -> int:
     rng = random.Random(cfg.seed)
     pool = [Name(x) for x in cfg.names]
     letters = [Letter(s) for s in cfg.letters]
+    pick = random.Random(cfg.seed)  # member samples; `rng` draws the expressions
+    prev: dict = {}  # sort -> the previous expression's slice
     mismatches = 0
     t0 = time.monotonic()
     for i in range(cfg.count):
@@ -75,6 +82,15 @@ def run_campaign(cfg: CampaignConfig) -> int:
         if not s >= {canon_s(quot_ls(w)) for w in l}:
             mismatches += 1
             print(f"QUOTIENT L->S #{i}: {render_regex(e)}")
+        slices = {"M": want, "G": g, "L": l, "S": s}
+        for sort, words in slices.items():
+            ops = SORTS[sort]
+            drawn = sorted(words | prev.get(sort, frozenset()), key=repr)
+            for w in pick.sample(drawn, min(MEMBER_SAMPLE, len(drawn))):
+                if member(e, w, sort) != (ops.canon(w) in words):
+                    mismatches += 1
+                    print(f"MEMBER {sort} #{i}: {render_regex(e)}: {render_word(ops.to_mword(w))}")
+        prev = slices
     dt = time.monotonic() - t0
     print(
         f"{cfg.count} expressions, depth {cfg.depth}, bound {cfg.bound}, "

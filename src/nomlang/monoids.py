@@ -14,7 +14,7 @@ Each sort carries concatenation and a binding operation, computed on
 nameless keys as M's are on `words.alpha_key`.  A bound occurrence in a
 key is a number that says which binder holds it, so binders carry no
 names and the freshness side conditions of the defining equations never
-arise:
+arise; a free name or a letter is its own key element:
 
 * a G key is the token stream with closes dropped and bound occurrences
   as de Bruijn indices, so ``x·y`` is tuple concatenation;
@@ -64,7 +64,7 @@ class GWord:
         return self.tokens + (TCLOSE,) * sum(type(t) is TOpen for t in self.tokens)
 
     def __repr__(self):
-        return " ".join(map(repr, self.closed())) or "^"
+        return repr(MWord(self.closed()))
 
 
 # ---------------------------------------------------------------------------
@@ -101,26 +101,13 @@ class SWord:
 # ---------------------------------------------------------------------------
 # Nameless keys
 #
-# Key elements are free `Name`s, letter symbols (`str`), bound
-# occurrences (`int`) and, in G keys, `KEY_OPEN`.
-
-def _key_sym(s: AtomSym, bound: dict[Name, int]):
-    """The key element of an atom, given the numbers of the bound names."""
-    if isinstance(s, Name):
-        return bound.get(s, s)
-    return s.symbol
-
+# Key elements are free `Name`s, `Letter`s, bound occurrences (`int`)
+# and, in G keys, `KEY_OPEN`.  Tokens are hash-consed, so an atom is its
+# own key element unless it is a bound name.
 
 def _decode_body(body: tuple, names: tuple) -> tuple:
     """The atoms of a key body; `names[i]` is the name of bound occurrence i."""
-    out = []
-    for x in body:
-        if type(x) is int:
-            x = names[x]
-        elif type(x) is str:
-            x = Letter(x)
-        out.append(x)
-    return tuple(out)
+    return tuple([names[x] if type(x) is int else x for x in body])
 
 
 def _binder_names(body: tuple):
@@ -144,11 +131,9 @@ def _encode_g(w: GWord) -> tuple:
             out.append(KEY_OPEN)
             level[x.name] = opens
             opens += 1
-        elif isinstance(x, Name):
+        else:  # a name or a letter; only a bound name has a level
             at = level.get(x)
             out.append(x if at is None else opens - 1 - at)
-        else:
-            out.append(x.symbol)
     return tuple(out)
 
 
@@ -162,8 +147,6 @@ def _decode_g(key: tuple) -> GWord:
             x = TOpen(binders[-1])
         elif type(x) is int:
             x = binders[-1 - x]
-        elif type(x) is str:
-            x = Letter(x)
         out.append(x)
     return GWord(tuple(out))
 
@@ -176,7 +159,7 @@ def _bind_g(n: Name, key: tuple) -> tuple:
 def _encode_l(x: LWord) -> tuple:
     p = len(x.prefix)
     pos = {n: p - 1 - j for j, n in enumerate(x.prefix)}  # the rightmost binder wins
-    return (p, tuple(_key_sym(s, pos) for s in x.body))
+    return (p, tuple(pos.get(s, s) for s in x.body))
 
 
 def _decode_l(key: tuple) -> LWord:
@@ -200,7 +183,7 @@ def _encode_s(x: SWord) -> tuple:
     for s in x.body:
         if s in x.bound:
             number.setdefault(s, len(number))
-    return (len(number), tuple(_key_sym(s, number) for s in x.body))
+    return (len(number), tuple(number.get(s, s) for s in x.body))
 
 
 def _decode_s(key: tuple) -> SWord:
@@ -216,7 +199,7 @@ def _concat_s(x: tuple, y: tuple) -> tuple:
 
 def _bind_s(n: Name, key: tuple) -> tuple:
     k, body = key
-    if n not in body:
+    if n not in set(body):  # by hash and identity, as in `words.key_bind`
         return key
     number: dict = {}
     return (k + 1, tuple(
@@ -335,11 +318,12 @@ class SortOps:
     """The operations a sort must provide to interpret regular expressions.
 
     Token length adds up under `concat` in every sort.  Every sort in
-    `SORTS` sets `keyed`, the same sort on its nameless keys: a key
-    sort's `canon` is the identity, its `to_mword` decodes a key to the
-    canonical value of this sort, and it has no `keyed` of its own.
+    `SORTS` sets `keyed`, the same sort on its nameless keys, and
+    `encode`, which maps a value to its key: a key sort's `canon` is the
+    identity, its `to_mword` decodes a key to the canonical value of
+    this sort, and it has no `keyed` or `encode` of its own.
     `regex.enumerate_slice` runs on the keys and decodes each output
-    word once.
+    word once; `regex.member` encodes its candidate and decodes nothing.
     """
 
     tag: str
@@ -352,6 +336,7 @@ class SortOps:
     tok_len: Callable
     to_mword: Callable
     keyed: Optional["SortOps"] = None
+    encode: Optional[Callable] = None
 
 
 def _identity(x):
@@ -373,6 +358,7 @@ def _on_keys(tag: str, keys: SortOps, encode: Callable, to_mword: Callable) -> S
         tok_len=lambda x: keys.tok_len(encode(x)),
         to_mword=to_mword,
         keyed=keys,
+        encode=encode,
     )
 
 
@@ -382,7 +368,7 @@ SORT_M_KEYS = SortOps(
     tag="M",
     unit=(),
     from_name=lambda n: (n,),
-    from_letter=lambda s: (s.symbol,),
+    from_letter=lambda s: (s,),
     concat=tuple.__add__,
     bind=key_bind,
     canon=_identity,
@@ -401,6 +387,7 @@ SORT_M = SortOps(
     tok_len=token_length,
     to_mword=_identity,
     keyed=SORT_M_KEYS,
+    encode=words.alpha_key,
 )
 
 # A G key is an M key without closes.
@@ -413,7 +400,7 @@ SORT_L_KEYS = SortOps(
     tag="L",
     unit=(0, ()),
     from_name=lambda n: (0, (n,)),
-    from_letter=lambda s: (0, (s.symbol,)),
+    from_letter=lambda s: (0, (s,)),
     concat=_concat_l,
     bind=_bind_l,
     canon=_identity,

@@ -1,39 +1,48 @@
 """Names, letters, permutations, and fresh-name supplies.
 
 The alphabet is split into a countably infinite set of *names* (testable
-only for equality) and a finite, user-declared set of *letters*.  Names
-are interned: constructing ``Name("n1")`` twice gives the same object.
-Names order by label, so no output depends on the order in which
-names were first made.  The placeholder
-``STAR`` used in automaton name maps is deliberately not a ``Name`` so
-it can never leak into words.
+only for equality) and a finite, user-declared set of *letters*.  Both
+are hash-consed (`Interned`): constructing ``Name("n1")`` or
+``Letter("a")`` twice gives the same object, so equality is identity
+and hashing is the identity hash, in C.  Names order by label and letters by
+symbol, so no output depends on the order in which they were first
+made.  The placeholder ``STAR`` used in automaton name maps is
+deliberately not a ``Name`` so it can never leak into words.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 
-class Name:
-    """An interned name: one object per label."""
+class Interned:
+    """Hash-consed values: one object per key, so `==` is identity and
+    `hash` is the identity hash, in C.  A subclass names its one field in
+    `__slots__`."""
 
-    __slots__ = ("label",)
+    __slots__ = ()
 
-    _registry: dict[str, "Name"] = {}
+    def __init_subclass__(cls):
+        super().__init_subclass__()
+        cls._registry = {}
+        (cls._field,) = cls.__slots__
 
-    def __new__(cls, label: str) -> "Name":
-        existing = cls._registry.get(label)
-        if existing is not None:
-            return existing
-        obj = object.__new__(cls)
-        object.__setattr__(obj, "label", label)
-        cls._registry[label] = obj
+    def __new__(cls, key):
+        obj = cls._registry.get(key)
+        if obj is None:
+            obj = cls._registry[key] = object.__new__(cls)
+            object.__setattr__(obj, cls._field, key)
         return obj
 
     def __setattr__(self, key, value):
-        raise AttributeError("Name is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+
+class Name(Interned):
+    """A name: one object per label."""
+
+    __slots__ = ("label",)
 
     def __repr__(self) -> str:
         return f"#{self.label}"
@@ -69,14 +78,16 @@ def canonical_supply(avoid: Iterable[Name]) -> Iterator[Name]:
             yield c
 
 
-@dataclass(frozen=True, order=True, slots=True)
-class Letter:
-    """An element of the finite letter alphabet."""
+class Letter(Interned):
+    """An element of the finite letter alphabet: one object per symbol."""
 
-    symbol: str
+    __slots__ = ("symbol",)
 
     def __repr__(self) -> str:
         return self.symbol
+
+    def __lt__(self, other: "Letter") -> bool:
+        return self.symbol < other.symbol
 
 
 class _Star:

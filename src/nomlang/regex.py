@@ -4,7 +4,8 @@ The denotation of an expression in a chosen word sort is in general an
 infinite set; `enumerate_slice` computes its finite window of words up
 to a token-length bound.  Every semantic clause is token-length
 non-decreasing, so membership can be decided by enumerating up to the
-length of the candidate word.
+length of the candidate word, and `member` does so on keys, decoding
+nothing.
 
 One enumeration serves every sort.  It runs on the sort's nameless
 keys (`SortOps.keyed`), which are canonical by construction, so
@@ -215,6 +216,10 @@ def enumerate_slice(e: Regex, sort: str | SortOps, bound: int) -> LangSlice:
 
 
 def member(e: Regex, w, sort: str | SortOps = "M") -> bool:
-    """Decide membership by enumerating up to the candidate's token length."""
+    """Decide membership by enumerating keys up to the candidate's token
+    length and looking its key up in the bucket of that length."""
     ops = SORTS[sort] if isinstance(sort, str) else sort
-    return ops.canon(w) in enumerate_slice(e, ops, ops.tok_len(w)).words
+    keys = ops.keyed
+    key = ops.encode(w)
+    n = keys.tok_len(key)
+    return key in _enum(e, keys, n).get(n, ())

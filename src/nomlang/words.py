@@ -14,8 +14,9 @@ of binders is too deep for it.
 `alpha_key` gives each alpha-class one flat key: the token stream with
 every bound occurrence replaced by its de Bruijn index (the number of
 binders between it and its own) and binder names dropped.  Its
-elements are free `Name`s, letter symbols (`str`), indices (`int`) and
-the sentinels `KEY_OPEN` and `KEY_CLOSE`, all hashed in C.  Indices
+elements are free `Name`s, `Letter`s, indices (`int`) and the sentinels
+`KEY_OPEN` and `KEY_CLOSE`, all hashed in C: every token is hash-consed,
+so a letter or a name is its own key element.  Indices
 make concatenation plain tuple concatenation, `key_bind` binds a name
 in a key, the token length of a word is the length of its key, and
 `from_key` decodes a key to the canonical word.
@@ -26,22 +27,26 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Union
 
-from .names import Letter, Name, Permutation, canonical_supply
+from .names import Interned, Letter, Name, Permutation, canonical_supply
 
 
 # ---------------------------------------------------------------------------
 # Tokens and words
 
-@dataclass(frozen=True, slots=True)
-class TOpen:
-    name: Name
+class TOpen(Interned):
+    """The open of a binder of `name`: one object per name."""
+
+    __slots__ = ("name",)
 
     def __repr__(self):
         return f"<#{self.name.label}."
 
 
-@dataclass(frozen=True, slots=True)
 class TClose:
+    """The close of a binder; `TCLOSE` is its one object."""
+
+    __slots__ = ()
+
     def __repr__(self):
         return ">"
 
@@ -133,7 +138,7 @@ class _KeyBracket:
 KEY_OPEN = _KeyBracket("<.")
 KEY_CLOSE = _KeyBracket(">")
 
-Key = tuple  # of Name | str | int | KEY_OPEN | KEY_CLOSE
+Key = tuple  # of Name | Letter | int | KEY_OPEN | KEY_CLOSE
 
 
 def alpha_key(w: MWord) -> Key:
@@ -142,10 +147,7 @@ def alpha_key(w: MWord) -> Key:
     level: dict[Name, int] = {}  # bound name -> depth of its innermost binder
     shadowed: list = []  # per open binder: its name and the level it hides
     for t in w.tokens:
-        if type(t) is Name:
-            at = level.get(t)
-            out.append(t if at is None else len(shadowed) - 1 - at)
-        elif type(t) is TOpen:
+        if type(t) is TOpen:
             shadowed.append((t.name, level.get(t.name)))
             level[t.name] = len(shadowed) - 1
             out.append(KEY_OPEN)
@@ -156,14 +158,17 @@ def alpha_key(w: MWord) -> Key:
             else:
                 level[n] = at
             out.append(KEY_CLOSE)
-        else:
-            out.append(t.symbol)
+        else:  # a name or a letter; only a bound name has a level
+            at = level.get(t)
+            out.append(t if at is None else len(shadowed) - 1 - at)
     return tuple(out)
 
 
 def key_bind(n: Name, key: Key) -> Key:
     """The key of ``bind(n, w)`` from the key of `w`."""
-    if n not in key:
+    # a set finds `n` by hash and identity; a tuple scan would call the
+    # `__eq__` of every name and letter, which their ordering makes Python-level
+    if n not in set(key):
         return (KEY_OPEN,) + key + (KEY_CLOSE,)
     out = [KEY_OPEN]
     depth = 0
@@ -191,8 +196,6 @@ def from_key(key: Key) -> MWord:
     for x in key:
         if type(x) is int:
             x = binders[-1 - x]
-        elif type(x) is str:
-            x = Letter(x)
         elif x is KEY_OPEN:
             if supply is None:
                 supply = canonical_supply([y for y in key if type(y) is Name])

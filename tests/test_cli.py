@@ -1,4 +1,6 @@
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -133,3 +135,24 @@ def test_accept_deeply_nested_word_rejects(tmp_path, capsys):
     word = "<#n. " * depth + "#n" + " >" * depth
     assert main(["accept", str(out), word]) == 1
     assert capsys.readouterr().out == "REJECT\n"
+
+
+def test_enumerate_output_does_not_depend_on_the_hash_seed():
+    # tokens hash by identity; no slice may come out in a seed's order
+    root = os.path.join(os.path.dirname(__file__), os.pardir)
+    src = os.path.join(root, "expressions", "ns_protocol.nre")
+    script = (
+        "from nomlang.cli import main\n"
+        "for s in 'MGLS':\n"
+        f"    main(['enumerate', {src!r}, '--bound', '40', '--sort', s])\n"
+    )
+    outs = []
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed,
+                   PYTHONPATH=os.path.join(root, "src"))
+        outs.append(subprocess.run([sys.executable, "-c", script], env=env,
+                                   capture_output=True, check=True).stdout)
+    assert outs[0] == outs[1]
+    # each sort: the empty word, one run of the protocol and two
+    assert outs[0].count(b"^\n") == 4
+    assert outs[0].count(b"ENCR") == 4 * (3 + 6)

@@ -271,6 +271,16 @@ def test_long_g_word_needs_no_recursion():
     assert member(parse_regex("a*", {"a"}), w, "G")
 
 
+def test_g_word_repr_is_its_m_word_repr():
+    from nomlang.monoids import GWord
+    from nomlang.syntax import render_word
+    from nomlang.words import TOpen
+
+    w = GWord((m, TOpen(n)))
+    assert repr(w) == render_word(embed_gm(w)) == "#m <#n. ^ >"
+    assert repr(GWord(())) == "^"
+
+
 # -- projection to binder-free words -----------------------------------------
 
 def test_plain_words_bounded_simple():

@@ -113,6 +113,30 @@ def test_member():
     assert not member(e, parse_word("<#k. #k #k >"))
 
 
+@pytest.mark.parametrize("sort", "MGLS")
+def test_member_agrees_with_the_slice(sort):
+    e = parse_regex("( <#n. #n #m > + a + #m )*", letters={"a"})
+    inside = enumerate_slice(e, sort, 6).words
+    other = enumerate_slice(parse_regex("( <#n. #n a > + #n )*", letters={"a"}), sort, 6).words
+    assert inside - other and other - inside
+    for w in inside | other:
+        assert member(e, w, sort) == (w in inside)
+
+
+def test_member_on_a_long_word_decodes_nothing():
+    # the candidate's key is looked up among keys; no slice word is decoded
+    import time
+
+    from nomlang.monoids import GWord
+
+    w = GWord((a,) * 1500)
+    e = parse_regex("a*", letters={"a"})
+    t0 = time.perf_counter()
+    assert member(e, w, "G")
+    assert time.perf_counter() - t0 < 0.25
+    assert not member(e, GWord((a,) * 1499 + (b,)), "G")
+
+
 def test_slice_with_free_reserved_name_decodes_canonically():
     # the binder must skip ~0, which occurs free
     from nomlang.monoids import GWord, LWord, SWord

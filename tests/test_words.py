@@ -172,8 +172,23 @@ def test_alpha_key_uses_de_bruijn_indices():
     # n is one binder up inside k's scope; the last #n is free
     assert [x for x in keys if isinstance(x, int)] == [0, 1, 0]
     assert keys[-1] is n
-    # every element hashes in C: no dataclass goes into a key
-    assert all(type(x) in (Name, str, int) or x in (KEY_OPEN, KEY_CLOSE) for x in keys)
+    # every element hashes in C: a key holds the hash-consed tokens
+    assert all(type(x) in (Name, Letter, int) or x in (KEY_OPEN, KEY_CLOSE) for x in keys)
+
+
+def test_tokens_are_hash_consed():
+    assert Letter("a") is Letter("a")
+    assert TOpen(n) is TOpen(Name("n"))
+    for tok, field in ((Letter("a"), "symbol"), (TOpen(n), "name")):
+        with pytest.raises(AttributeError):
+            setattr(tok, field, None)
+        with pytest.raises(AttributeError):
+            tok.other = None
+    assert sorted([Letter("b"), Letter("c"), Letter("a")]) == [Letter(x) for x in "abc"]
+    # equality and hashing are identity, in C
+    for cls in (Letter, TOpen, type(TCLOSE)):
+        assert cls.__hash__ is object.__hash__
+        assert cls.__eq__ is object.__eq__
 
 
 # -- token streams -----------------------------------------------------------
