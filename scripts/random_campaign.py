@@ -8,8 +8,11 @@ of its M slice under the quotient map, its L slice the image of its G
 slice, and that its S slice holds the image of its L slice (a vacuous
 binder costs two tokens in L but none in S, so S may hold more).  In
 every sort, `member` must agree with the slice on a sample of words
-drawn from the expression's slice and the previous expression's.
-Prints every mismatch and a summary line.
+drawn from the expression's slice and the previous expression's.  On
+the M words of that sample and their one-token near-misses (inserted
+closes and opens, deletions, name swaps), the automaton's `run` verdict
+must not change when it keeps every frame (`truncate=False`).  Prints
+every mismatch and a summary line.
 
 Usage: python3 scripts/random_campaign.py --count 500 --depth 4 --bound 7
 """
@@ -25,11 +28,12 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "src"))
 
 from nomlang.names import Letter, Name
 from nomlang.compiler import compile_regex
-from nomlang.hds import language_slice, validate
+from nomlang.hds import CUTOFF, language_slice, run, validate
 from nomlang.monoids import SORTS, canon_g, canon_l, canon_s, quot_gl, quot_ls, quot_mg
-from nomlang.oracle import random_regex
+from nomlang.oracle import near_misses, random_regex
 from nomlang.regex import enumerate_slice, member
 from nomlang.syntax import render_regex, render_word
+from nomlang.words import tokenize
 
 
 MEMBER_SAMPLE = 3  # words per sort per expression on which `member` is checked
@@ -45,6 +49,27 @@ class CampaignConfig:
     letters: tuple[str, ...] = ("a", "b")
 
 
+def check_truncation(h, tokens: tuple, pool: list, where: str) -> tuple[int, int, int]:
+    """(mismatches, undecided, streams) of the runs on `tokens` and its
+    near-misses.
+
+    The run that keeps every frame gets the one depth cap the default
+    run can ever reach, one frame more than the tokens, since that run
+    keeps at most one frame more than the closes left.  Where the cap
+    cuts it (CUTOFF), there is no verdict to compare.
+    """
+    bad = undecided = 0
+    streams = [tokens] + near_misses(tokens, tuple(pool))
+    for t in streams:
+        full = run(h, t, max_depth=len(t) + 1, truncate=False).outcome
+        if full == CUTOFF:
+            undecided += 1
+        elif run(h, t).outcome != full:
+            bad += 1
+            print(f"TRUNCATION {where}: {' '.join(map(repr, t))}")
+    return bad, undecided, len(streams)
+
+
 def run_campaign(cfg: CampaignConfig) -> int:
     rng = random.Random(cfg.seed)
     pool = [Name(x) for x in cfg.names]
@@ -52,6 +77,7 @@ def run_campaign(cfg: CampaignConfig) -> int:
     pick = random.Random(cfg.seed)  # member samples; `rng` draws the expressions
     prev: dict = {}  # sort -> the previous expression's slice
     mismatches = 0
+    checked = undecided = 0  # truncation checks, and those the untruncated run cut off
     t0 = time.monotonic()
     for i in range(cfg.count):
         e = random_regex(rng, pool, letters, cfg.depth)
@@ -90,11 +116,18 @@ def run_campaign(cfg: CampaignConfig) -> int:
                 if member(e, w, sort) != (ops.canon(w) in words):
                     mismatches += 1
                     print(f"MEMBER {sort} #{i}: {render_regex(e)}: {render_word(ops.to_mword(w))}")
+                if sort == "M":
+                    bad, cut, streams = check_truncation(
+                        h, tokenize(w), pool, f"#{i}: {render_regex(e)}")
+                    mismatches += bad
+                    undecided += cut
+                    checked += streams
         prev = slices
     dt = time.monotonic() - t0
     print(
         f"{cfg.count} expressions, depth {cfg.depth}, bound {cfg.bound}, "
-        f"seed {cfg.seed}: {mismatches} mismatches in {dt:.1f}s"
+        f"seed {cfg.seed}: {mismatches} mismatches in {dt:.1f}s "
+        f"(truncation: {undecided} of {checked} streams undecided)"
     )
     return 1 if mismatches else 0
 

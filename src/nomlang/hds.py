@@ -22,10 +22,15 @@ can raise or lower the depth cap for cross-checking.
 
 In an automaton without pop transitions (every compiled one) only a
 close move reads below the top of the stack, and it reads one frame
-down.  So with at most c close tokens still to come, the frames at
-index c + 1 and deeper are never read: both searches drop them, which
-changes no verdict and no slice.  Name maps are hash-consed, so the
-stacks the searches memoize hash and compare by identity.
+down; an open or a push adds a frame, and only a close removes one.
+So if, over any stretch of the tokens still to come, closes outnumber
+opens by at most c, the frames at index c + 1 and deeper are never
+read: both searches drop them, which changes no verdict and no slice.
+`run` computes c from its input; in `language_slice` c is the open
+depth, since a word ends with no binder open.  Name maps are
+hash-consed, so the stacks the searches memoize hash and compare by
+identity, and a move that leaves the top frame as it is keeps the
+stack itself.
 """
 
 from __future__ import annotations
@@ -51,7 +56,7 @@ class NameMap:
     freed when the search ends.
     """
 
-    __slots__ = ("entries", "__weakref__")
+    __slots__ = ("entries", "key_row", "identity", "__weakref__")
 
     _table: "weakref.WeakValueDictionary[tuple, NameMap]" = weakref.WeakValueDictionary()
 
@@ -61,6 +66,10 @@ class NameMap:
         if m is None:
             m = object.__new__(cls)
             object.__setattr__(m, "entries", entries)
+            # computed once per map, so `stack_update` can spot a move that
+            # leaves the top frame as it is
+            object.__setattr__(m, "key_row", tuple([k for k, _ in entries]))
+            object.__setattr__(m, "identity", all(k is v for k, v in entries))
             cls._table[entries] = m
         return m
 
@@ -83,7 +92,7 @@ class NameMap:
 
     @property
     def domain(self) -> frozenset[Name]:
-        return frozenset(k for k, _ in self.entries)
+        return frozenset(self.key_row)
 
     def values(self):
         return [v for _, v in self.entries]
@@ -131,6 +140,10 @@ def stack_update(stack: Stack, sigma: NameMap) -> Stack:
     """Replace the top frame by sigma post-composed with it (star kept fixed)."""
     if not stack:
         return (sigma,)
+    if sigma.identity and sigma.key_row == stack[0].key_row:
+        return stack
+    if not sigma.entries:
+        return (BOTTOM,) + stack[1:]
     f = dict(stack[0].entries)
     f[STAR] = STAR
     return (compose(sigma, f),) + stack[1:]
@@ -367,18 +380,21 @@ def run(
     introduce.  `initial_stack` overrides the frames below the initial
     name map (useful for checking that they cannot influence
     acceptance).  Unless `truncate` is off or `h` has pop transitions,
-    a successor keeps one frame more than the close tokens left in the
-    input: no close can read the others.
+    a successor keeps one frame more than the most by which closes
+    outnumber opens over any stretch of the rest of the input: no close
+    can read the others.
     """
     if max_depth is None:
         max_depth = len(tokens) + len(h.states) + 1 + len(initial_stack or ())
     has_pop = (
         any(t.label.kind == "pop" for _, t in h.transitions()) or not truncate
     )
-    # keep[pos]: 1 + the close tokens in tokens[pos:], the frames a close can read
+    # keep[pos]: 1 + the most by which closes outnumber opens over any
+    # stretch of tokens[pos:], the frames a close can read
     keep = [1] * (len(tokens) + 1)
     for i in range(len(tokens) - 1, -1, -1):
-        keep[i] = keep[i + 1] + isinstance(tokens[i], TClose)
+        tok = tokens[i]
+        keep[i] = max(1, keep[i + 1] + isinstance(tok, TClose) - isinstance(tok, TOpen))
     start = initial_config(h)
     if initial_stack is not None:
         start = (start[0], start[1], start[2] + tuple(initial_stack))
@@ -499,9 +515,9 @@ def language_slice(h: Hds, bound: int) -> frozenset[MWord]:
     the tokens left under the bound cannot both close its open binders
     and take its state to a final one (`steps_to_final`); a state with
     no path to a final state is always dropped.  Without pop transitions
-    a configuration keeps one frame more than the closes an accepted
-    word can still read: its open binders plus one per two further
-    tokens under the bound.
+    a configuration keeps one frame more than its open depth: the rest
+    of an accepted word closes those binders and never outnumbers its
+    own opens with its closes.
     """
     if bound < 0:
         raise ValueError("bound must be non-negative")
@@ -548,9 +564,9 @@ def language_slice(h: Hds, bound: int) -> frozenset[MWord]:
                 if max(need.get(t.target, left2 + 1), depth2) > left2:
                     continue
                 if not has_pop:
-                    # a word ends with no binder open, so the closes still to come
-                    # are the open binders plus at most one per two further tokens
-                    stk2 = stk2[: depth2 + (left2 - depth2) // 2 + 1]
+                    # a word ends with no binder open, so closes can outnumber
+                    # opens over the rest of it by the open binders at most
+                    stk2 = stk2[: depth2 + 1]
                 if len(stk2) > max_depth:
                     continue
                 cfg2 = (t.target, stk2, gap2)

@@ -103,7 +103,8 @@ class SWord:
 #
 # Key elements are free `Name`s, `Letter`s, bound occurrences (`int`)
 # and, in G keys, `KEY_OPEN`.  Tokens are hash-consed, so an atom is its
-# own key element unless it is a bound name.
+# own key element unless it is a bound name.  Tuples are built from lists:
+# `tuple(genexpr)` costs about twice as much on a short body.
 
 def _decode_body(body: tuple, names: tuple) -> tuple:
     """The atoms of a key body; `names[i]` is the name of bound occurrence i."""
@@ -112,14 +113,14 @@ def _decode_body(body: tuple, names: tuple) -> tuple:
 
 def _binder_names(body: tuple):
     """The reserved binder names, skipping those that occur free."""
-    return canonical_supply(x for x in body if isinstance(x, Name))
+    return canonical_supply([x for x in body if type(x) is Name])
 
 
 def _shift(body: tuple, k: int) -> tuple:
     """The body with every bound occurrence raised by `k`."""
     if not k:
         return body
-    return tuple(x + k if type(x) is int else x for x in body)
+    return tuple([x + k if type(x) is int else x for x in body])
 
 
 def _encode_g(w: GWord) -> tuple:
@@ -151,6 +152,12 @@ def _decode_g(key: tuple) -> GWord:
     return GWord(tuple(out))
 
 
+def _tok_len_g(key: tuple) -> int:
+    # each binder also costs the close `embed_gm` appends; `is` keeps the
+    # scan off the Python-level `__eq__` that `__lt__` gives names and letters
+    return len(key) + len([x for x in key if x is KEY_OPEN])
+
+
 def _bind_g(n: Name, key: tuple) -> tuple:
     # a G key has no closes, so this is M's bind less the close it appends
     return key_bind(n, key)[:-1]
@@ -175,7 +182,7 @@ def _concat_l(x: tuple, y: tuple) -> tuple:
 
 def _bind_l(n: Name, key: tuple) -> tuple:
     p, body = key
-    return (p + 1, tuple(p if x is n else x for x in body))
+    return (p + 1, tuple([p if x is n else x for x in body]))
 
 
 def _encode_s(x: SWord) -> tuple:
@@ -202,9 +209,9 @@ def _bind_s(n: Name, key: tuple) -> tuple:
     if n not in set(body):  # by hash and identity, as in `words.key_bind`
         return key
     number: dict = {}
-    return (k + 1, tuple(
+    return (k + 1, tuple([
         number.setdefault(x, len(number)) if x is n or type(x) is int else x for x in body
-    ))
+    ]))
 
 
 # ---------------------------------------------------------------------------
@@ -392,8 +399,7 @@ SORT_M = SortOps(
 
 # A G key is an M key without closes.
 SORT_G = _on_keys("G", replace(
-    SORT_M_KEYS, tag="G", bind=_bind_g, tok_len=lambda key: len(key) + key.count(KEY_OPEN),
-    to_mword=_decode_g,
+    SORT_M_KEYS, tag="G", bind=_bind_g, tok_len=_tok_len_g, to_mword=_decode_g,
 ), _encode_g, embed_gm)
 
 SORT_L_KEYS = SortOps(

@@ -151,6 +151,29 @@ def brute_slice(
     return frozenset(out)
 
 
+def near_misses(tokens: tuple, names: tuple[Name, ...]) -> list[tuple]:
+    """The streams one token away from `tokens`, position by position.
+
+    At each position: a close inserted, an open of ``names[0]`` inserted,
+    the token deleted and, for a name, the name swapped (``names[1]``
+    for ``names[0]``, ``names[0]`` for any other).  Most are unbalanced:
+    an inserted close reads a frame no close of `tokens` reads, and an
+    inserted open leaves a frame no close removes, which is where a
+    search that drops frames by the opens and closes ahead can go wrong.
+    """
+    out = []
+    for i in range(len(tokens) + 1):
+        head, rest = tokens[:i], tokens[i:]
+        out.append(head + (TCLOSE,) + rest)
+        out.append(head + (TOpen(names[0]),) + rest)
+        if rest:
+            out.append(head + rest[1:])
+            if isinstance(rest[0], Name):
+                swap = names[1] if rest[0] is names[0] else names[0]
+                out.append(head + (swap,) + rest[1:])
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Random generators
 

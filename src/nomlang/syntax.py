@@ -13,7 +13,6 @@ such as ``letters a b ENCR;`` followed by the expression.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 from .names import Letter, Name
 from . import regex as rx
@@ -28,89 +27,94 @@ class ParseError(ValueError):
 
 _TOKEN_RE = re.compile(
     r"""
-    (?P<ws>\s+)
+    \s+
   | (?P<name>\#[A-Za-z0-9_~$]+)
   | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
   | (?P<digit>[01])
   | (?P<punct><|>|\.|\^|\+|\*|\(|\)|;)
+  | (?P<bad>.)
     """,
-    re.VERBOSE,
+    re.VERBOSE | re.DOTALL,
 )
 
 
-@dataclass(frozen=True)
-class _Tok:
-    kind: str  # "name" | "ident" | "digit" | punctuation itself
-    text: str
-    pos: int
+def _lex(text: str) -> list[tuple[str, str, int]]:
+    """The tokens of `text` as (kind, text, position) triples.
 
-
-def _lex(text: str) -> list[_Tok]:
+    The kind is "name", "ident", "digit" or the punctuation itself.  The
+    whole text is lexed before any parsing, so a bad character is
+    reported wherever it is.
+    """
     out = []
-    i = 0
-    while i < len(text):
-        m = _TOKEN_RE.match(text, i)
-        if m is None:
-            raise ParseError(f"unexpected character {text[i]!r}", i)
-        i = m.end()
-        if m.lastgroup == "ws":
-            continue
+    for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
+        if kind is None:  # white space
+            continue
         tok = m.group()
         if kind == "punct":
             kind = tok
-        out.append(_Tok(kind, tok, m.start()))
+        elif kind == "bad":
+            raise ParseError(f"unexpected character {tok!r}", m.start())
+        out.append((kind, tok, m.start()))
     return out
 
 
+def _expect(t: tuple[str, str, int] | None, kind: str, end: int) -> tuple[str, str, int]:
+    """`t`, the next token (None past the last), if it is of `kind`."""
+    if t is None:
+        raise ParseError("unexpected end of input", end)
+    if t[0] != kind:
+        raise ParseError(f"expected {kind!r}, found {t[1]!r}", t[2])
+    return t
+
+
 class _Cursor:
-    def __init__(self, toks: list[_Tok], length: int):
+    def __init__(self, toks: list[tuple[str, str, int]], length: int):
         self.toks = toks
         self.i = 0
         self.length = length
 
-    def peek(self) -> _Tok | None:
+    def peek(self) -> tuple[str, str, int] | None:
         return self.toks[self.i] if self.i < len(self.toks) else None
 
-    def next(self) -> _Tok:
+    def next(self) -> tuple[str, str, int]:
         t = self.peek()
         if t is None:
             raise ParseError("unexpected end of input", self.length)
         self.i += 1
         return t
 
-    def expect(self, kind: str) -> _Tok:
-        t = self.next()
-        if t.kind != kind:
-            raise ParseError(f"expected {kind!r}, found {t.text!r}", t.pos)
-        return t
+    def expect(self, kind: str) -> tuple[str, str, int]:
+        return _expect(self.next(), kind, self.length)
 
 
 # ---------------------------------------------------------------------------
 # Words
 
 def parse_word(text: str) -> MWord:
-    cur = _Cursor(_lex(text), len(text))
+    end = len(text)
+    toks = iter(_lex(text))
     out = []
     depth = 0  # open binders
-    while cur.peek() is not None or depth:
-        t = cur.next()  # past the end with a binder open: "unexpected end of input"
-        if t.kind == "name":
-            out.append(Name(t.text[1:]))
-        elif t.kind == "ident":
-            out.append(Letter(t.text))
-        elif t.kind == "<":
-            n = cur.expect("name")
-            cur.expect(".")
-            out.append(TOpen(Name(n.text[1:])))
+    for kind, tok, pos in toks:
+        if kind == "name":
+            out.append(Name(tok[1:]))
+        elif kind == "ident":
+            out.append(Letter(tok))
+        elif kind == "<":
+            n = _expect(next(toks, None), "name", end)[1]
+            _expect(next(toks, None), ".", end)
+            out.append(TOpen(Name(n[1:])))
             depth += 1
-        elif t.kind == ">" and depth:
+        elif kind == ">" and depth:
             out.append(TCLOSE)
             depth -= 1
-        elif t.kind == ">":
-            raise ParseError(f"unexpected {t.text!r}", t.pos)
-        elif t.kind != "^":
-            raise ParseError(f"unexpected {t.text!r} in word", t.pos)
+        elif kind == ">":
+            raise ParseError(f"unexpected {tok!r}", pos)
+        elif kind != "^":
+            raise ParseError(f"unexpected {tok!r} in word", pos)
+    if depth:
+        raise ParseError("unexpected end of input", end)
     return MWord(tuple(out))
 
 
@@ -127,7 +131,7 @@ def parse_regex(text: str, letters: frozenset[str] | set[str]) -> rx.Regex:
     e = _sum(cur, frozenset(letters))
     t = cur.peek()
     if t is not None:
-        raise ParseError(f"unexpected {t.text!r}", t.pos)
+        raise ParseError(f"unexpected {t[1]!r}", t[2])
     return e
 
 
@@ -135,7 +139,7 @@ def _sum(cur: _Cursor, letters: frozenset[str]) -> rx.Regex:
     e = _cat(cur, letters)
     while True:
         t = cur.peek()
-        if t is None or t.kind != "+":
+        if t is None or t[0] != "+":
             return e
         cur.next()
         e = rx.Sum(e, _cat(cur, letters))
@@ -148,7 +152,7 @@ def _cat(cur: _Cursor, letters: frozenset[str]) -> rx.Regex:
     e = _post(cur, letters)
     while True:
         t = cur.peek()
-        if t is None or t.kind not in _ATOM_STARTERS:
+        if t is None or t[0] not in _ATOM_STARTERS:
             return e
         e = rx.Cat(e, _post(cur, letters))
 
@@ -157,33 +161,33 @@ def _post(cur: _Cursor, letters: frozenset[str]) -> rx.Regex:
     e = _atom(cur, letters)
     while True:
         t = cur.peek()
-        if t is None or t.kind != "*":
+        if t is None or t[0] != "*":
             return e
         cur.next()
         e = rx.Star(e)
 
 
 def _atom(cur: _Cursor, letters: frozenset[str]) -> rx.Regex:
-    t = cur.next()
-    if t.kind == "digit":
-        return rx.ONE if t.text == "1" else rx.ZERO
-    if t.kind == "name":
-        return rx.NameLit(Name(t.text[1:]))
-    if t.kind == "ident":
-        if t.text not in letters:
-            raise ParseError(f"undeclared letter {t.text!r}", t.pos)
-        return rx.LetterLit(Letter(t.text))
-    if t.kind == "(":
+    kind, tok, pos = cur.next()
+    if kind == "digit":
+        return rx.ONE if tok == "1" else rx.ZERO
+    if kind == "name":
+        return rx.NameLit(Name(tok[1:]))
+    if kind == "ident":
+        if tok not in letters:
+            raise ParseError(f"undeclared letter {tok!r}", pos)
+        return rx.LetterLit(Letter(tok))
+    if kind == "(":
         e = _sum(cur, letters)
         cur.expect(")")
         return e
-    if t.kind == "<":
-        n = cur.expect("name")
+    if kind == "<":
+        n = cur.expect("name")[1]
         cur.expect(".")
         e = _sum(cur, letters)
         cur.expect(">")
-        return rx.Binder(Name(n.text[1:]), e)
-    raise ParseError(f"unexpected {t.text!r} in expression", t.pos)
+        return rx.Binder(Name(n[1:]), e)
+    raise ParseError(f"unexpected {tok!r} in expression", pos)
 
 
 def render_regex(e: rx.Regex) -> str:

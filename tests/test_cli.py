@@ -61,7 +61,7 @@ def test_accept_trace(hds_file, capsys):
     # frames the search drops as dead are still the automaton's
     assert main(["accept", hds_file, "--trace", "#m <#n. #m #n > <#n. #m #n >"]) == 0
     last = capsys.readouterr().out.splitlines()[-1]
-    assert " @9 [_|_ :: _|_ :: _|_]" in last
+    assert " @9 [_|_ :: _|_]  via " in last
 
 
 def test_accept_rejects_malformed_word(hds_file, capsys):

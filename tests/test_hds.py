@@ -1,4 +1,6 @@
 import gc
+import itertools
+import os
 import random
 import time
 
@@ -33,8 +35,8 @@ from nomlang.hds import (
 )
 from nomlang.compiler import compile_regex
 from nomlang.words import TCLOSE, TOpen, alpha_canonical, tokenize
-from nomlang.syntax import parse_regex, parse_word, render_word
-from nomlang.oracle import brute_slice, random_regex
+from nomlang.syntax import parse_nre, parse_regex, parse_word, render_word
+from nomlang.oracle import brute_slice, near_misses, random_regex
 from nomlang.regex import enumerate_slice
 
 from conftest import NAMES, LETTERS
@@ -42,6 +44,7 @@ from conftest import NAMES, LETTERS
 n, m, k = NAMES
 a, b = LETTERS
 x, y = Name("x"), Name("y")
+NS_FILE = os.path.join(os.path.dirname(__file__), os.pardir, "expressions", "ns_protocol.nre")
 
 
 def NM(d):
@@ -296,7 +299,8 @@ def test_trace_shows_the_whole_stacks():
     assert r.outcome == ACCEPT
     (state, pos, stk), _ = r.trace[-1]
     assert state in h.finals and pos == len(tokens)
-    assert stk == (BOTTOM, BOTTOM, BOTTOM)
+    # the search keeps one frame at the end; the replay keeps the one below it
+    assert stk == (BOTTOM, BOTTOM)
     for (before, _), (after, t) in zip(r.trace, r.trace[1:]):
         state, pos, stk = before
         tok = tokens[pos] if pos < len(tokens) else END
@@ -328,17 +332,14 @@ def test_depth_cutoff_reported():
 # -- dead-frame truncation -----------------------------------------------------
 
 def _words_and_near_misses(h, bound):
-    """Token streams of a few slice words, each with its one-token deletions
-    and one-name substitutions."""
+    """Token streams of a few slice words, each with all its one-token
+    near-misses: inserted closes and opens, deletions and name swaps."""
     out = []
     for w in sorted(language_slice(h, bound), key=repr)[:4]:
         t = tokenize(w)
         out.append(t)
-        for i, tok in enumerate(t):
-            out.append(t[:i] + t[i + 1:])
-            if isinstance(tok, Name):
-                out.append(t[:i] + (m if tok is n else n,) + t[i + 1:])
-    return out[:12]
+        out += near_misses(t, (n, m))
+    return out
 
 
 def test_truncation_is_exact_on_random_automata():
@@ -358,12 +359,67 @@ def test_truncation_is_exact_on_random_automata():
     assert checked > 500
 
 
+def test_truncation_keeps_the_top_frame_before_an_unclosed_open():
+    # no close follows the open, so no frame below the top is live, but
+    # the top is: the open reads eta's meaning of y from it
+    h = Hds(
+        states={"q0": frozenset({y}), "q1": frozenset({y}),
+                "q2": frozenset({x, y}), "q3": frozenset()},
+        initial="q0",
+        eta={y: m},
+        finals=frozenset({"q3"}),
+        trans={
+            "q0": (Transition(lletter(a), "q1", NM({y: y})),),
+            "q1": (Transition(L_OPEN, "q2", NM({x: STAR, y: y})),),
+            "q2": (Transition(lname(y), "q3", NM({})),),
+            "q3": (),
+        },
+    )
+    assert validate(h) == []
+    for t, outcome in (((a, TOpen(n), m), ACCEPT), ((a, TOpen(n), n), REJECT)):
+        assert run(h, t).outcome == run(h, t, truncate=False).outcome == outcome
+
+
 def test_binder_star_reject_is_fast():
     h = compile_regex(parse_regex("( <#n. #n ( #m + #n )* > )*", set()))
     w = parse_word(" ".join(["<#n. #n #m #n #m >"] * 12) + " #k")
     t0 = time.perf_counter()
     assert run(h, tokenize(alpha_canonical(w))).outcome == REJECT
     assert time.perf_counter() - t0 < 2.0
+
+
+@pytest.mark.parametrize("k", [40, 200])
+def test_binder_star_is_linear(k):
+    # no close reads a frame deeper than the closes ahead can outnumber the
+    # opens ahead, so dropping those frames keeps the iterations from
+    # multiplying the configurations
+    h = compile_regex(parse_regex("( <#n. #n ( #m + #n )* > )*", set()))
+    blocks = " ".join(["<#n. #n #m #n #m >"] * k)
+    for text, outcome in ((blocks + " #k", REJECT), (blocks, ACCEPT)):
+        tokens = tokenize(alpha_canonical(parse_word(text)))
+        t0 = time.perf_counter()
+        assert run(h, tokens).outcome == outcome
+        assert time.perf_counter() - t0 < 1.0, (k, outcome)
+
+
+def test_search_keeps_one_frame_more_than_the_open_depth(monkeypatch):
+    from nomlang import hds
+
+    with open(NS_FILE) as f:
+        h = compile_regex(parse_nre(f.read())[0])
+    block = "<#n. ENCR #n A FOR B <#m. ENCR #n #m FOR A ENCR #m FOR B > >"
+    tokens = tokenize(alpha_canonical(parse_word(" ".join([block] * 64))))
+    depth = max(itertools.accumulate(
+        isinstance(t, TOpen) - (t is TCLOSE) for t in tokens))
+    seen = []
+    monkeypatch.setattr(hds, "step", lambda h, q, stk, tok: seen.append(len(stk))
+                        or step(h, q, stk, tok))
+    assert run(h, tokens).outcome == ACCEPT
+    assert depth == 2 and len(tokens) == 1152
+    # a close reads one frame below the top, and in a balanced word the
+    # closes ahead never outnumber the opens ahead by more than the open
+    # depth; one frame per close left would be up to 129 frames here
+    assert max(seen) <= depth + 1
 
 
 def test_slice_drops_states_that_cannot_finish_in_time(monkeypatch):

@@ -47,6 +47,31 @@ def test_undeclared_letter_rejected():
         parse_regex("#n c", letters={"a", "b"})
 
 
+@pytest.mark.parametrize("parse, src, message, pos", [
+    (parse_word, "#m $ a", "unexpected character '$'", 3),
+    (parse_word, "a\n?", "unexpected character '?'", 2),
+    (parse_word, "#m <#n", "unexpected end of input", 6),
+    (parse_word, "<#n. #n", "unexpected end of input", 7),
+    (parse_word, "< a . #m >", "expected 'name', found 'a'", 2),
+    (parse_word, "<#n #n >", "expected '.', found '#n'", 4),
+    (parse_word, "#m > a", "unexpected '>'", 3),
+    (parse_word, "a + b", "unexpected '+' in word", 2),
+    (parse_regex, "#m $", "unexpected character '$'", 3),
+    (parse_regex, "> $", "unexpected character '$'", 2),  # lexing fails before parsing
+    (parse_regex, "<#n", "unexpected end of input", 3),
+    (parse_regex, "< a . #m >", "expected 'name', found 'a'", 2),
+    (parse_regex, "a > b", "unexpected '>'", 2),
+    (parse_regex, "a + ", "unexpected end of input", 4),
+    (parse_regex, "c*", "undeclared letter 'c'", 0),
+])
+def test_parse_errors_name_the_fault_and_its_position(parse, src, message, pos):
+    args = (src,) if parse is parse_word else (src, {"a", "b"})
+    with pytest.raises(ParseError) as err:
+        parse(*args)
+    assert str(err.value) == f"{message} (at position {pos})"
+    assert err.value.pos == pos
+
+
 def test_parse_nre_declarations():
     e, letters = parse_nre("letters a b;\n#n a b")
     assert letters == {"a", "b"}
