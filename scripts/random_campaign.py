@@ -10,9 +10,11 @@ binder costs two tokens in L but none in S, so S may hold more).  In
 every sort, `member` must agree with the slice on a sample of words
 drawn from the expression's slice and the previous expression's.  On
 the M words of that sample and their one-token near-misses (inserted
-closes and opens, deletions, name swaps), the automaton's `run` verdict
-must not change when it keeps every frame (`truncate=False`).  Prints
-every mismatch and a summary line.
+closes and opens, deletions, name swaps), the automaton's `run` must
+never say CUTOFF, and its verdict must equal that of the referee
+`oracle.naive_run`, which keeps every frame and fires a push transition
+at most once between two consumed tokens.  Prints every mismatch and a
+summary line.
 
 Usage: python3 scripts/random_campaign.py --count 500 --depth 4 --bound 7
 """
@@ -30,7 +32,7 @@ from nomlang.names import Letter, Name
 from nomlang.compiler import compile_regex
 from nomlang.hds import CUTOFF, language_slice, run, validate
 from nomlang.monoids import SORTS, canon_g, canon_l, canon_s, quot_gl, quot_ls, quot_mg
-from nomlang.oracle import near_misses, random_regex
+from nomlang.oracle import naive_run, near_misses, random_regex
 from nomlang.regex import enumerate_slice, member
 from nomlang.syntax import render_regex, render_word
 from nomlang.words import tokenize
@@ -53,20 +55,22 @@ def check_truncation(h, tokens: tuple, pool: list, where: str) -> tuple[int, int
     """(mismatches, undecided, streams) of the runs on `tokens` and its
     near-misses.
 
-    The run that keeps every frame gets the one depth cap the default
-    run can ever reach, one frame more than the tokens, since that run
-    keeps at most one frame more than the closes left.  Where the cap
-    cuts it (CUTOFF), there is no verdict to compare.
+    A compiled automaton has no pop transition, so the default run is
+    exhaustive: a CUTOFF from it is a mismatch.  The referee gets the
+    most frames the default run can hold, one more than the tokens.
+    Where that cap cuts the referee (CUTOFF), there is no verdict to
+    compare.
     """
     bad = undecided = 0
     streams = [tokens] + near_misses(tokens, tuple(pool))
     for t in streams:
-        full = run(h, t, max_depth=len(t) + 1, truncate=False).outcome
-        if full == CUTOFF:
-            undecided += 1
-        elif run(h, t).outcome != full:
+        got = run(h, t).outcome
+        full = naive_run(h, t, max_depth=len(t) + 1).outcome
+        if got == CUTOFF or (full != CUTOFF and got != full):
             bad += 1
-            print(f"TRUNCATION {where}: {' '.join(map(repr, t))}")
+            print(f"TRUNCATION {where}: {' '.join(map(repr, t))}: {got}, referee {full}")
+        elif full == CUTOFF:
+            undecided += 1
     return bad, undecided, len(streams)
 
 

@@ -22,7 +22,7 @@ from .words import (
 from .syntax import ParseError, parse_nre, parse_regex, parse_word, render_regex, render_word
 from .regex import Binder, Cat, LetterLit, NameLit, ONE, One, Regex, Star, Sum, ZERO, Zero, enumerate_slice, member
 from .monoids import SORTS
-from .hds import Hds, NameMap, Transition, accepts, accepts_word, language_slice, run, validate
+from .hds import Hds, NameMap, Transition, Undecided, accepts, accepts_word, language_slice, run, validate
 from .compiler import CompileError, compile_regex
 from . import hds_format, oracle
 

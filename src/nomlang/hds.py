@@ -15,10 +15,6 @@ the set of configurations that generate it, and a memo keyed on that
 set (with the open depth, the opens and the tokens left) computes each
 set's non-consuming closure and token successors once, as the subset
 construction does; each accepted word is canonicalized once.
-Non-consuming loops can push frames forever, so both are pruned: stack
-depth is capped (input length + state count + 1) and a given push
-transition fires at most once between two token consumptions.  `run`
-can raise or lower the depth cap for cross-checking.
 
 In an automaton without pop transitions (every compiled one) only a
 close move reads below the top of the stack, and it reads one frame
@@ -27,7 +23,12 @@ So if, over any stretch of the tokens still to come, closes outnumber
 opens by at most c, the frames at index c + 1 and deeper are never
 read: both searches drop them, which changes no verdict and no slice.
 `run` computes c from its input; in `language_slice` c is the open
-depth, since a word ends with no binder open.  Name maps are
+depth, since a word ends with no binder open.  The kept stacks are
+then drawn from a finite set at each input position, so non-consuming
+push loops end where they reach a stack already seen, and both searches
+are exhaustive.  Only with pop transitions can stacks grow without
+bound; there the stack depth is capped (input length + state count +
+1), and `run` says CUTOFF when the cap cut a branch.  Name maps are
 hash-consed, so the stacks the searches memoize hash and compare by
 identity, and a move that leaves the top frame as it is keeps the
 stack itself.
@@ -327,24 +328,6 @@ def step(
     return out
 
 
-NO_GAP = frozenset()
-
-
-def _gap_after(gap: frozenset, t: Transition, tok_read: Optional[Tok]):
-    """The push transitions fired since the last consumed token, after move `t`.
-
-    None when `t` is a push that already fired in this gap: the search
-    drops that move.
-    """
-    if tok_read is not None:
-        return NO_GAP
-    if t.label.kind != "push":
-        return gap
-    if t in gap:
-        return None
-    return gap | {t}
-
-
 ACCEPT = "accept"
 REJECT = "reject"
 CUTOFF = "cutoff"  # pruning fired on a still-live branch; no accept found
@@ -369,26 +352,19 @@ def run(
     tokens: tuple[Tok, ...],
     max_depth: Optional[int] = None,
     want_trace: bool = False,
-    initial_stack: Optional[Stack] = None,
-    truncate: bool = True,
 ) -> RunResult:
     """Search for an accepting run on the token stream.
 
-    `max_depth` caps the stack depth (default: input length + state
-    count + 1).  A push transition fires at most once between two token
-    consumptions, which cuts the unproductive loops star constructions
-    introduce.  `initial_stack` overrides the frames below the initial
-    name map (useful for checking that they cannot influence
-    acceptance).  Unless `truncate` is off or `h` has pop transitions,
-    a successor keeps one frame more than the most by which closes
-    outnumber opens over any stretch of the rest of the input: no close
-    can read the others.
+    Unless `h` has pop transitions, a successor keeps one frame more
+    than the most by which closes outnumber opens over any stretch of
+    the rest of the input: no close can read the others, and the search
+    is exhaustive.  `max_depth` caps the stack depth (default: input
+    length + state count + 1, which only a pop automaton can reach); a
+    branch the cap cuts makes the outcome CUTOFF unless a run accepts.
     """
     if max_depth is None:
-        max_depth = len(tokens) + len(h.states) + 1 + len(initial_stack or ())
-    has_pop = (
-        any(t.label.kind == "pop" for _, t in h.transitions()) or not truncate
-    )
+        max_depth = len(tokens) + len(h.states) + 1
+    has_pop = any(t.label.kind == "pop" for _, t in h.transitions())
     # keep[pos]: 1 + the most by which closes outnumber opens over any
     # stretch of tokens[pos:], the frames a close can read
     keep = [1] * (len(tokens) + 1)
@@ -396,17 +372,13 @@ def run(
         tok = tokens[i]
         keep[i] = max(1, keep[i + 1] + isinstance(tok, TClose) - isinstance(tok, TOpen))
     start = initial_config(h)
-    if initial_stack is not None:
-        start = (start[0], start[1], start[2] + tuple(initial_stack))
-    # Search node: (config, frozenset of push transitions used since a consume)
-    seen = set()
+    seen = {start}
     parents: dict = {}
-    frontier = [(start, NO_GAP)]
-    seen.add((start, NO_GAP))
+    frontier = [start]
     pruned_live = False
     while frontier:
         node = frontier.pop()
-        (state, pos, stk), gap = node
+        state, pos, stk = node
         if pos == len(tokens) and state in h.finals:
             trace = None
             if want_trace:
@@ -419,16 +391,13 @@ def run(
             return RunResult(ACCEPT, trace)
         tok = tokens[pos] if pos < len(tokens) else END
         for t, tok_read, stk2 in step(h, state, stk, tok):
-            gap2 = _gap_after(gap, t, tok_read)
-            if gap2 is None:
-                continue
             pos2 = pos if tok_read is None else pos + 1
             if not has_pop:
                 stk2 = stk2[: keep[pos2]]
             if len(stk2) > max_depth:
                 pruned_live = True
                 continue
-            node2 = ((t.target, pos2, stk2), gap2)
+            node2 = (t.target, pos2, stk2)
             if node2 in seen:
                 continue
             seen.add(node2)
@@ -455,13 +424,21 @@ def _replay(h: Hds, tokens: tuple[Tok, ...], start: Config, path: list) -> list:
     return trace
 
 
-def accepts(h: Hds, tokens: tuple[Tok, ...], max_depth: Optional[int] = None) -> bool:
-    return run(h, tokens, max_depth=max_depth).accepted
+class Undecided(Exception):
+    """`run` cut a still-live branch at its depth cap and found no accepting run."""
 
 
-def accepts_word(h: Hds, w: MWord, max_depth: Optional[int] = None) -> bool:
+def accepts(h: Hds, tokens: tuple[Tok, ...]) -> bool:
+    """Whether `h` accepts the stream; raises `Undecided` where `run` says CUTOFF."""
+    outcome = run(h, tokens).outcome
+    if outcome == CUTOFF:
+        raise Undecided("the search reached its depth cap before a verdict")
+    return outcome == ACCEPT
+
+
+def accepts_word(h: Hds, w: MWord) -> bool:
     """Acceptance of a word, decided on its canonical tokenization."""
-    return accepts(h, alpha_canonical(w).tokens, max_depth=max_depth)
+    return accepts(h, alpha_canonical(w).tokens)
 
 
 # ---------------------------------------------------------------------------
@@ -499,9 +476,9 @@ def language_slice(h: Hds, bound: int) -> frozenset[MWord]:
 
     Walks the tree of emitted prefixes, determinizing on the fly as the
     subset construction does.  A prefix node holds the set of
-    (state, stack, push gap) configurations that `step` reaches while
-    generating that prefix, its open depth and its number of opens;
-    the i-th open move allocates the i-th canonical bound name.  One
+    (state, stack) configurations that `step` reaches while generating
+    that prefix, its open depth and its number of opens; the i-th open
+    move allocates the i-th canonical bound name.  One
     memo per call, keyed on (configuration set, open depth, opens,
     tokens left), holds what a node's set closes to under non-consuming
     moves: whether the closure has a final state at open depth 0, and
@@ -510,14 +487,14 @@ def language_slice(h: Hds, bound: int) -> frozenset[MWord]:
     prefix is parsed and canonicalized once: no other prefix spells the
     same token stream.
 
-    The default pruning policies of `run` apply, with the emitted length
-    playing the role of the position.  A configuration is dropped when
-    the tokens left under the bound cannot both close its open binders
-    and take its state to a final one (`steps_to_final`); a state with
-    no path to a final state is always dropped.  Without pop transitions
-    a configuration keeps one frame more than its open depth: the rest
-    of an accepted word closes those binders and never outnumbers its
-    own opens with its closes.
+    A configuration is dropped when the tokens left under the bound
+    cannot both close its open binders and take its state to a final
+    one (`steps_to_final`); a state with no path to a final state is
+    always dropped.  Without pop transitions a configuration keeps one
+    frame more than its open depth: the rest of an accepted word closes
+    those binders and never outnumbers its own opens with its closes.
+    So the walk is exhaustive; with pop transitions, stacks deeper than
+    the bound + state count + 1 are dropped, as `run` caps them.
     """
     if bound < 0:
         raise ValueError("bound must be non-negative")
@@ -541,7 +518,7 @@ def language_slice(h: Hds, bound: int) -> frozenset[MWord]:
         seen = set(configs)
         frontier = list(configs)
         while frontier:
-            state, stk, gap = frontier.pop()
+            state, stk = frontier.pop()
             if state in h.finals and depth == 0:
                 final = True
             if left:
@@ -549,9 +526,6 @@ def language_slice(h: Hds, bound: int) -> frozenset[MWord]:
             else:
                 moves = step(h, state, stk, END)
             for t, tok_read, stk2 in moves:
-                gap2 = _gap_after(gap, t, tok_read)
-                if gap2 is None:
-                    continue
                 depth2, left2 = depth, left
                 if tok_read is not None:
                     left2 = left - 1
@@ -569,7 +543,7 @@ def language_slice(h: Hds, bound: int) -> frozenset[MWord]:
                     stk2 = stk2[: depth2 + 1]
                 if len(stk2) > max_depth:
                     continue
-                cfg2 = (t.target, stk2, gap2)
+                cfg2 = (t.target, stk2)
                 if tok_read is not None:
                     reads.setdefault((tok_read, depth2), set()).add(cfg2)
                 elif cfg2 not in seen:
@@ -583,7 +557,7 @@ def language_slice(h: Hds, bound: int) -> frozenset[MWord]:
         return hit
 
     out: set[MWord] = set()
-    start = frozenset({(h.initial, (NameMap.of(h.eta),), NO_GAP)})
+    start = frozenset({(h.initial, (NameMap.of(h.eta),))})
     todo = [((), (start, 0, 0, bound))]  # emitted prefix and its node
     while todo:
         prefix, node = todo.pop()

@@ -2,9 +2,10 @@
 
 Everything here is deliberately naive: a rewriting-closure decision
 procedure for alpha-equivalence, exhaustive balanced-stream
-enumeration for automaton languages, random word/expression
-generators, and a slice-equivalence checker.  The naive procedures
-serve as oracles for the optimized implementations elsewhere.
+enumeration for automaton languages, an automaton run that keeps every
+stack frame, random word/expression generators, and a slice-equivalence
+checker.  The naive procedures serve as oracles for the optimized
+implementations elsewhere.
 """
 
 from __future__ import annotations
@@ -29,7 +30,9 @@ from .words import (
 from .monoids import SORTS, SortOps
 from . import regex as rx
 from .regex import enumerate_slice
-from .hds import Hds, accepts, language_slice
+from .hds import (
+    ACCEPT, CUTOFF, END, REJECT, Hds, NameMap, RunResult, accepts, language_slice, step,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -149,6 +152,42 @@ def brute_slice(
             else:
                 rejected.add(w)
     return frozenset(out)
+
+
+def naive_run(
+    h: Hds, tokens: tuple, max_depth: Optional[int] = None, initial_stack=()
+) -> RunResult:
+    """`hds.run` without dropping a frame: the referee of its truncation.
+
+    The stack starts as the initial name map over `initial_stack`, and
+    every frame is kept.  A push transition fires at most once between
+    two consumed tokens, which ends non-consuming push loops but may
+    lose runs that push twice in a row; stacks deeper than `max_depth`
+    (default: input length + state count + 1 + the initial frames) are
+    cut, and where a cut was made and no run accepts, the outcome is
+    CUTOFF.
+    """
+    if max_depth is None:
+        max_depth = len(tokens) + len(h.states) + 1 + len(initial_stack)
+    start = ((h.initial, 0, (NameMap.of(h.eta),) + tuple(initial_stack)), frozenset())
+    seen, frontier, cut = {start}, [start], False
+    while frontier:
+        (state, pos, stk), gap = frontier.pop()  # gap: the pushes since a consume
+        if pos == len(tokens) and state in h.finals:
+            return RunResult(ACCEPT)
+        for t, tok_read, stk2 in step(h, state, stk, tokens[pos] if pos < len(tokens) else END):
+            push = t.label.kind == "push"
+            if push and t in gap:
+                continue
+            if len(stk2) > max_depth:
+                cut = True
+                continue
+            gap2 = frozenset() if tok_read is not None else gap | {t} if push else gap
+            node = ((t.target, pos + (tok_read is not None), stk2), gap2)
+            if node not in seen:
+                seen.add(node)
+                frontier.append(node)
+    return RunResult(CUTOFF if cut else REJECT)
 
 
 def near_misses(tokens: tuple, names: tuple[Name, ...]) -> list[tuple]:

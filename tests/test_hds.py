@@ -21,6 +21,7 @@ from nomlang.hds import (
     NameMap,
     REJECT,
     Transition,
+    Undecided,
     accepts,
     accepts_word,
     compose,
@@ -36,7 +37,7 @@ from nomlang.hds import (
 from nomlang.compiler import compile_regex
 from nomlang.words import TCLOSE, TOpen, alpha_canonical, tokenize
 from nomlang.syntax import parse_nre, parse_regex, parse_word, render_word
-from nomlang.oracle import brute_slice, near_misses, random_regex
+from nomlang.oracle import brute_slice, naive_run, near_misses, random_regex
 from nomlang.regex import enumerate_slice
 
 from conftest import NAMES, LETTERS
@@ -263,12 +264,13 @@ def test_junk_frames_below_eta_are_inert(push_pop_hds):
     good = (m, n)
     bad = (n, m)
     for junk in ((), (NM({x: k}),), (NM({x: m}), NM({y: n}))):
-        assert run(h, good, initial_stack=junk, truncate=False).outcome == ACCEPT
-        assert run(h, bad, initial_stack=junk, truncate=False).outcome == REJECT
+        assert naive_run(h, good, initial_stack=junk).outcome == ACCEPT
+        assert naive_run(h, bad, initial_stack=junk).outcome == REJECT
 
 
 def test_push_loop_terminates_without_consuming():
-    # a push self-loop would spin forever without the once-per-gap rule
+    # the push self-loop ends: with no close ahead only the top frame is
+    # kept, so the pushed stack is one the search has already seen
     h = Hds(
         states={"q0": frozenset({x})},
         initial="q0",
@@ -325,8 +327,57 @@ def test_depth_cutoff_reported():
             "q1": (),
         },
     )
-    r = run(h, (m,), max_depth=1, truncate=False)
+    r = naive_run(h, (m,), max_depth=1)
     assert r.outcome == CUTOFF
+
+
+def _double_push_hds(with_pop: bool) -> Hds:
+    """A binder whose close reads the frame below the top, over any
+    number of pushed #m frames: the name read after the binder is #n
+    (eta) with no push, and #m only after two pushes in a row."""
+    states = {"qs": frozenset({x}), "q0": frozenset({x, y}),
+              "q1": frozenset({x}), "q2": frozenset()}
+    trans = {
+        "qs": (Transition(L_OPEN, "q0", NM({x: x, y: STAR})),),
+        "q0": (Transition(L_PUSH, "q0", NM({x: m})),
+               Transition(L_CLOSE, "q1", NM({x: x}))),
+        "q1": (Transition(lname(x), "q2", NM({})),),
+        "q2": (),
+    }
+    if with_pop:  # unreachable, but it keeps `run` from dropping frames
+        states["q3"] = frozenset()
+        trans["q3"] = (Transition(L_POP, "q3", NM({})),)
+    h = Hds(states, "qs", {x: n}, frozenset({"q2"}), trans)
+    assert validate(h) == []
+    return h
+
+
+def _binder_then(name):
+    return tokenize(alpha_canonical(parse_word(f"<#a. ^ > #{name.label}")))
+
+
+def test_pushes_in_a_row_are_searched():
+    h = _double_push_hds(with_pop=False)
+    assert run(h, _binder_then(m)).outcome == ACCEPT
+    assert run(h, _binder_then(k)).outcome == REJECT
+    got = language_slice(h, 4)
+    assert got == brute_slice(h, 4, frozenset({m, n, Name("z")}))
+    assert {render_word(w) for w in got} == {"<#~0. ^ > #m", "<#~0. ^ > #n"}
+    # with a pop transition every frame is kept, and only the depth cap
+    # ends the push loop: a word it rejects is undecided
+    h = _double_push_hds(with_pop=True)
+    assert run(h, _binder_then(m)).outcome == ACCEPT
+    assert run(h, _binder_then(n)).outcome == ACCEPT
+    assert run(h, _binder_then(k)).outcome == CUTOFF
+
+
+def test_accepts_raises_where_the_search_is_cut():
+    h = _double_push_hds(with_pop=True)
+    assert accepts(h, _binder_then(m))
+    with pytest.raises(Undecided):
+        accepts(h, _binder_then(k))
+    with pytest.raises(Undecided):
+        accepts_word(h, parse_word("<#a. ^ > #k"))
 
 
 # -- dead-frame truncation -----------------------------------------------------
@@ -352,7 +403,7 @@ def test_truncation_is_exact_on_random_automata():
         for t in _words_and_near_misses(h, 6):
             full = run(h, t).outcome
             assert full in (ACCEPT, REJECT)
-            assert run(h, t, truncate=False).outcome == full
+            assert naive_run(h, t).outcome == full
             capped = run(h, t, max_depth=3).outcome
             assert capped in (CUTOFF, full)
             checked += 1
@@ -377,7 +428,7 @@ def test_truncation_keeps_the_top_frame_before_an_unclosed_open():
     )
     assert validate(h) == []
     for t, outcome in (((a, TOpen(n), m), ACCEPT), ((a, TOpen(n), n), REJECT)):
-        assert run(h, t).outcome == run(h, t, truncate=False).outcome == outcome
+        assert run(h, t).outcome == naive_run(h, t).outcome == outcome
 
 
 def test_binder_star_reject_is_fast():
