@@ -61,6 +61,8 @@ def _render_stack(stack) -> str:
 
 
 def cmd_accept(args) -> int:
+    if args.fuel is not None and args.fuel < 1:
+        raise ValueError("--fuel must be at least 1: the initial frame takes one")
     h = _load_hds(args.automaton)
     w = parse_word(args.word)
     tokens = tokenize(alpha_canonical(w))
@@ -129,7 +131,7 @@ def build_parser() -> argparse.ArgumentParser:
     a.add_argument("automaton", help=".hds automaton file")
     a.add_argument("word", help="word in concrete syntax, e.g. '<#n. #m #n >'")
     a.add_argument("--fuel", type=int, default=None,
-                   help="maximum stack depth (default: input length + states + 1)")
+                   help="maximum stack depth, at least 1 (default: input length + states + 1)")
     a.add_argument("--trace", action="store_true", help="print the accepting run")
     a.set_defaults(fn=cmd_accept)
 

@@ -27,7 +27,10 @@ arise; a free name or a letter is its own key element:
 
 Equal keys mean alpha-equivalent words.  A value operation encodes its
 arguments, applies the key operation and decodes the result to the
-canonical value, whose binders are named from the reserved sequence.
+canonical value, whose binders take the first names of the one
+reserved-name table that do not occur free (`names.binder_names`).  A
+key with no binder is decoded without a copy: a G key is then the row,
+and an L or S key's body is the value's body.
 Embeddings connect the sorts: s -> l -> g -> m.  The quotients in the
 other direction start from the canonical word, whose binders have
 distinct names that occur free nowhere, so moving a binder captures
@@ -37,10 +40,9 @@ nothing.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from itertools import islice
 from typing import Callable, Optional, Union
 
-from .names import Letter, Name, canonical_supply
+from .names import Letter, Name, binder_names
 from . import words
 from .words import (
     KEY_OPEN, TCLOSE, TClose, MWord, TOpen, alpha_canonical, bind, concat, from_key, key_bind,
@@ -89,8 +91,8 @@ class SWord:
     body: tuple[AtomSym, ...]
 
     def __post_init__(self):
-        occurring = {s for s in self.body if isinstance(s, Name)}
-        if not self.bound <= occurring:
+        # every bound name is a `Name` that occurs in the body, tested in C
+        if not (self.bound.issubset(self.body) and all(map(Name.__instancecheck__, self.bound))):
             raise ValueError("bound names must occur in the body")
 
     def __repr__(self):
@@ -111,9 +113,7 @@ def _decode_body(body: tuple, names: tuple) -> tuple:
     return tuple([names[x] if type(x) is int else x for x in body])
 
 
-def _binder_names(body: tuple):
-    """The reserved binder names, skipping those that occur free."""
-    return canonical_supply([x for x in body if type(x) is Name])
+_NO_NAMES: frozenset[Name] = frozenset()
 
 
 def _shift(body: tuple, k: int) -> tuple:
@@ -139,12 +139,15 @@ def _encode_g(w: GWord) -> tuple:
 
 
 def _decode_g(key: tuple) -> GWord:
-    supply = _binder_names(key)
+    k = len([x for x in key if x is KEY_OPEN])
+    if not k:
+        return GWord(key)
+    fresh = iter(binder_names(k, key))
     binders: list[Name] = []
     out: list = []
     for x in key:
         if x is KEY_OPEN:
-            binders.append(next(supply))
+            binders.append(next(fresh))
             x = TOpen(binders[-1])
         elif type(x) is int:
             x = binders[-1 - x]
@@ -171,7 +174,9 @@ def _encode_l(x: LWord) -> tuple:
 
 def _decode_l(key: tuple) -> LWord:
     p, body = key
-    prefix = tuple(islice(_binder_names(body), p))
+    if not p:
+        return LWord((), body)
+    prefix = binder_names(p, body)
     return LWord(prefix, _decode_body(body, prefix[::-1]))
 
 
@@ -195,7 +200,9 @@ def _encode_s(x: SWord) -> tuple:
 
 def _decode_s(key: tuple) -> SWord:
     k, body = key
-    names = tuple(islice(_binder_names(body), k))
+    if not k:
+        return SWord(_NO_NAMES, body)
+    names = binder_names(k, body)
     return SWord(frozenset(names), _decode_body(body, names))
 
 

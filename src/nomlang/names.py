@@ -8,6 +8,10 @@ and hashing is the identity hash, in C.  Names order by label and letters by
 symbol, so no output depends on the order in which they were first
 made.  The placeholder ``STAR`` used in automaton name maps is
 deliberately not a ``Name`` so it can never leak into words.
+
+Canonical words name their binders ``~0, ~1, ...``.  One table holds
+these reserved names, each interned once, and `binder_names` reads the
+first k that a body leaves free from it.
 """
 
 from __future__ import annotations
@@ -65,6 +69,28 @@ def fresh_name(prefix: str = "n") -> Name:
 def bound_name(k: int) -> Name:
     """The k-th name of the reserved sequence used for canonical binders."""
     return Name(f"~{k}")
+
+
+# The reserved names interned so far, in order, and as a set; both grow
+# together, on demand, in `binder_names`.
+_reserved: tuple[Name, ...] = ()
+_reserved_set: set[Name] = set()
+
+
+def binder_names(k: int, body) -> tuple[Name, ...]:
+    """The first k reserved names that do not occur in `body`.
+
+    One test in C, with no name built, decides the common case: no
+    reserved name occurs in `body`, and the answer is the table's prefix.
+    """
+    global _reserved
+    if len(_reserved) < k:
+        grown = tuple(bound_name(i) for i in range(len(_reserved), k))
+        _reserved += grown
+        _reserved_set.update(grown)
+    if _reserved_set.isdisjoint(body):
+        return _reserved[:k]
+    return tuple(itertools.islice(canonical_supply([x for x in body if type(x) is Name]), k))
 
 
 def canonical_supply(avoid: Iterable[Name]) -> Iterator[Name]:

@@ -19,7 +19,8 @@ elements are free `Name`s, `Letter`s, indices (`int`) and the sentinels
 so a letter or a name is its own key element.  Indices
 make concatenation plain tuple concatenation, `key_bind` binds a name
 in a key, the token length of a word is the length of its key, and
-`from_key` decodes a key to the canonical word.
+`from_key` decodes a key to the canonical word, whose binder names come
+from the one table of reserved names (`names.binder_names`).
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Union
 
-from .names import Interned, Letter, Name, Permutation, canonical_supply
+from .names import Interned, Letter, Name, Permutation, binder_names
 
 
 # ---------------------------------------------------------------------------
@@ -188,18 +189,20 @@ def from_key(key: Key) -> MWord:
     """The canonical word of a key.
 
     Binders are named from the reserved sequence in traversal order,
-    skipping any reserved name that occurs free.
+    skipping any reserved name that occurs free (`names.binder_names`).
+    A key with no binder is its own row.
     """
-    supply = None
+    k = len([x for x in key if x is KEY_OPEN])
+    if not k:
+        return MWord(key)
+    fresh = iter(binder_names(k, key))
     binders: list[Name] = []
     out: list[Tok] = []
     for x in key:
         if type(x) is int:
             x = binders[-1 - x]
         elif x is KEY_OPEN:
-            if supply is None:
-                supply = canonical_supply([y for y in key if type(y) is Name])
-            binders.append(next(supply))
+            binders.append(next(fresh))
             x = TOpen(binders[-1])
         elif x is KEY_CLOSE:
             binders.pop()
@@ -211,8 +214,9 @@ def from_key(key: Key) -> MWord:
 def alpha_canonical(w: MWord) -> MWord:
     """Canonical representative of the alpha-equivalence class of `w`.
 
-    Bound names are renamed to the reserved sequence in traversal order
-    (skipping any reserved name that happens to occur free in `w`);
+    Bound names are renamed to the reserved sequence in traversal order,
+    taken from the reserved-name table by `from_key` (skipping any
+    reserved name that happens to occur free in `w`);
     free names are kept verbatim.  Two words are alpha-equivalent iff
     their canonical forms are equal.
     """

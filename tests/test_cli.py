@@ -53,6 +53,15 @@ def test_accept_undecided_exit_code(hds_file, capsys):
     assert "maximum stack depth" in capsys.readouterr().out
 
 
+def test_accept_fuel_below_one_is_usage_error(hds_file, capsys):
+    # no depth cap below 1 holds the initial frame
+    for fuel in ("0", "-3"):
+        assert main(["accept", hds_file, "#m <#n. #m #n >", "--fuel", fuel]) == 2
+        captured = capsys.readouterr()
+        assert "--fuel must be at least 1" in captured.err
+        assert captured.out == ""
+
+
 def test_accept_trace(hds_file, capsys):
     assert main(["accept", hds_file, "--trace", "#m"]) == 0
     captured = capsys.readouterr()

@@ -281,6 +281,106 @@ def test_g_word_repr_is_its_m_word_repr():
     assert repr(GWord(())) == "^"
 
 
+def test_s_word_rejects_bound_names_it_cannot_bind():
+    from nomlang.monoids import SWord
+
+    assert SWord(frozenset({n}), (n, a)).bound == {n}
+    with pytest.raises(ValueError):
+        SWord(frozenset({n}), (m, a))  # n does not occur
+    with pytest.raises(ValueError):
+        SWord(frozenset({a}), (n, a))  # a occurs, but a letter binds nothing
+
+
+# -- decoding keys -----------------------------------------------------------
+#
+# The decoders take binder names from the reserved-name table; the
+# reference below names them with `canonical_supply`, one generator per key.
+
+def _body_and_binders(tag: str, key):
+    return (key[1], key[0]) if tag in "LS" else (key, key.count(words.KEY_OPEN))
+
+
+def _reference_decode(tag: str, key):
+    from itertools import islice
+
+    from nomlang.monoids import GWord, LWord, SWord
+    from nomlang.names import canonical_supply
+    from nomlang.words import KEY_CLOSE, KEY_OPEN, TCLOSE, MWord, TOpen
+
+    body, k = _body_and_binders(tag, key)
+    names = list(islice(canonical_supply([x for x in body if type(x) is Name]), k))
+    if tag == "L":
+        return LWord(tuple(names), tuple(names[-1 - x] if type(x) is int else x for x in body))
+    if tag == "S":
+        return SWord(frozenset(names), tuple(names[x] if type(x) is int else x for x in body))
+    fresh = iter(names)
+    binders: list = []
+    out = []
+    for x in key:
+        if type(x) is int:
+            x = binders[-1 - x]
+        elif x is KEY_OPEN:
+            binders.append(next(fresh))
+            x = TOpen(binders[-1])
+        elif x is KEY_CLOSE:
+            binders.pop()
+            x = TCLOSE
+        out.append(x)
+    return MWord(tuple(out)) if tag == "M" else GWord(tuple(out))
+
+
+@pytest.mark.parametrize("tag", sorted(SORTS))
+def test_decoders_agree_with_a_reference_on_canonical_supply(tag, rng):
+    from nomlang import names
+    from nomlang.names import binder_names, bound_name
+    from nomlang.oracle import _build, fresh_binder_variant
+
+    ops = SORTS[tag]
+    keyed = ops.keyed
+    binder_names(2, ())  # the table holds ~0 and ~1 at least
+    size = len(names._reserved)
+    reserved = [bound_name(0), bound_name(size - 1), bound_name(size), bound_name(size + 2)]
+
+    def deep(j):  # j binders, each binding an occurrence of n
+        key = keyed.unit
+        for _ in range(j):
+            key = keyed.bind(n, keyed.concat(keyed.from_name(n), key))
+        return key
+
+    # more binders than the table holds: first with no reserved name
+    # free, then around the reserved names at and beyond its new end
+    grown = size + 1
+    around = keyed.concat(keyed.from_name(bound_name(grown)),
+                          keyed.concat(deep(grown + 2), keyed.from_name(bound_name(grown + 2))))
+    keys = [deep(grown), around] + [
+        _build(keyed, rng, NAMES + reserved, LETTERS, rng.randint(0, 8)) for _ in range(300)]
+    seen = set()
+    for key in keys:
+        body, k = _body_and_binders(tag, key)
+        table = len(names._reserved)
+        if k > table:
+            seen.add("table grows")
+        for x in body:
+            if type(x) is Name and x.label.startswith("~"):
+                j = int(x.label[1:])
+                seen.add("free below" if j < table else "free at" if j == table else "free beyond")
+        got = keyed.to_mword(key)
+        assert got == _reference_decode(tag, key)
+        if not k:
+            seen.add("no binder")
+            if tag in "LS":
+                assert got.body is key[1]
+            else:
+                assert got.tokens is key
+            if tag == "S":
+                assert got.bound == frozenset()
+        w = ops.to_mword(got)
+        want = _reference_decode("M", words.alpha_key(w))
+        assert words.alpha_canonical(w) == want
+        assert words.alpha_canonical(fresh_binder_variant(w)) == want
+    assert seen == {"no binder", "table grows", "free below", "free at", "free beyond"}
+
+
 # -- projection to binder-free words -----------------------------------------
 
 def test_plain_words_bounded_simple():
