@@ -9,12 +9,14 @@ slice, and that its S slice holds the image of its L slice (a vacuous
 binder costs two tokens in L but none in S, so S may hold more).  In
 every sort, `member` must agree with the slice on a sample of words
 drawn from the expression's slice and the previous expression's.  On
-the M words of that sample and their one-token near-misses (inserted
-closes and opens, deletions, name swaps), the automaton's `run` must
+the M words of that sample, their one-token near-misses (inserted
+closes and opens, deletions, name swaps) and two raw spellings of each
+(every binder named after the first pool name, and the first binder
+named after a pool name that occurs free), the automaton's `run` must
 never say CUTOFF, and its verdict must equal that of the referee
-`oracle.naive_run`, which keeps every frame and fires a push transition
-at most once between two consumed tokens.  Prints every mismatch and a
-summary line.
+`oracle.naive_run`, which keeps every frame, renames no binder and
+fires a push transition at most once between two consumed tokens.
+Prints every mismatch and a summary line.
 
 Usage: python3 scripts/random_campaign.py --count 500 --depth 4 --bound 7
 """
@@ -35,7 +37,7 @@ from nomlang.monoids import SORTS, canon_g, canon_l, canon_s, quot_gl, quot_ls, 
 from nomlang.oracle import naive_run, near_misses, random_regex
 from nomlang.regex import enumerate_slice, member
 from nomlang.syntax import render_regex, render_word
-from nomlang.words import tokenize
+from nomlang.words import TCLOSE, TOpen, support, tokenize
 
 
 MEMBER_SAMPLE = 3  # words per sort per expression on which `member` is checked
@@ -51,9 +53,43 @@ class CampaignConfig:
     letters: tuple[str, ...] = ("a", "b")
 
 
-def check_truncation(h, tokens: tuple, pool: list, where: str) -> tuple[int, int, int]:
-    """(mismatches, undecided, streams) of the runs on `tokens` and its
-    near-misses.
+def renamed(tokens: tuple, new) -> tuple:
+    """The stream with its i-th binder, and the occurrences that binder
+    binds, named `new(i, old name)`; free occurrences are kept, so the new
+    name may capture them."""
+    out, binders = [], []  # (old name, new name) of the binders open, innermost last
+    opens = 0
+    for t in tokens:
+        if type(t) is TOpen:
+            nm = new(opens, t.name)
+            opens += 1
+            binders.append((t.name, nm))
+            t = TOpen(nm)
+        elif t is TCLOSE:
+            binders.pop()
+        elif type(t) is Name:
+            t = next((nm for old, nm in reversed(binders) if old is t), t)
+        out.append(t)
+    return tuple(out)
+
+
+def raw_spellings(w, pool: list) -> list[tuple]:
+    """The tokens of `w` with every binder named `pool[0]`, and with its
+    first binder named after the first pool name free in `w`: none if `w`
+    has no binder, and only the first if no pool name is free in it."""
+    tokens = tokenize(w)
+    if not any(type(t) is TOpen for t in tokens):
+        return []
+    out = [renamed(tokens, lambda i, old: pool[0])]
+    free = [nm for nm in pool if nm in support(w)]
+    if free:
+        out.append(renamed(tokens, lambda i, old: free[0] if i == 0 else old))
+    return out
+
+
+def check_truncation(h, w, pool: list, where: str) -> tuple[int, int, int]:
+    """(mismatches, undecided, streams) of the runs on the tokens of `w`,
+    their near-misses and `w`'s raw spellings.
 
     A compiled automaton has no pop transition, so the default run is
     exhaustive: a CUTOFF from it is a mismatch.  The referee gets the
@@ -62,7 +98,8 @@ def check_truncation(h, tokens: tuple, pool: list, where: str) -> tuple[int, int
     compare.
     """
     bad = undecided = 0
-    streams = [tokens] + near_misses(tokens, tuple(pool))
+    tokens = tokenize(w)
+    streams = [tokens] + near_misses(tokens, tuple(pool)) + raw_spellings(w, pool)
     for t in streams:
         got = run(h, t).outcome
         full = naive_run(h, t, max_depth=len(t) + 1).outcome
@@ -122,7 +159,7 @@ def run_campaign(cfg: CampaignConfig) -> int:
                     print(f"MEMBER {sort} #{i}: {render_regex(e)}: {render_word(ops.to_mword(w))}")
                 if sort == "M":
                     bad, cut, streams = check_truncation(
-                        h, tokenize(w), pool, f"#{i}: {render_regex(e)}")
+                        h, w, pool, f"#{i}: {render_regex(e)}")
                     mismatches += bad
                     undecided += cut
                     checked += streams

@@ -7,14 +7,27 @@ a stack frame, or allocate/deallocate a bound name at the matching
 open/close tokens of the input stream.
 
 `step` is the one definition of the moves: what each of the seven move
-kinds reads and what it does to the stack.  `run` takes from it the
-moves that read the next input token and searches the nondeterministic
-configuration graph with memoization.  `language_slice` takes every
-move and walks the tree of emitted prefixes instead: each prefix holds
-the set of configurations that generate it, and a memo keyed on that
-set (with the open depth, the opens and the tokens left) computes each
-set's non-consuming closure and token successors once, as the subset
-construction does; each accepted word is canonicalized once.
+kinds reads and what it does to the stack.  Both searches take their
+successors from it, and both are subset constructions.  `run` holds,
+at each input position, the set of configurations the moves reading
+the tokens so far lead to, and one memo per call maps (set, token) to
+the next set.  `language_slice` walks the tree of emitted prefixes:
+each prefix holds the set of configurations that generate it, and a
+memo keyed on that set (with the open depth, the opens and the tokens
+left) computes each set's non-consuming closure and token successors
+once; each accepted word is canonicalized once.
+
+A run commutes with every renaming of names that fixes the automaton's
+constants (eta values and push-sigma values), and a name that the rest
+of the input never holds can be forgotten.  So before it searches,
+`run` renames every private binder -- one whose name is no constant, is
+opened once and occurs only inside its scope -- after its open depth,
+with a name that no input name equals, and when the binder closes it
+replaces that name by `DEAD` in every frame.  The renaming is one-to-one
+on the names still to be read at each position, so no verdict changes.
+A canonical word names every binder apart (`~0, ~1, ...`); renamed, its
+blocks of the same shape meet the same sets, and the memo decides every
+block after the first.
 
 In an automaton without pop transitions (every compiled one) only a
 close move reads below the top of the stack, and it reads one frame
@@ -347,72 +360,244 @@ def initial_config(h: Hds) -> Config:
     return (h.initial, 0, (NameMap.of(h.eta),))
 
 
+def _outside_registry(label: str) -> Name:
+    """A `Name` that no parsed or interned name equals."""
+    nm = object.__new__(Name)
+    object.__setattr__(nm, "label", label)
+    return nm
+
+
+class _LevelClose(TClose):
+    """The close of a private binder: after it, its level name is dead."""
+
+    __slots__ = ("name",)
+
+
+DEAD = _outside_registry("dead")  # every level name whose binder has closed
+
+# _levels[d]: the open, the name and the close of a private binder at open depth d
+_levels: list[tuple[TOpen, Name, _LevelClose]] = []
+
+
+def _level(d: int) -> tuple[TOpen, Name, _LevelClose]:
+    while len(_levels) <= d:
+        nm = _outside_registry(f"level{len(_levels)}")
+        close = object.__new__(_LevelClose)
+        object.__setattr__(close, "name", nm)
+        _levels.append((TOpen(nm), nm, close))
+    return _levels[d]
+
+
+def _private_binders_by_level(tokens: tuple[Tok, ...], constants: set) -> tuple[Tok, ...]:
+    """The stream with each private binder renamed after its open depth.
+
+    A binder is private when its name is no constant of the automaton,
+    it is opened once, and the name occurs nowhere outside its scope
+    (from its open to its matching close, or to the end of the stream).
+    Its open and occurrences take the level name of its open depth, and
+    its close a `_LevelClose` of that name; every other token is kept.
+    """
+    out = list(tokens)
+    shared = set(constants)  # names that cannot be private
+    scopes: dict = {}  # binder name -> [open index, depth, occurrence indices, close index]
+    open_now: list = []  # the scopes of the binders open here, innermost last
+    for i, tok in enumerate(tokens):
+        kind = type(tok)
+        if kind is Name:
+            scope = scopes.get(tok)
+            if scope is not None and scope[3] is None:
+                scope[2].append(i)
+            else:
+                shared.add(tok)
+        elif kind is TOpen:
+            if tok.name in scopes:
+                shared.add(tok.name)
+            scopes[tok.name] = scope = [i, len(open_now), [], None]
+            open_now.append(scope)
+        elif kind is TClose and open_now:
+            open_now.pop()[3] = i
+    for nm, (at, depth, uses, close) in scopes.items():
+        if nm not in shared:
+            out[at], level_name, level_close = _level(depth)
+            for j in uses:
+                out[j] = level_name
+            if close is not None:
+                out[close] = level_close
+    return tuple(out)
+
+
+def _forget(stk: Stack, nm: Name) -> Stack:
+    """The stack with the value `nm` replaced by DEAD in every frame."""
+    return tuple([
+        NameMap(tuple([(k, DEAD if v is nm else v) for k, v in f.entries]))
+        if nm in f.values() else f
+        for f in stk
+    ])
+
+
+def _advance(h: Hds, configs, tok: Tok, here: int, there: int, has_pop: bool,
+             max_depth: int, links: Optional[dict] = None, reads: Optional[dict] = None):
+    """One input position of the subset construction.
+
+    Closes `configs` under the moves that read nothing, then takes the
+    moves that read `tok`.  Returns (the configurations those lead to,
+    the closure, whether the depth cap cut a branch).  Without pop
+    transitions a stack keeps `here` frames at this position and `there`
+    after the token.  After a `_LevelClose` its level name is dead.
+    With `links` and `reads`, each configuration reached by a move that
+    reads nothing, or by one that reads `tok`, is recorded there with the
+    (configuration, transition) it came from.
+    """
+    seen = set(configs)
+    frontier = list(configs)
+    out = set()
+    cut = False
+    dead = tok.name if type(tok) is _LevelClose else None
+    while frontier:
+        cfg = frontier.pop()
+        state, stk = cfg
+        for t, tok_read, stk2 in step(h, state, stk, tok):
+            if not has_pop:
+                stk2 = stk2[: here if tok_read is None else there]
+            if len(stk2) > max_depth:
+                cut = True
+                continue
+            if tok_read is None:
+                cfg2 = (t.target, stk2)
+                if cfg2 not in seen:
+                    seen.add(cfg2)
+                    frontier.append(cfg2)
+                    if links is not None:
+                        links[cfg2] = (cfg, t)
+                continue
+            cfg2 = (t.target, stk2 if dead is None else _forget(stk2, dead))
+            if reads is not None and cfg2 not in out:
+                reads[cfg2] = (cfg, t)
+            out.add(cfg2)
+    return out, seen, cut
+
+
 def run(
     h: Hds,
     tokens: tuple[Tok, ...],
     max_depth: Optional[int] = None,
     want_trace: bool = False,
 ) -> RunResult:
-    """Search for an accepting run on the token stream.
+    """Decide whether `h` accepts the token stream, by a subset construction.
 
-    Unless `h` has pop transitions, a successor keeps one frame more
-    than the most by which closes outnumber opens over any stretch of
-    the rest of the input: no close can read the others, and the search
-    is exhaustive.  `max_depth` caps the stack depth (default: input
-    length + state count + 1, which only a pop automaton can reach); a
-    branch the cap cuts makes the outcome CUTOFF unless a run accepts.
+    At each input position the search holds the set of (state, stack)
+    configurations that the moves reading the tokens so far lead to.  One
+    memo per call maps (set, token, frames kept after it) to the next
+    set: the set's closure under the moves that read nothing, then the
+    moves that read the token.  First every private binder takes the
+    name of its open depth, which dies at its close: the renaming is
+    one-to-one on the names still to be read and fixes the constants, so
+    the verdict stands (module docstring), while blocks of the same shape
+    now meet the same sets and are decided once.
+
+    Unless `h` has pop transitions, a stack keeps one frame more than
+    the most by which closes outnumber opens over any stretch of the
+    rest of the input: no close can read the others, and the search is
+    exhaustive.  `max_depth` caps the stack depth (default: input length
+    + state count + 1, which only a pop automaton can reach); a branch
+    the cap cuts makes the outcome CUTOFF unless a run accepts.  With
+    `want_trace`, an accepting run is walked back through the sets and
+    replayed on the real tokens with whole stacks.
     """
+    n = len(tokens)
     if max_depth is None:
-        max_depth = len(tokens) + len(h.states) + 1
-    has_pop = any(t.label.kind == "pop" for _, t in h.transitions())
+        max_depth = n + len(h.states) + 1
+    has_pop = False
+    constants = set(h.eta.values())
+    for ts in h.trans.values():
+        for t in ts:
+            kind = t.label.kind
+            if kind == "push":
+                constants.update(t.sigma.values())
+            elif kind == "pop":
+                has_pop = True
     # keep[pos]: 1 + the most by which closes outnumber opens over any
     # stretch of tokens[pos:], the frames a close can read
-    keep = [1] * (len(tokens) + 1)
-    for i in range(len(tokens) - 1, -1, -1):
-        tok = tokens[i]
-        keep[i] = max(1, keep[i + 1] + isinstance(tok, TClose) - isinstance(tok, TOpen))
+    keep = [1]
+    frames = 1
+    has_open = False
+    for tok in reversed(tokens):
+        if type(tok) is TOpen:
+            has_open = True
+            frames = max(1, frames - 1)
+        elif isinstance(tok, TClose):
+            frames += 1
+        keep.append(frames)
+    keep.reverse()
+    stream = _private_binders_by_level(tokens, constants) if has_open else tokens
+    memo: dict = {}
+    sets: dict = {}  # one object per configuration set, so the memo compares by identity
     start = initial_config(h)
-    seen = {start}
-    parents: dict = {}
-    frontier = [start]
-    pruned_live = False
-    while frontier:
-        node = frontier.pop()
-        state, pos, stk = node
-        if pos == len(tokens) and state in h.finals:
-            trace = None
-            if want_trace:
-                path = []
-                while node in parents:
-                    node, t = parents[node]
-                    path.append(t)
-                path.reverse()
-                trace = _replay(h, tokens, start, path)
-            return RunResult(ACCEPT, trace)
-        tok = tokens[pos] if pos < len(tokens) else END
-        for t, tok_read, stk2 in step(h, state, stk, tok):
-            pos2 = pos if tok_read is None else pos + 1
-            if not has_pop:
-                stk2 = stk2[: keep[pos2]]
-            if len(stk2) > max_depth:
-                pruned_live = True
-                continue
-            node2 = (t.target, pos2, stk2)
-            if node2 in seen:
-                continue
-            seen.add(node2)
-            if want_trace:
-                parents[node2] = (node, t)
-            frontier.append(node2)
-    return RunResult(CUTOFF if pruned_live else REJECT)
+    configs = frozenset({(h.initial, start[2])})
+    entries = [configs]
+    cut = False
+    for pos, tok in enumerate(stream):
+        key = (configs, tok, keep[pos + 1])
+        hit = memo.get(key)
+        if hit is None:
+            out, _, cut_here = _advance(h, configs, tok, keep[pos], keep[pos + 1],
+                                        has_pop, max_depth)
+            out = frozenset(out)
+            memo[key] = hit = (sets.setdefault(out, out), cut_here)
+        configs, cut_here = hit
+        cut = cut or cut_here
+        if not configs:
+            return RunResult(CUTOFF if cut else REJECT)
+        if want_trace:
+            entries.append(configs)
+    _, closure, cut_here = _advance(h, configs, END, keep[n], keep[n], has_pop, max_depth)
+    if not any(state in h.finals for state, _ in closure):
+        return RunResult(CUTOFF if cut or cut_here else REJECT)
+    trace = None
+    if want_trace:
+        trace = _replay(h, tokens, start,
+                        _accepting_path(h, stream, entries, keep, has_pop, max_depth))
+    return RunResult(ACCEPT, trace)
+
+
+def _accepting_path(h: Hds, stream, entries: list, keep: list, has_pop: bool,
+                    max_depth: int) -> list:
+    """The transitions of an accepting run, walked back through the sets.
+
+    `entries[pos]` is the set the search held at `pos`; every
+    configuration in it is reachable, so from a final configuration at
+    the end, each position's closure leads back to one configuration of
+    the set before.
+    """
+    n = len(stream)
+    path: list = []
+    want = None  # the configuration to reach at this position
+    for pos in range(n, -1, -1):
+        links: dict = {}
+        reads: dict = {}
+        tok = stream[pos] if pos < n else END
+        _, closure, _ = _advance(h, entries[pos], tok, keep[pos], keep[min(pos + 1, n)],
+                                 has_pop, max_depth, links, reads)
+        if want is None:
+            cfg = next(c for c in closure if c[0] in h.finals)
+        else:
+            cfg, t = reads[want]
+            path.append(t)
+        while cfg in links:
+            cfg, t = links[cfg]
+            path.append(t)
+        want = cfg
+    path.reverse()
+    return path
 
 
 def _replay(h: Hds, tokens: tuple[Tok, ...], start: Config, path: list) -> list:
     """The run that takes the transitions of `path` from `start`, every frame kept.
 
-    The search drops frames no close can read, so its configurations
-    show only the top of the automaton's stacks; the same transitions
-    are enabled on the whole stacks, and this rebuilds them.
+    The search drops frames no close can read and renames private
+    binders, so its configurations show only the top of the automaton's
+    stacks, under other names; the same transitions are enabled on the
+    real tokens with the whole stacks, and this rebuilds them.
     """
     state, pos, stk = start
     trace = [(start, None)]

@@ -157,7 +157,8 @@ def brute_slice(
 def naive_run(
     h: Hds, tokens: tuple, max_depth: Optional[int] = None, initial_stack=()
 ) -> RunResult:
-    """`hds.run` without dropping a frame: the referee of its truncation.
+    """`hds.run` as a depth-first search that drops no frame and renames
+    no binder: the referee of its truncation and its renaming.
 
     The stack starts as the initial name map over `initial_stack`, and
     every frame is kept.  A push transition fires at most once between

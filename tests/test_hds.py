@@ -371,6 +371,115 @@ def test_pushes_in_a_row_are_searched():
     assert run(h, _binder_then(k)).outcome == CUTOFF
 
 
+def _escaping_hds(then_bind: bool = False) -> Hds:
+    """`_double_push_hds` with `open[x>*]`: after one push the close reads
+    the open's own frame, so the allocated name escapes its binder.  With
+    `then_bind`, the escaped name is read inside a second binder."""
+    h = _double_push_hds(with_pop=False)
+    h.trans["qs"] = (Transition(L_OPEN, "q0", NM({x: STAR})),)
+    if then_bind:
+        h.states.update({"q3": frozenset({x, y}), "q4": frozenset(), "q5": frozenset()})
+        h.trans["q1"] = (Transition(L_OPEN, "q3", NM({x: x, y: STAR})),)
+        h.trans["q3"] = (Transition(lname(x), "q4", BOTTOM),)
+        h.trans["q4"] = (Transition(L_CLOSE, "q5", BOTTOM),)
+        h.trans["q5"] = ()
+        h.finals = frozenset({"q5"})
+    assert validate(h) == []
+    return h
+
+
+def _push_constant_hds() -> Hds:
+    """A push frame holds the reserved binder name ~0, then a binder reads it."""
+    h = Hds(
+        states={"q0": frozenset({x}), "q1": frozenset({x}), "q2": frozenset({x, y}),
+                "q3": frozenset(), "q4": frozenset()},
+        initial="q0",
+        eta={x: m},
+        finals=frozenset({"q4"}),
+        trans={
+            "q0": (Transition(L_PUSH, "q1", NM({x: Name("~0")})),),
+            "q1": (Transition(L_OPEN, "q2", NM({x: x, y: STAR})),),
+            "q2": (Transition(lname(x), "q3", BOTTOM),),
+            "q3": (Transition(L_CLOSE, "q4", BOTTOM),),
+            "q4": (),
+        },
+    )
+    assert validate(h) == []
+    return h
+
+
+def _raw(text):
+    return tokenize(parse_word(text))  # the word's own binder names, not canonical ones
+
+
+RAW_AUTOMATA = {
+    "session": lambda: compile_regex(parse_regex("#m <#n. #m #n >*", set())),
+    "free": lambda: compile_regex(parse_regex("( #n + <#n. #n > )*", set())),
+    "push ~0": _push_constant_hds,
+    "escape": _escaping_hds,
+    "escape, bind": lambda: _escaping_hds(then_bind=True),
+}
+
+RAW_STREAMS = [
+    # a binder name reused
+    ("session", _raw("#m <#n. #m #n > <#n. #m #n >"), ACCEPT),
+    ("session", _raw("#m <#n. #m #n > <#n. #m #m >"), REJECT),
+    # a binder named after an eta value
+    ("session", _raw("#m <#m. #m #m >"), ACCEPT),
+    ("session", _raw("#m <#m. #m #n >"), REJECT),
+    # a binder name that also occurs free
+    ("free", _raw("#n <#n. #n > #n"), ACCEPT),
+    ("free", _raw("#n <#n. #n > #k"), REJECT),
+    # an unmatched open and an unmatched close
+    ("session", (m, TOpen(n), m, n), REJECT),
+    ("session", (m, TOpen(n), m, n, TCLOSE, TCLOSE), REJECT),
+    ("session", (m, TCLOSE, TOpen(n), m, n, TCLOSE), REJECT),
+    ("escape", (TOpen(k), TCLOSE, TCLOSE, k), REJECT),
+    # a push constant that is a reserved binder name
+    ("push ~0", _raw("<#~0. #~0 >"), ACCEPT),
+    ("push ~0", _raw("<#~1. #~0 >"), ACCEPT),
+    ("push ~0", _raw("<#n. #~0 >"), ACCEPT),
+    # an allocated name that escapes its binder
+    ("escape", _raw("<#~1. ^ > #~0"), REJECT),
+    ("escape", _raw("<#n. ^ > #n"), ACCEPT),
+    ("escape", _raw("<#k. ^ > #k"), ACCEPT),
+    ("escape", _raw("<#k. ^ > #z"), REJECT),
+    # ... and is read inside a later binder, of the same open depth
+    ("escape, bind", _raw("<#k. ^ > <#z. #k >"), ACCEPT),
+    ("escape, bind", _raw("<#k. ^ > <#z. #z >"), REJECT),
+    ("escape, bind", _raw("<#k. ^ > <#k. #k >"), ACCEPT),
+]
+
+
+@pytest.mark.parametrize("automaton,tokens,outcome", RAW_STREAMS)
+def test_raw_streams_keep_their_verdicts(automaton, tokens, outcome):
+    # a raw stream may reuse binder names, name a binder after a constant,
+    # use it outside its scope or leave it unmatched: no renaming that
+    # `run` makes may change what the automaton does on it
+    h = RAW_AUTOMATA[automaton]()
+    assert run(h, tokens).outcome == outcome
+    r = run(h, tokens, want_trace=True)
+    assert r.outcome == outcome
+    if outcome == ACCEPT:
+        _assert_trace_follows_step(h, tokens, r.trace)
+
+
+def _assert_trace_follows_step(h, tokens, trace):
+    """Each traced move is a `step` successor of the one before, on `tokens`."""
+    (state, pos, stk), t = trace[0]
+    assert (state, pos, t) == (h.initial, 0, None)
+    for (before, _), (after, t) in zip(trace, trace[1:]):
+        state, pos, stk = before
+        tok = tokens[pos] if pos < len(tokens) else END
+        successors = [
+            (u.target, pos + (read is not None), stk2) for u, read, stk2 in step(h, state, stk, tok)
+            if u is t
+        ]
+        assert after in successors
+    state, pos, _ = trace[-1][0]
+    assert state in h.finals and pos == len(tokens)
+
+
 def test_accepts_raises_where_the_search_is_cut():
     h = _double_push_hds(with_pop=True)
     assert accepts(h, _binder_then(m))
@@ -471,6 +580,42 @@ def test_search_keeps_one_frame_more_than_the_open_depth(monkeypatch):
     # closes ahead never outnumber the opens ahead by more than the open
     # depth; one frame per close left would be up to 129 frames here
     assert max(seen) <= depth + 1
+
+
+def _ns_tokens(k):
+    block = "<#n. ENCR #n A FOR B <#m. ENCR #n #m FOR A ENCR #m FOR B > >"
+    return tokenize(alpha_canonical(parse_word(" ".join([block] * k))))
+
+
+def test_search_work_does_not_grow_with_the_blocks(monkeypatch):
+    # every block's binders are private, so they take the names of their
+    # levels, and the names die at their closes: each block after the
+    # first meets the configuration sets of the one before
+    from nomlang import hds
+
+    with open(NS_FILE) as f:
+        h = compile_regex(parse_nre(f.read())[0])
+    calls = []
+    monkeypatch.setattr(hds, "step", lambda *args: calls.append(1) or step(*args))
+    counts = []
+    for blocks in (8, 64):
+        calls.clear()
+        assert run(h, _ns_tokens(blocks)).outcome == ACCEPT
+        counts.append(len(calls))
+    assert counts[0] == counts[1]
+
+
+def test_trace_where_binders_share_a_level():
+    with open(NS_FILE) as f:
+        h = compile_regex(parse_nre(f.read())[0])
+    tokens = _ns_tokens(3)
+    r = run(h, tokens, want_trace=True)
+    assert r.outcome == ACCEPT
+    _assert_trace_follows_step(h, tokens, r.trace)
+    # the trace shows the word's own binder names
+    shown = {v for (_, _, stk), _ in r.trace for f in stk for v in f.values()}
+    binders = {t.name for t in tokens if isinstance(t, TOpen)}
+    assert binders <= shown <= binders | set(h.eta.values())
 
 
 def test_slice_drops_states_that_cannot_finish_in_time(monkeypatch):
