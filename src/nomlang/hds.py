@@ -13,21 +13,26 @@ at each input position, the set of configurations the moves reading
 the tokens so far lead to, and one memo per call maps (set, token) to
 the next set.  `language_slice` walks the tree of emitted prefixes:
 each prefix holds the set of configurations that generate it, and a
-memo keyed on that set (with the open depth, the opens and the tokens
-left) computes each set's non-consuming closure and token successors
-once; each accepted word is canonicalized once.
+memo keyed on that set (with the open depth and the tokens left)
+computes each set's non-consuming closure and token successors once;
+each accepted word is canonicalized once.
 
-A run commutes with every renaming of names that fixes the automaton's
-constants (eta values and push-sigma values), and a name that the rest
-of the input never holds can be forgotten.  So before it searches,
-`run` renames every private binder -- one whose name is no constant, is
-opened once and occurs only inside its scope -- after its open depth,
-with a name that no input name equals, and when the binder closes it
-replaces that name by `DEAD` in every frame.  The renaming is one-to-one
-on the names still to be read at each position, so no verdict changes.
-A canonical word names every binder apart (`~0, ~1, ...`); renamed, its
-blocks of the same shape meet the same sets, and the memo decides every
-block after the first.
+Both searches name binders one way, after their open depth.  A binder
+opened at depth d takes the level name of d, which no input name and
+no constant equals, and when it closes that name becomes `DEAD` in
+every frame; `DEAD` is not a `Name`, so no name move reads or emits it.
+As in history-dependent automata, the allocated name is then fresh for
+the whole configuration: the level names of the open binders are below
+d, and every other level name is dead.  `language_slice` allocates
+these names at its opens.  `run` renames every private binder of its
+input -- one whose name is no constant, is opened once and occurs only
+inside its scope -- to them before it searches.  A run commutes with
+every renaming that fixes the automaton's constants (eta values and
+push-sigma values), and a name the rest of the input never holds can be
+forgotten, so the renaming changes no verdict.  A canonical word names
+every binder apart (`~0, ~1, ...`); renamed, its blocks of the same
+shape meet the same sets, and the memo decides every block after the
+first.
 
 In an automaton without pop transitions (every compiled one) only a
 close move reads below the top of the stack, and it reads one frame
@@ -52,13 +57,10 @@ from __future__ import annotations
 import weakref
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Optional, Union
+from typing import Iterable, Optional
 
 from .names import Letter, Name, STAR
 from .words import MWord, TClose, TCLOSE, TOpen, Tok, alpha_canonical, parse_tokens
-from .names import canonical_supply
-
-MapValue = Union[Name, type(STAR)]
 
 
 class NameMap:
@@ -360,28 +362,25 @@ def initial_config(h: Hds) -> Config:
     return (h.initial, 0, (NameMap.of(h.eta),))
 
 
-def _outside_registry(label: str) -> Name:
-    """A `Name` that no parsed or interned name equals."""
-    nm = object.__new__(Name)
-    object.__setattr__(nm, "label", label)
-    return nm
-
-
 class _LevelClose(TClose):
     """The close of a private binder: after it, its level name is dead."""
 
     __slots__ = ("name",)
 
 
-DEAD = _outside_registry("dead")  # every level name whose binder has closed
+# every level name whose binder has closed; not a `Name`, so no name move
+# reads it or emits it
+DEAD = STAR
 
-# _levels[d]: the open, the name and the close of a private binder at open depth d
+# _levels[d]: the open, the name and the close of a binder at open depth d
 _levels: list[tuple[TOpen, Name, _LevelClose]] = []
 
 
 def _level(d: int) -> tuple[TOpen, Name, _LevelClose]:
     while len(_levels) <= d:
-        nm = _outside_registry(f"level{len(_levels)}")
+        # built outside the registry, so no parsed or interned name equals it
+        nm = object.__new__(Name)
+        object.__setattr__(nm, "label", f"level{len(_levels)}")
         close = object.__new__(_LevelClose)
         object.__setattr__(close, "name", nm)
         _levels.append((TOpen(nm), nm, close))
@@ -662,15 +661,16 @@ def language_slice(h: Hds, bound: int) -> frozenset[MWord]:
     Walks the tree of emitted prefixes, determinizing on the fly as the
     subset construction does.  A prefix node holds the set of
     (state, stack) configurations that `step` reaches while generating
-    that prefix, its open depth and its number of opens; the i-th open
-    move allocates the i-th canonical bound name.  One
-    memo per call, keyed on (configuration set, open depth, opens,
-    tokens left), holds what a node's set closes to under non-consuming
-    moves: whether the closure has a final state at open depth 0, and
-    the node each token read from it leads to.  Prefixes that reach the
-    same set share that work, and a prefix is never hashed.  A final
-    prefix is parsed and canonicalized once: no other prefix spells the
-    same token stream.
+    that prefix, and its open depth.  Binders are named as `run` names
+    private ones: an open at depth d allocates the level name of d, which
+    no constant and no frame value equals, and at the binder's close that
+    name becomes `DEAD` in every frame.  One memo per call, keyed on
+    (configuration set, open depth, tokens left), holds what a node's set
+    closes to under non-consuming moves: whether the closure has a final
+    state at open depth 0, and the node each token read from it leads to.
+    Prefixes that reach the same set share that work, and a prefix is
+    never hashed.  A final prefix is parsed and canonicalized once: no
+    other prefix spells the same token stream.
 
     A configuration is dropped when the tokens left under the bound
     cannot both close its open binders and take its state to a final
@@ -686,8 +686,6 @@ def language_slice(h: Hds, bound: int) -> frozenset[MWord]:
     max_depth = bound + len(h.states) + 1
     need = steps_to_final(h)
     has_pop = any(t.label.kind == "pop" for _, t in h.transitions())
-    supply = canonical_supply(h.eta.values())
-    fresh: list[Name] = []  # fresh[i] is the name the i-th open allocates
     memo: dict = {}
 
     def expand(node):
@@ -695,9 +693,8 @@ def language_slice(h: Hds, bound: int) -> frozenset[MWord]:
         hit = memo.get(node)
         if hit is not None:
             return hit
-        configs, depth, opens, left = node
-        if left and opens == len(fresh):  # the first node that may open one more binder
-            fresh.append(next(supply))
+        configs, depth, left = node
+        fresh = _level(depth)[1]
         final = False
         reads: dict[tuple, set] = {}  # (token, open depth) -> configurations after it
         seen = set(configs)
@@ -707,7 +704,7 @@ def language_slice(h: Hds, bound: int) -> frozenset[MWord]:
             if state in h.finals and depth == 0:
                 final = True
             if left:
-                moves = step(h, state, stk, None, fresh[opens])
+                moves = step(h, state, stk, None, fresh)
             else:
                 moves = step(h, state, stk, END)
             for t, tok_read, stk2 in moves:
@@ -728,6 +725,8 @@ def language_slice(h: Hds, bound: int) -> frozenset[MWord]:
                     stk2 = stk2[: depth2 + 1]
                 if len(stk2) > max_depth:
                     continue
+                if tok_read is TCLOSE:
+                    stk2 = _forget(stk2, _level(depth2)[1])
                 cfg2 = (t.target, stk2)
                 if tok_read is not None:
                     reads.setdefault((tok_read, depth2), set()).add(cfg2)
@@ -735,15 +734,15 @@ def language_slice(h: Hds, bound: int) -> frozenset[MWord]:
                     seen.add(cfg2)
                     frontier.append(cfg2)
         succ = [
-            (tok, (frozenset(cfgs), depth2, opens + isinstance(tok, TOpen), left - 1))
+            (tok, (frozenset(cfgs), depth2, left - 1))
             for (tok, depth2), cfgs in reads.items()
         ]
         memo[node] = hit = (final, succ)
         return hit
 
     out: set[MWord] = set()
-    start = frozenset({(h.initial, (NameMap.of(h.eta),))})
-    todo = [((), (start, 0, 0, bound))]  # emitted prefix and its node
+    state, _, stk = initial_config(h)
+    todo = [((), (frozenset({(state, stk)}), 0, bound))]  # emitted prefix and its node
     while todo:
         prefix, node = todo.pop()
         final, succ = expand(node)

@@ -124,18 +124,9 @@ def _shift(body: tuple, k: int) -> tuple:
 
 
 def _encode_g(w: GWord) -> tuple:
-    out: list = []
-    level: dict[Name, int] = {}  # bound name -> number of binders before its own
-    opens = 0
-    for x in w.tokens:
-        if type(x) is TOpen:
-            out.append(KEY_OPEN)
-            level[x.name] = opens
-            opens += 1
-        else:  # a name or a letter; only a bound name has a level
-            at = level.get(x)
-            out.append(x if at is None else opens - 1 - at)
-    return tuple(out)
+    # the M key of the word with its closes, which all come last: the key
+    # of the row is the part before them
+    return words.alpha_key(embed_gm(w))[: len(w.tokens)]
 
 
 def _decode_g(key: tuple) -> GWord:

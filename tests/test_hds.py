@@ -408,6 +408,28 @@ def _push_constant_hds() -> Hds:
     return h
 
 
+POOL = frozenset({m, n, Name("~0"), Name("z")})
+
+
+@pytest.mark.parametrize("then_bind,bound", [(False, 4), (True, 6)])
+def test_slice_keeps_allocated_names_inside_their_binders(then_bind, bound):
+    # a close that reads the open's own frame makes the allocated name a
+    # value below the binder; at the close it dies, so no later name move
+    # emits it, as `run` rejects `<#~1. ^ > #~0`
+    h = _escaping_hds(then_bind)
+    assert language_slice(h, bound) == brute_slice(h, bound, POOL)
+
+
+def test_slice_allocates_a_name_apart_from_the_push_constants():
+    h = _push_constant_hds()
+    got = language_slice(h, 4)
+    assert {render_word(w) for w in got} == {"<#~1. #~0 >"}
+    assert all(run(h, tokenize(w)).outcome == ACCEPT for w in got)
+    # the slice allocates a name no frame holds; `brute_slice`, like `run`,
+    # also lets the binder take the name of the push constant ~0
+    assert brute_slice(h, 4, POOL) - got == {parse_word("<#~0. #~0 >")}
+
+
 def _raw(text):
     return tokenize(parse_word(text))  # the word's own binder names, not canonical ones
 
@@ -631,12 +653,32 @@ def test_slice_drops_states_that_cannot_finish_in_time(monkeypatch):
     assert len(calls) == 1  # the start node only
 
 
+@pytest.mark.parametrize("text", ["( <#n. #n #m > + a + #m )*",
+                                  "( <#n. #n ( #m + #n )* > )*"])
+def test_slice_work_grows_by_a_constant_per_bound(monkeypatch, text):
+    # an open allocates the name of its depth, not of its rank among the
+    # opens, so prefixes with the same configurations at the same depth
+    # share a memo entry however many binders they have closed
+    from nomlang import hds
+
+    h = compile_regex(parse_regex(text, {"a"}))
+    calls = []
+    monkeypatch.setattr(hds, "step", lambda *args: calls.append(1) or step(*args))
+    counts = []
+    for bound in (9, 10, 13, 14):
+        calls.clear()
+        language_slice(h, bound)
+        counts.append(len(calls))
+    assert counts[1] - counts[0] == counts[3] - counts[2]
+
+
 def test_slice_allocates_no_names_beyond_its_opens():
-    # the bound must not decide how many binder names are interned
+    # the bound must not decide how many names are interned: none are,
+    # since binders take level names, which are built outside the registry
     h = compile_regex(parse_regex("a", {"a"}))
     before = len(Name._registry)
     assert language_slice(h, 200_000) == {parse_word("a")}
-    assert len(Name._registry) - before <= 1
+    assert len(Name._registry) == before
 
 
 def test_steps_to_final_counts_consuming_moves():
