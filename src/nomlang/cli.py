@@ -88,7 +88,11 @@ def cmd_enumerate(args) -> int:
             print("error: --sort applies only to expression input", file=sys.stderr)
             return EXIT_USAGE
         h = _load_hds(args.input)
-        words = automata.language_slice(h, args.bound)
+        try:
+            words = automata.language_slice(h, args.bound)
+        except automata.Undecided:
+            print("UNDECIDED (the stack depth cap cut a branch; the slice may miss words)")
+            return EXIT_FUEL
         lines = sorted(render_word(w) for w in words)
     else:
         e, _letters = parse_nre(_read(args.input))

@@ -7,14 +7,18 @@ a stack frame, or allocate/deallocate a bound name at the matching
 open/close tokens of the input stream.
 
 `step` is the one definition of the moves: what each of the seven move
-kinds reads and what it does to the stack.  Both searches take their
-successors from it, and both are subset constructions.  `run` holds,
-at each input position, the set of configurations the moves reading
-the tokens so far lead to, and one memo per call maps (set, token) to
-the next set.  `language_slice` walks the tree of emitted prefixes:
-each prefix holds the set of configurations that generate it, and a
-memo keyed on that set (with the open depth and the tokens left)
-computes each set's non-consuming closure and token successors once;
+kinds reads and what it does to the stack.  Both searches are subset
+constructions, and both take a configuration set's successors from
+`_closure`, built on `step`: it closes the set under the moves that
+read nothing, groups the moves that read a token by that token, and
+after each move applies one rule -- keep the frames a close can still
+read, cap the stack depth, and kill the name of a binder just closed.
+`run` holds, at each input position, the set of configurations the
+moves reading the tokens so far lead to, and one memo per call maps
+(set, token, frames kept) to the next set.  `language_slice` walks the
+tree of emitted prefixes: each prefix holds the set of configurations
+that generate it, and a memo keyed on that set (with the open depth and
+the tokens left) computes each set's closure and token successors once;
 each accepted word is canonicalized once.
 
 Both searches name binders one way, after their open depth.  A binder
@@ -46,10 +50,10 @@ then drawn from a finite set at each input position, so non-consuming
 push loops end where they reach a stack already seen, and both searches
 are exhaustive.  Only with pop transitions can stacks grow without
 bound; there the stack depth is capped (input length + state count +
-1), and `run` says CUTOFF when the cap cut a branch.  Name maps are
-hash-consed, so the stacks the searches memoize hash and compare by
-identity, and a move that leaves the top frame as it is keeps the
-stack itself.
+1), and where the cap cut a branch `run` says CUTOFF and
+`language_slice` raises `Undecided`.  Name maps are hash-consed, so the
+stacks the searches memoize hash and compare by identity, and a move
+that leaves the top frame as it is keeps the stack itself.
 """
 
 from __future__ import annotations
@@ -57,6 +61,7 @@ from __future__ import annotations
 import weakref
 from collections import deque
 from dataclasses import dataclass
+from types import NoneType
 from typing import Iterable, Optional
 
 from .names import Letter, Name, STAR
@@ -292,7 +297,7 @@ def validate(h: Hds) -> list[str]:
 # ---------------------------------------------------------------------------
 # Moves
 
-Config = tuple  # (state id, position in input, Stack)
+Config = tuple  # (state id, Stack) in the searches; (state id, position, Stack) in a trace
 
 END = object()  # the input token past the last one: no consuming move reads it
 
@@ -434,46 +439,74 @@ def _forget(stk: Stack, nm: Name) -> Stack:
     ])
 
 
-def _advance(h: Hds, configs, tok: Tok, here: int, there: int, has_pop: bool,
-             max_depth: int, links: Optional[dict] = None, reads: Optional[dict] = None):
-    """One input position of the subset construction.
+def _closure(h: Hds, configs, tok, fresh: Optional[Name], rules: dict, need: dict,
+             has_pop: bool, max_depth: int, links: Optional[dict] = None):
+    """The closure of `configs` under the moves that read nothing, and
+    the configurations the moves out of it reach, per token read.
 
-    Closes `configs` under the moves that read nothing, then takes the
-    moves that read `tok`.  Returns (the configurations those lead to,
-    the closure, whether the depth cap cut a branch).  Without pop
-    transitions a stack keeps `here` frames at this position and `there`
-    after the token.  After a `_LevelClose` its level name is dead.
-    With `links` and `reads`, each configuration reached by a move that
-    reads nothing, or by one that reads `tok`, is recorded there with the
-    (configuration, transition) it came from.
+    `tok` and `fresh` go to `step`.  `rules` maps the type of the token
+    a move reads (`NoneType` for none) to (frames, dead name or None,
+    budget): a move is dropped if its token has no rule, or if its
+    target needs more tokens to finish than the budget (`need`, as
+    `steps_to_final` counts them).  Without pop transitions a move's
+    stack keeps its top `frames` frames; a stack deeper than `max_depth`
+    is cut, and the dead name becomes DEAD in every frame.  Returns
+    (closure, reached per token, whether the cap cut a move).  With
+    `links`, a configuration the closure adds maps there to the
+    (configuration, transition) it came from, and one a token reaches
+    does so under (token, configuration).
     """
     seen = set(configs)
     frontier = list(configs)
-    out = set()
+    reads: dict = {}
     cut = False
-    dead = tok.name if type(tok) is _LevelClose else None
+    silent = rules[NoneType]
     while frontier:
         cfg = frontier.pop()
         state, stk = cfg
-        for t, tok_read, stk2 in step(h, state, stk, tok):
+        for t, tok_read, stk2 in step(h, state, stk, tok, fresh):
+            rule = silent if tok_read is None else rules.get(type(tok_read))
+            if rule is None:
+                continue
+            frames, dead, budget = rule
+            if need.get(t.target, budget + 1) > budget:
+                continue
             if not has_pop:
-                stk2 = stk2[: here if tok_read is None else there]
+                stk2 = stk2[:frames]
             if len(stk2) > max_depth:
                 cut = True
                 continue
+            if dead is not None:
+                stk2 = _forget(stk2, dead)
+            cfg2 = (t.target, stk2)
             if tok_read is None:
-                cfg2 = (t.target, stk2)
                 if cfg2 not in seen:
                     seen.add(cfg2)
                     frontier.append(cfg2)
                     if links is not None:
                         links[cfg2] = (cfg, t)
                 continue
-            cfg2 = (t.target, stk2 if dead is None else _forget(stk2, dead))
-            if reads is not None and cfg2 not in out:
-                reads[cfg2] = (cfg, t)
-            out.add(cfg2)
-    return out, seen, cut
+            group = reads.get(tok_read)
+            if group is None:
+                reads[tok_read] = group = set()
+            if links is not None and cfg2 not in group:
+                links[tok_read, cfg2] = (cfg, t)
+            group.add(cfg2)
+    return seen, reads, cut
+
+
+def _constants_and_pops(h: Hds) -> tuple[set, bool]:
+    """The automaton's constants (eta and push-sigma values), and whether it pops."""
+    constants = set(h.eta.values())
+    has_pop = False
+    for ts in h.trans.values():
+        for t in ts:
+            kind = t.label.kind
+            if kind == "push":
+                constants.update(t.sigma.values())
+            elif kind == "pop":
+                has_pop = True
+    return constants, has_pop
 
 
 def run(
@@ -487,12 +520,12 @@ def run(
     At each input position the search holds the set of (state, stack)
     configurations that the moves reading the tokens so far lead to.  One
     memo per call maps (set, token, frames kept after it) to the next
-    set: the set's closure under the moves that read nothing, then the
-    moves that read the token.  First every private binder takes the
-    name of its open depth, which dies at its close: the renaming is
-    one-to-one on the names still to be read and fixes the constants, so
-    the verdict stands (module docstring), while blocks of the same shape
-    now meet the same sets and are decided once.
+    set, which `_closure` computes: the set's closure under the moves
+    that read nothing, then the moves that read the token.  First every
+    private binder takes the name of its open depth, which dies at its
+    close: the renaming is one-to-one on the names still to be read and
+    fixes the constants, so the verdict stands (module docstring), while
+    blocks of the same shape now meet the same sets and are decided once.
 
     Unless `h` has pop transitions, a stack keeps one frame more than
     the most by which closes outnumber opens over any stretch of the
@@ -500,21 +533,13 @@ def run(
     exhaustive.  `max_depth` caps the stack depth (default: input length
     + state count + 1, which only a pop automaton can reach); a branch
     the cap cuts makes the outcome CUTOFF unless a run accepts.  With
-    `want_trace`, an accepting run is walked back through the sets and
-    replayed on the real tokens with whole stacks.
+    `want_trace`, an accepting run is walked back through the sets by
+    `_closure`'s links, and replayed on the real tokens with whole stacks.
     """
     n = len(tokens)
     if max_depth is None:
         max_depth = n + len(h.states) + 1
-    has_pop = False
-    constants = set(h.eta.values())
-    for ts in h.trans.values():
-        for t in ts:
-            kind = t.label.kind
-            if kind == "push":
-                constants.update(t.sigma.values())
-            elif kind == "pop":
-                has_pop = True
+    constants, has_pop = _constants_and_pops(h)
     # keep[pos]: 1 + the most by which closes outnumber opens over any
     # stretch of tokens[pos:], the frames a close can read
     keep = [1]
@@ -529,6 +554,17 @@ def run(
         keep.append(frames)
     keep.reverse()
     stream = _private_binders_by_level(tokens, constants) if has_open else tokens
+    anywhere = dict.fromkeys(h.states, 0)  # `run` prunes no state
+
+    def advance(configs, pos, links=None):
+        """`_closure` at `pos`; after a `_LevelClose` its level name is dead."""
+        rules = {NoneType: (keep[pos], None, 0)}
+        if pos == n:
+            return _closure(h, configs, END, None, rules, anywhere, has_pop, max_depth, links)
+        tok = stream[pos]
+        rules[type(tok)] = (keep[pos + 1], tok.name if type(tok) is _LevelClose else None, 0)
+        return _closure(h, configs, tok, None, rules, anywhere, has_pop, max_depth, links)
+
     memo: dict = {}
     sets: dict = {}  # one object per configuration set, so the memo compares by identity
     start = initial_config(h)
@@ -539,9 +575,8 @@ def run(
         key = (configs, tok, keep[pos + 1])
         hit = memo.get(key)
         if hit is None:
-            out, _, cut_here = _advance(h, configs, tok, keep[pos], keep[pos + 1],
-                                        has_pop, max_depth)
-            out = frozenset(out)
+            _, reads, cut_here = advance(configs, pos)
+            out = frozenset(reads.get(tok, ()))
             memo[key] = hit = (sets.setdefault(out, out), cut_here)
         configs, cut_here = hit
         cut = cut or cut_here
@@ -549,45 +584,27 @@ def run(
             return RunResult(CUTOFF if cut else REJECT)
         if want_trace:
             entries.append(configs)
-    _, closure, cut_here = _advance(h, configs, END, keep[n], keep[n], has_pop, max_depth)
-    if not any(state in h.finals for state, _ in closure):
+    closure, _, cut_here = advance(configs, n)
+    cfg = next((c for c in closure if c[0] in h.finals), None)
+    if cfg is None:
         return RunResult(CUTOFF if cut or cut_here else REJECT)
-    trace = None
-    if want_trace:
-        trace = _replay(h, tokens, start,
-                        _accepting_path(h, stream, entries, keep, has_pop, max_depth))
-    return RunResult(ACCEPT, trace)
-
-
-def _accepting_path(h: Hds, stream, entries: list, keep: list, has_pop: bool,
-                    max_depth: int) -> list:
-    """The transitions of an accepting run, walked back through the sets.
-
-    `entries[pos]` is the set the search held at `pos`; every
-    configuration in it is reachable, so from a final configuration at
-    the end, each position's closure leads back to one configuration of
-    the set before.
-    """
-    n = len(stream)
+    if not want_trace:
+        return RunResult(ACCEPT)
+    # every configuration of entries[pos] is reachable, so from a final
+    # configuration at the end, each position's closure leads back to one
+    # configuration of the set before
     path: list = []
-    want = None  # the configuration to reach at this position
     for pos in range(n, -1, -1):
         links: dict = {}
-        reads: dict = {}
-        tok = stream[pos] if pos < n else END
-        _, closure, _ = _advance(h, entries[pos], tok, keep[pos], keep[min(pos + 1, n)],
-                                 has_pop, max_depth, links, reads)
-        if want is None:
-            cfg = next(c for c in closure if c[0] in h.finals)
-        else:
-            cfg, t = reads[want]
+        advance(entries[pos], pos, links)
+        if pos < n:
+            cfg, t = links[stream[pos], cfg]
             path.append(t)
         while cfg in links:
             cfg, t = links[cfg]
             path.append(t)
-        want = cfg
     path.reverse()
-    return path
+    return RunResult(ACCEPT, _replay(h, tokens, start, path))
 
 
 def _replay(h: Hds, tokens: tuple[Tok, ...], start: Config, path: list) -> list:
@@ -609,7 +626,7 @@ def _replay(h: Hds, tokens: tuple[Tok, ...], start: Config, path: list) -> list:
 
 
 class Undecided(Exception):
-    """`run` cut a still-live branch at its depth cap and found no accepting run."""
+    """A search cut a still-live branch at its depth cap, so it has no exact answer."""
 
 
 def accepts(h: Hds, tokens: tuple[Tok, ...]) -> bool:
@@ -665,12 +682,12 @@ def language_slice(h: Hds, bound: int) -> frozenset[MWord]:
     private ones: an open at depth d allocates the level name of d, which
     no constant and no frame value equals, and at the binder's close that
     name becomes `DEAD` in every frame.  One memo per call, keyed on
-    (configuration set, open depth, tokens left), holds what a node's set
-    closes to under non-consuming moves: whether the closure has a final
-    state at open depth 0, and the node each token read from it leads to.
-    Prefixes that reach the same set share that work, and a prefix is
-    never hashed.  A final prefix is parsed and canonicalized once: no
-    other prefix spells the same token stream.
+    (configuration set, open depth, tokens left), holds what `_closure`
+    makes of a node's set: whether the closure has a final state at open
+    depth 0, and the node each token read from it leads to.  Prefixes
+    that reach the same set share that work, and a prefix is never
+    hashed.  A final prefix is parsed and canonicalized once: no other
+    prefix spells the same token stream.
 
     A configuration is dropped when the tokens left under the bound
     cannot both close its open binders and take its state to a final
@@ -679,13 +696,14 @@ def language_slice(h: Hds, bound: int) -> frozenset[MWord]:
     frame more than its open depth: the rest of an accepted word closes
     those binders and never outnumbers its own opens with its closes.
     So the walk is exhaustive; with pop transitions, stacks deeper than
-    the bound + state count + 1 are dropped, as `run` caps them.
+    the bound + state count + 1 are cut, as `run` cuts them, and a cut
+    raises `Undecided`.
     """
     if bound < 0:
         raise ValueError("bound must be non-negative")
     max_depth = bound + len(h.states) + 1
+    _, has_pop = _constants_and_pops(h)
     need = steps_to_final(h)
-    has_pop = any(t.label.kind == "pop" for _, t in h.transitions())
     memo: dict = {}
 
     def expand(node):
@@ -694,48 +712,24 @@ def language_slice(h: Hds, bound: int) -> frozenset[MWord]:
         if hit is not None:
             return hit
         configs, depth, left = node
-        fresh = _level(depth)[1]
-        final = False
-        reads: dict[tuple, set] = {}  # (token, open depth) -> configurations after it
-        seen = set(configs)
-        frontier = list(configs)
-        while frontier:
-            state, stk = frontier.pop()
-            if state in h.finals and depth == 0:
-                final = True
-            if left:
-                moves = step(h, state, stk, None, fresh)
-            else:
-                moves = step(h, state, stk, END)
-            for t, tok_read, stk2 in moves:
-                depth2, left2 = depth, left
-                if tok_read is not None:
-                    left2 = left - 1
-                    if tok_read is TCLOSE:
-                        if depth == 0:
-                            continue
-                        depth2 = depth - 1
-                    elif isinstance(tok_read, TOpen):
-                        depth2 = depth + 1
-                if max(need.get(t.target, left2 + 1), depth2) > left2:
-                    continue
-                if not has_pop:
-                    # a word ends with no binder open, so closes can outnumber
-                    # opens over the rest of it by the open binders at most
-                    stk2 = stk2[: depth2 + 1]
-                if len(stk2) > max_depth:
-                    continue
-                if tok_read is TCLOSE:
-                    stk2 = _forget(stk2, _level(depth2)[1])
-                cfg2 = (t.target, stk2)
-                if tok_read is not None:
-                    reads.setdefault((tok_read, depth2), set()).add(cfg2)
-                elif cfg2 not in seen:
-                    seen.add(cfg2)
-                    frontier.append(cfg2)
-        succ = [
-            (tok, (frozenset(cfgs), depth2, left - 1))
-            for (tok, depth2), cfgs in reads.items()
+        # a move keeps one frame more than the open depth after it, and it
+        # must leave tokens enough to take its target to a final state (the
+        # budget) and to close the binders still open (the depth tests)
+        rules = {NoneType: (depth + 1, None, left)}
+        if depth < left:
+            rules[Name] = rules[Letter] = (depth + 1, None, left - 1)
+        if depth + 1 < left:
+            rules[TOpen] = (depth + 2, None, left - 1)
+        if depth:
+            rules[TClose] = (depth, _level(depth - 1)[1], left - 1)
+        closure, reads, cut = _closure(h, configs, None if left else END, _level(depth)[1],
+                                       rules, need, has_pop, max_depth)
+        if cut:
+            raise Undecided("the slice reached its depth cap and may miss words")
+        final = depth == 0 and any(state in h.finals for state, _ in closure)
+        succ = [  # a token's rule keeps one frame more than the open depth after it
+            (tok, (frozenset(group), rules[type(tok)][0] - 1, left - 1))
+            for tok, group in reads.items()
         ]
         memo[node] = hit = (final, succ)
         return hit

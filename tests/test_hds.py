@@ -511,6 +511,31 @@ def test_accepts_raises_where_the_search_is_cut():
         accepts_word(h, parse_word("<#a. ^ > #k"))
 
 
+def test_slice_raises_where_the_search_is_cut(tmp_path, capsys):
+    # a pop automaton whose push loop only the depth cap ends, before any
+    # word is read: the slice cannot say that #n is all there is
+    from nomlang import hds_format
+    from nomlang.cli import main
+
+    states = {"q0": frozenset({x}), "q1": frozenset({x}), "q2": frozenset()}
+    trans = {
+        "q0": (Transition(L_PUSH, "q0", NM({x: x})),
+               Transition(lname(x), "q1", NM({x: x}))),
+        "q1": (Transition(L_POP, "q2", NM({})),),
+        "q2": (),
+    }
+    h = Hds(states, "q0", {x: n}, frozenset({"q2"}), trans)
+    assert validate(h) == []
+    with pytest.raises(Undecided):
+        language_slice(h, 3)
+    with pytest.raises(Undecided):
+        brute_slice(h, 3, frozenset({n}))
+    path = tmp_path / "loop.hds"
+    path.write_text(hds_format.serialize(h))
+    assert main(["enumerate", str(path), "--bound", "3"]) == 3
+    assert capsys.readouterr().out.startswith("UNDECIDED")
+
+
 # -- dead-frame truncation -----------------------------------------------------
 
 def _words_and_near_misses(h, bound):
@@ -594,13 +619,18 @@ def test_search_keeps_one_frame_more_than_the_open_depth(monkeypatch):
     depth = max(itertools.accumulate(
         isinstance(t, TOpen) - (t is TCLOSE) for t in tokens))
     seen = []
-    monkeypatch.setattr(hds, "step", lambda h, q, stk, tok: seen.append(len(stk))
-                        or step(h, q, stk, tok))
+    monkeypatch.setattr(hds, "step", lambda h, q, stk, *rest: seen.append(len(stk))
+                        or step(h, q, stk, *rest))
     assert run(h, tokens).outcome == ACCEPT
     assert depth == 2 and len(tokens) == 1152
     # a close reads one frame below the top, and in a balanced word the
     # closes ahead never outnumber the opens ahead by more than the open
     # depth; one frame per close left would be up to 129 frames here
+    assert max(seen) <= depth + 1
+    # the slice keeps one frame more than its open depth, and a word of at
+    # most 24 tokens holds one block, whose open depth is 2
+    seen.clear()
+    assert alpha_canonical(parse_word(block)) in language_slice(h, 24)
     assert max(seen) <= depth + 1
 
 
