@@ -16,6 +16,8 @@ named after a pool name that occurs free), the automaton's `run` must
 never say CUTOFF, and its verdict must equal that of the referee
 `oracle.naive_run`, which keeps every frame, renames no binder and
 fires a push transition at most once between two consumed tokens.
+Each of these M words and raw spellings, rendered, must parse back to
+its own token row.
 Prints every mismatch and a summary line.
 
 Usage: python3 scripts/random_campaign.py --count 500 --depth 4 --bound 7
@@ -36,8 +38,8 @@ from nomlang.hds import CUTOFF, language_slice, run, validate
 from nomlang.monoids import SORTS, canon_g, canon_l, canon_s, quot_gl, quot_ls, quot_mg
 from nomlang.oracle import naive_run, near_misses, random_regex
 from nomlang.regex import enumerate_slice, member
-from nomlang.syntax import render_regex, render_word
-from nomlang.words import TCLOSE, TOpen, support, tokenize
+from nomlang.syntax import parse_word, render_regex, render_word
+from nomlang.words import TCLOSE, MWord, TOpen, support, tokenize
 
 
 MEMBER_SAMPLE = 3  # words per sort per expression on which `member` is checked
@@ -85,6 +87,18 @@ def raw_spellings(w, pool: list) -> list[tuple]:
     if free:
         out.append(renamed(tokens, lambda i, old: free[0] if i == 0 else old))
     return out
+
+
+def check_spellings(w, pool: list, where: str) -> int:
+    """Mismatches of `parse_word` on the rendered `w` and its raw
+    spellings: each must read back as the token row it renders."""
+    bad = 0
+    for tokens in [tokenize(w)] + raw_spellings(w, pool):
+        text = render_word(MWord(tokens))
+        if parse_word(text).tokens != tokens:
+            bad += 1
+            print(f"SPELLING {where}: {text}")
+    return bad
 
 
 def check_truncation(h, w, pool: list, where: str) -> tuple[int, int, int]:
@@ -158,8 +172,9 @@ def run_campaign(cfg: CampaignConfig) -> int:
                     mismatches += 1
                     print(f"MEMBER {sort} #{i}: {render_regex(e)}: {render_word(ops.to_mword(w))}")
                 if sort == "M":
-                    bad, cut, streams = check_truncation(
-                        h, w, pool, f"#{i}: {render_regex(e)}")
+                    where = f"#{i}: {render_regex(e)}"
+                    mismatches += check_spellings(w, pool, where)
+                    bad, cut, streams = check_truncation(h, w, pool, where)
                     mismatches += bad
                     undecided += cut
                     checked += streams

@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .words import alpha_canonical, tokenize
 from .syntax import ParseError, parse_nre, parse_word, render_word
 from .regex import enumerate_slice
 from .monoids import SORTS
@@ -65,7 +64,7 @@ def cmd_accept(args) -> int:
         raise ValueError("--fuel must be at least 1: the initial frame takes one")
     h = _load_hds(args.automaton)
     w = parse_word(args.word)
-    tokens = tokenize(alpha_canonical(w))
+    tokens = automata.word_stream(h, w)
     result = automata.run(h, tokens, max_depth=args.fuel, want_trace=args.trace)
     if result.outcome == automata.ACCEPT:
         print("ACCEPT")

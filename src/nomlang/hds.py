@@ -33,10 +33,11 @@ input -- one whose name is no constant, is opened once and occurs only
 inside its scope -- to them before it searches.  A run commutes with
 every renaming that fixes the automaton's constants (eta values and
 push-sigma values), and a name the rest of the input never holds can be
-forgotten, so the renaming changes no verdict.  A canonical word names
-every binder apart (`~0, ~1, ...`); renamed, its blocks of the same
-shape meet the same sets, and the memo decides every block after the
-first.
+forgotten, so the renaming changes no verdict.  `word_stream`, on which
+`accepts_word` and the CLI decide a word, names every binder apart from
+the other binders, the free names and the constants, so every binder
+of a word is private; renamed, its blocks of the same shape meet the
+same sets, and the memo decides every block after the first.
 
 In an automaton without pop transitions (every compiled one) only a
 close move reads below the top of the stack, and it reads one frame
@@ -65,7 +66,9 @@ from types import NoneType
 from typing import Iterable, Optional
 
 from .names import Letter, Name, STAR
-from .words import MWord, TClose, TCLOSE, TOpen, Tok, alpha_canonical, parse_tokens
+from .words import (
+    MWord, TClose, TCLOSE, TOpen, Tok, alpha_canonical, alpha_key, from_key, parse_tokens,
+)
 
 
 class NameMap:
@@ -585,18 +588,21 @@ def run(
         if want_trace:
             entries.append(configs)
     closure, _, cut_here = advance(configs, n)
-    cfg = next((c for c in closure if c[0] in h.finals), None)
-    if cfg is None:
+    finals = [c for c in closure if c[0] in h.finals]
+    if not finals:
         return RunResult(CUTOFF if cut or cut_here else REJECT)
     if not want_trace:
         return RunResult(ACCEPT)
     # every configuration of entries[pos] is reachable, so from a final
     # configuration at the end, each position's closure leads back to one
-    # configuration of the set before
+    # configuration of the set before; the trace takes the least final
+    # configuration and explores each set in order, so no hash seed
+    # changes it
+    cfg = min(finals, key=_config_order)
     path: list = []
     for pos in range(n, -1, -1):
         links: dict = {}
-        advance(entries[pos], pos, links)
+        advance(sorted(entries[pos], key=_config_order), pos, links)
         if pos < n:
             cfg, t = links[stream[pos], cfg]
             path.append(t)
@@ -605,6 +611,13 @@ def run(
             path.append(t)
     path.reverse()
     return RunResult(ACCEPT, _replay(h, tokens, start, path))
+
+
+def _config_order(cfg: Config) -> tuple:
+    """A configuration's place in an order that no hash seed changes:
+    its state, then its frames' labels."""
+    state, stk = cfg
+    return state, tuple(map(repr, stk))
 
 
 def _replay(h: Hds, tokens: tuple[Tok, ...], start: Config, path: list) -> list:
@@ -637,9 +650,25 @@ def accepts(h: Hds, tokens: tuple[Tok, ...]) -> bool:
     return outcome == ACCEPT
 
 
+def word_stream(h: Hds, w: MWord) -> tuple[Tok, ...]:
+    """The stream on which `h` decides the word `w`.
+
+    It is the canonical tokenization of `w`, with every binder named
+    apart from the free names of `w` and from the automaton's constants.
+    So an open binds a name fresh for the whole configuration, as in
+    history-dependent automata, and no name move for a constant reads a
+    bound occurrence.
+    """
+    constants, _ = _constants_and_pops(h)
+    key = alpha_key(w)
+    # `from_key` names binders apart from the free names of its key, so
+    # the constants, put after the word as free names, are avoided too
+    return from_key(key + tuple(constants)).tokens[:len(key)]
+
+
 def accepts_word(h: Hds, w: MWord) -> bool:
-    """Acceptance of a word, decided on its canonical tokenization."""
-    return accepts(h, alpha_canonical(w).tokens)
+    """Acceptance of a word, decided on `word_stream`."""
+    return accepts(h, word_stream(h, w))
 
 
 # ---------------------------------------------------------------------------

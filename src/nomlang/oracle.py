@@ -130,9 +130,13 @@ def brute_slice(
     """Accepted words up to the bound, by checking every balanced stream.
 
     Every stream over the pool is parsed to a candidate word, and
-    membership is decided on the candidate's canonical tokenization --
-    the same convention `accepts_word` uses, since acceptance of a raw
-    stream may depend on which representative of the word it spells.
+    membership is decided on the candidate's canonical tokenization,
+    since acceptance of a raw stream may depend on which representative
+    of the word it spells.  `accepts_word` also names the binders apart
+    from the automaton's constants (`hds.word_stream`), so the two may
+    differ where a canonical binder name is a constant: on an automaton
+    that pushes ``~0`` and reads it inside a binder, this lists
+    ``<#~0. #~0 >`` and `accepts_word` rejects it.
     The pool must be large enough to spell every candidate (at least
     the automaton's free names plus the maximal number of simultaneously
     visible distinct names).  Exponential in the bound; use only at tiny

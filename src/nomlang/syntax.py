@@ -4,6 +4,15 @@ Words: letters are bare identifiers, names are identifiers prefixed
 with ``#``, a binder is written ``<#n. ... >``, juxtaposition is
 concatenation and ``^`` is the empty word, e.g. ``<#n. #m #n >``.
 
+A word is lexed by one pattern, whose `findall` returns the text's
+pieces in C: a whole binder open ``<#n.``, a name, a letter or ``>``,
+with white space and ``^`` skipped.  Each distinct piece becomes its
+interned token once per call, and one pass over the tokens checks that
+the binders balance.  Only an ill-formed word is lexed again, token by
+token with positions, by the lexer that expressions use, so that its
+first fault is reported where it is; a bad character comes before any
+other fault.
+
 Regular expressions reuse the word syntax and add ``1``, ``0``, ``+``
 (sum, lowest precedence), ``*`` (iteration, highest) and parentheses.
 Expression files (extension ``.nre``) start with a letter declaration
@@ -13,10 +22,11 @@ such as ``letters a b ENCR;`` followed by the expression.
 from __future__ import annotations
 
 import re
+from typing import NoReturn
 
 from .names import Letter, Name
 from . import regex as rx
-from .words import TCLOSE, MWord, TOpen
+from .words import TCLOSE, MWord, TOpen, Tok
 
 
 class ParseError(ValueError):
@@ -91,31 +101,70 @@ class _Cursor:
 # ---------------------------------------------------------------------------
 # Words
 
+# The pieces of a word: a whole binder open (white space allowed inside),
+# a name, a letter, or any other character but white space and `^`, which
+# `findall` skips.  A well-formed word's pieces are opens, names, letters
+# and `>`; any other piece is a fault.
+_WORD_RE = re.compile(r"<\s*#[A-Za-z0-9_~$]+\s*\.|#[A-Za-z0-9_~$]+|[A-Za-z_][A-Za-z0-9_]*|[^\s^]")
+
+
+def _word_token(piece: str) -> Tok | None:
+    """The token a piece of a word stands for; None for a fault."""
+    if len(piece) > 1:  # an open, a name or a letter
+        if piece[0] == "<":
+            return TOpen(Name(piece[1:-1].strip()[1:]))
+        if piece[0] == "#":
+            return Name(piece[1:])
+        return Letter(piece)
+    if piece == ">":
+        return TCLOSE
+    return Letter(piece) if piece.isascii() and piece.isidentifier() else None
+
+
 def parse_word(text: str) -> MWord:
-    end = len(text)
-    toks = iter(_lex(text))
-    out = []
+    """The word `text` spells.
+
+    One `findall` cuts the text into its pieces in C, and a table local
+    to the call makes each distinct piece a token once.  One pass over
+    the tokens checks that the binders balance.  Only an ill-formed word
+    is lexed again, with positions, to report its fault (`_word_fault`).
+    """
+    pieces = _WORD_RE.findall(text)
+    table = {piece: _word_token(piece) for piece in set(pieces)}
+    if None in table.values():
+        _word_fault(text)
+    toks = tuple(map(table.__getitem__, pieces))
     depth = 0  # open binders
+    for t in toks:
+        if t is TCLOSE:
+            if not depth:
+                _word_fault(text)
+            depth -= 1
+        elif type(t) is TOpen:
+            depth += 1
+    if depth:
+        _word_fault(text)
+    return MWord(toks)
+
+
+def _word_fault(text: str) -> NoReturn:
+    """Raise the `ParseError` of an ill-formed word: its first fault, where it is."""
+    end = len(text)
+    toks = iter(_lex(text))  # a bad character is reported before any other fault
+    depth = 0
     for kind, tok, pos in toks:
-        if kind == "name":
-            out.append(Name(tok[1:]))
-        elif kind == "ident":
-            out.append(Letter(tok))
-        elif kind == "<":
-            n = _expect(next(toks, None), "name", end)[1]
+        if kind == "<":
+            _expect(next(toks, None), "name", end)
             _expect(next(toks, None), ".", end)
-            out.append(TOpen(Name(n[1:])))
             depth += 1
         elif kind == ">" and depth:
-            out.append(TCLOSE)
             depth -= 1
         elif kind == ">":
             raise ParseError(f"unexpected {tok!r}", pos)
-        elif kind != "^":
+        elif kind not in ("name", "ident", "^"):
             raise ParseError(f"unexpected {tok!r} in word", pos)
-    if depth:
-        raise ParseError("unexpected end of input", end)
-    return MWord(tuple(out))
+    # the one fault left: a binder still open at the end
+    raise ParseError("unexpected end of input", end)
 
 
 def render_word(w: MWord) -> str:

@@ -23,6 +23,19 @@ def hds_file(tmp_path, expr_file):
     return str(out)
 
 
+ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
+
+
+def _stdout_per_hash_seed(script, seeds):
+    """The standard output of `script`, run in a fresh interpreter per hash seed."""
+    outs = []
+    for seed in seeds:
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=os.path.join(ROOT, "src"))
+        outs.append(subprocess.run([sys.executable, "-c", script], env=env,
+                                   capture_output=True, check=True).stdout)
+    return outs
+
+
 def test_compile_writes_parseable_automaton(hds_file):
     from nomlang import hds_format
     from nomlang.hds import validate
@@ -71,6 +84,37 @@ def test_accept_trace(hds_file, capsys):
     assert main(["accept", hds_file, "--trace", "#m <#n. #m #n > <#n. #m #n >"]) == 0
     last = capsys.readouterr().out.splitlines()[-1]
     assert " @9 [_|_ :: _|_]  via " in last
+
+
+def test_accept_trace_does_not_depend_on_the_hash_seed(tmp_path):
+    # two final configurations and two ways to reach each: the trace
+    # takes the same one in every process
+    expr = tmp_path / "aa.nre"
+    expr.write_text("letters a;\n( a + a ) ( a + a )\n")
+    automaton = str(tmp_path / "aa.hds")
+    assert main(["compile", str(expr), automaton]) == 0
+    script = (
+        "from nomlang.cli import main\n"
+        f"main(['accept', {automaton!r}, 'a a', '--trace'])\n"
+    )
+    outs = _stdout_per_hash_seed(script, ("0", "1", "2", "3"))
+    assert len(set(outs)) == 1
+    assert outs[0].startswith(b"ACCEPT\n")
+
+
+def test_accept_names_binders_apart_from_the_constants(tmp_path, capsys):
+    # the word binds a name of its own, so the free #~0 of the expression
+    # cannot read it, however the binder is spelled
+    expr = tmp_path / "free0.nre"
+    expr.write_text("<#n. #~0 >\n")
+    automaton = str(tmp_path / "free0.hds")
+    assert main(["compile", str(expr), automaton]) == 0
+    capsys.readouterr()
+    assert main(["accept", automaton, "<#~0. #~0 >"]) == 1
+    assert main(["accept", automaton, "<#a. #~0 >", "--trace"]) == 0
+    assert main(["accept", automaton, "<#~0. #~1 >"]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "REJECT" and out[1] == "ACCEPT" and out[-1] == "REJECT"
 
 
 def test_accept_rejects_malformed_word(hds_file, capsys):
@@ -148,19 +192,13 @@ def test_accept_deeply_nested_word_rejects(tmp_path, capsys):
 
 def test_enumerate_output_does_not_depend_on_the_hash_seed():
     # tokens hash by identity; no slice may come out in a seed's order
-    root = os.path.join(os.path.dirname(__file__), os.pardir)
-    src = os.path.join(root, "expressions", "ns_protocol.nre")
+    src = os.path.join(ROOT, "expressions", "ns_protocol.nre")
     script = (
         "from nomlang.cli import main\n"
         "for s in 'MGLS':\n"
         f"    main(['enumerate', {src!r}, '--bound', '40', '--sort', s])\n"
     )
-    outs = []
-    for seed in ("0", "1"):
-        env = dict(os.environ, PYTHONHASHSEED=seed,
-                   PYTHONPATH=os.path.join(root, "src"))
-        outs.append(subprocess.run([sys.executable, "-c", script], env=env,
-                                   capture_output=True, check=True).stdout)
+    outs = _stdout_per_hash_seed(script, ("0", "1"))
     assert outs[0] == outs[1]
     # each sort: the empty word, one run of the protocol and two
     assert outs[0].count(b"^\n") == 4

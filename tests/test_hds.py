@@ -430,6 +430,22 @@ def test_slice_allocates_a_name_apart_from_the_push_constants():
     assert brute_slice(h, 4, POOL) - got == {parse_word("<#~0. #~0 >")}
 
 
+def test_accepts_word_names_binders_apart_from_the_constants():
+    # `<#~0. #~0 >` is `<#a. #a >`, which the free #~0 of the expression
+    # cannot read
+    h = compile_regex(parse_regex("<#n. #~0 >", set()))
+    assert not accepts_word(h, parse_word("<#~0. #~0 >"))
+    assert accepts_word(h, parse_word("<#a. #~0 >"))
+    # on the push constant ~0 the word-level verdicts are the slice's,
+    # while `brute_slice`, deciding raw canonical streams as `run` does,
+    # lists one word more
+    h = _push_constant_hds()
+    got = language_slice(h, 4)
+    candidates = brute_slice(h, 4, POOL)
+    assert candidates > got
+    assert {w for w in candidates if accepts_word(h, w)} == got
+
+
 def _raw(text):
     return tokenize(parse_word(text))  # the word's own binder names, not canonical ones
 

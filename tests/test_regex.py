@@ -56,6 +56,10 @@ def test_undeclared_letter_rejected():
     (parse_word, "<#n #n >", "expected '.', found '#n'", 4),
     (parse_word, "#m > a", "unexpected '>'", 3),
     (parse_word, "a + b", "unexpected '+' in word", 2),
+    (parse_word, "# n", "unexpected character '#'", 0),  # a bare `#` is no name
+    (parse_word, "a > $", "unexpected character '$'", 4),  # lexing fails before parsing
+    (parse_word, "<#n. #n > >", "unexpected '>'", 10),
+    (parse_word, "< #n . a", "unexpected end of input", 8),
     (parse_regex, "#m $", "unexpected character '$'", 3),
     (parse_regex, "> $", "unexpected character '$'", 2),  # lexing fails before parsing
     (parse_regex, "<#n", "unexpected end of input", 3),
