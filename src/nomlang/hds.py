@@ -16,10 +16,12 @@ read, cap the stack depth, and kill the name of a binder just closed.
 `run` holds, at each input position, the set of configurations the
 moves reading the tokens so far lead to, and one memo per call maps
 (set, token, frames kept) to the next set.  `language_slice` walks the
-tree of emitted prefixes: each prefix holds the set of configurations
-that generate it, and a memo keyed on that set (with the open depth and
-the tokens left) computes each set's closure and token successors once;
-each accepted word is canonicalized once.
+tree of emitted prefixes one length at a time: each prefix holds the set
+of configurations that generate it, and the prefixes of one length are
+grouped by that set (with the open depth), so each set's closure and
+token successors are computed once per length.  The walk emits keys
+(`words.alpha_key`), not tokens, so no word is parsed or canonicalized,
+and each accepted word is decoded once.
 
 Both searches name binders one way, after their open depth.  A binder
 opened at depth d takes the level name of d, which no input name and
@@ -67,8 +69,9 @@ from typing import Iterable, Optional
 
 from .names import Letter, Name, STAR
 from .words import (
-    MWord, TClose, TCLOSE, TOpen, Tok, alpha_canonical, alpha_key, from_key, parse_tokens,
+    KEY_CLOSE, KEY_OPEN, MWord, TClose, TCLOSE, TOpen, Tok, alpha_key, from_key,
 )
+from .words import alpha_canonical, parse_tokens  # unused; perfbench's tracer patches them here
 
 
 class NameMap:
@@ -382,6 +385,7 @@ DEAD = STAR
 
 # _levels[d]: the open, the name and the close of a binder at open depth d
 _levels: list[tuple[TOpen, Name, _LevelClose]] = []
+_level_of: dict[Name, int] = {}  # level name -> its depth
 
 
 def _level(d: int) -> tuple[TOpen, Name, _LevelClose]:
@@ -391,6 +395,7 @@ def _level(d: int) -> tuple[TOpen, Name, _LevelClose]:
         object.__setattr__(nm, "label", f"level{len(_levels)}")
         close = object.__new__(_LevelClose)
         object.__setattr__(close, "name", nm)
+        _level_of[nm] = len(_levels)
         _levels.append((TOpen(nm), nm, close))
     return _levels[d]
 
@@ -443,7 +448,8 @@ def _forget(stk: Stack, nm: Name) -> Stack:
 
 
 def _closure(h: Hds, configs, tok, fresh: Optional[Name], rules: dict, need: dict,
-             has_pop: bool, max_depth: int, links: Optional[dict] = None):
+             has_pop: bool, max_depth: int, links: Optional[dict] = None,
+             moves: Optional[dict] = None):
     """The closure of `configs` under the moves that read nothing, and
     the configurations the moves out of it reach, per token read.
 
@@ -457,7 +463,8 @@ def _closure(h: Hds, configs, tok, fresh: Optional[Name], rules: dict, need: dic
     (closure, reached per token, whether the cap cut a move).  With
     `links`, a configuration the closure adds maps there to the
     (configuration, transition) it came from, and one a token reaches
-    does so under (token, configuration).
+    does so under (token, configuration).  With `moves`, a configuration
+    maps there to `step`'s moves out of it for this `tok` and `fresh`.
     """
     seen = set(configs)
     frontier = list(configs)
@@ -467,7 +474,13 @@ def _closure(h: Hds, configs, tok, fresh: Optional[Name], rules: dict, need: dic
     while frontier:
         cfg = frontier.pop()
         state, stk = cfg
-        for t, tok_read, stk2 in step(h, state, stk, tok, fresh):
+        if moves is None:
+            enabled = step(h, state, stk, tok, fresh)
+        else:
+            enabled = moves.get(cfg)
+            if enabled is None:
+                moves[cfg] = enabled = step(h, state, stk, tok, fresh)
+        for t, tok_read, stk2 in enabled:
             rule = silent if tok_read is None else rules.get(type(tok_read))
             if rule is None:
                 continue
@@ -701,22 +714,26 @@ def steps_to_final(h: Hds) -> dict[str, int]:
     return need
 
 
-def language_slice(h: Hds, bound: int) -> frozenset[MWord]:
-    """Canonical words of token length at most `bound` accepted by `h`.
+_KEY_BRACKETS = {TOpen: KEY_OPEN, TClose: KEY_CLOSE}
 
-    Walks the tree of emitted prefixes, determinizing on the fly as the
-    subset construction does.  A prefix node holds the set of
-    (state, stack) configurations that `step` reaches while generating
-    that prefix, and its open depth.  Binders are named as `run` names
-    private ones: an open at depth d allocates the level name of d, which
-    no constant and no frame value equals, and at the binder's close that
-    name becomes `DEAD` in every frame.  One memo per call, keyed on
-    (configuration set, open depth, tokens left), holds what `_closure`
-    makes of a node's set: whether the closure has a final state at open
-    depth 0, and the node each token read from it leads to.  Prefixes
-    that reach the same set share that work, and a prefix is never
-    hashed.  A final prefix is parsed and canonicalized once: no other
-    prefix spells the same token stream.
+
+def _language_keys(h: Hds, bound: int) -> set:
+    """The keys (`words.alpha_key`) of the words of token length at most
+    `bound` accepted by `h`.
+
+    Walks the tree of emitted prefixes one length at a time,
+    determinizing on the fly as the subset construction does.  A prefix
+    node holds the set of (state, stack) configurations that `step`
+    reaches while generating that prefix, and its open depth.  Binders
+    are named as `run` names private ones: an open at depth d allocates
+    the level name of d, which no constant and no frame value equals, and
+    at the binder's close that name becomes `DEAD` in every frame.  The
+    prefixes of one length are grouped by node, and `_closure` expands
+    each node once: a node is final if its closure has a final state at
+    open depth 0, and each token read from it extends all its prefixes by
+    the token's key element.  A level name read at depth d is the index
+    d - 1 - level, so a final prefix is already the key of its word.  One
+    memo per call holds `step`'s moves out of each configuration.
 
     A configuration is dropped when the tokens left under the bound
     cannot both close its open binders and take its state to a final
@@ -733,43 +750,51 @@ def language_slice(h: Hds, bound: int) -> frozenset[MWord]:
     max_depth = bound + len(h.states) + 1
     _, has_pop = _constants_and_pops(h)
     need = steps_to_final(h)
-    memo: dict = {}
+    moves: dict = {}  # (token, fresh name) -> {configuration: `step`'s moves}
+    out: set = set()
+    start, _, stk = initial_config(h)
+    nodes = {(frozenset({(start, stk)}), 0): [()]}  # node -> its key prefixes of one length
+    left = bound  # the tokens left under the bound; at 0 no token is read
+    while nodes:
+        grown: dict = {}
+        for (configs, depth), prefixes in nodes.items():
+            # a move keeps one frame more than the open depth after it, and it
+            # must leave tokens enough to take its target to a final state (the
+            # budget) and to close the binders still open (the depth tests)
+            rules = {NoneType: (depth + 1, None, left)}
+            if depth < left:
+                rules[Name] = rules[Letter] = (depth + 1, None, left - 1)
+            if depth + 1 < left:
+                rules[TOpen] = (depth + 2, None, left - 1)
+            if depth:
+                rules[TClose] = (depth, _level(depth - 1)[1], left - 1)
+            tok = None if left else END
+            fresh = _level(depth)[1]
+            closure, reads, cut = _closure(h, configs, tok, fresh, rules, need, has_pop,
+                                           max_depth, moves=moves.setdefault((tok, fresh), {}))
+            if cut:
+                raise Undecided("the slice reached its depth cap and may miss words")
+            if depth == 0 and any(state in h.finals for state, _ in closure):
+                out.update(prefixes)
+            for read, group in reads.items():
+                # a level name read at depth d is the index d - 1 - level
+                level = _level_of.get(read)
+                elem = (_KEY_BRACKETS.get(type(read), read) if level is None
+                        else depth - 1 - level,)
+                # a token's rule keeps one frame more than the open depth after it
+                node = (frozenset(group), rules[type(read)][0] - 1)
+                more = [p + elem for p in prefixes]
+                have = grown.get(node)
+                if have is None:
+                    grown[node] = more
+                else:
+                    have += more
+        nodes = grown
+        left -= 1
+    return out
 
-    def expand(node):
-        """(final?, [(token, successor node)]) of a prefix node, memoized."""
-        hit = memo.get(node)
-        if hit is not None:
-            return hit
-        configs, depth, left = node
-        # a move keeps one frame more than the open depth after it, and it
-        # must leave tokens enough to take its target to a final state (the
-        # budget) and to close the binders still open (the depth tests)
-        rules = {NoneType: (depth + 1, None, left)}
-        if depth < left:
-            rules[Name] = rules[Letter] = (depth + 1, None, left - 1)
-        if depth + 1 < left:
-            rules[TOpen] = (depth + 2, None, left - 1)
-        if depth:
-            rules[TClose] = (depth, _level(depth - 1)[1], left - 1)
-        closure, reads, cut = _closure(h, configs, None if left else END, _level(depth)[1],
-                                       rules, need, has_pop, max_depth)
-        if cut:
-            raise Undecided("the slice reached its depth cap and may miss words")
-        final = depth == 0 and any(state in h.finals for state, _ in closure)
-        succ = [  # a token's rule keeps one frame more than the open depth after it
-            (tok, (frozenset(group), rules[type(tok)][0] - 1, left - 1))
-            for tok, group in reads.items()
-        ]
-        memo[node] = hit = (final, succ)
-        return hit
 
-    out: set[MWord] = set()
-    state, _, stk = initial_config(h)
-    todo = [((), (frozenset({(state, stk)}), 0, bound))]  # emitted prefix and its node
-    while todo:
-        prefix, node = todo.pop()
-        final, succ = expand(node)
-        if final:
-            out.add(alpha_canonical(parse_tokens(prefix)))
-        todo.extend((prefix + (tok,), node2) for tok, node2 in succ)
-    return frozenset(out)
+def language_slice(h: Hds, bound: int) -> frozenset[MWord]:
+    """Canonical words of token length at most `bound` accepted by `h`:
+    the keys of `_language_keys`, each decoded once."""
+    return frozenset(map(from_key, _language_keys(h, bound)))

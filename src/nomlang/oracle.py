@@ -23,15 +23,17 @@ from .words import (
     TClose,
     TOpen,
     alpha_canonical,
+    from_key,
     parse_tokens,
     support,
     tokenize,
 )
 from .monoids import SORTS, SortOps
 from . import regex as rx
-from .regex import enumerate_slice
+from .regex import enumerate_slice  # unused, as is language_slice; perfbench's tracer patches them
 from .hds import (
-    ACCEPT, CUTOFF, END, REJECT, Hds, NameMap, RunResult, accepts, language_slice, step,
+    ACCEPT, CUTOFF, END, REJECT, Hds, NameMap, RunResult, _language_keys, accepts, language_slice,
+    step,
 )
 
 
@@ -411,18 +413,20 @@ class EquivalenceReport:
 
 
 def check_equivalence(e: rx.Regex, h: Hds, bound: int) -> EquivalenceReport:
-    """Compare the expression's and the automaton's languages up to a bound."""
+    """Compare the expression's and the automaton's languages up to a bound,
+    as sets of M keys; only the differences are decoded."""
     from .syntax import render_regex
 
     t0 = time.monotonic()
-    s1 = enumerate_slice(e, "M", bound).words
-    s2 = language_slice(h, bound)
+    k1 = frozenset(rx._enumerate_keys(e, SORTS["M"], bound))
+    k2 = _language_keys(h, bound)
+    only_regex, only_automaton = k1 - k2, k2 - k1
     return EquivalenceReport(
         expression=render_regex(e),
         bound=bound,
-        passed=s1 == s2,
-        common=len(s1 & s2),
-        only_regex=sorted(s1 - s2, key=repr),
-        only_automaton=sorted(s2 - s1, key=repr),
+        passed=not only_regex and not only_automaton,
+        common=len(k1) - len(only_regex),
+        only_regex=sorted(map(from_key, only_regex), key=repr),
+        only_automaton=sorted(map(from_key, only_automaton), key=repr),
         seconds=time.monotonic() - t0,
     )

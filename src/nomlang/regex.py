@@ -201,17 +201,22 @@ def _drain(buckets: dict[int, set]):
             yield ws.pop()
 
 
+def _enumerate_keys(e: Regex, ops: SortOps, bound: int):
+    """The keys (`ops.keyed`) of the words of `e` with token length at
+    most `bound`, each once."""
+    if bound < 0:
+        raise ValueError("bound must be non-negative")
+    return _drain(_enum(e, ops.keyed, bound))
+
+
 def enumerate_slice(e: Regex, sort: str | SortOps, bound: int) -> LangSlice:
     """All words of the language of `e` with token length at most `bound`.
 
     The sort is enumerated on its keys, and each output key is decoded
     once.
     """
-    if bound < 0:
-        raise ValueError("bound must be non-negative")
     ops = SORTS[sort] if isinstance(sort, str) else sort
-    keys = ops.keyed
-    words = map(keys.to_mword, _drain(_enum(e, keys, bound)))
+    words = map(ops.keyed.to_mword, _enumerate_keys(e, ops, bound))
     return LangSlice(ops.tag, bound, frozenset(words))
 
 

@@ -203,3 +203,13 @@ def test_enumerate_output_does_not_depend_on_the_hash_seed():
     # each sort: the empty word, one run of the protocol and two
     assert outs[0].count(b"^\n") == 4
     assert outs[0].count(b"ENCR") == 4 * (3 + 6)
+
+
+def test_python_dash_m_runs_from_a_checkout():
+    env = dict(os.environ, PYTHONPATH="src")
+    done = subprocess.run(
+        [sys.executable, "-m", "nomlang", "check", "expressions/session_nonce.nre", "--bound", "8"],
+        cwd=ROOT, env=env, capture_output=True, text=True,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("PASS ")

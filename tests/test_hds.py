@@ -35,7 +35,9 @@ from nomlang.hds import (
     validate,
 )
 from nomlang.compiler import compile_regex
-from nomlang.words import TCLOSE, TOpen, alpha_canonical, tokenize
+from nomlang.words import (
+    TCLOSE, TOpen, alpha_canonical, alpha_key, from_key, parse_tokens, tokenize,
+)
 from nomlang.syntax import parse_nre, parse_regex, parse_word, render_word
 from nomlang.oracle import brute_slice, naive_run, near_misses, random_regex
 from nomlang.regex import enumerate_slice
@@ -749,15 +751,50 @@ def test_star_slices_at_bound_seven_are_fast():
         assert got == enumerate_slice(e, "M", 7).words, text
 
 
-def test_slice_canonicalises_each_word_once(monkeypatch):
+def test_slice_decodes_each_word_once(monkeypatch):
+    # the walk emits keys: it decodes each accepted word once, and never
+    # parses or canonicalizes one
     from nomlang import hds
 
-    calls = []
-    monkeypatch.setattr(hds, "alpha_canonical", lambda w: calls.append(w) or alpha_canonical(w))
+    decoded, other = [], []
+    monkeypatch.setattr(hds, "from_key", lambda key: decoded.append(key) or from_key(key))
+    monkeypatch.setattr(hds, "alpha_canonical", lambda w: other.append(w) or alpha_canonical(w))
+    monkeypatch.setattr(hds, "parse_tokens", lambda ts: other.append(ts) or parse_tokens(ts))
     cases = [(compile_regex(parse_regex(text, {"a", "b"})), 5) for text in STAR_EXPRS]
     rng = random.Random(11)
     cases += [(compile_regex(random_regex(rng, NAMES, LETTERS, 4)), 6) for _ in range(50)]
     for h, bound in cases:
-        calls.clear()
+        decoded.clear()
         words = language_slice(h, bound)
-        assert len(calls) == len(words)
+        assert len(decoded) == len(set(decoded)) == len(words)
+        assert other == []
+
+
+def test_slice_keys_are_the_expression_keys():
+    # the walk's keys against an independent referee: the keys of the
+    # expression's own enumeration, on automata with a free ~0 as well
+    from nomlang.hds import _language_keys
+
+    corpus = os.path.dirname(NS_FILE)
+    exprs = []
+    for fname in sorted(os.listdir(corpus)):
+        with open(os.path.join(corpus, fname), encoding="utf-8") as f:
+            exprs.append(parse_nre(f.read())[0])
+    assert len(exprs) == 5
+    exprs += [parse_regex(text, {"a", "b"}) for text in STAR_EXPRS]
+    rng = random.Random(0)
+    exprs += [random_regex(rng, NAMES + [Name("~0")], LETTERS, 4) for _ in range(300)]
+    for e in exprs:
+        want = {alpha_key(w) for w in enumerate_slice(e, "M", 6).words}
+        assert _language_keys(compile_regex(e), 6) == want
+
+
+def test_slice_keys_of_hand_built_automata_decode_to_their_slices():
+    from nomlang.hds import _language_keys
+
+    keys = _language_keys(_push_constant_hds(), 4)
+    assert keys == {alpha_key(parse_word("<#a. #~0 >"))}
+    assert {render_word(from_key(key)) for key in keys} == {"<#~1. #~0 >"}
+    for then_bind, bound in [(False, 4), (True, 6)]:
+        h = _escaping_hds(then_bind)
+        assert set(map(from_key, _language_keys(h, bound))) == brute_slice(h, bound, POOL)

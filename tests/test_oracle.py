@@ -151,3 +151,34 @@ def test_check_equivalence_pass_and_fail():
     assert not report.passed
     assert report.lines()[0].startswith("FAIL")
     assert any("only in" in line for line in report.lines()[1:])
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_check_equivalence_reports_the_word_level_differences(seed):
+    # an expression against another expression's automaton: the report
+    # holds the set differences of the two slices as words, sorted by repr
+    from nomlang.hds import language_slice
+    from nomlang.oracle import EquivalenceReport
+    from nomlang.regex import enumerate_slice
+
+    rng = random.Random(seed)
+    exprs = [random_regex(rng, NAMES, LETTERS, 3) for _ in range(40)]
+    failed = 0
+    for e, other in zip(exprs, exprs[1:] + exprs[:1]):
+        h = compile_regex(other)
+        report = check_equivalence(e, h, 5)
+        s1 = enumerate_slice(e, "M", 5).words
+        s2 = language_slice(h, 5)
+        want = EquivalenceReport(
+            expression=render_regex(e),
+            bound=5,
+            passed=s1 == s2,
+            common=len(s1 & s2),
+            only_regex=sorted(s1 - s2, key=repr),
+            only_automaton=sorted(s2 - s1, key=repr),
+            seconds=report.seconds,
+        )
+        assert report == want
+        assert report.lines() == want.lines()
+        failed += not report.passed
+    assert failed > 20
