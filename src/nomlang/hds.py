@@ -14,8 +14,8 @@ read nothing, groups the moves that read a token by that token, and
 after each move applies one rule -- keep the frames a close can still
 read, cap the stack depth, and kill the name of a binder just closed.
 `run` holds, at each input position, the set of configurations the
-moves reading the tokens so far lead to, and one memo per call maps
-(set, token, frames kept) to the next set.  `language_slice` walks the
+moves reading the tokens so far lead to, and a memo maps (set, token,
+frames kept) to the next set.  `language_slice` walks the
 tree of emitted prefixes one length at a time: each prefix holds the set
 of configurations that generate it, and the prefixes of one length are
 grouped by that set (with the open depth), so each set's closure and
@@ -57,13 +57,29 @@ bound; there the stack depth is capped (input length + state count +
 `language_slice` raises `Undecided`.  Name maps are hash-consed, so the
 stacks the searches memoize hash and compare by identity, and a move
 that leaves the top frame as it is keeps the stack itself.
+
+Each automaton carries one search state, built at its first search
+(`_search_state`): its constants, the letters it reads, whether it
+pops, `steps_to_final`, and `run`'s memo with its table of sets.  It is
+built again when any field the searches read has changed, and it dies
+with the automaton.  The memo is shared across calls only where the
+depth cap cannot cut, in a pop-free automaton with `max_depth` at least
+the frames the call keeps; then a set of words on one automaton decides
+each (set, token, frames) step once.  Elsewhere a call takes a memo of
+its own.  In a shared search a name token that is no constant and that
+no open of the stream binds rejects at once, with no memo entry, since
+no frame can hold it; so does a letter no transition reads, and fresh
+free names never grow the memo.  `language_slice` takes the constants,
+whether the automaton pops and `steps_to_final` from the state, and
+keeps its memo of moves per call.
 """
 
 from __future__ import annotations
 
 import weakref
 from collections import deque
-from dataclasses import dataclass
+from itertools import chain
+from dataclasses import dataclass, field
 from types import NoneType
 from typing import Iterable, Optional
 
@@ -239,6 +255,9 @@ class Hds:
     finals: frozenset[str]
     trans: dict[str, tuple[Transition, ...]]
     relaxed_star: bool = False  # allow several star preimages in sigma
+    # what the searches keep of this automaton between calls (`_search_state`)
+    _search: Optional["_SearchState"] = field(default=None, init=False, repr=False,
+                                              compare=False)
 
     def letters(self) -> frozenset[Letter]:
         return frozenset(
@@ -525,6 +544,53 @@ def _constants_and_pops(h: Hds) -> tuple[set, bool]:
     return constants, has_pop
 
 
+class _SearchState:
+    """What the searches keep of one automaton between calls (module
+    docstring).  `shape` is what they read of it when this was built;
+    `sets` holds one object per configuration set, so `run`'s `memo`
+    compares sets by identity."""
+
+    __slots__ = ("shape", "constants", "has_pop", "need",
+                 "letters", "anywhere", "start", "memo", "sets")
+
+    def __init__(self, h: Hds, shape: tuple):
+        self.shape = shape
+        constants, self.has_pop = _constants_and_pops(h)
+        self.constants = frozenset(constants)
+        self.need = steps_to_final(h)
+        self.memo = None  # `run`'s tables are made at its first call
+
+    def for_run(self, h: Hds) -> "_SearchState":
+        if self.memo is None:
+            self.letters = h.letters()
+            self.anywhere = dict.fromkeys(h.states, 0)  # `run` prunes no state
+            self.start = frozenset({(h.initial, initial_config(h)[2])})
+            self.memo, self.sets = {}, {self.start: self.start}
+        return self
+
+
+def _search_state(h: Hds) -> _SearchState:
+    """The automaton's search state, built again if any field the searches
+    read has changed since it was built, so no verdict is ever stale."""
+    # one flat row of what the searches read: the counts keep its parts apart
+    shape = (h.initial, h.finals, len(h.eta), *chain.from_iterable(h.eta.items()),
+             len(h.states), *h.states, *chain.from_iterable(h.trans.items()))
+    state = h._search
+    if state is None or state.shape != shape:
+        state = h._search = _SearchState(h, shape)
+    return state
+
+
+def _unreadable(tok, state: _SearchState, opened: set) -> bool:
+    """Whether no move can read `tok` in a pop-free search of a stream whose
+    opens bind `opened` (or level names): it is a letter no transition
+    reads, or a name no frame can hold, since frame values come only from
+    eta, push sigma and the opens."""
+    if type(tok) is Name:
+        return tok not in state.constants and tok not in opened and tok not in _level_of
+    return type(tok) is Letter and tok not in state.letters
+
+
 def run(
     h: Hds,
     tokens: tuple[Tok, ...],
@@ -534,10 +600,11 @@ def run(
     """Decide whether `h` accepts the token stream, by a subset construction.
 
     At each input position the search holds the set of (state, stack)
-    configurations that the moves reading the tokens so far lead to.  One
-    memo per call maps (set, token, frames kept after it) to the next
-    set, which `_closure` computes: the set's closure under the moves
-    that read nothing, then the moves that read the token.  First every
+    configurations that the moves reading the tokens so far lead to.  A
+    memo maps (set, token, frames kept after it) to the next set, which
+    `_closure` computes: the set's closure under the moves that read
+    nothing, then the moves that read the token; past the last token it
+    maps the set to the final configurations of its closure.  First every
     private binder takes the name of its open depth, which dies at its
     close: the renaming is one-to-one on the names still to be read and
     fixes the constants, so the verdict stands (module docstring), while
@@ -548,51 +615,67 @@ def run(
     rest of the input: no close can read the others, and the search is
     exhaustive.  `max_depth` caps the stack depth (default: input length
     + state count + 1, which only a pop automaton can reach); a branch
-    the cap cuts makes the outcome CUTOFF unless a run accepts.  With
-    `want_trace`, an accepting run is walked back through the sets by
+    the cap cuts makes the outcome CUTOFF unless a run accepts.
+
+    The memo lives in the automaton's search state (`_search_state`)
+    where the cap cannot cut: on a pop-free automaton, with `max_depth`
+    at least the most frames the call keeps.  Then an entry depends on
+    its key alone, and the calls on one automaton decide each step once;
+    on a pop automaton, or under a lower `max_depth`, the memo is the
+    call's own.  In a shared search a name token that is no constant and
+    that no open of the stream binds, or a letter no transition reads,
+    rejects where it is reached, with no memo entry: no move can read
+    it, and a set of near-misses leaves the memo as it found it.
+
+    With `want_trace`, an accepting run is walked back through the sets by
     `_closure`'s links, and replayed on the real tokens with whole stacks.
     """
     n = len(tokens)
     if max_depth is None:
         max_depth = n + len(h.states) + 1
-    constants, has_pop = _constants_and_pops(h)
+    state = _search_state(h).for_run(h)
+    has_pop = state.has_pop
     # keep[pos]: 1 + the most by which closes outnumber opens over any
-    # stretch of tokens[pos:], the frames a close can read
-    keep = [1]
+    # stretch of tokens[pos:], the frames a close can read; past the end,
+    # and after END, only the top frame
+    keep = [1, 1]
     frames = 1
-    has_open = False
+    opened = set()  # the names the input's opens bind
     for tok in reversed(tokens):
         if type(tok) is TOpen:
-            has_open = True
+            opened.add(tok.name)
             frames = max(1, frames - 1)
         elif isinstance(tok, TClose):
             frames += 1
         keep.append(frames)
     keep.reverse()
-    stream = _private_binders_by_level(tokens, constants) if has_open else tokens
-    anywhere = dict.fromkeys(h.states, 0)  # `run` prunes no state
+    stream = (_private_binders_by_level(tokens, state.constants) if opened
+              else tuple(tokens)) + (END,)
+    shared = not has_pop and max_depth >= max(keep)
+    memo, sets = (state.memo, state.sets) if shared else ({}, {})
 
     def advance(configs, pos, links=None):
-        """`_closure` at `pos`; after a `_LevelClose` its level name is dead."""
-        rules = {NoneType: (keep[pos], None, 0)}
-        if pos == n:
-            return _closure(h, configs, END, None, rules, anywhere, has_pop, max_depth, links)
+        """`_closure` at `pos`; after a `_LevelClose` its level name is dead.
+        Returns the next set, and whether the cap cut a move."""
         tok = stream[pos]
-        rules[type(tok)] = (keep[pos + 1], tok.name if type(tok) is _LevelClose else None, 0)
-        return _closure(h, configs, tok, None, rules, anywhere, has_pop, max_depth, links)
+        rules = {NoneType: (keep[pos], None, 0),
+                 type(tok): (keep[pos + 1], tok.name if type(tok) is _LevelClose else None, 0)}
+        closure, reads, cut = _closure(h, configs, tok, None, rules, state.anywhere, has_pop,
+                                       max_depth, links)
+        if tok is END:
+            return frozenset([c for c in closure if c[0] in h.finals]), cut
+        return frozenset(reads.get(tok, ())), cut
 
-    memo: dict = {}
-    sets: dict = {}  # one object per configuration set, so the memo compares by identity
-    start = initial_config(h)
-    configs = frozenset({(h.initial, start[2])})
+    configs = state.start
     entries = [configs]
     cut = False
     for pos, tok in enumerate(stream):
         key = (configs, tok, keep[pos + 1])
         hit = memo.get(key)
         if hit is None:
-            _, reads, cut_here = advance(configs, pos)
-            out = frozenset(reads.get(tok, ()))
+            if shared and _unreadable(tok, state, opened):
+                return RunResult(REJECT)
+            out, cut_here = advance(configs, pos)
             memo[key] = hit = (sets.setdefault(out, out), cut_here)
         configs, cut_here = hit
         cut = cut or cut_here
@@ -600,10 +683,6 @@ def run(
             return RunResult(CUTOFF if cut else REJECT)
         if want_trace:
             entries.append(configs)
-    closure, _, cut_here = advance(configs, n)
-    finals = [c for c in closure if c[0] in h.finals]
-    if not finals:
-        return RunResult(CUTOFF if cut or cut_here else REJECT)
     if not want_trace:
         return RunResult(ACCEPT)
     # every configuration of entries[pos] is reachable, so from a final
@@ -611,7 +690,7 @@ def run(
     # configuration of the set before; the trace takes the least final
     # configuration and explores each set in order, so no hash seed
     # changes it
-    cfg = min(finals, key=_config_order)
+    cfg = min(configs, key=_config_order)
     path: list = []
     for pos in range(n, -1, -1):
         links: dict = {}
@@ -623,7 +702,7 @@ def run(
             cfg, t = links[cfg]
             path.append(t)
     path.reverse()
-    return RunResult(ACCEPT, _replay(h, tokens, start, path))
+    return RunResult(ACCEPT, _replay(h, tokens, initial_config(h), path))
 
 
 def _config_order(cfg: Config) -> tuple:
@@ -672,7 +751,7 @@ def word_stream(h: Hds, w: MWord) -> tuple[Tok, ...]:
     history-dependent automata, and no name move for a constant reads a
     bound occurrence.
     """
-    constants, _ = _constants_and_pops(h)
+    constants = _search_state(h).constants
     key = alpha_key(w)
     # `from_key` names binders apart from the free names of its key, so
     # the constants, put after the word as free names, are avoided too
@@ -748,8 +827,8 @@ def _language_keys(h: Hds, bound: int) -> set:
     if bound < 0:
         raise ValueError("bound must be non-negative")
     max_depth = bound + len(h.states) + 1
-    _, has_pop = _constants_and_pops(h)
-    need = steps_to_final(h)
+    state = _search_state(h)
+    has_pop, need = state.has_pop, state.need
     moves: dict = {}  # (token, fresh name) -> {configuration: `step`'s moves}
     out: set = set()
     start, _, stk = initial_config(h)

@@ -10,6 +10,7 @@ implementations elsewhere.
 
 from __future__ import annotations
 
+import gc
 import itertools
 import random
 import time
@@ -418,8 +419,16 @@ def check_equivalence(e: rx.Regex, h: Hds, bound: int) -> EquivalenceReport:
     from .syntax import render_regex
 
     t0 = time.monotonic()
-    k1 = frozenset(rx._enumerate_keys(e, SORTS["M"], bound))
-    k2 = _language_keys(h, bound)
+    # key tuples form no cycles, so the cyclic collector would only
+    # traverse every key built so far, again and again
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        k1 = frozenset(rx._enumerate_keys(e, SORTS["M"], bound))
+        k2 = _language_keys(h, bound)
+    finally:
+        if enabled:
+            gc.enable()
     only_regex, only_automaton = k1 - k2, k2 - k1
     return EquivalenceReport(
         expression=render_regex(e),

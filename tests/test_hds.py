@@ -71,12 +71,17 @@ def test_namemaps_are_interned():
     assert NameMap(()) is BOTTOM
     with pytest.raises(AttributeError):
         NM({x: n}).entries = ()
-    # frames made during a search are freed when it ends
-    h = compile_regex(parse_regex("( <#n. #n ( #m + #n )* > )*", set()))
+    # frames made during a search live in the automaton's search state, and
+    # are freed with the automaton
     tokens = tokenize(parse_word("<#n. #n #m > <#n. #n #n #m > #k"))
     gc.collect()
     before = len(NameMap._table)
+    h = compile_regex(parse_regex("( <#n. #n ( #m + #n )* > )*", set()))
     assert run(h, tokens).outcome == REJECT
+    searched = len(NameMap._table)
+    assert run(h, tokens).outcome == REJECT
+    assert len(NameMap._table) == searched
+    del h
     gc.collect()
     assert len(NameMap._table) == before
 
@@ -660,17 +665,18 @@ def _ns_tokens(k):
 def test_search_work_does_not_grow_with_the_blocks(monkeypatch):
     # every block's binders are private, so they take the names of their
     # levels, and the names die at their closes: each block after the
-    # first meets the configuration sets of the one before
+    # first meets the configuration sets of the one before; each count is
+    # taken on a fresh automaton, whose memo is empty
     from nomlang import hds
 
     with open(NS_FILE) as f:
-        h = compile_regex(parse_nre(f.read())[0])
+        e = parse_nre(f.read())[0]
     calls = []
     monkeypatch.setattr(hds, "step", lambda *args: calls.append(1) or step(*args))
     counts = []
     for blocks in (8, 64):
         calls.clear()
-        assert run(h, _ns_tokens(blocks)).outcome == ACCEPT
+        assert run(compile_regex(e), _ns_tokens(blocks)).outcome == ACCEPT
         counts.append(len(calls))
     assert counts[0] == counts[1]
 
@@ -798,3 +804,139 @@ def test_slice_keys_of_hand_built_automata_decode_to_their_slices():
     for then_bind, bound in [(False, 4), (True, 6)]:
         h = _escaping_hds(then_bind)
         assert set(map(from_key, _language_keys(h, bound))) == brute_slice(h, bound, POOL)
+
+
+# -- the search state kept across calls ---------------------------------------
+
+def _session_hds():
+    return compile_regex(parse_regex("#m <#n. #m #n >*", set()))
+
+
+def _verdicts(h, streams, **kw):
+    return [run(h, t, **kw).outcome for t in streams]
+
+
+def _state_streams(h, bound):
+    """Slice words and their near-misses, with a name and a letter that the
+    automaton cannot read put at the end of each word."""
+    out = _words_and_near_misses(h, bound)
+    for w in sorted(language_slice(h, bound), key=repr)[:4]:
+        out += [tokenize(w) + (Name("zz"),), tokenize(w) + (Letter("c"),)]
+    return out
+
+
+def test_a_changed_automaton_gets_fresh_verdicts():
+    # the search state remembers what it read of the automaton; a change to
+    # its transitions, finals or eta builds the state again
+    fresh = _escaping_hds(then_bind=True)
+    streams = [tokenize(w) for w in brute_slice(fresh, 6, POOL)]
+    streams += [t for s in streams for t in near_misses(s, (m, n))]
+    assert len(streams) > 30
+    h = _double_push_hds(with_pop=False)
+    _verdicts(h, streams)
+    # the mutations `_escaping_hds` makes, after a search
+    h.trans["qs"] = (Transition(L_OPEN, "q0", NM({x: STAR})),)
+    h.states.update({"q3": frozenset({x, y}), "q4": frozenset(), "q5": frozenset()})
+    h.trans["q1"] = (Transition(L_OPEN, "q3", NM({x: x, y: STAR})),)
+    h.trans["q3"] = (Transition(lname(x), "q4", BOTTOM),)
+    h.trans["q4"] = (Transition(L_CLOSE, "q5", BOTTOM),)
+    h.trans["q5"] = ()
+    h.finals = frozenset({"q5"})
+    assert h == fresh and repr(h) == repr(fresh)  # the state is in neither
+    assert _verdicts(h, streams) == _verdicts(_escaping_hds(then_bind=True), streams)
+    assert ACCEPT in _verdicts(h, streams)
+    # eta changed in place, then the finals emptied
+    h = _session_hds()
+    assert run(h, (m,)).outcome == ACCEPT
+    h.eta[next(iter(h.eta))] = n
+    assert run(h, (m,)).outcome == REJECT
+    assert run(h, (n,)).outcome == ACCEPT
+    h.finals = frozenset()
+    assert run(h, (n,)).outcome == REJECT
+
+
+@pytest.mark.parametrize("make", [_session_hds, lambda: _double_push_hds(with_pop=True)])
+def test_a_low_max_depth_does_not_share_the_memo(make):
+    # a cap that can cut makes a memo entry depend on more than its key, so
+    # such a run takes a memo of its own, in either order
+    h = make()
+    streams = [_binder_then(nm) for nm in (m, n, k)]
+    streams += [t for s in streams for t in near_misses(s, (m, n))]
+    streams += [tokenize(w) for w in language_slice(_session_hds(), 9)]
+    want_low = _verdicts(make(), streams, max_depth=1)
+    want = _verdicts(make(), streams)
+    assert CUTOFF in want_low and want_low != want
+    assert _verdicts(h, streams) == want
+    assert _verdicts(h, streams, max_depth=1) == want_low
+    h = make()
+    assert _verdicts(h, streams, max_depth=1) == want_low
+    assert _verdicts(h, streams) == want
+
+
+def test_near_misses_with_fresh_names_leave_the_memo_as_it_was():
+    # a name that no frame can hold rejects where it is reached, before
+    # any memo entry is made, so fresh free names cannot grow the memo
+    h = _session_hds()
+    block = "<#n. #m #n >"
+    sizes = set()
+    for i in range(1000):
+        w = parse_word(f"#m {block} {block} <#n. #m #fresh{i} > {block}")
+        assert not accepts_word(h, w)
+        sizes.add((len(h._search.memo), len(h._search.sets)))
+    assert len(sizes) == 1
+    assert not accepts_word(h, parse_word(f"#m {block} c"))
+    assert (len(h._search.memo), len(h._search.sets)) in sizes
+    assert accepts_word(h, parse_word(f"#m {block} {block}"))
+
+
+def test_a_repeated_word_makes_no_step_calls(monkeypatch):
+    from nomlang import hds
+
+    with open(NS_FILE) as f:
+        h = compile_regex(parse_nre(f.read())[0])
+    calls = []
+    monkeypatch.setattr(hds, "step", lambda *args: calls.append(1) or step(*args))
+    counts = []
+    for _ in range(2):
+        calls.clear()
+        assert run(h, _ns_tokens(3)).outcome == ACCEPT
+        counts.append(len(calls))
+    assert counts[0] > 0 and counts[1] == 0
+
+
+def test_a_searched_automaton_dies_with_its_last_reference():
+    import weakref
+
+    h = _session_hds()
+    assert accepts_word(h, parse_word("#m <#n. #m #n >"))
+    assert len(language_slice(h, 9)) == 3
+    ref = weakref.ref(h)
+    del h
+    assert ref() is None  # the search state holds no cycle back to it
+
+
+def test_accepts_word_reads_the_automaton_once(monkeypatch):
+    from nomlang import hds
+
+    calls = []
+    scan = hds._constants_and_pops
+    monkeypatch.setattr(hds, "_constants_and_pops", lambda h: calls.append(1) or scan(h))
+    h = _session_hds()
+    for i in range(100):
+        assert accepts_word(h, parse_word("#m" + " <#n. #m #n >" * (i % 5)))
+    assert len(calls) == 1
+
+
+def test_verdicts_do_not_depend_on_the_order_of_calls():
+    rng = random.Random(19)
+    checked = 0
+    for _ in range(300):
+        e = random_regex(rng, NAMES, LETTERS, 4)
+        h = compile_regex(e)
+        streams = _state_streams(h, 5)
+        in_order = _verdicts(h, streams)
+        h = compile_regex(e)
+        assert _verdicts(h, streams[::-1])[::-1] == in_order
+        assert [run(compile_regex(e), t).outcome for t in streams] == in_order
+        checked += len(streams)
+    assert checked > 10_000
