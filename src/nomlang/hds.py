@@ -15,13 +15,13 @@ after each move applies one rule -- keep the frames a close can still
 read, cap the stack depth, and kill the name of a binder just closed.
 `run` holds, at each input position, the set of configurations the
 moves reading the tokens so far lead to, and a memo maps (set, token,
-frames kept) to the next set.  `language_slice` walks the
-tree of emitted prefixes one length at a time: each prefix holds the set
-of configurations that generate it, and the prefixes of one length are
-grouped by that set (with the open depth), so each set's closure and
-token successors are computed once per length.  The walk emits keys
-(`words.alpha_key`), not tokens, so no word is parsed or canonicalized,
-and each accepted word is decoded once.
+frames kept) to the next set.  `language_slice` walks the tree of
+emitted prefixes one length at a time: each prefix holds the set of
+configurations that generate it, and the prefixes of one length are
+grouped by node -- that set, the open depth and the tokens left -- so
+each node's closure and token successors are computed once.  The walk
+emits keys (`words.alpha_key`), not tokens, so no word is parsed or
+canonicalized, and each accepted word is decoded once.
 
 Both searches name binders one way, after their open depth.  A binder
 opened at depth d takes the level name of d, which no input name and
@@ -60,7 +60,8 @@ that leaves the top frame as it is keeps the stack itself.
 
 Each automaton carries one search state, built at its first search
 (`_search_state`): its constants, the letters it reads, whether it
-pops, `steps_to_final`, and `run`'s memo with its table of sets.  It is
+pops, `steps_to_final`, `run`'s memo, the slice walk's node graph, and
+one table of the sets and rows the two searches keep.  It is
 built again when any field the searches read has changed, and it dies
 with the automaton.  The memo is shared across calls only where the
 depth cap cannot cut, in a pop-free automaton with `max_depth` at least
@@ -69,9 +70,11 @@ each (set, token, frames) step once.  Elsewhere a call takes a memo of
 its own.  In a shared search a name token that is no constant and that
 no open of the stream binds rejects at once, with no memo entry, since
 no frame can hold it; so does a letter no transition reads, and fresh
-free names never grow the memo.  `language_slice` takes the constants,
-whether the automaton pops and `steps_to_final` from the state, and
-keeps its memo of moves per call.
+free names never grow the memo.  `language_slice` keeps its node graph
+there unless the automaton pops: a pop-free walk cannot reach the cap,
+so a node's successors depend on the node alone, and a slice at any
+bound reuses every node an earlier slice expanded.  A pop automaton's
+walk keeps a graph of its own per call.
 """
 
 from __future__ import annotations
@@ -547,25 +550,27 @@ def _constants_and_pops(h: Hds) -> tuple[set, bool]:
 class _SearchState:
     """What the searches keep of one automaton between calls (module
     docstring).  `shape` is what they read of it when this was built;
-    `sets` holds one object per configuration set, so `run`'s `memo`
-    compares sets by identity."""
+    `sets` holds one object per configuration set, node set and row, so
+    `run`'s `memo` compares sets by identity and equal ones are stored
+    once; `graph` maps a slice node to its row (`_expand`)."""
 
     __slots__ = ("shape", "constants", "has_pop", "need",
-                 "letters", "anywhere", "start", "memo", "sets")
+                 "letters", "anywhere", "start", "memo", "sets", "graph")
 
     def __init__(self, h: Hds, shape: tuple):
         self.shape = shape
         constants, self.has_pop = _constants_and_pops(h)
         self.constants = frozenset(constants)
         self.need = steps_to_final(h)
+        self.start = frozenset({(h.initial, initial_config(h)[2])})
+        self.sets, self.graph = {self.start: self.start}, {}
         self.memo = None  # `run`'s tables are made at its first call
 
     def for_run(self, h: Hds) -> "_SearchState":
         if self.memo is None:
             self.letters = h.letters()
             self.anywhere = dict.fromkeys(h.states, 0)  # `run` prunes no state
-            self.start = frozenset({(h.initial, initial_config(h)[2])})
-            self.memo, self.sets = {}, {self.start: self.start}
+            self.memo = {}
         return self
 
 
@@ -803,16 +808,19 @@ def _language_keys(h: Hds, bound: int) -> set:
     Walks the tree of emitted prefixes one length at a time,
     determinizing on the fly as the subset construction does.  A prefix
     node holds the set of (state, stack) configurations that `step`
-    reaches while generating that prefix, and its open depth.  Binders
+    reaches while generating that prefix, its open depth and the tokens
+    left under the bound.  Binders
     are named as `run` names private ones: an open at depth d allocates
     the level name of d, which no constant and no frame value equals, and
     at the binder's close that name becomes `DEAD` in every frame.  The
-    prefixes of one length are grouped by node, and `_closure` expands
-    each node once: a node is final if its closure has a final state at
+    prefixes of one length are grouped by node, and `_expand` makes each
+    node's row once: a node is final if its closure has a final state at
     open depth 0, and each token read from it extends all its prefixes by
     the token's key element.  A level name read at depth d is the index
-    d - 1 - level, so a final prefix is already the key of its word.  One
-    memo per call holds `step`'s moves out of each configuration.
+    d - 1 - level, so a final prefix is already the key of its word.  The
+    rows live in the automaton's node graph, which its search state
+    keeps across calls unless it pops (module docstring); one memo per
+    call holds `step`'s moves out of each configuration.
 
     A configuration is dropped when the tokens left under the bound
     cannot both close its open binders and take its state to a final
@@ -829,48 +837,66 @@ def _language_keys(h: Hds, bound: int) -> set:
     max_depth = bound + len(h.states) + 1
     state = _search_state(h)
     has_pop, need = state.has_pop, state.need
+    # a pop-free walk never reaches the cap, so a row holds at every bound
+    graph, sets = ({}, {}) if has_pop else (state.graph, state.sets)
     moves: dict = {}  # (token, fresh name) -> {configuration: `step`'s moves}
     out: set = set()
-    start, _, stk = initial_config(h)
-    nodes = {(frozenset({(start, stk)}), 0): [()]}  # node -> its key prefixes of one length
-    left = bound  # the tokens left under the bound; at 0 no token is read
+    nodes = {(state.start, 0, bound): [()]}  # node -> its key prefixes of one length
     while nodes:
         grown: dict = {}
-        for (configs, depth), prefixes in nodes.items():
-            # a move keeps one frame more than the open depth after it, and it
-            # must leave tokens enough to take its target to a final state (the
-            # budget) and to close the binders still open (the depth tests)
-            rules = {NoneType: (depth + 1, None, left)}
-            if depth < left:
-                rules[Name] = rules[Letter] = (depth + 1, None, left - 1)
-            if depth + 1 < left:
-                rules[TOpen] = (depth + 2, None, left - 1)
-            if depth:
-                rules[TClose] = (depth, _level(depth - 1)[1], left - 1)
-            tok = None if left else END
-            fresh = _level(depth)[1]
-            closure, reads, cut = _closure(h, configs, tok, fresh, rules, need, has_pop,
-                                           max_depth, moves=moves.setdefault((tok, fresh), {}))
-            if cut:
-                raise Undecided("the slice reached its depth cap and may miss words")
-            if depth == 0 and any(state in h.finals for state, _ in closure):
+        for node, prefixes in nodes.items():
+            row = graph.get(node)
+            if row is None:
+                row = graph[node] = _expand(h, node, need, has_pop, max_depth, moves, sets)
+            row = iter(row)  # whether it emits, then (key element, next node) pairs
+            if next(row):
                 out.update(prefixes)
-            for read, group in reads.items():
-                # a level name read at depth d is the index d - 1 - level
-                level = _level_of.get(read)
-                elem = (_KEY_BRACKETS.get(type(read), read) if level is None
-                        else depth - 1 - level,)
-                # a token's rule keeps one frame more than the open depth after it
-                node = (frozenset(group), rules[type(read)][0] - 1)
+            for elem, succ in zip(row, row):
+                elem = (elem,)
                 more = [p + elem for p in prefixes]
-                have = grown.get(node)
+                have = grown.get(succ)
                 if have is None:
-                    grown[node] = more
+                    grown[succ] = more
                 else:
                     have += more
         nodes = grown
-        left -= 1
     return out
+
+
+def _expand(h: Hds, node: tuple, need: dict, has_pop: bool, max_depth: int,
+            moves: dict, sets: dict) -> tuple:
+    """The row of a slice node (configurations, open depth, tokens left):
+    whether it emits its prefixes, then the key element and the next node
+    of each successor.  The row and each node's configurations are
+    interned through `sets`; one configuration is held as a 1-tuple, at a
+    quarter of a frozenset's size."""
+    configs, depth, left = node
+    # a move keeps one frame more than the open depth after it, and it
+    # must leave tokens enough to take its target to a final state (the
+    # budget) and to close the binders still open (the depth tests)
+    rules = {NoneType: (depth + 1, None, left)}
+    if depth < left:
+        rules[Name] = rules[Letter] = (depth + 1, None, left - 1)
+    if depth + 1 < left:
+        rules[TOpen] = (depth + 2, None, left - 1)
+    if depth:
+        rules[TClose] = (depth, _level(depth - 1)[1], left - 1)
+    tok = None if left else END
+    fresh = _level(depth)[1]
+    closure, reads, cut = _closure(h, configs, tok, fresh, rules, need, has_pop,
+                                   max_depth, moves=moves.setdefault((tok, fresh), {}))
+    if cut:
+        raise Undecided("the slice reached its depth cap and may miss words")
+    row = [depth == 0 and any(q in h.finals for q, _ in closure)]
+    for read, group in reads.items():
+        # a level name read at depth d is the index d - 1 - level
+        level = _level_of.get(read)
+        row.append(_KEY_BRACKETS.get(type(read), read) if level is None else depth - 1 - level)
+        group = tuple(group) if len(group) == 1 else frozenset(group)
+        # a token's rule keeps one frame more than the open depth after it
+        row.append((sets.setdefault(group, group), rules[type(read)][0] - 1, left - 1))
+    row = tuple(row)
+    return sets.setdefault(row, row)
 
 
 def language_slice(h: Hds, bound: int) -> frozenset[MWord]:

@@ -549,8 +549,10 @@ def test_slice_raises_where_the_search_is_cut(tmp_path, capsys):
     }
     h = Hds(states, "q0", {x: n}, frozenset({"q2"}), trans)
     assert validate(h) == []
-    with pytest.raises(Undecided):
-        language_slice(h, 3)
+    # a pop automaton keeps no node graph between calls, so each one raises
+    for bound in (3, 3, 2, 4):
+        with pytest.raises(Undecided):
+            language_slice(h, bound)
     with pytest.raises(Undecided):
         brute_slice(h, 3, frozenset({n}))
     path = tmp_path / "loop.hds"
@@ -712,16 +714,17 @@ def test_slice_drops_states_that_cannot_finish_in_time(monkeypatch):
 def test_slice_work_grows_by_a_constant_per_bound(monkeypatch, text):
     # an open allocates the name of its depth, not of its rank among the
     # opens, so prefixes with the same configurations at the same depth
-    # share a memo entry however many binders they have closed
+    # share a memo entry however many binders they have closed; each count
+    # is taken on a fresh automaton, whose node graph is empty
     from nomlang import hds
 
-    h = compile_regex(parse_regex(text, {"a"}))
+    e = parse_regex(text, {"a"})
     calls = []
     monkeypatch.setattr(hds, "step", lambda *args: calls.append(1) or step(*args))
     counts = []
     for bound in (9, 10, 13, 14):
         calls.clear()
-        language_slice(h, bound)
+        language_slice(compile_regex(e), bound)
         counts.append(len(calls))
     assert counts[1] - counts[0] == counts[3] - counts[2]
 
@@ -902,6 +905,96 @@ def test_a_repeated_word_makes_no_step_calls(monkeypatch):
         assert run(h, _ns_tokens(3)).outcome == ACCEPT
         counts.append(len(calls))
     assert counts[0] > 0 and counts[1] == 0
+
+
+def test_a_repeated_slice_makes_no_step_calls(monkeypatch):
+    # the node graph lives in the automaton's search state, so a second
+    # slice at the same bound walks it without expanding a node
+    from nomlang import hds
+
+    with open(NS_FILE) as f:
+        h = compile_regex(parse_nre(f.read())[0])
+    calls = []
+    monkeypatch.setattr(hds, "step", lambda *args: calls.append(1) or step(*args))
+    slices, counts = [], []
+    for _ in range(2):
+        calls.clear()
+        slices.append(language_slice(h, 18))
+        counts.append(len(calls))
+    assert counts[0] > 0 and counts[1] == 0
+    assert slices[0] == slices[1] and len(slices[0]) > 0
+
+
+def _read_a(h):
+    h.trans["q1"] = (Transition(lletter(a), "q2", BOTTOM),)
+
+
+def _escape(h):
+    # the mutations `_escaping_hds` makes
+    h.trans["qs"] = (Transition(L_OPEN, "q0", NM({x: STAR})),)
+    h.states.update({"q3": frozenset({x, y}), "q4": frozenset(), "q5": frozenset()})
+    h.trans["q1"] = (Transition(L_OPEN, "q3", NM({x: x, y: STAR})),)
+    h.trans["q3"] = (Transition(lname(x), "q4", BOTTOM),)
+    h.trans["q4"] = (Transition(L_CLOSE, "q5", BOTTOM),)
+    h.trans["q5"] = ()
+    h.finals = frozenset({"q5"})
+
+
+def _eta_n(h):
+    h.eta[next(iter(h.eta))] = n
+
+
+def _no_finals(h):
+    h.finals = frozenset()
+
+
+@pytest.mark.parametrize("make,change,bound", [
+    (lambda: _double_push_hds(with_pop=False), _read_a, 4),
+    (lambda: _double_push_hds(with_pop=False), _escape, 6),
+    (_session_hds, _eta_n, 9),
+    (_session_hds, _no_finals, 9),
+])
+def test_a_changed_automaton_gets_fresh_slices(make, change, bound):
+    # a change to the transitions, eta or finals after a slice builds the
+    # search state again, and its node graph with it
+    h, fresh = make(), make()
+    before = language_slice(h, bound)
+    change(h)
+    change(fresh)
+    assert validate(h) == []
+    want = language_slice(fresh, bound)
+    assert want != before
+    assert language_slice(h, bound) == want
+
+
+def test_a_pop_automaton_keeps_no_node_graph(push_pop_hds):
+    # its walk can reach the cap, so each call keeps a graph of its own
+    h = push_pop_hds
+    assert language_slice(h, 3) == language_slice(h, 3) == {parse_word("#m #n")}
+    assert h._search.graph == {} and len(h._search.sets) == 1
+
+
+def test_slices_and_verdicts_do_not_depend_on_the_calls_before():
+    # slices at several bounds and word verdicts, interleaved on one
+    # automaton, against the same calls each on a fresh compilation
+    rng = random.Random(23)
+    prev = frozenset()
+    checked = 0
+    for _ in range(200):
+        e = random_regex(rng, NAMES, LETTERS, 4)
+        h = compile_regex(e)
+        words = sorted(language_slice(compile_regex(e), 6), key=repr)[:3]
+        words += sorted(prev, key=repr)[:3]
+        for bound, w in itertools.zip_longest((5, 6, 4), words):
+            if bound is not None:
+                got = language_slice(h, bound)
+                assert got == language_slice(compile_regex(e), bound)
+                checked += 1
+            if w is not None:
+                assert accepts_word(h, w) == accepts_word(compile_regex(e), w)
+                checked += 1
+        prev = got
+    assert checked > 1000
 
 
 def test_a_searched_automaton_dies_with_its_last_reference():
