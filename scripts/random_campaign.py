@@ -17,9 +17,7 @@ never say CUTOFF, and its verdict must equal that of the referee
 `oracle.naive_run`, which keeps every frame, renames no binder and
 fires a push transition at most once between two consumed tokens.
 Each of these M words and raw spellings, rendered, must parse back to
-its own token row.  Once these runs have warmed the automaton's search
-state, slices of it at the bound and one below, taken again, must equal
-the first slice and the expression's slice at that bound (WARM).
+its own token row.
 Prints every mismatch and a summary line.
 
 Usage: python3 scripts/random_campaign.py --count 500 --depth 4 --bound 7
@@ -180,15 +178,6 @@ def run_campaign(cfg: CampaignConfig) -> int:
                     mismatches += bad
                     undecided += cut
                     checked += streams
-        # the runs above warmed `h`'s search state, and the first slice its
-        # node graph; slices from the warm graph must not differ
-        warm = [(cfg.bound, got)]
-        if cfg.bound > 0:
-            warm.append((cfg.bound - 1, enumerate_slice(e, "M", cfg.bound - 1).words))
-        for bound, words in warm:
-            if language_slice(h, bound) != words:
-                mismatches += 1
-                print(f"WARM #{i} @{bound}: {render_regex(e)}")
         prev = slices
     dt = time.monotonic() - t0
     print(

@@ -61,7 +61,7 @@ that leaves the top frame as it is keeps the stack itself.
 Each automaton carries one search state, built at its first search
 (`_search_state`): its constants, the letters it reads, whether it
 pops, `steps_to_final`, `run`'s memo, the slice walk's node graph, and
-one table of the sets and rows the two searches keep.  It is
+one table of the configuration sets the two searches keep.  It is
 built again when any field the searches read has changed, and it dies
 with the automaton.  The memo is shared across calls only where the
 depth cap cannot cut, in a pop-free automaton with `max_depth` at least
@@ -550,9 +550,9 @@ def _constants_and_pops(h: Hds) -> tuple[set, bool]:
 class _SearchState:
     """What the searches keep of one automaton between calls (module
     docstring).  `shape` is what they read of it when this was built;
-    `sets` holds one object per configuration set, node set and row, so
-    `run`'s `memo` compares sets by identity and equal ones are stored
-    once; `graph` maps a slice node to its row (`_expand`)."""
+    `sets` holds one object per configuration set, so `run`'s `memo`
+    compares sets by identity and equal ones are stored once; `graph`
+    maps a slice node to its row (`_expand`)."""
 
     __slots__ = ("shape", "constants", "has_pop", "need",
                  "letters", "anywhere", "start", "memo", "sets", "graph")
@@ -841,7 +841,9 @@ def _language_keys(h: Hds, bound: int) -> set:
     graph, sets = ({}, {}) if has_pop else (state.graph, state.sets)
     moves: dict = {}  # (token, fresh name) -> {configuration: `step`'s moves}
     out: set = set()
-    nodes = {(state.start, 0, bound): [()]}  # node -> its key prefixes of one length
+    # node -> its key prefixes of one length; the start node's single
+    # configuration is a 1-tuple, as in `_expand`
+    nodes = {(tuple(state.start), 0, bound): [()]}
     while nodes:
         grown: dict = {}
         for node, prefixes in nodes.items():
@@ -867,9 +869,9 @@ def _expand(h: Hds, node: tuple, need: dict, has_pop: bool, max_depth: int,
             moves: dict, sets: dict) -> tuple:
     """The row of a slice node (configurations, open depth, tokens left):
     whether it emits its prefixes, then the key element and the next node
-    of each successor.  The row and each node's configurations are
-    interned through `sets`; one configuration is held as a 1-tuple, at a
-    quarter of a frozenset's size."""
+    of each successor.  Each node's configurations are interned through
+    `sets`; a single configuration is held as a 1-tuple, at a quarter of
+    a frozenset's size."""
     configs, depth, left = node
     # a move keeps one frame more than the open depth after it, and it
     # must leave tokens enough to take its target to a final state (the
@@ -895,8 +897,7 @@ def _expand(h: Hds, node: tuple, need: dict, has_pop: bool, max_depth: int,
         group = tuple(group) if len(group) == 1 else frozenset(group)
         # a token's rule keeps one frame more than the open depth after it
         row.append((sets.setdefault(group, group), rules[type(read)][0] - 1, left - 1))
-    row = tuple(row)
-    return sets.setdefault(row, row)
+    return tuple(row)
 
 
 def language_slice(h: Hds, bound: int) -> frozenset[MWord]:

@@ -925,6 +925,17 @@ def test_a_repeated_slice_makes_no_step_calls(monkeypatch):
     assert slices[0] == slices[1] and len(slices[0]) > 0
 
 
+def test_a_node_reached_again_is_expanded_once():
+    # the start node and a successor with the same configurations take one
+    # form, so the slice at bound 2 reuses the node that the walk at bound
+    # 3 reached after one letter
+    h = Hds({"q": frozenset()}, "q", {}, frozenset({"q"}),
+            {"q": (Transition(lletter(a), "q", NM({})),)})
+    assert validate(h) == []
+    assert len(language_slice(h, 3)) == 4 and len(language_slice(h, 2)) == 3
+    assert len(h._search.graph) == 4
+
+
 def _read_a(h):
     h.trans["q1"] = (Transition(lletter(a), "q2", BOTTOM),)
 
