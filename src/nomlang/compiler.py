@@ -130,8 +130,8 @@ def hds_sum(h1: Hds, h2: Hds, supply: FreshSupply) -> Hds:
     q0 = supply.state()
     loc1 = h1.states[h1.initial]
     loc2 = h2.states[h2.initial]
-    states = {**h1.states, **h2.states, q0: loc1 | loc2}
-    trans = {**h1.trans, **h2.trans}
+    states = h1.states | h2.states | {q0: loc1 | loc2}
+    trans = h1.trans | h2.trans
     trans[q0] = (
         Transition(L_EPS, h1.initial, _identity(loc1)),
         Transition(L_EPS, h2.initial, _identity(loc2)),
@@ -139,7 +139,7 @@ def hds_sum(h1: Hds, h2: Hds, supply: FreshSupply) -> Hds:
     return Hds(
         states=states,
         initial=q0,
-        eta={**h1.eta, **h2.eta},
+        eta=h1.eta | h2.eta,
         finals=h1.finals | h2.finals,
         trans=trans,
         relaxed_star=h1.relaxed_star or h2.relaxed_star,
@@ -149,12 +149,12 @@ def hds_sum(h1: Hds, h2: Hds, supply: FreshSupply) -> Hds:
 def unique_final(h: Hds, supply: FreshSupply) -> Hds:
     """Wrap with a fresh no-name final state (always, even if already unique)."""
     qf = supply.state()
-    states = {**h.states, qf: frozenset()}
-    trans = dict(h.trans)
+    states = h.states | {qf: frozenset()}
+    trans = h.trans.copy()
     for q in h.finals:
         trans[q] = trans.get(q, ()) + (Transition(L_EPS, qf, BOTTOM),)
     trans[qf] = ()
-    return Hds(states, h.initial, dict(h.eta), frozenset({qf}), trans, h.relaxed_star)
+    return Hds(states, h.initial, h.eta.copy(), frozenset({qf}), trans, h.relaxed_star)
 
 
 def add_name(h: Hds, x: Name) -> Hds:
@@ -177,7 +177,7 @@ def add_name(h: Hds, x: Name) -> Hds:
             sigma[x] = x
             new_ts.append(Transition(t.label, t.target, NameMap.of(sigma)))
         trans[q] = tuple(new_ts)
-    return Hds(states, h.initial, dict(h.eta), h.finals, trans, h.relaxed_star)
+    return Hds(states, h.initial, h.eta.copy(), h.finals, trans, h.relaxed_star)
 
 
 def hds_concat(h1: Hds, h2: Hds, supply: FreshSupply) -> Hds:
@@ -192,13 +192,13 @@ def hds_concat(h1: Hds, h2: Hds, supply: FreshSupply) -> Hds:
     loc2 = h2.states[h2.initial]
     for x in sorted(loc2):
         h1 = add_name(h1, x)
-    states = {**h1.states, **h2.states}
-    trans = {**h1.trans, **h2.trans}
+    states = h1.states | h2.states
+    trans = h1.trans | h2.trans
     trans[qf1] = h1.trans[qf1] + (Transition(L_EPS, h2.initial, _identity(loc2)),)
     return Hds(
         states=states,
         initial=h1.initial,
-        eta={**h1.eta, **h2.eta},
+        eta=h1.eta | h2.eta,
         finals=h2.finals,
         trans=trans,
         relaxed_star=h1.relaxed_star or h2.relaxed_star,
@@ -214,8 +214,8 @@ def hds_star(h: Hds, supply: FreshSupply) -> Hds:
     """
     h = unique_final(h, supply)
     (qf,) = h.finals
-    states = dict(h.states)
-    trans = dict(h.trans)
+    states = h.states.copy()
+    trans = h.trans.copy()
     q0 = h.initial
     initial = q0
     # The empty-word skip must fire only before the body has started.
@@ -228,7 +228,7 @@ def hds_star(h: Hds, supply: FreshSupply) -> Hds:
         trans[initial] = (Transition(L_EPS, q0, _identity(loc0)),)
     trans[initial] = trans.get(initial, ()) + (Transition(L_EPS, qf, BOTTOM),)
     trans[qf] = (Transition(L_PUSH, q0, NameMap.of(h.eta)),)
-    return Hds(states, initial, dict(h.eta), h.finals, trans, h.relaxed_star)
+    return Hds(states, initial, h.eta.copy(), h.finals, trans, h.relaxed_star)
 
 
 def hds_bind(n: Name, h: Hds, supply: FreshSupply) -> Hds:
@@ -246,8 +246,8 @@ def hds_bind(n: Name, h: Hds, supply: FreshSupply) -> Hds:
     h = _repoint_stale_pushes(h, n, bound)
     q_open, q_close = supply.state(), supply.state()
     sigma = NameMap.of({x: (STAR if x in bound else x) for x in loc0})
-    states = {**h.states, q_open: loc0 - bound, q_close: frozenset()}
-    trans = dict(h.trans)
+    states = h.states | {q_open: loc0 - bound, q_close: frozenset()}
+    trans = h.trans.copy()
     trans[q_open] = (Transition(L_OPEN, h.initial, sigma),)
     trans[qf] = trans[qf] + (Transition(L_CLOSE, q_close, BOTTOM),)
     trans[q_close] = ()
@@ -294,7 +294,7 @@ def _repoint_stale_pushes(h: Hds, n: Name, bound: frozenset[Name]) -> Hds:
                 sigma.setdefault(x, x)
             new_ts.append(Transition(t.label, t.target, NameMap.of(sigma)))
         trans[q] = tuple(new_ts)
-    return Hds(states, h.initial, dict(h.eta), h.finals, trans, h.relaxed_star)
+    return Hds(states, h.initial, h.eta.copy(), h.finals, trans, h.relaxed_star)
 
 
 # ---------------------------------------------------------------------------

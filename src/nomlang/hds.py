@@ -59,13 +59,13 @@ stacks the searches memoize hash and compare by identity, and a move
 that leaves the top frame as it is keeps the stack itself.
 
 Each automaton carries one search state, built at its first search
-(`_search_state`): its constants, the letters it reads, whether it
-pops, `steps_to_final`, `run`'s memo, the slice walk's node graph, and
-one table of the configuration sets the two searches keep.  It is
-built again when any field the searches read has changed, and it dies
-with the automaton.  The memo is shared across calls only where the
-depth cap cannot cut, in a pop-free automaton with `max_depth` at least
-the frames the call keeps; then a set of words on one automaton decides
+(`Hds._search`): its constants, the letters it reads, whether it pops,
+`steps_to_final`, `run`'s memo, the slice walk's node graph, and one
+table of the configuration sets the two searches keep.  An automaton
+is immutable, so its search state never goes stale, and it dies with
+the automaton.  The memo is shared across calls only where the depth
+cap cannot cut, in a pop-free automaton with `max_depth` at least the
+frames the call keeps; then a set of words on one automaton decides
 each (set, token, frames) step once.  Elsewhere a call takes a memo of
 its own.  In a shared search a name token that is no constant and that
 no open of the stream binds rejects at once, with no memo entry, since
@@ -81,10 +81,10 @@ from __future__ import annotations
 
 import weakref
 from collections import deque
-from itertools import chain
-from dataclasses import dataclass, field
-from types import NoneType
-from typing import Iterable, Optional
+from dataclasses import dataclass
+from functools import cached_property
+from types import MappingProxyType, NoneType
+from typing import Iterable, Mapping, Optional
 
 from .names import Letter, Name, STAR
 from .words import (
@@ -248,19 +248,32 @@ class Transition:
         return f"--{self.label!r}[{self.sigma!r}]--> {self.target}"
 
 
-@dataclass
+@dataclass(frozen=True)
 class Hds:
-    """An automaton: named states, initial name bindings, finals, transitions."""
+    """An automaton: named states, initial name bindings, finals,
+    transitions.  It is immutable: a changed automaton is made with
+    `dataclasses.replace` or the constructor."""
 
-    states: dict[str, frozenset[Name]]  # state id -> local names
+    states: Mapping[str, frozenset[Name]]  # state id -> local names
     initial: str
-    eta: dict[Name, Name]  # initial meaning of the initial state's locals
+    eta: Mapping[Name, Name]  # initial meaning of the initial state's locals
     finals: frozenset[str]
-    trans: dict[str, tuple[Transition, ...]]
+    trans: Mapping[str, tuple[Transition, ...]]
     relaxed_star: bool = False  # allow several star preimages in sigma
-    # what the searches keep of this automaton between calls (`_search_state`)
-    _search: Optional["_SearchState"] = field(default=None, init=False, repr=False,
-                                              compare=False)
+
+    def __init__(self, states, initial, eta, finals, trans, relaxed_star=False):
+        # read-only views of copies no caller holds, set in one update: a frozen
+        # dataclass's own __init__ sets each field by object.__setattr__, slower
+        self.__dict__.update(
+            states=MappingProxyType(dict(states)), initial=initial,
+            eta=MappingProxyType(dict(eta)), finals=frozenset(finals),
+            trans=MappingProxyType(dict(trans)), relaxed_star=relaxed_star)
+
+    @cached_property
+    def _search(self) -> "_SearchState":
+        """What the searches keep between calls (module docstring); it is in
+        the instance dict, not a field, so `dataclasses.replace` starts anew."""
+        return _SearchState(self)
 
     def letters(self) -> frozenset[Letter]:
         return frozenset(
@@ -549,16 +562,14 @@ def _constants_and_pops(h: Hds) -> tuple[set, bool]:
 
 class _SearchState:
     """What the searches keep of one automaton between calls (module
-    docstring).  `shape` is what they read of it when this was built;
-    `sets` holds one object per configuration set, so `run`'s `memo`
-    compares sets by identity and equal ones are stored once; `graph`
-    maps a slice node to its row (`_expand`)."""
+    docstring).  `sets` holds one object per configuration set, so
+    `run`'s `memo` compares sets by identity and equal ones are stored
+    once; `graph` maps a slice node to its row (`_expand`)."""
 
-    __slots__ = ("shape", "constants", "has_pop", "need",
+    __slots__ = ("constants", "has_pop", "need",
                  "letters", "anywhere", "start", "memo", "sets", "graph")
 
-    def __init__(self, h: Hds, shape: tuple):
-        self.shape = shape
+    def __init__(self, h: Hds):
         constants, self.has_pop = _constants_and_pops(h)
         self.constants = frozenset(constants)
         self.need = steps_to_final(h)
@@ -572,18 +583,6 @@ class _SearchState:
             self.anywhere = dict.fromkeys(h.states, 0)  # `run` prunes no state
             self.memo = {}
         return self
-
-
-def _search_state(h: Hds) -> _SearchState:
-    """The automaton's search state, built again if any field the searches
-    read has changed since it was built, so no verdict is ever stale."""
-    # one flat row of what the searches read: the counts keep its parts apart
-    shape = (h.initial, h.finals, len(h.eta), *chain.from_iterable(h.eta.items()),
-             len(h.states), *h.states, *chain.from_iterable(h.trans.items()))
-    state = h._search
-    if state is None or state.shape != shape:
-        state = h._search = _SearchState(h, shape)
-    return state
 
 
 def _unreadable(tok, state: _SearchState, opened: set) -> bool:
@@ -622,7 +621,7 @@ def run(
     + state count + 1, which only a pop automaton can reach); a branch
     the cap cuts makes the outcome CUTOFF unless a run accepts.
 
-    The memo lives in the automaton's search state (`_search_state`)
+    The memo lives in the automaton's search state (`Hds._search`)
     where the cap cannot cut: on a pop-free automaton, with `max_depth`
     at least the most frames the call keeps.  Then an entry depends on
     its key alone, and the calls on one automaton decide each step once;
@@ -638,7 +637,7 @@ def run(
     n = len(tokens)
     if max_depth is None:
         max_depth = n + len(h.states) + 1
-    state = _search_state(h).for_run(h)
+    state = h._search.for_run(h)
     has_pop = state.has_pop
     # keep[pos]: 1 + the most by which closes outnumber opens over any
     # stretch of tokens[pos:], the frames a close can read; past the end,
@@ -756,7 +755,7 @@ def word_stream(h: Hds, w: MWord) -> tuple[Tok, ...]:
     history-dependent automata, and no name move for a constant reads a
     bound occurrence.
     """
-    constants = _search_state(h).constants
+    constants = h._search.constants
     key = alpha_key(w)
     # `from_key` names binders apart from the free names of its key, so
     # the constants, put after the word as free names, are avoided too
@@ -835,7 +834,7 @@ def _language_keys(h: Hds, bound: int) -> set:
     if bound < 0:
         raise ValueError("bound must be non-negative")
     max_depth = bound + len(h.states) + 1
-    state = _search_state(h)
+    state = h._search
     has_pop, need = state.has_pop, state.need
     # a pop-free walk never reaches the cap, so a row holds at every bound
     graph, sets = ({}, {}) if has_pop else (state.graph, state.sets)

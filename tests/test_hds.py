@@ -3,6 +3,7 @@ import itertools
 import os
 import random
 import time
+from dataclasses import FrozenInstanceError, replace
 
 import pytest
 
@@ -378,19 +379,29 @@ def test_pushes_in_a_row_are_searched():
     assert run(h, _binder_then(k)).outcome == CUTOFF
 
 
+def _escape(h: Hds, then_bind: bool = True) -> Hds:
+    """`h`, a `_double_push_hds`, with `open[x>*]`: after one push the close
+    reads the open's own frame, so the allocated name escapes its binder.
+    With `then_bind`, the escaped name is read inside a second binder."""
+    trans = h.trans | {"qs": (Transition(L_OPEN, "q0", NM({x: STAR})),)}
+    if not then_bind:
+        return replace(h, trans=trans)
+    return replace(
+        h,
+        states=h.states | {"q3": frozenset({x, y}), "q4": frozenset(), "q5": frozenset()},
+        finals=frozenset({"q5"}),
+        trans=trans | {
+            "q1": (Transition(L_OPEN, "q3", NM({x: x, y: STAR})),),
+            "q3": (Transition(lname(x), "q4", BOTTOM),),
+            "q4": (Transition(L_CLOSE, "q5", BOTTOM),),
+            "q5": (),
+        },
+    )
+
+
 def _escaping_hds(then_bind: bool = False) -> Hds:
-    """`_double_push_hds` with `open[x>*]`: after one push the close reads
-    the open's own frame, so the allocated name escapes its binder.  With
-    `then_bind`, the escaped name is read inside a second binder."""
-    h = _double_push_hds(with_pop=False)
-    h.trans["qs"] = (Transition(L_OPEN, "q0", NM({x: STAR})),)
-    if then_bind:
-        h.states.update({"q3": frozenset({x, y}), "q4": frozenset(), "q5": frozenset()})
-        h.trans["q1"] = (Transition(L_OPEN, "q3", NM({x: x, y: STAR})),)
-        h.trans["q3"] = (Transition(lname(x), "q4", BOTTOM),)
-        h.trans["q4"] = (Transition(L_CLOSE, "q5", BOTTOM),)
-        h.trans["q5"] = ()
-        h.finals = frozenset({"q5"})
+    """`_double_push_hds` with the escaping open of `_escape`."""
+    h = _escape(_double_push_hds(with_pop=False), then_bind)
     assert validate(h) == []
     return h
 
@@ -828,36 +839,6 @@ def _state_streams(h, bound):
     return out
 
 
-def test_a_changed_automaton_gets_fresh_verdicts():
-    # the search state remembers what it read of the automaton; a change to
-    # its transitions, finals or eta builds the state again
-    fresh = _escaping_hds(then_bind=True)
-    streams = [tokenize(w) for w in brute_slice(fresh, 6, POOL)]
-    streams += [t for s in streams for t in near_misses(s, (m, n))]
-    assert len(streams) > 30
-    h = _double_push_hds(with_pop=False)
-    _verdicts(h, streams)
-    # the mutations `_escaping_hds` makes, after a search
-    h.trans["qs"] = (Transition(L_OPEN, "q0", NM({x: STAR})),)
-    h.states.update({"q3": frozenset({x, y}), "q4": frozenset(), "q5": frozenset()})
-    h.trans["q1"] = (Transition(L_OPEN, "q3", NM({x: x, y: STAR})),)
-    h.trans["q3"] = (Transition(lname(x), "q4", BOTTOM),)
-    h.trans["q4"] = (Transition(L_CLOSE, "q5", BOTTOM),)
-    h.trans["q5"] = ()
-    h.finals = frozenset({"q5"})
-    assert h == fresh and repr(h) == repr(fresh)  # the state is in neither
-    assert _verdicts(h, streams) == _verdicts(_escaping_hds(then_bind=True), streams)
-    assert ACCEPT in _verdicts(h, streams)
-    # eta changed in place, then the finals emptied
-    h = _session_hds()
-    assert run(h, (m,)).outcome == ACCEPT
-    h.eta[next(iter(h.eta))] = n
-    assert run(h, (m,)).outcome == REJECT
-    assert run(h, (n,)).outcome == ACCEPT
-    h.finals = frozenset()
-    assert run(h, (n,)).outcome == REJECT
-
-
 @pytest.mark.parametrize("make", [_session_hds, lambda: _double_push_hds(with_pop=True)])
 def test_a_low_max_depth_does_not_share_the_memo(make):
     # a cap that can cut makes a memo entry depend on more than its key, so
@@ -937,45 +918,45 @@ def test_a_node_reached_again_is_expanded_once():
 
 
 def _read_a(h):
-    h.trans["q1"] = (Transition(lletter(a), "q2", BOTTOM),)
-
-
-def _escape(h):
-    # the mutations `_escaping_hds` makes
-    h.trans["qs"] = (Transition(L_OPEN, "q0", NM({x: STAR})),)
-    h.states.update({"q3": frozenset({x, y}), "q4": frozenset(), "q5": frozenset()})
-    h.trans["q1"] = (Transition(L_OPEN, "q3", NM({x: x, y: STAR})),)
-    h.trans["q3"] = (Transition(lname(x), "q4", BOTTOM),)
-    h.trans["q4"] = (Transition(L_CLOSE, "q5", BOTTOM),)
-    h.trans["q5"] = ()
-    h.finals = frozenset({"q5"})
+    return replace(h, trans=h.trans | {"q1": (Transition(lletter(a), "q2", BOTTOM),)})
 
 
 def _eta_n(h):
-    h.eta[next(iter(h.eta))] = n
+    return replace(h, eta=h.eta | {next(iter(h.eta)): n})
 
 
 def _no_finals(h):
-    h.finals = frozenset()
+    return replace(h, finals=frozenset())
 
 
-@pytest.mark.parametrize("make,change,bound", [
-    (lambda: _double_push_hds(with_pop=False), _read_a, 4),
-    (lambda: _double_push_hds(with_pop=False), _escape, 6),
-    (_session_hds, _eta_n, 9),
-    (_session_hds, _no_finals, 9),
-])
-def test_a_changed_automaton_gets_fresh_slices(make, change, bound):
-    # a change to the transitions, eta or finals after a slice builds the
-    # search state again, and its node graph with it
-    h, fresh = make(), make()
-    before = language_slice(h, bound)
-    change(h)
-    change(fresh)
-    assert validate(h) == []
-    want = language_slice(fresh, bound)
-    assert want != before
-    assert language_slice(h, bound) == want
+def test_an_automaton_is_immutable_and_a_replaced_one_is_searched_afresh():
+    # after a search every change in place raises and leaves the slices and
+    # verdicts as they were; an automaton made from it by `replace` gets
+    # those of the same automaton built fresh
+    for make, change, bound in [
+        (lambda: _double_push_hds(with_pop=False), _read_a, 4),
+        (lambda: _double_push_hds(with_pop=False), _escape, 6),
+        (_session_hds, _eta_n, 9),
+        (_session_hds, _no_finals, 9),
+    ]:
+        h, fresh = make(), change(make())
+        streams = _state_streams(h, bound) + _state_streams(fresh, bound)
+        before = language_slice(h, bound), _verdicts(h, streams)
+        with pytest.raises(TypeError):
+            h.trans["q1"] = ()
+        with pytest.raises(AttributeError):
+            h.states.update({"q9": frozenset()})
+        with pytest.raises(TypeError):
+            h.eta[next(iter(h.eta))] = n
+        with pytest.raises(FrozenInstanceError):
+            h.finals = frozenset()
+        assert (language_slice(h, bound), _verdicts(h, streams)) == before
+        changed = change(h)
+        assert validate(changed) == []
+        assert changed == fresh and repr(changed) == repr(fresh)  # the state is in neither
+        want = language_slice(fresh, bound), _verdicts(fresh, streams)
+        assert want[0] != before[0] and want[1] != before[1] and ACCEPT in before[1]
+        assert (language_slice(changed, bound), _verdicts(changed, streams)) == want
 
 
 def test_a_pop_automaton_keeps_no_node_graph(push_pop_hds):
