@@ -929,34 +929,58 @@ def _no_finals(h):
     return replace(h, finals=frozenset())
 
 
-def test_an_automaton_is_immutable_and_a_replaced_one_is_searched_afresh():
+@pytest.mark.parametrize("make,change,bound", [
+    (lambda: _double_push_hds(with_pop=False), _read_a, 4),
+    (lambda: _double_push_hds(with_pop=False), _escape, 6),
+    (_session_hds, _eta_n, 9),
+    (_session_hds, _no_finals, 9),
+])
+def test_a_changed_automaton_gets_fresh_slices(make, change, bound):
     # after a search every change in place raises and leaves the slices and
     # verdicts as they were; an automaton made from it by `replace` gets
     # those of the same automaton built fresh
-    for make, change, bound in [
-        (lambda: _double_push_hds(with_pop=False), _read_a, 4),
-        (lambda: _double_push_hds(with_pop=False), _escape, 6),
-        (_session_hds, _eta_n, 9),
-        (_session_hds, _no_finals, 9),
-    ]:
-        h, fresh = make(), change(make())
-        streams = _state_streams(h, bound) + _state_streams(fresh, bound)
-        before = language_slice(h, bound), _verdicts(h, streams)
-        with pytest.raises(TypeError):
-            h.trans["q1"] = ()
-        with pytest.raises(AttributeError):
-            h.states.update({"q9": frozenset()})
-        with pytest.raises(TypeError):
-            h.eta[next(iter(h.eta))] = n
-        with pytest.raises(FrozenInstanceError):
-            h.finals = frozenset()
-        assert (language_slice(h, bound), _verdicts(h, streams)) == before
-        changed = change(h)
-        assert validate(changed) == []
-        assert changed == fresh and repr(changed) == repr(fresh)  # the state is in neither
-        want = language_slice(fresh, bound), _verdicts(fresh, streams)
-        assert want[0] != before[0] and want[1] != before[1] and ACCEPT in before[1]
-        assert (language_slice(changed, bound), _verdicts(changed, streams)) == want
+    h, fresh = make(), change(make())
+    streams = _state_streams(h, bound) + _state_streams(fresh, bound)
+    before = language_slice(h, bound), _verdicts(h, streams)
+    with pytest.raises(TypeError):
+        h.trans["q1"] = ()
+    with pytest.raises(AttributeError):
+        h.states.update({"q9": frozenset()})
+    with pytest.raises(TypeError):
+        h.eta[next(iter(h.eta))] = n
+    with pytest.raises(FrozenInstanceError):
+        h.finals = frozenset()
+    assert (language_slice(h, bound), _verdicts(h, streams)) == before
+    changed = change(h)
+    assert validate(changed) == []
+    assert changed == fresh and repr(changed) == repr(fresh)  # the state is in neither
+    want = language_slice(fresh, bound), _verdicts(fresh, streams)
+    assert want[0] != before[0] and want[1] != before[1] and ACCEPT in before[1]
+    assert (language_slice(changed, bound), _verdicts(changed, streams)) == want
+
+
+def test_a_changed_automaton_gets_fresh_verdicts():
+    # the escaping automaton derived by `replace` after a search gets the
+    # verdicts of the one built fresh, and the searched one keeps its own
+    fresh = _escaping_hds(then_bind=True)
+    streams = [tokenize(w) for w in brute_slice(fresh, 6, POOL)]
+    streams += [t for s in streams for t in near_misses(s, (m, n))]
+    assert len(streams) > 30
+    h = _double_push_hds(with_pop=False)
+    before = _verdicts(h, streams)
+    changed = _escape(h)
+    assert changed == fresh and repr(changed) == repr(fresh)  # the state is in neither
+    assert _verdicts(changed, streams) == _verdicts(_escaping_hds(then_bind=True), streams)
+    assert ACCEPT in _verdicts(changed, streams)
+    assert _verdicts(h, streams) == before != _verdicts(changed, streams)
+    # eta replaced, then the finals emptied, each after a run
+    h = _session_hds()
+    assert run(h, (m,)).outcome == ACCEPT
+    h = _eta_n(h)
+    assert run(h, (m,)).outcome == REJECT
+    assert run(h, (n,)).outcome == ACCEPT
+    h = _no_finals(h)
+    assert run(h, (n,)).outcome == REJECT
 
 
 def test_a_pop_automaton_keeps_no_node_graph(push_pop_hds):
