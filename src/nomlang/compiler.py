@@ -8,16 +8,27 @@ the second after extending the first with the second's initial locals;
 iteration via a push transition re-establishing the initial name
 bindings; and name binding via an allocating open transition and a
 deallocating close transition.  Every construction takes its new
-state ids and local names from one `FreshSupply`, which
-`compile_regex` threads through the whole translation, so the operands
-of a construction never share a state or a local name.
+state ids and local names from one `FreshSupply`, so the operands of a
+construction never share a state or a local name.
+
+One compile builds one automaton.  `compile_regex` fills one `_Build`:
+two mutable tables holding the local names of each state (a set) and
+the transitions out of each state, in order, as (label, target, sigma
+dict) triples.  A construction works on fragments (`_Frag`: a state
+list, initial state, finals, initial meanings and relaxed flag) and
+edits the tables in place; the `NameMap`s, `Transition`s and the one
+`Hds` are made at the end.  So threading a local through an operand
+costs one dict insert per transition, the size of what it adds to the
+output, and no construction copies the automaton built so far.
 
 Two points deserve attention:
 
-* `add_name` threads the new name through every transition with the
-  identity, push transitions included.  `push_frame` resolves the
-  pushed entry `x>x` to the meaning `x` has when the push fires, so
-  the threaded value survives every iteration of a star.
+* Concatenation threads each initial local `x` of its right operand
+  through every state and transition of its left operand with the
+  identity `x>x`, push transitions included (`add_name` does the same
+  to a whole automaton).  `push_frame` resolves the pushed entry `x>x`
+  to the meaning `x` has when the push fires, so the threaded value
+  survives every iteration of a star.
 
 * Binding a name whose initial map has several preimages (which
   arises as soon as the bound name occurs both directly in a
@@ -34,7 +45,6 @@ from typing import Iterable
 
 from .names import Name, STAR
 from .hds import (
-    BOTTOM,
     Hds,
     L_CLOSE,
     L_EPS,
@@ -73,88 +83,8 @@ class FreshSupply:
                 return n
 
 
-def _identity(names: Iterable[Name]) -> NameMap:
-    return NameMap.of({x: x for x in names})
-
-
-# ---------------------------------------------------------------------------
-# Building blocks
-
-def hds_one(supply: FreshSupply) -> Hds:
-    q0, qf = supply.state(), supply.state()
-    return Hds(
-        states={q0: frozenset(), qf: frozenset()},
-        initial=q0,
-        eta={},
-        finals=frozenset({qf}),
-        trans={q0: (Transition(L_EPS, qf, BOTTOM),), qf: ()},
-    )
-
-
-def hds_zero(supply: FreshSupply) -> Hds:
-    q0 = supply.state()
-    return Hds(
-        states={q0: frozenset()},
-        initial=q0,
-        eta={},
-        finals=frozenset(),
-        trans={q0: ()},
-    )
-
-
-def hds_name(n: Name, supply: FreshSupply) -> Hds:
-    q0, qf = supply.state(), supply.state()
-    x = supply.local()
-    return Hds(
-        states={q0: frozenset({x}), qf: frozenset()},
-        initial=q0,
-        eta={x: n},
-        finals=frozenset({qf}),
-        trans={q0: (Transition(lname(x), qf, BOTTOM),), qf: ()},
-    )
-
-
-def hds_letter(s, supply: FreshSupply) -> Hds:
-    q0, qf = supply.state(), supply.state()
-    return Hds(
-        states={q0: frozenset(), qf: frozenset()},
-        initial=q0,
-        eta={},
-        finals=frozenset({qf}),
-        trans={q0: (Transition(lletter(s), qf, BOTTOM),), qf: ()},
-    )
-
-
-def hds_sum(h1: Hds, h2: Hds, supply: FreshSupply) -> Hds:
-    """Union: fresh initial state with silent transitions into both operands."""
-    q0 = supply.state()
-    loc1 = h1.states[h1.initial]
-    loc2 = h2.states[h2.initial]
-    states = h1.states | h2.states | {q0: loc1 | loc2}
-    trans = h1.trans | h2.trans
-    trans[q0] = (
-        Transition(L_EPS, h1.initial, _identity(loc1)),
-        Transition(L_EPS, h2.initial, _identity(loc2)),
-    )
-    return Hds(
-        states=states,
-        initial=q0,
-        eta=h1.eta | h2.eta,
-        finals=h1.finals | h2.finals,
-        trans=trans,
-        relaxed_star=h1.relaxed_star or h2.relaxed_star,
-    )
-
-
-def unique_final(h: Hds, supply: FreshSupply) -> Hds:
-    """Wrap with a fresh no-name final state (always, even if already unique)."""
-    qf = supply.state()
-    states = h.states | {qf: frozenset()}
-    trans = h.trans.copy()
-    for q in h.finals:
-        trans[q] = trans.get(q, ()) + (Transition(L_EPS, qf, BOTTOM),)
-    trans[qf] = ()
-    return Hds(states, h.initial, h.eta.copy(), frozenset({qf}), trans, h.relaxed_star)
+def _identity(names: Iterable[Name]) -> dict:
+    return {x: x for x in names}
 
 
 def add_name(h: Hds, x: Name) -> Hds:
@@ -180,147 +110,212 @@ def add_name(h: Hds, x: Name) -> Hds:
     return Hds(states, h.initial, h.eta.copy(), h.finals, trans, h.relaxed_star)
 
 
-def hds_concat(h1: Hds, h2: Hds, supply: FreshSupply) -> Hds:
-    """Sequential composition: H1's final feeds H2's initial.
-
-    H2's initial locals are first added throughout H1 so the linking
-    silent transition can hand over their initial meanings.
-    """
-    if len(h1.finals) != 1:
-        h1 = unique_final(h1, supply)
-    (qf1,) = h1.finals
-    loc2 = h2.states[h2.initial]
-    for x in sorted(loc2):
-        h1 = add_name(h1, x)
-    states = h1.states | h2.states
-    trans = h1.trans | h2.trans
-    trans[qf1] = h1.trans[qf1] + (Transition(L_EPS, h2.initial, _identity(loc2)),)
-    return Hds(
-        states=states,
-        initial=h1.initial,
-        eta=h1.eta | h2.eta,
-        finals=h2.finals,
-        trans=trans,
-        relaxed_star=h1.relaxed_star or h2.relaxed_star,
-    )
-
-
-def hds_star(h: Hds, supply: FreshSupply) -> Hds:
-    """Iteration: silent skip for the empty word, push transition looping back.
-
-    The pushed frame is the initial name map, so each iteration starts
-    from the initial meanings while the previous frame is preserved
-    below.
-    """
-    h = unique_final(h, supply)
-    (qf,) = h.finals
-    states = h.states.copy()
-    trans = h.trans.copy()
-    q0 = h.initial
-    initial = q0
-    # The empty-word skip must fire only before the body has started.
-    # If the body can re-enter its initial state (an inner loop targets
-    # it), hang the skip on a fresh state in front of it instead.
-    if any(t.target == q0 for _, t in h.transitions()):
-        initial = supply.state()
-        loc0 = h.states[q0]
-        states[initial] = loc0
-        trans[initial] = (Transition(L_EPS, q0, _identity(loc0)),)
-    trans[initial] = trans.get(initial, ()) + (Transition(L_EPS, qf, BOTTOM),)
-    trans[qf] = (Transition(L_PUSH, q0, NameMap.of(h.eta)),)
-    return Hds(states, initial, h.eta.copy(), h.finals, trans, h.relaxed_star)
-
-
-def hds_bind(n: Name, h: Hds, supply: FreshSupply) -> Hds:
-    """Name binding: allocate at open, recognize the body, deallocate at close.
-
-    Every initial local denoting `n` is sent to the placeholder by the
-    open transition, so it picks up the allocated name.  With several
-    such locals the open map is injective only up to placeholder
-    collisions and the automaton is flagged as relaxed.
-    """
-    h = unique_final(h, supply)
-    (qf,) = h.finals
-    loc0 = h.states[h.initial]
-    bound = frozenset(x for x in loc0 if h.eta.get(x) is n)
-    h = _repoint_stale_pushes(h, n, bound)
-    q_open, q_close = supply.state(), supply.state()
-    sigma = NameMap.of({x: (STAR if x in bound else x) for x in loc0})
-    states = h.states | {q_open: loc0 - bound, q_close: frozenset()}
-    trans = h.trans.copy()
-    trans[q_open] = (Transition(L_OPEN, h.initial, sigma),)
-    trans[qf] = trans[qf] + (Transition(L_CLOSE, q_close, BOTTOM),)
-    trans[q_close] = ()
-    eta = {x: v for x, v in h.eta.items() if x not in bound}
-    return Hds(
-        states=states,
-        initial=q_open,
-        eta=eta,
-        finals=frozenset({q_close}),
-        trans=trans,
-        relaxed_star=h.relaxed_star or len(bound) > 1,
-    )
-
-
-def _repoint_stale_pushes(h: Hds, n: Name, bound: frozenset[Name]) -> Hds:
-    """Prepare the body of a binder whose push frames mention the bound name.
-
-    A pushed frame recording `n` verbatim would re-install the static
-    name instead of the one allocated at the open transition.  The
-    fix: thread the initial locals that denote `n` through every state,
-    then replace `n` in pushed frames by such a local, which resolves
-    to the allocated name at push time.
-    """
-    stale = any(
-        t.label.kind == "push" and any(v is n for v in t.sigma.values())
-        for _, t in h.transitions()
-    )
-    if not stale:
-        return h
-    if not bound:
-        raise CompileError(
-            f"push frame mentions {n.label} but no initial local denotes it"
-        )
-    states = {q: locs | bound for q, locs in h.states.items()}
-    anchor = min(bound)
-    trans: dict[str, tuple[Transition, ...]] = {}
-    for q, ts in h.trans.items():
-        new_ts = []
-        for t in ts:
-            sigma = t.sigma.as_dict()
-            if t.label.kind == "push":
-                sigma = {k: (anchor if v is n else v) for k, v in sigma.items()}
-            for x in bound:
-                sigma.setdefault(x, x)
-            new_ts.append(Transition(t.label, t.target, NameMap.of(sigma)))
-        trans[q] = tuple(new_ts)
-    return Hds(states, h.initial, h.eta.copy(), h.finals, trans, h.relaxed_star)
-
-
 # ---------------------------------------------------------------------------
 # The compiler
 
 def compile_regex(e: rx.Regex) -> Hds:
     """Translate an expression into an automaton recognizing its language."""
-    return _compile(e, FreshSupply(avoid=rx.free_names(e)))
+    build = _Build(FreshSupply(avoid=rx.free_names(e)))
+    return build.hds(build.compile(e))
 
 
-def _compile(e: rx.Regex, supply: FreshSupply) -> Hds:
-    """Build the automaton of `e` from the states and locals `supply` hands out."""
-    if isinstance(e, rx.One):
-        return hds_one(supply)
-    if isinstance(e, rx.Zero):
-        return hds_zero(supply)
-    if isinstance(e, rx.NameLit):
-        return hds_name(e.name, supply)
-    if isinstance(e, rx.LetterLit):
-        return hds_letter(e.letter, supply)
-    if isinstance(e, rx.Sum):
-        return hds_sum(_compile(e.left, supply), _compile(e.right, supply), supply)
-    if isinstance(e, rx.Cat):
-        return hds_concat(_compile(e.left, supply), _compile(e.right, supply), supply)
-    if isinstance(e, rx.Star):
-        return hds_star(_compile(e.body, supply), supply)
-    if isinstance(e, rx.Binder):
-        return hds_bind(e.name, _compile(e.body, supply), supply)
-    raise CompileError(f"unknown expression node {type(e).__name__}")
+@dataclass
+class _Frag:
+    """A part of the automaton under construction.  `states` lists its
+    states in the order the automaton lists them; no other fragment
+    holds any of them."""
+
+    states: list[str]
+    initial: str
+    finals: set[str]
+    eta: dict[Name, Name]  # initial meaning of the initial state's locals
+    relaxed: bool = False
+
+
+class _Build:
+    """The tables of one compile, and the constructions that edit them.
+
+    A construction takes its operands' fragments over, edits them and
+    the tables in place, and returns the fragment of its result.
+    """
+
+    def __init__(self, supply: FreshSupply):
+        self.supply = supply
+        self.locals: dict[str, set[Name]] = {}
+        self.trans: dict[str, list[tuple]] = {}  # (label, target, sigma dict)
+
+    def state(self, locs: Iterable[Name] = ()) -> str:
+        q = self.supply.state()
+        self.locals[q] = set(locs)
+        self.trans[q] = []
+        return q
+
+    def hds(self, f: _Frag) -> Hds:
+        return Hds(
+            states={q: frozenset(self.locals[q]) for q in f.states},
+            initial=f.initial,
+            eta=f.eta,
+            finals=f.finals,
+            trans={
+                q: tuple([Transition(label, target, NameMap.of(sigma))
+                          for label, target, sigma in self.trans[q]])
+                for q in f.states
+            },
+            relaxed_star=f.relaxed,
+        )
+
+    def compile(self, e: rx.Regex) -> _Frag:
+        """Build the fragment of `e` from the states and locals the supply hands out."""
+        if isinstance(e, rx.Zero):
+            q0 = self.state()
+            return _Frag([q0], q0, set(), {})
+        if isinstance(e, (rx.One, rx.NameLit, rx.LetterLit)):
+            q0, qf = self.state(), self.state()
+            eta = {}
+            if isinstance(e, rx.One):
+                label = L_EPS
+            elif isinstance(e, rx.LetterLit):
+                label = lletter(e.letter)
+            else:
+                x = self.supply.local()
+                self.locals[q0].add(x)
+                eta[x] = e.name
+                label = lname(x)
+            self.trans[q0].append((label, qf, {}))
+            return _Frag([q0, qf], q0, {qf}, eta)
+        if isinstance(e, rx.Sum):
+            return self.sum(self.compile(e.left), self.compile(e.right))
+        if isinstance(e, rx.Cat):
+            return self.concat(self.compile(e.left), self.compile(e.right))
+        if isinstance(e, rx.Star):
+            return self.star(self.compile(e.body))
+        if isinstance(e, rx.Binder):
+            return self.bind(e.name, self.compile(e.body))
+        raise CompileError(f"unknown expression node {type(e).__name__}")
+
+    def _join(self, f1: _Frag, f2: _Frag) -> _Frag:
+        """`f1` with the states, initial meanings and relaxed flag of `f2` joined in."""
+        f1.states += f2.states
+        f1.eta |= f2.eta
+        f1.relaxed = f1.relaxed or f2.relaxed
+        return f1
+
+    def _unique_final(self, f: _Frag) -> str:
+        """Give `f` a fresh no-name final state (always, even if it has one)."""
+        qf = self.state()
+        for q in f.finals:
+            self.trans[q].append((L_EPS, qf, {}))
+        f.states.append(qf)
+        f.finals = {qf}
+        return qf
+
+    def _thread(self, f: _Frag, names: set[Name]) -> None:
+        """Add `names` to every state of `f` and `x>x` to every sigma not yet defined on `x`."""
+        for q in f.states:
+            self.locals[q] |= names
+            for _, _, sigma in self.trans[q]:
+                for x in names:
+                    sigma.setdefault(x, x)
+
+    def sum(self, f1: _Frag, f2: _Frag) -> _Frag:
+        """Union: fresh initial state with silent transitions into both operands."""
+        loc1, loc2 = self.locals[f1.initial], self.locals[f2.initial]
+        q0 = self.state(loc1 | loc2)
+        self.trans[q0] += [
+            (L_EPS, f1.initial, _identity(loc1)),
+            (L_EPS, f2.initial, _identity(loc2)),
+        ]
+        f = self._join(f1, f2)
+        f.states.append(q0)
+        f.initial = q0
+        f.finals |= f2.finals
+        return f
+
+    def concat(self, f1: _Frag, f2: _Frag) -> _Frag:
+        """Sequential composition: F1's final feeds F2's initial.
+
+        F2's initial locals are first threaded through F1 so the linking
+        silent transition can hand over their initial meanings.
+        """
+        if len(f1.finals) != 1:
+            self._unique_final(f1)
+        (qf1,) = f1.finals
+        loc2 = self.locals[f2.initial]
+        if loc2:
+            self._thread(f1, loc2)
+        self.trans[qf1].append((L_EPS, f2.initial, _identity(loc2)))
+        f = self._join(f1, f2)
+        f.finals = f2.finals
+        return f
+
+    def star(self, f: _Frag) -> _Frag:
+        """Iteration: silent skip for the empty word, push transition looping back.
+
+        The pushed frame is the initial name map, so each iteration starts
+        from the initial meanings while the previous frame is preserved
+        below.
+        """
+        qf = self._unique_final(f)
+        q0 = f.initial
+        # The empty-word skip must fire only before the body has started.
+        # If the body can re-enter its initial state (an inner loop targets
+        # it), hang the skip on a fresh state in front of it instead.
+        if any(target == q0 for q in f.states for _, target, _ in self.trans[q]):
+            loc0 = self.locals[q0]
+            f.initial = self.state(loc0)
+            self.trans[f.initial].append((L_EPS, q0, _identity(loc0)))
+            f.states.append(f.initial)
+        self.trans[f.initial].append((L_EPS, qf, {}))
+        self.trans[qf].append((L_PUSH, q0, dict(f.eta)))
+        return f
+
+    def bind(self, n: Name, f: _Frag) -> _Frag:
+        """Name binding: allocate at open, recognize the body, deallocate at close.
+
+        Every initial local denoting `n` is sent to the placeholder by the
+        open transition, so it picks up the allocated name.  With several
+        such locals the open map is injective only up to placeholder
+        collisions and the automaton is flagged as relaxed.
+        """
+        qf = self._unique_final(f)
+        loc0 = frozenset(self.locals[f.initial])
+        bound = {x for x in loc0 if f.eta.get(x) is n}
+        self._repoint_stale_pushes(f, n, bound)
+        q_open, q_close = self.state(loc0 - bound), self.state()
+        sigma = {x: (STAR if x in bound else x) for x in loc0}
+        self.trans[q_open].append((L_OPEN, f.initial, sigma))
+        self.trans[qf].append((L_CLOSE, q_close, {}))
+        f.states += (q_open, q_close)
+        f.initial = q_open
+        f.finals = {q_close}
+        f.eta = {x: v for x, v in f.eta.items() if x not in bound}
+        f.relaxed = f.relaxed or len(bound) > 1
+        return f
+
+    def _repoint_stale_pushes(self, f: _Frag, n: Name, bound: set[Name]) -> None:
+        """Prepare the body of a binder whose push frames mention the bound name.
+
+        A pushed frame recording `n` verbatim would re-install the static
+        name instead of the one allocated at the open transition.  The
+        fix: thread the initial locals that denote `n` through every state,
+        then replace `n` in pushed frames by such a local, which resolves
+        to the allocated name at push time.
+        """
+        pushes = [
+            sigma
+            for q in f.states
+            for label, _, sigma in self.trans[q]
+            if label.kind == "push"
+        ]
+        if not any(v is n for sigma in pushes for v in sigma.values()):
+            return
+        if not bound:
+            raise CompileError(
+                f"push frame mentions {n.label} but no initial local denotes it"
+            )
+        anchor = min(bound)
+        for sigma in pushes:
+            for k, v in sigma.items():
+                if v is n:
+                    sigma[k] = anchor
+        self._thread(f, bound)

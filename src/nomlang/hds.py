@@ -124,8 +124,10 @@ class NameMap:
 
     @classmethod
     def of(cls, mapping: dict | None = None) -> "NameMap":
-        m = dict(mapping or {})
-        return cls(tuple(sorted(m.items(), key=lambda kv: kv[0])))
+        if not mapping:
+            return BOTTOM
+        # names order by label: sorting on it compares strings in C
+        return cls(tuple(sorted(mapping.items(), key=lambda kv: kv[0].label)))
 
     def get(self, n: Name, default=None):
         for k, v in self.entries:
@@ -292,6 +294,11 @@ class Hds:
 def validate(h: Hds) -> list[str]:
     """Well-formedness violations (empty list means well-formed)."""
     bad: list[str] = []
+
+    def fault(q: str, t: Transition, what: str) -> None:
+        # the transition's repr is made only for a faulty one
+        bad.append(f"{q} {t!r}: {what}")
+
     if h.initial not in h.states:
         bad.append(f"initial state {h.initial} undeclared")
     for q in h.finals:
@@ -309,29 +316,28 @@ def validate(h: Hds) -> list[str]:
             continue
         src = h.states[q]
         for t in ts:
-            where = f"{q} {t!r}"
             if t.target not in h.states:
-                bad.append(f"{where}: undeclared target")
+                fault(q, t, "undeclared target")
                 continue
             tgt = h.states[t.target]
             if t.label.kind == "name" and t.label.name not in src:
-                bad.append(f"{where}: label name not local to source")
+                fault(q, t, "label name not local to source")
             if not t.sigma.domain <= tgt:
-                bad.append(f"{where}: sigma domain exceeds target locals")
+                fault(q, t, "sigma domain exceeds target locals")
             for v in t.sigma.values():
                 if t.label.kind == "open":
                     if v is not STAR and v not in src:
-                        bad.append(f"{where}: open sigma value outside source locals")
+                        fault(q, t, "open sigma value outside source locals")
                 elif t.label.kind == "push":
                     if not isinstance(v, Name):
-                        bad.append(f"{where}: push sigma must map into names")
+                        fault(q, t, "push sigma must map into names")
                 else:
                     if v is STAR or v not in src:
-                        bad.append(f"{where}: sigma value outside source locals")
+                        fault(q, t, "sigma value outside source locals")
             # push frames assign global names like eta does, which need
             # not be injective; all other maps must be
             if t.label.kind != "push" and not t.sigma.is_injective(h.relaxed_star):
-                bad.append(f"{where}: sigma not injective")
+                fault(q, t, "sigma not injective")
     return bad
 
 

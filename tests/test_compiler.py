@@ -1,17 +1,22 @@
+import glob
+import hashlib
+import os
+import random
+import time
+
 import pytest
 
 from nomlang.names import Name, STAR
+from nomlang.hds_format import serialize
 from nomlang import regex as rx
 from nomlang.regex import enumerate_slice
-from nomlang.syntax import parse_regex, parse_word, render_word
+from nomlang.syntax import parse_nre, parse_regex, parse_word, render_word
 from nomlang.words import alpha_canonical
 from nomlang.hds import accepts_word, language_slice, validate
 from nomlang.compiler import (
     CompileError,
     add_name,
     compile_regex,
-    hds_name,
-    FreshSupply,
 )
 from nomlang.oracle import brute_slice, check_equivalence, random_regex
 
@@ -119,8 +124,7 @@ def test_compilation_deterministic_up_to_isomorphism():
 # -- helper constructions ----------------------------------------------------
 
 def test_add_name_preserves_language():
-    supply = FreshSupply(frozenset({n}))
-    h = hds_name(n, supply)
+    h = compile_regex(rx.NameLit(n))
     x9 = Name("x9")
     h2 = add_name(h, x9)
     assert validate(h2) == []
@@ -128,6 +132,18 @@ def test_add_name_preserves_language():
     assert language_slice(h2, 4) == language_slice(h, 4)
     with pytest.raises(ValueError):
         add_name(h2, x9)  # already local
+
+
+def test_a_long_binder_chain_compiles_in_time():
+    # each block's free name is threaded through every block before it,
+    # so the automaton grows quadratically along the chain; compiling it
+    # took 8 to 10 s when every construction rebuilt the whole automaton
+    src = " ".join(f"<#n. #n #m{i} >" for i in range(200))
+    e = parse_regex(src, letters=set())
+    start = time.perf_counter()
+    h = compile_regex(e)
+    assert time.perf_counter() - start < 2.0
+    assert validate(h) == []
 
 
 def test_relaxed_star_flag_for_shared_bindings():
@@ -155,3 +171,38 @@ def test_random_expressions_round_trip(seed):
         s1 = enumerate_slice(e, "M", 6).words
         s2 = language_slice(h, 6)
         assert s1 == s2, render_word(next(iter(s1 ^ s2)))
+
+
+# -- pinned output -----------------------------------------------------------
+
+EXPRESSIONS = os.path.join(os.path.dirname(__file__), os.pardir, "expressions")
+
+# sha256 over the serialized automaton (or the CompileError message) of the
+# corpus files and 3,000 random expressions, each followed by a NUL byte
+PINNED_DIGEST = "b96390e53f0067f1e635808579ac19cca18a67a373e5cb61d05f0da8631a6c5f"
+
+
+def test_compiled_output_is_pinned():
+    exprs = []
+    for path in sorted(glob.glob(os.path.join(EXPRESSIONS, "*.nre"))):
+        with open(path, encoding="utf-8") as f:
+            exprs.append(parse_nre(f.read())[0])
+    # x0 and x1 are the compiler's own local names and ~0 a reserved
+    # binder name: free occurrences of them must not disturb the output
+    pool = [Name(s) for s in ("n", "m", "x0", "x1", "~0")]
+    rng = random.Random(22)
+    exprs += [random_regex(rng, pool, LETTERS, 1 + i % 5) for i in range(3000)]
+    digest = hashlib.sha256()
+    errors = relaxed = 0
+    for e in exprs:
+        try:
+            h = compile_regex(e)
+        except CompileError as err:
+            errors += 1
+            text = f"CompileError: {err}"
+        else:
+            relaxed += h.relaxed_star
+            text = serialize(h)
+        digest.update(text.encode() + b"\0")
+    assert errors and relaxed  # the sample reaches both paths
+    assert digest.hexdigest() == PINNED_DIGEST
