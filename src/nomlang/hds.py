@@ -11,15 +11,16 @@ kinds reads and what it does to the stack.  Both searches are subset
 constructions, and both take a configuration set's successors from
 `_closure`, built on `step`: it closes the set under the moves that
 read nothing, groups the moves that read a token by that token, and
-after each move applies one rule -- keep the frames a close can still
-read, cap the stack depth, and kill the name of a binder just closed.
-`run` holds, at each input position, the set of configurations the
-moves reading the tokens so far lead to, and a memo maps (set, token,
-frames kept) to the next set.  `language_slice` walks the tree of
-emitted prefixes one length at a time: each prefix holds the set of
-configurations that generate it, and the prefixes of one length are
-grouped by node -- that set, the open depth and the tokens left -- so
-each node's closure and token successors are computed once.  The walk
+after each move applies one rule -- drop a configuration with no path
+to a final state, keep the frames a close can still read, cap the
+stack depth, and kill the name of a binder just closed.  `run` holds,
+at each input position, the set of configurations the moves reading
+the tokens so far lead to, and a memo maps (set, token, frames kept) to
+the next set.  `language_slice` walks the tree of emitted prefixes one
+length at a time: each prefix holds the set of configurations that
+generate it, and the prefixes of one length are grouped by node -- that
+set and the open depth -- so each node's closure and token successors
+are computed once; the walk counts the tokens left under the bound.  It
 emits keys (`words.alpha_key`), not tokens, so no word is parsed or
 canonicalized, and each accepted word is decoded once.
 
@@ -72,9 +73,9 @@ no open of the stream binds rejects at once, with no memo entry, since
 no frame can hold it; so does a letter no transition reads, and fresh
 free names never grow the memo.  `language_slice` keeps its node graph
 there unless the automaton pops: a pop-free walk cannot reach the cap,
-so a node's successors depend on the node alone, and a slice at any
-bound reuses every node an earlier slice expanded.  A pop automaton's
-walk keeps a graph of its own per call.
+so a node's row depends on the node alone, and a slice at any bound
+reuses every node an earlier slice expanded.  A pop automaton's walk
+keeps a graph of its own per call.
 """
 
 from __future__ import annotations
@@ -495,13 +496,14 @@ def _closure(h: Hds, configs, tok, fresh: Optional[Name], rules: dict, need: dic
     the configurations the moves out of it reach, per token read.
 
     `tok` and `fresh` go to `step`.  `rules` maps the type of the token
-    a move reads (`NoneType` for none) to (frames, dead name or None,
-    budget): a move is dropped if its token has no rule, or if its
-    target needs more tokens to finish than the budget (`need`, as
-    `steps_to_final` counts them).  Without pop transitions a move's
-    stack keeps its top `frames` frames; a stack deeper than `max_depth`
-    is cut, and the dead name becomes DEAD in every frame.  Returns
-    (closure, reached per token, whether the cap cut a move).  With
+    a move reads (`NoneType` for none) to (frames, dead name or None): a
+    move is dropped if its token has no rule or its target has no path
+    to a final state (is absent from `need`).  Without pop transitions a
+    move's stack keeps its top `frames` frames; a stack deeper than
+    `max_depth` is cut, and the dead name becomes DEAD in every frame.
+    Returns (closure, reached per token, cut): cut is None, or the
+    fewest tokens a cut move still needed -- the one it read, and enough
+    to reach a final state and to close all but one of its frames.  With
     `links`, a configuration the closure adds maps there to the
     (configuration, transition) it came from, and one a token reaches
     does so under (token, configuration).  With `moves`, a configuration
@@ -510,7 +512,7 @@ def _closure(h: Hds, configs, tok, fresh: Optional[Name], rules: dict, need: dic
     seen = set(configs)
     frontier = list(configs)
     reads: dict = {}
-    cut = False
+    cut = None
     silent = rules[NoneType]
     while frontier:
         cfg = frontier.pop()
@@ -523,15 +525,15 @@ def _closure(h: Hds, configs, tok, fresh: Optional[Name], rules: dict, need: dic
                 moves[cfg] = enabled = step(h, state, stk, tok, fresh)
         for t, tok_read, stk2 in enabled:
             rule = silent if tok_read is None else rules.get(type(tok_read))
-            if rule is None:
+            if rule is None or t.target not in need:
                 continue
-            frames, dead, budget = rule
-            if need.get(t.target, budget + 1) > budget:
-                continue
+            frames, dead = rule
             if not has_pop:
                 stk2 = stk2[:frames]
             if len(stk2) > max_depth:
-                cut = True
+                req = (tok_read is not None) + max(need[t.target], frames - 1)
+                if cut is None or req < cut:
+                    cut = req
                 continue
             if dead is not None:
                 stk2 = _forget(stk2, dead)
@@ -552,18 +554,22 @@ def _closure(h: Hds, configs, tok, fresh: Optional[Name], rules: dict, need: dic
     return seen, reads, cut
 
 
-def _constants_and_pops(h: Hds) -> tuple[set, bool]:
-    """The automaton's constants (eta and push-sigma values), and whether it pops."""
+def _constants_and_pops(h: Hds) -> tuple[set, set, bool]:
+    """The automaton's constants (eta and push-sigma values), the letters
+    it reads, and whether it pops."""
     constants = set(h.eta.values())
+    letters = set()
     has_pop = False
     for ts in h.trans.values():
         for t in ts:
             kind = t.label.kind
             if kind == "push":
                 constants.update(t.sigma.values())
+            elif kind == "letter":
+                letters.add(t.label.letter)
             elif kind == "pop":
                 has_pop = True
-    return constants, has_pop
+    return constants, letters, has_pop
 
 
 class _SearchState:
@@ -572,23 +578,14 @@ class _SearchState:
     `run`'s `memo` compares sets by identity and equal ones are stored
     once; `graph` maps a slice node to its row (`_expand`)."""
 
-    __slots__ = ("constants", "has_pop", "need",
-                 "letters", "anywhere", "start", "memo", "sets", "graph")
+    __slots__ = ("constants", "letters", "has_pop", "need", "start", "memo", "sets", "graph")
 
     def __init__(self, h: Hds):
-        constants, self.has_pop = _constants_and_pops(h)
-        self.constants = frozenset(constants)
+        constants, letters, self.has_pop = _constants_and_pops(h)
+        self.constants, self.letters = frozenset(constants), frozenset(letters)
         self.need = steps_to_final(h)
         self.start = frozenset({(h.initial, initial_config(h)[2])})
-        self.sets, self.graph = {self.start: self.start}, {}
-        self.memo = None  # `run`'s tables are made at its first call
-
-    def for_run(self, h: Hds) -> "_SearchState":
-        if self.memo is None:
-            self.letters = h.letters()
-            self.anywhere = dict.fromkeys(h.states, 0)  # `run` prunes no state
-            self.memo = {}
-        return self
+        self.sets, self.graph, self.memo = {self.start: self.start}, {}, {}
 
 
 def _unreadable(tok, state: _SearchState, opened: set) -> bool:
@@ -643,7 +640,7 @@ def run(
     n = len(tokens)
     if max_depth is None:
         max_depth = n + len(h.states) + 1
-    state = h._search.for_run(h)
+    state = h._search
     has_pop = state.has_pop
     # keep[pos]: 1 + the most by which closes outnumber opens over any
     # stretch of tokens[pos:], the frames a close can read; past the end,
@@ -668,13 +665,13 @@ def run(
         """`_closure` at `pos`; after a `_LevelClose` its level name is dead.
         Returns the next set, and whether the cap cut a move."""
         tok = stream[pos]
-        rules = {NoneType: (keep[pos], None, 0),
-                 type(tok): (keep[pos + 1], tok.name if type(tok) is _LevelClose else None, 0)}
-        closure, reads, cut = _closure(h, configs, tok, None, rules, state.anywhere, has_pop,
+        rules = {NoneType: (keep[pos], None),
+                 type(tok): (keep[pos + 1], tok.name if type(tok) is _LevelClose else None)}
+        closure, reads, cut = _closure(h, configs, tok, None, rules, state.need, has_pop,
                                        max_depth, links)
         if tok is END:
-            return frozenset([c for c in closure if c[0] in h.finals]), cut
-        return frozenset(reads.get(tok, ())), cut
+            return frozenset([c for c in closure if c[0] in h.finals]), cut is not None
+        return frozenset(reads.get(tok, ())), cut is not None
 
     configs = state.start
     entries = [configs]
@@ -813,8 +810,7 @@ def _language_keys(h: Hds, bound: int) -> set:
     Walks the tree of emitted prefixes one length at a time,
     determinizing on the fly as the subset construction does.  A prefix
     node holds the set of (state, stack) configurations that `step`
-    reaches while generating that prefix, its open depth and the tokens
-    left under the bound.  Binders
+    reaches while generating that prefix, and its open depth.  Binders
     are named as `run` names private ones: an open at depth d allocates
     the level name of d, which no constant and no frame value equals, and
     at the binder's close that name becomes `DEAD` in every frame.  The
@@ -827,15 +823,17 @@ def _language_keys(h: Hds, bound: int) -> set:
     keeps across calls unless it pops (module docstring); one memo per
     call holds `step`'s moves out of each configuration.
 
-    A configuration is dropped when the tokens left under the bound
-    cannot both close its open binders and take its state to a final
-    one (`steps_to_final`); a state with no path to a final state is
-    always dropped.  Without pop transitions a configuration keeps one
-    frame more than its open depth: the rest of an accepted word closes
-    those binders and never outnumbers its own opens with its closes.
-    So the walk is exhaustive; with pop transitions, stacks deeper than
-    the bound + state count + 1 are cut, as `run` cuts them, and a cut
-    raises `Undecided`.
+    The walk counts the tokens left under the bound, and takes a
+    successor only if fewer tokens than are left can close its binders
+    and take one of its states to a final one (`steps_to_final`, which
+    falls by at most one per token, so a configuration that cannot
+    finish in time has no descendant that can).  Without pop transitions
+    a configuration keeps one frame more than its open depth: the rest
+    of an accepted word closes those binders and never outnumbers its
+    own opens with its closes.  So the walk is exhaustive; with pop
+    transitions, stacks deeper than the bound + state count + 1 are cut,
+    as `run` cuts them, and a cut move that could still finish in the
+    tokens left raises `Undecided`.
     """
     if bound < 0:
         raise ValueError("bound must be non-negative")
@@ -844,64 +842,65 @@ def _language_keys(h: Hds, bound: int) -> set:
     has_pop, need = state.has_pop, state.need
     # a pop-free walk never reaches the cap, so a row holds at every bound
     graph, sets = ({}, {}) if has_pop else (state.graph, state.sets)
-    moves: dict = {}  # (token, fresh name) -> {configuration: `step`'s moves}
+    moves: dict = {}  # fresh name -> {configuration: `step`'s moves}
     out: set = set()
     # node -> its key prefixes of one length; the start node's single
     # configuration is a 1-tuple, as in `_expand`
-    nodes = {(tuple(state.start), 0, bound): [()]}
+    nodes = {(tuple(state.start), 0): [()]}
+    left = bound
     while nodes:
         grown: dict = {}
         for node, prefixes in nodes.items():
             row = graph.get(node)
             if row is None:
                 row = graph[node] = _expand(h, node, need, has_pop, max_depth, moves, sets)
-            row = iter(row)  # whether it emits, then (key element, next node) pairs
+            row = iter(row)  # whether it emits, its cut, then (element, node, req) triples
             if next(row):
                 out.update(prefixes)
-            for elem, succ in zip(row, row):
-                elem = (elem,)
-                more = [p + elem for p in prefixes]
-                have = grown.get(succ)
-                if have is None:
-                    grown[succ] = more
-                else:
-                    have += more
+            cut = next(row)
+            if cut is not None and cut <= left:
+                raise Undecided("the slice reached its depth cap and may miss words")
+            for elem, succ, req in zip(row, row, row):
+                if req < left:
+                    elem = (elem,)
+                    more = [p + elem for p in prefixes]
+                    have = grown.get(succ)
+                    if have is None:
+                        grown[succ] = more
+                    else:
+                        have += more
         nodes = grown
+        left -= 1
     return out
 
 
 def _expand(h: Hds, node: tuple, need: dict, has_pop: bool, max_depth: int,
             moves: dict, sets: dict) -> tuple:
-    """The row of a slice node (configurations, open depth, tokens left):
-    whether it emits its prefixes, then the key element and the next node
-    of each successor.  Each node's configurations are interned through
-    `sets`; a single configuration is held as a 1-tuple, at a quarter of
+    """The row of a slice node (configurations, open depth): whether it
+    emits its prefixes, `_closure`'s cut, then, for each token read, its
+    key element, the next node, and the fewest tokens a word needs after
+    that token (to close the next node's binders and take one of its
+    states to a final one).  Each node's configurations are interned
+    through `sets`; a single configuration is a 1-tuple, at a quarter of
     a frozenset's size."""
-    configs, depth, left = node
-    # a move keeps one frame more than the open depth after it, and it
-    # must leave tokens enough to take its target to a final state (the
-    # budget) and to close the binders still open (the depth tests)
-    rules = {NoneType: (depth + 1, None, left)}
-    if depth < left:
-        rules[Name] = rules[Letter] = (depth + 1, None, left - 1)
-    if depth + 1 < left:
-        rules[TOpen] = (depth + 2, None, left - 1)
+    configs, depth = node
+    # a move keeps one frame more than the open depth after it
+    rules = {NoneType: (depth + 1, None), Name: (depth + 1, None),
+             Letter: (depth + 1, None), TOpen: (depth + 2, None)}
     if depth:
-        rules[TClose] = (depth, _level(depth - 1)[1], left - 1)
-    tok = None if left else END
+        rules[TClose] = (depth, _level(depth - 1)[1])
     fresh = _level(depth)[1]
-    closure, reads, cut = _closure(h, configs, tok, fresh, rules, need, has_pop,
-                                   max_depth, moves=moves.setdefault((tok, fresh), {}))
-    if cut:
-        raise Undecided("the slice reached its depth cap and may miss words")
-    row = [depth == 0 and any(q in h.finals for q, _ in closure)]
+    closure, reads, cut = _closure(h, configs, None, fresh, rules, need, has_pop,
+                                   max_depth, moves=moves.setdefault(fresh, {}))
+    row = [depth == 0 and any(q in h.finals for q, _ in closure), cut]
     for read, group in reads.items():
         # a level name read at depth d is the index d - 1 - level
         level = _level_of.get(read)
         row.append(_KEY_BRACKETS.get(type(read), read) if level is None else depth - 1 - level)
+        depth2 = rules[type(read)][0] - 1
+        req = max(depth2, min([need[q] for q, _ in group]))
         group = tuple(group) if len(group) == 1 else frozenset(group)
-        # a token's rule keeps one frame more than the open depth after it
-        row.append((sets.setdefault(group, group), rules[type(read)][0] - 1, left - 1))
+        row += ((sets.setdefault(group, group), depth2), req)
     return tuple(row)
 
 

@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import itertools
 import os
 import random
@@ -572,6 +573,47 @@ def test_slice_raises_where_the_search_is_cut(tmp_path, capsys):
     assert capsys.readouterr().out.startswith("UNDECIDED")
 
 
+def _pop_hds(trans: dict, finals: set) -> Hds:
+    """A hand-built automaton with no locals and an unreachable pop loop,
+    so the searches keep whole stacks and cap their depth."""
+    trans = dict(trans, qp=(Transition(L_POP, "qp", NM({})),))
+    states = dict.fromkeys(set(trans) | {t.target for ts in trans.values() for t in ts},
+                           frozenset())
+    h = Hds(states, "q0", {}, frozenset(finals), trans)
+    assert validate(h) == []
+    return h
+
+
+def test_slice_raises_only_where_a_cut_branch_could_finish_in_time():
+    # the push loop on q1 reaches the cap before any token is read, and
+    # from q1 a word needs three more letters: below bound 3 the cut
+    # branch could not have finished, so the slice is exact
+    h = _pop_hds({
+        "q0": (Transition(lletter(a), "qf", NM({})), Transition(L_EPS, "q1", NM({}))),
+        "q1": (Transition(L_PUSH, "q1", NM({})), Transition(lletter(a), "q2", NM({}))),
+        "q2": (Transition(lletter(a), "q3", NM({})),),
+        "q3": (Transition(lletter(a), "q4", NM({})),),
+    }, {"qf", "q4"})
+    for bound in (1, 2):
+        assert language_slice(h, bound) == {parse_word("a")}
+    for bound in (3, 4):
+        with pytest.raises(Undecided):
+            language_slice(h, bound)
+
+
+def test_a_cut_branch_that_cannot_finish_is_no_cutoff():
+    # the push loop on qd reaches the cap, but qd has no path to a final
+    # state: the branch is dropped, so the verdicts are exact
+    h = _pop_hds({
+        "q0": (Transition(lletter(a), "qf", NM({})), Transition(L_EPS, "qd", NM({}))),
+        "qd": (Transition(L_PUSH, "qd", NM({})),),
+    }, {"qf"})
+    assert run(h, (a,)).outcome == ACCEPT
+    assert run(h, (a, a)).outcome == REJECT
+    assert run(h, ()).outcome == REJECT
+    assert language_slice(h, 3) == {parse_word("a")}
+
+
 # -- dead-frame truncation -----------------------------------------------------
 
 def _words_and_near_misses(h, bound):
@@ -809,6 +851,30 @@ def test_slice_keys_are_the_expression_keys():
         assert _language_keys(compile_regex(e), 6) == want
 
 
+PINNED_SLICES = "a0bf6995b56a423f29efe849f38015fccba31f2d57f2c49ce9f686804e308434"
+
+
+def test_slices_are_pinned():
+    # the slice keys of the corpus, at the bounds `check_corpus.py` uses,
+    # and of random compiled automata at bound 7: a change to the search
+    # must leave every slice as it is
+    from nomlang.hds import _language_keys
+
+    cases = []
+    corpus = os.path.dirname(NS_FILE)
+    for fname in sorted(os.listdir(corpus)):
+        with open(os.path.join(corpus, fname), encoding="utf-8") as f:
+            cases.append((parse_nre(f.read())[0], 18 if "ns_protocol" in fname else 8))
+    assert len(cases) == 5
+    rng = random.Random(24)
+    cases += [(random_regex(rng, NAMES, LETTERS, 4), 7) for _ in range(1500)]
+    digest = hashlib.sha256()
+    for e, bound in cases:
+        keys = sorted(map(repr, _language_keys(compile_regex(e), bound)))
+        digest.update("\n".join(keys).encode() + b"\0")
+    assert digest.hexdigest() == PINNED_SLICES
+
+
 def test_slice_keys_of_hand_built_automata_decode_to_their_slices():
     from nomlang.hds import _language_keys
 
@@ -906,15 +972,34 @@ def test_a_repeated_slice_makes_no_step_calls(monkeypatch):
     assert slices[0] == slices[1] and len(slices[0]) > 0
 
 
-def test_a_node_reached_again_is_expanded_once():
-    # the start node and a successor with the same configurations take one
-    # form, so the slice at bound 2 reuses the node that the walk at bound
-    # 3 reached after one letter
+def test_a_node_reached_again_is_expanded_once(monkeypatch):
+    # a node is a configuration set and an open depth, with no tokens
+    # left: a one-state self-loop is one node at every bound, so a slice
+    # at a higher bound expands nothing the first slice did not
+    from nomlang import hds
+
     h = Hds({"q": frozenset()}, "q", {}, frozenset({"q"}),
             {"q": (Transition(lletter(a), "q", NM({})),)})
     assert validate(h) == []
     assert len(language_slice(h, 3)) == 4 and len(language_slice(h, 2)) == 3
-    assert len(h._search.graph) == 4
+    assert len(h._search.graph) == 1
+    calls = []
+    monkeypatch.setattr(hds, "step", lambda *args: calls.append(1) or step(*args))
+    assert len(language_slice(h, 7)) == 8
+    assert calls == []
+
+
+def test_a_slice_expands_no_node_it_cannot_close_in_time():
+    # q0 opens any number of binders and needs one letter to finish: a
+    # word of at most 5 tokens closes what it opens, so no expanded node
+    # is deeper than 2, though `steps_to_final` alone would allow it
+    h = Hds({"q0": frozenset(), "qf": frozenset()}, "q0", {}, frozenset({"qf"}),
+            {"q0": (Transition(L_OPEN, "q0", NM({})), Transition(lletter(a), "qf", NM({}))),
+             "qf": (Transition(L_CLOSE, "qf", NM({})),)})
+    assert validate(h) == []
+    assert {render_word(w) for w in language_slice(h, 5)} == {
+        "a", "<#~0. a >", "<#~0. <#~1. a > >"}
+    assert max(depth for _, depth in h._search.graph) == 2
 
 
 def _read_a(h):
