@@ -13,16 +13,17 @@ constructions, and both take a configuration set's successors from
 read nothing, groups the moves that read a token by that token, and
 after each move applies one rule -- drop a configuration with no path
 to a final state, keep the frames a close can still read, cap the
-stack depth, and kill the name of a binder just closed.  `run` holds,
-at each input position, the set of configurations the moves reading
-the tokens so far lead to, and a memo maps (set, token, frames kept) to
-the next set.  `language_slice` walks the tree of emitted prefixes one
-length at a time: each prefix holds the set of configurations that
-generate it, and the prefixes of one length are grouped by node -- that
-set and the open depth -- so each node's closure and token successors
-are computed once; the walk counts the tokens left under the bound.  It
-emits keys (`words.alpha_key`), not tokens, so no word is parsed or
-canonicalized, and each accepted word is decoded once.
+stack depth, and kill the name of a binder just closed.  A node is a
+configuration set and an open depth, and its row (`_expand`) holds the
+node's successor per token read.  `language_slice` walks the tree of
+emitted prefixes one length at a time: each prefix holds the set of
+configurations that generate it, and the prefixes of one length are
+grouped by node, so each node's row is made once; the walk counts the
+tokens left under the bound.  It emits keys (`words.alpha_key`), not
+tokens, so no word is parsed or canonicalized, and each accepted word
+is decoded once.  `run` holds, at each input position, the set of
+configurations the moves reading the tokens so far lead to, and steps
+through the same rows wherever their rules are its own.
 
 Both searches name binders one way, after their open depth.  A binder
 opened at depth d takes the level name of d, which no input name and
@@ -40,7 +41,8 @@ forgotten, so the renaming changes no verdict.  `word_stream`, on which
 `accepts_word` and the CLI decide a word, names every binder apart from
 the other binders, the free names and the constants, so every binder
 of a word is private; renamed, its blocks of the same shape meet the
-same sets, and the memo decides every block after the first.
+same nodes, and every block after the first is a walk through rows
+already made.
 
 In an automaton without pop transitions (every compiled one) only a
 close move reads below the top of the stack, and it reads one frame
@@ -60,22 +62,22 @@ stacks the searches memoize hash and compare by identity, and a move
 that leaves the top frame as it is keeps the stack itself.
 
 Each automaton carries one search state, built at its first search
-(`Hds._search`): its constants, the letters it reads, whether it pops,
-`steps_to_final`, `run`'s memo, the slice walk's node graph, and one
-table of the configuration sets the two searches keep.  An automaton
-is immutable, so its search state never goes stale, and it dies with
-the automaton.  The memo is shared across calls only where the depth
-cap cannot cut, in a pop-free automaton with `max_depth` at least the
-frames the call keeps; then a set of words on one automaton decides
-each (set, token, frames) step once.  Elsewhere a call takes a memo of
-its own.  In a shared search a name token that is no constant and that
-no open of the stream binds rejects at once, with no memo entry, since
-no frame can hold it; so does a letter no transition reads, and fresh
-free names never grow the memo.  `language_slice` keeps its node graph
-there unless the automaton pops: a pop-free walk cannot reach the cap,
-so a node's row depends on the node alone, and a slice at any bound
-reuses every node an earlier slice expanded.  A pop automaton's walk
-keeps a graph of its own per call.
+(`Hds._search`): its constants, whether it pops, `steps_to_final`, one
+table of the configuration sets the searches keep, and the node graph,
+which maps each node to its row.  An automaton is immutable, so its
+search state never goes stale, and it dies with the automaton.  A row
+depends on its node alone unless the depth cap can cut, so the graph
+serves both searches on a pop-free automaton: a slice at any bound
+reuses every node an earlier slice or run expanded, and a run on a
+word of a slice makes no `step` call.  `run` reads a row where its
+rules for the token are the row's (`_on_graph`): always for a name, a
+letter and the end of the input, and for an open or a close of a
+private binder at the open depth the row is at.  A token no move
+reads has no entry in the row, so it rejects at once, and fresh free
+names grow nothing.  Every other step -- on a pop automaton, under a
+`max_depth` that can cut, or at an unmatched bracket or a binder that
+is not private -- goes to `_closure` through a memo of the call's own.
+A pop automaton's walk keeps a graph of its own per call.
 """
 
 from __future__ import annotations
@@ -490,12 +492,12 @@ def _forget(stk: Stack, nm: Name) -> Stack:
 
 
 def _closure(h: Hds, configs, tok, fresh: Optional[Name], rules: dict, need: dict,
-             has_pop: bool, max_depth: int, links: Optional[dict] = None,
-             moves: Optional[dict] = None):
+             has_pop: bool, max_depth: int, moves: dict, links: Optional[dict] = None):
     """The closure of `configs` under the moves that read nothing, and
     the configurations the moves out of it reach, per token read.
 
-    `tok` and `fresh` go to `step`.  `rules` maps the type of the token
+    `tok` and `fresh` go to `step`, and `moves` maps a configuration to
+    `step`'s moves out of it for this `tok` and `fresh`.  `rules` maps the type of the token
     a move reads (`NoneType` for none) to (frames, dead name or None): a
     move is dropped if its token has no rule or its target has no path
     to a final state (is absent from `need`).  Without pop transitions a
@@ -506,8 +508,7 @@ def _closure(h: Hds, configs, tok, fresh: Optional[Name], rules: dict, need: dic
     to reach a final state and to close all but one of its frames.  With
     `links`, a configuration the closure adds maps there to the
     (configuration, transition) it came from, and one a token reaches
-    does so under (token, configuration).  With `moves`, a configuration
-    maps there to `step`'s moves out of it for this `tok` and `fresh`.
+    does so under (token, configuration).
     """
     seen = set(configs)
     frontier = list(configs)
@@ -517,12 +518,9 @@ def _closure(h: Hds, configs, tok, fresh: Optional[Name], rules: dict, need: dic
     while frontier:
         cfg = frontier.pop()
         state, stk = cfg
-        if moves is None:
-            enabled = step(h, state, stk, tok, fresh)
-        else:
-            enabled = moves.get(cfg)
-            if enabled is None:
-                moves[cfg] = enabled = step(h, state, stk, tok, fresh)
+        enabled = moves.get(cfg)
+        if enabled is None:
+            moves[cfg] = enabled = step(h, state, stk, tok, fresh)
         for t, tok_read, stk2 in enabled:
             rule = silent if tok_read is None else rules.get(type(tok_read))
             if rule is None or t.target not in need:
@@ -554,48 +552,46 @@ def _closure(h: Hds, configs, tok, fresh: Optional[Name], rules: dict, need: dic
     return seen, reads, cut
 
 
-def _constants_and_pops(h: Hds) -> tuple[set, set, bool]:
-    """The automaton's constants (eta and push-sigma values), the letters
-    it reads, and whether it pops."""
+def _constants_and_pops(h: Hds) -> tuple[frozenset, bool]:
+    """The automaton's constants (eta and push-sigma values), and whether
+    it pops."""
     constants = set(h.eta.values())
-    letters = set()
     has_pop = False
     for ts in h.trans.values():
         for t in ts:
             kind = t.label.kind
             if kind == "push":
                 constants.update(t.sigma.values())
-            elif kind == "letter":
-                letters.add(t.label.letter)
             elif kind == "pop":
                 has_pop = True
-    return constants, letters, has_pop
+    return frozenset(constants), has_pop
 
 
 class _SearchState:
     """What the searches keep of one automaton between calls (module
-    docstring).  `sets` holds one object per configuration set, so
-    `run`'s `memo` compares sets by identity and equal ones are stored
-    once; `graph` maps a slice node to its row (`_expand`)."""
+    docstring).  `sets` holds one object per configuration set, so equal
+    sets are stored once; `graph` maps a node (configuration set, open
+    depth) to its row (`_expand`)."""
 
-    __slots__ = ("constants", "letters", "has_pop", "need", "start", "memo", "sets", "graph")
+    __slots__ = ("constants", "has_pop", "need", "start", "sets", "graph")
 
     def __init__(self, h: Hds):
-        constants, letters, self.has_pop = _constants_and_pops(h)
-        self.constants, self.letters = frozenset(constants), frozenset(letters)
+        self.constants, self.has_pop = _constants_and_pops(h)
         self.need = steps_to_final(h)
         self.start = frozenset({(h.initial, initial_config(h)[2])})
-        self.sets, self.graph, self.memo = {self.start: self.start}, {}, {}
+        self.sets, self.graph = {self.start: self.start}, {}
 
 
-def _unreadable(tok, state: _SearchState, opened: set) -> bool:
-    """Whether no move can read `tok` in a pop-free search of a stream whose
-    opens bind `opened` (or level names): it is a letter no transition
-    reads, or a name no frame can hold, since frame values come only from
-    eta, push sigma and the opens."""
-    if type(tok) is Name:
-        return tok not in state.constants and tok not in opened and tok not in _level_of
-    return type(tok) is Letter and tok not in state.letters
+def _on_graph(bracket, depth: int, after: int) -> bool:
+    """Whether `run`'s rules for an open or close, at a position that keeps
+    depth + 1 frames and `after` frames after it, are those of the row of
+    `_expand` at `depth` (for a name, a letter and END they always are):
+    an open must allocate the level name of `depth` and keep depth + 2
+    frames; a close must kill the level name of depth - 1, and keeps
+    depth frames."""
+    if type(bracket) is TOpen:
+        return bracket is _level(depth)[0] and after == depth + 2
+    return bracket is _level(depth - 1)[2]
 
 
 def run(
@@ -607,11 +603,10 @@ def run(
     """Decide whether `h` accepts the token stream, by a subset construction.
 
     At each input position the search holds the set of (state, stack)
-    configurations that the moves reading the tokens so far lead to.  A
-    memo maps (set, token, frames kept after it) to the next set, which
-    `_closure` computes: the set's closure under the moves that read
-    nothing, then the moves that read the token; past the last token it
-    maps the set to the final configurations of its closure.  First every
+    configurations that the moves reading the tokens so far lead to, and
+    takes the next set from `_closure`: the set's closure under the moves
+    that read nothing, then the moves that read the token; past the last
+    token it keeps the final configurations of its closure.  First every
     private binder takes the name of its open depth, which dies at its
     close: the renaming is one-to-one on the names still to be read and
     fixes the constants, so the verdict stands (module docstring), while
@@ -624,15 +619,13 @@ def run(
     + state count + 1, which only a pop automaton can reach); a branch
     the cap cuts makes the outcome CUTOFF unless a run accepts.
 
-    The memo lives in the automaton's search state (`Hds._search`)
-    where the cap cannot cut: on a pop-free automaton, with `max_depth`
-    at least the most frames the call keeps.  Then an entry depends on
-    its key alone, and the calls on one automaton decide each step once;
-    on a pop automaton, or under a lower `max_depth`, the memo is the
-    call's own.  In a shared search a name token that is no constant and
-    that no open of the stream binds, or a letter no transition reads,
-    rejects where it is reached, with no memo entry: no move can read
-    it, and a set of near-misses leaves the memo as it found it.
+    Where the cap cannot cut -- on a pop-free automaton, with `max_depth`
+    at least the most frames the call keeps -- a position that keeps
+    d + 1 frames holds the node (set, d) of the automaton's node graph,
+    and a step whose rules are the row's (`_on_graph`) reads the next
+    node from the row, made once per automaton (`_expand`); a token with
+    no entry rejects.  Every other step calls `_closure` through a memo
+    of the call's own, keyed by (set, token, frames kept after it).
 
     With `want_trace`, an accepting run is walked back through the sets by
     `_closure`'s links, and replayed on the real tokens with whole stacks.
@@ -641,25 +634,24 @@ def run(
     if max_depth is None:
         max_depth = n + len(h.states) + 1
     state = h._search
-    has_pop = state.has_pop
     # keep[pos]: 1 + the most by which closes outnumber opens over any
     # stretch of tokens[pos:], the frames a close can read; past the end,
     # and after END, only the top frame
     keep = [1, 1]
     frames = 1
-    opened = set()  # the names the input's opens bind
     for tok in reversed(tokens):
         if type(tok) is TOpen:
-            opened.add(tok.name)
             frames = max(1, frames - 1)
         elif isinstance(tok, TClose):
             frames += 1
         keep.append(frames)
     keep.reverse()
-    stream = (_private_binders_by_level(tokens, state.constants) if opened
-              else tuple(tokens)) + (END,)
-    shared = not has_pop and max_depth >= max(keep)
-    memo, sets = (state.memo, state.sets) if shared else ({}, {})
+    stream = _private_binders_by_level(tokens, state.constants) + (END,)
+    shared = not state.has_pop and max_depth >= max(keep)
+    graph, sets = state.graph, (state.sets if shared else {})
+    # `advance`'s (set, token, frames kept after it) -> (next set, cut), and
+    # `step`'s moves per configuration, per token read or per fresh name
+    memo, moves = {}, {}
 
     def advance(configs, pos, links=None):
         """`_closure` at `pos`; after a `_LevelClose` its level name is dead.
@@ -667,29 +659,38 @@ def run(
         tok = stream[pos]
         rules = {NoneType: (keep[pos], None),
                  type(tok): (keep[pos + 1], tok.name if type(tok) is _LevelClose else None)}
-        closure, reads, cut = _closure(h, configs, tok, None, rules, state.need, has_pop,
-                                       max_depth, links)
+        closure, reads, cut = _closure(h, configs, tok, None, rules, state.need, state.has_pop,
+                                       max_depth, moves.setdefault(tok, {}), links)
         if tok is END:
             return frozenset([c for c in closure if c[0] in h.finals]), cut is not None
         return frozenset(reads.get(tok, ())), cut is not None
 
-    configs = state.start
-    entries = [configs]
+    # the node (set, keep[pos] - 1): a row's next node is the one the next
+    # position holds, with no new tuple
+    node = (state.start, keep[0] - 1)
+    entries = [node[0]]
     cut = False
     for pos, tok in enumerate(stream):
-        key = (configs, tok, keep[pos + 1])
-        hit = memo.get(key)
-        if hit is None:
-            if shared and _unreadable(tok, state, opened):
+        if shared and (type(tok) not in _KEY_BRACKETS or _on_graph(tok, node[1], keep[pos + 1])):
+            row = graph.get(node)
+            if row is None:
+                row = graph[node] = _expand(h, node, state.need, False, node[1] + 2, moves, sets)
+            hit = row[1].get(tok)
+            if hit is None:
                 return RunResult(REJECT)
-            out, cut_here = advance(configs, pos)
-            memo[key] = hit = (sets.setdefault(out, out), cut_here)
-        configs, cut_here = hit
-        cut = cut or cut_here
-        if not configs:
-            return RunResult(CUTOFF if cut else REJECT)
+            node = hit[1]
+        else:
+            key = (node[0], tok, keep[pos + 1])
+            hit = memo.get(key)
+            if hit is None:
+                out, cut_here = advance(node[0], pos)
+                memo[key] = hit = ((sets.setdefault(out, out), keep[pos + 1] - 1), cut_here)
+            node, cut_here = hit
+            cut = cut or cut_here
+            if not node[0]:
+                return RunResult(CUTOFF if cut else REJECT)
         if want_trace:
-            entries.append(configs)
+            entries.append(node[0])
     if not want_trace:
         return RunResult(ACCEPT)
     # every configuration of entries[pos] is reachable, so from a final
@@ -697,7 +698,7 @@ def run(
     # configuration of the set before; the trace takes the least final
     # configuration and explores each set in order, so no hash seed
     # changes it
-    cfg = min(configs, key=_config_order)
+    cfg = min(advance(entries[n], n)[0], key=_config_order)
     path: list = []
     for pos in range(n, -1, -1):
         links: dict = {}
@@ -800,7 +801,8 @@ def steps_to_final(h: Hds) -> dict[str, int]:
     return need
 
 
-_KEY_BRACKETS = {TOpen: KEY_OPEN, TClose: KEY_CLOSE}
+# the key element of each bracket type; `run` tells brackets by it too
+_KEY_BRACKETS = {TOpen: KEY_OPEN, TClose: KEY_CLOSE, _LevelClose: KEY_CLOSE}
 
 
 def _language_keys(h: Hds, bound: int) -> set:
@@ -815,13 +817,14 @@ def _language_keys(h: Hds, bound: int) -> set:
     the level name of d, which no constant and no frame value equals, and
     at the binder's close that name becomes `DEAD` in every frame.  The
     prefixes of one length are grouped by node, and `_expand` makes each
-    node's row once: a node is final if its closure has a final state at
-    open depth 0, and each token read from it extends all its prefixes by
-    the token's key element.  A level name read at depth d is the index
-    d - 1 - level, so a final prefix is already the key of its word.  The
-    rows live in the automaton's node graph, which its search state
-    keeps across calls unless it pops (module docstring); one memo per
-    call holds `step`'s moves out of each configuration.
+    node's row once: a node is final (its row has END) if its closure has
+    a final state at open depth 0, and each token read from it extends
+    all its prefixes by the token's key element.  A level name read at
+    depth d is the index d - 1 - level, so a final prefix is already the
+    key of its word.  The rows live in the automaton's node graph, which
+    `run` reads too and which its search state keeps across calls unless
+    it pops (module docstring); one memo per call holds `step`'s moves
+    out of each configuration.
 
     The walk counts the tokens left under the bound, and takes a
     successor only if fewer tokens than are left can close its binders
@@ -842,11 +845,9 @@ def _language_keys(h: Hds, bound: int) -> set:
     has_pop, need = state.has_pop, state.need
     # a pop-free walk never reaches the cap, so a row holds at every bound
     graph, sets = ({}, {}) if has_pop else (state.graph, state.sets)
-    moves: dict = {}  # fresh name -> {configuration: `step`'s moves}
+    moves: dict = {}  # (None, fresh name) -> {configuration: `step`'s moves}
     out: set = set()
-    # node -> its key prefixes of one length; the start node's single
-    # configuration is a 1-tuple, as in `_expand`
-    nodes = {(tuple(state.start), 0): [()]}
+    nodes = {(state.start, 0): [()]}  # node -> its key prefixes of one length
     left = bound
     while nodes:
         grown: dict = {}
@@ -854,14 +855,13 @@ def _language_keys(h: Hds, bound: int) -> set:
             row = graph.get(node)
             if row is None:
                 row = graph[node] = _expand(h, node, need, has_pop, max_depth, moves, sets)
-            row = iter(row)  # whether it emits, its cut, then (element, node, req) triples
-            if next(row):
-                out.update(prefixes)
-            cut = next(row)
+            cut, reads = row
             if cut is not None and cut <= left:
                 raise Undecided("the slice reached its depth cap and may miss words")
-            for elem, succ, req in zip(row, row, row):
-                if req < left:
+            for elem, succ, req in reads.values():
+                if elem is None:  # END: the node emits its prefixes
+                    out.update(prefixes)
+                elif req < left:
                     elem = (elem,)
                     more = [p + elem for p in prefixes]
                     have = grown.get(succ)
@@ -876,13 +876,14 @@ def _language_keys(h: Hds, bound: int) -> set:
 
 def _expand(h: Hds, node: tuple, need: dict, has_pop: bool, max_depth: int,
             moves: dict, sets: dict) -> tuple:
-    """The row of a slice node (configurations, open depth): whether it
-    emits its prefixes, `_closure`'s cut, then, for each token read, its
+    """The row of a node (configurations, open depth): `_closure`'s cut,
+    and a dict from each token a move reads, as `run` reads it, to its
     key element, the next node, and the fewest tokens a word needs after
     that token (to close the next node's binders and take one of its
-    states to a final one).  Each node's configurations are interned
-    through `sets`; a single configuration is a 1-tuple, at a quarter of
-    a frozenset's size."""
+    states to a final one).  A close is filed under the `_LevelClose` of
+    depth - 1, which `run`'s renaming puts there, and a node that emits
+    its prefixes files END under (None, node, 0).  Each next node's
+    configurations are a frozenset interned through `sets`."""
     configs, depth = node
     # a move keeps one frame more than the open depth after it
     rules = {NoneType: (depth + 1, None), Name: (depth + 1, None),
@@ -891,17 +892,20 @@ def _expand(h: Hds, node: tuple, need: dict, has_pop: bool, max_depth: int,
         rules[TClose] = (depth, _level(depth - 1)[1])
     fresh = _level(depth)[1]
     closure, reads, cut = _closure(h, configs, None, fresh, rules, need, has_pop,
-                                   max_depth, moves=moves.setdefault(fresh, {}))
-    row = [depth == 0 and any(q in h.finals for q, _ in closure), cut]
+                                   max_depth, moves.setdefault((None, fresh), {}))
+    row = {}
+    if depth == 0 and any(q in h.finals for q, _ in closure):
+        row[END] = (None, node, 0)
     for read, group in reads.items():
         # a level name read at depth d is the index d - 1 - level
         level = _level_of.get(read)
-        row.append(_KEY_BRACKETS.get(type(read), read) if level is None else depth - 1 - level)
+        elem = _KEY_BRACKETS.get(type(read), read) if level is None else depth - 1 - level
         depth2 = rules[type(read)][0] - 1
         req = max(depth2, min([need[q] for q, _ in group]))
-        group = tuple(group) if len(group) == 1 else frozenset(group)
-        row += ((sets.setdefault(group, group), depth2), req)
-    return tuple(row)
+        group = frozenset(group)
+        row[_level(depth - 1)[2] if read is TCLOSE else read] = (
+            elem, (sets.setdefault(group, group), depth2), req)
+    return cut, row
 
 
 def language_slice(h: Hds, bound: int) -> frozenset[MWord]:

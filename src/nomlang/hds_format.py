@@ -39,17 +39,8 @@ class FormatError(ValueError):
 # Writing
 
 def _fmt_sigma(sigma: NameMap) -> str:
-    return ",".join(
-        f"{k.label}>{'*' if v is STAR else v.label}" for k, v in sigma.entries
-    )
-
-
-def _fmt_label(label: Label) -> str:
-    if label.kind == "name":
-        return f"#{label.name.label}"
-    if label.kind == "letter":
-        return label.letter.symbol
-    return label.kind
+    # the empty map is written ``[]``, not as its repr ``_|_``
+    return repr(sigma) if sigma.entries else ""
 
 
 def serialize(h: Hds) -> str:
@@ -65,7 +56,7 @@ def serialize(h: Hds) -> str:
     lines.append("trans")
     for q in sorted(h.trans):
         for t in h.trans[q]:
-            lines.append(f"  {q} --{_fmt_label(t.label)}[{_fmt_sigma(t.sigma)}]--> {t.target}")
+            lines.append(f"  {q} --{t.label!r}[{_fmt_sigma(t.sigma)}]--> {t.target}")
     if h.relaxed_star:
         lines.append("relaxed")
     return "\n".join(lines) + "\n"
@@ -191,7 +182,7 @@ def to_dot(h: Hds, name: str = "H") -> str:
         for t in h.trans[q]:
             sig = _fmt_sigma(t.sigma)
             lines.append(
-                f'  "{esc(q)}" -> "{esc(t.target)}" [label="{esc(_fmt_label(t.label))}"];'
+                f'  "{esc(q)}" -> "{esc(t.target)}" [label="{esc(repr(t.label))}"];'
             )
             if sig:
                 # name-map annotation, drawn dashed alongside the move

@@ -130,20 +130,8 @@ def _encode_g(w: GWord) -> tuple:
 
 
 def _decode_g(key: tuple) -> GWord:
-    k = len([x for x in key if x is KEY_OPEN])
-    if not k:
-        return GWord(key)
-    fresh = iter(binder_names(k, key))
-    binders: list[Name] = []
-    out: list = []
-    for x in key:
-        if x is KEY_OPEN:
-            binders.append(next(fresh))
-            x = TOpen(binders[-1])
-        elif type(x) is int:
-            x = binders[-1 - x]
-        out.append(x)
-    return GWord(tuple(out))
+    # a G key is an M key with no closes, and `from_key` names its binders
+    return GWord(from_key(key).tokens)
 
 
 def _tok_len_g(key: tuple) -> int:

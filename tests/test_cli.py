@@ -1,3 +1,4 @@
+import hashlib
 import os
 import subprocess
 import sys
@@ -100,6 +101,38 @@ def test_accept_trace_does_not_depend_on_the_hash_seed(tmp_path):
     outs = _stdout_per_hash_seed(script, ("0", "1", "2", "3"))
     assert len(set(outs)) == 1
     assert outs[0].startswith(b"ACCEPT\n")
+
+
+PINNED_TRACES = "1ac4e9ca347cdeb17567f5af39645fde0a289f4836581c53cfbd14a7ebc26ba1"
+
+
+def test_accept_trace_is_pinned(tmp_path, capsys):
+    # `accept --trace` on the two shortest slice words of each corpus file,
+    # at the bounds `check_corpus.py` uses, and on a word of three blocks
+    # of the session and protocol expressions
+    from nomlang.compiler import compile_regex
+    from nomlang.hds import language_slice
+    from nomlang.syntax import parse_nre, render_word
+
+    corpus = os.path.join(ROOT, "expressions")
+    blocks = {"session_nonce.nre": "#m" + " <#n. #m #n >" * 3,
+              "ns_protocol.nre": " ".join(
+                  ["<#~0. ENCR #~0 A FOR B <#~1. ENCR #~0 #~1 FOR A ENCR #~1 FOR B > >"] * 3)}
+    digest = hashlib.sha256()
+    for fname in sorted(os.listdir(corpus)):
+        path = os.path.join(corpus, fname)
+        automaton = str(tmp_path / (fname + ".hds"))
+        assert main(["compile", path, automaton]) == 0
+        with open(path, encoding="utf-8") as f:
+            h = compile_regex(parse_nre(f.read())[0])
+        slice_ = language_slice(h, 18 if fname == "ns_protocol.nre" else 8)
+        texts = [render_word(w) for w in sorted(slice_, key=lambda w: (len(w.tokens), repr(w)))[:2]]
+        texts += [blocks[fname]] if fname in blocks else []
+        capsys.readouterr()
+        for text in texts:
+            assert main(["accept", automaton, "--trace", text]) == 0
+            digest.update(capsys.readouterr().out.encode())
+    assert digest.hexdigest() == PINNED_TRACES
 
 
 def test_accept_names_binders_apart_from_the_constants(tmp_path, capsys):

@@ -691,7 +691,7 @@ def test_search_keeps_one_frame_more_than_the_open_depth(monkeypatch):
     from nomlang import hds
 
     with open(NS_FILE) as f:
-        h = compile_regex(parse_nre(f.read())[0])
+        e = parse_nre(f.read())[0]
     block = "<#n. ENCR #n A FOR B <#m. ENCR #n #m FOR A ENCR #m FOR B > >"
     tokens = tokenize(alpha_canonical(parse_word(" ".join([block] * 64))))
     depth = max(itertools.accumulate(
@@ -699,16 +699,17 @@ def test_search_keeps_one_frame_more_than_the_open_depth(monkeypatch):
     seen = []
     monkeypatch.setattr(hds, "step", lambda h, q, stk, *rest: seen.append(len(stk))
                         or step(h, q, stk, *rest))
-    assert run(h, tokens).outcome == ACCEPT
+    assert run(compile_regex(e), tokens).outcome == ACCEPT
     assert depth == 2 and len(tokens) == 1152
     # a close reads one frame below the top, and in a balanced word the
     # closes ahead never outnumber the opens ahead by more than the open
     # depth; one frame per close left would be up to 129 frames here
     assert max(seen) <= depth + 1
     # the slice keeps one frame more than its open depth, and a word of at
-    # most 24 tokens holds one block, whose open depth is 2
+    # most 24 tokens holds one block, whose open depth is 2; it slices a
+    # fresh compile, since the run has expanded every node this slice needs
     seen.clear()
-    assert alpha_canonical(parse_word(block)) in language_slice(h, 24)
+    assert alpha_canonical(parse_word(block)) in language_slice(compile_regex(e), 24)
     assert max(seen) <= depth + 1
 
 
@@ -875,6 +876,35 @@ def test_slices_are_pinned():
     assert digest.hexdigest() == PINNED_SLICES
 
 
+PINNED_VERDICTS = "f6f590fc7738dc4ebebbcfcf11899c4891bd326c9658456d1ff232a915312c3b"
+
+
+def test_verdicts_are_pinned():
+    # `run`'s verdicts, with the default cap and with one that can cut, on a
+    # few slice words of the corpus and of random compiled automata and on
+    # their near-misses: a change to the search must leave every verdict
+    # as it is
+    corpus = os.path.dirname(NS_FILE)
+    exprs = []
+    for fname in sorted(os.listdir(corpus)):
+        with open(os.path.join(corpus, fname), encoding="utf-8") as f:
+            exprs.append(parse_nre(f.read())[0])
+    assert len(exprs) == 5
+    rng = random.Random(25)
+    exprs += [random_regex(rng, NAMES, LETTERS, 4) for _ in range(300)]
+    digest = hashlib.sha256()
+    checked = 0
+    for e in exprs:
+        h = compile_regex(e)
+        for w in sorted(language_slice(compile_regex(e), 6), key=repr)[:5]:
+            t = tokenize(w)
+            for s in [t] + near_misses(t, (n, m)):
+                digest.update(f"{run(h, s).outcome} {run(h, s, max_depth=1).outcome}\n".encode())
+                checked += 1
+    assert checked > 1000
+    assert digest.hexdigest() == PINNED_VERDICTS
+
+
 def test_slice_keys_of_hand_built_automata_decode_to_their_slices():
     from nomlang.hds import _language_keys
 
@@ -924,18 +954,19 @@ def test_a_low_max_depth_does_not_share_the_memo(make):
 
 
 def test_near_misses_with_fresh_names_leave_the_memo_as_it_was():
-    # a name that no frame can hold rejects where it is reached, before
-    # any memo entry is made, so fresh free names cannot grow the memo
+    # a name that no frame can hold has no entry in the row of the node
+    # where it is reached, so it rejects there, and fresh free names cannot
+    # grow the node graph or the table of sets
     h = _session_hds()
     block = "<#n. #m #n >"
     sizes = set()
     for i in range(1000):
         w = parse_word(f"#m {block} {block} <#n. #m #fresh{i} > {block}")
         assert not accepts_word(h, w)
-        sizes.add((len(h._search.memo), len(h._search.sets)))
+        sizes.add((len(h._search.graph), len(h._search.sets)))
     assert len(sizes) == 1
     assert not accepts_word(h, parse_word(f"#m {block} c"))
-    assert (len(h._search.memo), len(h._search.sets)) in sizes
+    assert (len(h._search.graph), len(h._search.sets)) in sizes
     assert accepts_word(h, parse_word(f"#m {block} {block}"))
 
 
@@ -970,6 +1001,32 @@ def test_a_repeated_slice_makes_no_step_calls(monkeypatch):
         counts.append(len(calls))
     assert counts[0] > 0 and counts[1] == 0
     assert slices[0] == slices[1] and len(slices[0]) > 0
+
+
+def test_runs_and_slices_share_one_node_graph(monkeypatch):
+    # `run` steps through the slice's nodes: after a slice its words make
+    # no `step` call, and runs on them leave a later slice less to expand
+    from nomlang import hds
+
+    with open(NS_FILE) as f:
+        e = parse_nre(f.read())[0]
+    calls = []
+    monkeypatch.setattr(hds, "step", lambda *args: calls.append(1) or step(*args))
+    h = compile_regex(e)
+    streams = [tokenize(w) for w in language_slice(h, 18)]
+    assert len(streams) > 1
+    calls.clear()
+    assert _verdicts(h, streams) == [ACCEPT] * len(streams)
+    assert calls == []
+    counts = []
+    for runs_first in (False, True):
+        h = compile_regex(e)
+        if runs_first:
+            assert _verdicts(h, streams) == [ACCEPT] * len(streams)
+        calls.clear()
+        assert len(language_slice(h, 18)) == len(streams)
+        counts.append(len(calls))
+    assert counts[0] > counts[1]
 
 
 def test_a_node_reached_again_is_expanded_once(monkeypatch):
@@ -1093,7 +1150,9 @@ def test_slices_and_verdicts_do_not_depend_on_the_calls_before():
                 checked += 1
             if w is not None:
                 assert accepts_word(h, w) == accepts_word(compile_regex(e), w)
-                checked += 1
+                misses = near_misses(tokenize(w), (n, m))
+                assert _verdicts(h, misses) == _verdicts(compile_regex(e), misses)
+                checked += 1 + len(misses)
         prev = got
     assert checked > 1000
 
