@@ -25,10 +25,9 @@ Two points deserve attention:
 
 * Concatenation threads each initial local `x` of its right operand
   through every state and transition of its left operand with the
-  identity `x>x`, push transitions included (`add_name` does the same
-  to a whole automaton).  `push_frame` resolves the pushed entry `x>x`
-  to the meaning `x` has when the push fires, so the threaded value
-  survives every iteration of a star.
+  identity `x>x`, push transitions included.  `push_frame` resolves
+  the pushed entry `x>x` to the meaning `x` has when the push fires, so
+  the threaded value survives every iteration of a star.
 
 * Binding a name whose initial map has several preimages (which
   arises as soon as the bound name occurs both directly in a
@@ -85,29 +84,6 @@ class FreshSupply:
 
 def _identity(names: Iterable[Name]) -> dict:
     return {x: x for x in names}
-
-
-def add_name(h: Hds, x: Name) -> Hds:
-    """Extend every state with local name `x`, threaded with the identity.
-
-    `x` carries no initial meaning (the initial map stays undefined on
-    it), so the language is unchanged.  In pushed frames the identity
-    entry resolves to the name's current meaning, so a caller that
-    later gives `x` an initial meaning keeps it across iterations.
-    `x` must not be a local name of `h` yet.
-    """
-    if any(x in locs for locs in h.states.values()):
-        raise ValueError(f"{x.label} is already a local name")
-    states = {q: locs | {x} for q, locs in h.states.items()}
-    trans: dict[str, tuple[Transition, ...]] = {}
-    for q, ts in h.trans.items():
-        new_ts = []
-        for t in ts:
-            sigma = t.sigma.as_dict()
-            sigma[x] = x
-            new_ts.append(Transition(t.label, t.target, NameMap.of(sigma)))
-        trans[q] = tuple(new_ts)
-    return Hds(states, h.initial, h.eta.copy(), h.finals, trans, h.relaxed_star)
 
 
 # ---------------------------------------------------------------------------

@@ -25,24 +25,35 @@ is decoded once.  `run` holds, at each input position, the set of
 configurations the moves reading the tokens so far lead to, and steps
 through the same rows wherever their rules are its own.
 
-Both searches name binders one way, after their open depth.  A binder
-opened at depth d takes the level name of d, which no input name and
-no constant equals, and when it closes that name becomes `DEAD` in
-every frame; `DEAD` is not a `Name`, so no name move reads or emits it.
-As in history-dependent automata, the allocated name is then fresh for
-the whole configuration: the level names of the open binders are below
-d, and every other level name is dead.  `language_slice` allocates
-these names at its opens.  `run` renames every private binder of its
-input -- one whose name is no constant, is opened once and occurs only
-inside its scope -- to them before it searches.  A run commutes with
-every renaming that fixes the automaton's constants (eta values and
-push-sigma values), and a name the rest of the input never holds can be
-forgotten, so the renaming changes no verdict.  `word_stream`, on which
-`accepts_word` and the CLI decide a word, names every binder apart from
-the other binders, the free names and the constants, so every binder
-of a word is private; renamed, its blocks of the same shape meet the
-same nodes, and every block after the first is a walk through rows
-already made.
+Both searches name binders one way, after the frames they keep where
+the binder opens.  A binder opened where d + 1 frames are kept takes
+the level name of d, which no input name and no constant equals, and
+when it closes that name becomes `DEAD` in every frame; `DEAD` is not
+a `Name`, so no name move reads or emits it.  `language_slice` keeps
+one frame more than the open depth, so each open allocates the level
+name of its open depth.  `run` keeps keep[pos] frames at position pos
+(below), and renames every private binder of its input -- one whose
+name is no constant, is opened once, has a matching close and occurs
+only inside its scope -- to these names before it searches.
+
+The names are apart because of how calls and returns match in a
+visibly pushdown automaton.  For a matched open i and close j the
+tokens between are balanced, so keep[i] == keep[j + 1] and
+keep[i + 1] == keep[i] + 1: the binder's level is keep[i] - 1 ==
+keep[j] - 2, and the level of a binder that encloses it is strictly
+lower.  As in history-dependent automata, the allocated name is then
+fresh for the whole configuration: the level names of the open
+binders are lower, and every other level name is dead.  So every
+close, matched or not, kills the level name of keep[pos] - 2; unless
+it closes a private binder, no frame holds that name and the kill does
+nothing.  A run commutes with every renaming that fixes the
+automaton's constants (eta values and push-sigma values), and a name
+the rest of the input never holds can be forgotten, so the renaming
+changes no verdict.  `word_stream`, on which `accepts_word` and the
+CLI decide a word, names every binder apart from the other binders,
+the free names and the constants, so every binder of a word is
+private; renamed, its blocks of the same shape meet the same nodes,
+and every block after the first is a walk through rows already made.
 
 In an automaton without pop transitions (every compiled one) only a
 close move reads below the top of the stack, and it reads one frame
@@ -69,15 +80,14 @@ search state never goes stale, and it dies with the automaton.  A row
 depends on its node alone unless the depth cap can cut, so the graph
 serves both searches on a pop-free automaton: a slice at any bound
 reuses every node an earlier slice or run expanded, and a run on a
-word of a slice makes no `step` call.  `run` reads a row where its
-rules for the token are the row's (`_on_graph`): always for a name, a
-letter and the end of the input, and for an open or a close of a
-private binder at the open depth the row is at.  A token no move
-reads has no entry in the row, so it rejects at once, and fresh free
-names grow nothing.  Every other step -- on a pop automaton, under a
-`max_depth` that can cut, or at an unmatched bracket or a binder that
-is not private -- goes to `_closure` through a memo of the call's own.
-A pop automaton's walk keeps a graph of its own per call.
+word of a slice makes no `step` call.  `run` reads a row at every
+close, name, letter and the end of the input, and at the open of a
+private binder.  A token no move reads has no entry in the row, so it
+rejects at once, and fresh free names grow nothing.  Every other step
+-- the open of a binder that is not private or has no close, and every
+step on a pop automaton or under a `max_depth` that can cut -- goes to
+`_closure` through a memo of the call's own.  A pop automaton's walk
+keeps a graph of its own per call.
 """
 
 from __future__ import annotations
@@ -417,68 +427,60 @@ def initial_config(h: Hds) -> Config:
     return (h.initial, 0, (NameMap.of(h.eta),))
 
 
-class _LevelClose(TClose):
-    """The close of a private binder: after it, its level name is dead."""
-
-    __slots__ = ("name",)
-
-
 # every level name whose binder has closed; not a `Name`, so no name move
 # reads it or emits it
 DEAD = STAR
 
-# _levels[d]: the open, the name and the close of a binder at open depth d
-_levels: list[tuple[TOpen, Name, _LevelClose]] = []
-_level_of: dict[Name, int] = {}  # level name -> its depth
+# _levels[d]: the open and the name of a binder at level d
+_levels: list[tuple[TOpen, Name]] = []
+_level_of: dict[Name, int] = {}  # level name -> its level
 
 
-def _level(d: int) -> tuple[TOpen, Name, _LevelClose]:
+def _level(d: int) -> tuple[TOpen, Name]:
     while len(_levels) <= d:
         # built outside the registry, so no parsed or interned name equals it
         nm = object.__new__(Name)
         object.__setattr__(nm, "label", f"level{len(_levels)}")
-        close = object.__new__(_LevelClose)
-        object.__setattr__(close, "name", nm)
         _level_of[nm] = len(_levels)
-        _levels.append((TOpen(nm), nm, close))
+        _levels.append((TOpen(nm), nm))
     return _levels[d]
 
 
-def _private_binders_by_level(tokens: tuple[Tok, ...], constants: set) -> tuple[Tok, ...]:
-    """The stream with each private binder renamed after its open depth.
+def _private_binders_by_level(tokens: tuple[Tok, ...], constants: frozenset,
+                              keep: list[int]) -> tuple[Tok, ...]:
+    """The stream with each private binder renamed after the frames `run`
+    keeps at its open.
 
     A binder is private when its name is no constant of the automaton,
-    it is opened once, and the name occurs nowhere outside its scope
-    (from its open to its matching close, or to the end of the stream).
-    Its open and occurrences take the level name of its open depth, and
-    its close a `_LevelClose` of that name; every other token is kept.
+    it is opened once, it has a matching close, and the name occurs
+    nowhere outside its scope (from its open to that close).  Its open
+    and occurrences take the level name of keep[open] - 1 (module
+    docstring); every other token is kept.
     """
     out = list(tokens)
     shared = set(constants)  # names that cannot be private
-    scopes: dict = {}  # binder name -> [open index, depth, occurrence indices, close index]
+    scopes: dict = {}  # binder name -> [open index, occurrence indices, close index]
     open_now: list = []  # the scopes of the binders open here, innermost last
     for i, tok in enumerate(tokens):
         kind = type(tok)
         if kind is Name:
             scope = scopes.get(tok)
-            if scope is not None and scope[3] is None:
-                scope[2].append(i)
+            if scope is not None and scope[2] is None:
+                scope[1].append(i)
             else:
                 shared.add(tok)
         elif kind is TOpen:
             if tok.name in scopes:
                 shared.add(tok.name)
-            scopes[tok.name] = scope = [i, len(open_now), [], None]
+            scopes[tok.name] = scope = [i, [], None]
             open_now.append(scope)
         elif kind is TClose and open_now:
-            open_now.pop()[3] = i
-    for nm, (at, depth, uses, close) in scopes.items():
-        if nm not in shared:
-            out[at], level_name, level_close = _level(depth)
+            open_now.pop()[2] = i
+    for nm, (at, uses, close) in scopes.items():
+        if nm not in shared and close is not None:
+            out[at], level_name = _level(keep[at] - 1)
             for j in uses:
                 out[j] = level_name
-            if close is not None:
-                out[close] = level_close
     return tuple(out)
 
 
@@ -582,18 +584,6 @@ class _SearchState:
         self.sets, self.graph = {self.start: self.start}, {}
 
 
-def _on_graph(bracket, depth: int, after: int) -> bool:
-    """Whether `run`'s rules for an open or close, at a position that keeps
-    depth + 1 frames and `after` frames after it, are those of the row of
-    `_expand` at `depth` (for a name, a letter and END they always are):
-    an open must allocate the level name of `depth` and keep depth + 2
-    frames; a close must kill the level name of depth - 1, and keeps
-    depth frames."""
-    if type(bracket) is TOpen:
-        return bracket is _level(depth)[0] and after == depth + 2
-    return bracket is _level(depth - 1)[2]
-
-
 def run(
     h: Hds,
     tokens: tuple[Tok, ...],
@@ -607,10 +597,11 @@ def run(
     takes the next set from `_closure`: the set's closure under the moves
     that read nothing, then the moves that read the token; past the last
     token it keeps the final configurations of its closure.  First every
-    private binder takes the name of its open depth, which dies at its
-    close: the renaming is one-to-one on the names still to be read and
-    fixes the constants, so the verdict stands (module docstring), while
-    blocks of the same shape now meet the same sets and are decided once.
+    private binder takes a level name (`_private_binders_by_level`),
+    which dies at its close: the renaming is one-to-one on the names
+    still to be read and fixes the constants, so the verdict stands
+    (module docstring), while blocks of the same shape now meet the same
+    sets and are decided once.
 
     Unless `h` has pop transitions, a stack keeps one frame more than
     the most by which closes outnumber opens over any stretch of the
@@ -622,10 +613,11 @@ def run(
     Where the cap cannot cut -- on a pop-free automaton, with `max_depth`
     at least the most frames the call keeps -- a position that keeps
     d + 1 frames holds the node (set, d) of the automaton's node graph,
-    and a step whose rules are the row's (`_on_graph`) reads the next
-    node from the row, made once per automaton (`_expand`); a token with
-    no entry rejects.  Every other step calls `_closure` through a memo
-    of the call's own, keyed by (set, token, frames kept after it).
+    and every token but the open of a binder that is not private reads
+    the next node from the row, made once per automaton (`_expand`); a
+    token with no entry rejects.  Such an open, and every step of any
+    other call, goes to `_closure` through a memo of the call's own,
+    keyed by (set, token, frames kept after it).
 
     With `want_trace`, an accepting run is walked back through the sets by
     `_closure`'s links, and replayed on the real tokens with whole stacks.
@@ -646,7 +638,7 @@ def run(
             frames += 1
         keep.append(frames)
     keep.reverse()
-    stream = _private_binders_by_level(tokens, state.constants) + (END,)
+    stream = _private_binders_by_level(tokens, state.constants, keep) + (END,)
     shared = not state.has_pop and max_depth >= max(keep)
     graph, sets = state.graph, (state.sets if shared else {})
     # `advance`'s (set, token, frames kept after it) -> (next set, cut), and
@@ -654,11 +646,11 @@ def run(
     memo, moves = {}, {}
 
     def advance(configs, pos, links=None):
-        """`_closure` at `pos`; after a `_LevelClose` its level name is dead.
-        Returns the next set, and whether the cap cut a move."""
+        """`_closure` at `pos`; after a close the level name of keep[pos] - 2
+        is dead.  Returns the next set, and whether the cap cut a move."""
         tok = stream[pos]
         rules = {NoneType: (keep[pos], None),
-                 type(tok): (keep[pos + 1], tok.name if type(tok) is _LevelClose else None)}
+                 type(tok): (keep[pos + 1], _level(keep[pos] - 2)[1] if tok is TCLOSE else None)}
         closure, reads, cut = _closure(h, configs, tok, None, rules, state.need, state.has_pop,
                                        max_depth, moves.setdefault(tok, {}), links)
         if tok is END:
@@ -671,7 +663,7 @@ def run(
     entries = [node[0]]
     cut = False
     for pos, tok in enumerate(stream):
-        if shared and (type(tok) not in _KEY_BRACKETS or _on_graph(tok, node[1], keep[pos + 1])):
+        if shared and (type(tok) is not TOpen or tok.name in _level_of):
             row = graph.get(node)
             if row is None:
                 row = graph[node] = _expand(h, node, state.need, False, node[1] + 2, moves, sets)
@@ -801,8 +793,8 @@ def steps_to_final(h: Hds) -> dict[str, int]:
     return need
 
 
-# the key element of each bracket type; `run` tells brackets by it too
-_KEY_BRACKETS = {TOpen: KEY_OPEN, TClose: KEY_CLOSE, _LevelClose: KEY_CLOSE}
+# the key element of each bracket type
+_KEY_BRACKETS = {TOpen: KEY_OPEN, TClose: KEY_CLOSE}
 
 
 def _language_keys(h: Hds, bound: int) -> set:
@@ -880,10 +872,11 @@ def _expand(h: Hds, node: tuple, need: dict, has_pop: bool, max_depth: int,
     and a dict from each token a move reads, as `run` reads it, to its
     key element, the next node, and the fewest tokens a word needs after
     that token (to close the next node's binders and take one of its
-    states to a final one).  A close is filed under the `_LevelClose` of
-    depth - 1, which `run`'s renaming puts there, and a node that emits
-    its prefixes files END under (None, node, 0).  Each next node's
-    configurations are a frozenset interned through `sets`."""
+    states to a final one).  A close is filed under `TCLOSE` and kills
+    the level name of depth - 1, as every close in `run` does, and a
+    node that emits its prefixes files END under (None, node, 0).  Each
+    next node's configurations are a frozenset interned through
+    `sets`."""
     configs, depth = node
     # a move keeps one frame more than the open depth after it
     rules = {NoneType: (depth + 1, None), Name: (depth + 1, None),
@@ -903,8 +896,7 @@ def _expand(h: Hds, node: tuple, need: dict, has_pop: bool, max_depth: int,
         depth2 = rules[type(read)][0] - 1
         req = max(depth2, min([need[q] for q, _ in group]))
         group = frozenset(group)
-        row[_level(depth - 1)[2] if read is TCLOSE else read] = (
-            elem, (sets.setdefault(group, group), depth2), req)
+        row[read] = (elem, (sets.setdefault(group, group), depth2), req)
     return cut, row
 
 

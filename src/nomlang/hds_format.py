@@ -68,7 +68,7 @@ def serialize(h: Hds) -> str:
 _TRANS_RE = re.compile(r"^(\S+)\s+--(.+?)\[(.*?)\]-->\s+(\S+)$")
 
 
-def _parse_sigma(text: str) -> NameMap:
+def _parse_sigma(text: str, line: str) -> NameMap:
     entries = {}
     text = text.strip()
     if not text:
@@ -77,8 +77,10 @@ def _parse_sigma(text: str) -> NameMap:
         if ">" not in item:
             raise FormatError(f"bad name-map entry {item!r}")
         src, dst = item.split(">", 1)
-        src, dst = src.strip(), dst.strip()
-        entries[Name(src)] = STAR if dst == "*" else Name(dst)
+        src, dst = Name(src.strip()), dst.strip()
+        if src in entries:
+            raise FormatError(f"repeated name-map key {src.label!r} in line {line!r}")
+        entries[src] = STAR if dst == "*" else Name(dst)
     return NameMap.of(entries)
 
 
@@ -124,6 +126,8 @@ def parse(text: str) -> Hds:
                 if "=#" not in binding:
                     raise FormatError(f"bad initial binding {binding!r}")
                 x, v = binding.split("=#", 1)
+                if Name(x) in eta:
+                    raise FormatError(f"repeated initial binding of {x!r} in line {line!r}")
                 eta[Name(x)] = Name(v)
             section = None
             continue
@@ -133,6 +137,8 @@ def parse(text: str) -> Hds:
             continue
         if section == "states":
             parts = line.split()
+            if parts[0] in states:
+                raise FormatError(f"repeated state {parts[0]!r} in line {line!r}")
             states[parts[0]] = frozenset(Name(x) for x in parts[1:])
         elif section == "trans":
             m = _TRANS_RE.match(line)
@@ -140,7 +146,7 @@ def parse(text: str) -> Hds:
                 raise FormatError(f"bad transition line {line!r}")
             src, label, sigma, dst = m.groups()
             trans.setdefault(src, []).append(
-                Transition(_parse_label(label), dst, _parse_sigma(sigma))
+                Transition(_parse_label(label), dst, _parse_sigma(sigma, line))
             )
         else:
             raise FormatError(f"unexpected line {line!r}")

@@ -8,14 +8,12 @@ import pytest
 
 from nomlang.names import Name, STAR
 from nomlang.hds_format import serialize
-from nomlang import regex as rx
 from nomlang.regex import enumerate_slice
 from nomlang.syntax import parse_nre, parse_regex, parse_word, render_word
 from nomlang.words import alpha_canonical
 from nomlang.hds import accepts_word, language_slice, validate
 from nomlang.compiler import (
     CompileError,
-    add_name,
     compile_regex,
 )
 from nomlang.oracle import brute_slice, check_equivalence, random_regex
@@ -122,17 +120,6 @@ def test_compilation_deterministic_up_to_isomorphism():
 
 
 # -- helper constructions ----------------------------------------------------
-
-def test_add_name_preserves_language():
-    h = compile_regex(rx.NameLit(n))
-    x9 = Name("x9")
-    h2 = add_name(h, x9)
-    assert validate(h2) == []
-    assert x9 in h2.states[h2.initial]
-    assert language_slice(h2, 4) == language_slice(h, 4)
-    with pytest.raises(ValueError):
-        add_name(h2, x9)  # already local
-
 
 def test_a_long_binder_chain_compiles_in_time():
     # each block's free name is threaded through every block before it,

@@ -61,6 +61,27 @@ def test_parse_rejects_bad_transition_line():
         parse(good + "  q0 --eps[x]--> q1\n")  # malformed name map
 
 
+# parsing kept the last of each repeated entry without a word, so these
+# read as `q0 {y}`, `x=#n` and `x>y`
+REPEATED = "states\n  q0 x\n  q1 x y\ninitial q0 x=#m\nfinals q1\ntrans\n  q0 --eps[x>x]--> q1\n"
+
+
+def test_parse_rejects_a_repeated_state():
+    assert validate(parse(REPEATED)) == []
+    with pytest.raises(FormatError, match="'q0 y'"):
+        parse(REPEATED.replace("  q1 x y", "  q0 y\n  q1 x y"))
+
+
+def test_parse_rejects_a_repeated_initial_binding():
+    with pytest.raises(FormatError, match="'initial q0 x=#m x=#n'"):
+        parse(REPEATED.replace("x=#m", "x=#m x=#n"))
+
+
+def test_parse_rejects_a_repeated_name_map_key():
+    with pytest.raises(FormatError, match=r"'q0 --eps\[x>x,x>y\]--> q1'"):
+        parse(REPEATED.replace("[x>x]", "[x>x,x>y]"))
+
+
 def test_to_dot_mentions_every_state_and_label():
     h = compile_regex(parse_regex("#m <#n. #m #n >*", letters=set()))
     dot = to_dot(h)

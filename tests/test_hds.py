@@ -505,6 +505,12 @@ RAW_STREAMS = [
     ("escape, bind", _raw("<#k. ^ > <#z. #k >"), ACCEPT),
     ("escape, bind", _raw("<#k. ^ > <#z. #z >"), REJECT),
     ("escape, bind", _raw("<#k. ^ > <#k. #k >"), ACCEPT),
+    # a private binder with unmatched closes after it, so that more frames
+    # are kept at its open than its open depth needs (verdicts of `naive_run`)
+    ("escape", (TOpen(Name("z")), TCLOSE, TCLOSE, n), REJECT),
+    ("escape", (TOpen(Name("z")), TCLOSE, n, TCLOSE), REJECT),
+    ("escape, bind", (TOpen(k), TCLOSE, TOpen(Name("z")), k, TCLOSE, TCLOSE), REJECT),
+    ("escape, bind", (TOpen(Name("z")), TCLOSE, TOpen(k), n, TCLOSE, TCLOSE), REJECT),
 ]
 
 
@@ -642,6 +648,48 @@ def test_truncation_is_exact_on_random_automata():
             assert capped in (CUTOFF, full)
             checked += 1
     assert checked > 500
+
+
+HAND_BUILT = {
+    **RAW_AUTOMATA,
+    "double push": lambda: _double_push_hds(with_pop=False),
+    "double push, pop": lambda: _double_push_hds(with_pop=True),
+}
+
+
+@pytest.mark.parametrize("automaton", sorted(HAND_BUILT))
+def test_run_agrees_with_the_naive_run_on_hand_built_automata(automaton):
+    # random streams with opens, closes and names inserted: unmatched
+    # brackets, binders that are not private, and private ones under
+    # unmatched closes, at the default cap and at one that can cut.
+    # `naive_run` fires a push at most once between two tokens, so it
+    # misses runs that push twice in a row; where `run` alone accepts, its
+    # trace must be a run of `step`
+    rng = random.Random(7)
+    h = HAND_BUILT[automaton]()
+    base = [s for label, s, _ in RAW_STREAMS if label == automaton]
+    base += [_binder_then(nm) for nm in (m, n, k)]
+    try:
+        base += [tokenize(w) for w in sorted(language_slice(HAND_BUILT[automaton](), 6), key=repr)]
+    except Undecided:
+        pass
+    pool = [m, n, k, Name("~0"), Name("z")]
+    compared = 0
+    for _ in range(400):
+        t = list(rng.choice(base))
+        for _ in range(rng.randint(1, 3)):
+            tok = rng.choice([TCLOSE, TCLOSE, TOpen(rng.choice(pool)), rng.choice(pool)])
+            t.insert(rng.randint(0, len(t)), tok)
+        t = tuple(t)
+        for cap in (None, 2):
+            got, want = run(h, t, max_depth=cap).outcome, naive_run(h, t, max_depth=cap).outcome
+            if CUTOFF in (got, want):
+                continue
+            compared += 1
+            if got != want:
+                assert (got, want) == (ACCEPT, REJECT), t
+                _assert_trace_follows_step(h, t, run(h, t, max_depth=cap, want_trace=True).trace)
+    assert compared > 200
 
 
 def test_truncation_keeps_the_top_frame_before_an_unclosed_open():
@@ -1027,6 +1075,25 @@ def test_runs_and_slices_share_one_node_graph(monkeypatch):
         assert len(language_slice(h, 18)) == len(streams)
         counts.append(len(calls))
     assert counts[0] > counts[1]
+
+
+def test_unmatched_closes_step_through_the_node_graph(monkeypatch):
+    # a private binder takes the level of the frames kept at its open, so
+    # every close kills the level of the frames kept at it, less two, as
+    # the row does: a close that no open matches reads the row too, and
+    # these runs pass no token to `_closure`
+    from nomlang import hds
+
+    h = _session_hds()
+    word = tokenize(alpha_canonical(parse_word("#m" + " <#n. #m #n >" * 4)))
+    depths = itertools.accumulate((isinstance(t, TOpen) - (t is TCLOSE) for t in word), initial=0)
+    streams = [word[:i] + (TCLOSE,) + word[i:] for i, d in enumerate(depths) if d == 0]
+    assert len(streams) == 6
+    closure, toks = hds._closure, []
+    monkeypatch.setattr(hds, "_closure", lambda h, configs, tok, *rest:
+                        toks.append(tok) or closure(h, configs, tok, *rest))
+    assert _verdicts(h, streams) == [REJECT] * len(streams)
+    assert toks and all(tok is None for tok in toks)
 
 
 def test_a_node_reached_again_is_expanded_once(monkeypatch):
