@@ -39,7 +39,7 @@ Two points deserve attention:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable
 
 from .names import Name, STAR
@@ -99,13 +99,18 @@ def compile_regex(e: rx.Regex) -> Hds:
 class _Frag:
     """A part of the automaton under construction.  `states` lists its
     states in the order the automaton lists them; no other fragment
-    holds any of them."""
+    holds any of them.  A transition of a fragment targets one of its
+    states, so `reentered`, `pushes` and `pushed` follow from the
+    constructions and no construction scans its operand for them."""
 
     states: list[str]
     initial: str
     finals: set[str]
     eta: dict[Name, Name]  # initial meaning of the initial state's locals
     relaxed: bool = False
+    reentered: bool = False  # some transition targets `initial`
+    pushes: list[dict] = field(default_factory=list)  # the sigma of each push
+    pushed: set[Name] = field(default_factory=set)  # every value they may hold
 
 
 class _Build:
@@ -170,10 +175,13 @@ class _Build:
         raise CompileError(f"unknown expression node {type(e).__name__}")
 
     def _join(self, f1: _Frag, f2: _Frag) -> _Frag:
-        """`f1` with the states, initial meanings and relaxed flag of `f2` joined in."""
+        """`f1` with the states, initial meanings, relaxed flag and pushes of
+        `f2` joined in."""
         f1.states += f2.states
         f1.eta |= f2.eta
         f1.relaxed = f1.relaxed or f2.relaxed
+        f1.pushes += f2.pushes
+        f1.pushed |= f2.pushed
         return f1
 
     def _unique_final(self, f: _Frag) -> str:
@@ -187,6 +195,8 @@ class _Build:
 
     def _thread(self, f: _Frag, names: set[Name]) -> None:
         """Add `names` to every state of `f` and `x>x` to every sigma not yet defined on `x`."""
+        if f.pushes:
+            f.pushed |= names
         for q in f.states:
             self.locals[q] |= names
             for _, _, sigma in self.trans[q]:
@@ -204,6 +214,7 @@ class _Build:
         f = self._join(f1, f2)
         f.states.append(q0)
         f.initial = q0
+        f.reentered = False
         f.finals |= f2.finals
         return f
 
@@ -236,13 +247,19 @@ class _Build:
         # The empty-word skip must fire only before the body has started.
         # If the body can re-enter its initial state (an inner loop targets
         # it), hang the skip on a fresh state in front of it instead.
-        if any(target == q0 for q in f.states for _, target, _ in self.trans[q]):
+        if f.reentered:
             loc0 = self.locals[q0]
             f.initial = self.state(loc0)
             self.trans[f.initial].append((L_EPS, q0, _identity(loc0)))
             f.states.append(f.initial)
         self.trans[f.initial].append((L_EPS, qf, {}))
-        self.trans[qf].append((L_PUSH, q0, dict(f.eta)))
+        push = dict(f.eta)
+        self.trans[qf].append((L_PUSH, q0, push))
+        f.pushes.append(push)
+        f.pushed.update(push.values())
+        # the push re-enters q0, which is still initial unless the skip's
+        # fresh state was put in front of it
+        f.reentered = f.initial == q0
         return f
 
     def bind(self, n: Name, f: _Frag) -> _Frag:
@@ -263,6 +280,7 @@ class _Build:
         self.trans[qf].append((L_CLOSE, q_close, {}))
         f.states += (q_open, q_close)
         f.initial = q_open
+        f.reentered = False
         f.finals = {q_close}
         f.eta = {x: v for x, v in f.eta.items() if x not in bound}
         f.relaxed = f.relaxed or len(bound) > 1
@@ -277,20 +295,14 @@ class _Build:
         then replace `n` in pushed frames by such a local, which resolves
         to the allocated name at push time.
         """
-        pushes = [
-            sigma
-            for q in f.states
-            for label, _, sigma in self.trans[q]
-            if label.kind == "push"
-        ]
-        if not any(v is n for sigma in pushes for v in sigma.values()):
+        if n not in f.pushed or not any(v is n for sigma in f.pushes for v in sigma.values()):
             return
         if not bound:
             raise CompileError(
                 f"push frame mentions {n.label} but no initial local denotes it"
             )
         anchor = min(bound)
-        for sigma in pushes:
+        for sigma in f.pushes:
             for k, v in sigma.items():
                 if v is n:
                     sigma[k] = anchor

@@ -23,7 +23,8 @@ tokens left under the bound.  It emits keys (`words.alpha_key`), not
 tokens, so no word is parsed or canonicalized, and each accepted word
 is decoded once.  `run` holds, at each input position, the set of
 configurations the moves reading the tokens so far lead to, and steps
-through the same rows wherever their rules are its own.
+through the same rows wherever their rules are its own; on a balanced
+stream it does so in one forward walk (below).
 
 Both searches name binders one way, after the frames they keep where
 the binder opens.  A binder opened where d + 1 frames are kept takes
@@ -88,12 +89,29 @@ rejects at once, and fresh free names grow nothing.  Every other step
 step on a pop automaton or under a `max_depth` that can cut -- goes to
 `_closure` through a memo of the call's own.  A pop automaton's walk
 keeps a graph of its own per call.
+
+On a balanced stream the opens and closes match as calls and returns
+do, so keep[pos] is one more than the open depth, and a private
+binder's level is its open depth.  So where no cap and no trace is
+asked for, `run` on a pop-free automaton first walks the stream forward
+(`_walk`) with no keep row and no renaming pass: it keeps the open
+depth, the level name of each open binder, and the names no binder may
+take -- the constants, every name read and every binder so far -- and
+reads the next node from the row at each token.  It hands the stream
+back to the path above, from its first token, at an unmatched close, a
+binder still open at the end, a binder that is a constant or a name
+already seen, and a closed binder's name read again; on every other
+stream each binder is private, and the walk meets the nodes and rows
+the path above meets.  A token with no entry in its row rejects at
+once, also ahead of a token that would hand the stream back (`_walk`
+says why).
 """
 
 from __future__ import annotations
 
 import weakref
 from collections import deque
+from itertools import chain
 from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType, NoneType
@@ -101,7 +119,7 @@ from typing import Iterable, Mapping, Optional
 
 from .names import Letter, Name, STAR
 from .words import (
-    KEY_CLOSE, KEY_OPEN, MWord, TClose, TCLOSE, TOpen, Tok, alpha_key, from_key,
+    KEY_CLOSE, KEY_OPEN, MWord, TClose, TCLOSE, TOpen, Tok, canonical_row, from_key,
 )
 from .words import alpha_canonical, parse_tokens  # unused; perfbench's tracer patches them here
 
@@ -253,14 +271,25 @@ def lletter(s: Letter) -> Label:
     return Label("letter", letter=s)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Transition:
     label: Label
     target: str
     sigma: NameMap
 
+    def __init__(self, label, target, sigma):
+        # each slot's own setter, in C: the frozen dataclass's own __init__
+        # pays one object.__setattr__ per field
+        _set_label(self, label)
+        _set_target(self, target)
+        _set_sigma(self, sigma)
+
     def __repr__(self):
         return f"--{self.label!r}[{self.sigma!r}]--> {self.target}"
+
+
+_set_label, _set_target, _set_sigma = (
+    Transition.__dict__[f].__set__ for f in ("label", "target", "sigma"))
 
 
 @dataclass(frozen=True)
@@ -610,6 +639,15 @@ def run(
     + state count + 1, which only a pop automaton can reach); a branch
     the cap cuts makes the outcome CUTOFF unless a run accepts.
 
+    With no `max_depth` and no trace, a pop-free automaton decides the
+    stream in one forward walk over the node graph (`_walk`): one row
+    lookup per token, with each binder named after its open depth as it
+    is read.  The walk hands back a stream with an unmatched
+    close, a binder open at the end, a binder that is a constant or a
+    name already seen, or a closed binder's name read again, and the
+    search below starts again from its first token; a token with no
+    entry in its row, ahead of any of these, rejects.
+
     Where the cap cannot cut -- on a pop-free automaton, with `max_depth`
     at least the most frames the call keeps -- a position that keeps
     d + 1 frames holds the node (set, d) of the automaton's node graph,
@@ -622,10 +660,14 @@ def run(
     With `want_trace`, an accepting run is walked back through the sets by
     `_closure`'s links, and replayed on the real tokens with whole stacks.
     """
+    state = h._search
+    if max_depth is None and not want_trace and not state.has_pop:
+        result = _walk(h, state, tokens)
+        if result is not None:
+            return result
     n = len(tokens)
     if max_depth is None:
         max_depth = n + len(h.states) + 1
-    state = h._search
     # keep[pos]: 1 + the most by which closes outnumber opens over any
     # stretch of tokens[pos:], the frames a close can read; past the end,
     # and after END, only the top frame
@@ -705,6 +747,76 @@ def run(
     return RunResult(ACCEPT, _replay(h, tokens, initial_config(h), path))
 
 
+def _walk(h: Hds, state: _SearchState, tokens: tuple[Tok, ...]) -> Optional[RunResult]:
+    """`run` on a pop-free automaton in one forward pass over the node
+    graph, or None to hand the stream back to `run`'s general path.
+
+    The walk keeps the open depth (the binders open, innermost last), the
+    level name of each open binder's open depth, and the names no binder
+    may take: the constants, every name read so far and every binder so
+    far.  Each token reads the next node from the row of the node it is
+    at, as the general path does.  It hands the stream back, from its
+    first token, at an unmatched close, a binder whose name is a constant
+    or already seen, a closed binder's name read again, and a binder still
+    open at the end.  So on a stream it decides, each binder is private
+    and opens at a depth d where keep[open] == d + 1: the general path
+    gives it the walk's level name and steps through the same nodes and
+    rows, and the verdict is the same.
+
+    A token with no entry in its row rejects at once, ahead of the first
+    token that would hand the stream back.  Up to that token the walk is
+    exact: no close reads a frame it drops, each binder takes a level
+    name that no frame holds alive where it opens, and no closed binder's
+    name is read or bound again, so its dying changes nothing.  Each set
+    the walk holds is then the image of the set of configurations the
+    automaton's run on the real names, with whole stacks, reaches there,
+    under truncation and the renaming of binders to level names; each
+    set of the general path is an image of the same set under its own
+    truncation and renaming.  So one is empty exactly when the other is,
+    and the general path rejects too.
+    """
+    graph, sets, need = state.graph, state.sets, state.need
+    # name -> whether it is a closed binder, for every name no binder may take
+    seen = dict.fromkeys(state.constants, False)
+    bound: dict = {}  # open binder -> the level name of its open depth
+    opened: list = []  # the binders open, innermost last
+    moves: dict = {}
+    node = (state.start, 0)
+    for tok in chain(tokens, (END,)):
+        kind = type(tok)
+        if kind is Name:
+            key = bound.get(tok, tok)
+            if key is tok and seen.setdefault(tok, False):
+                return None
+        elif kind is TOpen:
+            nm = tok.name
+            if nm in seen:
+                return None
+            seen[nm] = False
+            d = len(opened)
+            key, bound[nm] = _levels[d] if d < len(_levels) else _level(d)
+            opened.append(nm)
+        elif kind is TClose:
+            if not opened:
+                return None
+            nm = opened.pop()
+            del bound[nm]
+            seen[nm] = True
+            key = tok
+        elif tok is END and opened:
+            return None
+        else:
+            key = tok
+        row = graph.get(node)
+        if row is None:
+            row = graph[node] = _expand(h, node, need, False, node[1] + 2, moves, sets)
+        hit = row[1].get(key)
+        if hit is None:
+            return RunResult(REJECT)
+        node = hit[1]
+    return RunResult(ACCEPT)  # the row had END: a final state at open depth 0
+
+
 def _config_order(cfg: Config) -> tuple:
     """A configuration's place in an order that no hash seed changes:
     its state, then its frames' labels."""
@@ -751,11 +863,7 @@ def word_stream(h: Hds, w: MWord) -> tuple[Tok, ...]:
     history-dependent automata, and no name move for a constant reads a
     bound occurrence.
     """
-    constants = h._search.constants
-    key = alpha_key(w)
-    # `from_key` names binders apart from the free names of its key, so
-    # the constants, put after the word as free names, are avoided too
-    return from_key(key + tuple(constants)).tokens[:len(key)]
+    return canonical_row(w, h._search.constants)
 
 
 def accepts_word(h: Hds, w: MWord) -> bool:

@@ -24,6 +24,7 @@ locals to the placeholder.
 from __future__ import annotations
 
 import re
+from typing import Optional
 
 from .names import Letter, Name, STAR
 from .hds import Hds, Label, NameMap, Transition, lletter, lname
@@ -99,7 +100,7 @@ def parse(text: str) -> Hds:
     states: dict[str, frozenset[Name]] = {}
     initial = None
     eta: dict[Name, Name] = {}
-    finals: frozenset[str] = frozenset()
+    finals: Optional[frozenset[str]] = None
     trans: dict[str, list[Transition]] = {}
     relaxed = False
     section = None
@@ -121,6 +122,8 @@ def parse(text: str) -> Hds:
             parts = line.split()
             if len(parts) < 2:
                 raise FormatError("initial line needs a state id")
+            if initial is not None:
+                raise FormatError(f"repeated initial line {line!r}")
             initial = parts[1]
             for binding in parts[2:]:
                 if "=#" not in binding:
@@ -132,6 +135,8 @@ def parse(text: str) -> Hds:
             section = None
             continue
         if line.startswith("finals"):
+            if finals is not None:
+                raise FormatError(f"repeated finals line {line!r}")
             finals = frozenset(line.split()[1:])
             section = None
             continue
@@ -163,7 +168,7 @@ def parse(text: str) -> Hds:
         states=states,
         initial=initial,
         eta=eta,
-        finals=finals,
+        finals=finals or frozenset(),
         trans={q: tuple(ts) for q, ts in trans.items()},
         relaxed_star=relaxed,
     )

@@ -26,8 +26,9 @@ from the one table of reserved names (`names.binder_names`).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
+from typing import Collection, Union
 
+from . import names
 from .names import Interned, Letter, Name, Permutation, binder_names
 
 
@@ -211,16 +212,61 @@ def from_key(key: Key) -> MWord:
     return MWord(tuple(out))
 
 
+def canonical_row(w: MWord, avoid: Collection[Name] = ()) -> tuple[Tok, ...]:
+    """The row of the canonical word of `w`, its binders named apart from
+    the names in `avoid` too.
+
+    One loop gives each binder the next reserved name in traversal order,
+    as `from_key` does, and keeps free names.  Where a reserved name
+    occurs in `w` or in `avoid`, `binder_names` skips it, and the row is
+    decoded from the key instead.  That is one test in C against the
+    reserved names the table holds, and one more for each name the table
+    grows by; it grows only to the word's open count.
+    """
+    tokens = w.tokens
+    reserved_set = names._reserved_set
+    if reserved_set.isdisjoint(tokens) and reserved_set.isdisjoint(avoid):
+        reserved = names._reserved
+        out: list[Tok] = []
+        renamed: dict[Name, Name] = {}  # bound name -> its innermost binder's new name
+        shadowed: list = []  # per open binder: its name and the new name it hides
+        k = 0  # binders so far
+        for t in tokens:
+            kind = type(t)
+            if kind is Name:
+                t = renamed.get(t, t)
+            elif kind is TOpen:
+                if k == len(reserved):
+                    reserved = binder_names(k + 1, ())
+                    if reserved[k] in tokens or reserved[k] in avoid:
+                        break
+                shadowed.append((t.name, renamed.get(t.name)))
+                renamed[t.name] = new = reserved[k]
+                k += 1
+                t = TOpen(new)
+            elif kind is TClose:
+                n, hidden = shadowed.pop()
+                if hidden is None:
+                    del renamed[n]
+                else:
+                    renamed[n] = hidden
+                t = TCLOSE
+            out.append(t)
+        else:
+            return tuple(out)
+    key = alpha_key(w)
+    return from_key(key + tuple(avoid)).tokens[:len(key)]
+
+
 def alpha_canonical(w: MWord) -> MWord:
     """Canonical representative of the alpha-equivalence class of `w`.
 
-    Bound names are renamed to the reserved sequence in traversal order,
-    taken from the reserved-name table by `from_key` (skipping any
-    reserved name that happens to occur free in `w`);
-    free names are kept verbatim.  Two words are alpha-equivalent iff
-    their canonical forms are equal.
+    Bound names are renamed to the reserved sequence in traversal order
+    (`canonical_row`), skipping any reserved name that occurs free in
+    `w`; free names are kept verbatim.  Two words are alpha-equivalent
+    iff their canonical forms are equal.
     """
-    return from_key(alpha_key(w))
+    return MWord(canonical_row(w))
 
 
 def alpha_equal(w: MWord, v: MWord) -> bool:

@@ -62,7 +62,8 @@ def test_parse_rejects_bad_transition_line():
 
 
 # parsing kept the last of each repeated entry without a word, so these
-# read as `q0 {y}`, `x=#n` and `x>y`
+# read as `q0 {y}`, `x=#n`, `x>y`, finals `{q0}` and initial `q1` with
+# both bindings
 REPEATED = "states\n  q0 x\n  q1 x y\ninitial q0 x=#m\nfinals q1\ntrans\n  q0 --eps[x>x]--> q1\n"
 
 
@@ -80,6 +81,16 @@ def test_parse_rejects_a_repeated_initial_binding():
 def test_parse_rejects_a_repeated_name_map_key():
     with pytest.raises(FormatError, match=r"'q0 --eps\[x>x,x>y\]--> q1'"):
         parse(REPEATED.replace("[x>x]", "[x>x,x>y]"))
+
+
+def test_parse_rejects_a_repeated_finals_line():
+    with pytest.raises(FormatError, match="'finals q0'"):
+        parse(REPEATED.replace("finals q1\n", "finals q1\nfinals q0\n"))
+
+
+def test_parse_rejects_a_repeated_initial_line():
+    with pytest.raises(FormatError, match="'initial q1 y=#n'"):
+        parse(REPEATED.replace("finals q1", "initial q1 y=#n\nfinals q1"))
 
 
 def test_to_dot_mentions_every_state_and_label():

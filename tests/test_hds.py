@@ -41,7 +41,7 @@ from nomlang.words import (
     TCLOSE, TOpen, alpha_canonical, alpha_key, from_key, parse_tokens, tokenize,
 )
 from nomlang.syntax import parse_nre, parse_regex, parse_word, render_word
-from nomlang.oracle import brute_slice, naive_run, near_misses, random_regex
+from nomlang.oracle import brute_slice, naive_run, near_misses, random_mword, random_regex
 from nomlang.regex import enumerate_slice
 
 from conftest import NAMES, LETTERS
@@ -1260,3 +1260,93 @@ def test_verdicts_do_not_depend_on_the_order_of_calls():
         assert [run(compile_regex(e), t).outcome for t in streams] == in_order
         checked += len(streams)
     assert checked > 10_000
+
+
+# -- the forward walk ---------------------------------------------------------
+
+WALK_STREAMS = [
+    # (automaton, stream, the walk's answer: None where it hands the stream
+    # back to the general path)
+    ("session", _raw("#m <#n. #m #n > <#n. #m #n >"), None),  # a binder reused
+    ("session", _raw("#m <#m. #m #m >"), None),  # a binder named after eta's #m
+    ("push ~0", _raw("<#~0. #~0 >"), None),  # ... after the push constant ~0
+    ("free", _raw("#n <#n. #n >"), None),  # a free name reused as a binder
+    ("session", _raw("#m <#n. #m #n > #n"), None),  # a binder's name read after its close
+    ("session", (m, TCLOSE, TOpen(n), m, n, TCLOSE), None),  # an unmatched close
+    ("session", (m, TOpen(n), m, n), None),  # an unclosed open
+    # a token no row reads rejects before the token that would hand back
+    ("session", (m, k, TOpen(m), m, m, TCLOSE), REJECT),
+    ("session", (m, TOpen(n), m, k, TCLOSE, n), REJECT),
+    ("session", (m, TOpen(n), m, n, TCLOSE, a, TCLOSE), REJECT),
+    ("session", (m, TOpen(n), m, a), REJECT),
+    ("free", (a, n, TOpen(n), n, TCLOSE), REJECT),
+    # balanced streams with every binder private
+    ("session", _raw("#m <#n. #m #n > <#k. #m #k >"), ACCEPT),
+    ("escape", _raw("<#~1. ^ > #~0"), REJECT),
+    ("push ~0", _raw("<#n. #~0 >"), ACCEPT),
+]
+
+
+@pytest.mark.parametrize("automaton,tokens,outcome", WALK_STREAMS)
+def test_the_walk_hands_back_what_it_cannot_decide(automaton, tokens, outcome):
+    from nomlang import hds
+
+    h = RAW_AUTOMATA[automaton]()
+    got = hds._walk(h, h._search, tokens)
+    assert (got and got.outcome) == outcome
+    general = RAW_AUTOMATA[automaton]()
+    want = run(general, tokens, max_depth=len(tokens) + len(general.states) + 1).outcome
+    assert run(h, tokens).outcome == want
+    if outcome is not None:
+        assert outcome == want
+
+
+def test_the_walk_agrees_with_the_general_path(monkeypatch):
+    # the general path runs where an explicit max_depth is given; the
+    # default cap cannot cut a pop-free search, so both must agree on
+    # every stream, whether the walk decides it, rejects it before a
+    # token it cannot take, or hands it back
+    from nomlang import hds
+
+    rng = random.Random(26)
+    makers = [RAW_AUTOMATA[name] for name in sorted(RAW_AUTOMATA)]
+    exprs = [random_regex(rng, NAMES, LETTERS, 4) for _ in range(40)]
+    makers += [lambda e=e: compile_regex(e) for e in exprs]
+    decided = []
+    walk = hds._walk
+    monkeypatch.setattr(hds, "_walk", lambda *args: decided.append(walk(*args)) or decided[-1])
+    pool = [m, n, k, Name("~0"), Name("z")]
+    checked = 0
+    for make in makers:
+        h, general = make(), make()
+        streams = [s for _, s, _ in WALK_STREAMS] + [_binder_then(nm) for nm in (m, n, k)]
+        for w in sorted(language_slice(make(), 6), key=repr)[:5]:
+            t = tokenize(w)
+            streams += [t] + near_misses(t, (n, m)) + near_misses(t, (Name("~0"), k))
+        for _ in range(10):
+            w = random_mword(rng, pool, LETTERS, rng.randint(1, 8))
+            streams += [tokenize(w), tokenize(alpha_canonical(w))]
+        for s in streams:
+            cap = len(s) + len(general.states) + 1
+            assert run(h, s).outcome == run(general, s, max_depth=cap).outcome, s
+            checked += 1
+    handed_back = decided.count(None)
+    assert checked > 5000 and handed_back > 1000 and len(decided) - handed_back > 1000
+
+
+def test_a_balanced_word_is_decided_without_renaming(monkeypatch):
+    # the walk names binders as it reads them; only a stream it hands back
+    # is renamed as a whole
+    from nomlang import hds
+
+    with open(NS_FILE) as f:
+        h = compile_regex(parse_nre(f.read())[0])
+    calls = []
+    rename = hds._private_binders_by_level
+    monkeypatch.setattr(hds, "_private_binders_by_level",
+                        lambda *args: calls.append(1) or rename(*args))
+    t = _ns_tokens(4)
+    assert run(h, t).outcome == ACCEPT
+    assert calls == []
+    assert run(h, (TCLOSE,) + t).outcome == REJECT
+    assert len(calls) == 1

@@ -15,7 +15,9 @@ from nomlang.words import (
     alpha_key,
     all_names,
     bind,
+    canonical_row,
     concat,
+    from_key,
     key_bind,
     parse_tokens,
     permute,
@@ -135,6 +137,48 @@ def test_canonical_avoids_free_reserved_names():
     assert c.tokens[0] is t0
     assert c.tokens[1].name is not t0
     assert support(c) == {t0}
+
+
+def test_alpha_canonical_is_its_decoded_key(rng, monkeypatch):
+    # one loop and no key: the word, and the row that also avoids extra
+    # names, are those the key decodes to, with reserved names free and
+    # bound and with more binders than the table holds; from the same
+    # table, both make the same reserved names and grow it alike
+    from nomlang import names
+
+    made = []
+    bound_name = names.bound_name
+    monkeypatch.setattr(names, "bound_name", lambda j: made.append(j) or bound_name(j))
+    reserved = [bound_name(j) for j in range(5)]
+
+    def from_table(size, canon, *args):
+        monkeypatch.setattr(names, "_reserved", tuple(reserved[:size]))
+        monkeypatch.setattr(names, "_reserved_set", set(reserved[:size]))
+        made.clear()
+        return canon(*args), names._reserved, sorted(made)
+
+    def decoded(w, avoid=()):
+        key = alpha_key(w)
+        return from_key(key + tuple(avoid)).tokens[:len(key)]
+
+    seen = set()
+    for _ in range(500):
+        w = random_mword(rng, NAMES + reserved[:4], LETTERS, rng.randint(0, 10))
+        size = rng.randint(0, 3)
+        opens = sum(type(t) is TOpen for t in w.tokens)
+        seen.add("table grows" if opens > size else "no binder" if not opens else "table holds")
+        if set(reserved[:size]) & support(w):
+            seen.add("reserved free")
+        if set(reserved[size:opens]) & support(w):
+            seen.add("reserved free where the table grows")
+        if set(reserved) & (all_names(w) - support(w)):
+            seen.add("reserved bound")
+        got = from_table(size, alpha_canonical, w)
+        assert got == from_table(size, lambda w: from_key(alpha_key(w)), w)
+        avoid = rng.sample(NAMES + reserved, rng.randint(0, 2))
+        assert from_table(size, canonical_row, w, avoid) == from_table(size, decoded, w, avoid)
+    assert seen == {"table grows", "table holds", "no binder", "reserved free",
+                    "reserved free where the table grows", "reserved bound"}
 
 
 # -- alpha keys --------------------------------------------------------------
