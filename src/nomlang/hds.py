@@ -14,7 +14,7 @@ read nothing, groups the moves that read a token by that token, and
 after each move applies one rule -- drop a configuration with no path
 to a final state, keep the frames a close can still read, cap the
 stack depth, and kill the name of a binder just closed.  A node is a
-configuration set and an open depth, and its row (`_expand`) holds the
+configuration set and a depth (below), and its row (`_expand`) holds the
 node's successor per token read.  `language_slice` walks the tree of
 emitted prefixes one length at a time: each prefix holds the set of
 configurations that generate it, and the prefixes of one length are
@@ -22,56 +22,53 @@ grouped by node, so each node's row is made once; the walk counts the
 tokens left under the bound.  It emits keys (`words.alpha_key`), not
 tokens, so no word is parsed or canonicalized, and each accepted word
 is decoded once.  `run` holds, at each input position, the set of
-configurations the moves reading the tokens so far lead to, and steps
-through the same rows wherever their rules are its own; on a balanced
-stream it does so in one forward walk (below).
+configurations the moves reading the tokens so far lead to; on a
+pop-free automaton it reads them from the same rows, in one forward
+walk (below).
 
-Both searches name binders one way, after the frames they keep where
-the binder opens.  A binder opened where d + 1 frames are kept takes
-the level name of d, which no input name and no constant equals, and
-when it closes that name becomes `DEAD` in every frame; `DEAD` is not
-a `Name`, so no name move reads or emits it.  `language_slice` keeps
-one frame more than the open depth, so each open allocates the level
-name of its open depth.  `run` keeps keep[pos] frames at position pos
-(below), and renames every private binder of its input -- one whose
-name is no constant, is opened once, has a matching close and occurs
-only inside its scope -- to these names before it searches.
-
-The names are apart because of how calls and returns match in a
-visibly pushdown automaton.  For a matched open i and close j the
-tokens between are balanced, so keep[i] == keep[j + 1] and
-keep[i + 1] == keep[i] + 1: the binder's level is keep[i] - 1 ==
-keep[j] - 2, and the level of a binder that encloses it is strictly
-lower.  As in history-dependent automata, the allocated name is then
-fresh for the whole configuration: the level names of the open
-binders are lower, and every other level name is dead.  So every
-close, matched or not, kills the level name of keep[pos] - 2; unless
-it closes a private binder, no frame holds that name and the kill does
-nothing.  A run commutes with every renaming that fixes the
-automaton's constants (eta values and push-sigma values), and a name
-the rest of the input never holds can be forgotten, so the renaming
-changes no verdict.  `word_stream`, on which `accepts_word` and the
-CLI decide a word, names every binder apart from the other binders,
-the free names and the constants, so every binder of a word is
-private; renamed, its blocks of the same shape meet the same nodes,
-and every block after the first is a walk through rows already made.
+Both searches name binders one way.  A binder takes the level name of
+its open depth plus the unmatched closes still to come in the stream
+(a slice has none), which no input name and no constant equals, and when it closes that
+name becomes `DEAD` in every frame; `DEAD` is not a `Name`, so no name
+move reads or emits it.  A node's depth is that sum, and the node keeps
+one frame more, so each open allocates the level name of the depth it
+opens at.
 
 In an automaton without pop transitions (every compiled one) only a
 close move reads below the top of the stack, and it reads one frame
 down; an open or a push adds a frame, and only a close removes one.
 So if, over any stretch of the tokens still to come, closes outnumber
 opens by at most c, the frames at index c + 1 and deeper are never
-read: both searches drop them, which changes no verdict and no slice.
-`run` computes c from its input; in `language_slice` c is the open
-depth, since a word ends with no binder open.  The kept stacks are
-then drawn from a finite set at each input position, so non-consuming
-push loops end where they reach a stack already seen, and both searches
-are exhaustive.  Only with pop transitions can stacks grow without
-bound; there the stack depth is capped (input length + state count +
-1), and where the cap cut a branch `run` says CUTOFF and
-`language_slice` raises `Undecided`.  Name maps are hash-consed, so the
-stacks the searches memoize hash and compare by identity, and a move
-that leaves the top frame as it is keeps the stack itself.
+read, and dropping them changes no verdict and no slice.  Opens and
+closes match as calls and returns do in a visibly pushdown automaton,
+so c is at most the open depth plus the unmatched closes still to come:
+the node's depth.  The kept stacks are then drawn from a finite set at
+each node, so non-consuming push loops end where they reach a stack
+already seen, and both searches are exhaustive.  Only with pop
+transitions can stacks grow without bound; there the stack depth is
+capped (input length + state count + 1), and where the cap cut a branch
+`run` says CUTOFF and `language_slice` raises `Undecided`.  Name maps
+are hash-consed, so the stacks the searches memoize hash and compare by
+identity, and a move that leaves the top frame as it is keeps the stack
+itself.
+
+The level names are apart for the same reason.  A binder opened at
+depth d closes back to depth d, so the binders around it have lower
+levels, and an unmatched close leaves a depth no binder reached before.
+As in history-dependent automata, the allocated name is then fresh for
+the whole configuration: the level names of the open binders are
+lower, and every other level name is dead, so a close kills the level
+name of its depth - 1, which only the close of a binder finds alive.  A
+run commutes with every renaming that fixes the automaton's constants
+(eta values and push-sigma values), and a name the rest of the input
+never holds can be forgotten, so naming a private binder -- one whose
+name is no constant, is opened once and occurs only inside its scope
+-- after its level changes no verdict.  `word_stream`, on which
+`accepts_word` and the CLI decide a word, names every binder apart
+from the other binders, the free names and the constants, so every
+binder of a word is private; its blocks of the same shape meet the same
+nodes, and every block after the first is a walk through rows already
+made.
 
 Each automaton carries one search state, built at its first search
 (`Hds._search`): its constants, whether it pops, `steps_to_final`, one
@@ -81,30 +78,20 @@ search state never goes stale, and it dies with the automaton.  A row
 depends on its node alone unless the depth cap can cut, so the graph
 serves both searches on a pop-free automaton: a slice at any bound
 reuses every node an earlier slice or run expanded, and a run on a
-word of a slice makes no `step` call.  `run` reads a row at every
-close, name, letter and the end of the input, and at the open of a
-private binder.  A token no move reads has no entry in the row, so it
-rejects at once, and fresh free names grow nothing.  Every other step
--- the open of a binder that is not private or has no close, and every
-step on a pop automaton or under a `max_depth` that can cut -- goes to
-`_closure` through a memo of the call's own.  A pop automaton's walk
-keeps a graph of its own per call.
+word of a slice makes no `step` call.  A pop automaton's slice keeps a
+graph of its own per call.
 
-On a balanced stream the opens and closes match as calls and returns
-do, so keep[pos] is one more than the open depth, and a private
-binder's level is its open depth.  So where no cap and no trace is
-asked for, `run` on a pop-free automaton first walks the stream forward
-(`_walk`) with no keep row and no renaming pass: it keeps the open
-depth, the level name of each open binder, and the names no binder may
-take -- the constants, every name read and every binder so far -- and
-reads the next node from the row at each token.  It hands the stream
-back to the path above, from its first token, at an unmatched close, a
-binder still open at the end, a binder that is a constant or a name
-already seen, and a closed binder's name read again; on every other
-stream each binder is private, and the walk meets the nodes and rows
-the path above meets.  A token with no entry in its row rejects at
-once, also ahead of a token that would hand the stream back (`_walk`
-says why).
+On a pop-free automaton `run` walks the stream forward (`_walk`): it
+keeps its node, the level name of each open binder, and the names no
+binder may take -- the constants, every name read and every binder so
+far -- and reads the next node from the row at each token and at the
+end.  A token no move reads has no entry in the row, so it rejects at
+once, and fresh free names grow nothing.  Only a binder that is not
+private -- named after a constant or a name already seen, or its name
+read after its close -- or a `max_depth` below the frames the walk
+keeps hands the stream back to the general path: a plain subset
+construction over the input's own names, which renames nothing and
+takes each step from `_closure`, as on a pop automaton.
 """
 
 from __future__ import annotations
@@ -475,44 +462,6 @@ def _level(d: int) -> tuple[TOpen, Name]:
     return _levels[d]
 
 
-def _private_binders_by_level(tokens: tuple[Tok, ...], constants: frozenset,
-                              keep: list[int]) -> tuple[Tok, ...]:
-    """The stream with each private binder renamed after the frames `run`
-    keeps at its open.
-
-    A binder is private when its name is no constant of the automaton,
-    it is opened once, it has a matching close, and the name occurs
-    nowhere outside its scope (from its open to that close).  Its open
-    and occurrences take the level name of keep[open] - 1 (module
-    docstring); every other token is kept.
-    """
-    out = list(tokens)
-    shared = set(constants)  # names that cannot be private
-    scopes: dict = {}  # binder name -> [open index, occurrence indices, close index]
-    open_now: list = []  # the scopes of the binders open here, innermost last
-    for i, tok in enumerate(tokens):
-        kind = type(tok)
-        if kind is Name:
-            scope = scopes.get(tok)
-            if scope is not None and scope[2] is None:
-                scope[1].append(i)
-            else:
-                shared.add(tok)
-        elif kind is TOpen:
-            if tok.name in scopes:
-                shared.add(tok.name)
-            scopes[tok.name] = scope = [i, [], None]
-            open_now.append(scope)
-        elif kind is TClose and open_now:
-            open_now.pop()[2] = i
-    for nm, (at, uses, close) in scopes.items():
-        if nm not in shared and close is not None:
-            out[at], level_name = _level(keep[at] - 1)
-            for j in uses:
-                out[j] = level_name
-    return tuple(out)
-
-
 def _forget(stk: Stack, nm: Name) -> Stack:
     """The stack with the value `nm` replaced by DEAD in every frame."""
     return tuple([
@@ -625,52 +574,52 @@ def run(
     configurations that the moves reading the tokens so far lead to, and
     takes the next set from `_closure`: the set's closure under the moves
     that read nothing, then the moves that read the token; past the last
-    token it keeps the final configurations of its closure.  First every
-    private binder takes a level name (`_private_binders_by_level`),
-    which dies at its close: the renaming is one-to-one on the names
-    still to be read and fixes the constants, so the verdict stands
-    (module docstring), while blocks of the same shape now meet the same
-    sets and are decided once.
+    token it keeps the final configurations of its closure.
 
     Unless `h` has pop transitions, a stack keeps one frame more than
     the most by which closes outnumber opens over any stretch of the
-    rest of the input: no close can read the others, and the search is
-    exhaustive.  `max_depth` caps the stack depth (default: input length
-    + state count + 1, which only a pop automaton can reach); a branch
-    the cap cuts makes the outcome CUTOFF unless a run accepts.
+    rest of the input (`_keep`): no close can read the others, and the
+    search is exhaustive.  `max_depth` caps the stack depth (default:
+    input length + state count + 1, which only a pop automaton can
+    reach); a branch the cap cuts makes the outcome CUTOFF unless a run
+    accepts.
 
-    With no `max_depth` and no trace, a pop-free automaton decides the
-    stream in one forward walk over the node graph (`_walk`): one row
-    lookup per token, with each binder named after its open depth as it
-    is read.  The walk hands back a stream with an unmatched
-    close, a binder open at the end, a binder that is a constant or a
-    name already seen, or a closed binder's name read again, and the
-    search below starts again from its first token; a token with no
-    entry in its row, ahead of any of these, rejects.
+    On a pop-free automaton one forward walk over the node graph
+    (`_walk`) decides the stream, naming each binder after its level as
+    it reads it.  Only a binder that is not private, or a `max_depth`
+    below the frames the walk keeps, hands the stream back to the
+    general path below: a plain subset construction over the input's own
+    names, which is also the path of a pop automaton.
 
-    Where the cap cannot cut -- on a pop-free automaton, with `max_depth`
-    at least the most frames the call keeps -- a position that keeps
-    d + 1 frames holds the node (set, d) of the automaton's node graph,
-    and every token but the open of a binder that is not private reads
-    the next node from the row, made once per automaton (`_expand`); a
-    token with no entry rejects.  Such an open, and every step of any
-    other call, goes to `_closure` through a memo of the call's own,
-    keyed by (set, token, frames kept after it).
-
-    With `want_trace`, an accepting run is walked back through the sets by
-    `_closure`'s links, and replayed on the real tokens with whole stacks.
+    With `want_trace`, an accepting run is walked back through the sets
+    and replayed on the real tokens with whole stacks (`_trace`).
     """
-    state = h._search
-    if max_depth is None and not want_trace and not state.has_pop:
-        result = _walk(h, state, tokens)
+    if max_depth is None:
+        u, max_depth = 0, len(tokens) + len(h.states) + 1
+    else:  # a frame for each unmatched close from the start (`_walk`)
+        u = _keep(tokens)[0] - 1
+    if not h._search.has_pop:
+        result = _walk(h, tokens, u, max_depth, [] if want_trace else None)
         if result is not None:
             return result
-    n = len(tokens)
-    if max_depth is None:
-        max_depth = n + len(h.states) + 1
-    # keep[pos]: 1 + the most by which closes outnumber opens over any
-    # stretch of tokens[pos:], the frames a close can read; past the end,
-    # and after END, only the top frame
+    keep = _keep(tokens)
+    configs, cut = h._search.start, False
+    steps: list = []  # (token, set, frames kept) per input position
+    moves: dict = {}
+    for pos, tok in enumerate(chain(tokens, (END,))):
+        steps.append((tok, configs, keep[pos]))
+        configs, cut_here = _advance(h, configs, tok, keep[pos], keep[pos + 1], max_depth, moves)
+        cut = cut or cut_here
+        if not configs:
+            return RunResult(CUTOFF if cut else REJECT)
+    return _trace(h, tokens, steps, max_depth) if want_trace else RunResult(ACCEPT)
+
+
+def _keep(tokens: tuple[Tok, ...]) -> list[int]:
+    """keep[pos]: 1 + the most by which closes outnumber opens over any
+    stretch of tokens[pos:], the frames a close can read; past the end,
+    and after END, only the top frame.  keep[0] - 1 is the stream's
+    number of unmatched closes."""
     keep = [1, 1]
     frames = 1
     for tok in reversed(tokens):
@@ -680,108 +629,72 @@ def run(
             frames += 1
         keep.append(frames)
     keep.reverse()
-    stream = _private_binders_by_level(tokens, state.constants, keep) + (END,)
-    shared = not state.has_pop and max_depth >= max(keep)
-    graph, sets = state.graph, (state.sets if shared else {})
-    # `advance`'s (set, token, frames kept after it) -> (next set, cut), and
-    # `step`'s moves per configuration, per token read or per fresh name
-    memo, moves = {}, {}
-
-    def advance(configs, pos, links=None):
-        """`_closure` at `pos`; after a close the level name of keep[pos] - 2
-        is dead.  Returns the next set, and whether the cap cut a move."""
-        tok = stream[pos]
-        rules = {NoneType: (keep[pos], None),
-                 type(tok): (keep[pos + 1], _level(keep[pos] - 2)[1] if tok is TCLOSE else None)}
-        closure, reads, cut = _closure(h, configs, tok, None, rules, state.need, state.has_pop,
-                                       max_depth, moves.setdefault(tok, {}), links)
-        if tok is END:
-            return frozenset([c for c in closure if c[0] in h.finals]), cut is not None
-        return frozenset(reads.get(tok, ())), cut is not None
-
-    # the node (set, keep[pos] - 1): a row's next node is the one the next
-    # position holds, with no new tuple
-    node = (state.start, keep[0] - 1)
-    entries = [node[0]]
-    cut = False
-    for pos, tok in enumerate(stream):
-        if shared and (type(tok) is not TOpen or tok.name in _level_of):
-            row = graph.get(node)
-            if row is None:
-                row = graph[node] = _expand(h, node, state.need, False, node[1] + 2, moves, sets)
-            hit = row[1].get(tok)
-            if hit is None:
-                return RunResult(REJECT)
-            node = hit[1]
-        else:
-            key = (node[0], tok, keep[pos + 1])
-            hit = memo.get(key)
-            if hit is None:
-                out, cut_here = advance(node[0], pos)
-                memo[key] = hit = ((sets.setdefault(out, out), keep[pos + 1] - 1), cut_here)
-            node, cut_here = hit
-            cut = cut or cut_here
-            if not node[0]:
-                return RunResult(CUTOFF if cut else REJECT)
-        if want_trace:
-            entries.append(node[0])
-    if not want_trace:
-        return RunResult(ACCEPT)
-    # every configuration of entries[pos] is reachable, so from a final
-    # configuration at the end, each position's closure leads back to one
-    # configuration of the set before; the trace takes the least final
-    # configuration and explores each set in order, so no hash seed
-    # changes it
-    cfg = min(advance(entries[n], n)[0], key=_config_order)
-    path: list = []
-    for pos in range(n, -1, -1):
-        links: dict = {}
-        advance(sorted(entries[pos], key=_config_order), pos, links)
-        if pos < n:
-            cfg, t = links[stream[pos], cfg]
-            path.append(t)
-        while cfg in links:
-            cfg, t = links[cfg]
-            path.append(t)
-    path.reverse()
-    return RunResult(ACCEPT, _replay(h, tokens, initial_config(h), path))
+    return keep
 
 
-def _walk(h: Hds, state: _SearchState, tokens: tuple[Tok, ...]) -> Optional[RunResult]:
+def _advance(h: Hds, configs, tok, frames: int, frames_after: int, max_depth: int,
+             moves: dict, links: Optional[dict] = None) -> tuple[frozenset, bool]:
+    """`_closure` on the input token `tok`, with `frames` frames kept before
+    it and `frames_after` after it; a close kills the level name of
+    frames - 2, the name a walk gives the binder it closes (on the
+    general path no frame holds a level name).  Returns the next set --
+    past END the final configurations of the closure -- and whether the
+    cap cut a move."""
+    rules = {NoneType: (frames, None),
+             type(tok): (frames_after, _level(frames - 2)[1] if tok is TCLOSE else None)}
+    state = h._search
+    closure, reads, cut = _closure(h, configs, tok, None, rules, state.need, state.has_pop,
+                                   max_depth, moves.setdefault(tok, {}), links)
+    if tok is END:
+        return frozenset([c for c in closure if c[0] in h.finals]), cut is not None
+    return frozenset(reads.get(tok, ())), cut is not None
+
+
+def _walk(h: Hds, tokens: tuple[Tok, ...], u: int, max_depth: int,
+          steps: Optional[list]) -> Optional[RunResult]:
     """`run` on a pop-free automaton in one forward pass over the node
-    graph, or None to hand the stream back to `run`'s general path.
+    graph, or None to hand the stream back to the general path.
 
-    The walk keeps the open depth (the binders open, innermost last), the
-    level name of each open binder's open depth, and the names no binder
-    may take: the constants, every name read so far and every binder so
-    far.  Each token reads the next node from the row of the node it is
-    at, as the general path does.  It hands the stream back, from its
-    first token, at an unmatched close, a binder whose name is a constant
-    or already seen, a closed binder's name read again, and a binder still
-    open at the end.  So on a stream it decides, each binder is private
-    and opens at a depth d where keep[open] == d + 1: the general path
-    gives it the walk's level name and steps through the same nodes and
-    rows, and the verdict is the same.
+    The walk starts at the node (start, u).  A node's depth is the open
+    depth plus the unmatched closes still to come, when u is the
+    stream's number of them (keep[0] - 1): the node keeps a frame more
+    than that, at least the frames `_keep` gives.  Without a cap u is 0
+    at first, and at the first unmatched close the walk starts again
+    once with the right u; up to there it kept every frame a close had
+    read.  The walk keeps the level name of each open binder, and the
+    names no binder may take: the constants, every name read so far and
+    every binder so far.  A binder opened at depth d takes the level
+    name of d, and each token, END included, reads the next node from
+    the row of the node it is at.  A close with no binder open leaves a
+    depth no binder reached before, so its kill finds no level name
+    alive.
 
-    A token with no entry in its row rejects at once, ahead of the first
-    token that would hand the stream back.  Up to that token the walk is
-    exact: no close reads a frame it drops, each binder takes a level
-    name that no frame holds alive where it opens, and no closed binder's
-    name is read or bound again, so its dying changes nothing.  Each set
-    the walk holds is then the image of the set of configurations the
-    automaton's run on the real names, with whole stacks, reaches there,
-    under truncation and the renaming of binders to level names; each
-    set of the general path is an image of the same set under its own
-    truncation and renaming.  So one is empty exactly when the other is,
-    and the general path rejects too.
+    It hands the stream back at a binder named after a constant or a
+    name already seen, at a closed binder's name read again, and where
+    a frame count would pass `max_depth`: u + 1, or d + 2 at an open at
+    depth d.  So every binder the walk names is private, opened where no
+    frame holds its level name alive, and never read or bound again once
+    closed; and neither the walk nor the general path meets the cap.
+    Each set the walk holds is then the image of the set the automaton's
+    exact run reaches there, under truncation and the renaming of
+    binders to level names, and so is each set of the general path.  One
+    is empty exactly when the other is: a token with no entry in its row
+    rejects at once, also ahead of a token that would hand the stream
+    back.  A pop-free closure's states do not depend on the stack, so a
+    row has END at every depth where its closure holds a final state,
+    and the walk accepts there.  With `steps` (a list), it records each
+    position's key, set and frames kept, for `_trace`.
     """
+    state = h._search
+    if u >= max_depth:
+        return None
     graph, sets, need = state.graph, state.sets, state.need
     # name -> whether it is a closed binder, for every name no binder may take
     seen = dict.fromkeys(state.constants, False)
-    bound: dict = {}  # open binder -> the level name of its open depth
+    bound: dict = {}  # open binder -> the level name of the depth it opened at
     opened: list = []  # the binders open, innermost last
     moves: dict = {}
-    node = (state.start, 0)
+    node = (state.start, u)
     for tok in chain(tokens, (END,)):
         kind = type(tok)
         if kind is Name:
@@ -789,24 +702,25 @@ def _walk(h: Hds, state: _SearchState, tokens: tuple[Tok, ...]) -> Optional[RunR
             if key is tok and seen.setdefault(tok, False):
                 return None
         elif kind is TOpen:
-            nm = tok.name
-            if nm in seen:
+            nm, d = tok.name, node[1]
+            if nm in seen or d + 2 > max_depth:
                 return None
             seen[nm] = False
-            d = len(opened)
             key, bound[nm] = _levels[d] if d < len(_levels) else _level(d)
             opened.append(nm)
         elif kind is TClose:
-            if not opened:
-                return None
-            nm = opened.pop()
-            del bound[nm]
-            seen[nm] = True
+            if opened:
+                nm = opened.pop()
+                del bound[nm]
+                seen[nm] = True
+            elif not node[1]:
+                return _walk(h, tokens, _keep(tokens)[0] - 1, max_depth,
+                             None if steps is None else [])
             key = tok
-        elif tok is END and opened:
-            return None
         else:
             key = tok
+        if steps is not None:
+            steps.append((key, node[0], node[1] + 1))
         row = graph.get(node)
         if row is None:
             row = graph[node] = _expand(h, node, need, False, node[1] + 2, moves, sets)
@@ -814,7 +728,38 @@ def _walk(h: Hds, state: _SearchState, tokens: tuple[Tok, ...]) -> Optional[RunR
         if hit is None:
             return RunResult(REJECT)
         node = hit[1]
-    return RunResult(ACCEPT)  # the row had END: a final state at open depth 0
+    return RunResult(ACCEPT) if steps is None else _trace(h, tokens, steps, max_depth)
+
+
+def _trace(h: Hds, tokens: tuple[Tok, ...], steps: list, max_depth: int) -> RunResult:
+    """The accepting run of a search that recorded, per input position and
+    END, the token read as the search names it, the set before it and the
+    frames kept there.
+
+    Every configuration of a recorded set is reachable, so from a final
+    configuration at the end, each position's closure leads back to one
+    configuration of the set before (`_closure`'s links); the trace takes
+    the least final configuration and explores each set in order, so no
+    hash seed changes it.
+    """
+    n = len(tokens)
+    moves: dict = {}
+    _, configs, frames = steps[n]
+    cfg = min(_advance(h, configs, END, frames, frames, max_depth, moves)[0], key=_config_order)
+    path: list = []
+    for pos in range(n, -1, -1):
+        tok, configs, frames = steps[pos]
+        after = steps[pos + 1][2] if pos < n else frames
+        links: dict = {}
+        _advance(h, sorted(configs, key=_config_order), tok, frames, after, max_depth, moves, links)
+        if pos < n:
+            cfg, t = links[tok, cfg]
+            path.append(t)
+        while cfg in links:
+            cfg, t = links[cfg]
+            path.append(t)
+    path.reverse()
+    return RunResult(ACCEPT, _replay(h, tokens, initial_config(h), path))
 
 
 def _config_order(cfg: Config) -> tuple:
@@ -827,8 +772,8 @@ def _config_order(cfg: Config) -> tuple:
 def _replay(h: Hds, tokens: tuple[Tok, ...], start: Config, path: list) -> list:
     """The run that takes the transitions of `path` from `start`, every frame kept.
 
-    The search drops frames no close can read and renames private
-    binders, so its configurations show only the top of the automaton's
+    The search drops frames no close can read, and the walk names
+    binders after their levels, so its configurations show only the top of the automaton's
     stacks, under other names; the same transitions are enabled on the
     real tokens with the whole stacks, and this rebuilds them.
     """
@@ -917,8 +862,8 @@ def _language_keys(h: Hds, bound: int) -> set:
     the level name of d, which no constant and no frame value equals, and
     at the binder's close that name becomes `DEAD` in every frame.  The
     prefixes of one length are grouped by node, and `_expand` makes each
-    node's row once: a node is final (its row has END) if its closure has
-    a final state at open depth 0, and each token read from it extends
+    node's row once: a node at open depth 0 is final if its row has END
+    (its closure has a final state), and each token read from it extends
     all its prefixes by the token's key element.  A level name read at
     depth d is the index d - 1 - level, so a final prefix is already the
     key of its word.  The rows live in the automaton's node graph, which
@@ -959,8 +904,9 @@ def _language_keys(h: Hds, bound: int) -> set:
             if cut is not None and cut <= left:
                 raise Undecided("the slice reached its depth cap and may miss words")
             for elem, succ, req in reads.values():
-                if elem is None:  # END: the node emits its prefixes
-                    out.update(prefixes)
+                if elem is None:  # END: a node at open depth 0 emits its prefixes
+                    if not node[1]:
+                        out.update(prefixes)
                 elif req < left:
                     elem = (elem,)
                     more = [p + elem for p in prefixes]
@@ -981,10 +927,12 @@ def _expand(h: Hds, node: tuple, need: dict, has_pop: bool, max_depth: int,
     key element, the next node, and the fewest tokens a word needs after
     that token (to close the next node's binders and take one of its
     states to a final one).  A close is filed under `TCLOSE` and kills
-    the level name of depth - 1, as every close in `run` does, and a
-    node that emits its prefixes files END under (None, node, 0).  Each
-    next node's configurations are a frozenset interned through
-    `sets`."""
+    the level name of depth - 1, as every close of `run`'s walk does.
+    A node whose closure holds a final state files END under (None,
+    node, 0), at every depth: without pop transitions, which states a
+    closure holds does not depend on the stack, so `run` accepts there,
+    while `_language_keys` emits only at depth 0.  Each next node's
+    configurations are a frozenset interned through `sets`."""
     configs, depth = node
     # a move keeps one frame more than the open depth after it
     rules = {NoneType: (depth + 1, None), Name: (depth + 1, None),
@@ -995,7 +943,7 @@ def _expand(h: Hds, node: tuple, need: dict, has_pop: bool, max_depth: int,
     closure, reads, cut = _closure(h, configs, None, fresh, rules, need, has_pop,
                                    max_depth, moves.setdefault((None, fresh), {}))
     row = {}
-    if depth == 0 and any(q in h.finals for q, _ in closure):
+    if any(q in h.finals for q, _ in closure):
         row[END] = (None, node, 0)
     for read, group in reads.items():
         # a level name read at depth d is the index d - 1 - level

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import os
 import subprocess
 import sys
@@ -65,6 +66,33 @@ def test_accept_undecided_exit_code(hds_file, capsys):
     with pytest.raises(SystemExit):
         main(["accept", "--help"])
     assert "maximum stack depth" in capsys.readouterr().out
+
+
+def test_accept_fuel_above_the_open_depth_changes_nothing(tmp_path, hds_file, capsys):
+    # on a pop-free automaton a word of open depth d keeps at most d + 1
+    # frames, so a budget of d + 1 or more prints what no budget prints
+    from nomlang.syntax import parse_word
+    from nomlang.words import TCLOSE, TOpen
+
+    expr = tmp_path / "nested.nre"
+    expr.write_text("<#n. #n <#m. #n #m > >*\n")
+    nested = str(tmp_path / "nested.hds")
+    assert main(["compile", str(expr), nested]) == 0
+    cases = [(hds_file, text) for text in (
+        "#m", "#m <#n. #m #n >", "#m <#n. #n #n >", "#m <#n. #m #n > <#k. #m #k >", "#m #m")]
+    cases += [(nested, text) for text in (
+        "<#a. #a <#b. #a #b > >", "<#a. #a <#b. #b #a > >", "<#a. #a <#b. #a #b > > <#c. #c <#d. #c #d > >")]
+    for automaton, text in cases:
+        tokens = parse_word(text).tokens
+        depth = max(itertools.accumulate((isinstance(t, TOpen) - (t is TCLOSE) for t in tokens),
+                                         initial=0))
+        for flags in ([], ["--trace"]):
+            capsys.readouterr()
+            code = main(["accept", automaton, text] + flags)
+            want = capsys.readouterr().out
+            for fuel in (depth + 1, depth + 2, len(tokens) + 1):
+                assert main(["accept", automaton, text, "--fuel", str(fuel)] + flags) == code
+                assert capsys.readouterr().out == want, (text, fuel, flags)
 
 
 def test_accept_fuel_below_one_is_usage_error(hds_file, capsys):

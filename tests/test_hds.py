@@ -427,6 +427,25 @@ def _push_constant_hds() -> Hds:
     return h
 
 
+def _unbalanced_hds() -> Hds:
+    """A close with no binder open, then a binder whose body reads it and
+    ends in a final state with the binder still open."""
+    h = Hds(
+        states={"q0": frozenset(), "q1": frozenset(), "q2": frozenset({x}), "q3": frozenset()},
+        initial="q0",
+        eta={},
+        finals=frozenset({"q3"}),
+        trans={
+            "q0": (Transition(L_CLOSE, "q1", BOTTOM),),
+            "q1": (Transition(L_OPEN, "q2", NM({x: STAR})),),
+            "q2": (Transition(lname(x), "q3", BOTTOM),),
+            "q3": (),
+        },
+    )
+    assert validate(h) == []
+    return h
+
+
 POOL = frozenset({m, n, Name("~0"), Name("z")})
 
 
@@ -475,6 +494,7 @@ RAW_AUTOMATA = {
     "push ~0": _push_constant_hds,
     "escape": _escaping_hds,
     "escape, bind": lambda: _escaping_hds(then_bind=True),
+    "unbalanced": _unbalanced_hds,
 }
 
 RAW_STREAMS = [
@@ -511,6 +531,11 @@ RAW_STREAMS = [
     ("escape", (TOpen(Name("z")), TCLOSE, n, TCLOSE), REJECT),
     ("escape, bind", (TOpen(k), TCLOSE, TOpen(Name("z")), k, TCLOSE, TCLOSE), REJECT),
     ("escape, bind", (TOpen(Name("z")), TCLOSE, TOpen(k), n, TCLOSE, TCLOSE), REJECT),
+    # an unmatched close, then a binder still open where the run accepts
+    ("unbalanced", (TCLOSE, TOpen(n), n), ACCEPT),
+    ("unbalanced", (TCLOSE, TOpen(n), m), REJECT),
+    ("unbalanced", (TCLOSE, TOpen(n), n, TCLOSE), REJECT),
+    ("unbalanced", (TOpen(n), n), REJECT),
 ]
 
 
@@ -1272,8 +1297,8 @@ WALK_STREAMS = [
     ("push ~0", _raw("<#~0. #~0 >"), None),  # ... after the push constant ~0
     ("free", _raw("#n <#n. #n >"), None),  # a free name reused as a binder
     ("session", _raw("#m <#n. #m #n > #n"), None),  # a binder's name read after its close
-    ("session", (m, TCLOSE, TOpen(n), m, n, TCLOSE), None),  # an unmatched close
-    ("session", (m, TOpen(n), m, n), None),  # an unclosed open
+    ("session", (m, TCLOSE, TOpen(n), m, n, TCLOSE), REJECT),  # an unmatched close
+    ("session", (m, TOpen(n), m, n), REJECT),  # an unclosed open
     # a token no row reads rejects before the token that would hand back
     ("session", (m, k, TOpen(m), m, m, TCLOSE), REJECT),
     ("session", (m, TOpen(n), m, k, TCLOSE, n), REJECT),
@@ -1284,41 +1309,94 @@ WALK_STREAMS = [
     ("session", _raw("#m <#n. #m #n > <#k. #m #k >"), ACCEPT),
     ("escape", _raw("<#~1. ^ > #~0"), REJECT),
     ("push ~0", _raw("<#n. #~0 >"), ACCEPT),
+    # unmatched closes and unclosed opens, walked again from the depth of
+    # the unmatched closes
+    ("unbalanced", (TCLOSE, TOpen(n), n), ACCEPT),
+    ("unbalanced", (TCLOSE, TOpen(n), m), REJECT),
+    ("escape", (TOpen(k), TCLOSE, TCLOSE, k), REJECT),
+    ("escape, bind", (TOpen(Name("z")), TCLOSE, TOpen(k), n, TCLOSE, TCLOSE), REJECT),
 ]
 
 
+def _general_path(monkeypatch):
+    """Make every `run` take the general path, until the patch is undone."""
+    from nomlang import hds
+
+    monkeypatch.setattr(hds, "_walk", lambda *args: None)
+
+
 @pytest.mark.parametrize("automaton,tokens,outcome", WALK_STREAMS)
-def test_the_walk_hands_back_what_it_cannot_decide(automaton, tokens, outcome):
+def test_the_walk_hands_back_what_it_cannot_decide(automaton, tokens, outcome, monkeypatch):
     from nomlang import hds
 
     h = RAW_AUTOMATA[automaton]()
-    got = hds._walk(h, h._search, tokens)
+    got = hds._walk(h, tokens, 0, len(tokens) + len(h.states) + 1, None)
     assert (got and got.outcome) == outcome
-    general = RAW_AUTOMATA[automaton]()
-    want = run(general, tokens, max_depth=len(tokens) + len(general.states) + 1).outcome
-    assert run(h, tokens).outcome == want
+    mine = run(h, tokens).outcome
+    _general_path(monkeypatch)
+    want = run(RAW_AUTOMATA[automaton](), tokens).outcome
+    assert mine == want
     if outcome is not None:
         assert outcome == want
 
 
+def test_the_walk_hands_back_where_its_frames_pass_the_cap(monkeypatch):
+    # with a cap, the walk starts with a frame for each unmatched close and
+    # hands the stream back where it would keep more frames than the cap:
+    # at the start, or at an open
+    from nomlang import hds
+
+    h = RAW_AUTOMATA["session"]()
+    word = _raw("#m <#n. #m #n >")  # its open needs 2 frames
+    late = word + (TCLOSE,)  # 2 frames from the start, 3 at its open
+    for tokens, u, cap, outcome in [(word, 0, 1, None), (word, 0, 2, ACCEPT),
+                                    (late, 1, 1, None), (late, 1, 2, None), (late, 1, 3, REJECT)]:
+        got = hds._walk(h, tokens, u, cap, None)
+        assert (got and got.outcome) == outcome
+    verdicts = [run(h, t, max_depth=cap).outcome for t in (word, late) for cap in (1, 2, 3)]
+    assert verdicts == [CUTOFF, ACCEPT, ACCEPT, CUTOFF, CUTOFF, REJECT]
+    _general_path(monkeypatch)
+    h = RAW_AUTOMATA["session"]()
+    assert [run(h, t, max_depth=cap).outcome for t in (word, late) for cap in (1, 2, 3)] == verdicts
+
+
+def _binder_not_private(tokens, constants) -> bool:
+    """Whether a binder of the stream is named after a constant or a name
+    read or bound before it, or its name is read after its close."""
+    before, closed, opened = set(constants), set(), []
+    for t in tokens:
+        if type(t) is TOpen:
+            if t.name in before:
+                return True
+            before.add(t.name)
+            opened.append(t.name)
+        elif t is TCLOSE:
+            if opened:
+                closed.add(opened.pop())
+        elif type(t) is Name:
+            if t in closed:
+                return True
+            before.add(t)
+    return False
+
+
 def test_the_walk_agrees_with_the_general_path(monkeypatch):
-    # the general path runs where an explicit max_depth is given; the
-    # default cap cannot cut a pop-free search, so both must agree on
-    # every stream, whether the walk decides it, rejects it before a
-    # token it cannot take, or hands it back
+    # every stream, at the default cap and at caps 1, 2 and its length + 1,
+    # whether the walk decides it, rejects it before a token it cannot take,
+    # or hands it back, against the general path and, where it decides,
+    # the referee `naive_run`; without a cap, the walk hands back only a
+    # stream with a binder that is not private
     from nomlang import hds
 
     rng = random.Random(26)
     makers = [RAW_AUTOMATA[name] for name in sorted(RAW_AUTOMATA)]
     exprs = [random_regex(rng, NAMES, LETTERS, 4) for _ in range(40)]
     makers += [lambda e=e: compile_regex(e) for e in exprs]
-    decided = []
     walk = hds._walk
-    monkeypatch.setattr(hds, "_walk", lambda *args: decided.append(walk(*args)) or decided[-1])
     pool = [m, n, k, Name("~0"), Name("z")]
-    checked = 0
+    checked = refereed = handed_back = walked = 0
     for make in makers:
-        h, general = make(), make()
+        h = make()
         streams = [s for _, s, _ in WALK_STREAMS] + [_binder_then(nm) for nm in (m, n, k)]
         for w in sorted(language_slice(make(), 6), key=repr)[:5]:
             t = tokenize(w)
@@ -1326,27 +1404,68 @@ def test_the_walk_agrees_with_the_general_path(monkeypatch):
         for _ in range(10):
             w = random_mword(rng, pool, LETTERS, rng.randint(1, 8))
             streams += [tokenize(w), tokenize(alpha_canonical(w))]
-        for s in streams:
-            cap = len(s) + len(general.states) + 1
-            assert run(h, s).outcome == run(general, s, max_depth=cap).outcome, s
-            checked += 1
-    handed_back = decided.count(None)
-    assert checked > 5000 and handed_back > 1000 and len(decided) - handed_back > 1000
+        runs = [(s, cap) for s in streams for cap in (None, 1, 2, len(s) + 1)]
+        decided, got = [], []
+        monkeypatch.setattr(hds, "_walk", lambda *args: decided.append(walk(*args)) or decided[-1])
+        for s, cap in runs:
+            got.append(run(h, s, max_depth=cap).outcome)
+            if decided[-1] is not None:
+                walked += 1
+                continue
+            handed_back += 1
+            if cap is None:
+                assert _binder_not_private(s, h._search.constants), s
+        _general_path(monkeypatch)
+        general = make()
+        assert [run(general, s, max_depth=cap).outcome for s, cap in runs] == got
+        for (s, cap), outcome in zip(runs, got):
+            full = naive_run(general, s, max_depth=len(s) + 1 if cap is None else cap).outcome
+            if full == CUTOFF:
+                continue
+            refereed += 1
+            if outcome != full:
+                # `naive_run` fires a push at most once between two tokens
+                assert (outcome, full) == (ACCEPT, REJECT), (s, cap)
+                _assert_trace_follows_step(h, s, run(h, s, max_depth=cap, want_trace=True).trace)
+        checked += len(runs)
+    assert checked > 20_000 and refereed > 10_000
+    assert handed_back > 1000 and walked > 10_000
 
 
 def test_a_balanced_word_is_decided_without_renaming(monkeypatch):
-    # the walk names binders as it reads them; only a stream it hands back
-    # is renamed as a whole
+    # the walk names binders as it reads them: a balanced word, and the
+    # same word after a leading close, walked again from the node of one
+    # unmatched close, read rows only and pass no token to `_closure`
     from nomlang import hds
 
     with open(NS_FILE) as f:
         h = compile_regex(parse_nre(f.read())[0])
-    calls = []
-    rename = hds._private_binders_by_level
-    monkeypatch.setattr(hds, "_private_binders_by_level",
-                        lambda *args: calls.append(1) or rename(*args))
+    walks, toks = [], []
+    walk, closure = hds._walk, hds._closure
+    monkeypatch.setattr(hds, "_walk", lambda *args: walks.append(args[2]) or walk(*args))
+    monkeypatch.setattr(hds, "_closure", lambda h, configs, tok, *rest:
+                        toks.append(tok) or closure(h, configs, tok, *rest))
     t = _ns_tokens(4)
     assert run(h, t).outcome == ACCEPT
-    assert calls == []
+    assert walks == [0]
     assert run(h, (TCLOSE,) + t).outcome == REJECT
-    assert len(calls) == 1
+    assert walks == [0, 0, 1]
+    assert toks and all(tok is None for tok in toks)
+
+
+def test_a_late_fault_is_decided_by_the_walk(monkeypatch):
+    # an open after a long balanced word, or a close before or after it:
+    # the walk decides each, so no `_closure` call reads a token
+    from nomlang import hds
+
+    with open(NS_FILE) as f:
+        h = compile_regex(parse_nre(f.read())[0])
+    word = _ns_tokens(64)
+    assert run(h, word).outcome == ACCEPT
+    toks = []
+    closure = hds._closure
+    monkeypatch.setattr(hds, "_closure", lambda h, configs, tok, *rest:
+                        toks.append(tok) or closure(h, configs, tok, *rest))
+    for tokens in (word + (TOpen(Name("z")),), (TCLOSE,) + word, word + (TCLOSE,)):
+        assert run(h, tokens).outcome == REJECT
+    assert toks and all(tok is None for tok in toks)
