@@ -17,8 +17,12 @@ never say CUTOFF, and its verdict must equal that of the referee
 `oracle.naive_run`, which keeps every frame, renames no binder and
 fires a push transition at most once between two consumed tokens.
 `run` with a depth cap of one more than the stream's tokens, which no
-pop-free search reaches, must give the default run's verdict, and the
-trace of each accepted stream must be a run of `step` on its tokens.
+pop-free search reaches, must give the default run's verdict.  A capped
+run takes the exact subset construction, and the default run the
+forward walk over the node graph wherever the walk decides, so the
+`CAP` check (a `CAP` line per mismatch) compares the two on every
+campaign stream.  The trace of each accepted stream, which the
+subset construction records, must be a run of `step` on its tokens.
 Each of these M words and raw spellings, rendered, must parse back to
 its own token row.
 Prints every mismatch and a summary line.
@@ -37,9 +41,9 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "src"))
 
 from nomlang.names import Letter, Name
 from nomlang.compiler import compile_regex
-from nomlang.hds import ACCEPT, CUTOFF, END, language_slice, run, step, validate
+from nomlang.hds import ACCEPT, CUTOFF, language_slice, run, validate
 from nomlang.monoids import SORTS, canon_g, canon_l, canon_s, quot_gl, quot_ls, quot_mg
-from nomlang.oracle import naive_run, near_misses, random_regex
+from nomlang.oracle import naive_run, near_misses, random_regex, trace_follows_step
 from nomlang.regex import enumerate_slice, member
 from nomlang.syntax import parse_word, render_regex, render_word
 from nomlang.words import TCLOSE, MWord, TOpen, support, tokenize
@@ -104,22 +108,6 @@ def check_spellings(w, pool: list, where: str) -> int:
     return bad
 
 
-def trace_follows_step(h, tokens: tuple, trace: list) -> bool:
-    """Whether the trace starts at the initial state, each traced move is a
-    `step` successor of the one before on `tokens`, and it ends in a final
-    state past the last token."""
-    (state, pos, _), t = trace[0]
-    if (state, pos, t) != (h.initial, 0, None):
-        return False
-    for ((state, pos, stk), _), (after, t) in zip(trace, trace[1:]):
-        tok = tokens[pos] if pos < len(tokens) else END
-        if after not in [(u.target, pos + (read is not None), stk2)
-                         for u, read, stk2 in step(h, state, stk, tok) if u is t]:
-            return False
-    state, pos, _ = trace[-1][0]
-    return state in h.finals and pos == len(tokens)
-
-
 def check_truncation(h, w, pool: list, where: str) -> tuple[int, int, int]:
     """(mismatches, undecided, streams) of the runs on the tokens of `w`,
     their near-misses and `w`'s raw spellings.
@@ -128,8 +116,9 @@ def check_truncation(h, w, pool: list, where: str) -> tuple[int, int, int]:
     exhaustive: a CUTOFF from it is a mismatch.  The referee gets the
     most frames the default run can hold, one more than the tokens.
     Where that cap cuts the referee (CUTOFF), there is no verdict to
-    compare.  `run` under the same cap must give its default verdict, and
-    an accepted stream's trace must follow `step`.
+    compare.  `run` under the same cap, which takes the exact subset
+    construction, must give the verdict of the default run's walk, and
+    an accepted stream's trace must follow `step` (`trace_follows_step`).
     """
     bad = undecided = 0
     tokens = tokenize(w)

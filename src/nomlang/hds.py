@@ -23,8 +23,8 @@ tokens left under the bound.  It emits keys (`words.alpha_key`), not
 tokens, so no word is parsed or canonicalized, and each accepted word
 is decoded once.  `run` holds, at each input position, the set of
 configurations the moves reading the tokens so far lead to; on a
-pop-free automaton it reads them from the same rows, in one forward
-walk (below).
+pop-free automaton, with no depth cap and no trace, it reads them from
+the same rows, in one forward walk (below).
 
 Both searches name binders one way.  A binder takes the level name of
 its open depth plus the unmatched closes still to come in the stream
@@ -86,12 +86,13 @@ keeps its node, the level name of each open binder, and the names no
 binder may take -- the constants, every name read and every binder so
 far -- and reads the next node from the row at each token and at the
 end.  A token no move reads has no entry in the row, so it rejects at
-once, and fresh free names grow nothing.  Only a binder that is not
-private -- named after a constant or a name already seen, or its name
-read after its close -- or a `max_depth` below the frames the walk
-keeps hands the stream back to the general path: a plain subset
-construction over the input's own names, which renames nothing and
-takes each step from `_closure`, as on a pop automaton.
+once, and fresh free names grow nothing.  The walk only decides: a
+binder that is not private -- named after a constant or a name already
+seen, or its name read after its close -- hands the stream back, and a
+run with a `max_depth` or a trace never takes the walk.  Those runs and
+every run on a pop automaton take the general path: a plain subset
+construction over the input's own names, which renames nothing, takes
+each step from `_closure`, and records a trace's links as it goes.
 """
 
 from __future__ import annotations
@@ -584,35 +585,46 @@ def run(
     reach); a branch the cap cuts makes the outcome CUTOFF unless a run
     accepts.
 
-    On a pop-free automaton one forward walk over the node graph
-    (`_walk`) decides the stream, naming each binder after its level as
-    it reads it.  Only a binder that is not private, or a `max_depth`
-    below the frames the walk keeps, hands the stream back to the
-    general path below: a plain subset construction over the input's own
-    names, which is also the path of a pop automaton.
+    On a pop-free automaton, with no `max_depth` and no trace, one
+    forward walk over the node graph (`_walk`) decides the stream,
+    naming each binder after its level as it reads it.  Every other run,
+    and a stream the walk hands back, takes the general path below: a
+    plain subset construction over the input's own names, which renames
+    nothing.
 
-    With `want_trace`, an accepting run is walked back through the sets
-    and replayed on the real tokens with whole stacks (`_trace`).
+    With `want_trace`, the general path explores each set in
+    `_config_order` and keeps, per position, where each configuration of
+    the closure and of the next set came from (`_closure`'s links); an
+    accepting run is followed back through them and replayed on the real
+    tokens with whole stacks (`_trace`).
     """
+    state = h._search
     if max_depth is None:
-        u, max_depth = 0, len(tokens) + len(h.states) + 1
-    else:  # a frame for each unmatched close from the start (`_walk`)
-        u = _keep(tokens)[0] - 1
-    if not h._search.has_pop:
-        result = _walk(h, tokens, u, max_depth, [] if want_trace else None)
-        if result is not None:
-            return result
+        if not (state.has_pop or want_trace):
+            result = _walk(h, tokens, 0)
+            if result is not None:
+                return result
+        max_depth = len(tokens) + len(h.states) + 1
     keep = _keep(tokens)
-    configs, cut = h._search.start, False
-    steps: list = []  # (token, set, frames kept) per input position
+    configs, cut = state.start, False
+    trail: list = []  # `_closure`'s links per input position, with `want_trace`
     moves: dict = {}
     for pos, tok in enumerate(chain(tokens, (END,))):
-        steps.append((tok, configs, keep[pos]))
-        configs, cut_here = _advance(h, configs, tok, keep[pos], keep[pos + 1], max_depth, moves)
-        cut = cut or cut_here
+        links = None
+        if want_trace:
+            configs, links = sorted(configs, key=_config_order), {}
+            trail.append(links)
+        rules = {NoneType: (keep[pos], None), type(tok): (keep[pos + 1], None)}
+        closure, reads, cut_here = _closure(h, configs, tok, None, rules, state.need,
+                                            state.has_pop, max_depth, moves.setdefault(tok, {}),
+                                            links)
+        cut = cut or cut_here is not None
+        configs = [c for c in closure if c[0] in h.finals] if tok is END else reads.get(tok)
         if not configs:
             return RunResult(CUTOFF if cut else REJECT)
-    return _trace(h, tokens, steps, max_depth) if want_trace else RunResult(ACCEPT)
+    if want_trace:
+        return _trace(h, tokens, trail, min(configs, key=_config_order))
+    return RunResult(ACCEPT)
 
 
 def _keep(tokens: tuple[Tok, ...]) -> list[int]:
@@ -632,49 +644,27 @@ def _keep(tokens: tuple[Tok, ...]) -> list[int]:
     return keep
 
 
-def _advance(h: Hds, configs, tok, frames: int, frames_after: int, max_depth: int,
-             moves: dict, links: Optional[dict] = None) -> tuple[frozenset, bool]:
-    """`_closure` on the input token `tok`, with `frames` frames kept before
-    it and `frames_after` after it; a close kills the level name of
-    frames - 2, the name a walk gives the binder it closes (on the
-    general path no frame holds a level name).  Returns the next set --
-    past END the final configurations of the closure -- and whether the
-    cap cut a move."""
-    rules = {NoneType: (frames, None),
-             type(tok): (frames_after, _level(frames - 2)[1] if tok is TCLOSE else None)}
-    state = h._search
-    closure, reads, cut = _closure(h, configs, tok, None, rules, state.need, state.has_pop,
-                                   max_depth, moves.setdefault(tok, {}), links)
-    if tok is END:
-        return frozenset([c for c in closure if c[0] in h.finals]), cut is not None
-    return frozenset(reads.get(tok, ())), cut is not None
-
-
-def _walk(h: Hds, tokens: tuple[Tok, ...], u: int, max_depth: int,
-          steps: Optional[list]) -> Optional[RunResult]:
+def _walk(h: Hds, tokens: tuple[Tok, ...], u: int) -> Optional[RunResult]:
     """`run` on a pop-free automaton in one forward pass over the node
     graph, or None to hand the stream back to the general path.
 
     The walk starts at the node (start, u).  A node's depth is the open
     depth plus the unmatched closes still to come, when u is the
     stream's number of them (keep[0] - 1): the node keeps a frame more
-    than that, at least the frames `_keep` gives.  Without a cap u is 0
-    at first, and at the first unmatched close the walk starts again
-    once with the right u; up to there it kept every frame a close had
-    read.  The walk keeps the level name of each open binder, and the
-    names no binder may take: the constants, every name read so far and
-    every binder so far.  A binder opened at depth d takes the level
-    name of d, and each token, END included, reads the next node from
-    the row of the node it is at.  A close with no binder open leaves a
-    depth no binder reached before, so its kill finds no level name
-    alive.
+    than that, at least the frames `_keep` gives.  `run` passes u = 0,
+    and at the first unmatched close the walk starts again once with the
+    right u; up to there it kept every frame a close had read.  The walk
+    keeps the level name of each open binder, and the names no binder
+    may take: the constants, every name read so far and every binder so
+    far.  A binder opened at depth d takes the level name of d, and each
+    token, END included, reads the next node from the row of the node it
+    is at.  A close with no binder open leaves a depth no binder reached
+    before, so its kill finds no level name alive.
 
     It hands the stream back at a binder named after a constant or a
-    name already seen, at a closed binder's name read again, and where
-    a frame count would pass `max_depth`: u + 1, or d + 2 at an open at
-    depth d.  So every binder the walk names is private, opened where no
-    frame holds its level name alive, and never read or bound again once
-    closed; and neither the walk nor the general path meets the cap.
+    name already seen, and at a closed binder's name read again.  So
+    every binder the walk names is private, opened where no frame holds
+    its level name alive, and never read or bound again once closed.
     Each set the walk holds is then the image of the set the automaton's
     exact run reaches there, under truncation and the renaming of
     binders to level names, and so is each set of the general path.  One
@@ -682,12 +672,11 @@ def _walk(h: Hds, tokens: tuple[Tok, ...], u: int, max_depth: int,
     rejects at once, also ahead of a token that would hand the stream
     back.  A pop-free closure's states do not depend on the stack, so a
     row has END at every depth where its closure holds a final state,
-    and the walk accepts there.  With `steps` (a list), it records each
-    position's key, set and frames kept, for `_trace`.
+    and the walk accepts there.  Its frames never pass the default cap
+    of `run` (u + 1, or d + 2 at an open at depth d, is at most the
+    input length + 1).
     """
     state = h._search
-    if u >= max_depth:
-        return None
     graph, sets, need = state.graph, state.sets, state.need
     # name -> whether it is a closed binder, for every name no binder may take
     seen = dict.fromkeys(state.constants, False)
@@ -703,7 +692,7 @@ def _walk(h: Hds, tokens: tuple[Tok, ...], u: int, max_depth: int,
                 return None
         elif kind is TOpen:
             nm, d = tok.name, node[1]
-            if nm in seen or d + 2 > max_depth:
+            if nm in seen:
                 return None
             seen[nm] = False
             key, bound[nm] = _levels[d] if d < len(_levels) else _level(d)
@@ -714,13 +703,10 @@ def _walk(h: Hds, tokens: tuple[Tok, ...], u: int, max_depth: int,
                 del bound[nm]
                 seen[nm] = True
             elif not node[1]:
-                return _walk(h, tokens, _keep(tokens)[0] - 1, max_depth,
-                             None if steps is None else [])
+                return _walk(h, tokens, _keep(tokens)[0] - 1)
             key = tok
         else:
             key = tok
-        if steps is not None:
-            steps.append((key, node[0], node[1] + 1))
         row = graph.get(node)
         if row is None:
             row = graph[node] = _expand(h, node, need, False, node[1] + 2, moves, sets)
@@ -728,32 +714,26 @@ def _walk(h: Hds, tokens: tuple[Tok, ...], u: int, max_depth: int,
         if hit is None:
             return RunResult(REJECT)
         node = hit[1]
-    return RunResult(ACCEPT) if steps is None else _trace(h, tokens, steps, max_depth)
+    return RunResult(ACCEPT)
 
 
-def _trace(h: Hds, tokens: tuple[Tok, ...], steps: list, max_depth: int) -> RunResult:
-    """The accepting run of a search that recorded, per input position and
-    END, the token read as the search names it, the set before it and the
-    frames kept there.
+def _trace(h: Hds, tokens: tuple[Tok, ...], trail: list, cfg: Config) -> RunResult:
+    """The accepting run that ends in the final configuration `cfg`,
+    followed back through the links `run`'s forward pass kept: `trail[pos]`
+    maps each configuration the closure at position pos added to the
+    (configuration, transition) it came from, and each configuration the
+    token there reached, under (token, configuration), likewise.
 
-    Every configuration of a recorded set is reachable, so from a final
-    configuration at the end, each position's closure leads back to one
-    configuration of the set before (`_closure`'s links); the trace takes
-    the least final configuration and explores each set in order, so no
-    hash seed changes it.
+    Every configuration of a set is reachable, so each position's links
+    lead back to one configuration of the set before.  `run` takes the
+    least final configuration and explores each set in order, so no hash
+    seed changes the trace.
     """
-    n = len(tokens)
-    moves: dict = {}
-    _, configs, frames = steps[n]
-    cfg = min(_advance(h, configs, END, frames, frames, max_depth, moves)[0], key=_config_order)
     path: list = []
-    for pos in range(n, -1, -1):
-        tok, configs, frames = steps[pos]
-        after = steps[pos + 1][2] if pos < n else frames
-        links: dict = {}
-        _advance(h, sorted(configs, key=_config_order), tok, frames, after, max_depth, moves, links)
-        if pos < n:
-            cfg, t = links[tok, cfg]
+    for pos in range(len(tokens), -1, -1):
+        links = trail[pos]
+        if pos < len(tokens):
+            cfg, t = links[tokens[pos], cfg]
             path.append(t)
         while cfg in links:
             cfg, t = links[cfg]
@@ -772,10 +752,10 @@ def _config_order(cfg: Config) -> tuple:
 def _replay(h: Hds, tokens: tuple[Tok, ...], start: Config, path: list) -> list:
     """The run that takes the transitions of `path` from `start`, every frame kept.
 
-    The search drops frames no close can read, and the walk names
-    binders after their levels, so its configurations show only the top of the automaton's
-    stacks, under other names; the same transitions are enabled on the
-    real tokens with the whole stacks, and this rebuilds them.
+    The search drops frames no close can read, so its configurations
+    show only the top of the automaton's stacks; the same transitions are
+    enabled on the real tokens with the whole stacks, and this rebuilds
+    them.
     """
     state, pos, stk = start
     trace = [(start, None)]

@@ -69,6 +69,12 @@ def serialize(h: Hds) -> str:
 _TRANS_RE = re.compile(r"^(\S+)\s+--(.+?)\[(.*?)\]-->\s+(\S+)$")
 
 
+def _name(label: str, line: str) -> Name:
+    if not label:
+        raise FormatError(f"empty name in line {line!r}")
+    return Name(label)
+
+
 def _parse_sigma(text: str, line: str) -> NameMap:
     entries = {}
     text = text.strip()
@@ -78,17 +84,17 @@ def _parse_sigma(text: str, line: str) -> NameMap:
         if ">" not in item:
             raise FormatError(f"bad name-map entry {item!r}")
         src, dst = item.split(">", 1)
-        src, dst = Name(src.strip()), dst.strip()
+        src, dst = _name(src.strip(), line), dst.strip()
         if src in entries:
             raise FormatError(f"repeated name-map key {src.label!r} in line {line!r}")
-        entries[src] = STAR if dst == "*" else Name(dst)
+        entries[src] = STAR if dst == "*" else _name(dst, line)
     return NameMap.of(entries)
 
 
-def _parse_label(text: str) -> Label:
+def _parse_label(text: str, line: str) -> Label:
     text = text.strip()
     if text.startswith("#"):
-        return lname(Name(text[1:]))
+        return lname(_name(text[1:], line))
     if text in _KEYWORDS:
         return Label(text)
     if re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", text):
@@ -118,8 +124,8 @@ def parse(text: str) -> Hds:
             relaxed = True
             section = None
             continue
-        if line.startswith("initial"):
-            parts = line.split()
+        parts = line.split()
+        if parts[0] == "initial":
             if len(parts) < 2:
                 raise FormatError("initial line needs a state id")
             if initial is not None:
@@ -129,19 +135,19 @@ def parse(text: str) -> Hds:
                 if "=#" not in binding:
                     raise FormatError(f"bad initial binding {binding!r}")
                 x, v = binding.split("=#", 1)
-                if Name(x) in eta:
-                    raise FormatError(f"repeated initial binding of {x!r} in line {line!r}")
-                eta[Name(x)] = Name(v)
+                x = _name(x, line)
+                if x in eta:
+                    raise FormatError(f"repeated initial binding of {x.label!r} in line {line!r}")
+                eta[x] = _name(v, line)
             section = None
             continue
-        if line.startswith("finals"):
+        if parts[0] == "finals":
             if finals is not None:
                 raise FormatError(f"repeated finals line {line!r}")
-            finals = frozenset(line.split()[1:])
+            finals = frozenset(parts[1:])
             section = None
             continue
         if section == "states":
-            parts = line.split()
             if parts[0] in states:
                 raise FormatError(f"repeated state {parts[0]!r} in line {line!r}")
             states[parts[0]] = frozenset(Name(x) for x in parts[1:])
@@ -151,7 +157,7 @@ def parse(text: str) -> Hds:
                 raise FormatError(f"bad transition line {line!r}")
             src, label, sigma, dst = m.groups()
             trans.setdefault(src, []).append(
-                Transition(_parse_label(label), dst, _parse_sigma(sigma, line))
+                Transition(_parse_label(label, line), dst, _parse_sigma(sigma, line))
             )
         else:
             raise FormatError(f"unexpected line {line!r}")
@@ -185,7 +191,7 @@ def to_dot(h: Hds, name: str = "H") -> str:
     for q in sorted(h.states):
         locs = ",".join(n.label for n in sorted(h.states[q]))
         shape = "doublecircle" if q in h.finals else "circle"
-        label = f"{q}\\n{{{locs}}}" if locs else q
+        label = f"{esc(q)}\\n{{{esc(locs)}}}" if locs else esc(q)
         lines.append(f'  "{esc(q)}" [shape={shape}, label="{label}"];')
     eta = ",".join(f"{x.label}={v.label}" for x, v in sorted(h.eta.items()))
     lines.append(f'  __start -> "{esc(h.initial)}" [label="{esc(eta)}"];')

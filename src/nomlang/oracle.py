@@ -198,6 +198,22 @@ def naive_run(
     return RunResult(CUTOFF if cut else REJECT)
 
 
+def trace_follows_step(h: Hds, tokens: tuple, trace: list) -> bool:
+    """Whether a trace of `hds.run` is a run of `step` on `tokens`: it
+    starts at the initial state, each traced move is a `step` successor
+    of the one before, and it ends in a final state past the last token."""
+    (state, pos, _), t = trace[0]
+    if (state, pos, t) != (h.initial, 0, None):
+        return False
+    for ((state, pos, stk), _), (after, t) in zip(trace, trace[1:]):
+        tok = tokens[pos] if pos < len(tokens) else END
+        if after not in [(u.target, pos + (read is not None), stk2)
+                         for u, read, stk2 in step(h, state, stk, tok) if u is t]:
+            return False
+    state, pos, _ = trace[-1][0]
+    return state in h.finals and pos == len(tokens)
+
+
 def near_misses(tokens: tuple, names: tuple[Name, ...]) -> list[tuple]:
     """The streams one token away from `tokens`, position by position.
 

@@ -8,7 +8,7 @@ import nomlang
 from nomlang.names import Name
 from nomlang.compiler import compile_regex
 from nomlang.syntax import parse_regex
-from nomlang.hds import language_slice, validate
+from nomlang.hds import Hds, L_EPS, NameMap, Transition, language_slice, lname, validate
 from nomlang import hds_format
 from nomlang.hds_format import FormatError, parse, serialize, to_dot
 
@@ -93,6 +93,32 @@ def test_parse_rejects_a_repeated_initial_line():
         parse(REPEATED.replace("finals q1", "initial q1 y=#n\nfinals q1"))
 
 
+def test_a_state_named_after_a_keyword_round_trips():
+    # `initial` and `finals` are the first word of their lines: a state id
+    # that only begins with one is read as a state
+    x = Name("x")
+    h = Hds(
+        states={"finals2": frozenset({x}), "initially": frozenset(), "done": frozenset()},
+        initial="finals2", eta={x: Name("m")}, finals=frozenset({"done"}),
+        trans={"finals2": (Transition(lname(x), "initially", NameMap.of({})),),
+               "initially": (Transition(L_EPS, "done", NameMap.of({})),), "done": ()},
+    )
+    assert validate(h) == []
+    text = serialize(h)
+    assert parse(text) == h
+    assert serialize(parse(text)) == text
+
+
+def test_parse_rejects_an_empty_name():
+    for old, new, line in [
+        ("x=#m", "x=#", "'initial q0 x=#'"),
+        ("--eps[", "--#[", r"'q0 --#\[x>x\]--> q1'"),
+        ("[x>x]", "[x>]", r"'q0 --eps\[x>\]--> q1'"),
+    ]:
+        with pytest.raises(FormatError, match=f"empty name in line {line}"):
+            parse(REPEATED.replace(old, new))
+
+
 def test_to_dot_mentions_every_state_and_label():
     h = compile_regex(parse_regex("#m <#n. #m #n >*", letters=set()))
     dot = to_dot(h)
@@ -102,6 +128,15 @@ def test_to_dot_mentions_every_state_and_label():
     assert "doublecircle" in dot
     for kind in ("open", "close", "push"):
         assert kind in dot
+
+
+def test_to_dot_escapes_the_state_in_its_label():
+    x = Name("x")
+    h = Hds(states={'q"0': frozenset({x}), 'q"1': frozenset()}, initial='q"0', eta={},
+            finals=frozenset({'q"1'}), trans={'q"0': (Transition(L_EPS, 'q"1', NameMap.of({})),)})
+    dot = to_dot(h)
+    assert '"q\\"0" [shape=circle, label="q\\"0\\n{x}"];' in dot
+    assert '"q\\"1" [shape=doublecircle, label="q\\"1"];' in dot
 
 
 # Compile and serialize the NS-protocol corpus expression in a new
