@@ -43,10 +43,10 @@ from nomlang.names import Letter, Name
 from nomlang.compiler import compile_regex
 from nomlang.hds import ACCEPT, CUTOFF, language_slice, run, validate
 from nomlang.monoids import SORTS, canon_g, canon_l, canon_s, quot_gl, quot_ls, quot_mg
-from nomlang.oracle import naive_run, near_misses, random_regex, trace_follows_step
+from nomlang.oracle import naive_run, near_misses, random_regex, renamed, trace_follows_step
 from nomlang.regex import enumerate_slice, member
 from nomlang.syntax import parse_word, render_regex, render_word
-from nomlang.words import TCLOSE, MWord, TOpen, support, tokenize
+from nomlang.words import MWord, TOpen, support, tokenize
 
 
 MEMBER_SAMPLE = 3  # words per sort per expression on which `member` is checked
@@ -60,26 +60,6 @@ class CampaignConfig:
     seed: int = 0
     names: tuple[str, ...] = ("n", "m", "k")
     letters: tuple[str, ...] = ("a", "b")
-
-
-def renamed(tokens: tuple, new) -> tuple:
-    """The stream with its i-th binder, and the occurrences that binder
-    binds, named `new(i, old name)`; free occurrences are kept, so the new
-    name may capture them."""
-    out, binders = [], []  # (old name, new name) of the binders open, innermost last
-    opens = 0
-    for t in tokens:
-        if type(t) is TOpen:
-            nm = new(opens, t.name)
-            opens += 1
-            binders.append((t.name, nm))
-            t = TOpen(nm)
-        elif t is TCLOSE:
-            binders.pop()
-        elif type(t) is Name:
-            t = next((nm for old, nm in reversed(binders) if old is t), t)
-        out.append(t)
-    return tuple(out)
 
 
 def raw_spellings(w, pool: list) -> list[tuple]:

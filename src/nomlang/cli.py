@@ -9,10 +9,10 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .syntax import ParseError, parse_nre, parse_word, render_word
+from .syntax import parse_nre, parse_word, render_word
 from .regex import enumerate_slice
 from .monoids import SORTS
-from .compiler import CompileError, compile_regex
+from .compiler import compile_regex
 from . import hds as automata
 from . import hds_format
 from .oracle import check_equivalence
@@ -161,10 +161,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ParseError, hds_format.FormatError, CompileError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
+    except (ValueError, OSError) as exc:  # parse, format and compile errors are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

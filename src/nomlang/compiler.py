@@ -8,8 +8,8 @@ the second after extending the first with the second's initial locals;
 iteration via a push transition re-establishing the initial name
 bindings; and name binding via an allocating open transition and a
 deallocating close transition.  Every construction takes its new
-state ids and local names from one `FreshSupply`, so the operands of a
-construction never share a state or a local name.
+state ids and local names from the one `_Build` of the compile, so the
+operands of a construction never share a state or a local name.
 
 One compile builds one automaton.  `compile_regex` fills one `_Build`:
 two mutable tables holding the local names of each state (a set) and
@@ -61,27 +61,6 @@ class CompileError(ValueError):
     pass
 
 
-@dataclass
-class FreshSupply:
-    """Source of state ids and local names unused so far."""
-
-    avoid: frozenset[Name] = frozenset()
-    _state: int = 0
-    _local: int = 0
-
-    def state(self) -> str:
-        s = f"q{self._state}"
-        self._state += 1
-        return s
-
-    def local(self) -> Name:
-        while True:
-            n = Name(f"x{self._local}")
-            self._local += 1
-            if n not in self.avoid:
-                return n
-
-
 def _identity(names: Iterable[Name]) -> dict:
     return {x: x for x in names}
 
@@ -91,7 +70,7 @@ def _identity(names: Iterable[Name]) -> dict:
 
 def compile_regex(e: rx.Regex) -> Hds:
     """Translate an expression into an automaton recognizing its language."""
-    build = _Build(FreshSupply(avoid=rx.free_names(e)))
+    build = _Build(rx.free_names(e))
     return build.hds(build.compile(e))
 
 
@@ -116,20 +95,31 @@ class _Frag:
 class _Build:
     """The tables of one compile, and the constructions that edit them.
 
-    A construction takes its operands' fragments over, edits them and
-    the tables in place, and returns the fragment of its result.
+    The tables name the states: the n-th state made is ``q{n}``.  Local
+    names are ``x0``, ``x1``, ... in the order they are made, skipping
+    the free names of the expression.  A construction takes its
+    operands' fragments over, edits them and the tables in place, and
+    returns the fragment of its result.
     """
 
-    def __init__(self, supply: FreshSupply):
-        self.supply = supply
+    def __init__(self, avoid: frozenset[Name]):
+        self.avoid = avoid  # the expression's free names
+        self.next_local = 0
         self.locals: dict[str, set[Name]] = {}
         self.trans: dict[str, list[tuple]] = {}  # (label, target, sigma dict)
 
     def state(self, locs: Iterable[Name] = ()) -> str:
-        q = self.supply.state()
+        q = f"q{len(self.locals)}"
         self.locals[q] = set(locs)
         self.trans[q] = []
         return q
+
+    def local(self) -> Name:
+        while True:
+            n = Name(f"x{self.next_local}")
+            self.next_local += 1
+            if n not in self.avoid:
+                return n
 
     def hds(self, f: _Frag) -> Hds:
         return Hds(
@@ -146,7 +136,7 @@ class _Build:
         )
 
     def compile(self, e: rx.Regex) -> _Frag:
-        """Build the fragment of `e` from the states and locals the supply hands out."""
+        """Build the fragment of `e` from new states and locals."""
         if isinstance(e, rx.Zero):
             q0 = self.state()
             return _Frag([q0], q0, set(), {})
@@ -158,7 +148,7 @@ class _Build:
             elif isinstance(e, rx.LetterLit):
                 label = lletter(e.letter)
             else:
-                x = self.supply.local()
+                x = self.local()
                 self.locals[q0].add(x)
                 eta[x] = e.name
                 label = lname(x)

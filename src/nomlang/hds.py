@@ -680,8 +680,9 @@ def _walk(h: Hds, tokens: tuple[Tok, ...], u: int) -> Optional[RunResult]:
     graph, sets, need = state.graph, state.sets, state.need
     # name -> whether it is a closed binder, for every name no binder may take
     seen = dict.fromkeys(state.constants, False)
-    bound: dict = {}  # open binder -> the level name of the depth it opened at
-    opened: list = []  # the binders open, innermost last
+    # open binder -> the level name of the depth it opened at, innermost
+    # last: no name is opened twice, so the dict keeps the open order
+    bound: dict = {}
     moves: dict = {}
     node = (state.start, u)
     for tok in chain(tokens, (END,)):
@@ -696,12 +697,9 @@ def _walk(h: Hds, tokens: tuple[Tok, ...], u: int) -> Optional[RunResult]:
                 return None
             seen[nm] = False
             key, bound[nm] = _levels[d] if d < len(_levels) else _level(d)
-            opened.append(nm)
         elif kind is TClose:
-            if opened:
-                nm = opened.pop()
-                del bound[nm]
-                seen[nm] = True
+            if bound:
+                seen[bound.popitem()[0]] = True
             elif not node[1]:
                 return _walk(h, tokens, _keep(tokens)[0] - 1)
             key = tok

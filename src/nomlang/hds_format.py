@@ -18,7 +18,9 @@ identifier (read a letter; the keywords below are reserved), or one of
 comma-separated list of ``x>y`` entries, ``x>*`` sending a local to
 the allocation placeholder, and ``[]`` for the empty map.  A final
 line ``relaxed`` marks automata whose open maps may send several
-locals to the placeholder.
+locals to the placeholder.  A state id is one word, not a section
+keyword and not starting with ``//`` (a comment); `serialize` raises
+`FormatError` on any other, which `parse` would not read back.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from .names import Letter, Name, STAR
 from .hds import Hds, Label, NameMap, Transition, lletter, lname
 
 _KEYWORDS = {"eps", "push", "pop", "open", "close"}
+_SECTIONS = {"states", "initial", "finals", "trans", "relaxed"}
 
 
 class FormatError(ValueError):
@@ -47,6 +50,9 @@ def _fmt_sigma(sigma: NameMap) -> str:
 def serialize(h: Hds) -> str:
     lines = ["states"]
     for q in sorted(h.states):
+        if q.split() != [q] or q in _SECTIONS or q.startswith("//"):
+            raise FormatError(f"state id {q!r} is empty, holds white space, starts with "
+                              "'//' or is a section keyword, so it cannot be read back")
         locs = " ".join(n.label for n in sorted(h.states[q]))
         lines.append(f"  {q} {locs}".rstrip())
     eta = " ".join(
@@ -183,11 +189,11 @@ def parse(text: str) -> Hds:
 # ---------------------------------------------------------------------------
 # DOT export
 
-def to_dot(h: Hds, name: str = "H") -> str:
+def to_dot(h: Hds) -> str:
     def esc(s: str) -> str:
         return s.replace("\\", "\\\\").replace('"', '\\"')
 
-    lines = [f"digraph {esc(name)} {{", "  rankdir=LR;", '  __start [shape=point, label=""];']
+    lines = ["digraph H {", "  rankdir=LR;", '  __start [shape=point, label=""];']
     for q in sorted(h.states):
         locs = ",".join(n.label for n in sorted(h.states[q]))
         shape = "doublecircle" if q in h.finals else "circle"

@@ -25,12 +25,13 @@ arise; a free name or a letter is its own key element:
   by first occurrence; binding a name that does not occur is the
   identity.
 
-Equal keys mean alpha-equivalent words.  A value operation encodes its
-arguments, applies the key operation and decodes the result to the
-canonical value, whose binders take the first names of the one
+Equal keys mean alpha-equivalent words.  Every sort in `SORTS`, M
+included, is built from its key sort by `_on_keys`: a value operation
+encodes its arguments, applies the key operation and decodes the result
+to the canonical value, whose binders take the first names of the one
 reserved-name table that do not occur free (`names.binder_names`).  A
-key with no binder is decoded without a copy: a G key is then the row,
-and an L or S key's body is the value's body.
+key with no binder is decoded without a copy: an M or G key is then the
+row, and an L or S key's body is the value's body.
 Embeddings connect the sorts: s -> l -> g -> m.  The quotients in the
 other direction start from the canonical word, whose binders have
 distinct names that occur free nowhere, so moving a binder captures
@@ -44,10 +45,7 @@ from typing import Callable, Optional, Union
 
 from .names import Letter, Name, binder_names
 from . import words
-from .words import (
-    KEY_OPEN, TCLOSE, TClose, MWord, TOpen, alpha_canonical, bind, concat, from_key, key_bind,
-    token_length,
-)
+from .words import KEY_OPEN, TCLOSE, TClose, MWord, TOpen, alpha_canonical, from_key, key_bind
 
 AtomSym = Union[Name, Letter]
 
@@ -311,8 +309,9 @@ class SortOps:
     """The operations a sort must provide to interpret regular expressions.
 
     Token length adds up under `concat` in every sort.  Every sort in
-    `SORTS` sets `keyed`, the same sort on its nameless keys, and
-    `encode`, which maps a value to its key: a key sort's `canon` is the
+    `SORTS` is made by `_on_keys` from `keyed`, the same sort on its
+    nameless keys, and `encode`, which maps a value to its key; so its
+    operations return canonical values.  A key sort's `canon` is the
     identity, its `to_mword` decodes a key to the canonical value of
     this sort, and it has no `keyed` or `encode` of its own.
     `regex.enumerate_slice` runs on the keys and decodes each output
@@ -369,19 +368,7 @@ SORT_M_KEYS = SortOps(
     to_mword=from_key,
 )
 
-SORT_M = SortOps(
-    tag="M",
-    unit=words.EPSILON,
-    from_name=lambda n: MWord((n,)),
-    from_letter=lambda s: MWord((s,)),
-    concat=concat,
-    bind=bind,
-    canon=alpha_canonical,
-    tok_len=token_length,
-    to_mword=_identity,
-    keyed=SORT_M_KEYS,
-    encode=words.alpha_key,
-)
+SORT_M = _on_keys("M", SORT_M_KEYS, words.alpha_key, _identity)
 
 # A G key is an M key without closes.
 SORT_G = _on_keys("G", replace(

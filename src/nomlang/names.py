@@ -117,14 +117,8 @@ class Letter(Interned):
 
 
 class _Star:
-    """Placeholder in name-map codomains marking the slot filled at allocation."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
+    """Placeholder in name-map codomains marking the slot filled at
+    allocation; `STAR` is its one object."""
 
     def __repr__(self) -> str:
         return "*"

@@ -11,13 +11,12 @@ implementations elsewhere.
 from __future__ import annotations
 
 import gc
-import itertools
 import random
 import time
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
-from .names import Letter, Name
+from .names import Letter, Name, fresh_name
 from .words import (
     MWord,
     TCLOSE,
@@ -271,26 +270,33 @@ def random_mword(
     return MWord(tuple(out))
 
 
+def renamed(tokens: tuple, new) -> tuple:
+    """The stream with its i-th binder, and the occurrences that binder
+    binds, named `new(i, old name)`; free occurrences are kept, so the new
+    name may capture them."""
+    out, binders = [], []  # (old name, new name) of the binders open, innermost last
+    opens = 0
+    for t in tokens:
+        if type(t) is TOpen:
+            nm = new(opens, t.name)
+            opens += 1
+            binders.append((t.name, nm))
+            t = TOpen(nm)
+        elif t is TCLOSE:
+            binders.pop()
+        elif type(t) is Name:
+            t = next((nm for old, nm in reversed(binders) if old is t), t)
+        out.append(t)
+    return tuple(out)
+
+
 def fresh_binder_variant(w: MWord) -> MWord:
     """The same word with every binder renamed to a globally fresh name.
 
     Useful for checking that acceptance does not depend on which
     representative of an alpha-class spells the input.
     """
-    from .names import fresh_name
-
-    out = []
-    renamed: list[tuple[Name, Name]] = []  # per open binder: its name, its fresh name
-    for t in w.tokens:
-        if type(t) is TOpen:
-            renamed.append((t.name, fresh_name("f")))
-            t = TOpen(renamed[-1][1])
-        elif type(t) is TClose:
-            renamed.pop()
-        elif type(t) is Name:
-            t = next((c for n, c in reversed(renamed) if n is t), t)
-        out.append(t)
-    return MWord(tuple(out))
+    return MWord(renamed(w.tokens, lambda i, old: fresh_name("f")))
 
 
 def random_regex(

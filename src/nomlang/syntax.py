@@ -7,8 +7,8 @@ concatenation and ``^`` is the empty word, e.g. ``<#n. #m #n >``.
 A word is lexed by one pattern, whose `findall` returns the text's
 pieces in C: a whole binder open ``<#n.``, a name, a letter or ``>``,
 with white space and ``^`` skipped.  Each distinct piece becomes its
-interned token once per call, and one pass over the tokens checks that
-the binders balance.  Only an ill-formed word is lexed again, token by
+interned token once per call, and `words.parse_tokens` checks that the
+binders balance.  Only an ill-formed word is lexed again, token by
 token with positions, by the lexer that expressions use, so that its
 first fault is reported where it is; a bad character comes before any
 other fault.
@@ -26,7 +26,7 @@ from typing import NoReturn
 
 from .names import Letter, Name
 from . import regex as rx
-from .words import TCLOSE, MWord, TOpen, Tok
+from .words import TCLOSE, MWord, TOpen, Tok, parse_tokens
 
 
 class ParseError(ValueError):
@@ -125,26 +125,19 @@ def parse_word(text: str) -> MWord:
     """The word `text` spells.
 
     One `findall` cuts the text into its pieces in C, and a table local
-    to the call makes each distinct piece a token once.  One pass over
-    the tokens checks that the binders balance.  Only an ill-formed word
-    is lexed again, with positions, to report its fault (`_word_fault`).
+    to the call makes each distinct piece a token once.  `parse_tokens`
+    makes the word of the token row, checking that its binders balance.
+    Only an ill-formed word is lexed again, with positions, to report
+    its fault (`_word_fault`).
     """
     pieces = _WORD_RE.findall(text)
     table = {piece: _word_token(piece) for piece in set(pieces)}
     if None in table.values():
         _word_fault(text)
-    toks = tuple(map(table.__getitem__, pieces))
-    depth = 0  # open binders
-    for t in toks:
-        if t is TCLOSE:
-            if not depth:
-                _word_fault(text)
-            depth -= 1
-        elif type(t) is TOpen:
-            depth += 1
-    if depth:
+    try:
+        return parse_tokens(tuple(map(table.__getitem__, pieces)))
+    except ValueError:
         _word_fault(text)
-    return MWord(toks)
 
 
 def _word_fault(text: str) -> NoReturn:

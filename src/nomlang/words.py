@@ -282,15 +282,19 @@ def tokenize(w: MWord) -> tuple[Tok, ...]:
 
 
 def parse_tokens(toks: tuple[Tok, ...]) -> MWord:
-    """The word of a token stream.  Rejects unbalanced streams."""
-    depth = 0
+    """The word of a token stream.  Rejects unbalanced streams.
+
+    One loop counts the open binders; it tells a close by identity, as
+    `TCLOSE` is the one close, and reads any other token's type once.
+    """
+    depth = 0  # open binders
     for t in toks:
-        if type(t) is TOpen:
-            depth += 1
-        elif type(t) is TClose:
+        if t is TCLOSE:
             if not depth:
                 raise ValueError("unbalanced token stream: unmatched close")
             depth -= 1
+        elif type(t) is TOpen:
+            depth += 1
     if depth:
         raise ValueError("unbalanced token stream: unmatched open")
     return MWord(tuple(toks))

@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 
@@ -107,6 +108,19 @@ def test_a_state_named_after_a_keyword_round_trips():
     text = serialize(h)
     assert parse(text) == h
     assert serialize(parse(text)) == text
+
+
+@pytest.mark.parametrize("bad", [
+    "states", "initial", "finals", "trans", "relaxed", "", "a b", "a\tb", "//x",
+])
+def test_serialize_rejects_a_state_id_parse_cannot_read_back(bad):
+    # `trans`, `states`, `relaxed` and `//x` would parse back as another
+    # automaton with no error; `initial`, `finals` and `a b` would not parse
+    for q0, q1 in [(bad, "q1"), ("q0", bad)]:
+        h = Hds(states={q0: frozenset(), q1: frozenset()}, initial=q0, eta={},
+                finals=frozenset({q1}), trans={q0: (Transition(L_EPS, q1, NameMap.of({})),), q1: ()})
+        with pytest.raises(FormatError, match=re.escape(f"state id {bad!r}")):
+            serialize(h)
 
 
 def test_parse_rejects_an_empty_name():

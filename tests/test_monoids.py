@@ -90,6 +90,26 @@ def test_canon_idempotent(tag, rng):
         assert ops.canon(c) == c
 
 
+@pytest.mark.parametrize("tag", sorted(SORTS))
+def test_value_operations_return_canonical_values(tag, rng):
+    ops = SORTS[tag]
+    from nomlang.oracle import _build
+
+    for x in NAMES:
+        assert ops.from_name(x) == ops.canon(ops.from_name(x))
+    for s in LETTERS:
+        assert ops.from_letter(s) == ops.canon(ops.from_letter(s))
+    for _ in range(60):
+        u, v = (_build(ops, rng, NAMES, LETTERS, rng.randint(0, 5)) for _ in range(2))
+        w = ops.concat(u, v)
+        assert w == ops.canon(w)
+        w = ops.bind(rng.choice(NAMES), u)
+        assert w == ops.canon(w)
+    if tag == "M":  # raw rows in, the canonical row out
+        w = ops.concat(parse_word("<#a. #a >"), parse_word("<#b. #b #c >"))
+        assert w == ops.canon(w) == parse_word("<#~0. #~0 > <#~1. #~1 #c >")
+
+
 # -- which laws hold where ---------------------------------------------------
 
 def _all_hold(axiom, sort, rng, count=60):
