@@ -3,10 +3,14 @@
 
 Generates random expressions, compiles each, and compares the bounded
 language of the expression against the bounded language of the
-automaton.  It also checks that the expression's G slice is the image
-of its M slice under the quotient map, its L slice the image of its G
-slice, and that its S slice holds the image of its L slice (a vacuous
-binder costs two tokens in L but none in S, so S may hold more).  In
+automaton.  Each compiled automaton must read back through `serialize`
+and `parse` as itself (a `FORMAT` line otherwise).  It also checks that
+the expression's G slice is the image of its M slice under the quotient
+map, its L slice the image of its G slice, and that its S slice holds
+the image of its L slice (a vacuous binder costs two tokens in L but
+none in S, so S may hold more).  `quot_mg` and `quot_gl` return
+canonical values, so their images are compared as they come; the
+images of `quot_ls` are made canonical with `canon_s` first.  In
 every sort, `member` must agree with the slice on a sample of words
 drawn from the expression's slice and the previous expression's.  On
 the M words of that sample, their one-token near-misses (inserted
@@ -28,6 +32,7 @@ its own token row.
 Prints every mismatch and a summary line.
 
 Usage: python3 scripts/random_campaign.py --count 500 --depth 4 --bound 7
+(these are the defaults; --seed, --names and --letters choose the rest)
 """
 
 import argparse
@@ -35,14 +40,14 @@ import os
 import random
 import sys
 import time
-from dataclasses import dataclass
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "src"))
 
 from nomlang.names import Letter, Name
 from nomlang.compiler import compile_regex
 from nomlang.hds import ACCEPT, CUTOFF, language_slice, run, validate
-from nomlang.monoids import SORTS, canon_g, canon_l, canon_s, quot_gl, quot_ls, quot_mg
+from nomlang.hds_format import FormatError, parse, serialize
+from nomlang.monoids import SORTS, canon_s, quot_gl, quot_ls, quot_mg
 from nomlang.oracle import naive_run, near_misses, random_regex, renamed, trace_follows_step
 from nomlang.regex import enumerate_slice, member
 from nomlang.syntax import parse_word, render_regex, render_word
@@ -50,16 +55,6 @@ from nomlang.words import MWord, TOpen, support, tokenize
 
 
 MEMBER_SAMPLE = 3  # words per sort per expression on which `member` is checked
-
-
-@dataclass(frozen=True)
-class CampaignConfig:
-    count: int = 500
-    depth: int = 4
-    bound: int = 7
-    seed: int = 0
-    names: tuple[str, ...] = ("n", "m", "k")
-    letters: tuple[str, ...] = ("a", "b")
 
 
 def raw_spellings(w, pool: list) -> list[tuple]:
@@ -121,7 +116,9 @@ def check_truncation(h, w, pool: list, where: str) -> tuple[int, int, int]:
     return bad, undecided, len(streams)
 
 
-def run_campaign(cfg: CampaignConfig) -> int:
+def run_campaign(cfg: argparse.Namespace) -> int:
+    """Run the campaign `cfg` (the options `main` reads) and print its
+    mismatches and summary; 1 if anything mismatched, else 0."""
     rng = random.Random(cfg.seed)
     pool = [Name(x) for x in cfg.names]
     letters = [Letter(s) for s in cfg.letters]
@@ -138,6 +135,13 @@ def run_campaign(cfg: CampaignConfig) -> int:
             mismatches += 1
             print(f"INVALID #{i}: {render_regex(e)}: {problems[0]}")
             continue
+        try:
+            problem = None if parse(serialize(h)) == h else "reads back as another automaton"
+        except FormatError as exc:
+            problem = str(exc)
+        if problem:
+            mismatches += 1
+            print(f"FORMAT #{i}: {render_regex(e)}: {problem}")
         want = enumerate_slice(e, "M", cfg.bound).words
         got = language_slice(h, cfg.bound)
         if want != got:
@@ -150,10 +154,10 @@ def run_campaign(cfg: CampaignConfig) -> int:
         g = enumerate_slice(e, "G", cfg.bound).words
         l = enumerate_slice(e, "L", cfg.bound).words
         s = enumerate_slice(e, "S", cfg.bound).words
-        if g != {canon_g(quot_mg(w)) for w in want}:
+        if g != {quot_mg(w) for w in want}:
             mismatches += 1
             print(f"QUOTIENT M->G #{i}: {render_regex(e)}")
-        if l != {canon_l(quot_gl(w)) for w in g}:
+        if l != {quot_gl(w) for w in g}:
             mismatches += 1
             print(f"QUOTIENT G->L #{i}: {render_regex(e)}")
         if not s >= {canon_s(quot_ls(w)) for w in l}:
@@ -186,23 +190,13 @@ def run_campaign(cfg: CampaignConfig) -> int:
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
-    defaults = CampaignConfig()
-    ap.add_argument("--count", type=int, default=defaults.count)
-    ap.add_argument("--depth", type=int, default=defaults.depth)
-    ap.add_argument("--bound", type=int, default=defaults.bound)
-    ap.add_argument("--seed", type=int, default=defaults.seed)
-    ap.add_argument("--names", nargs="+", default=list(defaults.names))
-    ap.add_argument("--letters", nargs="+", default=list(defaults.letters))
-    args = ap.parse_args()
-    cfg = CampaignConfig(
-        count=args.count,
-        depth=args.depth,
-        bound=args.bound,
-        seed=args.seed,
-        names=tuple(args.names),
-        letters=tuple(args.letters),
-    )
-    return run_campaign(cfg)
+    ap.add_argument("--count", type=int, default=500)
+    ap.add_argument("--depth", type=int, default=4)
+    ap.add_argument("--bound", type=int, default=7)
+    ap.add_argument("--seed", type=int, default=0)
+    ap.add_argument("--names", nargs="+", default=["n", "m", "k"])
+    ap.add_argument("--letters", nargs="+", default=["a", "b"])
+    return run_campaign(ap.parse_args())
 
 
 if __name__ == "__main__":

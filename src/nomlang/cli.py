@@ -55,10 +55,6 @@ def cmd_compile(args) -> int:
     return EXIT_ACCEPT
 
 
-def _render_stack(stack) -> str:
-    return "[" + " :: ".join(repr(f) for f in stack) + "]"
-
-
 def cmd_accept(args) -> int:
     if args.fuel is not None and args.fuel < 1:
         raise ValueError("--fuel must be at least 1: the initial frame takes one")
@@ -72,7 +68,7 @@ def cmd_accept(args) -> int:
             for cfg, t in result.trace:
                 state, pos, stack = cfg
                 via = f"  via {t!r}" if t is not None else ""
-                print(f"  {state} @{pos} {_render_stack(stack)}{via}")
+                print(f"  {state} @{pos} [{' :: '.join(map(repr, stack))}]{via}")
         return EXIT_ACCEPT
     if result.outcome == automata.CUTOFF:
         print("UNDECIDED (search budget exhausted; raise --fuel)")

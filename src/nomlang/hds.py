@@ -103,7 +103,7 @@ from itertools import chain
 from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType, NoneType
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Iterator, Mapping, Optional
 
 from .names import Letter, Name, STAR
 from .words import (
@@ -828,9 +828,9 @@ def steps_to_final(h: Hds) -> dict[str, int]:
 _KEY_BRACKETS = {TOpen: KEY_OPEN, TClose: KEY_CLOSE}
 
 
-def _language_keys(h: Hds, bound: int) -> set:
-    """The keys (`words.alpha_key`) of the words of token length at most
-    `bound` accepted by `h`.
+def _language_keys(h: Hds, bound: int) -> Iterator[tuple]:
+    """Yield the keys (`words.alpha_key`) of the words of token length at
+    most `bound` accepted by `h`, each once.
 
     Walks the tree of emitted prefixes one length at a time,
     determinizing on the fly as the subset construction does.  A prefix
@@ -844,10 +844,13 @@ def _language_keys(h: Hds, bound: int) -> set:
     (its closure has a final state), and each token read from it extends
     all its prefixes by the token's key element.  A level name read at
     depth d is the index d - 1 - level, so a final prefix is already the
-    key of its word.  The rows live in the automaton's node graph, which
-    `run` reads too and which its search state keeps across calls unless
-    it pops (module docstring); one memo per call holds `step`'s moves
-    out of each configuration.
+    key of its word.  A row maps distinct tokens to distinct key
+    elements, so a prefix has one node, and a prefix is yielded when it
+    reaches END at open depth 0, so no key is yielded twice.  The rows
+    live in the automaton's node graph, which `run` reads too and which
+    its search state keeps across calls unless it pops (module
+    docstring); one memo per call holds `step`'s moves out of each
+    configuration.
 
     The walk counts the tokens left under the bound, and takes a
     successor only if fewer tokens than are left can close its binders
@@ -859,7 +862,7 @@ def _language_keys(h: Hds, bound: int) -> set:
     own opens with its closes.  So the walk is exhaustive; with pop
     transitions, stacks deeper than the bound + state count + 1 are cut,
     as `run` cuts them, and a cut move that could still finish in the
-    tokens left raises `Undecided`.
+    tokens left raises `Undecided`, also after some keys were yielded.
     """
     if bound < 0:
         raise ValueError("bound must be non-negative")
@@ -868,8 +871,7 @@ def _language_keys(h: Hds, bound: int) -> set:
     has_pop, need = state.has_pop, state.need
     # a pop-free walk never reaches the cap, so a row holds at every bound
     graph, sets = ({}, {}) if has_pop else (state.graph, state.sets)
-    moves: dict = {}  # (None, fresh name) -> {configuration: `step`'s moves}
-    out: set = set()
+    moves: dict = {}  # fresh name -> {configuration: `step`'s moves}
     nodes = {(state.start, 0): [()]}  # node -> its key prefixes of one length
     left = bound
     while nodes:
@@ -884,7 +886,7 @@ def _language_keys(h: Hds, bound: int) -> set:
             for elem, succ, req in reads.values():
                 if elem is None:  # END: a node at open depth 0 emits its prefixes
                     if not node[1]:
-                        out.update(prefixes)
+                        yield from prefixes
                 elif req < left:
                     elem = (elem,)
                     more = [p + elem for p in prefixes]
@@ -895,7 +897,6 @@ def _language_keys(h: Hds, bound: int) -> set:
                         have += more
         nodes = grown
         left -= 1
-    return out
 
 
 def _expand(h: Hds, node: tuple, need: dict, has_pop: bool, max_depth: int,
@@ -910,7 +911,8 @@ def _expand(h: Hds, node: tuple, need: dict, has_pop: bool, max_depth: int,
     node, 0), at every depth: without pop transitions, which states a
     closure holds does not depend on the stack, so `run` accepts there,
     while `_language_keys` emits only at depth 0.  Each next node's
-    configurations are a frozenset interned through `sets`."""
+    configurations are a frozenset interned through `sets`, and `moves`
+    maps the node's fresh name to `_closure`'s memo of `step`'s moves."""
     configs, depth = node
     # a move keeps one frame more than the open depth after it
     rules = {NoneType: (depth + 1, None), Name: (depth + 1, None),
@@ -919,7 +921,7 @@ def _expand(h: Hds, node: tuple, need: dict, has_pop: bool, max_depth: int,
         rules[TClose] = (depth, _level(depth - 1)[1])
     fresh = _level(depth)[1]
     closure, reads, cut = _closure(h, configs, None, fresh, rules, need, has_pop,
-                                   max_depth, moves.setdefault((None, fresh), {}))
+                                   max_depth, moves.setdefault(fresh, {}))
     row = {}
     if any(q in h.finals for q, _ in closure):
         row[END] = (None, node, 0)
@@ -936,5 +938,5 @@ def _expand(h: Hds, node: tuple, need: dict, has_pop: bool, max_depth: int,
 
 def language_slice(h: Hds, bound: int) -> frozenset[MWord]:
     """Canonical words of token length at most `bound` accepted by `h`:
-    the keys of `_language_keys`, each decoded once."""
+    the keys `_language_keys` yields, each decoded as it comes."""
     return frozenset(map(from_key, _language_keys(h, bound)))

@@ -18,9 +18,13 @@ identifier (read a letter; the keywords below are reserved), or one of
 comma-separated list of ``x>y`` entries, ``x>*`` sending a local to
 the allocation placeholder, and ``[]`` for the empty map.  A final
 line ``relaxed`` marks automata whose open maps may send several
-locals to the placeholder.  A state id is one word, not a section
-keyword and not starting with ``//`` (a comment); `serialize` raises
-`FormatError` on any other, which `parse` would not read back.
+locals to the placeholder.  `serialize` raises `FormatError`, naming
+the identifier and its role, on one that `parse` would not read back as
+itself: a state id must be one word, not a section keyword and not
+starting with ``//`` (a comment); a letter an identifier that is not a
+move keyword; and a name (a local, an eta name, a label name or a
+map entry) one word without ``,``, ``>``, ``[``, ``]`` or ``=#``, and
+not ``*``.
 """
 
 from __future__ import annotations
@@ -33,6 +37,8 @@ from .hds import Hds, Label, NameMap, Transition, lletter, lname
 
 _KEYWORDS = {"eps", "push", "pop", "open", "close"}
 _SECTIONS = {"states", "initial", "finals", "trans", "relaxed"}
+_LETTER_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+_NAME_BREAK_RE = re.compile(r"[,>\[\]]|=#")
 
 
 class FormatError(ValueError):
@@ -47,22 +53,42 @@ def _fmt_sigma(sigma: NameMap) -> str:
     return repr(sigma) if sigma.entries else ""
 
 
+def _readable(text: str, role: str) -> str:
+    """`text`, if `parse` reads it back as itself in `role`, by the rules
+    of the module docstring; else `FormatError`."""
+    if role == "state id":
+        ok = text not in _SECTIONS and not text.startswith("//")
+    elif role == "letter":
+        ok = text not in _KEYWORDS and _LETTER_RE.fullmatch(text) is not None
+    else:  # a name: a local, an eta name, a label name or a map entry
+        ok = text != "*" and _NAME_BREAK_RE.search(text) is None
+    if not ok or text.split() != [text]:
+        raise FormatError(f"{role} {text!r} cannot be written so that parse reads it back")
+    return text
+
+
 def serialize(h: Hds) -> str:
     lines = ["states"]
     for q in sorted(h.states):
-        if q.split() != [q] or q in _SECTIONS or q.startswith("//"):
-            raise FormatError(f"state id {q!r} is empty, holds white space, starts with "
-                              "'//' or is a section keyword, so it cannot be read back")
-        locs = " ".join(n.label for n in sorted(h.states[q]))
-        lines.append(f"  {q} {locs}".rstrip())
+        locs = " ".join(_readable(n.label, "local") for n in sorted(h.states[q]))
+        lines.append(f"  {_readable(q, 'state id')} {locs}".rstrip())
     eta = " ".join(
-        f"{x.label}=#{v.label}" for x, v in sorted(h.eta.items())
+        f"{_readable(x.label, 'eta name')}=#{_readable(v.label, 'eta name')}"
+        for x, v in sorted(h.eta.items())
     )
     lines.append(f"initial {h.initial} {eta}".rstrip())
     lines.append(("finals " + " ".join(sorted(h.finals))).rstrip())
     lines.append("trans")
     for q in sorted(h.trans):
         for t in h.trans[q]:
+            if t.label.kind == "letter":
+                _readable(t.label.letter.symbol, "letter")
+            elif t.label.kind == "name":
+                _readable(t.label.name.label, "label name")
+            for x, v in t.sigma.entries:
+                _readable(x.label, "map entry")
+                if v is not STAR:
+                    _readable(v.label, "map entry")
             lines.append(f"  {q} --{t.label!r}[{_fmt_sigma(t.sigma)}]--> {t.target}")
     if h.relaxed_star:
         lines.append("relaxed")

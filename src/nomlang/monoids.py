@@ -43,7 +43,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Callable, Optional, Union
 
-from .names import Letter, Name, binder_names
+from .names import Letter, Name, Permutation, binder_names
 from . import words
 from .words import KEY_OPEN, TCLOSE, TClose, MWord, TOpen, alpha_canonical, from_key, key_bind
 
@@ -253,17 +253,6 @@ def quot_ls(x: LWord) -> SWord:
 PlainWord = tuple
 
 
-def _swap_plain(v: PlainWord, a: Name, b: Name) -> PlainWord:
-    def sw(s):
-        if s is a:
-            return b
-        if s is b:
-            return a
-        return s
-
-    return tuple(sw(s) for s in v)
-
-
 def plain_words_bounded(ws, pool: frozenset[Name]) -> frozenset[PlainWord]:
     """Project words with binders to binder-free plain words.
 
@@ -282,6 +271,8 @@ def plain_words_bounded(ws, pool: frozenset[Name]) -> frozenset[PlainWord]:
 
 
 def _project(w: MWord, pool: frozenset[Name]) -> set[PlainWord]:
+    """The plain words of `w` (`plain_words_bounded`); a bound name is
+    renamed to a fresh pool name by `Permutation.transposition`."""
     names: list[Name] = []  # the open binders
     accs: list[set] = [{()}]  # projections so far: of the word, then of each open body
     for t in w.tokens:
@@ -294,7 +285,7 @@ def _project(w: MWord, pool: frozenset[Name]) -> set[PlainWord]:
             for v in base:
                 for m in pool:
                     if m not in v:
-                        part.add(_swap_plain(v, n, m))
+                        part.add(tuple(map(Permutation.transposition(n, m), v)))
             accs[-1] = {u + v for u in accs[-1] for v in part}
         else:
             accs[-1] = {u + (t,) for u in accs[-1]}

@@ -31,6 +31,7 @@ from .words import (
 from .monoids import SORTS, SortOps
 from . import regex as rx
 from .regex import enumerate_slice  # unused, as is language_slice; perfbench's tracer patches them
+from .syntax import render_regex, render_word
 from .hds import (
     ACCEPT, CUTOFF, END, REJECT, Hds, NameMap, RunResult, _language_keys, accepts, language_slice,
     step,
@@ -412,7 +413,10 @@ def gen_axiom_instances(
 
 @dataclass
 class EquivalenceReport:
-    expression: str
+    """The verdict of `check_equivalence`; `lines` renders it, with the
+    expression and at most ten words of each difference."""
+
+    expression: rx.Regex
     bound: int
     passed: bool
     common: int
@@ -423,11 +427,9 @@ class EquivalenceReport:
     def lines(self) -> list[str]:
         status = "PASS" if self.passed else "FAIL"
         out = [
-            f"{status} {self.expression} (bound {self.bound}, "
+            f"{status} {render_regex(self.expression)} (bound {self.bound}, "
             f"{self.common} words, {self.seconds:.2f}s)"
         ]
-        from .syntax import render_word
-
         for w in self.only_regex[:10]:
             out.append(f"  only in expression language: {render_word(w)}")
         for w in self.only_automaton[:10]:
@@ -437,9 +439,8 @@ class EquivalenceReport:
 
 def check_equivalence(e: rx.Regex, h: Hds, bound: int) -> EquivalenceReport:
     """Compare the expression's and the automaton's languages up to a bound,
-    as sets of M keys; only the differences are decoded."""
-    from .syntax import render_regex
-
+    as sets of M keys; only the differences are decoded, and the
+    expression is rendered only by the report's `lines`."""
     t0 = time.monotonic()
     # key tuples form no cycles, so the cyclic collector would only
     # traverse every key built so far, again and again
@@ -447,13 +448,13 @@ def check_equivalence(e: rx.Regex, h: Hds, bound: int) -> EquivalenceReport:
     gc.disable()
     try:
         k1 = frozenset(rx._enumerate_keys(e, SORTS["M"], bound))
-        k2 = _language_keys(h, bound)
+        k2 = frozenset(_language_keys(h, bound))
     finally:
         if enabled:
             gc.enable()
     only_regex, only_automaton = k1 - k2, k2 - k1
     return EquivalenceReport(
-        expression=render_regex(e),
+        expression=e,
         bound=bound,
         passed=not only_regex and not only_automaton,
         common=len(k1) - len(only_regex),

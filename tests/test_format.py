@@ -1,4 +1,5 @@
 import os
+import random
 import re
 import subprocess
 import sys
@@ -8,7 +9,8 @@ import pytest
 import nomlang
 from nomlang.names import Name
 from nomlang.compiler import compile_regex
-from nomlang.syntax import parse_regex
+from nomlang.oracle import random_regex
+from nomlang.syntax import parse_nre, parse_regex
 from nomlang.hds import Hds, L_EPS, NameMap, Transition, language_slice, lname, validate
 from nomlang import hds_format
 from nomlang.hds_format import FormatError, parse, serialize, to_dot
@@ -121,6 +123,58 @@ def test_serialize_rejects_a_state_id_parse_cannot_read_back(bad):
                 finals=frozenset({q1}), trans={q0: (Transition(L_EPS, q1, NameMap.of({})),), q1: ()})
         with pytest.raises(FormatError, match=re.escape(f"state id {bad!r}")):
             serialize(h)
+
+
+@pytest.mark.parametrize("kw", ["eps", "push", "pop", "open", "close"])
+def test_serialize_rejects_a_letter_named_after_a_move_keyword(kw):
+    # the letter was written as the keyword: `letters eps push; eps push`
+    # read back as an automaton that rejects `eps push` and accepts `^`
+    e, _ = parse_nre(f"letters {kw} a; {kw} a")
+    with pytest.raises(FormatError, match=re.escape(f"letter {kw!r}")):
+        serialize(compile_regex(e))
+
+
+@pytest.mark.parametrize("bad", ["x>y", "*", "x=#y", "a b", "a,b"])
+def test_serialize_rejects_a_local_parse_cannot_read_back(bad):
+    # `x>y`, `*` and `x=#y` parsed back as another automaton with no
+    # error; `a b` and `a,b` did not parse
+    x = Name(bad)
+    h = Hds(states={"q0": frozenset({x}), "q1": frozenset({x})}, initial="q0",
+            eta={x: Name("m")}, finals=frozenset({"q1"}),
+            trans={"q0": (Transition(lname(x), "q1", NameMap.of({x: x})),), "q1": ()})
+    assert validate(h) == []
+    with pytest.raises(FormatError, match=re.escape(f"local {bad!r}")):
+        serialize(h)
+
+
+@pytest.mark.parametrize("role", ["local", "eta name", "label name", "map entry"])
+def test_serialize_names_the_role_of_a_name_it_cannot_write(role):
+    x, bad = Name("x"), Name("x>y")
+
+    def pick(r):
+        return bad if r == role else x
+
+    h = Hds(states={"q0": frozenset({pick("local")}), "q1": frozenset({x})}, initial="q0",
+            eta={x: pick("eta name")}, finals=frozenset({"q1"}),
+            trans={"q0": (Transition(lname(pick("label name")), "q1",
+                                     NameMap.of({x: pick("map entry")})),), "q1": ()})
+    with pytest.raises(FormatError, match=re.escape(f"{role} 'x>y'")):
+        serialize(h)
+
+
+def test_compiled_automata_read_back_as_themselves():
+    # no compiled automaton is refused: the corpus, and random
+    # expressions with a free `~0`
+    corpus = os.path.join(os.path.dirname(__file__), "..", "expressions")
+    exprs = []
+    for fname in sorted(os.listdir(corpus)):
+        with open(os.path.join(corpus, fname), encoding="utf-8") as f:
+            exprs.append(parse_nre(f.read())[0])
+    rng = random.Random(30)
+    exprs += [random_regex(rng, NAMES + [Name("~0")], LETTERS, 4) for _ in range(200)]
+    for e in exprs:
+        h = compile_regex(e)
+        assert parse(serialize(h)) == h
 
 
 def test_parse_rejects_an_empty_name():

@@ -913,7 +913,7 @@ def test_slice_keys_are_the_expression_keys():
     exprs += [random_regex(rng, NAMES + [Name("~0")], LETTERS, 4) for _ in range(300)]
     for e in exprs:
         want = {alpha_key(w) for w in enumerate_slice(e, "M", 6).words}
-        assert _language_keys(compile_regex(e), 6) == want
+        assert set(_language_keys(compile_regex(e), 6)) == want
 
 
 PINNED_SLICES = "a0bf6995b56a423f29efe849f38015fccba31f2d57f2c49ce9f686804e308434"
@@ -972,12 +972,51 @@ def test_verdicts_are_pinned():
 def test_slice_keys_of_hand_built_automata_decode_to_their_slices():
     from nomlang.hds import _language_keys
 
-    keys = _language_keys(_push_constant_hds(), 4)
+    keys = set(_language_keys(_push_constant_hds(), 4))
     assert keys == {alpha_key(parse_word("<#a. #~0 >"))}
     assert {render_word(from_key(key)) for key in keys} == {"<#~1. #~0 >"}
     for then_bind, bound in [(False, 4), (True, 6)]:
         h = _escaping_hds(then_bind)
         assert set(map(from_key, _language_keys(h, bound))) == brute_slice(h, bound, POOL)
+
+
+def test_slice_keys_come_once_each():
+    # a row maps distinct tokens to distinct key elements, so a prefix has
+    # one node and the walk yields no key twice: on the corpus at the
+    # bounds `check_corpus.py` uses, on random compiled automata, and on
+    # the push/pop loop of acceptance criterion 3
+    from nomlang.hds import _language_keys
+
+    cases = []
+    corpus = os.path.dirname(NS_FILE)
+    for fname in sorted(os.listdir(corpus)):
+        with open(os.path.join(corpus, fname), encoding="utf-8") as f:
+            e = parse_nre(f.read())[0]
+        cases.append((compile_regex(e), 18 if "ns_protocol" in fname else 8))
+    assert len(cases) == 5
+    rng = random.Random(30)
+    cases += [(compile_regex(random_regex(rng, NAMES, LETTERS, 4)), 7) for _ in range(200)]
+    NM = NameMap.of
+    loop = Hds(
+        states={q: frozenset({x}) for q in ("q0", "q1", "q2", "q3")},
+        initial="q0",
+        eta={x: n},
+        finals=frozenset({"q1"}),
+        trans={
+            "q0": (Transition(lname(x), "q1", NM({x: x})),),
+            "q1": (Transition(L_PUSH, "q2", NM({x: x})),),
+            "q2": (Transition(lname(x), "q3", NM({x: x})),),
+            "q3": (Transition(L_POP, "q1", NM({x: x})),),
+        },
+    )
+    cases.append((loop, 6))
+    total = 0
+    for h, bound in cases:
+        keys = list(_language_keys(h, bound))
+        assert len(keys) == len(set(keys))
+        total += len(keys)
+    assert len(keys) == 6  # the loop: #n once to six times
+    assert total > 5_000
 
 
 # -- the search state kept across calls ---------------------------------------
