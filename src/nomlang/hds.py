@@ -143,7 +143,7 @@ class NameMap:
 
     @classmethod
     def of(cls, mapping: dict | None = None) -> "NameMap":
-        if not mapping:
+        if not mapping:  # about half the maps a compile makes are empty
             return BOTTOM
         # names order by label: sorting on it compares strings in C
         return cls(tuple(sorted(mapping.items(), key=lambda kv: kv[0].label)))
@@ -207,10 +207,10 @@ def stack_update(stack: Stack, sigma: NameMap) -> Stack:
     """Replace the top frame by sigma post-composed with it (star kept fixed)."""
     if not stack:
         return (sigma,)
+    # most moves leave the top frame as it is, and keeping the stack spares
+    # the general path (capped, traced and pop-automaton runs) a new frame
     if sigma.identity and sigma.key_row == stack[0].key_row:
         return stack
-    if not sigma.entries:
-        return (BOTTOM,) + stack[1:]
     f = dict(stack[0].entries)
     f[STAR] = STAR
     return (compose(sigma, f),) + stack[1:]
@@ -265,19 +265,8 @@ class Transition:
     target: str
     sigma: NameMap
 
-    def __init__(self, label, target, sigma):
-        # each slot's own setter, in C: the frozen dataclass's own __init__
-        # pays one object.__setattr__ per field
-        _set_label(self, label)
-        _set_target(self, target)
-        _set_sigma(self, sigma)
-
     def __repr__(self):
         return f"--{self.label!r}[{self.sigma!r}]--> {self.target}"
-
-
-_set_label, _set_target, _set_sigma = (
-    Transition.__dict__[f].__set__ for f in ("label", "target", "sigma"))
 
 
 @dataclass(frozen=True)
@@ -465,25 +454,22 @@ def _level(d: int) -> tuple[TOpen, Name]:
 
 def _forget(stk: Stack, nm: Name) -> Stack:
     """The stack with the value `nm` replaced by DEAD in every frame."""
-    return tuple([
-        NameMap(tuple([(k, DEAD if v is nm else v) for k, v in f.entries]))
-        if nm in f.values() else f
-        for f in stk
-    ])
+    return tuple([NameMap(tuple([(k, DEAD if v is nm else v) for k, v in f.entries]))
+                  for f in stk])
 
 
-def _closure(h: Hds, configs, tok, fresh: Optional[Name], rules: dict, need: dict,
-             has_pop: bool, max_depth: int, moves: dict, links: Optional[dict] = None):
+def _closure(h: Hds, configs, tok, fresh: Optional[Name], rules: dict, max_depth: int,
+             links: Optional[dict] = None):
     """The closure of `configs` under the moves that read nothing, and
     the configurations the moves out of it reach, per token read.
 
-    `tok` and `fresh` go to `step`, and `moves` maps a configuration to
-    `step`'s moves out of it for this `tok` and `fresh`.  `rules` maps the type of the token
+    `tok` and `fresh` go to `step`.  `rules` maps the type of the token
     a move reads (`NoneType` for none) to (frames, dead name or None): a
     move is dropped if its token has no rule or its target has no path
-    to a final state (is absent from `need`).  Without pop transitions a
-    move's stack keeps its top `frames` frames; a stack deeper than
-    `max_depth` is cut, and the dead name becomes DEAD in every frame.
+    to a final state (is absent from `h._search.need`).  Without pop
+    transitions a move's stack keeps its top `frames` frames; a stack
+    deeper than `max_depth` is cut, and the dead name becomes DEAD in
+    every frame.
     Returns (closure, reached per token, cut): cut is None, or the
     fewest tokens a cut move still needed -- the one it read, and enough
     to reach a final state and to close all but one of its frames.  With
@@ -491,6 +477,8 @@ def _closure(h: Hds, configs, tok, fresh: Optional[Name], rules: dict, need: dic
     (configuration, transition) it came from, and one a token reaches
     does so under (token, configuration).
     """
+    search = h._search
+    need, has_pop = search.need, search.has_pop
     seen = set(configs)
     frontier = list(configs)
     reads: dict = {}
@@ -499,10 +487,7 @@ def _closure(h: Hds, configs, tok, fresh: Optional[Name], rules: dict, need: dic
     while frontier:
         cfg = frontier.pop()
         state, stk = cfg
-        enabled = moves.get(cfg)
-        if enabled is None:
-            moves[cfg] = enabled = step(h, state, stk, tok, fresh)
-        for t, tok_read, stk2 in enabled:
+        for t, tok_read, stk2 in step(h, state, stk, tok, fresh):
             rule = silent if tok_read is None else rules.get(type(tok_read))
             if rule is None or t.target not in need:
                 continue
@@ -551,8 +536,9 @@ def _constants_and_pops(h: Hds) -> tuple[frozenset, bool]:
 class _SearchState:
     """What the searches keep of one automaton between calls (module
     docstring).  `sets` holds one object per configuration set, so equal
-    sets are stored once; `graph` maps a node (configuration set, open
-    depth) to its row (`_expand`)."""
+    sets are stored once, which keeps the graphs a crosscheck pass leaves
+    smaller; `graph` maps a node (configuration set, open depth) to its
+    row (`_expand`)."""
 
     __slots__ = ("constants", "has_pop", "need", "start", "sets", "graph")
 
@@ -608,16 +594,13 @@ def run(
     keep = _keep(tokens)
     configs, cut = state.start, False
     trail: list = []  # `_closure`'s links per input position, with `want_trace`
-    moves: dict = {}
     for pos, tok in enumerate(chain(tokens, (END,))):
         links = None
         if want_trace:
             configs, links = sorted(configs, key=_config_order), {}
             trail.append(links)
         rules = {NoneType: (keep[pos], None), type(tok): (keep[pos + 1], None)}
-        closure, reads, cut_here = _closure(h, configs, tok, None, rules, state.need,
-                                            state.has_pop, max_depth, moves.setdefault(tok, {}),
-                                            links)
+        closure, reads, cut_here = _closure(h, configs, tok, None, rules, max_depth, links)
         cut = cut or cut_here is not None
         configs = [c for c in closure if c[0] in h.finals] if tok is END else reads.get(tok)
         if not configs:
@@ -677,13 +660,12 @@ def _walk(h: Hds, tokens: tuple[Tok, ...], u: int) -> Optional[RunResult]:
     input length + 1).
     """
     state = h._search
-    graph, sets, need = state.graph, state.sets, state.need
+    graph, sets = state.graph, state.sets
     # name -> whether it is a closed binder, for every name no binder may take
     seen = dict.fromkeys(state.constants, False)
     # open binder -> the level name of the depth it opened at, innermost
     # last: no name is opened twice, so the dict keeps the open order
     bound: dict = {}
-    moves: dict = {}
     node = (state.start, u)
     for tok in chain(tokens, (END,)):
         kind = type(tok)
@@ -696,7 +678,7 @@ def _walk(h: Hds, tokens: tuple[Tok, ...], u: int) -> Optional[RunResult]:
             if nm in seen:
                 return None
             seen[nm] = False
-            key, bound[nm] = _levels[d] if d < len(_levels) else _level(d)
+            key, bound[nm] = _level(d)
         elif kind is TClose:
             if bound:
                 seen[bound.popitem()[0]] = True
@@ -707,7 +689,7 @@ def _walk(h: Hds, tokens: tuple[Tok, ...], u: int) -> Optional[RunResult]:
             key = tok
         row = graph.get(node)
         if row is None:
-            row = graph[node] = _expand(h, node, need, False, node[1] + 2, moves, sets)
+            row = graph[node] = _expand(h, node, node[1] + 2, sets)
         hit = row[1].get(key)
         if hit is None:
             return RunResult(REJECT)
@@ -849,8 +831,7 @@ def _language_keys(h: Hds, bound: int) -> Iterator[tuple]:
     reaches END at open depth 0, so no key is yielded twice.  The rows
     live in the automaton's node graph, which `run` reads too and which
     its search state keeps across calls unless it pops (module
-    docstring); one memo per call holds `step`'s moves out of each
-    configuration.
+    docstring).
 
     The walk counts the tokens left under the bound, and takes a
     successor only if fewer tokens than are left can close its binders
@@ -868,10 +849,8 @@ def _language_keys(h: Hds, bound: int) -> Iterator[tuple]:
         raise ValueError("bound must be non-negative")
     max_depth = bound + len(h.states) + 1
     state = h._search
-    has_pop, need = state.has_pop, state.need
     # a pop-free walk never reaches the cap, so a row holds at every bound
-    graph, sets = ({}, {}) if has_pop else (state.graph, state.sets)
-    moves: dict = {}  # fresh name -> {configuration: `step`'s moves}
+    graph, sets = ({}, {}) if state.has_pop else (state.graph, state.sets)
     nodes = {(state.start, 0): [()]}  # node -> its key prefixes of one length
     left = bound
     while nodes:
@@ -879,7 +858,7 @@ def _language_keys(h: Hds, bound: int) -> Iterator[tuple]:
         for node, prefixes in nodes.items():
             row = graph.get(node)
             if row is None:
-                row = graph[node] = _expand(h, node, need, has_pop, max_depth, moves, sets)
+                row = graph[node] = _expand(h, node, max_depth, sets)
             cut, reads = row
             if cut is not None and cut <= left:
                 raise Undecided("the slice reached its depth cap and may miss words")
@@ -899,8 +878,7 @@ def _language_keys(h: Hds, bound: int) -> Iterator[tuple]:
         left -= 1
 
 
-def _expand(h: Hds, node: tuple, need: dict, has_pop: bool, max_depth: int,
-            moves: dict, sets: dict) -> tuple:
+def _expand(h: Hds, node: tuple, max_depth: int, sets: dict) -> tuple:
     """The row of a node (configurations, open depth): `_closure`'s cut,
     and a dict from each token a move reads, as `run` reads it, to its
     key element, the next node, and the fewest tokens a word needs after
@@ -911,17 +889,15 @@ def _expand(h: Hds, node: tuple, need: dict, has_pop: bool, max_depth: int,
     node, 0), at every depth: without pop transitions, which states a
     closure holds does not depend on the stack, so `run` accepts there,
     while `_language_keys` emits only at depth 0.  Each next node's
-    configurations are a frozenset interned through `sets`, and `moves`
-    maps the node's fresh name to `_closure`'s memo of `step`'s moves."""
+    configurations are a frozenset interned through `sets`."""
     configs, depth = node
+    need = h._search.need
     # a move keeps one frame more than the open depth after it
     rules = {NoneType: (depth + 1, None), Name: (depth + 1, None),
              Letter: (depth + 1, None), TOpen: (depth + 2, None)}
     if depth:
         rules[TClose] = (depth, _level(depth - 1)[1])
-    fresh = _level(depth)[1]
-    closure, reads, cut = _closure(h, configs, None, fresh, rules, need, has_pop,
-                                   max_depth, moves.setdefault(fresh, {}))
+    closure, reads, cut = _closure(h, configs, None, _level(depth)[1], rules, max_depth)
     row = {}
     if any(q in h.finals for q, _ in closure):
         row[END] = (None, node, 0)

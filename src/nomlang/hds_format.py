@@ -129,7 +129,7 @@ def _parse_label(text: str, line: str) -> Label:
         return lname(_name(text[1:], line))
     if text in _KEYWORDS:
         return Label(text)
-    if re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", text):
+    if _LETTER_RE.fullmatch(text):
         return lletter(Letter(text))
     raise FormatError(f"bad transition label {text!r}")
 

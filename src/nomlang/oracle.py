@@ -443,7 +443,8 @@ def check_equivalence(e: rx.Regex, h: Hds, bound: int) -> EquivalenceReport:
     expression is rendered only by the report's `lines`."""
     t0 = time.monotonic()
     # key tuples form no cycles, so the cyclic collector would only
-    # traverse every key built so far, again and again
+    # traverse every key built so far, again and again: it made checks of
+    # the star expressions at bound 9 take 1.7 to 2.5 times as long
     enabled = gc.isenabled()
     gc.disable()
     try:

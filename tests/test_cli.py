@@ -274,3 +274,18 @@ def test_python_dash_m_runs_from_a_checkout():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.startswith("PASS ")
+
+
+@pytest.mark.parametrize("command", [["compile"], ["check", "--bound", "2"],
+                                     ["enumerate", "--bound", "2"]])
+@pytest.mark.parametrize("body", [" ".join(["a"] * 1000), "(" * 400 + "a" + ")" * 400],
+                         ids=["1000-letter concatenation", "400-deep parentheses"])
+def test_too_deep_an_expression_is_a_usage_error(tmp_path, capsys, command, body):
+    # the parser and the expression traversals recurse once per level, so
+    # past the nesting limit the CLI says so in one line, with no traceback
+    p = tmp_path / "deep.nre"
+    p.write_text("letters a;\n" + body + "\n")
+    assert main([command[0], str(p), *command[1:]]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: expression nested too deeply") and err.count("\n") == 1
+    assert "nesting limit" in err

@@ -104,6 +104,10 @@ def test_compose_and_stack_update():
     assert compose(sigma, frame.as_dict()) == NM({y: n})
     stack = (frame, NM({x: k}))
     assert stack_update(stack, sigma) == (NM({y: n}), NM({x: k}))
+    # a move that leaves the top frame as it is keeps the stack itself
+    assert stack_update(stack, NM({x: x, y: y})) is stack
+    # an empty sigma forgets the top frame's names
+    assert stack_update(stack, BOTTOM) == (BOTTOM,) + stack[1:]
 
 
 def test_push_frame_resolves_through_top():
