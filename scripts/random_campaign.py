@@ -28,7 +28,9 @@ forward walk over the node graph wherever the walk decides, so the
 campaign stream.  The trace of each accepted stream, which the
 subset construction records, must be a run of `step` on its tokens.
 Each of these M words and raw spellings, rendered, must parse back to
-its own token row.
+its own token row.  Each expression, rendered, must parse back to an
+expression that renders the same and has the same M slice (a `PARSE`
+line otherwise).
 Prints every mismatch and a summary line.
 
 Usage: python3 scripts/random_campaign.py --count 500 --depth 4 --bound 7
@@ -50,7 +52,7 @@ from nomlang.hds_format import FormatError, parse, serialize
 from nomlang.monoids import SORTS, canon_s, quot_gl, quot_ls, quot_mg
 from nomlang.oracle import naive_run, near_misses, random_regex, renamed, trace_follows_step
 from nomlang.regex import enumerate_slice, member
-from nomlang.syntax import parse_word, render_regex, render_word
+from nomlang.syntax import ParseError, parse_regex, parse_word, render_regex, render_word
 from nomlang.words import MWord, TOpen, support, tokenize
 
 
@@ -143,6 +145,17 @@ def run_campaign(cfg: argparse.Namespace) -> int:
             mismatches += 1
             print(f"FORMAT #{i}: {render_regex(e)}: {problem}")
         want = enumerate_slice(e, "M", cfg.bound).words
+        text = render_regex(e)
+        try:
+            again = parse_regex(text, cfg.letters)
+            problem = (None if render_regex(again) == text
+                       and enumerate_slice(again, "M", cfg.bound).words == want
+                       else f"reads back as {render_regex(again)}")
+        except ParseError as exc:
+            problem = str(exc)
+        if problem:
+            mismatches += 1
+            print(f"PARSE #{i}: {text}: {problem}")
         got = language_slice(h, cfg.bound)
         if want != got:
             mismatches += 1

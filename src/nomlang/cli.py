@@ -160,10 +160,10 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:  # parse, format and compile errors are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except RecursionError:  # the parser and the expression traversals recurse per level
+    except RecursionError:  # the expression traversals recurse once per tree level
         print("error: expression nested too deeply: at Python's default recursion limit the "
-              "nesting limit is about 240 levels of parentheses, binders or stars, and about "
-              "980 operands in one concatenation or sum", file=sys.stderr)
+              "nesting limit is about 990 binders, stars or operands of one concatenation or "
+              "sum", file=sys.stderr)
         return EXIT_USAGE
 
 

@@ -20,11 +20,12 @@ the allocation placeholder, and ``[]`` for the empty map.  A final
 line ``relaxed`` marks automata whose open maps may send several
 locals to the placeholder.  `serialize` raises `FormatError`, naming
 the identifier and its role, on one that `parse` would not read back as
-itself: a state id must be one word, not a section keyword and not
-starting with ``//`` (a comment); a letter an identifier that is not a
-move keyword; and a name (a local, an eta name, a label name or a
-map entry) one word without ``,``, ``>``, ``[``, ``]`` or ``=#``, and
-not ``*``.
+itself, and `parse` on one that `serialize` would refuse to write, so
+one rule governs both directions: a state id must be one word, not a
+section keyword and not starting with ``//`` (a comment); a letter an
+identifier that is not a move keyword; and a name (a local, an eta
+name, a label name or a map entry) one word without ``,``, ``>``,
+``[``, ``]`` or ``=#``, and not ``*``.
 """
 
 from __future__ import annotations
@@ -54,8 +55,8 @@ def _fmt_sigma(sigma: NameMap) -> str:
 
 
 def _readable(text: str, role: str) -> str:
-    """`text`, if `parse` reads it back as itself in `role`, by the rules
-    of the module docstring; else `FormatError`."""
+    """`text`, if it reads back as itself in `role`, by the rules of the
+    module docstring; else `FormatError`."""
     if role == "state id":
         ok = text not in _SECTIONS and not text.startswith("//")
     elif role == "letter":
@@ -63,7 +64,7 @@ def _readable(text: str, role: str) -> str:
     else:  # a name: a local, an eta name, a label name or a map entry
         ok = text != "*" and _NAME_BREAK_RE.search(text) is None
     if not ok or text.split() != [text]:
-        raise FormatError(f"{role} {text!r} cannot be written so that parse reads it back")
+        raise FormatError(f"{role} {text!r} does not read back as itself")
     return text
 
 
@@ -101,10 +102,10 @@ def serialize(h: Hds) -> str:
 _TRANS_RE = re.compile(r"^(\S+)\s+--(.+?)\[(.*?)\]-->\s+(\S+)$")
 
 
-def _name(label: str, line: str) -> Name:
+def _name(label: str, line: str, role: str) -> Name:
     if not label:
         raise FormatError(f"empty name in line {line!r}")
-    return Name(label)
+    return Name(_readable(label, role))
 
 
 def _parse_sigma(text: str, line: str) -> NameMap:
@@ -116,17 +117,17 @@ def _parse_sigma(text: str, line: str) -> NameMap:
         if ">" not in item:
             raise FormatError(f"bad name-map entry {item!r}")
         src, dst = item.split(">", 1)
-        src, dst = _name(src.strip(), line), dst.strip()
+        src, dst = _name(src.strip(), line, "map entry"), dst.strip()
         if src in entries:
             raise FormatError(f"repeated name-map key {src.label!r} in line {line!r}")
-        entries[src] = STAR if dst == "*" else _name(dst, line)
+        entries[src] = STAR if dst == "*" else _name(dst, line, "map entry")
     return NameMap.of(entries)
 
 
 def _parse_label(text: str, line: str) -> Label:
     text = text.strip()
     if text.startswith("#"):
-        return lname(_name(text[1:], line))
+        return lname(_name(text[1:], line, "label name"))
     if text in _KEYWORDS:
         return Label(text)
     if _LETTER_RE.fullmatch(text):
@@ -167,30 +168,30 @@ def parse(text: str) -> Hds:
                 if "=#" not in binding:
                     raise FormatError(f"bad initial binding {binding!r}")
                 x, v = binding.split("=#", 1)
-                x = _name(x, line)
+                x = _name(x, line, "eta name")
                 if x in eta:
                     raise FormatError(f"repeated initial binding of {x.label!r} in line {line!r}")
-                eta[x] = _name(v, line)
+                eta[x] = _name(v, line, "eta name")
             section = None
             continue
         if parts[0] == "finals":
             if finals is not None:
                 raise FormatError(f"repeated finals line {line!r}")
-            finals = frozenset(parts[1:])
+            finals = frozenset(_readable(q, "state id") for q in parts[1:])
             section = None
             continue
         if section == "states":
             if parts[0] in states:
                 raise FormatError(f"repeated state {parts[0]!r} in line {line!r}")
-            states[parts[0]] = frozenset(Name(x) for x in parts[1:])
+            states[_readable(parts[0], "state id")] = frozenset(
+                Name(_readable(x, "local")) for x in parts[1:])
         elif section == "trans":
             m = _TRANS_RE.match(line)
             if m is None:
                 raise FormatError(f"bad transition line {line!r}")
             src, label, sigma, dst = m.groups()
-            trans.setdefault(src, []).append(
-                Transition(_parse_label(label, line), dst, _parse_sigma(sigma, line))
-            )
+            trans.setdefault(src, []).append(Transition(
+                _parse_label(label, line), _readable(dst, "state id"), _parse_sigma(sigma, line)))
         else:
             raise FormatError(f"unexpected line {line!r}")
     if initial is None:

@@ -15,6 +15,11 @@ other fault.
 
 Regular expressions reuse the word syntax and add ``1``, ``0``, ``+``
 (sum, lowest precedence), ``*`` (iteration, highest) and parentheses.
+`parse_regex` reads them in one loop over the tokens of `_lex`, not by
+recursive descent: a stack holds the groups open around the current
+one (parentheses and binders), each with its sum and its last product
+so far, so parentheses nest without limit, and sums and products
+associate to the left.
 Expression files (extension ``.nre``) start with a letter declaration
 such as ``letters a b ENCR;`` followed by the expression.
 """
@@ -76,26 +81,6 @@ def _expect(t: tuple[str, str, int] | None, kind: str, end: int) -> tuple[str, s
     if t[0] != kind:
         raise ParseError(f"expected {kind!r}, found {t[1]!r}", t[2])
     return t
-
-
-class _Cursor:
-    def __init__(self, toks: list[tuple[str, str, int]], length: int):
-        self.toks = toks
-        self.i = 0
-        self.length = length
-
-    def peek(self) -> tuple[str, str, int] | None:
-        return self.toks[self.i] if self.i < len(self.toks) else None
-
-    def next(self) -> tuple[str, str, int]:
-        t = self.peek()
-        if t is None:
-            raise ParseError("unexpected end of input", self.length)
-        self.i += 1
-        return t
-
-    def expect(self, kind: str) -> tuple[str, str, int]:
-        return _expect(self.next(), kind, self.length)
 
 
 # ---------------------------------------------------------------------------
@@ -168,68 +153,69 @@ def render_word(w: MWord) -> str:
 # ---------------------------------------------------------------------------
 # Regular expressions
 
+_OPERAND_STARTERS = {"name", "ident", "digit", "(", "<"}
+
+
 def parse_regex(text: str, letters: frozenset[str] | set[str]) -> rx.Regex:
-    cur = _Cursor(_lex(text), len(text))
-    e = _sum(cur, frozenset(letters))
-    t = cur.peek()
-    if t is not None:
-        raise ParseError(f"unexpected {t[1]!r}", t[2])
-    return e
+    """The expression `text` spells, its letters among `letters`.
 
-
-def _sum(cur: _Cursor, letters: frozenset[str]) -> rx.Regex:
-    e = _cat(cur, letters)
+    One loop reads the tokens, with a stack of the groups (parentheses
+    and binders) open around the current one.  A group holds its sum so
+    far and the product of its last term so far, both folded to the
+    left as they come.  The loop alternates between two states: it reads
+    an operand, which is an atom or the opening of a group, and then the
+    stars after it, the end of its term (`+`) or the end of its group.
+    """
+    toks = iter(_lex(text))
+    t = next(toks, None)  # the token to read next; None past the last
+    end = len(text)
+    stack: list[tuple[Name | str | None, rx.Regex | None, rx.Regex | None]] = []
+    group: Name | str | None = None  # "(", a binder's name, or None at the top
+    total = term = None  # the group's sum of the terms before the last, and its last term
     while True:
-        t = cur.peek()
-        if t is None or t[0] != "+":
-            return e
-        cur.next()
-        e = rx.Sum(e, _cat(cur, letters))
-
-
-_ATOM_STARTERS = {"name", "ident", "digit", "(", "<"}
-
-
-def _cat(cur: _Cursor, letters: frozenset[str]) -> rx.Regex:
-    e = _post(cur, letters)
-    while True:
-        t = cur.peek()
-        if t is None or t[0] not in _ATOM_STARTERS:
-            return e
-        e = rx.Cat(e, _post(cur, letters))
-
-
-def _post(cur: _Cursor, letters: frozenset[str]) -> rx.Regex:
-    e = _atom(cur, letters)
-    while True:
-        t = cur.peek()
-        if t is None or t[0] != "*":
-            return e
-        cur.next()
-        e = rx.Star(e)
-
-
-def _atom(cur: _Cursor, letters: frozenset[str]) -> rx.Regex:
-    kind, tok, pos = cur.next()
-    if kind == "digit":
-        return rx.ONE if tok == "1" else rx.ZERO
-    if kind == "name":
-        return rx.NameLit(Name(tok[1:]))
-    if kind == "ident":
-        if tok not in letters:
+        if t is None:
+            raise ParseError("unexpected end of input", end)
+        kind, tok, pos = t
+        t = next(toks, None)
+        if kind == "(" or kind == "<":
+            stack.append((group, total, term))
+            group, total, term = kind, None, None
+            if kind == "<":
+                group = Name(_expect(t, "name", end)[1][1:])
+                _expect(next(toks, None), ".", end)
+                t = next(toks, None)
+            continue
+        if kind == "digit":
+            e = rx.ONE if tok == "1" else rx.ZERO
+        elif kind == "name":
+            e = rx.NameLit(Name(tok[1:]))
+        elif kind == "ident" and tok in letters:
+            e = rx.LetterLit(Letter(tok))
+        elif kind == "ident":
             raise ParseError(f"undeclared letter {tok!r}", pos)
-        return rx.LetterLit(Letter(tok))
-    if kind == "(":
-        e = _sum(cur, letters)
-        cur.expect(")")
-        return e
-    if kind == "<":
-        n = cur.expect("name")[1]
-        cur.expect(".")
-        e = _sum(cur, letters)
-        cur.expect(">")
-        return rx.Binder(Name(n[1:]), e)
-    raise ParseError(f"unexpected {tok!r} in expression", pos)
+        else:
+            raise ParseError(f"unexpected {tok!r} in expression", pos)
+        while True:  # e is an operand: read its stars, then what ends it
+            while t is not None and t[0] == "*":
+                e = rx.Star(e)
+                t = next(toks, None)
+            term = e if term is None else rx.Cat(term, e)
+            if t is not None and t[0] in _OPERAND_STARTERS:
+                break
+            if t is not None and t[0] == "+":
+                total, term = term if total is None else rx.Sum(total, term), None
+                t = next(toks, None)
+                break
+            e = term if total is None else rx.Sum(total, term)
+            if group is None:
+                if t is not None:
+                    raise ParseError(f"unexpected {t[1]!r}", t[2])
+                return e
+            _expect(t, ")" if group == "(" else ">", end)
+            t = next(toks, None)
+            if group != "(":
+                e = rx.Binder(group, e)
+            group, total, term = stack.pop()
 
 
 def render_regex(e: rx.Regex) -> str:

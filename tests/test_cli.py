@@ -278,14 +278,27 @@ def test_python_dash_m_runs_from_a_checkout():
 
 @pytest.mark.parametrize("command", [["compile"], ["check", "--bound", "2"],
                                      ["enumerate", "--bound", "2"]])
-@pytest.mark.parametrize("body", [" ".join(["a"] * 1000), "(" * 400 + "a" + ")" * 400],
-                         ids=["1000-letter concatenation", "400-deep parentheses"])
+@pytest.mark.parametrize("body", [" ".join(["a"] * 1000), "<#n. " * 2000 + "a" + " >" * 2000],
+                         ids=["1000-letter concatenation", "2000-deep binders"])
 def test_too_deep_an_expression_is_a_usage_error(tmp_path, capsys, command, body):
-    # the parser and the expression traversals recurse once per level, so
-    # past the nesting limit the CLI says so in one line, with no traceback
+    # the expression traversals recurse once per tree level, so past the
+    # nesting limit the CLI says so in one line, with no traceback
     p = tmp_path / "deep.nre"
     p.write_text("letters a;\n" + body + "\n")
     assert main([command[0], str(p), *command[1:]]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: expression nested too deeply") and err.count("\n") == 1
     assert "nesting limit" in err
+
+
+@pytest.mark.parametrize("command", [["compile"], ["check", "--bound", "2"],
+                                     ["enumerate", "--bound", "2"]])
+@pytest.mark.parametrize("body", ["(" * 5000 + "a" + ")" * 5000, "<#n. " * 500 + "a" + " >" * 500,
+                                  "(" * 500 + "a" + ")*" * 500],
+                         ids=["5000-deep parentheses", "500-deep binders", "500-deep stars"])
+def test_deep_expressions_are_read(tmp_path, command, body):
+    # the parser reads in one loop, so parentheses, which add no tree level,
+    # nest without limit, and binders and stars up to the traversals' limit
+    p = tmp_path / "deep.nre"
+    p.write_text("letters a;\n" + body + "\n")
+    assert main([command[0], str(p), *command[1:]]) == 0

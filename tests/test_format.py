@@ -242,3 +242,21 @@ def test_output_does_not_depend_on_interning_history():
     fresh = _serialize_ns_protocol("fresh")
     assert fresh.startswith("states")
     assert _serialize_ns_protocol("reversed") == fresh
+
+
+UNWRITABLE = "states\n  q0 {local}\n  q1\ninitial q0 {eta}\nfinals q1\ntrans\n  q0 --{label}[{sigma}]--> q1\n"
+
+
+@pytest.mark.parametrize("fields, refused", [
+    (dict(local="a,b"), "local 'a,b'"),
+    (dict(local="*"), "local '*'"),  # a name map cannot tell it from the placeholder
+    (dict(local="a>b", label="#a>b"), "local 'a>b'"),
+    (dict(eta="x=#y=#z"), "eta name 'y=#z'"),
+    (dict(sigma="x>y>z"), "map entry 'y>z'"),
+], ids=["local with a comma", "local star", "local and label name with >", "eta value with =#",
+        "map value with >"])
+def test_parse_rejects_an_identifier_serialize_cannot_write(fields, refused):
+    # each of these loaded, and `serialize` then refused the automaton
+    text = UNWRITABLE.format(**dict(dict(local="x", eta="", label="eps", sigma=""), **fields))
+    with pytest.raises(FormatError, match=re.escape(refused)):
+        parse(text)

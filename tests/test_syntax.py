@@ -1,10 +1,15 @@
-"""`parse_word` against the word parser it replaced, which lexed token by token."""
+"""`parse_word` and `parse_regex` against the parsers they replaced: a word
+parser that lexed token by token, and a recursive-descent expression parser."""
+
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from nomlang import regex as rx
 from nomlang.names import Letter, Name
-from nomlang.syntax import ParseError, _expect, _lex, parse_word
+from nomlang.oracle import random_regex
+from nomlang.syntax import ParseError, _expect, _lex, parse_regex, parse_word, render_regex
 from nomlang.words import TCLOSE, MWord, TOpen
 
 
@@ -97,3 +102,131 @@ def test_long_words_parse_as_before(sep):
         assert_same(text + sep + fault)
         assert_same(fault + sep + text)
 
+
+
+def reference_parse_regex(text: str, letters: frozenset[str] | set[str]) -> rx.Regex:
+    """The recursive-descent expression parser, verbatim but for its name.
+
+    It recursed about four frames per level of parentheses, binders and
+    stars; `parse_regex` reads the same tokens in one loop.
+    """
+    cur = _Cursor(_lex(text), len(text))
+    e = _sum(cur, frozenset(letters))
+    t = cur.peek()
+    if t is not None:
+        raise ParseError(f"unexpected {t[1]!r}", t[2])
+    return e
+
+
+class _Cursor:
+    def __init__(self, toks: list[tuple[str, str, int]], length: int):
+        self.toks = toks
+        self.i = 0
+        self.length = length
+
+    def peek(self) -> tuple[str, str, int] | None:
+        return self.toks[self.i] if self.i < len(self.toks) else None
+
+    def next(self) -> tuple[str, str, int]:
+        t = self.peek()
+        if t is None:
+            raise ParseError("unexpected end of input", self.length)
+        self.i += 1
+        return t
+
+    def expect(self, kind: str) -> tuple[str, str, int]:
+        return _expect(self.next(), kind, self.length)
+
+
+def _sum(cur: _Cursor, letters: frozenset[str]) -> rx.Regex:
+    e = _cat(cur, letters)
+    while True:
+        t = cur.peek()
+        if t is None or t[0] != "+":
+            return e
+        cur.next()
+        e = rx.Sum(e, _cat(cur, letters))
+
+
+_ATOM_STARTERS = {"name", "ident", "digit", "(", "<"}
+
+
+def _cat(cur: _Cursor, letters: frozenset[str]) -> rx.Regex:
+    e = _post(cur, letters)
+    while True:
+        t = cur.peek()
+        if t is None or t[0] not in _ATOM_STARTERS:
+            return e
+        e = rx.Cat(e, _post(cur, letters))
+
+
+def _post(cur: _Cursor, letters: frozenset[str]) -> rx.Regex:
+    e = _atom(cur, letters)
+    while True:
+        t = cur.peek()
+        if t is None or t[0] != "*":
+            return e
+        cur.next()
+        e = rx.Star(e)
+
+
+def _atom(cur: _Cursor, letters: frozenset[str]) -> rx.Regex:
+    kind, tok, pos = cur.next()
+    if kind == "digit":
+        return rx.ONE if tok == "1" else rx.ZERO
+    if kind == "name":
+        return rx.NameLit(Name(tok[1:]))
+    if kind == "ident":
+        if tok not in letters:
+            raise ParseError(f"undeclared letter {tok!r}", pos)
+        return rx.LetterLit(Letter(tok))
+    if kind == "(":
+        e = _sum(cur, letters)
+        cur.expect(")")
+        return e
+    if kind == "<":
+        n = cur.expect("name")[1]
+        cur.expect(".")
+        e = _sum(cur, letters)
+        cur.expect(">")
+        return rx.Binder(Name(n[1:]), e)
+    raise ParseError(f"unexpected {tok!r} in expression", pos)
+
+
+LETTERS = {"a", "b"}
+
+
+def regex_outcome(parse, text):
+    """The tree's repr, or the message and position of the parse error."""
+    try:
+        return repr(parse(text, LETTERS))
+    except ParseError as err:
+        return str(err), err.pos
+
+
+def assert_same_regex(text):
+    assert regex_outcome(parse_regex, text) == regex_outcome(reference_parse_regex, text)
+
+
+# brackets, binders, operators, digits, letters (`c` undeclared), names,
+# punctuation an expression has no use for, bad characters and white space
+REGEX_FRAGMENTS = ["(", ")", "<", "<#n.", "< #m .", ">", ".", "+", "*", "0", "1", "a", "b", "c",
+                   "#n", "#~0", "^", ";", "$", "é", " ", "\n", "2"]
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.sampled_from(REGEX_FRAGMENTS), max_size=16))
+def test_expression_fragments_parse_as_before(fragments):
+    assert_same_regex("".join(fragments))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32), st.integers(0, 6), st.data())
+def test_rendered_expressions_and_one_fault_parse_as_before(seed, depth, data):
+    e = random_regex(random.Random(seed), [Name("n"), Name("m")], [Letter("a"), Letter("b")], depth)
+    text = render_regex(e)
+    assert_same_regex(text)
+    assert render_regex(parse_regex(text, LETTERS)) == text
+    at = data.draw(st.integers(0, len(text)))
+    assert_same_regex(text[:at] + data.draw(st.sampled_from(REGEX_FRAGMENTS)) + text[at:])
+    assert_same_regex(text[:at] + text[at + 1:])
