@@ -14,12 +14,14 @@ operands of a construction never share a state or a local name.
 One compile builds one automaton.  `compile_regex` fills one `_Build`:
 two mutable tables holding the local names of each state (a set) and
 the transitions out of each state, in order, as (label, target, sigma
-dict) triples.  A construction works on fragments (`_Frag`: a state
-list, initial state, finals, initial meanings and relaxed flag) and
-edits the tables in place; the `NameMap`s, `Transition`s and the one
-`Hds` are made at the end.  So threading a local through an operand
-costs one dict insert per transition, the size of what it adds to the
-output, and no construction copies the automaton built so far.
+dict) triples.  A label is what the move reads: the local of a name
+move, the letter of a letter move, or one of the `hds.MOVES`.  A
+construction works on fragments (`_Frag`: a state list, initial state,
+finals, initial meanings and relaxed flag) and edits the tables in
+place; the `NameMap`s, `Transition`s and the one `Hds` are made at the
+end.  So threading a local through an operand costs one dict insert
+per transition, the size of what it adds to the output, and no
+construction copies the automaton built so far.
 
 Two points deserve attention:
 
@@ -43,17 +45,7 @@ from dataclasses import dataclass, field
 from typing import Iterable
 
 from .names import Name, STAR
-from .hds import (
-    Hds,
-    L_CLOSE,
-    L_EPS,
-    L_OPEN,
-    L_PUSH,
-    NameMap,
-    Transition,
-    lletter,
-    lname,
-)
+from .hds import CLOSE, EPS, OPEN, PUSH, Hds, NameMap, Transition
 from . import regex as rx
 
 
@@ -144,14 +136,13 @@ class _Build:
             q0, qf = self.state(), self.state()
             eta = {}
             if isinstance(e, rx.One):
-                label = L_EPS
+                label = EPS
             elif isinstance(e, rx.LetterLit):
-                label = lletter(e.letter)
+                label = e.letter
             else:
-                x = self.local()
-                self.locals[q0].add(x)
-                eta[x] = e.name
-                label = lname(x)
+                label = self.local()
+                self.locals[q0].add(label)
+                eta[label] = e.name
             self.trans[q0].append((label, qf, {}))
             return _Frag([q0, qf], q0, {qf}, eta)
         if isinstance(e, rx.Sum):
@@ -178,7 +169,7 @@ class _Build:
         """Give `f` a fresh no-name final state (always, even if it has one)."""
         qf = self.state()
         for q in f.finals:
-            self.trans[q].append((L_EPS, qf, {}))
+            self.trans[q].append((EPS, qf, {}))
         f.states.append(qf)
         f.finals = {qf}
         return qf
@@ -198,8 +189,8 @@ class _Build:
         loc1, loc2 = self.locals[f1.initial], self.locals[f2.initial]
         q0 = self.state(loc1 | loc2)
         self.trans[q0] += [
-            (L_EPS, f1.initial, _identity(loc1)),
-            (L_EPS, f2.initial, _identity(loc2)),
+            (EPS, f1.initial, _identity(loc1)),
+            (EPS, f2.initial, _identity(loc2)),
         ]
         f = self._join(f1, f2)
         f.states.append(q0)
@@ -220,7 +211,7 @@ class _Build:
         loc2 = self.locals[f2.initial]
         if loc2:
             self._thread(f1, loc2)
-        self.trans[qf1].append((L_EPS, f2.initial, _identity(loc2)))
+        self.trans[qf1].append((EPS, f2.initial, _identity(loc2)))
         f = self._join(f1, f2)
         f.finals = f2.finals
         return f
@@ -240,11 +231,11 @@ class _Build:
         if f.reentered:
             loc0 = self.locals[q0]
             f.initial = self.state(loc0)
-            self.trans[f.initial].append((L_EPS, q0, _identity(loc0)))
+            self.trans[f.initial].append((EPS, q0, _identity(loc0)))
             f.states.append(f.initial)
-        self.trans[f.initial].append((L_EPS, qf, {}))
+        self.trans[f.initial].append((EPS, qf, {}))
         push = dict(f.eta)
-        self.trans[qf].append((L_PUSH, q0, push))
+        self.trans[qf].append((PUSH, q0, push))
         f.pushes.append(push)
         f.pushed.update(push.values())
         # the push re-enters q0, which is still initial unless the skip's
@@ -266,8 +257,8 @@ class _Build:
         self._repoint_stale_pushes(f, n, bound)
         q_open, q_close = self.state(loc0 - bound), self.state()
         sigma = {x: (STAR if x in bound else x) for x in loc0}
-        self.trans[q_open].append((L_OPEN, f.initial, sigma))
-        self.trans[qf].append((L_CLOSE, q_close, {}))
+        self.trans[q_open].append((OPEN, f.initial, sigma))
+        self.trans[qf].append((CLOSE, q_close, {}))
         f.states += (q_open, q_close)
         f.initial = q_open
         f.reentered = False

@@ -4,12 +4,15 @@ States carry finite sets of local names.  A transition relabels the
 target's local names through a partial injective map into the source's
 locals and may consume a name or letter token, stay silent, push or pop
 a stack frame, or allocate/deallocate a bound name at the matching
-open/close tokens of the input stream.
+open/close tokens of the input stream.  Its label is what it reads, in
+the word's own alphabet: a local `Name` reads the name it denotes, a
+`Letter` reads itself, and every other move is one of the five `Move`
+keywords `EPS`, `PUSH`, `POP`, `OPEN` and `CLOSE`.
 
-`step` is the one definition of the moves: what each of the seven move
-kinds reads and what it does to the stack.  Both searches are subset
-constructions, and both take a configuration set's successors from
-`_closure`, built on `step`: it closes the set under the moves that
+`step` is the one definition of the moves: what each of the seven
+kinds of label reads and what it does to the stack.  Both searches are
+subset constructions, and both take a configuration set's successors
+from `_closure`, built on `step`: it closes the set under the moves that
 read nothing, groups the moves that read a token by that token, and
 after each move applies one rule -- drop a configuration with no path
 to a final state, keep the frames a close can still read, cap the
@@ -105,9 +108,9 @@ from functools import cached_property
 from types import MappingProxyType, NoneType
 from typing import Iterable, Iterator, Mapping, Optional
 
-from .names import Letter, Name, STAR
+from .names import Interned, Letter, Name, STAR
 from .words import (
-    KEY_CLOSE, KEY_OPEN, MWord, TClose, TCLOSE, TOpen, Tok, canonical_row, from_key,
+    KEY_OPEN, MWord, TClose, TCLOSE, TOpen, Tok, canonical_row, from_key,
 )
 from .words import alpha_canonical, parse_tokens  # unused; perfbench's tracer patches them here
 
@@ -230,38 +233,22 @@ def push_frame(sigma: NameMap, top_frame: NameMap) -> NameMap:
 # ---------------------------------------------------------------------------
 # Labels and transitions
 
-@dataclass(frozen=True)
-class Label:
-    kind: str  # "name" | "letter" | "eps" | "push" | "pop" | "open" | "close"
-    name: Optional[Name] = None
-    letter: Optional[Letter] = None
+class Move(Interned):
+    """The label of a move that reads no name and no letter: one object
+    per keyword, which is its repr and its text in the ``.hds`` format."""
+
+    __slots__ = ("keyword",)
 
     def __repr__(self):
-        if self.kind == "name":
-            return f"#{self.name.label}"
-        if self.kind == "letter":
-            return self.letter.symbol
-        return self.kind
+        return self.keyword
 
 
-L_EPS = Label("eps")
-L_PUSH = Label("push")
-L_POP = Label("pop")
-L_OPEN = Label("open")
-L_CLOSE = Label("close")
-
-
-def lname(n: Name) -> Label:
-    return Label("name", name=n)
-
-
-def lletter(s: Letter) -> Label:
-    return Label("letter", letter=s)
+EPS, PUSH, POP, OPEN, CLOSE = MOVES = tuple(map(Move, ("eps", "push", "pop", "open", "close")))
 
 
 @dataclass(frozen=True, slots=True)
 class Transition:
-    label: Label
+    label: Name | Letter | Move  # the local name or letter it reads, or its move
     target: str
     sigma: NameMap
 
@@ -297,12 +284,8 @@ class Hds:
         return _SearchState(self)
 
     def letters(self) -> frozenset[Letter]:
-        return frozenset(
-            t.label.letter
-            for ts in self.trans.values()
-            for t in ts
-            if t.label.kind == "letter"
-        )
+        return frozenset(t.label for ts in self.trans.values() for t in ts
+                         if type(t.label) is Letter)
 
     def transitions(self) -> Iterable[tuple[str, Transition]]:
         for q, ts in self.trans.items():
@@ -338,16 +321,18 @@ def validate(h: Hds) -> list[str]:
             if t.target not in h.states:
                 fault(q, t, "undeclared target")
                 continue
-            tgt = h.states[t.target]
-            if t.label.kind == "name" and t.label.name not in src:
+            tgt, label = h.states[t.target], t.label
+            if type(label) is Name and label not in src:
                 fault(q, t, "label name not local to source")
+            elif type(label) not in (Name, Letter) and label not in MOVES:
+                fault(q, t, "label is no name, letter or move")
             if not t.sigma.domain <= tgt:
                 fault(q, t, "sigma domain exceeds target locals")
             for v in t.sigma.values():
-                if t.label.kind == "open":
+                if label is OPEN:
                     if v is not STAR and v not in src:
                         fault(q, t, "open sigma value outside source locals")
-                elif t.label.kind == "push":
+                elif label is PUSH:
                     if not isinstance(v, Name):
                         fault(q, t, "push sigma must map into names")
                 else:
@@ -355,7 +340,7 @@ def validate(h: Hds) -> list[str]:
                         fault(q, t, "sigma value outside source locals")
             # push frames assign global names like eta does, which need
             # not be injective; all other maps must be
-            if t.label.kind != "push" and not t.sigma.is_injective(h.relaxed_star):
+            if label is not PUSH and not t.sigma.is_injective(h.relaxed_star):
                 fault(q, t, "sigma not injective")
     return bad
 
@@ -374,39 +359,42 @@ def step(
     """The moves enabled in `state` with stack `stk`: (transition, token read, new stack).
 
     A name, letter, open or close move reads one token; eps, push and
-    pop moves read none (token read None).  A name or a letter is its
-    own token.  When running on an input, `tok` is the next input token,
-    or END past the last one, and a consuming move is enabled only if it
-    reads `tok`: a name move reads the name its label currently denotes,
-    a letter move its letter, and an open move binds the name of the
-    open token.  When generating (`tok` None), every move is enabled,
-    except a name move whose label denotes no name; an open move
-    allocates `fresh`.
+    pop moves read none (token read None).  The label's type or
+    identity tells the move: a `Name` label is a local, a `Letter` label
+    is its own token, and any other is one of the `MOVES`; a label that
+    is none of these enables no move (`validate` reports it).  When
+    running on an input, `tok` is the next input token, or END past the
+    last one, and a consuming move is enabled only if it reads `tok`: a
+    name move reads the name its local currently denotes, a letter move
+    its letter, and an open move binds the name of the open token.  When
+    generating (`tok` None), every move is enabled, except a name move
+    whose local denotes no name; an open move allocates `fresh`.
     """
     out = []
     for t in h.trans.get(state, ()):
-        k = t.label.kind
+        label = t.label
+        kind = type(label)
         # a consuming move reads the generated token, or else the input token
-        if k == "name":
-            v = top(stk).get(t.label.name)
+        if kind is Name:
+            v = top(stk).get(label)
             if isinstance(v, Name) and (tok is None or tok is v):
                 out.append((t, v, stack_update(stk, t.sigma)))
-        elif k == "letter":
-            if tok is None or tok == t.label.letter:
-                out.append((t, t.label.letter, stack_update(stk, t.sigma)))
-        elif k == "eps":
+        elif kind is Letter:
+            if tok is None or tok is label:
+                out.append((t, label, stack_update(stk, t.sigma)))
+        elif label is EPS:
             out.append((t, None, stack_update(stk, t.sigma)))
-        elif k == "push":
+        elif label is PUSH:
             out.append((t, None, (push_frame(t.sigma, top(stk)),) + stk))
-        elif k == "pop":
+        elif label is POP:
             out.append((t, None, (compose(t.sigma, top(pop(stk)).as_dict()),) + stk[2:]))
-        elif k == "open":
+        elif label is OPEN:
             tok_read = TOpen(fresh) if tok is None else tok
             if isinstance(tok_read, TOpen):
                 f = top(stk).as_dict()
                 f[STAR] = tok_read.name
                 out.append((t, tok_read, (compose(t.sigma, f),) + stk))
-        else:  # close
+        elif label is CLOSE:
             tok_read = TCLOSE if tok is None else tok
             if isinstance(tok_read, TClose):
                 frame = compose(t.sigma, top(pop(stk)).as_dict())
@@ -525,10 +513,9 @@ def _constants_and_pops(h: Hds) -> tuple[frozenset, bool]:
     has_pop = False
     for ts in h.trans.values():
         for t in ts:
-            kind = t.label.kind
-            if kind == "push":
+            if t.label is PUSH:
                 constants.update(t.sigma.values())
-            elif kind == "pop":
+            elif t.label is POP:
                 has_pop = True
     return frozenset(constants), has_pop
 
@@ -779,9 +766,6 @@ def accepts_word(h: Hds, w: MWord) -> bool:
 # ---------------------------------------------------------------------------
 # Bounded language enumeration
 
-_CONSUMING = frozenset(("name", "letter", "open", "close"))
-
-
 def steps_to_final(h: Hds) -> dict[str, int]:
     """The fewest consuming moves on any path from each state to a final one.
 
@@ -790,7 +774,7 @@ def steps_to_final(h: Hds) -> dict[str, int]:
     """
     preds: dict[str, list] = {}
     for q, t in h.transitions():
-        preds.setdefault(t.target, []).append((q, t.label.kind in _CONSUMING))
+        preds.setdefault(t.target, []).append((q, t.label not in (EPS, PUSH, POP)))
     need = {q: 0 for q in h.finals}
     queue = deque(h.finals)
     while queue:
@@ -804,10 +788,6 @@ def steps_to_final(h: Hds) -> dict[str, int]:
                 else:
                     queue.appendleft(p)
     return need
-
-
-# the key element of each bracket type
-_KEY_BRACKETS = {TOpen: KEY_OPEN, TClose: KEY_CLOSE}
 
 
 def _language_keys(h: Hds, bound: int) -> Iterator[tuple]:
@@ -902,9 +882,10 @@ def _expand(h: Hds, node: tuple, max_depth: int, sets: dict) -> tuple:
     if any(q in h.finals for q, _ in closure):
         row[END] = (None, node, 0)
     for read, group in reads.items():
-        # a level name read at depth d is the index d - 1 - level
+        # an open is KEY_OPEN, a level name read at depth d the index
+        # d - 1 - level, and any other token (a close too) is its own element
         level = _level_of.get(read)
-        elem = _KEY_BRACKETS.get(type(read), read) if level is None else depth - 1 - level
+        elem = KEY_OPEN if type(read) is TOpen else read if level is None else depth - 1 - level
         depth2 = rules[type(read)][0] - 1
         req = max(depth2, min([need[q] for q, _ in group]))
         group = frozenset(group)

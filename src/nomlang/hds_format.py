@@ -12,9 +12,11 @@ The text format (extension ``.hds``) has four sections::
       q0 --eps[]--> q1
       q1 --open[x>*]--> q0
 
-Transition labels are ``#x`` (read the name a local denotes), a bare
-identifier (read a letter; the keywords below are reserved), or one of
-``eps``, ``push``, ``pop``, ``open``, ``close``.  The name map is a
+Transition labels are written as their repr: ``#x`` (a local `Name`,
+read the name it denotes), a bare identifier (a `Letter`, read itself;
+the keywords below are reserved), or the keyword of one of the
+`hds.MOVES`: ``eps``, ``push``, ``pop``, ``open``, ``close``.  `parse`
+returns each label as that very object.  The name map is a
 comma-separated list of ``x>y`` entries, ``x>*`` sending a local to
 the allocation placeholder, and ``[]`` for the empty map.  A final
 line ``relaxed`` marks automata whose open maps may send several
@@ -34,9 +36,9 @@ import re
 from typing import Optional
 
 from .names import Letter, Name, STAR
-from .hds import Hds, Label, NameMap, Transition, lletter, lname
+from .hds import MOVES, Hds, Move, NameMap, Transition
 
-_KEYWORDS = {"eps", "push", "pop", "open", "close"}
+_KEYWORDS = {m.keyword: m for m in MOVES}
 _SECTIONS = {"states", "initial", "finals", "trans", "relaxed"}
 _LETTER_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _NAME_BREAK_RE = re.compile(r"[,>\[\]]|=#")
@@ -82,10 +84,12 @@ def serialize(h: Hds) -> str:
     lines.append("trans")
     for q in sorted(h.trans):
         for t in h.trans[q]:
-            if t.label.kind == "letter":
-                _readable(t.label.letter.symbol, "letter")
-            elif t.label.kind == "name":
-                _readable(t.label.name.label, "label name")
+            if type(t.label) is Letter:
+                _readable(t.label.symbol, "letter")
+            elif type(t.label) is Name:
+                _readable(t.label.label, "label name")
+            elif t.label not in MOVES:
+                raise FormatError(f"label {t.label!r} is no name, letter or move")
             for x, v in t.sigma.entries:
                 _readable(x.label, "map entry")
                 if v is not STAR:
@@ -124,14 +128,14 @@ def _parse_sigma(text: str, line: str) -> NameMap:
     return NameMap.of(entries)
 
 
-def _parse_label(text: str, line: str) -> Label:
+def _parse_label(text: str, line: str) -> Name | Letter | Move:
     text = text.strip()
     if text.startswith("#"):
-        return lname(_name(text[1:], line, "label name"))
+        return _name(text[1:], line, "label name")
     if text in _KEYWORDS:
-        return Label(text)
+        return _KEYWORDS[text]
     if _LETTER_RE.fullmatch(text):
-        return lletter(Letter(text))
+        return Letter(text)
     raise FormatError(f"bad transition label {text!r}")
 
 

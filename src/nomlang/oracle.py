@@ -33,8 +33,8 @@ from . import regex as rx
 from .regex import enumerate_slice  # unused, as is language_slice; perfbench's tracer patches them
 from .syntax import render_regex, render_word
 from .hds import (
-    ACCEPT, CUTOFF, END, REJECT, Hds, NameMap, RunResult, _language_keys, accepts, language_slice,
-    step,
+    ACCEPT, CUTOFF, END, PUSH, REJECT, Hds, NameMap, RunResult, _language_keys, accepts,
+    language_slice, step,
 )
 
 
@@ -161,30 +161,27 @@ def brute_slice(
     return frozenset(out)
 
 
-def naive_run(
-    h: Hds, tokens: tuple, max_depth: Optional[int] = None, initial_stack=()
-) -> RunResult:
+def naive_run(h: Hds, tokens: tuple, max_depth: Optional[int] = None) -> RunResult:
     """`hds.run` as a depth-first search that drops no frame and renames
     no binder: the referee of its truncation and its renaming.
 
-    The stack starts as the initial name map over `initial_stack`, and
-    every frame is kept.  A push transition fires at most once between
-    two consumed tokens, which ends non-consuming push loops but may
-    lose runs that push twice in a row; stacks deeper than `max_depth`
-    (default: input length + state count + 1 + the initial frames) are
-    cut, and where a cut was made and no run accepts, the outcome is
-    CUTOFF.
+    The stack starts as the initial name map, and every frame is kept.
+    A push transition fires at most once between two consumed tokens,
+    which ends non-consuming push loops but may lose runs that push
+    twice in a row; stacks deeper than `max_depth` (default: input
+    length + state count + 1) are cut, and where a cut was made and no
+    run accepts, the outcome is CUTOFF.
     """
     if max_depth is None:
-        max_depth = len(tokens) + len(h.states) + 1 + len(initial_stack)
-    start = ((h.initial, 0, (NameMap.of(h.eta),) + tuple(initial_stack)), frozenset())
+        max_depth = len(tokens) + len(h.states) + 1
+    start = ((h.initial, 0, (NameMap.of(h.eta),)), frozenset())
     seen, frontier, cut = {start}, [start], False
     while frontier:
         (state, pos, stk), gap = frontier.pop()  # gap: the pushes since a consume
         if pos == len(tokens) and state in h.finals:
             return RunResult(ACCEPT)
         for t, tok_read, stk2 in step(h, state, stk, tokens[pos] if pos < len(tokens) else END):
-            push = t.label.kind == "push"
+            push = t.label is PUSH
             if push and t in gap:
                 continue
             if len(stk2) > max_depth:

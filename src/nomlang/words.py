@@ -14,9 +14,9 @@ of binders is too deep for it.
 `alpha_key` gives each alpha-class one flat key: the token stream with
 every bound occurrence replaced by its de Bruijn index (the number of
 binders between it and its own) and binder names dropped.  Its
-elements are free `Name`s, `Letter`s, indices (`int`) and the sentinels
-`KEY_OPEN` and `KEY_CLOSE`, all hashed in C: every token is hash-consed,
-so a letter or a name is its own key element.  Indices
+elements are free `Name`s, `Letter`s, indices (`int`), the sentinel
+`KEY_OPEN` and `TCLOSE`, all hashed in C: every token is hash-consed,
+so a letter, a name or the close is its own key element.  Indices
 make concatenation plain tuple concatenation, `key_bind` binds a name
 in a key, the token length of a word is the length of its key, and
 `from_key` decodes a key to the canonical word, whose binder names come
@@ -125,22 +125,20 @@ def permute(pi: Permutation, w: MWord) -> MWord:
 # ---------------------------------------------------------------------------
 # Canonical keys
 
-class _KeyBracket:
-    """A binder bracket in a key; hashed and compared by identity."""
+class _KeyOpen:
+    """A binder's open in a key, which drops the binder's name; `KEY_OPEN`
+    is its one object, hashed and compared by identity.  A close is its
+    own key element."""
 
-    __slots__ = ("text",)
-
-    def __init__(self, text: str):
-        self.text = text
+    __slots__ = ()
 
     def __repr__(self):
-        return self.text
+        return "<."
 
 
-KEY_OPEN = _KeyBracket("<.")
-KEY_CLOSE = _KeyBracket(">")
+KEY_OPEN = _KeyOpen()
 
-Key = tuple  # of Name | Letter | int | KEY_OPEN | KEY_CLOSE
+Key = tuple  # of Name | Letter | int | KEY_OPEN | TCLOSE
 
 
 def alpha_key(w: MWord) -> Key:
@@ -159,7 +157,7 @@ def alpha_key(w: MWord) -> Key:
                 del level[n]
             else:
                 level[n] = at
-            out.append(KEY_CLOSE)
+            out.append(TCLOSE)
         else:  # a name or a letter; only a bound name has a level
             at = level.get(t)
             out.append(t if at is None else len(shadowed) - 1 - at)
@@ -175,10 +173,10 @@ def key_bind(n: Name, key: Key) -> Key:
             x = depth
         elif x is KEY_OPEN:
             depth += 1
-        elif x is KEY_CLOSE:
+        elif x is TCLOSE:
             depth -= 1
         out.append(x)
-    out.append(KEY_CLOSE)
+    out.append(TCLOSE)
     return tuple(out)
 
 
@@ -201,9 +199,8 @@ def from_key(key: Key) -> MWord:
         elif x is KEY_OPEN:
             binders.append(next(fresh))
             x = TOpen(binders[-1])
-        elif x is KEY_CLOSE:
+        elif x is TCLOSE:
             binders.pop()
-            x = TCLOSE
         out.append(x)
     return MWord(tuple(out))
 

@@ -26,13 +26,12 @@ from nomlang.regex import enumerate_slice
 from nomlang.monoids import SORTS, SORT_S, plain_words_bounded
 from nomlang.hds import (
     Hds,
-    L_POP,
-    L_PUSH,
     NameMap,
+    POP,
+    PUSH,
     Transition,
     accepts,
     language_slice,
-    lname,
     validate,
 )
 from nomlang.compiler import compile_regex
@@ -47,7 +46,7 @@ from nomlang.oracle import (
     random_regex,
 )
 
-from conftest import NAMES, LETTERS
+from conftest import NAMES, LETTERS, junk_below
 
 n, m, k = NAMES
 a, b = LETTERS
@@ -150,10 +149,10 @@ def test_criterion_3_pop_automaton_exact_language():
         eta={x: n},
         finals=frozenset({"q1"}),
         trans={
-            "q0": (Transition(lname(x), "q1", NM({x: x})),),
-            "q1": (Transition(L_PUSH, "q2", NM({x: x})),),
-            "q2": (Transition(lname(x), "q3", NM({x: x})),),
-            "q3": (Transition(L_POP, "q1", NM({x: x})),),
+            "q0": (Transition(x, "q1", NM({x: x})),),
+            "q1": (Transition(PUSH, "q2", NM({x: x})),),
+            "q2": (Transition(x, "q3", NM({x: x})),),
+            "q3": (Transition(POP, "q1", NM({x: x})),),
         },
     )
     ok = validate(h) == []
@@ -191,7 +190,7 @@ def test_criterion_4_junk_stacks_and_added_locals():
             for _ in range(rng.randint(1, 2))
         )
         plain = naive_run(h, tokens).accepted
-        junked = naive_run(h, tokens, initial_stack=frames).accepted
+        junked = naive_run(junk_below(h, frames), tokens).accepted
         if plain != junked:
             bad.append(f"stack #{i}: {render_regex(e)}")
     for i in range(30):

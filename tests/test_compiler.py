@@ -11,7 +11,7 @@ from nomlang.hds_format import serialize
 from nomlang.regex import enumerate_slice
 from nomlang.syntax import parse_nre, parse_regex, parse_word, render_word
 from nomlang.words import alpha_canonical
-from nomlang.hds import accepts_word, language_slice, validate
+from nomlang.hds import OPEN, PUSH, accepts_word, language_slice, validate
 from nomlang.compiler import (
     CompileError,
     compile_regex,
@@ -102,12 +102,12 @@ def test_session_expression_golden_shape():
     e, h = compiled("#m <#n. #m #n >*", bound=8)
     assert len(h.states) == 10
     assert sorted(v.label for v in h.eta.values()) == ["m", "m"]
-    opens = [t for _, t in h.transitions() if t.label.kind == "open"]
+    opens = [t for _, t in h.transitions() if t.label is OPEN]
     assert len(opens) == 1
     (o,) = opens
     assert STAR in set(o.sigma.values())
     assert any(v is not STAR and o.sigma.get(v) is v for v in o.sigma.domain)
-    pushes = [t for _, t in h.transitions() if t.label.kind == "push"]
+    pushes = [t for _, t in h.transitions() if t.label is PUSH]
     assert len(pushes) == 1
     (p,) = pushes
     assert list(p.sigma.values()) == [m]

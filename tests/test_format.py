@@ -1,3 +1,4 @@
+import glob
 import os
 import random
 import re
@@ -11,12 +12,13 @@ from nomlang.names import Name
 from nomlang.compiler import compile_regex
 from nomlang.oracle import random_regex
 from nomlang.syntax import parse_nre, parse_regex
-from nomlang.hds import Hds, L_EPS, NameMap, Transition, language_slice, lname, validate
+from nomlang.hds import EPS, Hds, NameMap, Transition, language_slice, validate
 from nomlang import hds_format
 from nomlang.hds_format import FormatError, parse, serialize, to_dot
 
 from conftest import NAMES, LETTERS
 
+EXPR_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "expressions")
 
 SOURCES = [
     "1",
@@ -41,6 +43,24 @@ def test_serialize_parse_roundtrip(src):
     for q in h.states:
         assert set(h2.trans.get(q, ())) == set(h.trans.get(q, ()))
     assert language_slice(h2, 6) == language_slice(h, 6)
+
+
+def _corpus_and_random_automata():
+    for path in sorted(glob.glob(os.path.join(EXPR_DIR, "*.nre"))):
+        with open(path) as f:
+            yield compile_regex(parse_nre(f.read())[0])
+    rng = random.Random(20261020)
+    for _ in range(200):
+        yield compile_regex(random_regex(rng, NAMES, LETTERS, 3))
+
+
+def test_parse_returns_each_label_as_the_same_object():
+    # a local, a letter or a move: the label `parse` reads is that very object
+    for h in _corpus_and_random_automata():
+        h2 = parse(serialize(h))
+        for q, ts in h.trans.items():
+            assert len(h2.trans[q]) == len(ts)
+            assert all(t.label is t2.label for t, t2 in zip(ts, h2.trans[q]))
 
 
 def test_parse_tolerates_comments_and_blank_lines():
@@ -103,8 +123,8 @@ def test_a_state_named_after_a_keyword_round_trips():
     h = Hds(
         states={"finals2": frozenset({x}), "initially": frozenset(), "done": frozenset()},
         initial="finals2", eta={x: Name("m")}, finals=frozenset({"done"}),
-        trans={"finals2": (Transition(lname(x), "initially", NameMap.of({})),),
-               "initially": (Transition(L_EPS, "done", NameMap.of({})),), "done": ()},
+        trans={"finals2": (Transition(x, "initially", NameMap.of({})),),
+               "initially": (Transition(EPS, "done", NameMap.of({})),), "done": ()},
     )
     assert validate(h) == []
     text = serialize(h)
@@ -120,7 +140,7 @@ def test_serialize_rejects_a_state_id_parse_cannot_read_back(bad):
     # automaton with no error; `initial`, `finals` and `a b` would not parse
     for q0, q1 in [(bad, "q1"), ("q0", bad)]:
         h = Hds(states={q0: frozenset(), q1: frozenset()}, initial=q0, eta={},
-                finals=frozenset({q1}), trans={q0: (Transition(L_EPS, q1, NameMap.of({})),), q1: ()})
+                finals=frozenset({q1}), trans={q0: (Transition(EPS, q1, NameMap.of({})),), q1: ()})
         with pytest.raises(FormatError, match=re.escape(f"state id {bad!r}")):
             serialize(h)
 
@@ -141,7 +161,7 @@ def test_serialize_rejects_a_local_parse_cannot_read_back(bad):
     x = Name(bad)
     h = Hds(states={"q0": frozenset({x}), "q1": frozenset({x})}, initial="q0",
             eta={x: Name("m")}, finals=frozenset({"q1"}),
-            trans={"q0": (Transition(lname(x), "q1", NameMap.of({x: x})),), "q1": ()})
+            trans={"q0": (Transition(x, "q1", NameMap.of({x: x})),), "q1": ()})
     assert validate(h) == []
     with pytest.raises(FormatError, match=re.escape(f"local {bad!r}")):
         serialize(h)
@@ -156,7 +176,7 @@ def test_serialize_names_the_role_of_a_name_it_cannot_write(role):
 
     h = Hds(states={"q0": frozenset({pick("local")}), "q1": frozenset({x})}, initial="q0",
             eta={x: pick("eta name")}, finals=frozenset({"q1"}),
-            trans={"q0": (Transition(lname(pick("label name")), "q1",
+            trans={"q0": (Transition(pick("label name"), "q1",
                                      NameMap.of({x: pick("map entry")})),), "q1": ()})
     with pytest.raises(FormatError, match=re.escape(f"{role} 'x>y'")):
         serialize(h)
@@ -201,7 +221,7 @@ def test_to_dot_mentions_every_state_and_label():
 def test_to_dot_escapes_the_state_in_its_label():
     x = Name("x")
     h = Hds(states={'q"0': frozenset({x}), 'q"1': frozenset()}, initial='q"0', eta={},
-            finals=frozenset({'q"1'}), trans={'q"0': (Transition(L_EPS, 'q"1', NameMap.of({})),)})
+            finals=frozenset({'q"1'}), trans={'q"0': (Transition(EPS, 'q"1', NameMap.of({})),)})
     dot = to_dot(h)
     assert '"q\\"0" [shape=circle, label="q\\"0\\n{x}"];' in dot
     assert '"q\\"1" [shape=doublecircle, label="q\\"1"];' in dot

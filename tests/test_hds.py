@@ -12,15 +12,16 @@ from nomlang.names import Letter, Name, STAR
 from nomlang.hds import (
     ACCEPT,
     BOTTOM,
+    CLOSE,
     CUTOFF,
     END,
+    EPS,
     Hds,
-    L_CLOSE,
-    L_EPS,
-    L_OPEN,
-    L_POP,
-    L_PUSH,
+    Move,
     NameMap,
+    OPEN,
+    POP,
+    PUSH,
     REJECT,
     Transition,
     Undecided,
@@ -28,8 +29,6 @@ from nomlang.hds import (
     accepts_word,
     compose,
     language_slice,
-    lname,
-    lletter,
     push_frame,
     run,
     stack_update,
@@ -38,15 +37,16 @@ from nomlang.hds import (
 )
 from nomlang.compiler import compile_regex
 from nomlang.words import (
-    TCLOSE, TOpen, alpha_canonical, alpha_key, from_key, parse_tokens, tokenize,
+    TCLOSE, MWord, TOpen, alpha_canonical, alpha_key, from_key, parse_tokens, tokenize,
 )
 from nomlang.syntax import parse_nre, parse_regex, parse_word, render_word
 from nomlang.oracle import (
     brute_slice, naive_run, near_misses, random_mword, random_regex, trace_follows_step,
 )
 from nomlang.regex import enumerate_slice
+from nomlang.hds_format import FormatError, serialize
 
-from conftest import NAMES, LETTERS
+from conftest import NAMES, LETTERS, junk_below
 
 n, m, k = NAMES
 a, b = LETTERS
@@ -123,14 +123,14 @@ def test_push_frame_resolves_through_top():
 def test_step_defines_every_move():
     # one transition of each kind out of q, each to a target named after it
     moves = {
-        "name": (lname(x), NM({x: x})),
-        "unmapped": (lname(y), NM({x: x})),  # y has no meaning in the top frame
-        "letter": (lletter(a), BOTTOM),
-        "eps": (L_EPS, NM({y: x})),
-        "push": (L_PUSH, NM({x: x, y: m})),
-        "pop": (L_POP, NM({x: x})),
-        "open": (L_OPEN, NM({y: STAR, x: x})),
-        "close": (L_CLOSE, NM({x: x})),
+        "name": (x, NM({x: x})),
+        "unmapped": (y, NM({x: x})),  # y has no meaning in the top frame
+        "letter": (a, BOTTOM),
+        "eps": (EPS, NM({y: x})),
+        "push": (PUSH, NM({x: x, y: m})),
+        "pop": (POP, NM({x: x})),
+        "open": (OPEN, NM({y: STAR, x: x})),
+        "close": (CLOSE, NM({x: x})),
     }
     h = Hds(
         states={"q": frozenset({x, y}), **{q: frozenset({x, y}) for q in moves}},
@@ -182,10 +182,10 @@ def push_pop_hds():
         eta={x: n},
         finals=frozenset({"q4"}),
         trans={
-            "q0": (Transition(L_PUSH, "q1", NM({y: m, x: x})),),
-            "q1": (Transition(lname(y), "q2", NM({x: x})),),
-            "q2": (Transition(L_POP, "q3", NM({x: x})),),
-            "q3": (Transition(lname(x), "q4", NM({})),),
+            "q0": (Transition(PUSH, "q1", NM({y: m, x: x})),),
+            "q1": (Transition(y, "q2", NM({x: x})),),
+            "q2": (Transition(POP, "q3", NM({x: x})),),
+            "q3": (Transition(x, "q4", NM({})),),
             "q4": (),
         },
     )
@@ -206,10 +206,10 @@ def open_close_hds():
         eta={x: n},
         finals=frozenset({"p4"}),
         trans={
-            "p0": (Transition(L_OPEN, "p1", NM({y: STAR, x: x})),),
-            "p1": (Transition(lname(y), "p2", NM({x: x})),),
-            "p2": (Transition(lname(x), "p3", NM({})),),
-            "p3": (Transition(L_CLOSE, "p4", BOTTOM),),
+            "p0": (Transition(OPEN, "p1", NM({y: STAR, x: x})),),
+            "p1": (Transition(y, "p2", NM({x: x})),),
+            "p2": (Transition(x, "p3", NM({})),),
+            "p3": (Transition(CLOSE, "p4", BOTTOM),),
             "p4": (),
         },
     )
@@ -227,13 +227,51 @@ def test_validate_flags_problems(push_pop_hds):
     bad = Hds(h.states, h.initial, {y: n}, h.finals, h.trans)
     assert any("eta" in p for p in validate(bad))
     bad_trans = dict(h.trans)
-    bad_trans["q3"] = (Transition(lname(y), "q4", NM({})),)  # y not local to q3
+    bad_trans["q3"] = (Transition(y, "q4", NM({})),)  # y not local to q3
     bad = Hds(h.states, h.initial, h.eta, h.finals, bad_trans)
     assert any("label name" in p for p in validate(bad))
     bad_trans = dict(h.trans)
-    bad_trans["q0"] = (Transition(L_EPS, "q1", NM({x: x, y: x})),)
+    bad_trans["q0"] = (Transition(EPS, "q1", NM({x: x, y: x})),)
     bad = Hds(h.states, h.initial, h.eta, h.finals, bad_trans)
     assert any("injective" in p for p in validate(bad))
+
+
+# a label that is no local name, no letter and none of the five moves; at
+# a misspelled keyword, a transition ran as a close and accepted a close
+FOREIGN_LABELS = {"str": "open", "open token": TOpen(n), "close token": TCLOSE,
+                  "unknown move": Move("opne"), "none": None}
+
+
+@pytest.mark.parametrize("label", FOREIGN_LABELS.values(), ids=FOREIGN_LABELS.keys())
+def test_validate_rejects_a_foreign_label(label):
+    h = Hds({"q0": frozenset(), "q1": frozenset()}, "q0", {}, frozenset({"q1"}),
+            {"q0": (Transition(label, "q1", BOTTOM),), "q1": ()})
+    assert validate(h) == [f"q0 --{label!r}[_|_]--> q1: label is no name, letter or move"]
+    # written as its repr, "open" would read back as the open move
+    with pytest.raises(FormatError, match="is no name, letter or move"):
+        serialize(h)
+    # no move reads or skips with it
+    for tokens in [(), (TCLOSE,), (TOpen(n), TCLOSE), (n,)]:
+        assert run(h, tokens).outcome == REJECT
+        assert naive_run(h, tokens).outcome == REJECT
+    assert language_slice(h, 2) == frozenset()
+
+
+def test_a_letter_and_a_name_of_one_spelling_read_apart():
+    # the letter move reads `a`, the name move reads `#a`, its local's meaning
+    la, na = Letter("a"), Name("a")
+    h = Hds({"q0": frozenset({x}), "q1": frozenset({x}), "q2": frozenset()}, "q0", {x: na},
+            frozenset({"q2"}),
+            {"q0": (Transition(la, "q1", NM({x: x})), Transition(x, "q2", BOTTOM)),
+             "q1": (Transition(x, "q2", BOTTOM),), "q2": ()})
+    assert validate(h) == []
+    accepted = {(na,), (la, na)}
+    for length in range(3):
+        for tokens in itertools.product((la, na), repeat=length):
+            want = ACCEPT if tokens in accepted else REJECT
+            assert run(h, tokens).outcome == naive_run(h, tokens).outcome == want, tokens
+    assert language_slice(h, 3) == {MWord(w) for w in accepted}
+    assert brute_slice(h, 3, frozenset({na}), frozenset({la})) == language_slice(h, 3)
 
 
 def test_push_pop_language(push_pop_hds):
@@ -263,8 +301,8 @@ def test_letter_transitions():
         eta={},
         finals=frozenset({"q1"}),
         trans={
-            "q0": (Transition(lletter(a), "q1", BOTTOM),),
-            "q1": (Transition(lletter(b), "q0", BOTTOM),),
+            "q0": (Transition(a, "q1", BOTTOM),),
+            "q1": (Transition(b, "q0", BOTTOM),),
         },
     )
     assert accepts(h, (a,))
@@ -279,8 +317,8 @@ def test_junk_frames_below_eta_are_inert(push_pop_hds):
     good = (m, n)
     bad = (n, m)
     for junk in ((), (NM({x: k}),), (NM({x: m}), NM({y: n}))):
-        assert naive_run(h, good, initial_stack=junk).outcome == ACCEPT
-        assert naive_run(h, bad, initial_stack=junk).outcome == REJECT
+        assert naive_run(junk_below(h, junk), good).outcome == ACCEPT
+        assert naive_run(junk_below(h, junk), bad).outcome == REJECT
 
 
 def test_push_loop_terminates_without_consuming():
@@ -291,7 +329,7 @@ def test_push_loop_terminates_without_consuming():
         initial="q0",
         eta={x: n},
         finals=frozenset({"q0"}),
-        trans={"q0": (Transition(L_PUSH, "q0", NM({x: x})),)},
+        trans={"q0": (Transition(PUSH, "q0", NM({x: x})),)},
     )
     assert accepts(h, ())
     assert not accepts(h, (m,))
@@ -337,8 +375,8 @@ def test_depth_cutoff_reported():
         eta={x: n},
         finals=frozenset({"q1"}),
         trans={
-            "q0": (Transition(L_PUSH, "q0", NM({x: x})),
-                   Transition(lname(x), "q1", NM({x: x})),),
+            "q0": (Transition(PUSH, "q0", NM({x: x})),
+                   Transition(x, "q1", NM({x: x})),),
             "q1": (),
         },
     )
@@ -353,15 +391,15 @@ def _double_push_hds(with_pop: bool) -> Hds:
     states = {"qs": frozenset({x}), "q0": frozenset({x, y}),
               "q1": frozenset({x}), "q2": frozenset()}
     trans = {
-        "qs": (Transition(L_OPEN, "q0", NM({x: x, y: STAR})),),
-        "q0": (Transition(L_PUSH, "q0", NM({x: m})),
-               Transition(L_CLOSE, "q1", NM({x: x}))),
-        "q1": (Transition(lname(x), "q2", NM({})),),
+        "qs": (Transition(OPEN, "q0", NM({x: x, y: STAR})),),
+        "q0": (Transition(PUSH, "q0", NM({x: m})),
+               Transition(CLOSE, "q1", NM({x: x}))),
+        "q1": (Transition(x, "q2", NM({})),),
         "q2": (),
     }
     if with_pop:  # unreachable, but it keeps `run` from dropping frames
         states["q3"] = frozenset()
-        trans["q3"] = (Transition(L_POP, "q3", NM({})),)
+        trans["q3"] = (Transition(POP, "q3", NM({})),)
     h = Hds(states, "qs", {x: n}, frozenset({"q2"}), trans)
     assert validate(h) == []
     return h
@@ -390,7 +428,7 @@ def _escape(h: Hds, then_bind: bool = True) -> Hds:
     """`h`, a `_double_push_hds`, with `open[x>*]`: after one push the close
     reads the open's own frame, so the allocated name escapes its binder.
     With `then_bind`, the escaped name is read inside a second binder."""
-    trans = h.trans | {"qs": (Transition(L_OPEN, "q0", NM({x: STAR})),)}
+    trans = h.trans | {"qs": (Transition(OPEN, "q0", NM({x: STAR})),)}
     if not then_bind:
         return replace(h, trans=trans)
     return replace(
@@ -398,9 +436,9 @@ def _escape(h: Hds, then_bind: bool = True) -> Hds:
         states=h.states | {"q3": frozenset({x, y}), "q4": frozenset(), "q5": frozenset()},
         finals=frozenset({"q5"}),
         trans=trans | {
-            "q1": (Transition(L_OPEN, "q3", NM({x: x, y: STAR})),),
-            "q3": (Transition(lname(x), "q4", BOTTOM),),
-            "q4": (Transition(L_CLOSE, "q5", BOTTOM),),
+            "q1": (Transition(OPEN, "q3", NM({x: x, y: STAR})),),
+            "q3": (Transition(x, "q4", BOTTOM),),
+            "q4": (Transition(CLOSE, "q5", BOTTOM),),
             "q5": (),
         },
     )
@@ -422,10 +460,10 @@ def _push_constant_hds() -> Hds:
         eta={x: m},
         finals=frozenset({"q4"}),
         trans={
-            "q0": (Transition(L_PUSH, "q1", NM({x: Name("~0")})),),
-            "q1": (Transition(L_OPEN, "q2", NM({x: x, y: STAR})),),
-            "q2": (Transition(lname(x), "q3", BOTTOM),),
-            "q3": (Transition(L_CLOSE, "q4", BOTTOM),),
+            "q0": (Transition(PUSH, "q1", NM({x: Name("~0")})),),
+            "q1": (Transition(OPEN, "q2", NM({x: x, y: STAR})),),
+            "q2": (Transition(x, "q3", BOTTOM),),
+            "q3": (Transition(CLOSE, "q4", BOTTOM),),
             "q4": (),
         },
     )
@@ -442,9 +480,9 @@ def _unbalanced_hds() -> Hds:
         eta={},
         finals=frozenset({"q3"}),
         trans={
-            "q0": (Transition(L_CLOSE, "q1", BOTTOM),),
-            "q1": (Transition(L_OPEN, "q2", NM({x: STAR})),),
-            "q2": (Transition(lname(x), "q3", BOTTOM),),
+            "q0": (Transition(CLOSE, "q1", BOTTOM),),
+            "q1": (Transition(OPEN, "q2", NM({x: STAR})),),
+            "q2": (Transition(x, "q3", BOTTOM),),
             "q3": (),
         },
     )
@@ -580,9 +618,9 @@ def test_slice_raises_where_the_search_is_cut(tmp_path, capsys):
 
     states = {"q0": frozenset({x}), "q1": frozenset({x}), "q2": frozenset()}
     trans = {
-        "q0": (Transition(L_PUSH, "q0", NM({x: x})),
-               Transition(lname(x), "q1", NM({x: x}))),
-        "q1": (Transition(L_POP, "q2", NM({})),),
+        "q0": (Transition(PUSH, "q0", NM({x: x})),
+               Transition(x, "q1", NM({x: x}))),
+        "q1": (Transition(POP, "q2", NM({})),),
         "q2": (),
     }
     h = Hds(states, "q0", {x: n}, frozenset({"q2"}), trans)
@@ -602,7 +640,7 @@ def test_slice_raises_where_the_search_is_cut(tmp_path, capsys):
 def _pop_hds(trans: dict, finals: set) -> Hds:
     """A hand-built automaton with no locals and an unreachable pop loop,
     so the searches keep whole stacks and cap their depth."""
-    trans = dict(trans, qp=(Transition(L_POP, "qp", NM({})),))
+    trans = dict(trans, qp=(Transition(POP, "qp", NM({})),))
     states = dict.fromkeys(set(trans) | {t.target for ts in trans.values() for t in ts},
                            frozenset())
     h = Hds(states, "q0", {}, frozenset(finals), trans)
@@ -615,10 +653,10 @@ def test_slice_raises_only_where_a_cut_branch_could_finish_in_time():
     # from q1 a word needs three more letters: below bound 3 the cut
     # branch could not have finished, so the slice is exact
     h = _pop_hds({
-        "q0": (Transition(lletter(a), "qf", NM({})), Transition(L_EPS, "q1", NM({}))),
-        "q1": (Transition(L_PUSH, "q1", NM({})), Transition(lletter(a), "q2", NM({}))),
-        "q2": (Transition(lletter(a), "q3", NM({})),),
-        "q3": (Transition(lletter(a), "q4", NM({})),),
+        "q0": (Transition(a, "qf", NM({})), Transition(EPS, "q1", NM({}))),
+        "q1": (Transition(PUSH, "q1", NM({})), Transition(a, "q2", NM({}))),
+        "q2": (Transition(a, "q3", NM({})),),
+        "q3": (Transition(a, "q4", NM({})),),
     }, {"qf", "q4"})
     for bound in (1, 2):
         assert language_slice(h, bound) == {parse_word("a")}
@@ -631,8 +669,8 @@ def test_a_cut_branch_that_cannot_finish_is_no_cutoff():
     # the push loop on qd reaches the cap, but qd has no path to a final
     # state: the branch is dropped, so the verdicts are exact
     h = _pop_hds({
-        "q0": (Transition(lletter(a), "qf", NM({})), Transition(L_EPS, "qd", NM({}))),
-        "qd": (Transition(L_PUSH, "qd", NM({})),),
+        "q0": (Transition(a, "qf", NM({})), Transition(EPS, "qd", NM({}))),
+        "qd": (Transition(PUSH, "qd", NM({})),),
     }, {"qf"})
     assert run(h, (a,)).outcome == ACCEPT
     assert run(h, (a, a)).outcome == REJECT
@@ -722,9 +760,9 @@ def test_truncation_keeps_the_top_frame_before_an_unclosed_open():
         eta={y: m},
         finals=frozenset({"q3"}),
         trans={
-            "q0": (Transition(lletter(a), "q1", NM({y: y})),),
-            "q1": (Transition(L_OPEN, "q2", NM({x: STAR, y: y})),),
-            "q2": (Transition(lname(y), "q3", NM({})),),
+            "q0": (Transition(a, "q1", NM({y: y})),),
+            "q1": (Transition(OPEN, "q2", NM({x: STAR, y: y})),),
+            "q2": (Transition(y, "q3", NM({})),),
             "q3": (),
         },
     )
@@ -1007,10 +1045,10 @@ def test_slice_keys_come_once_each():
         eta={x: n},
         finals=frozenset({"q1"}),
         trans={
-            "q0": (Transition(lname(x), "q1", NM({x: x})),),
-            "q1": (Transition(L_PUSH, "q2", NM({x: x})),),
-            "q2": (Transition(lname(x), "q3", NM({x: x})),),
-            "q3": (Transition(L_POP, "q1", NM({x: x})),),
+            "q0": (Transition(x, "q1", NM({x: x})),),
+            "q1": (Transition(PUSH, "q2", NM({x: x})),),
+            "q2": (Transition(x, "q3", NM({x: x})),),
+            "q3": (Transition(POP, "q1", NM({x: x})),),
         },
     )
     cases.append((loop, 6))
@@ -1162,7 +1200,7 @@ def test_a_node_reached_again_is_expanded_once(monkeypatch):
     from nomlang import hds
 
     h = Hds({"q": frozenset()}, "q", {}, frozenset({"q"}),
-            {"q": (Transition(lletter(a), "q", NM({})),)})
+            {"q": (Transition(a, "q", NM({})),)})
     assert validate(h) == []
     assert len(language_slice(h, 3)) == 4 and len(language_slice(h, 2)) == 3
     assert len(h._search.graph) == 1
@@ -1177,8 +1215,8 @@ def test_a_slice_expands_no_node_it_cannot_close_in_time():
     # word of at most 5 tokens closes what it opens, so no expanded node
     # is deeper than 2, though `steps_to_final` alone would allow it
     h = Hds({"q0": frozenset(), "qf": frozenset()}, "q0", {}, frozenset({"qf"}),
-            {"q0": (Transition(L_OPEN, "q0", NM({})), Transition(lletter(a), "qf", NM({}))),
-             "qf": (Transition(L_CLOSE, "qf", NM({})),)})
+            {"q0": (Transition(OPEN, "q0", NM({})), Transition(a, "qf", NM({}))),
+             "qf": (Transition(CLOSE, "qf", NM({})),)})
     assert validate(h) == []
     assert {render_word(w) for w in language_slice(h, 5)} == {
         "a", "<#~0. a >", "<#~0. <#~1. a > >"}
@@ -1186,7 +1224,7 @@ def test_a_slice_expands_no_node_it_cannot_close_in_time():
 
 
 def _read_a(h):
-    return replace(h, trans=h.trans | {"q1": (Transition(lletter(a), "q2", BOTTOM),)})
+    return replace(h, trans=h.trans | {"q1": (Transition(a, "q2", BOTTOM),)})
 
 
 def _eta_n(h):

@@ -325,7 +325,7 @@ def _reference_decode(tag: str, key):
 
     from nomlang.monoids import GWord, LWord, SWord
     from nomlang.names import canonical_supply
-    from nomlang.words import KEY_CLOSE, KEY_OPEN, TCLOSE, MWord, TOpen
+    from nomlang.words import KEY_OPEN, TCLOSE, MWord, TOpen
 
     body, k = _body_and_binders(tag, key)
     names = list(islice(canonical_supply([x for x in body if type(x) is Name]), k))
@@ -342,9 +342,8 @@ def _reference_decode(tag: str, key):
         elif x is KEY_OPEN:
             binders.append(next(fresh))
             x = TOpen(binders[-1])
-        elif x is KEY_CLOSE:
+        elif x is TCLOSE:
             binders.pop()
-            x = TCLOSE
         out.append(x)
     return MWord(tuple(out)) if tag == "M" else GWord(tuple(out))
 

@@ -7,7 +7,6 @@ from nomlang.names import Name, Letter, Permutation, STAR
 from nomlang import monoids
 from nomlang.words import (
     EPSILON,
-    KEY_CLOSE,
     KEY_OPEN,
     MWord,
     alpha_canonical,
@@ -217,7 +216,7 @@ def test_alpha_key_uses_de_bruijn_indices():
     assert [x for x in keys if isinstance(x, int)] == [0, 1, 0]
     assert keys[-1] is n
     # every element hashes in C: a key holds the hash-consed tokens
-    assert all(type(x) in (Name, Letter, int) or x in (KEY_OPEN, KEY_CLOSE) for x in keys)
+    assert all(type(x) in (Name, Letter, int) or x in (KEY_OPEN, TCLOSE) for x in keys)
 
 
 def test_tokens_are_hash_consed():
