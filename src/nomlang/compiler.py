@@ -17,13 +17,18 @@ the transitions out of each state, in order, as (label, target, sigma
 dict) triples.  A label is what the move reads: the local of a name
 move, the letter of a letter move, or one of the `hds.MOVES`.  A
 construction works on fragments (`_Frag`: a state list, initial state,
-finals, initial meanings and relaxed flag) and edits the tables in
-place; the `NameMap`s, `Transition`s and the one `Hds` are made at the
-end.  So threading a local through an operand costs one dict insert
-per transition, the size of what it adds to the output, and no
+finals and initial meanings) and edits the tables in place; the
+`NameMap`s, `Transition`s and the one `Hds` are made at the end.  So
+threading a local through an operand costs one dict insert per
+transition, the size of what it adds to the output, and no
 construction copies the automaton built so far.
 
-Two points deserve attention:
+Three points deserve attention:
+
+* Locals skip the expression's free names and, from the moment a
+  binder's body is compiled, the binder's name.  So inside a binder no
+  local is its bound name, a pushed frame's global name is never taken
+  for a threaded local, and every expression compiles.
 
 * Concatenation threads each initial local `x` of its right operand
   through every state and transition of its left operand with the
@@ -34,9 +39,8 @@ Two points deserve attention:
 * Binding a name whose initial map has several preimages (which
   arises as soon as the bound name occurs both directly in a
   concatenation and inside a nested binder) maps every preimage to the
-  placeholder.  The resulting open transition is injective only in the
-  relaxed sense (all collisions are at the placeholder), so the
-  automaton is flagged accordingly.
+  placeholder.  The resulting open map is injective up to repeats of
+  the placeholder, which `Hds.relaxed_star` reports.
 """
 
 from __future__ import annotations
@@ -78,10 +82,9 @@ class _Frag:
     initial: str
     finals: set[str]
     eta: dict[Name, Name]  # initial meaning of the initial state's locals
-    relaxed: bool = False
     reentered: bool = False  # some transition targets `initial`
     pushes: list[dict] = field(default_factory=list)  # the sigma of each push
-    pushed: set[Name] = field(default_factory=set)  # every value they may hold
+    pushed: set[Name] = field(default_factory=set)  # the global names they hold
 
 
 class _Build:
@@ -89,13 +92,14 @@ class _Build:
 
     The tables name the states: the n-th state made is ``q{n}``.  Local
     names are ``x0``, ``x1``, ... in the order they are made, skipping
-    the free names of the expression.  A construction takes its
-    operands' fragments over, edits them and the tables in place, and
-    returns the fragment of its result.
+    the free names of the expression and the names of the binders met
+    so far.  A construction takes its operands' fragments over, edits
+    them and the tables in place, and returns the fragment of its
+    result.
     """
 
     def __init__(self, avoid: frozenset[Name]):
-        self.avoid = avoid  # the expression's free names
+        self.avoid = avoid  # the expression's free names, then binder names
         self.next_local = 0
         self.locals: dict[str, set[Name]] = {}
         self.trans: dict[str, list[tuple]] = {}  # (label, target, sigma dict)
@@ -124,7 +128,6 @@ class _Build:
                           for label, target, sigma in self.trans[q]])
                 for q in f.states
             },
-            relaxed_star=f.relaxed,
         )
 
     def compile(self, e: rx.Regex) -> _Frag:
@@ -152,15 +155,14 @@ class _Build:
         if isinstance(e, rx.Star):
             return self.star(self.compile(e.body))
         if isinstance(e, rx.Binder):
+            self.avoid |= {e.name}  # no local of the body is taken for its name
             return self.bind(e.name, self.compile(e.body))
         raise CompileError(f"unknown expression node {type(e).__name__}")
 
     def _join(self, f1: _Frag, f2: _Frag) -> _Frag:
-        """`f1` with the states, initial meanings, relaxed flag and pushes of
-        `f2` joined in."""
+        """`f1` with the states, initial meanings and pushes of `f2` joined in."""
         f1.states += f2.states
         f1.eta |= f2.eta
-        f1.relaxed = f1.relaxed or f2.relaxed
         f1.pushes += f2.pushes
         f1.pushed |= f2.pushed
         return f1
@@ -176,8 +178,6 @@ class _Build:
 
     def _thread(self, f: _Frag, names: set[Name]) -> None:
         """Add `names` to every state of `f` and `x>x` to every sigma not yet defined on `x`."""
-        if f.pushes:
-            f.pushed |= names
         for q in f.states:
             self.locals[q] |= names
             for _, _, sigma in self.trans[q]:
@@ -248,8 +248,8 @@ class _Build:
 
         Every initial local denoting `n` is sent to the placeholder by the
         open transition, so it picks up the allocated name.  With several
-        such locals the open map is injective only up to placeholder
-        collisions and the automaton is flagged as relaxed.
+        such locals the open map sends them all to the placeholder, which
+        `Hds.relaxed_star` reports.
         """
         qf = self._unique_final(f)
         loc0 = frozenset(self.locals[f.initial])
@@ -264,7 +264,6 @@ class _Build:
         f.reentered = False
         f.finals = {q_close}
         f.eta = {x: v for x, v in f.eta.items() if x not in bound}
-        f.relaxed = f.relaxed or len(bound) > 1
         return f
 
     def _repoint_stale_pushes(self, f: _Frag, n: Name, bound: set[Name]) -> None:
@@ -275,16 +274,20 @@ class _Build:
         fix: thread the initial locals that denote `n` through every state,
         then replace `n` in pushed frames by such a local, which resolves
         to the allocated name at push time.
+
+        No local of the body is `n` itself (`compile` keeps binder names
+        from the locals), so `f.pushed`, the global names of the push
+        frames, holds `n` exactly when a frame records the bound name.
+        A push's frame is its star body's initial meanings, which stay
+        initial meanings of every fragment built around it until a
+        binder of their name, so `bound` is not empty then.
         """
-        if n not in f.pushed or not any(v is n for sigma in f.pushes for v in sigma.values()):
+        if n not in f.pushed:
             return
-        if not bound:
-            raise CompileError(
-                f"push frame mentions {n.label} but no initial local denotes it"
-            )
         anchor = min(bound)
         for sigma in f.pushes:
             for k, v in sigma.items():
                 if v is n:
                     sigma[k] = anchor
+        f.pushed.discard(n)
         self._thread(f, bound)

@@ -167,17 +167,10 @@ class NameMap:
     def values(self):
         return [v for _, v in self.entries]
 
-    def is_injective(self, relaxed_star: bool = False) -> bool:
-        seen_names = set()
-        star_preimages = 0
-        for _, v in self.entries:
-            if v is STAR:
-                star_preimages += 1
-            else:
-                if v in seen_names:
-                    return False
-                seen_names.add(v)
-        return relaxed_star or star_preimages <= 1
+    def is_injective(self) -> bool:
+        """No two entries share a name; the placeholder `*` may repeat."""
+        names = [v for _, v in self.entries if v is not STAR]
+        return len(set(names)) == len(names)
 
     def __repr__(self):
         if not self.entries:
@@ -260,28 +253,34 @@ class Transition:
 class Hds:
     """An automaton: named states, initial name bindings, finals,
     transitions.  It is immutable: a changed automaton is made with
-    `dataclasses.replace` or the constructor."""
+    `dataclasses.replace` or the constructor.  `relaxed_star` says
+    whether some open map sends several locals to the placeholder, as
+    binding a name that several initial locals denote does."""
 
     states: Mapping[str, frozenset[Name]]  # state id -> local names
     initial: str
     eta: Mapping[Name, Name]  # initial meaning of the initial state's locals
     finals: frozenset[str]
     trans: Mapping[str, tuple[Transition, ...]]
-    relaxed_star: bool = False  # allow several star preimages in sigma
 
-    def __init__(self, states, initial, eta, finals, trans, relaxed_star=False):
+    def __init__(self, states, initial, eta, finals, trans):
         # read-only views of copies no caller holds, set in one update: a frozen
         # dataclass's own __init__ sets each field by object.__setattr__, slower
         self.__dict__.update(
             states=MappingProxyType(dict(states)), initial=initial,
             eta=MappingProxyType(dict(eta)), finals=frozenset(finals),
-            trans=MappingProxyType(dict(trans)), relaxed_star=relaxed_star)
+            trans=MappingProxyType(dict(trans)))
 
     @cached_property
     def _search(self) -> "_SearchState":
         """What the searches keep between calls (module docstring); it is in
         the instance dict, not a field, so `dataclasses.replace` starts anew."""
         return _SearchState(self)
+
+    @property
+    def relaxed_star(self) -> bool:
+        return any(t.label is OPEN and t.sigma.values().count(STAR) > 1
+                   for _, t in self.transitions())
 
     def letters(self) -> frozenset[Letter]:
         return frozenset(t.label for ts in self.trans.values() for t in ts
@@ -340,7 +339,7 @@ def validate(h: Hds) -> list[str]:
                         fault(q, t, "sigma value outside source locals")
             # push frames assign global names like eta does, which need
             # not be injective; all other maps must be
-            if label is not PUSH and not t.sigma.is_injective(h.relaxed_star):
+            if label is not PUSH and not t.sigma.is_injective():
                 fault(q, t, "sigma not injective")
     return bad
 

@@ -19,15 +19,17 @@ the keywords below are reserved), or the keyword of one of the
 returns each label as that very object.  The name map is a
 comma-separated list of ``x>y`` entries, ``x>*`` sending a local to
 the allocation placeholder, and ``[]`` for the empty map.  A final
-line ``relaxed`` marks automata whose open maps may send several
-locals to the placeholder.  `serialize` raises `FormatError`, naming
-the identifier and its role, on one that `parse` would not read back as
-itself, and `parse` on one that `serialize` would refuse to write, so
-one rule governs both directions: a state id must be one word, not a
-section keyword and not starting with ``//`` (a comment); a letter an
-identifier that is not a move keyword; and a name (a local, an eta
-name, a label name or a map entry) one word without ``,``, ``>``,
-``[``, ``]`` or ``=#``, and not ``*``.
+line ``relaxed`` marks an automaton some open map of which sends
+several locals to the placeholder (`Hds.relaxed_star`): `serialize`
+writes it exactly then, and `parse` refuses such a map without it.
+`serialize` raises `FormatError`, naming the identifier and its role,
+on one that `parse` would not read back as itself, and `parse` on one
+that `serialize` would refuse to write, so one rule governs both
+directions: a state id must be one word, not a section keyword and not
+starting with ``//`` (a comment); a letter an identifier that is not a
+move keyword; and a name (a local, an eta name, a label name or a map
+entry) one word without ``,``, ``>``, ``[``, ``]`` or ``=#``, and not
+``*``.
 """
 
 from __future__ import annotations
@@ -207,14 +209,16 @@ def parse(text: str) -> Hds:
     unknown = set(trans) - set(states)
     if unknown:
         raise FormatError(f"transitions from undeclared states {sorted(unknown)}")
-    return Hds(
+    h = Hds(
         states=states,
         initial=initial,
         eta=eta,
         finals=finals or frozenset(),
         trans={q: tuple(ts) for q, ts in trans.items()},
-        relaxed_star=relaxed,
     )
+    if h.relaxed_star and not relaxed:
+        raise FormatError("an open map sends several locals to * but no relaxed line is given")
+    return h
 
 
 # ---------------------------------------------------------------------------

@@ -26,15 +26,14 @@ from .words import (
     from_key,
     parse_tokens,
     support,
-    tokenize,
 )
 from .monoids import SORTS, SortOps
 from . import regex as rx
 from .regex import enumerate_slice  # unused, as is language_slice; perfbench's tracer patches them
 from .syntax import render_regex, render_word
 from .hds import (
-    ACCEPT, CUTOFF, END, PUSH, REJECT, Hds, NameMap, RunResult, _language_keys, accepts,
-    language_slice, step,
+    ACCEPT, CUTOFF, END, PUSH, REJECT, Hds, NameMap, RunResult, _language_keys,
+    accepts_word, language_slice, step,
 )
 
 
@@ -133,13 +132,13 @@ def brute_slice(
     """Accepted words up to the bound, by checking every balanced stream.
 
     Every stream over the pool is parsed to a candidate word, and
-    membership is decided on the candidate's canonical tokenization,
-    since acceptance of a raw stream may depend on which representative
-    of the word it spells.  `accepts_word` also names the binders apart
-    from the automaton's constants (`hds.word_stream`), so the two may
-    differ where a canonical binder name is a constant: on an automaton
-    that pushes ``~0`` and reads it inside a binder, this lists
-    ``<#~0. #~0 >`` and `accepts_word` rejects it.
+    membership is decided by `accepts_word`, once per word, since
+    acceptance of a raw stream may depend on which representative of the
+    word it spells.  It names the binders apart from the automaton's
+    constants (`hds.word_stream`), so an open allocates a name fresh for
+    the whole configuration, constants included: on an automaton that
+    pushes ``~0`` and reads it inside a binder, ``<#~0. #~0 >`` is not
+    listed.
     The pool must be large enough to spell every candidate (at least
     the automaton's free names plus the maximal number of simultaneously
     visible distinct names).  Exponential in the bound; use only at tiny
@@ -154,7 +153,7 @@ def brute_slice(
             w = alpha_canonical(parse_tokens(stream))
             if w in out or w in rejected:
                 continue
-            if accepts(h, tokenize(w)):
+            if accepts_word(h, w):
                 out.add(w)
             else:
                 rejected.add(w)

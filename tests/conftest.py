@@ -34,5 +34,4 @@ def junk_below(h: Hds, frames: tuple) -> Hds:
         finals=h.finals,
         trans=dict(h.trans) | {q: (Transition(PUSH, target, sigma),)
                                for q, target, sigma in zip(ids, targets, chain)},
-        relaxed_star=h.relaxed_star,
     )

@@ -169,7 +169,7 @@ def _with_added_local(h: Hds, x: Name) -> Hds:
     trans = {q: tuple(Transition(t.label, t.target, NameMap.of(t.sigma.as_dict() | {x: x}))
                       for t in ts)
              for q, ts in h.trans.items()}
-    return Hds(states, h.initial, h.eta, h.finals, trans, h.relaxed_star)
+    return Hds(states, h.initial, h.eta, h.finals, trans)
 
 
 def test_criterion_4_junk_stacks_and_added_locals():

@@ -9,6 +9,7 @@ import pytest
 
 import nomlang
 from nomlang.names import Name
+from nomlang.cli import main
 from nomlang.compiler import compile_regex
 from nomlang.oracle import random_regex
 from nomlang.syntax import parse_nre, parse_regex
@@ -195,6 +196,27 @@ def test_compiled_automata_read_back_as_themselves():
     for e in exprs:
         h = compile_regex(e)
         assert parse(serialize(h)) == h
+
+
+def test_serialize_writes_relaxed_exactly_for_a_repeated_placeholder():
+    seen = set()
+    for h in _corpus_and_random_automata():
+        lines = serialize(h).splitlines()
+        assert ("relaxed" in lines) == h.relaxed_star
+        seen.add(h.relaxed_star)
+    assert seen == {True, False}
+
+
+def test_a_repeated_placeholder_without_the_relaxed_line_is_refused(tmp_path):
+    text = serialize(compile_regex(parse_regex("<#n. #n <#m. #n #m > >*", letters=set())))
+    assert text.endswith("\nrelaxed\n")
+    assert parse(text).relaxed_star
+    bare = text[:-len("relaxed\n")]
+    with pytest.raises(FormatError, match="several locals to \\*"):
+        parse(bare)
+    path = tmp_path / "bare.hds"
+    path.write_text(bare)
+    assert main(["dot", str(path)]) == 2
 
 
 def test_parse_rejects_an_empty_name():

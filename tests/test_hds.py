@@ -39,7 +39,7 @@ from nomlang.compiler import compile_regex
 from nomlang.words import (
     TCLOSE, MWord, TOpen, alpha_canonical, alpha_key, from_key, parse_tokens, tokenize,
 )
-from nomlang.syntax import parse_nre, parse_regex, parse_word, render_word
+from nomlang.syntax import parse_nre, parse_regex, parse_word, render_regex, render_word
 from nomlang.oracle import (
     brute_slice, naive_run, near_misses, random_mword, random_regex, trace_follows_step,
 )
@@ -91,11 +91,10 @@ def test_namemaps_are_interned():
 
 
 def test_namemap_injectivity():
-    assert NM({x: n, y: m}).is_injective(False)
-    assert not NM({x: n, y: n}).is_injective(False)
-    # in relaxed mode only duplicate star images are tolerated
-    assert NM({x: STAR, y: STAR}).is_injective(True)
-    assert not NM({x: n, y: n}).is_injective(True)
+    assert NM({x: n, y: m}).is_injective()
+    assert not NM({x: n, y: n}).is_injective()
+    # only the placeholder may repeat
+    assert NM({x: STAR, y: STAR}).is_injective()
 
 
 def test_compose_and_stack_update():
@@ -507,9 +506,9 @@ def test_slice_allocates_a_name_apart_from_the_push_constants():
     got = language_slice(h, 4)
     assert {render_word(w) for w in got} == {"<#~1. #~0 >"}
     assert all(run(h, tokenize(w)).outcome == ACCEPT for w in got)
-    # the slice allocates a name no frame holds; `brute_slice`, like `run`,
-    # also lets the binder take the name of the push constant ~0
-    assert brute_slice(h, 4, POOL) - got == {parse_word("<#~0. #~0 >")}
+    # the slice allocates a name no frame holds, and so does `brute_slice`:
+    # the binder may not take the name of the push constant ~0
+    assert brute_slice(h, 4, POOL) == got
 
 
 def test_accepts_word_names_binders_apart_from_the_constants():
@@ -519,13 +518,28 @@ def test_accepts_word_names_binders_apart_from_the_constants():
     assert not accepts_word(h, parse_word("<#~0. #~0 >"))
     assert accepts_word(h, parse_word("<#a. #~0 >"))
     # on the push constant ~0 the word-level verdicts are the slice's,
-    # while `brute_slice`, deciding raw canonical streams as `run` does,
-    # lists one word more
+    # and `brute_slice` decides by them
     h = _push_constant_hds()
     got = language_slice(h, 4)
     candidates = brute_slice(h, 4, POOL)
-    assert candidates > got
+    assert candidates == got
     assert {w for w in candidates if accepts_word(h, w)} == got
+
+
+def test_brute_slice_names_binders_apart_from_the_constants():
+    # a binder named ~0 cannot capture the free #~0 of the expression
+    h = compile_regex(parse_regex("<#n. #~0 >", set()))
+    got = brute_slice(h, 3, POOL)
+    assert got == language_slice(h, 3)
+    assert {render_word(w) for w in got} == {"<#~1. #~0 >"}
+    # nor the constant ~0 of a random expression over it: raw canonical
+    # streams let it capture ~0 on 10 of these 150
+    rng = random.Random(5)
+    pool = frozenset(map(Name, ("n", "~0", "m", "z", "~1")))
+    for _ in range(150):
+        e = random_regex(rng, [n, Name("~0"), m], [a], 3)
+        h = compile_regex(e)
+        assert brute_slice(h, 4, pool) == language_slice(h, 4), render_regex(e)
 
 
 def _raw(text):
