@@ -1,11 +1,10 @@
 #!/usr/bin/env python3
 """Cross-check every expression in expressions/ against its compilation.
 
-Usage: python3 scripts/check_corpus.py [--bound N] [--ns-bound N]
+Usage: python3 scripts/check_corpus.py
 Exits 0 if every expression's bounded language matches the automaton's.
 """
 
-import argparse
 import glob
 import os
 import sys
@@ -17,24 +16,16 @@ from nomlang.hds import validate
 from nomlang.oracle import check_equivalence
 from nomlang.syntax import parse_nre
 
+EXPRESSIONS = os.path.join(os.path.dirname(__file__), os.pardir, "expressions")
+BOUND = 8  # token length bound
+NS_BOUND = 18  # for the protocol expression, whose shortest nonempty word is long
+
 
 def main() -> int:
-    ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--bound", type=int, default=8, help="token length bound")
-    ap.add_argument(
-        "--ns-bound", type=int, default=18,
-        help="bound for the protocol expression, whose shortest nonempty word is long",
-    )
-    ap.add_argument(
-        "--dir",
-        default=os.path.join(os.path.dirname(__file__), os.pardir, "expressions"),
-    )
-    args = ap.parse_args()
-
     failed = 0
-    for path in sorted(glob.glob(os.path.join(args.dir, "*.nre"))):
+    for path in sorted(glob.glob(os.path.join(EXPRESSIONS, "*.nre"))):
         name = os.path.basename(path)
-        bound = args.ns_bound if "ns_protocol" in name else args.bound
+        bound = NS_BOUND if "ns_protocol" in name else BOUND
         with open(path, encoding="utf-8") as f:
             e, _ = parse_nre(f.read())
         h = compile_regex(e)

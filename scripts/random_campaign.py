@@ -67,7 +67,8 @@ def raw_spellings(w, pool: list) -> list[tuple]:
     if not any(type(t) is TOpen for t in tokens):
         return []
     out = [renamed(tokens, lambda i, old: pool[0])]
-    free = [nm for nm in pool if nm in support(w)]
+    names = support(w)
+    free = [nm for nm in pool if nm in names]
     if free:
         out.append(renamed(tokens, lambda i, old: free[0] if i == 0 else old))
     return out

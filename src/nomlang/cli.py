@@ -157,7 +157,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ValueError, OSError) as exc:  # parse, format and compile errors are ValueErrors
+    except (ValueError, OSError) as exc:  # parse and format errors are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except RecursionError:  # the expression traversals recurse once per tree level

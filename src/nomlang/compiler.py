@@ -28,7 +28,8 @@ Three points deserve attention:
 * Locals skip the expression's free names and, from the moment a
   binder's body is compiled, the binder's name.  So inside a binder no
   local is its bound name, a pushed frame's global name is never taken
-  for a threaded local, and every expression compiles.
+  for a threaded local, and every expression compiles; a node of no
+  expression type raises `TypeError`.
 
 * Concatenation threads each initial local `x` of its right operand
   through every state and transition of its left operand with the
@@ -40,7 +41,7 @@ Three points deserve attention:
   arises as soon as the bound name occurs both directly in a
   concatenation and inside a nested binder) maps every preimage to the
   placeholder.  The resulting open map is injective up to repeats of
-  the placeholder, which `Hds.relaxed_star` reports.
+  the placeholder, which `NameMap.is_injective` allows.
 """
 
 from __future__ import annotations
@@ -51,10 +52,6 @@ from typing import Iterable
 from .names import Name, STAR
 from .hds import CLOSE, EPS, OPEN, PUSH, Hds, NameMap, Transition
 from . import regex as rx
-
-
-class CompileError(ValueError):
-    pass
 
 
 def _identity(names: Iterable[Name]) -> dict:
@@ -157,7 +154,7 @@ class _Build:
         if isinstance(e, rx.Binder):
             self.avoid |= {e.name}  # no local of the body is taken for its name
             return self.bind(e.name, self.compile(e.body))
-        raise CompileError(f"unknown expression node {type(e).__name__}")
+        raise TypeError(f"unknown expression node {type(e).__name__}")
 
     def _join(self, f1: _Frag, f2: _Frag) -> _Frag:
         """`f1` with the states, initial meanings and pushes of `f2` joined in."""
@@ -246,10 +243,9 @@ class _Build:
     def bind(self, n: Name, f: _Frag) -> _Frag:
         """Name binding: allocate at open, recognize the body, deallocate at close.
 
-        Every initial local denoting `n` is sent to the placeholder by the
-        open transition, so it picks up the allocated name.  With several
-        such locals the open map sends them all to the placeholder, which
-        `Hds.relaxed_star` reports.
+        Every initial local denoting `n`, one or several, is sent to the
+        placeholder by the open transition, so each picks up the allocated
+        name.
         """
         qf = self._unique_final(f)
         loc0 = frozenset(self.locals[f.initial])

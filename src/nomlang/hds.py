@@ -29,13 +29,14 @@ configurations the moves reading the tokens so far lead to; on a
 pop-free automaton, with no depth cap and no trace, it reads them from
 the same rows, in one forward walk (below).
 
-Both searches name binders one way.  A binder takes the level name of
-its open depth plus the unmatched closes still to come in the stream
-(a slice has none), which no input name and no constant equals, and when it closes that
-name becomes `DEAD` in every frame; `DEAD` is not a `Name`, so no name
-move reads or emits it.  A node's depth is that sum, and the node keeps
-one frame more, so each open allocates the level name of the depth it
-opens at.
+Both searches name binders one way.  A binder's level is the int depth
+it opens at: its open depth plus the unmatched closes still to come in
+the stream (a slice has none).  A node's depth is that sum, and the
+node keeps one frame more.  An open reads `KEY_OPEN` and allocates its
+level; an int is apart from every name by its type, so no input name
+and no constant equals a level.  When the binder closes, its level
+becomes `DEAD` in every frame: the placeholder, which no name move
+reads.
 
 In an automaton without pop transitions (every compiled one) only a
 close move reads below the top of the stack, and it reads one frame
@@ -55,23 +56,22 @@ are hash-consed, so the stacks the searches memoize hash and compare by
 identity, and a move that leaves the top frame as it is keeps the stack
 itself.
 
-The level names are apart for the same reason.  A binder opened at
-depth d closes back to depth d, so the binders around it have lower
-levels, and an unmatched close leaves a depth no binder reached before.
-As in history-dependent automata, the allocated name is then fresh for
-the whole configuration: the level names of the open binders are
-lower, and every other level name is dead, so a close kills the level
-name of its depth - 1, which only the close of a binder finds alive.  A
-run commutes with every renaming that fixes the automaton's constants
-(eta values and push-sigma values), and a name the rest of the input
-never holds can be forgotten, so naming a private binder -- one whose
-name is no constant, is opened once and occurs only inside its scope
--- after its level changes no verdict.  `word_stream`, on which
-`accepts_word` and the CLI decide a word, names every binder apart
-from the other binders, the free names and the constants, so every
-binder of a word is private; its blocks of the same shape meet the same
-nodes, and every block after the first is a walk through rows already
-made.
+The levels are apart for the same reason.  A binder opened at depth d
+closes back to depth d, so the binders around it have lower levels, and
+an unmatched close leaves a depth no binder reached before.  As in
+history-dependent automata, the allocated level is then fresh for the
+whole configuration: the levels of the open binders are lower, and every
+other level is dead, so a close kills level depth - 1, which only the
+close of a binder finds alive.  A run commutes with every renaming that
+fixes the automaton's constants (eta values and push-sigma values), and
+a name the rest of the input never holds can be forgotten, so naming a
+private binder -- one whose name is no constant, is opened once and
+occurs only inside its scope -- after its level changes no verdict.
+`word_stream`, on which `accepts_word` and the CLI decide a word, names
+every binder apart from the other binders, the free names and the
+constants, so every binder of a word is private; its blocks of the same
+shape meet the same nodes, and every block after the first is a walk
+through rows already made.
 
 Each automaton carries one search state, built at its first search
 (`Hds._search`): its constants, whether it pops, `steps_to_final`, one
@@ -85,7 +85,7 @@ word of a slice makes no `step` call.  A pop automaton's slice keeps a
 graph of its own per call.
 
 On a pop-free automaton `run` walks the stream forward (`_walk`): it
-keeps its node, the level name of each open binder, and the names no
+keeps its node, the level of each open binder, and the names no
 binder may take -- the constants, every name read and every binder so
 far -- and reads the next node from the row at each token and at the
 end.  A token no move reads has no entry in the row, so it rejects at
@@ -176,7 +176,7 @@ class NameMap:
         if not self.entries:
             return "_|_"
         return ",".join(
-            f"{k.label}>{'*' if v is STAR else v.label}" for k, v in self.entries
+            f"{k.label}>{v.label if type(v) is Name else repr(v)}" for k, v in self.entries
         )
 
 
@@ -201,8 +201,6 @@ def compose(sigma: NameMap, f: dict) -> NameMap:
 
 def stack_update(stack: Stack, sigma: NameMap) -> Stack:
     """Replace the top frame by sigma post-composed with it (star kept fixed)."""
-    if not stack:
-        return (sigma,)
     # most moves leave the top frame as it is, and keeping the stack spares
     # the general path (capped, traced and pop-automaton runs) a new frame
     if sigma.identity and sigma.key_row == stack[0].key_row:
@@ -253,9 +251,7 @@ class Transition:
 class Hds:
     """An automaton: named states, initial name bindings, finals,
     transitions.  It is immutable: a changed automaton is made with
-    `dataclasses.replace` or the constructor.  `relaxed_star` says
-    whether some open map sends several locals to the placeholder, as
-    binding a name that several initial locals denote does."""
+    `dataclasses.replace` or the constructor."""
 
     states: Mapping[str, frozenset[Name]]  # state id -> local names
     initial: str
@@ -276,11 +272,6 @@ class Hds:
         """What the searches keep between calls (module docstring); it is in
         the instance dict, not a field, so `dataclasses.replace` starts anew."""
         return _SearchState(self)
-
-    @property
-    def relaxed_star(self) -> bool:
-        return any(t.label is OPEN and t.sigma.values().count(STAR) > 1
-                   for _, t in self.transitions())
 
     def letters(self) -> frozenset[Letter]:
         return frozenset(t.label for ts in self.trans.values() for t in ts
@@ -353,7 +344,7 @@ END = object()  # the input token past the last one: no consuming move reads it
 
 
 def step(
-    h: Hds, state: str, stk: Stack, tok: Optional[Tok], fresh: Optional[Name] = None
+    h: Hds, state: str, stk: Stack, tok: Optional[Tok], fresh: Optional[int] = None
 ) -> list[tuple[Transition, Optional[Tok], Stack]]:
     """The moves enabled in `state` with stack `stk`: (transition, token read, new stack).
 
@@ -367,7 +358,8 @@ def step(
     name move reads the name its local currently denotes, a letter move
     its letter, and an open move binds the name of the open token.  When
     generating (`tok` None), every move is enabled, except a name move
-    whose local denotes no name; an open move allocates `fresh`.
+    whose local has no value or the placeholder; a name move reads the
+    value, and an open move reads `KEY_OPEN` and allocates `fresh`.
     """
     out = []
     for t in h.trans.get(state, ()):
@@ -375,8 +367,8 @@ def step(
         kind = type(label)
         # a consuming move reads the generated token, or else the input token
         if kind is Name:
-            v = top(stk).get(label)
-            if isinstance(v, Name) and (tok is None or tok is v):
+            v = top(stk).get(label, STAR)
+            if v is not STAR and (tok is None or tok is v):
                 out.append((t, v, stack_update(stk, t.sigma)))
         elif kind is Letter:
             if tok is None or tok is label:
@@ -388,11 +380,10 @@ def step(
         elif label is POP:
             out.append((t, None, (compose(t.sigma, top(pop(stk)).as_dict()),) + stk[2:]))
         elif label is OPEN:
-            tok_read = TOpen(fresh) if tok is None else tok
-            if isinstance(tok_read, TOpen):
+            if tok is None or type(tok) is TOpen:
                 f = top(stk).as_dict()
-                f[STAR] = tok_read.name
-                out.append((t, tok_read, (compose(t.sigma, f),) + stk))
+                f[STAR] = fresh if tok is None else tok.name
+                out.append((t, KEY_OPEN if tok is None else tok, (compose(t.sigma, f),) + stk))
         elif label is CLOSE:
             tok_read = TCLOSE if tok is None else tok
             if isinstance(tok_read, TClose):
@@ -420,42 +411,28 @@ def initial_config(h: Hds) -> Config:
     return (h.initial, 0, (NameMap.of(h.eta),))
 
 
-# every level name whose binder has closed; not a `Name`, so no name move
-# reads it or emits it
+# every level whose binder has closed: the placeholder, which no name move reads
 DEAD = STAR
 
-# _levels[d]: the open and the name of a binder at level d
-_levels: list[tuple[TOpen, Name]] = []
-_level_of: dict[Name, int] = {}  # level name -> its level
 
-
-def _level(d: int) -> tuple[TOpen, Name]:
-    while len(_levels) <= d:
-        # built outside the registry, so no parsed or interned name equals it
-        nm = object.__new__(Name)
-        object.__setattr__(nm, "label", f"level{len(_levels)}")
-        _level_of[nm] = len(_levels)
-        _levels.append((TOpen(nm), nm))
-    return _levels[d]
-
-
-def _forget(stk: Stack, nm: Name) -> Stack:
-    """The stack with the value `nm` replaced by DEAD in every frame."""
-    return tuple([NameMap(tuple([(k, DEAD if v is nm else v) for k, v in f.entries]))
+def _forget(stk: Stack, level: int) -> Stack:
+    """The stack with `level` replaced by DEAD in every frame; levels
+    compare by value, as an int above 256 is not one shared object."""
+    return tuple([NameMap(tuple([(k, DEAD if v == level else v) for k, v in f.entries]))
                   for f in stk])
 
 
-def _closure(h: Hds, configs, tok, fresh: Optional[Name], rules: dict, max_depth: int,
+def _closure(h: Hds, configs, tok, fresh: Optional[int], rules: dict, max_depth: int,
              links: Optional[dict] = None):
     """The closure of `configs` under the moves that read nothing, and
     the configurations the moves out of it reach, per token read.
 
     `tok` and `fresh` go to `step`.  `rules` maps the type of the token
-    a move reads (`NoneType` for none) to (frames, dead name or None): a
+    a move reads (`NoneType` for none) to (frames, dead level or None): a
     move is dropped if its token has no rule or its target has no path
     to a final state (is absent from `h._search.need`).  Without pop
     transitions a move's stack keeps its top `frames` frames; a stack
-    deeper than `max_depth` is cut, and the dead name becomes DEAD in
+    deeper than `max_depth` is cut, and the dead level becomes DEAD in
     every frame.
     Returns (closure, reached per token, cut): cut is None, or the
     fewest tokens a cut move still needed -- the one it read, and enough
@@ -617,40 +594,37 @@ def _walk(h: Hds, tokens: tuple[Tok, ...], u: int) -> Optional[RunResult]:
     """`run` on a pop-free automaton in one forward pass over the node
     graph, or None to hand the stream back to the general path.
 
-    The walk starts at the node (start, u).  A node's depth is the open
-    depth plus the unmatched closes still to come, when u is the
-    stream's number of them (keep[0] - 1): the node keeps a frame more
-    than that, at least the frames `_keep` gives.  `run` passes u = 0,
-    and at the first unmatched close the walk starts again once with the
-    right u; up to there it kept every frame a close had read.  The walk
-    keeps the level name of each open binder, and the names no binder
-    may take: the constants, every name read so far and every binder so
-    far.  A binder opened at depth d takes the level name of d, and each
-    token, END included, reads the next node from the row of the node it
-    is at.  A close with no binder open leaves a depth no binder reached
-    before, so its kill finds no level name alive.
+    The walk starts at the node (start, u), where u is the stream's
+    number of unmatched closes (keep[0] - 1), so each node keeps at least
+    the frames `_keep` gives.  `run` passes u = 0, and at the first
+    unmatched close the walk starts again once with the right u; up to
+    there it kept every frame a close had read.  The walk keeps the level
+    of each open binder, and the names no binder may take: the
+    constants, every name read so far and every binder so far.  It looks
+    an open up under `KEY_OPEN`, a bound name under its level and any
+    other token under itself, and each token, END included, reads the
+    next node from the row of the node it is at.
 
     It hands the stream back at a binder named after a constant or a
     name already seen, and at a closed binder's name read again.  So
-    every binder the walk names is private, opened where no frame holds
-    its level name alive, and never read or bound again once closed.
-    Each set the walk holds is then the image of the set the automaton's
-    exact run reaches there, under truncation and the renaming of
-    binders to level names, and so is each set of the general path.  One
-    is empty exactly when the other is: a token with no entry in its row
-    rejects at once, also ahead of a token that would hand the stream
-    back.  A pop-free closure's states do not depend on the stack, so a
-    row has END at every depth where its closure holds a final state,
-    and the walk accepts there.  Its frames never pass the default cap
-    of `run` (u + 1, or d + 2 at an open at depth d, is at most the
-    input length + 1).
+    every binder the walk names is private (module docstring).  Each set
+    the walk holds is then the image of the set the automaton's exact
+    run reaches there, under truncation and the renaming of binders to
+    their levels, and so is each set of the general path.  One is empty
+    exactly when the other is: a token with no entry in its row rejects
+    at once, also ahead of a token that would hand the stream back.  A
+    pop-free closure's states do not depend on the stack, so a row has
+    END at every depth where its closure holds a final state, and the
+    walk accepts there.  Its frames never pass the default cap of `run`
+    (u + 1, or d + 2 at an open at depth d, is at most the input
+    length + 1).
     """
     state = h._search
     graph, sets = state.graph, state.sets
     # name -> whether it is a closed binder, for every name no binder may take
     seen = dict.fromkeys(state.constants, False)
-    # open binder -> the level name of the depth it opened at, innermost
-    # last: no name is opened twice, so the dict keeps the open order
+    # open binder -> its level, innermost last: no name is opened twice,
+    # so the dict keeps the open order
     bound: dict = {}
     node = (state.start, u)
     for tok in chain(tokens, (END,)):
@@ -660,11 +634,11 @@ def _walk(h: Hds, tokens: tuple[Tok, ...], u: int) -> Optional[RunResult]:
             if key is tok and seen.setdefault(tok, False):
                 return None
         elif kind is TOpen:
-            nm, d = tok.name, node[1]
+            nm = tok.name
             if nm in seen:
                 return None
             seen[nm] = False
-            key, bound[nm] = _level(d)
+            key, bound[nm] = KEY_OPEN, node[1]
         elif kind is TClose:
             if bound:
                 seen[bound.popitem()[0]] = True
@@ -796,33 +770,28 @@ def _language_keys(h: Hds, bound: int) -> Iterator[tuple]:
     Walks the tree of emitted prefixes one length at a time,
     determinizing on the fly as the subset construction does.  A prefix
     node holds the set of (state, stack) configurations that `step`
-    reaches while generating that prefix, and its open depth.  Binders
-    are named as `run` names private ones: an open at depth d allocates
-    the level name of d, which no constant and no frame value equals, and
-    at the binder's close that name becomes `DEAD` in every frame.  The
-    prefixes of one length are grouped by node, and `_expand` makes each
-    node's row once: a node at open depth 0 is final if its row has END
-    (its closure has a final state), and each token read from it extends
-    all its prefixes by the token's key element.  A level name read at
-    depth d is the index d - 1 - level, so a final prefix is already the
-    key of its word.  A row maps distinct tokens to distinct key
-    elements, so a prefix has one node, and a prefix is yielded when it
-    reaches END at open depth 0, so no key is yielded twice.  The rows
-    live in the automaton's node graph, which `run` reads too and which
-    its search state keeps across calls unless it pops (module
-    docstring).
+    reaches while generating that prefix, and its open depth; binders
+    take their levels (module docstring).  The prefixes of one length
+    are grouped by node, and `_expand` makes each node's row once: a
+    node at open depth 0 is final if its row has END (its closure has a
+    final state), and each token read from it extends all its prefixes
+    by the token's key element, so a final prefix is already the key of
+    its word.  A row maps distinct tokens to distinct key elements, so a
+    prefix has one node, and a prefix is yielded when it reaches END at
+    open depth 0, so no key is yielded twice.  The rows live in the
+    automaton's node graph, which `run` reads too and which its search
+    state keeps across calls unless it pops (module docstring).
 
     The walk counts the tokens left under the bound, and takes a
     successor only if fewer tokens than are left can close its binders
     and take one of its states to a final one (`steps_to_final`, which
     falls by at most one per token, so a configuration that cannot
     finish in time has no descendant that can).  Without pop transitions
-    a configuration keeps one frame more than its open depth: the rest
-    of an accepted word closes those binders and never outnumbers its
-    own opens with its closes.  So the walk is exhaustive; with pop
-    transitions, stacks deeper than the bound + state count + 1 are cut,
-    as `run` cuts them, and a cut move that could still finish in the
-    tokens left raises `Undecided`, also after some keys were yielded.
+    no close reads a dropped frame (module docstring), so the walk is
+    exhaustive; with pop transitions, stacks deeper than the
+    bound + state count + 1 are cut, as `run` cuts them, and a cut move
+    that could still finish in the tokens left raises `Undecided`, also
+    after some keys were yielded.
     """
     if bound < 0:
         raise ValueError("bound must be non-negative")
@@ -859,32 +828,34 @@ def _language_keys(h: Hds, bound: int) -> Iterator[tuple]:
 
 def _expand(h: Hds, node: tuple, max_depth: int, sets: dict) -> tuple:
     """The row of a node (configurations, open depth): `_closure`'s cut,
-    and a dict from each token a move reads, as `run` reads it, to its
-    key element, the next node, and the fewest tokens a word needs after
-    that token (to close the next node's binders and take one of its
-    states to a final one).  A close is filed under `TCLOSE` and kills
-    the level name of depth - 1, as every close of `run`'s walk does.
-    A node whose closure holds a final state files END under (None,
-    node, 0), at every depth: without pop transitions, which states a
-    closure holds does not depend on the stack, so `run` accepts there,
-    while `_language_keys` emits only at depth 0.  Each next node's
-    configurations are a frozenset interned through `sets`."""
+    and a dict from each token a move reads, as `run`'s walk looks it
+    up, to its key element, the next node, and the fewest tokens a word
+    needs after that token (to close the next node's binders and take
+    one of its states to a final one).  An open allocates the level
+    `depth` and is filed under `KEY_OPEN`; a level is filed under
+    itself, and its key element is the index depth - 1 - level; a close
+    is filed under `TCLOSE` and kills level depth - 1; any other token
+    is its own key element.  A node whose closure holds a final state
+    files END under (None, node, 0), at every depth: without pop
+    transitions, which states a closure holds does not depend on the
+    stack, so `run` accepts there, while `_language_keys` emits only at
+    depth 0.  Each next node's configurations are a frozenset interned
+    through `sets`."""
     configs, depth = node
     need = h._search.need
     # a move keeps one frame more than the open depth after it
-    rules = {NoneType: (depth + 1, None), Name: (depth + 1, None),
-             Letter: (depth + 1, None), TOpen: (depth + 2, None)}
+    rules = {NoneType: (depth + 1, None), Name: (depth + 1, None), int: (depth + 1, None),
+             Letter: (depth + 1, None), type(KEY_OPEN): (depth + 2, None)}
     if depth:
-        rules[TClose] = (depth, _level(depth - 1)[1])
-    closure, reads, cut = _closure(h, configs, None, _level(depth)[1], rules, max_depth)
+        rules[TClose] = (depth, depth - 1)
+    closure, reads, cut = _closure(h, configs, None, depth, rules, max_depth)
     row = {}
     if any(q in h.finals for q, _ in closure):
         row[END] = (None, node, 0)
     for read, group in reads.items():
-        # an open is KEY_OPEN, a level name read at depth d the index
-        # d - 1 - level, and any other token (a close too) is its own element
-        level = _level_of.get(read)
-        elem = KEY_OPEN if type(read) is TOpen else read if level is None else depth - 1 - level
+        # a level read at depth d is the index d - 1 - level, and any other
+        # token (an open's KEY_OPEN and a close too) is its own element
+        elem = depth - 1 - read if type(read) is int else read
         depth2 = rules[type(read)][0] - 1
         req = max(depth2, min([need[q] for q, _ in group]))
         group = frozenset(group)

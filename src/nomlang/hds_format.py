@@ -18,10 +18,9 @@ the keywords below are reserved), or the keyword of one of the
 `hds.MOVES`: ``eps``, ``push``, ``pop``, ``open``, ``close``.  `parse`
 returns each label as that very object.  The name map is a
 comma-separated list of ``x>y`` entries, ``x>*`` sending a local to
-the allocation placeholder, and ``[]`` for the empty map.  A final
-line ``relaxed`` marks an automaton some open map of which sends
-several locals to the placeholder (`Hds.relaxed_star`): `serialize`
-writes it exactly then, and `parse` refuses such a map without it.
+the allocation placeholder, and ``[]`` for the empty map.  Older files
+end with a line ``relaxed`` where an open map sends several locals to
+the placeholder; the map itself says so, and `parse` skips the line.
 `serialize` raises `FormatError`, naming the identifier and its role,
 on one that `parse` would not read back as itself, and `parse` on one
 that `serialize` would refuse to write, so one rule governs both
@@ -97,8 +96,6 @@ def serialize(h: Hds) -> str:
                 if v is not STAR:
                     _readable(v.label, "map entry")
             lines.append(f"  {q} --{t.label!r}[{_fmt_sigma(t.sigma)}]--> {t.target}")
-    if h.relaxed_star:
-        lines.append("relaxed")
     return "\n".join(lines) + "\n"
 
 
@@ -147,7 +144,6 @@ def parse(text: str) -> Hds:
     eta: dict[Name, Name] = {}
     finals: Optional[frozenset[str]] = None
     trans: dict[str, list[Transition]] = {}
-    relaxed = False
     section = None
     for raw in text.splitlines():
         line = raw.strip()
@@ -160,7 +156,6 @@ def parse(text: str) -> Hds:
             section = "trans"
             continue
         if line == "relaxed":
-            relaxed = True
             section = None
             continue
         parts = line.split()
@@ -209,16 +204,13 @@ def parse(text: str) -> Hds:
     unknown = set(trans) - set(states)
     if unknown:
         raise FormatError(f"transitions from undeclared states {sorted(unknown)}")
-    h = Hds(
+    return Hds(
         states=states,
         initial=initial,
         eta=eta,
         finals=finals or frozenset(),
         trans={q: tuple(ts) for q, ts in trans.items()},
     )
-    if h.relaxed_star and not relaxed:
-        raise FormatError("an open map sends several locals to * but no relaxed line is given")
-    return h
 
 
 # ---------------------------------------------------------------------------

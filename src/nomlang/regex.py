@@ -113,10 +113,8 @@ def permute_regex(pi: Permutation, e: Regex) -> Regex:
 
 @dataclass(frozen=True)
 class LangSlice:
-    """The words of a language with token length at most `bound`, canonical."""
+    """The words of a language up to a token length, canonical."""
 
-    sort: str
-    bound: int
     words: frozenset
 
 
@@ -217,7 +215,7 @@ def enumerate_slice(e: Regex, sort: str | SortOps, bound: int) -> LangSlice:
     """
     ops = SORTS[sort] if isinstance(sort, str) else sort
     words = map(ops.keyed.to_mword, _enumerate_keys(e, ops, bound))
-    return LangSlice(ops.tag, bound, frozenset(words))
+    return LangSlice(frozenset(words))
 
 
 def member(e: Regex, w, sort: str | SortOps = "M") -> bool:

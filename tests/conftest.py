@@ -2,8 +2,8 @@ import random
 
 import pytest
 
-from nomlang.hds import PUSH, Hds, NameMap, Transition
-from nomlang.names import Letter, Name
+from nomlang.hds import OPEN, PUSH, Hds, NameMap, Transition
+from nomlang.names import Letter, Name, STAR
 
 NAMES = [Name("n"), Name("m"), Name("k")]
 LETTERS = [Letter("a"), Letter("b")]
@@ -12,6 +12,12 @@ LETTERS = [Letter("a"), Letter("b")]
 @pytest.fixture
 def rng():
     return random.Random(20260823)
+
+
+def repeats_star(h: Hds) -> bool:
+    """Whether some open map of `h` sends several locals to the placeholder."""
+    return any(t.label is OPEN and t.sigma.values().count(STAR) > 1
+               for _, t in h.transitions())
 
 
 def junk_below(h: Hds, frames: tuple) -> Hds:

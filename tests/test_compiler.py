@@ -12,13 +12,10 @@ from nomlang.regex import enumerate_slice
 from nomlang.syntax import parse_nre, parse_regex, parse_word, render_word
 from nomlang.words import alpha_canonical
 from nomlang.hds import OPEN, PUSH, accepts_word, language_slice, validate
-from nomlang.compiler import (
-    CompileError,
-    compile_regex,
-)
+from nomlang.compiler import compile_regex
 from nomlang.oracle import brute_slice, check_equivalence, random_regex
 
-from conftest import NAMES, LETTERS
+from conftest import NAMES, LETTERS, repeats_star
 
 n, m, k = NAMES
 a, b = LETTERS
@@ -111,7 +108,7 @@ def test_session_expression_golden_shape():
     assert len(pushes) == 1
     (p,) = pushes
     assert list(p.sigma.values()) == [m]
-    assert not h.relaxed_star
+    assert not repeats_star(h)
 
 
 def test_compilation_deterministic_up_to_isomorphism():
@@ -138,7 +135,7 @@ def test_relaxed_star_flag_for_shared_bindings():
     # allocation map sends two locals to the placeholder
     e = parse_regex("<#n. #n <#m. #n #m > >*", letters=set())
     h = compile_regex(e)
-    assert h.relaxed_star
+    assert repeats_star(h)
     assert validate(h) == []
     report = check_equivalence(e, h, 8)
     assert report.passed, "\n".join(report.lines())
@@ -179,9 +176,9 @@ def test_random_expressions_round_trip(seed):
 
 EXPRESSIONS = os.path.join(os.path.dirname(__file__), os.pardir, "expressions")
 
-# sha256 over the serialized automaton (or the CompileError message) of the
-# corpus files and 3,000 random expressions, each followed by a NUL byte
-PINNED_DIGEST = "bfe7a63eacd75f58ced0422d5b4b0b23c1df61e29076317e8d7c79cbfbd01258"
+# sha256 over the serialized automaton of the corpus files and 3,000
+# random expressions, each followed by a NUL byte
+PINNED_DIGEST = "a833e1cad6872e1fb1944aa190100f73d588dc1cd8516624a6b83c734582be43"
 
 
 def test_compiled_output_is_pinned():
@@ -196,16 +193,10 @@ def test_compiled_output_is_pinned():
     rng = random.Random(22)
     exprs += [random_regex(rng, pool, LETTERS, 1 + i % 5) for i in range(3000)]
     digest = hashlib.sha256()
-    errors = relaxed = 0
+    relaxed = 0
     for e in exprs:
-        try:
-            h = compile_regex(e)
-        except CompileError as err:
-            errors += 1
-            text = f"CompileError: {err}"
-        else:
-            relaxed += h.relaxed_star
-            text = serialize(h)
-        digest.update(text.encode() + b"\0")
-    assert not errors and relaxed  # every entry compiles; some bind shared locals
+        h = compile_regex(e)
+        relaxed += repeats_star(h)
+        digest.update(serialize(h).encode() + b"\0")
+    assert relaxed  # some entries bind shared locals
     assert digest.hexdigest() == PINNED_DIGEST

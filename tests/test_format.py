@@ -17,7 +17,7 @@ from nomlang.hds import EPS, Hds, NameMap, Transition, language_slice, validate
 from nomlang import hds_format
 from nomlang.hds_format import FormatError, parse, serialize, to_dot
 
-from conftest import NAMES, LETTERS
+from conftest import NAMES, LETTERS, repeats_star
 
 EXPR_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "expressions")
 
@@ -40,7 +40,6 @@ def test_serialize_parse_roundtrip(src):
     assert h2.initial == h.initial
     assert h2.eta == h.eta
     assert h2.finals == h.finals
-    assert h2.relaxed_star == h.relaxed_star
     for q in h.states:
         assert set(h2.trans.get(q, ())) == set(h.trans.get(q, ()))
     assert language_slice(h2, 6) == language_slice(h, 6)
@@ -89,6 +88,22 @@ def test_parse_rejects_bad_transition_line():
 # read as `q0 {y}`, `x=#n`, `x>y`, finals `{q0}` and initial `q1` with
 # both bindings
 REPEATED = "states\n  q0 x\n  q1 x y\ninitial q0 x=#m\nfinals q1\ntrans\n  q0 --eps[x>x]--> q1\n"
+
+
+# (what REPEATED becomes, the refusal)
+PARSE_REFUSALS = {
+    "initial without state": (("initial q0 x=#m", "initial"), "initial line needs a state id"),
+    "initial binding": (("x=#m", "x"), "bad initial binding 'x'"),
+    "transition line": (("--eps[x>x]-->", "-> "), "bad transition line"),
+    "no initial": (("initial q0 x=#m\n", ""), "missing initial line"),
+    "undeclared source": (("  q0 --eps", "  qz --eps"), r"transitions from undeclared states \['qz'\]"),
+}
+
+
+@pytest.mark.parametrize("edit,message", PARSE_REFUSALS.values(), ids=PARSE_REFUSALS.keys())
+def test_parse_names_each_refusal(edit, message):
+    with pytest.raises(FormatError, match=message):
+        parse(REPEATED.replace(*edit))
 
 
 def test_parse_rejects_a_repeated_state():
@@ -198,25 +213,24 @@ def test_compiled_automata_read_back_as_themselves():
         assert parse(serialize(h)) == h
 
 
-def test_serialize_writes_relaxed_exactly_for_a_repeated_placeholder():
+def test_serialize_writes_no_relaxed_line():
+    # a repeated placeholder is read off the open map itself
     seen = set()
     for h in _corpus_and_random_automata():
-        lines = serialize(h).splitlines()
-        assert ("relaxed" in lines) == h.relaxed_star
-        seen.add(h.relaxed_star)
+        assert "relaxed" not in serialize(h).splitlines()
+        seen.add(repeats_star(h))
     assert seen == {True, False}
 
 
-def test_a_repeated_placeholder_without_the_relaxed_line_is_refused(tmp_path):
-    text = serialize(compile_regex(parse_regex("<#n. #n <#m. #n #m > >*", letters=set())))
-    assert text.endswith("\nrelaxed\n")
-    assert parse(text).relaxed_star
-    bare = text[:-len("relaxed\n")]
-    with pytest.raises(FormatError, match="several locals to \\*"):
-        parse(bare)
+def test_parse_reads_a_repeated_placeholder_with_or_without_the_relaxed_line(tmp_path):
+    h = compile_regex(parse_regex("<#n. #n <#m. #n #m > >*", letters=set()))
+    assert repeats_star(h)
+    text = serialize(h)
+    assert parse(text) == h
+    assert parse(text + "relaxed\n") == h  # as older files end
     path = tmp_path / "bare.hds"
-    path.write_text(bare)
-    assert main(["dot", str(path)]) == 2
+    path.write_text(text)
+    assert main(["dot", str(path)]) == 0
 
 
 def test_parse_rejects_an_empty_name():

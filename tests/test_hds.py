@@ -34,10 +34,12 @@ from nomlang.hds import (
     stack_update,
     step,
     validate,
+    word_stream,
 )
 from nomlang.compiler import compile_regex
 from nomlang.words import (
-    TCLOSE, MWord, TOpen, alpha_canonical, alpha_key, from_key, parse_tokens, tokenize,
+    KEY_OPEN, TCLOSE, MWord, TOpen, alpha_canonical, alpha_key, canonical_row, from_key,
+    parse_tokens, tokenize,
 )
 from nomlang.syntax import parse_nre, parse_regex, parse_word, render_regex, render_word
 from nomlang.oracle import (
@@ -68,6 +70,7 @@ def test_namemap_basics():
     assert set(f.values()) == {n, m}
     assert NM({y: m, x: n}) == f  # entry order is canonical
     assert BOTTOM.domain == frozenset()
+    assert repr(NM({x: 300, y: STAR})) == "x>300,y>*"  # a frame holding a binder's level
 
 
 def test_namemaps_are_interned():
@@ -156,7 +159,8 @@ def test_step_defines_every_move():
         "open": (TOpen(c), (NM({x: n, y: c}), NM({x: n}), below)),
         "close": (TCLOSE, (below,)),
     }
-    assert enabled(None, fresh=c) == {**silent, **reads}  # generating
+    # generating: an open reads KEY_OPEN and allocates `fresh`
+    assert enabled(None, fresh=c) == {**silent, **reads, "open": (KEY_OPEN, reads["open"][1])}
     for kind, (tok, _) in reads.items():
         assert enabled(tok) == {**silent, kind: reads[kind]}
     assert enabled(m) == silent
@@ -233,6 +237,32 @@ def test_validate_flags_problems(push_pop_hds):
     bad_trans["q0"] = (Transition(EPS, "q1", NM({x: x, y: x})),)
     bad = Hds(h.states, h.initial, h.eta, h.finals, bad_trans)
     assert any("injective" in p for p in validate(bad))
+
+
+# one fault each, made in q0 {x} --#x[x>x]--> q1 {x}: (what is changed, the message)
+VALIDATE_FAULTS = {
+    "final state": (dict(finals=frozenset({"q1", "qz"})), "final state qz undeclared"),
+    "eta value": (dict(eta={x: a}), "eta value for x is not a name"),
+    "source": (dict(trans={"qz": ()}), "transitions from undeclared state qz"),
+    "target": (dict(trans={"q0": (Transition(x, "qz", BOTTOM),)}), "undeclared target"),
+    "sigma domain": (dict(trans={"q0": (Transition(EPS, "q1", NM({y: x})),)}),
+                     "sigma domain exceeds target locals"),
+    "open value": (dict(trans={"q0": (Transition(OPEN, "q1", NM({x: y})),)}),
+                   "open sigma value outside source locals"),
+    "push value": (dict(trans={"q0": (Transition(PUSH, "q1", NM({x: STAR})),)}),
+                   "push sigma must map into names"),
+    "sigma value": (dict(trans={"q0": (Transition(EPS, "q1", NM({x: y})),)}),
+                    "sigma value outside source locals"),
+}
+
+
+@pytest.mark.parametrize("change,message", VALIDATE_FAULTS.values(), ids=VALIDATE_FAULTS.keys())
+def test_validate_names_each_fault(change, message):
+    h = Hds(states={"q0": frozenset({x}), "q1": frozenset({x})}, initial="q0", eta={x: n},
+            finals=frozenset({"q1"}), trans={"q0": (Transition(x, "q1", NM({x: x})),)})
+    assert validate(h) == []
+    (fault,) = validate(replace(h, **change))
+    assert fault.endswith(message)
 
 
 # a label that is no local name, no letter and none of the five moves; at
@@ -615,6 +645,21 @@ def _assert_trace_follows_step(h, tokens, trace):
     assert trace_follows_step(h, tokens, trace)
 
 
+def test_a_doctored_trace_does_not_follow_step():
+    h = compile_regex(parse_regex("#m <#n. #m #n >*", letters=set()))
+    tokens = word_stream(h, parse_word("#m <#n. #m #n > <#n. #m #n >"))
+    trace = run(h, tokens, want_trace=True).trace
+    assert trace_follows_step(h, tokens, trace)
+    (cfg, _), (cfg1, _) = trace[0], trace[1]
+    assert cfg1[0] != h.initial
+    wrong_start = [((cfg1[0],) + cfg[1:], None)] + trace[1:]
+    i = next(i for i in range(1, len(trace) - 1) if trace[i][1] is not trace[i + 1][1])
+    (c1, t1), (c2, t2) = trace[i], trace[i + 1]
+    swapped = trace[:i] + [(c1, t2), (c2, t1)] + trace[i + 2:]
+    for doctored in (wrong_start, swapped, trace[:-1]):
+        assert not trace_follows_step(h, tokens, doctored)
+
+
 def test_accepts_raises_where_the_search_is_cut():
     h = _double_push_hds(with_pop=True)
     assert accepts(h, _binder_then(m))
@@ -807,6 +852,54 @@ def test_binder_star_is_linear(k):
         assert time.perf_counter() - t0 < 1.0, (k, outcome)
 
 
+def _nesting_hds():
+    """Binders nested to any depth, the innermost reading its own name:
+    ``<. <. ... <y. #y > ... > >``.  The innermost binder's frame is
+    below a push at its close, so after it `w` denotes the closed binder,
+    and the move on `w` is enabled only if the close did not kill it."""
+    w = Name("w")
+    return Hds(
+        states={"q0": frozenset(), "q1": frozenset({y}), "q2": frozenset({y}),
+                "q3": frozenset({y}), "q4": frozenset({w}), "q5": frozenset()},
+        initial="q0", eta={}, finals=frozenset({"q5"}),
+        trans={"q0": (Transition(OPEN, "q0", BOTTOM), Transition(OPEN, "q1", NM({y: STAR}))),
+               "q1": (Transition(y, "q2", NM({y: y})),),
+               "q2": (Transition(PUSH, "q3", NM({y: y})),),
+               "q3": (Transition(CLOSE, "q4", NM({w: y})),),
+               "q4": (Transition(w, "q5", BOTTOM), Transition(EPS, "q5", BOTTOM)),
+               "q5": (Transition(CLOSE, "q5", BOTTOM),)},
+    )
+
+
+def _nested(depth, inner):
+    """`depth` binders nested, with the canonical names, around the name
+    of binder `inner`."""
+    binders = [Name(f"~{i}") for i in range(depth)]
+    return MWord(tuple(map(TOpen, binders)) + (binders[inner],) + (TCLOSE,) * depth)
+
+
+@pytest.mark.parametrize("make,inner", [
+    (_nesting_hds, -1),
+    (lambda: compile_regex(parse_regex(
+        " ".join(f"<#n{i}." for i in range(300)) + " #n0" + " >" * 300, set())), 0),
+])
+def test_binders_nested_past_the_cached_small_ints(make, inner):
+    # a binder's level is its int depth; levels above 256 are not one
+    # shared object, so a close must kill its level by value
+    h = make()
+    assert validate(h) == []
+    deepest = _nested(300, inner)
+    words = {_nested(d, inner) for d in range(1, 301)} if inner < 0 else {deepest}
+    assert language_slice(h, 601) == words
+    assert accepts_word(h, deepest)
+    assert not accepts_word(h, _nested(300, 1))
+    tokens = tokenize(deepest)
+    streams = [tokens] + near_misses(tokens, (n, Name("~1")))[::50]
+    for t in streams:
+        assert run(h, t).outcome == naive_run(h, t).outcome
+    assert run(h, tokens).outcome == ACCEPT
+
+
 def test_search_keeps_one_frame_more_than_the_open_depth(monkeypatch):
     from nomlang import hds
 
@@ -905,7 +998,7 @@ def test_slice_work_grows_by_a_constant_per_bound(monkeypatch, text):
 
 def test_slice_allocates_no_names_beyond_its_opens():
     # the bound must not decide how many names are interned: none are,
-    # since binders take level names, which are built outside the registry
+    # since binders take int levels, which are no names
     h = compile_regex(parse_regex("a", {"a"}))
     before = len(Name._registry)
     assert language_slice(h, 200_000) == {parse_word("a")}
@@ -936,13 +1029,18 @@ def test_star_slices_at_bound_seven_are_fast():
 
 def test_slice_decodes_each_word_once(monkeypatch):
     # the walk emits keys: it decodes each accepted word once, and never
-    # parses or canonicalizes one
-    from nomlang import hds
+    # parses or canonicalizes one, whether `hds` imports the parser and
+    # the canonicalizers or reaches them through `words`
+    from nomlang import hds, words
 
     decoded, other = [], []
     monkeypatch.setattr(hds, "from_key", lambda key: decoded.append(key) or from_key(key))
-    monkeypatch.setattr(hds, "alpha_canonical", lambda w: other.append(w) or alpha_canonical(w))
-    monkeypatch.setattr(hds, "parse_tokens", lambda ts: other.append(ts) or parse_tokens(ts))
+    for fn in (alpha_canonical, canonical_row, parse_tokens):
+        def spy(*args, fn=fn):
+            other.append(fn.__name__)
+            return fn(*args)
+        for module in (hds, words):
+            monkeypatch.setattr(module, fn.__name__, spy, raising=False)
     cases = [(compile_regex(parse_regex(text, {"a", "b"})), 5) for text in STAR_EXPRS]
     rng = random.Random(11)
     cases += [(compile_regex(random_regex(rng, NAMES, LETTERS, 4)), 6) for _ in range(50)]

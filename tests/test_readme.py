@@ -11,8 +11,10 @@ README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
 with open(README) as f:
     TEXT = f.read()
 
-# (line of the block's first line, its code)
-BLOCKS = [(TEXT.count("\n", 0, m.start(1)) + 1, m.group(1))
+# (the ``##`` heading the block sits under, line of its first line, its code):
+# a test is named after its heading, so prose edits above it rename nothing
+BLOCKS = [(re.findall(r"^## (.+)$", TEXT[:m.start()], re.M)[-1],
+           TEXT.count("\n", 0, m.start(1)) + 1, m.group(1))
           for m in re.finditer(r"^```python\n(.*?)^```$", TEXT, re.M | re.S)]
 
 
@@ -20,7 +22,7 @@ def test_readme_has_its_python_blocks():
     assert len(BLOCKS) >= 2
 
 
-@pytest.mark.parametrize("line, code", BLOCKS, ids=[f"line{line}" for line, _ in BLOCKS])
-def test_readme_block_runs(line, code):
+@pytest.mark.parametrize("heading, line, code", BLOCKS, ids=[h for h, _, _ in BLOCKS])
+def test_readme_block_runs(heading, line, code):
     # padded so that a traceback names the README's own line
     exec(compile("\n" * (line - 1) + code, README, "exec"), {"__name__": "readme"})
