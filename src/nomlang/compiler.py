@@ -1,15 +1,17 @@
 """Translation of regular expressions into stack automata.
 
-The translation is structural: base automata for the unit, the empty
-language, single names and single letters; a sum construction joining
-two automata under a fresh initial state; concatenation linking the
-(unique) final state of the first automaton to the initial state of
-the second after extending the first with the second's initial locals;
-iteration via a push transition re-establishing the initial name
-bindings; and name binding via an allocating open transition and a
-deallocating close transition.  Every construction takes its new
-state ids and local names from the one `_Build` of the compile, so the
-operands of a construction never share a state or a local name.
+The translation is structural: a base automaton for the empty
+language, and one base case for the unit and an atom, a single move
+that reads nothing, the atom's letter, or a local whose initial meaning
+is the atom's name; a sum construction joining two automata under a
+fresh initial state; concatenation linking the (unique) final state of
+the first automaton to the initial state of the second after extending
+the first with the second's initial locals; iteration via a push
+transition re-establishing the initial name bindings; and name binding
+via an allocating open transition and a deallocating close transition.
+Every construction takes its new state ids and local names from the
+one `_Build` of the compile, so the operands of a construction never
+share a state or a local name.
 
 One compile builds one automaton.  `compile_regex` fills one `_Build`:
 two mutable tables holding the local names of each state (a set) and
@@ -132,17 +134,14 @@ class _Build:
         if isinstance(e, rx.Zero):
             q0 = self.state()
             return _Frag([q0], q0, set(), {})
-        if isinstance(e, (rx.One, rx.NameLit, rx.LetterLit)):
+        if isinstance(e, (rx.One, rx.Atom)):
             q0, qf = self.state(), self.state()
             eta = {}
-            if isinstance(e, rx.One):
-                label = EPS
-            elif isinstance(e, rx.LetterLit):
-                label = e.letter
-            else:
+            label = EPS if isinstance(e, rx.One) else e.sym  # a letter is its own label
+            if type(label) is Name:  # a name is read through a local that means it
                 label = self.local()
                 self.locals[q0].add(label)
-                eta[label] = e.name
+                eta[label] = e.sym
             self.trans[q0].append((label, qf, {}))
             return _Frag([q0, qf], q0, {qf}, eta)
         if isinstance(e, rx.Sum):

@@ -301,20 +301,22 @@ def _project(w: MWord, pool: frozenset[Name]) -> set[PlainWord]:
 class SortOps:
     """The operations a sort must provide to interpret regular expressions.
 
-    Token length adds up under `concat` in every sort.  Every sort in
-    `SORTS` is made by `_on_keys` from `keyed`, the same sort on its
-    nameless keys, and `encode`, which maps a value to its key; so its
-    operations return canonical values.  A key sort's `canon` is the
-    identity, its `to_mword` decodes a key to the canonical value of
-    this sort, and it has no `keyed` or `encode` of its own.
+    A sort's words are generated by `unit`, the empty word, and `atom`,
+    which makes the one-symbol word of a name or a letter, under
+    `concat` and `bind`.  Token length adds up under `concat` in every
+    sort.  Every sort in `SORTS` is made by `_on_keys` from `keyed`, the
+    same sort on its nameless keys, and `encode`, which maps a value to
+    its key; so its operations return canonical values.  A key sort's
+    `canon` is the identity, its `to_mword` decodes a key to the
+    canonical value of this sort, and it has no `keyed` or `encode` of
+    its own.
     `regex.enumerate_slice` runs on the keys and decodes each output
     word once; `regex.member` encodes its candidate and decodes nothing.
     """
 
     tag: str
     unit: object
-    from_name: Callable
-    from_letter: Callable
+    atom: Callable
     concat: Callable
     bind: Callable
     canon: Callable
@@ -335,8 +337,7 @@ def _on_keys(tag: str, keys: SortOps, encode: Callable, to_mword: Callable) -> S
     return SortOps(
         tag=tag,
         unit=decode(keys.unit),
-        from_name=lambda n: decode(keys.from_name(n)),
-        from_letter=lambda s: decode(keys.from_letter(s)),
+        atom=lambda s: decode(keys.atom(s)),
         concat=lambda x, y: decode(keys.concat(encode(x), encode(y))),
         bind=lambda n, x: decode(keys.bind(n, encode(x))),
         canon=lambda x: decode(encode(x)),
@@ -352,8 +353,7 @@ def _on_keys(tag: str, keys: SortOps, encode: Callable, to_mword: Callable) -> S
 SORT_M_KEYS = SortOps(
     tag="M",
     unit=(),
-    from_name=lambda n: (n,),
-    from_letter=lambda s: (s,),
+    atom=lambda s: (s,),
     concat=tuple.__add__,
     bind=key_bind,
     canon=_identity,
@@ -371,8 +371,7 @@ SORT_G = _on_keys("G", replace(
 SORT_L_KEYS = SortOps(
     tag="L",
     unit=(0, ()),
-    from_name=lambda n: (0, (n,)),
-    from_letter=lambda s: (0, (s,)),
+    atom=lambda s: (0, (s,)),
     concat=_concat_l,
     bind=_bind_l,
     canon=_identity,

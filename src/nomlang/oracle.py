@@ -100,8 +100,7 @@ def alpha_oracle(w: MWord, v: MWord, pool: frozenset[Name]) -> bool:
 
 def balanced_streams(length: int, pool: frozenset[Name], letters: frozenset[Letter]):
     """All balanced token streams of exactly the given length."""
-    name_toks = sorted(pool)
-    letter_toks = sorted(letters, key=lambda s: s.symbol)
+    atom_toks = sorted(pool) + sorted(letters)
     open_toks = [TOpen(n) for n in sorted(pool)]
 
     def go(remaining: int, depth: int):
@@ -109,7 +108,7 @@ def balanced_streams(length: int, pool: frozenset[Name], letters: frozenset[Lett
             if depth == 0:
                 yield ()
             return
-        for t in name_toks + letter_toks:
+        for t in atom_toks:
             for rest in go(remaining - 1, depth):
                 yield (t,) + rest
         if remaining >= 2 + depth:
@@ -303,10 +302,7 @@ def random_regex(
     depth: int,
 ) -> rx.Regex:
     if depth == 0:
-        atoms = [rx.ONE, rx.ZERO]
-        atoms += [rx.NameLit(n) for n in pool]
-        atoms += [rx.LetterLit(s) for s in letters]
-        return rng.choice(atoms)
+        return rng.choice([rx.ONE, rx.ZERO] + [rx.Atom(s) for s in (*pool, *letters)])
     roll = rng.random()
     if roll < 0.15:
         return random_regex(rng, pool, letters, 0)
@@ -345,9 +341,9 @@ def _build(ops: SortOps, rng, pool, letters, size, avoid=frozenset()):
     for _ in range(size):
         roll = rng.random()
         if roll < 0.45 and usable:
-            w = ops.concat(w, ops.from_name(rng.choice(usable)))
+            w = ops.concat(w, ops.atom(rng.choice(usable)))
         elif roll < 0.7 and letters:
-            w = ops.concat(w, ops.from_letter(rng.choice(letters)))
+            w = ops.concat(w, ops.atom(rng.choice(letters)))
         elif usable:
             w = ops.bind(rng.choice(usable), w)
     return w
@@ -378,15 +374,15 @@ def gen_axiom_instances(
             out.append(AxiomInstance(axiom, ops.concat(ops.bind(n, x), y),
                                      ops.bind(n, ops.concat(x, y))))
         elif axiom == "Ax2":  # |- s.[m]Y = [m](s.Y)
-            s = ops.from_letter(rng.choice(letters))
+            s = ops.atom(rng.choice(letters))
             y = _build(ops, rng, pool, letters, size)
             out.append(AxiomInstance(axiom, ops.concat(s, ops.bind(m, y)),
                                      ops.bind(m, ops.concat(s, y))))
         elif axiom == "Ax3":  # n#m |- n.[m]Y = [m](n.Y)
             y = _build(ops, rng, pool, letters, size)
             out.append(AxiomInstance(axiom,
-                                     ops.concat(ops.from_name(n), ops.bind(m, y)),
-                                     ops.bind(m, ops.concat(ops.from_name(n), y))))
+                                     ops.concat(ops.atom(n), ops.bind(m, y)),
+                                     ops.bind(m, ops.concat(ops.atom(n), y))))
         elif axiom == "Ax4":  # |- [n][m]X = [m][n]X
             x = _build(ops, rng, pool, letters, size)
             out.append(AxiomInstance(axiom, ops.bind(n, ops.bind(m, x)),

@@ -1,5 +1,10 @@
 """Regular expressions over names and letters, with binders.
 
+An atom (`Atom`) is a name or a letter, and stands for the one-symbol
+word it spells; the type of its symbol says which it is, and only
+`free_names` and the compiler ask.  The other nodes are the unit `One`,
+the empty language `Zero`, `Sum`, `Cat`, `Star` and `Binder`.
+
 The denotation of an expression in a chosen word sort is in general an
 infinite set; `enumerate_slice` computes its finite window of words up
 to a token-length bound.  Every semantic clause is token-length
@@ -39,13 +44,10 @@ class Zero(Regex):
 
 
 @dataclass(frozen=True)
-class NameLit(Regex):
-    name: Name
+class Atom(Regex):
+    """The one-symbol word of a name or a letter."""
 
-
-@dataclass(frozen=True)
-class LetterLit(Regex):
-    letter: Letter
+    sym: Name | Letter
 
 
 @dataclass(frozen=True)
@@ -76,8 +78,8 @@ ZERO = Zero()
 
 
 def free_names(e: Regex) -> frozenset[Name]:
-    if isinstance(e, NameLit):
-        return frozenset((e.name,))
+    if isinstance(e, Atom) and type(e.sym) is Name:
+        return frozenset((e.sym,))
     if isinstance(e, (Sum, Cat)):
         return free_names(e.left) | free_names(e.right)
     if isinstance(e, Binder):
@@ -87,19 +89,9 @@ def free_names(e: Regex) -> frozenset[Name]:
     return frozenset()
 
 
-def letters_of(e: Regex) -> frozenset[Letter]:
-    if isinstance(e, LetterLit):
-        return frozenset((e.letter,))
-    if isinstance(e, (Sum, Cat)):
-        return letters_of(e.left) | letters_of(e.right)
-    if isinstance(e, (Binder, Star)):
-        return letters_of(e.body)
-    return frozenset()
-
-
 def permute_regex(pi: Permutation, e: Regex) -> Regex:
-    if isinstance(e, NameLit):
-        return NameLit(pi(e.name))
+    if isinstance(e, Atom):  # a permutation fixes every letter
+        return Atom(pi(e.sym))
     if isinstance(e, Sum):
         return Sum(permute_regex(pi, e.left), permute_regex(pi, e.right))
     if isinstance(e, Cat):
@@ -146,10 +138,8 @@ def _enum(e: Regex, ops: SortOps, bound: int) -> dict[int, set]:
         return {}
     if isinstance(e, One):
         return _single(ops.unit, ops, bound)
-    if isinstance(e, NameLit):
-        return _single(ops.from_name(e.name), ops, bound)
-    if isinstance(e, LetterLit):
-        return _single(ops.from_letter(e.letter), ops, bound)
+    if isinstance(e, Atom):
+        return _single(ops.atom(e.sym), ops, bound)
     if isinstance(e, Sum):
         out = _enum(e.left, ops, bound)
         for n, ws in _enum(e.right, ops, bound).items():

@@ -188,9 +188,9 @@ def parse_regex(text: str, letters: frozenset[str] | set[str]) -> rx.Regex:
         if kind == "digit":
             e = rx.ONE if tok == "1" else rx.ZERO
         elif kind == "name":
-            e = rx.NameLit(Name(tok[1:]))
+            e = rx.Atom(Name(tok[1:]))
         elif kind == "ident" and tok in letters:
-            e = rx.LetterLit(Letter(tok))
+            e = rx.Atom(Letter(tok))
         elif kind == "ident":
             raise ParseError(f"undeclared letter {tok!r}", pos)
         else:
@@ -219,32 +219,24 @@ def parse_regex(text: str, letters: frozenset[str] | set[str]) -> rx.Regex:
 
 
 def render_regex(e: rx.Regex) -> str:
-    def prec(e) -> int:
-        if isinstance(e, rx.Sum):
-            return 0
-        if isinstance(e, rx.Cat):
-            return 1
-        return 2
-
     def go(e, level: int) -> str:
+        # level: the precedence `e` needs, 0 in a sum or a binder, 1 in a product, 2 under a star
         if isinstance(e, rx.One):
             return "1"
         if isinstance(e, rx.Zero):
             return "0"
-        if isinstance(e, rx.NameLit):
-            return f"#{e.name.label}"
-        if isinstance(e, rx.LetterLit):
-            return e.letter.symbol
+        if isinstance(e, rx.Atom):
+            return repr(e.sym)  # `#label` for a name, the symbol for a letter
         if isinstance(e, rx.Binder):
             return f"<#{e.name.label}. {go(e.body, 0)} >"
         if isinstance(e, rx.Star):
             return go(e.body, 2) + "*"
         if isinstance(e, rx.Sum):
-            s = f"{go(e.left, 0)} + {go(e.right, 0)}"
+            s, prec = f"{go(e.left, 0)} + {go(e.right, 0)}", 0
         else:
             assert isinstance(e, rx.Cat)
-            s = f"{go(e.left, 1)} {go(e.right, 1)}"
-        return f"( {s} )" if prec(e) < level else s
+            s, prec = f"{go(e.left, 1)} {go(e.right, 1)}", 1
+        return f"( {s} )" if prec < level else s
 
     return go(e, 0)
 
@@ -252,14 +244,27 @@ def render_regex(e: rx.Regex) -> str:
 # ---------------------------------------------------------------------------
 # Expression files
 
+# A letter declaration, its `;` optional here so that a missing one is reported.
+_DECLARATION_RE = re.compile(r"\s*(letters)\b([^;]*)(;?)")
+
+
 def parse_nre(text: str) -> tuple[rx.Regex, frozenset[str]]:
-    """Parse an expression file: letter declarations, then the expression."""
+    """Parse an expression file: letter declarations, then the expression.
+
+    Each declared letter must be an identifier.  A ``letters`` with no
+    ``;`` after it is a declaration missing its ``;``, unless ``letters``
+    is itself a declared letter: then it starts the expression.  The
+    declarations read are blanked out, not cut off, so an error's
+    position counts from the start of the file.
+    """
     letters: set[str] = set()
-    rest = text
-    while True:
-        m = re.match(r"\s*letters\b([^;]*);", rest)
-        if m is None:
-            break
-        letters.update(m.group(1).split())
-        rest = rest[m.end():]
-    return parse_regex(rest, frozenset(letters)), frozenset(letters)
+    pos = 0
+    while (m := _DECLARATION_RE.match(text, pos)) and (m[3] or "letters" not in letters):
+        if not m[3]:
+            raise ParseError("letter declaration without ';'", m.start(1))
+        for w in re.compile(r"\S+").finditer(text, m.start(2), m.end(2)):
+            if not (w[0].isascii() and w[0].isidentifier()):
+                raise ParseError(f"declared letter {w[0]!r} is not an identifier", w.start())
+            letters.add(w[0])
+        pos = m.end()
+    return parse_regex(" " * pos + text[pos:], frozenset(letters)), frozenset(letters)

@@ -230,7 +230,7 @@ def test_criterion_5_axiom_suites():
 
 def test_criterion_6_distinct_names_language_idempotent():
     """The all-distinct-names language is closed under concatenation in S."""
-    e = rx.Star(rx.Binder(n, rx.NameLit(n)))
+    e = rx.Star(rx.Binder(n, rx.Atom(n)))
     W = enumerate_slice(e, "S", 12).words
     closed = set(W)
     for u, v in itertools.product(W, W):

@@ -1,4 +1,5 @@
 import hashlib
+import io
 import itertools
 import os
 import subprocess
@@ -231,6 +232,19 @@ def test_parse_error_exit_code(tmp_path, capsys):
 
 def test_missing_file_exit_code(capsys):
     assert main(["compile", "/no/such/file.nre"]) == 2
+
+
+def test_an_automaton_that_fails_validation_is_a_usage_error(tmp_path, capsys):
+    p = tmp_path / "bad.hds"  # parses, but its one transition targets an undeclared state
+    p.write_text("states\n  q0\n  q1\ninitial q0\nfinals q1\ntrans\n  q0 --eps[]--> q9\n")
+    assert main(["accept", str(p), "a"]) == 2
+    assert capsys.readouterr().err == "error: q0 --eps[_|_]--> q9: undeclared target\n"
+
+
+def test_an_expression_is_read_from_stdin(monkeypatch, capsys):
+    monkeypatch.setattr("sys.stdin", io.StringIO("letters a;\na a + #n\n"))
+    assert main(["enumerate", "-", "--bound", "3"]) == 0
+    assert capsys.readouterr().out.splitlines() == ["#n", "a a"]
 
 
 def test_undeclared_letter_exit_code(tmp_path, capsys):

@@ -7,6 +7,7 @@ import time
 import pytest
 
 from nomlang.names import Name, STAR
+from nomlang import regex as rx
 from nomlang.hds_format import serialize
 from nomlang.regex import enumerate_slice
 from nomlang.syntax import parse_nre, parse_regex, parse_word, render_word
@@ -43,6 +44,14 @@ def test_compile_atoms():
     assert language_slice(h, 4) == {parse_word("#n")}
     _, h = compiled("a")
     assert language_slice(h, 4) == {parse_word("a")}
+
+
+def test_a_node_of_no_expression_type_is_refused():
+    class Unknown(rx.Regex):
+        __slots__ = ()
+
+    with pytest.raises(TypeError, match="unknown expression node Unknown"):
+        compile_regex(rx.Cat(rx.Atom(n), Unknown()))
 
 
 def test_compile_sum_cat_star_bind():

@@ -39,12 +39,10 @@ def sort_words_st(ops, max_size=5):
     def build(steps):
         w = ops.unit
         for kind, payload in steps:
-            if kind == "n":
-                w = ops.concat(w, ops.from_name(payload))
-            elif kind == "s":
-                w = ops.concat(w, ops.from_letter(payload))
-            else:
+            if kind == "b":
                 w = ops.bind(payload, w)
+            else:  # "n" or "s": a name or a letter
+                w = ops.concat(w, ops.atom(payload))
         return w
 
     return st.lists(step, max_size=max_size).map(build)
@@ -96,9 +94,9 @@ def test_value_operations_return_canonical_values(tag, rng):
     from nomlang.oracle import _build
 
     for x in NAMES:
-        assert ops.from_name(x) == ops.canon(ops.from_name(x))
+        assert ops.atom(x) == ops.canon(ops.atom(x))
     for s in LETTERS:
-        assert ops.from_letter(s) == ops.canon(ops.from_letter(s))
+        assert ops.atom(s) == ops.canon(ops.atom(s))
     for _ in range(60):
         u, v = (_build(ops, rng, NAMES, LETTERS, rng.randint(0, 5)) for _ in range(2))
         w = ops.concat(u, v)
@@ -134,17 +132,17 @@ def test_law_profile_by_sort(rng):
 def test_laws_fail_where_expected():
     # Ax4 in L: binder order is observable
     ops = SORT_L
-    lhs = ops.bind(n, ops.bind(m, ops.concat(ops.from_name(n), ops.from_name(m))))
-    rhs = ops.bind(m, ops.bind(n, ops.concat(ops.from_name(n), ops.from_name(m))))
+    lhs = ops.bind(n, ops.bind(m, ops.concat(ops.atom(n), ops.atom(m))))
+    rhs = ops.bind(m, ops.bind(n, ops.concat(ops.atom(n), ops.atom(m))))
     assert ops.canon(lhs) != ops.canon(rhs)
     # Ax5 in L: a vacuous binder is observable
-    w = ops.from_letter(a)
+    w = ops.atom(a)
     assert ops.canon(ops.bind(n, w)) != ops.canon(w)
     # Ax2 in G: a binder cannot cross a letter
     ops = SORT_G
-    y = ops.from_name(m)
-    lhs = ops.concat(ops.from_letter(a), ops.bind(m, y))
-    rhs = ops.bind(m, ops.concat(ops.from_letter(a), y))
+    y = ops.atom(m)
+    lhs = ops.concat(ops.atom(a), ops.bind(m, y))
+    rhs = ops.bind(m, ops.concat(ops.atom(a), y))
     assert ops.canon(lhs) != ops.canon(rhs)
 
 
@@ -154,9 +152,9 @@ def test_ax6_extra_in_s(rng):
     # ...but ordered sorts do not: moving a binder over a word that has
     # binders of its own changes the observable prefix order
     ops = SORT_L
-    x = ops.bind(k, ops.from_name(k))
-    lhs = ops.concat(x, ops.bind(n, ops.from_name(n)))
-    rhs = ops.bind(n, ops.concat(x, ops.from_name(n)))
+    x = ops.bind(k, ops.atom(k))
+    lhs = ops.concat(x, ops.bind(n, ops.atom(n)))
+    rhs = ops.bind(n, ops.concat(x, ops.atom(n)))
     assert ops.canon(lhs) != ops.canon(rhs)
 
 
@@ -301,6 +299,16 @@ def test_g_word_repr_is_its_m_word_repr():
     assert repr(GWord(())) == "^"
 
 
+@pytest.mark.parametrize("ops, two", [
+    (SORT_L, "[~0][~1]#~1 #~0"),  # the prefix keeps the binders' order: m, then n
+    (SORT_S, "[~0][~1]#~0 #~1"),  # the set's names are numbered by first occurrence
+], ids=["L", "S"])
+def test_prefix_and_set_words_write_their_binders_first(ops, two):
+    assert repr(ops.bind(n, ops.concat(ops.atom(n), ops.atom(a)))) == "[~0]#~0 a"
+    assert repr(ops.bind(m, ops.bind(n, ops.concat(ops.atom(n), ops.atom(m))))) == two
+    assert repr(ops.concat(ops.atom(m), ops.atom(a))) == "#m a"
+
+
 def test_s_word_rejects_bound_names_it_cannot_bind():
     from nomlang.monoids import SWord
 
@@ -363,14 +371,14 @@ def test_decoders_agree_with_a_reference_on_canonical_supply(tag, rng):
     def deep(j):  # j binders, each binding an occurrence of n
         key = keyed.unit
         for _ in range(j):
-            key = keyed.bind(n, keyed.concat(keyed.from_name(n), key))
+            key = keyed.bind(n, keyed.concat(keyed.atom(n), key))
         return key
 
     # more binders than the table holds: first with no reserved name
     # free, then around the reserved names at and beyond its new end
     grown = size + 1
-    around = keyed.concat(keyed.from_name(bound_name(grown)),
-                          keyed.concat(deep(grown + 2), keyed.from_name(bound_name(grown + 2))))
+    around = keyed.concat(keyed.atom(bound_name(grown)),
+                          keyed.concat(deep(grown + 2), keyed.atom(bound_name(grown + 2))))
     keys = [deep(grown), around] + [
         _build(keyed, rng, NAMES + reserved, LETTERS, rng.randint(0, 8)) for _ in range(300)]
     seen = set()

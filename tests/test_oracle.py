@@ -100,12 +100,12 @@ def test_balanced_streams_are_balanced():
 # -- generators --------------------------------------------------------------
 
 def test_random_regex_depth_and_alphabet(rng):
-    from nomlang.regex import free_names, letters_of
+    from nomlang.regex import free_names
 
     for _ in range(100):
         e = random_regex(rng, NAMES, LETTERS, 3)
         assert free_names(e) <= frozenset(NAMES)
-        assert letters_of(e) <= frozenset(LETTERS)
+        assert compile_regex(e).letters() <= frozenset(LETTERS)
         render_regex(e)  # must be printable
 
 

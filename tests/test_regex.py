@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from nomlang.names import Name
+from nomlang.names import Letter, Name
 from nomlang import regex as rx
 from nomlang.regex import enumerate_slice, free_names, member
 from nomlang.syntax import ParseError, parse_nre, parse_regex, parse_word, render_regex
@@ -27,7 +27,7 @@ def canon(src):
 
 def test_parser_precedence():
     e = parse_regex("#n #m + #k*", letters=set())
-    assert e == rx.Sum(rx.Cat(rx.NameLit(n), rx.NameLit(m)), rx.Star(rx.NameLit(k)))
+    assert e == rx.Sum(rx.Cat(rx.Atom(n), rx.Atom(m)), rx.Star(rx.Atom(k)))
 
 
 def test_parser_binder_and_groups():
@@ -67,9 +67,14 @@ def test_undeclared_letter_rejected():
     (parse_regex, "a > b", "unexpected '>'", 2),
     (parse_regex, "a + ", "unexpected end of input", 4),
     (parse_regex, "c*", "undeclared letter 'c'", 0),
+    # in a file, a position counts from its start, declarations included
+    (parse_nre, "letters a b;\nc* #n", "undeclared letter 'c'", 13),
+    (parse_nre, "letters a, b;\na", "declared letter 'a,' is not an identifier", 8),
+    (parse_nre, "letters a b\nc* #n", "letter declaration without ';'", 0),
+    (parse_nre, "letters a;\nletters b\na b", "letter declaration without ';'", 11),
 ])
 def test_parse_errors_name_the_fault_and_its_position(parse, src, message, pos):
-    args = (src,) if parse is parse_word else (src, {"a", "b"})
+    args = (src, {"a", "b"}) if parse is parse_regex else (src,)
     with pytest.raises(ParseError) as err:
         parse(*args)
     assert str(err.value) == f"{message} (at position {pos})"
@@ -79,7 +84,9 @@ def test_parse_errors_name_the_fault_and_its_position(parse, src, message, pos):
 def test_parse_nre_declarations():
     e, letters = parse_nre("letters a b;\n#n a b")
     assert letters == {"a", "b"}
-    assert e == rx.Cat(rx.Cat(rx.NameLit(n), rx.LetterLit(a)), rx.LetterLit(b))
+    assert e == rx.Cat(rx.Cat(rx.Atom(n), rx.Atom(a)), rx.Atom(b))
+    # `letters` may be a letter: once declared, it starts the expression
+    assert parse_nre("letters letters; letters") == (rx.Atom(Letter("letters")), {"letters"})
 
 
 def test_free_names():
@@ -172,7 +179,7 @@ def test_slice_with_free_reserved_name_decodes_canonically():
     from nomlang.words import TOpen
 
     t0, t1 = Name("~0"), Name("~1")
-    e = rx.Cat(rx.Binder(n, rx.NameLit(n)), rx.NameLit(t0))
+    e = rx.Cat(rx.Binder(n, rx.Atom(n)), rx.Atom(t0))
     want = {
         "M": alpha_canonical(parse_word("<#n. #n > #~0")),
         "G": GWord((TOpen(t1), t1, t0)),
@@ -240,3 +247,28 @@ def test_permute_regex():
     pi = Permutation.transposition(n, m)
     e = parse_regex("#n <#m. #m #n >", letters=set())
     assert rx.permute_regex(pi, e) == parse_regex("#m <#n. #n #m >", letters=set())
+
+
+def test_permute_regex_is_equivariant():
+    from nomlang.names import Permutation
+    from nomlang.oracle import random_regex
+    from nomlang.words import permute
+
+    rng = random.Random(7)
+    exprs = [random_regex(rng, NAMES, LETTERS, 4) for _ in range(300)]
+    # every node type occurs, so each branch of `permute_regex` is taken
+    nodes = {type(x) for e in exprs for x in _subexpressions(e)}
+    assert nodes == {rx.One, rx.Zero, rx.Atom, rx.Sum, rx.Cat, rx.Star, rx.Binder}
+    assert any(type(x) is rx.Atom and x.sym in LETTERS for e in exprs for x in _subexpressions(e))
+    for x, y in ((n, m), (n, k), (m, k)):
+        pi = Permutation.transposition(x, y)
+        for e in exprs:
+            want = {permute(pi, w) for w in enumerate_slice(e, "M", 6).words}
+            assert enumerate_slice(rx.permute_regex(pi, e), "M", 6).words == want
+
+
+def _subexpressions(e):
+    yield e
+    for f in ("left", "right", "body"):
+        if hasattr(e, f):
+            yield from _subexpressions(getattr(e, f))

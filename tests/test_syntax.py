@@ -175,11 +175,11 @@ def _atom(cur: _Cursor, letters: frozenset[str]) -> rx.Regex:
     if kind == "digit":
         return rx.ONE if tok == "1" else rx.ZERO
     if kind == "name":
-        return rx.NameLit(Name(tok[1:]))
+        return rx.Atom(Name(tok[1:]))
     if kind == "ident":
         if tok not in letters:
             raise ParseError(f"undeclared letter {tok!r}", pos)
-        return rx.LetterLit(Letter(tok))
+        return rx.Atom(Letter(tok))
     if kind == "(":
         e = _sum(cur, letters)
         cur.expect(")")

@@ -128,6 +128,15 @@ def test_permutation_equivariance(w, x, y):
     )
 
 
+def test_permutation_repr_and_refusal():
+    assert repr(Permutation.transposition(Name("n"), Name("m"))) == "(n>m m>n)"
+    assert repr(Permutation()) == repr(Permutation.transposition(Name("n"), Name("n"))) == "id"
+    with pytest.raises(ValueError, match="not a permutation"):
+        Permutation({Name("n"): Name("m")})  # m has no preimage
+    with pytest.raises(ValueError, match="not a permutation"):
+        Permutation({Name("n"): Name("k"), Name("m"): Name("k")})  # not injective
+
+
 def test_canonical_avoids_free_reserved_names():
     # a word whose free names collide with the reserved bound-name pool
     t0 = Name("~0")
