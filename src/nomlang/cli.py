@@ -38,14 +38,6 @@ def _write(path: str, text: str) -> None:
             f.write(text)
 
 
-def _load_hds(path: str) -> automata.Hds:
-    h = hds_format.parse(_read(path))
-    problems = automata.validate(h)
-    if problems:
-        raise hds_format.FormatError("; ".join(problems))
-    return h
-
-
 def cmd_compile(args) -> int:
     e, _letters = parse_nre(_read(args.input))
     h = compile_regex(e)
@@ -58,7 +50,7 @@ def cmd_compile(args) -> int:
 def cmd_accept(args) -> int:
     if args.fuel is not None and args.fuel < 1:
         raise ValueError("--fuel must be at least 1: the initial frame takes one")
-    h = _load_hds(args.automaton)
+    h = hds_format.parse(_read(args.automaton))
     w = parse_word(args.word)
     tokens = automata.word_stream(h, w)
     result = automata.run(h, tokens, max_depth=args.fuel, want_trace=args.trace)
@@ -82,7 +74,7 @@ def cmd_enumerate(args) -> int:
         if args.sort != "M":
             print("error: --sort applies only to expression input", file=sys.stderr)
             return EXIT_USAGE
-        h = _load_hds(args.input)
+        h = hds_format.parse(_read(args.input))
         try:
             words = automata.language_slice(h, args.bound)
         except automata.Undecided:
@@ -109,7 +101,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_dot(args) -> int:
-    h = _load_hds(args.automaton)
+    h = hds_format.parse(_read(args.automaton))
     sys.stdout.write(hds_format.to_dot(h))
     return EXIT_ACCEPT
 

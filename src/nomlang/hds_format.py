@@ -29,6 +29,10 @@ starting with ``//`` (a comment); a letter an identifier that is not a
 move keyword; and a name (a local, an eta name, a label name or a map
 entry) one word without ``,``, ``>``, ``[``, ``]`` or ``=#``, and not
 ``*``.
+`parse` returns only a well-formed automaton: on a text whose automaton
+`hds.validate` rejects (an undeclared state, a label that is no local
+of its source, a map beyond its target's locals, ...) it raises
+`FormatError` naming each fault, so a caller need not validate again.
 """
 
 from __future__ import annotations
@@ -37,7 +41,7 @@ import re
 from typing import Optional
 
 from .names import Letter, Name, STAR
-from .hds import MOVES, Hds, Move, NameMap, Transition
+from .hds import MOVES, Hds, Move, NameMap, Transition, validate
 
 _KEYWORDS = {m.keyword: m for m in MOVES}
 _SECTIONS = {"states", "initial", "finals", "trans", "relaxed"}
@@ -149,14 +153,8 @@ def parse(text: str) -> Hds:
         line = raw.strip()
         if not line or line.startswith("//"):
             continue
-        if line == "states":
-            section = "states"
-            continue
-        if line == "trans":
-            section = "trans"
-            continue
-        if line == "relaxed":
-            section = None
+        if line in ("states", "trans", "relaxed"):
+            section = line
             continue
         parts = line.split()
         if parts[0] == "initial":
@@ -197,20 +195,13 @@ def parse(text: str) -> Hds:
             raise FormatError(f"unexpected line {line!r}")
     if initial is None:
         raise FormatError("missing initial line")
-    if initial not in states:
-        raise FormatError(f"initial state {initial!r} undeclared")
     for q in states:
         trans.setdefault(q, [])
-    unknown = set(trans) - set(states)
-    if unknown:
-        raise FormatError(f"transitions from undeclared states {sorted(unknown)}")
-    return Hds(
-        states=states,
-        initial=initial,
-        eta=eta,
-        finals=finals or frozenset(),
-        trans={q: tuple(ts) for q, ts in trans.items()},
-    )
+    h = Hds(states, initial, eta, finals or frozenset(), {q: tuple(ts) for q, ts in trans.items()})
+    problems = validate(h)
+    if problems:
+        raise FormatError("; ".join(problems))
+    return h
 
 
 # ---------------------------------------------------------------------------

@@ -59,12 +59,8 @@ class GWord:
 
     tokens: tuple[AtomSym | TOpen, ...]
 
-    def closed(self) -> tuple:
-        """The token stream of the word: its row, then a close per binder."""
-        return self.tokens + (TCLOSE,) * sum(type(t) is TOpen for t in self.tokens)
-
     def __repr__(self):
-        return repr(MWord(self.closed()))
+        return repr(embed_gm(self))
 
 
 # ---------------------------------------------------------------------------
@@ -77,7 +73,7 @@ class LWord:
 
     def __repr__(self):
         pre = "".join(f"[{n.label}]" for n in self.prefix)
-        return pre + " ".join(map(repr, self.body))
+        return pre + (" ".join(map(repr, self.body)) or "^")  # `^` spells an empty body
 
 
 # ---------------------------------------------------------------------------
@@ -94,8 +90,7 @@ class SWord:
             raise ValueError("bound names must occur in the body")
 
     def __repr__(self):
-        pre = "".join(f"[{n.label}]" for n in sorted(self.bound))
-        return pre + " ".join(map(repr, self.body))
+        return repr(embed_sl(self))
 
 
 # ---------------------------------------------------------------------------
@@ -119,12 +114,6 @@ def _shift(body: tuple, k: int) -> tuple:
     if not k:  # most L and S concatenations in sort_enum: an operand binds nothing
         return body
     return tuple([x + k if type(x) is int else x for x in body])
-
-
-def _encode_g(w: GWord) -> tuple:
-    # the M key of the word with its closes, which all come last: the key
-    # of the row is the part before them
-    return words.alpha_key(embed_gm(w))[: len(w.tokens)]
 
 
 def _decode_g(key: tuple) -> GWord:
@@ -213,7 +202,8 @@ def embed_lg(x: LWord) -> GWord:
 
 
 def embed_gm(w: GWord) -> MWord:
-    return MWord(w.closed())
+    """The row, then a close per binder."""
+    return MWord(w.tokens + (TCLOSE,) * sum(type(t) is TOpen for t in w.tokens))
 
 
 def embed_lm(x: LWord) -> MWord:
@@ -363,10 +353,11 @@ SORT_M_KEYS = SortOps(
 
 SORT_M = _on_keys("M", SORT_M_KEYS, words.alpha_key, _identity)
 
-# A G key is an M key without closes.
+# A G key is an M key without closes: `alpha_key` reads a G row as it
+# reads an M row, and the closes `embed_gm` would append all come last.
 SORT_G = _on_keys("G", replace(
     SORT_M_KEYS, tag="G", bind=_bind_g, tok_len=_tok_len_g, to_mword=_decode_g,
-), _encode_g, embed_gm)
+), words.alpha_key, embed_gm)
 
 SORT_L_KEYS = SortOps(
     tag="L",

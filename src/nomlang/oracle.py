@@ -122,29 +122,24 @@ def balanced_streams(length: int, pool: frozenset[Name], letters: frozenset[Lett
     yield from go(length, 0)
 
 
-def brute_slice(
-    h: Hds,
-    bound: int,
-    pool: frozenset[Name],
-    letters: Optional[frozenset[Letter]] = None,
-) -> frozenset[MWord]:
+def brute_slice(h: Hds, bound: int, pool: frozenset[Name]) -> frozenset[MWord]:
     """Accepted words up to the bound, by checking every balanced stream.
 
-    Every stream over the pool is parsed to a candidate word, and
-    membership is decided by `accepts_word`, once per word, since
-    acceptance of a raw stream may depend on which representative of the
-    word it spells.  It names the binders apart from the automaton's
-    constants (`hds.word_stream`), so an open allocates a name fresh for
-    the whole configuration, constants included: on an automaton that
-    pushes ``~0`` and reads it inside a binder, ``<#~0. #~0 >`` is not
-    listed.
+    Every stream over the pool and the automaton's letters (a letter no
+    transition reads occurs in no accepted word) is parsed to a candidate
+    word, and membership is decided by `accepts_word`, once per word,
+    since acceptance of a raw stream may depend on which representative
+    of the word it spells.  It names the binders apart from the
+    automaton's constants (`hds.word_stream`), so an open allocates a
+    name fresh for the whole configuration, constants included: on an
+    automaton that pushes ``~0`` and reads it inside a binder,
+    ``<#~0. #~0 >`` is not listed.
     The pool must be large enough to spell every candidate (at least
     the automaton's free names plus the maximal number of simultaneously
     visible distinct names).  Exponential in the bound; use only at tiny
     sizes as an oracle for `language_slice`.
     """
-    if letters is None:
-        letters = h.letters()
+    letters = h.letters()
     out: set[MWord] = set()
     rejected: set[MWord] = set()
     for length in range(bound + 1):

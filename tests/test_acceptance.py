@@ -156,7 +156,7 @@ def test_criterion_3_pop_automaton_exact_language():
         },
     )
     ok = validate(h) == []
-    got = brute_slice(h, 6, frozenset({n, m}), frozenset())
+    got = brute_slice(h, 6, frozenset({n, m}))
     want = frozenset(parse_word(" ".join(["#n"] * i)) for i in range(1, 7))
     ok = ok and got == want and got == language_slice(h, 6)
     _verdict(3, "push/pop automaton language is exactly {#n^i | 1<=i<=6}", ok)

@@ -241,6 +241,14 @@ def test_an_automaton_that_fails_validation_is_a_usage_error(tmp_path, capsys):
     assert capsys.readouterr().err == "error: q0 --eps[_|_]--> q9: undeclared target\n"
 
 
+@pytest.mark.parametrize("command", [["dot"], ["enumerate", "--bound", "2"]])
+def test_every_command_refuses_an_automaton_that_fails_validation(tmp_path, capsys, command):
+    p = tmp_path / "bad.hds"
+    p.write_text("states\n  q0\n  q1\ninitial q0\nfinals q1\ntrans\n  q0 --eps[]--> q9\n")
+    assert main([command[0], str(p)] + command[1:]) == 2
+    assert capsys.readouterr().err == "error: q0 --eps[_|_]--> q9: undeclared target\n"
+
+
 def test_an_expression_is_read_from_stdin(monkeypatch, capsys):
     monkeypatch.setattr("sys.stdin", io.StringIO("letters a;\na a + #n\n"))
     assert main(["enumerate", "-", "--bound", "3"]) == 0

@@ -97,7 +97,7 @@ def test_brute_oracle_agrees_with_slice():
     # exhaustive stream-based membership agrees with the forward search
     for src in ("<#n. #n a >", "<#n. #n >*", "#m <#n. #m #n >"):
         _, h = compiled(src)
-        got = brute_slice(h, 5, frozenset({n, m}), frozenset({a}))
+        got = brute_slice(h, 5, frozenset({n, m}))
         want = {w for w in language_slice(h, 5)}
         assert got == want, src
 

@@ -96,7 +96,7 @@ PARSE_REFUSALS = {
     "initial binding": (("x=#m", "x"), "bad initial binding 'x'"),
     "transition line": (("--eps[x>x]-->", "-> "), "bad transition line"),
     "no initial": (("initial q0 x=#m\n", ""), "missing initial line"),
-    "undeclared source": (("  q0 --eps", "  qz --eps"), r"transitions from undeclared states \['qz'\]"),
+    "undeclared source": (("  q0 --eps", "  qz --eps"), "transitions from undeclared state qz"),
 }
 
 

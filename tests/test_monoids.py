@@ -299,6 +299,26 @@ def test_g_word_repr_is_its_m_word_repr():
     assert repr(GWord(())) == "^"
 
 
+def test_an_empty_body_is_written_as_the_empty_word():
+    assert repr(SORT_L.unit) == repr(SORT_S.unit) == "^"
+    assert repr(SORT_L.bind(n, SORT_L.unit)) == "[~0]^"
+
+
+# a row of names (two of them reserved), letters and binders, any name
+# bound any number of times
+g_names_st = st.sampled_from(NAMES + [Name("~0"), Name("~1")])
+g_rows_st = st.lists(st.one_of(g_names_st, letters_st, g_names_st.map(words.TOpen)), max_size=8)
+
+
+@settings(max_examples=300, deadline=None)
+@given(g_rows_st)
+def test_a_g_key_is_the_m_key_of_the_closed_word_without_its_closes(row):
+    from nomlang.monoids import GWord
+
+    w = GWord(tuple(row))
+    assert SORT_G.encode(w) == words.alpha_key(embed_gm(w))[:len(w.tokens)]
+
+
 @pytest.mark.parametrize("ops, two", [
     (SORT_L, "[~0][~1]#~1 #~0"),  # the prefix keeps the binders' order: m, then n
     (SORT_S, "[~0][~1]#~0 #~1"),  # the set's names are numbered by first occurrence
