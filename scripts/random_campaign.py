@@ -28,9 +28,9 @@ forward walk over the node graph wherever the walk decides, so the
 campaign stream.  The trace of each accepted stream, which the
 subset construction records, must be a run of `step` on its tokens.
 Each of these M words and raw spellings, rendered, must parse back to
-its own token row.  Each expression, rendered, must parse back to an
-expression that renders the same and has the same M slice (a `PARSE`
-line otherwise).
+its own token row, also with each binder's dot spaced off.  Each
+expression, rendered, must parse back to an expression that renders
+the same and has the same M slice (a `PARSE` line otherwise).
 Prints every mismatch and a summary line.
 
 Usage: python3 scripts/random_campaign.py --count 500 --depth 4 --bound 7
@@ -76,13 +76,16 @@ def raw_spellings(w, pool: list) -> list[tuple]:
 
 def check_spellings(w, pool: list, where: str) -> int:
     """Mismatches of `parse_word` on the rendered `w` and its raw
-    spellings: each must read back as the token row it renders."""
+    spellings: each must read back as the token row it renders, both as
+    rendered, which `str.split` cuts, and with each binder's dot spaced
+    off, which `parse_word` cuts with its pattern instead."""
     bad = 0
     for tokens in [tokenize(w)] + raw_spellings(w, pool):
         text = render_word(MWord(tokens))
-        if parse_word(text).tokens != tokens:
-            bad += 1
-            print(f"SPELLING {where}: {text}")
+        for spelled in dict.fromkeys([text, text.replace(". ", " . ")]):
+            if parse_word(spelled).tokens != tokens:
+                bad += 1
+                print(f"SPELLING {where}: {spelled}")
     return bad
 
 

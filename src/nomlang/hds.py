@@ -18,7 +18,8 @@ after each move applies one rule -- drop a configuration with no path
 to a final state, keep the frames a close can still read, cap the
 stack depth, and kill the name of a binder just closed.  A node is a
 configuration set and a depth (below), and its row (`_expand`) holds the
-node's successor per token read.  `language_slice` walks the tree of
+successor node itself per token read, so a walk goes from node to node
+with one lookup per token.  `language_slice` walks the tree of
 emitted prefixes one length at a time: each prefix holds the set of
 configurations that generate it, and the prefixes of one length are
 grouped by node, so each node's row is made once; the walk counts the
@@ -76,26 +77,28 @@ through rows already made.
 Each automaton carries one search state, built at its first search
 (`Hds._search`): its constants, whether it pops, `steps_to_final`, one
 table of the configuration sets the searches keep, and the node graph,
-which maps each node to its row.  An automaton is immutable, so its
-search state never goes stale, and it dies with the automaton.  A row
-depends on its node alone unless the depth cap can cut, so the graph
-serves both searches on a pop-free automaton: a slice at any bound
-reuses every node an earlier slice or run expanded, and a run on a
-word of a slice makes no `step` call.  A pop automaton's slice keeps a
-graph of its own per call.
+which holds one `_Node` per (configuration set, depth), with its row
+once it is expanded.  An automaton is immutable, so its search state
+never goes stale, and it dies with the automaton.  A row depends on
+its node alone unless the depth cap can cut, so the graph serves both
+searches on a pop-free automaton: a slice at any bound reuses every
+node an earlier slice or run expanded, and a run on a word of a slice
+makes no `step` call.  A pop automaton's slice keeps a graph of its
+own per call.
 
 On a pop-free automaton `run` walks the stream forward (`_walk`): it
 keeps its node, the level of each open binder, and the names no
 binder may take -- the constants, every name read and every binder so
-far -- and reads the next node from the row at each token and at the
-end.  A token no move reads has no entry in the row, so it rejects at
-once, and fresh free names grow nothing.  The walk only decides: a
-binder that is not private -- named after a constant or a name already
-seen, or its name read after its close -- hands the stream back, and a
-run with a `max_depth` or a trace never takes the walk.  Those runs and
-every run on a pop automaton take the general path: a plain subset
-construction over the input's own names, which renames nothing, takes
-each step from `_closure`, and records a trace's links as it goes.
+far -- and follows the row of its node to the next node at each token
+and at the end.  A token no move reads has no entry in the row, so it
+rejects at once, and fresh free names grow nothing.  The walk only
+decides: a binder that is not private -- named after a constant or a
+name already seen, or its name read after its close -- hands the
+stream back, and a run with a `max_depth` or a trace never takes the
+walk.  Those runs and every run on a pop automaton take the general
+path: a plain subset construction over the input's own names, which
+renames nothing, takes each step from `_closure`, and records a
+trace's links as it goes.
 """
 
 from __future__ import annotations
@@ -496,12 +499,33 @@ def _constants_and_pops(h: Hds) -> tuple[frozenset, bool]:
     return frozenset(constants), has_pop
 
 
+class _Node:
+    """A node of the graph: a configuration set and an open depth, and
+    once `_expand` has made its row, `_closure`'s cut and the row, whose
+    entries hold the successor nodes themselves."""
+
+    __slots__ = ("configs", "depth", "cut", "row")
+
+    def __init__(self, configs: frozenset, depth: int):
+        self.configs, self.depth = configs, depth
+        self.cut = self.row = None
+
+
+def _node(graph: dict, configs: frozenset, depth: int) -> _Node:
+    """The graph's one node for (configs, depth), made on first use."""
+    node = graph.get((configs, depth))
+    if node is None:
+        node = graph[configs, depth] = _Node(configs, depth)
+    return node
+
+
 class _SearchState:
     """What the searches keep of one automaton between calls (module
     docstring).  `sets` holds one object per configuration set, so equal
     sets are stored once, which keeps the graphs a crosscheck pass leaves
-    smaller; `graph` maps a node (configuration set, open depth) to its
-    row (`_expand`)."""
+    smaller; `graph` maps (configuration set, open depth) to its one
+    `_Node`, and holds the nodes the rows of its expanded nodes lead to,
+    expanded or not, so a walk follows rows without a graph lookup."""
 
     __slots__ = ("constants", "has_pop", "need", "start", "sets", "graph")
 
@@ -602,8 +626,9 @@ def _walk(h: Hds, tokens: tuple[Tok, ...], u: int) -> Optional[RunResult]:
     of each open binder, and the names no binder may take: the
     constants, every name read so far and every binder so far.  It looks
     an open up under `KEY_OPEN`, a bound name under its level and any
-    other token under itself, and each token, END included, reads the
-    next node from the row of the node it is at.
+    other token under itself, and at each token, END included, follows
+    the row of the node it is at to the successor node the row holds;
+    only a node not yet expanded costs more than that lookup.
 
     It hands the stream back at a binder named after a constant or a
     name already seen, and at a closed binder's name read again.  So
@@ -626,7 +651,7 @@ def _walk(h: Hds, tokens: tuple[Tok, ...], u: int) -> Optional[RunResult]:
     # open binder -> its level, innermost last: no name is opened twice,
     # so the dict keeps the open order
     bound: dict = {}
-    node = (state.start, u)
+    node = _node(graph, state.start, u)
     for tok in chain(tokens, (END,)):
         kind = type(tok)
         if kind is Name:
@@ -638,19 +663,19 @@ def _walk(h: Hds, tokens: tuple[Tok, ...], u: int) -> Optional[RunResult]:
             if nm in seen:
                 return None
             seen[nm] = False
-            key, bound[nm] = KEY_OPEN, node[1]
+            key, bound[nm] = KEY_OPEN, node.depth
         elif kind is TClose:
             if bound:
                 seen[bound.popitem()[0]] = True
-            elif not node[1]:
+            elif not node.depth:
                 return _walk(h, tokens, _keep(tokens)[0] - 1)
             key = tok
         else:
             key = tok
-        row = graph.get(node)
+        row = node.row
         if row is None:
-            row = graph[node] = _expand(h, node, node[1] + 2, sets)
-        hit = row[1].get(key)
+            row = _expand(h, node, node.depth + 2, graph, sets)
+        hit = row.get(key)
         if hit is None:
             return RunResult(REJECT)
         node = hit[1]
@@ -799,20 +824,20 @@ def _language_keys(h: Hds, bound: int) -> Iterator[tuple]:
     state = h._search
     # a pop-free walk never reaches the cap, so a row holds at every bound
     graph, sets = ({}, {}) if state.has_pop else (state.graph, state.sets)
-    nodes = {(state.start, 0): [()]}  # node -> its key prefixes of one length
+    # node -> its key prefixes of one length; nodes hash by identity
+    nodes = {_node(graph, state.start, 0): [()]}
     left = bound
     while nodes:
         grown: dict = {}
         for node, prefixes in nodes.items():
-            row = graph.get(node)
+            row = node.row
             if row is None:
-                row = graph[node] = _expand(h, node, max_depth, sets)
-            cut, reads = row
-            if cut is not None and cut <= left:
+                row = _expand(h, node, max_depth, graph, sets)
+            if node.cut is not None and node.cut <= left:
                 raise Undecided("the slice reached its depth cap and may miss words")
-            for elem, succ, req in reads.values():
+            for elem, succ, req in row.values():
                 if elem is None:  # END: a node at open depth 0 emits its prefixes
-                    if not node[1]:
+                    if not node.depth:
                         yield from prefixes
                 elif req < left:
                     elem = (elem,)
@@ -826,10 +851,11 @@ def _language_keys(h: Hds, bound: int) -> Iterator[tuple]:
         left -= 1
 
 
-def _expand(h: Hds, node: tuple, max_depth: int, sets: dict) -> tuple:
-    """The row of a node (configurations, open depth): `_closure`'s cut,
-    and a dict from each token a move reads, as `run`'s walk looks it
-    up, to its key element, the next node, and the fewest tokens a word
+def _expand(h: Hds, node: _Node, max_depth: int, graph: dict, sets: dict) -> dict:
+    """Make the row of a node (configurations, open depth) and return it:
+    set the node's `cut` to `_closure`'s cut, and its `row` to a dict
+    from each token a move reads, as `run`'s walk looks it up, to its
+    key element, the next node itself, and the fewest tokens a word
     needs after that token (to close the next node's binders and take
     one of its states to a final one).  An open allocates the level
     `depth` and is filed under `KEY_OPEN`; a level is filed under
@@ -840,8 +866,9 @@ def _expand(h: Hds, node: tuple, max_depth: int, sets: dict) -> tuple:
     transitions, which states a closure holds does not depend on the
     stack, so `run` accepts there, while `_language_keys` emits only at
     depth 0.  Each next node's configurations are a frozenset interned
-    through `sets`."""
-    configs, depth = node
+    through `sets`, and the next node is interned through `graph`
+    (`_node`), unexpanded if it is new."""
+    configs, depth = node.configs, node.depth
     need = h._search.need
     # a move keeps one frame more than the open depth after it
     rules = {NoneType: (depth + 1, None), Name: (depth + 1, None), int: (depth + 1, None),
@@ -859,8 +886,9 @@ def _expand(h: Hds, node: tuple, max_depth: int, sets: dict) -> tuple:
         depth2 = rules[type(read)][0] - 1
         req = max(depth2, min([need[q] for q, _ in group]))
         group = frozenset(group)
-        row[read] = (elem, (sets.setdefault(group, group), depth2), req)
-    return cut, row
+        row[read] = (elem, _node(graph, sets.setdefault(group, group), depth2), req)
+    node.cut, node.row = cut, row
+    return row
 
 
 def language_slice(h: Hds, bound: int) -> frozenset[MWord]:

@@ -33,6 +33,9 @@ entry) one word without ``,``, ``>``, ``[``, ``]`` or ``=#``, and not
 `hds.validate` rejects (an undeclared state, a label that is no local
 of its source, a map beyond its target's locals, ...) it raises
 `FormatError` naming each fault, so a caller need not validate again.
+`serialize` likewise runs `validate` after its own identifier checks,
+as `parse` does, and refuses an ill-formed automaton with the same
+error, so neither direction passes one on.
 """
 
 from __future__ import annotations
@@ -75,6 +78,14 @@ def _readable(text: str, role: str) -> str:
     return text
 
 
+def _valid(h: Hds) -> Hds:
+    """`h`, if `validate` finds no fault in it; else `FormatError` naming each."""
+    problems = validate(h)
+    if problems:
+        raise FormatError("; ".join(problems))
+    return h
+
+
 def serialize(h: Hds) -> str:
     lines = ["states"]
     for q in sorted(h.states):
@@ -82,7 +93,7 @@ def serialize(h: Hds) -> str:
         lines.append(f"  {_readable(q, 'state id')} {locs}".rstrip())
     eta = " ".join(
         f"{_readable(x.label, 'eta name')}=#{_readable(v.label, 'eta name')}"
-        for x, v in sorted(h.eta.items())
+        for x, v in sorted(h.eta.items()) if type(v) is Name  # `_valid` refuses any other value
     )
     lines.append(f"initial {h.initial} {eta}".rstrip())
     lines.append(("finals " + " ".join(sorted(h.finals))).rstrip())
@@ -93,13 +104,12 @@ def serialize(h: Hds) -> str:
                 _readable(t.label.symbol, "letter")
             elif type(t.label) is Name:
                 _readable(t.label.label, "label name")
-            elif t.label not in MOVES:
-                raise FormatError(f"label {t.label!r} is no name, letter or move")
             for x, v in t.sigma.entries:
                 _readable(x.label, "map entry")
                 if v is not STAR:
                     _readable(v.label, "map entry")
             lines.append(f"  {q} --{t.label!r}[{_fmt_sigma(t.sigma)}]--> {t.target}")
+    _valid(h)
     return "\n".join(lines) + "\n"
 
 
@@ -197,11 +207,8 @@ def parse(text: str) -> Hds:
         raise FormatError("missing initial line")
     for q in states:
         trans.setdefault(q, [])
-    h = Hds(states, initial, eta, finals or frozenset(), {q: tuple(ts) for q, ts in trans.items()})
-    problems = validate(h)
-    if problems:
-        raise FormatError("; ".join(problems))
-    return h
+    return _valid(Hds(states, initial, eta, finals or frozenset(),
+                      {q: tuple(ts) for q, ts in trans.items()}))
 
 
 # ---------------------------------------------------------------------------

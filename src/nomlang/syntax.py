@@ -4,14 +4,17 @@ Words: letters are bare identifiers, names are identifiers prefixed
 with ``#``, a binder is written ``<#n. ... >``, juxtaposition is
 concatenation and ``^`` is the empty word, e.g. ``<#n. #m #n >``.
 
-A word is lexed by one pattern, whose `findall` returns the text's
-pieces in C: a whole binder open ``<#n.``, a name, a letter or ``>``,
-with white space and ``^`` skipped.  Each distinct piece becomes its
-interned token once per call, and `words.parse_tokens` checks that the
-binders balance.  Only an ill-formed word is lexed again, token by
-token with positions, by the lexer that expressions use, so that its
-first fault is reported where it is; a bad character comes before any
-other fault.
+A word's pieces are a whole binder open ``<#n.``, a name, a letter or
+``>``; white space and ``^`` separate them.  `str.split` cuts the text
+at white space in C, and if every piece it gives is one whole piece of
+the word pattern, those are the pieces.  Otherwise (a spaced open
+``< #n .``, a ``^``, pieces written together as in ``#n#m``, or a
+fault) the pattern's `findall` cuts the text, also in C, skipping white
+space and ``^``.  Each distinct piece becomes its interned token once
+per call, and `words.parse_tokens` checks that the binders balance.
+Only an ill-formed word is lexed again, token by token with positions,
+by the lexer that expressions use, so that its first fault is reported
+where it is; a bad character comes before any other fault.
 
 Regular expressions reuse the word syntax and add ``1``, ``0``, ``+``
 (sum, lowest precedence), ``*`` (iteration, highest) and parentheses.
@@ -109,16 +112,24 @@ def _word_token(piece: str) -> Tok | None:
 def parse_word(text: str) -> MWord:
     """The word `text` spells.
 
-    One `findall` cuts the text into its pieces in C, and a table local
-    to the call makes each distinct piece a token once.  `parse_tokens`
-    makes the word of the token row, checking that its binders balance.
-    Only an ill-formed word is lexed again, with positions, to report
-    its fault (`_word_fault`).
+    `str.split` cuts the text at white space, and a table local to the
+    call makes each distinct piece a token once.  The split is kept only
+    if every distinct piece is one whole token: the pattern matches all
+    of it and it stands for a token.  Then `findall` would return the
+    same pieces, since no alternative of the pattern starts on white
+    space and only an open's can span it.  Otherwise `findall` cuts the
+    text and the table is made again.  `parse_tokens` makes the word of
+    the token row, checking that its binders balance.  Only an
+    ill-formed word is lexed again, with positions, to report its fault
+    (`_word_fault`).
     """
-    pieces = _WORD_RE.findall(text)
-    table = {piece: _word_token(piece) for piece in set(pieces)}
-    if None in table.values():
-        _word_fault(text)
+    pieces = text.split()
+    table = {piece: _WORD_RE.fullmatch(piece) and _word_token(piece) for piece in set(pieces)}
+    if None in table.values():  # a piece that is not one whole token
+        pieces = _WORD_RE.findall(text)
+        table = {piece: _word_token(piece) for piece in set(pieces)}
+        if None in table.values():
+            _word_fault(text)
     try:
         return parse_tokens(tuple(map(table.__getitem__, pieces)))
     except ValueError:

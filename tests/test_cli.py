@@ -60,6 +60,18 @@ def test_accept_exit_codes(hds_file):
     assert main(["accept", hds_file, "#m <#n. #n #n >"]) == 1
 
 
+@pytest.mark.parametrize("word,code", [("#m <#n. #m #n >", 0), ("#m <#n. #n #n >", 1)])
+def test_accept_reads_a_word_in_any_spelling(hds_file, capsys, word, code):
+    # spaced, which the split cuts; written together and with a spaced
+    # open and `^`, which `findall` cuts
+    spellings = [word, word.replace(" ", ""),
+                 "^ " + word.replace("<#n.", "< #n .").replace(" >", "^>")]
+    assert spellings[1].startswith("#m<#n.#") and spellings[2].startswith("^ #m < #n .")
+    for text in spellings:
+        assert main(["accept", hds_file, text]) == code
+        assert capsys.readouterr().out == ("ACCEPT\n" if code == 0 else "REJECT\n")
+
+
 def test_accept_undecided_exit_code(hds_file, capsys):
     # the open needs a second frame, which a depth budget of 1 forbids
     assert main(["accept", hds_file, "#m <#n. #m #n >", "--fuel", "1"]) == 3

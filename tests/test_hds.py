@@ -282,6 +282,16 @@ def test_parse_refuses_each_fault_validate_names(key):
     assert message in str(refusal.value)
 
 
+@pytest.mark.parametrize("key", VALIDATE_FAULTS.keys())
+def test_serialize_refuses_each_fault_validate_names(key):
+    # "eta value" and "source" included: no line of the text would show
+    # a letter bound by eta or an undeclared state without transitions
+    change, message = VALIDATE_FAULTS[key]
+    with pytest.raises(FormatError) as refusal:
+        serialize(_faulty(change))
+    assert message in str(refusal.value)
+
+
 # a label that is no local name, no letter and none of the five moves; at
 # a misspelled keyword, a transition ran as a close and accepted a close
 FOREIGN_LABELS = {"str": "open", "open token": TOpen(n), "close token": TCLOSE,
@@ -1227,20 +1237,25 @@ def test_a_low_max_depth_does_not_share_the_memo(make):
     assert _verdicts(h, streams) == want
 
 
+def _expanded(h):
+    """The nodes of the automaton's graph that have a row."""
+    return [node for node in h._search.graph.values() if node.row is not None]
+
+
 def test_near_misses_with_fresh_names_leave_the_memo_as_it_was():
     # a name that no frame can hold has no entry in the row of the node
     # where it is reached, so it rejects there, and fresh free names cannot
-    # grow the node graph or the table of sets
+    # grow the expanded nodes or the table of sets
     h = _session_hds()
     block = "<#n. #m #n >"
     sizes = set()
     for i in range(1000):
         w = parse_word(f"#m {block} {block} <#n. #m #fresh{i} > {block}")
         assert not accepts_word(h, w)
-        sizes.add((len(h._search.graph), len(h._search.sets)))
+        sizes.add((len(_expanded(h)), len(h._search.sets)))
     assert len(sizes) == 1
     assert not accepts_word(h, parse_word(f"#m {block} c"))
-    assert (len(h._search.graph), len(h._search.sets)) in sizes
+    assert (len(_expanded(h)), len(h._search.sets)) in sizes
     assert accepts_word(h, parse_word(f"#m {block} {block}"))
 
 
@@ -1332,7 +1347,7 @@ def test_a_node_reached_again_is_expanded_once(monkeypatch):
             {"q": (Transition(a, "q", NM({})),)})
     assert validate(h) == []
     assert len(language_slice(h, 3)) == 4 and len(language_slice(h, 2)) == 3
-    assert len(h._search.graph) == 1
+    assert len(_expanded(h)) == 1
     calls = []
     monkeypatch.setattr(hds, "step", lambda *args: calls.append(1) or step(*args))
     assert len(language_slice(h, 7)) == 8
@@ -1349,7 +1364,47 @@ def test_a_slice_expands_no_node_it_cannot_close_in_time():
     assert validate(h) == []
     assert {render_word(w) for w in language_slice(h, 5)} == {
         "a", "<#~0. a >", "<#~0. <#~1. a > >"}
-    assert max(depth for _, depth in h._search.graph) == 2
+    assert max(node.depth for node in _expanded(h)) == 2
+
+
+def test_each_row_holds_the_graph_s_own_successor_nodes():
+    # a row links to the next node itself, the one the graph interns for
+    # its (configurations, depth), so every walk shares one node per key
+    h = _session_hds()
+    assert len(language_slice(h, 9)) == 3
+    assert accepts_word(h, parse_word("#m <#n. #m #n > <#n. #m #n >"))
+    assert not accepts_word(h, parse_word("#m <#n. #m #n > #m"))
+    graph = h._search.graph
+    entries = [entry for node in _expanded(h) for entry in node.row.values()]
+    assert len(entries) > len(_expanded(h)) > 1
+    for node in graph.values():
+        assert graph[node.configs, node.depth] is node
+        assert h._search.sets[node.configs] is node.configs
+    for _, succ, _ in entries:
+        assert graph[succ.configs, succ.depth] is succ
+
+
+def test_a_warm_walk_expands_no_node(monkeypatch):
+    # the 64-block NS word and a near-miss of it: once their nodes are
+    # expanded, a walk follows rows and expands nothing
+    from nomlang import hds
+
+    with open(NS_FILE) as f:
+        h = compile_regex(parse_nre(f.read())[0])
+    block = "<#n. ENCR #n A FOR B <#m. ENCR #n #m FOR A ENCR #m FOR B > >"
+    word = parse_word(" ".join([block] * 64))
+    miss = parse_word(" ".join([block] * 63 + [block.replace("FOR B >", "FOR A >")]))
+    calls = []
+    expand = hds._expand
+    monkeypatch.setattr(hds, "_expand", lambda *args: calls.append(1) or expand(*args))
+    counts = []
+    for _ in range(2):
+        calls.clear()
+        # the walk decides both: neither is handed back to the general path
+        assert hds._walk(h, word_stream(h, word), 0).outcome == ACCEPT
+        assert hds._walk(h, word_stream(h, miss), 0).outcome == REJECT
+        counts.append(len(calls))
+    assert counts[0] > 0 and counts[1] == 0
 
 
 def _read_a(h):

@@ -1,5 +1,6 @@
 """`parse_word` and `parse_regex` against the parsers they replaced: a word
-parser that lexed token by token, and a recursive-descent expression parser."""
+parser that lexed token by token, one that cut every text with `findall`,
+and a recursive-descent expression parser."""
 
 import random
 
@@ -9,8 +10,11 @@ from hypothesis import given, settings, strategies as st
 from nomlang import regex as rx
 from nomlang.names import Letter, Name
 from nomlang.oracle import random_regex
-from nomlang.syntax import ParseError, _expect, _lex, parse_regex, parse_word, render_regex
-from nomlang.words import TCLOSE, MWord, TOpen
+from nomlang.syntax import (
+    _WORD_RE, ParseError, _expect, _lex, _word_fault, _word_token, parse_regex, parse_word,
+    render_regex,
+)
+from nomlang.words import TCLOSE, MWord, TOpen, parse_tokens
 
 
 def reference_parse_word(text: str) -> MWord:
@@ -88,6 +92,35 @@ def test_well_formed_words_and_one_fault_parse_as_before(text, data):
     at = data.draw(st.integers(0, len(text)))
     assert_same(text[:at] + data.draw(st.sampled_from(FRAGMENTS)) + text[at:])
     assert_same(text[:at] + text[at + 1:])
+
+
+def findall_parse_word(text: str) -> MWord:
+    """The word parser before it cut texts with `str.split`, verbatim but
+    for its name: one `findall` cuts every text."""
+    pieces = _WORD_RE.findall(text)
+    table = {piece: _word_token(piece) for piece in set(pieces)}
+    if None in table.values():
+        _word_fault(text)
+    try:
+        return parse_tokens(tuple(map(table.__getitem__, pieces)))
+    except ValueError:
+        _word_fault(text)
+
+
+# whole tokens, which the split keeps, and pieces that send a text to
+# `findall`: a spaced open, `^`, tokens written together, faults
+PIECES = ["<#n.", "<#~0.", "#n", "#m", "#a$1", "a", "ENCR", ">", "< #n .", "<\u3000#n\t.", "^",
+          "#n#m", "a>", "<#n.#n>", "<", ".", "#", "+", "0", "é", "a^b"]
+# no separator, ASCII white space and white space beyond ASCII
+SEPARATORS = ["", " ", "\t", "\n", "  ", "\xa0", "\x1c", "\x85", "\u3000", " \u2028 "]
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(SEPARATORS), st.sampled_from(PIECES)), max_size=14),
+       st.sampled_from(SEPARATORS))
+def test_the_split_parses_as_findall_did(spaced, last):
+    text = "".join(sep + piece for sep, piece in spaced) + last
+    assert outcome(parse_word, text) == outcome(findall_parse_word, text)
 
 
 NS_BLOCK = "<#n. ENCR #n A FOR B <#m. ENCR #n #m FOR A ENCR #m FOR B > >"
