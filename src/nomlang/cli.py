@@ -16,6 +16,7 @@ from .compiler import compile_regex
 from . import hds as automata
 from . import hds_format
 from .oracle import check_equivalence
+from .words import collector_paused
 
 EXIT_ACCEPT = 0
 EXIT_REJECT = 1
@@ -70,25 +71,33 @@ def cmd_accept(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
-    if args.input.endswith(".hds"):
-        if args.sort != "M":
-            print("error: --sort applies only to expression input", file=sys.stderr)
-            return EXIT_USAGE
-        h = hds_format.parse(_read(args.input))
+    if args.input.endswith(".hds") and args.sort != "M":
+        print("error: --sort applies only to expression input", file=sys.stderr)
+        return EXIT_USAGE
+    # the rendered lines form no cycles either, and the process ends after
+    # printing them: with the pause over the rendering too, `enumerate
+    # --bound 9` on `( ( #k + b* ) ( #n + a )* )*` and on
+    # `( #k* + b* + #n + #m )*` took 2.6 and 2.2 s where it took 2.8 and
+    # 2.7 s (medians of seven runs)
+    with collector_paused():
         try:
-            words = automata.language_slice(h, args.bound)
+            lines = _slice_lines(args)
         except automata.Undecided:
             print("UNDECIDED (the stack depth cap cut a branch; the slice may miss words)")
             return EXIT_FUEL
-        lines = sorted(render_word(w) for w in words)
-    else:
-        e, _letters = parse_nre(_read(args.input))
-        ops = SORTS[args.sort]
-        slice_ = enumerate_slice(e, ops, args.bound)
-        lines = sorted(render_word(ops.to_mword(w)) for w in slice_.words)
     for line in lines:
         print(line)
     return EXIT_ACCEPT
+
+
+def _slice_lines(args) -> list[str]:
+    """The rendered words of the slice `args` names, sorted."""
+    if args.input.endswith(".hds"):
+        h = hds_format.parse(_read(args.input))
+        return sorted(render_word(w) for w in automata.language_slice(h, args.bound))
+    e, _letters = parse_nre(_read(args.input))
+    ops = SORTS[args.sort]
+    return sorted(render_word(ops.to_mword(w)) for w in enumerate_slice(e, ops, args.bound).words)
 
 
 def cmd_check(args) -> int:

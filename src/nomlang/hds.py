@@ -113,7 +113,7 @@ from typing import Iterable, Iterator, Mapping, Optional
 
 from .names import Interned, Letter, Name, STAR
 from .words import (
-    KEY_OPEN, MWord, TClose, TCLOSE, TOpen, Tok, canonical_row, from_key,
+    KEY_OPEN, MWord, TClose, TCLOSE, TOpen, Tok, canonical_row, collector_paused, from_key,
 )
 from .words import alpha_canonical, parse_tokens  # unused; perfbench's tracer patches them here
 
@@ -893,5 +893,7 @@ def _expand(h: Hds, node: _Node, max_depth: int, graph: dict, sets: dict) -> dic
 
 def language_slice(h: Hds, bound: int) -> frozenset[MWord]:
     """Canonical words of token length at most `bound` accepted by `h`:
-    the keys `_language_keys` yields, each decoded as it comes."""
-    return frozenset(map(from_key, _language_keys(h, bound)))
+    the keys `_language_keys` yields, each decoded as it comes, under
+    one collector pause."""
+    with collector_paused():
+        return frozenset(map(from_key, _language_keys(h, bound)))

@@ -10,7 +10,6 @@ implementations elsewhere.
 
 from __future__ import annotations
 
-import gc
 import random
 import time
 from dataclasses import dataclass, field
@@ -23,6 +22,7 @@ from .words import (
     TClose,
     TOpen,
     alpha_canonical,
+    collector_paused,
     from_key,
     parse_tokens,
     support,
@@ -429,17 +429,11 @@ def check_equivalence(e: rx.Regex, h: Hds, bound: int) -> EquivalenceReport:
     as sets of M keys; only the differences are decoded, and the
     expression is rendered only by the report's `lines`."""
     t0 = time.monotonic()
-    # key tuples form no cycles, so the cyclic collector would only
-    # traverse every key built so far, again and again: it made checks of
-    # the star expressions at bound 9 take 1.7 to 2.5 times as long
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
+    # the collector made checks of the star expressions at bound 9 take
+    # 1.7 to 2.5 times as long (`collector_paused`)
+    with collector_paused():
         k1 = frozenset(rx._enumerate_keys(e, SORTS["M"], bound))
         k2 = frozenset(_language_keys(h, bound))
-    finally:
-        if enabled:
-            gc.enable()
     only_regex, only_automaton = k1 - k2, k2 - k1
     return EquivalenceReport(
         expression=e,

@@ -19,14 +19,29 @@ re-canonicalizes; each output key is decoded once.  It keeps each
 partial slice bucketed by token length, which adds up under
 concatenation, so a product is built only for pairs whose lengths fit
 the bound and is filed without measuring it.
+
+A product enumerates each operand only as far as the other leaves room
+for.  Every node has a lower bound on the token length of its words
+(`_shortest`): none for `Zero`, 0 for `One` and `Star`, 1 for an atom,
+the least over a sum, the sum over a product, and the body's for a
+binder, since binding never shortens a word in any sort.  The left
+operand goes up to the bound less the right one's lower bound, the
+right one up to the bound less the length of the shortest word in the
+left slice, and a product that has an operand with no word, or lower
+bounds past the bound, returns at once.  A star drops the unit from its
+base, where it would only rebuild words it has.  Keys form no cycles,
+so `enumerate_slice` and `member` run under one collector pause
+(`words.collector_paused`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import inf
 
 from .names import Letter, Name, Permutation
 from .monoids import SORTS, SortOps
+from .words import collector_paused
 
 
 class Regex:
@@ -112,13 +127,31 @@ class LangSlice:
 
 # A slice in the making: {token length: set of keys}, with no empty set.
 # Token length adds up under concatenation in every sort, so a product
-# pair's bucket is known before it is built, and `tok_len` runs only on
-# atoms and binder results.
+# pair's bucket is known before it is built.  The unit has no token and
+# an atom's word one in every sort, so `tok_len` runs only on binder
+# results.
 
 
-def _single(v, ops: SortOps, bound: int) -> dict[int, set]:
-    n = ops.tok_len(v)
-    return {n: {v}} if n <= bound else {}
+def _shortest(e: Regex, memo: dict) -> float:
+    """A lower bound on the token length of the words of `e`, `inf` if
+    it has none; `memo` holds it by node id for one enumeration."""
+    n = memo.get(id(e))
+    if n is None:
+        t = type(e)
+        if t is Atom:
+            n = 1
+        elif t is Cat:
+            n = _shortest(e.left, memo) + _shortest(e.right, memo)
+        elif t is Sum:
+            n = min(_shortest(e.left, memo), _shortest(e.right, memo))
+        elif t is Binder:  # binding never shortens a word in any sort
+            n = _shortest(e.body, memo)
+        elif t is Zero:
+            n = inf
+        else:  # One, Star
+            n = 0
+        memo[id(e)] = n
+    return n
 
 
 def _concat_slices(a: dict, b: dict, ops: SortOps, bound: int) -> dict[int, set]:
@@ -133,52 +166,62 @@ def _concat_slices(a: dict, b: dict, ops: SortOps, bound: int) -> dict[int, set]
     return out
 
 
-def _enum(e: Regex, ops: SortOps, bound: int) -> dict[int, set]:
-    if isinstance(e, Zero):
-        return {}
-    if isinstance(e, One):
-        return _single(ops.unit, ops, bound)
-    if isinstance(e, Atom):
-        return _single(ops.atom(e.sym), ops, bound)
-    if isinstance(e, Sum):
-        out = _enum(e.left, ops, bound)
-        for n, ws in _enum(e.right, ops, bound).items():
+def _enum(e: Regex, ops: SortOps, bound: int, memo: dict) -> dict[int, set]:
+    """The slice of `e` up to `bound` (at least 0); `memo` is `_shortest`'s."""
+    t = type(e)
+    if t is Cat:
+        # each operand only as far as the other leaves room for
+        right = _shortest(e.right, memo)
+        if _shortest(e.left, memo) + right > bound:
+            return {}
+        a = _enum(e.left, ops, bound - right, memo)
+        if not a:
+            return {}
+        return _concat_slices(a, _enum(e.right, ops, bound - min(a), memo), ops, bound)
+    if t is Atom:
+        return {1: {ops.atom(e.sym)}} if bound else {}
+    if t is Sum:
+        out = _enum(e.left, ops, bound, memo)
+        for n, ws in _enum(e.right, ops, bound, memo).items():
             if n in out:
                 out[n] |= ws
             else:
                 out[n] = ws
         return out
-    if isinstance(e, Cat):
-        return _concat_slices(
-            _enum(e.left, ops, bound), _enum(e.right, ops, bound), ops, bound
-        )
-    if isinstance(e, Binder):
+    if t is Binder:
         out = {}
-        for ws in _enum(e.body, ops, bound).values():
+        bind, tok_len, name = ops.bind, ops.tok_len, e.name
+        for ws in _enum(e.body, ops, bound, memo).values():
             for w in ws:
-                v = ops.bind(e.name, w)
-                n = ops.tok_len(v)
+                v = bind(name, w)
+                n = tok_len(v)
                 if n <= bound:
                     out.setdefault(n, set()).add(v)
         return out
-    assert isinstance(e, Star)
-    base = _enum(e.body, ops, bound)
-    acc = _single(ops.unit, ops, bound)
-    frontier = {n: set(ws) for n, ws in acc.items()}
-    while frontier:
-        fresh = {}
-        for n, ws in _concat_slices(frontier, base, ops, bound).items():
-            have = acc.get(n)
-            if have is None:
-                fresh[n] = acc[n] = ws
-                continue
-            ws -= have
-            if ws:
-                fresh[n] = ws
-                have |= ws
-        # a fresh set may be acc's own bucket: it is only read before acc grows
-        frontier = fresh
-    return acc
+    if t is Star:
+        base = _enum(e.body, ops, bound, memo)
+        base.pop(0, None)  # the unit, the one word of length 0, adds nothing
+        acc = {n: set(ws) for n, ws in base.items()}
+        acc[0] = {ops.unit}
+        frontier = base
+        while frontier:
+            fresh = {}
+            for n, ws in _concat_slices(frontier, base, ops, bound).items():
+                have = acc.get(n)
+                if have is None:
+                    fresh[n] = acc[n] = ws
+                    continue
+                ws -= have
+                if ws:
+                    fresh[n] = ws
+                    have |= ws
+            # a fresh set may be acc's own bucket: it is only read before acc grows
+            frontier = fresh
+        return acc
+    if t is One:
+        return {0: {ops.unit}}
+    assert t is Zero
+    return {}
 
 
 def _drain(buckets: dict[int, set]):
@@ -194,18 +237,19 @@ def _enumerate_keys(e: Regex, ops: SortOps, bound: int):
     most `bound`, each once."""
     if bound < 0:
         raise ValueError("bound must be non-negative")
-    return _drain(_enum(e, ops.keyed, bound))
+    return _drain(_enum(e, ops.keyed, bound, {}))
 
 
 def enumerate_slice(e: Regex, sort: str | SortOps, bound: int) -> LangSlice:
     """All words of the language of `e` with token length at most `bound`.
 
     The sort is enumerated on its keys, and each output key is decoded
-    once.
+    once, all under one collector pause.
     """
     ops = SORTS[sort] if isinstance(sort, str) else sort
-    words = map(ops.keyed.to_mword, _enumerate_keys(e, ops, bound))
-    return LangSlice(frozenset(words))
+    with collector_paused():
+        words = map(ops.keyed.to_mword, _enumerate_keys(e, ops, bound))
+        return LangSlice(frozenset(words))
 
 
 def member(e: Regex, w, sort: str | SortOps = "M") -> bool:
@@ -213,6 +257,7 @@ def member(e: Regex, w, sort: str | SortOps = "M") -> bool:
     length and looking its key up in the bucket of that length."""
     ops = SORTS[sort] if isinstance(sort, str) else sort
     keys = ops.keyed
-    key = ops.encode(w)
-    n = keys.tok_len(key)
-    return key in _enum(e, keys, n).get(n, ())
+    with collector_paused():
+        key = ops.encode(w)
+        n = keys.tok_len(key)
+        return key in _enum(e, keys, n, {}).get(n, ())

@@ -209,6 +209,23 @@ def test_enumerate_negative_bound_is_usage_error(expr_file, hds_file, capsys):
     assert "bound must be non-negative" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("enabled", [True, False], ids=["collector on", "collector off"])
+def test_enumerate_leaves_the_collector_as_it_was(expr_file, hds_file, enabled):
+    # the slice and its rendering run under the collector pause, which
+    # restores the collector also where the slice raises
+    import gc
+
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        for path in (expr_file, hds_file):
+            for bound, code in (("5", 0), ("-1", 2)):
+                assert main(["enumerate", path, "--bound", bound]) == code
+                assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
 def test_enumerate_automaton_matches_expression(expr_file, hds_file, capsys):
     assert main(["enumerate", expr_file, "--bound", "8"]) == 0
     from_expr = capsys.readouterr().out

@@ -182,3 +182,78 @@ def test_check_equivalence_reports_the_word_level_differences(seed):
         assert report.lines() == want.lines()
         failed += not report.passed
     assert failed > 20
+
+
+def test_check_equivalence_past_the_campaign_bound():
+    # the campaign checks up to bound 7 and the corpus up to bound 8
+    from nomlang.syntax import parse_regex
+
+    e = parse_regex("( ( #k + b* ) ( #n + a )* )*", letters={"a", "b"})
+    report = check_equivalence(e, compile_regex(e), 9)
+    assert report.passed and report.common == 349525
+
+
+# -- the collector pause -----------------------------------------------------
+
+def _cut_pop_hds():
+    """A pop automaton whose push loop only the depth cap ends, so that
+    its slice raises `Undecided`."""
+    from nomlang.hds import POP, PUSH, Hds, NameMap, Transition
+
+    x = Name("x")
+    states = {"q0": frozenset({x}), "q1": frozenset({x}), "q2": frozenset()}
+    trans = {
+        "q0": (Transition(PUSH, "q0", NameMap.of({x: x})),
+               Transition(x, "q1", NameMap.of({x: x}))),
+        "q1": (Transition(POP, "q2", NameMap.of({})),),
+        "q2": (),
+    }
+    return Hds(states, "q0", {x: n}, frozenset({"q2"}), trans)
+
+
+def _pause_users():
+    from nomlang.hds import Undecided, language_slice
+    from nomlang.regex import enumerate_slice, member
+    from nomlang.syntax import parse_regex
+
+    e = parse_regex("( <#n. #n #m > + a + #m )*", letters={"a"})
+    h = compile_regex(e)
+    w = parse_word("<#n. #n #m > a")
+    return {
+        "enumerate_slice": (lambda: enumerate_slice(e, "S", 6), None),
+        "enumerate_slice, negative bound": (lambda: enumerate_slice(e, "M", -1), ValueError),
+        "member": (lambda: member(e, w, "G"), None),
+        "language_slice": (lambda: language_slice(h, 6), None),
+        "language_slice, negative bound": (lambda: language_slice(h, -1), ValueError),
+        "language_slice, cut": (lambda: language_slice(_cut_pop_hds(), 3), Undecided),
+        "check_equivalence": (lambda: check_equivalence(e, h, 6), None),
+        "check_equivalence, negative bound": (lambda: check_equivalence(e, h, -1), ValueError),
+    }
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["collector on", "collector off"])
+@pytest.mark.parametrize("user", list(_pause_users()))
+def test_the_collector_is_left_as_it_was(user, enabled):
+    import gc
+
+    call, error = _pause_users()[user]
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        if error is None:
+            call()
+        else:
+            with pytest.raises(error):
+                call()
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
+def test_the_collector_is_paused_in_one_place():
+    from pathlib import Path
+
+    import nomlang
+
+    sources = Path(nomlang.__file__).parent.glob("*.py")
+    assert sum(p.read_text(encoding="utf-8").count("gc.disable") for p in sources) == 1

@@ -272,3 +272,150 @@ def _subexpressions(e):
     for f in ("left", "right", "body"):
         if hasattr(e, f):
             yield from _subexpressions(getattr(e, f))
+
+
+# -- the enumeration it replaced ---------------------------------------------
+#
+# Before each product enumerated an operand only as far as the other left
+# room for, both operands went to the full bound.  Verbatim but for the
+# names.
+
+def _reference_single(v, ops, bound):
+    n = ops.tok_len(v)
+    return {n: {v}} if n <= bound else {}
+
+
+def _reference_concat_slices(a, b, ops, bound):
+    out = {}
+    concat = ops.concat
+    for na, xs in a.items():
+        for nb, ys in b.items():
+            if na + nb > bound:
+                continue
+            bucket = out.setdefault(na + nb, set())
+            bucket.update([concat(x, y) for x in xs for y in ys])
+    return out
+
+
+def reference_enum(e, ops, bound):
+    if isinstance(e, rx.Zero):
+        return {}
+    if isinstance(e, rx.One):
+        return _reference_single(ops.unit, ops, bound)
+    if isinstance(e, rx.Atom):
+        return _reference_single(ops.atom(e.sym), ops, bound)
+    if isinstance(e, rx.Sum):
+        out = reference_enum(e.left, ops, bound)
+        for n, ws in reference_enum(e.right, ops, bound).items():
+            if n in out:
+                out[n] |= ws
+            else:
+                out[n] = ws
+        return out
+    if isinstance(e, rx.Cat):
+        return _reference_concat_slices(
+            reference_enum(e.left, ops, bound), reference_enum(e.right, ops, bound), ops, bound
+        )
+    if isinstance(e, rx.Binder):
+        out = {}
+        for ws in reference_enum(e.body, ops, bound).values():
+            for w in ws:
+                v = ops.bind(e.name, w)
+                n = ops.tok_len(v)
+                if n <= bound:
+                    out.setdefault(n, set()).add(v)
+        return out
+    assert isinstance(e, rx.Star)
+    base = reference_enum(e.body, ops, bound)
+    acc = _reference_single(ops.unit, ops, bound)
+    frontier = {n: set(ws) for n, ws in acc.items()}
+    while frontier:
+        fresh = {}
+        for n, ws in _reference_concat_slices(frontier, base, ops, bound).items():
+            have = acc.get(n)
+            if have is None:
+                fresh[n] = acc[n] = ws
+                continue
+            ws -= have
+            if ws:
+                fresh[n] = ws
+                have |= ws
+        # a fresh set may be acc's own bucket: it is only read before acc grows
+        frontier = fresh
+    return acc
+
+
+def _key_sort(sort):
+    from nomlang.monoids import SORTS
+
+    return SORTS[sort].keyed
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+def test_budgeted_enumeration_gives_the_reference_buckets(seed):
+    from nomlang.oracle import random_regex
+
+    rng = random.Random(seed)
+    pool = [n, Name("~0"), m]  # a free reserved name, as the campaign draws it
+    exprs = [random_regex(rng, pool, LETTERS, 4) for _ in range(1000)]
+    for sort in "MGLS":
+        keys = _key_sort(sort)
+        for e in exprs:
+            assert rx._enum(e, keys, 7, {}) == reference_enum(e, keys, 7), render_regex(e)
+
+
+@pytest.mark.parametrize("src", [
+    "0 ( a + #n )*", "( a + #n )* 0", "a 0 b", "0*", "( 0 + 1 ) a", "( #n* )*", "( ( a + 1 ) #n* )*",
+    "<#n. 0 >", "<#n. 0 > a", "<#n. a >", "<#n. a > <#m. #m >* #n", "( <#n. a > + b )* #n",
+    "<#n. <#m. b > #n >*", "( a b b )* ( a + <#n. #n #n > )",
+])
+@pytest.mark.parametrize("sort", "MGLS")
+def test_budgeted_enumeration_on_hand_picked_products(src, sort):
+    # zero on either side of a product, stars of the unit and of stars,
+    # an empty binder body, and binders that are vacuous (free in S)
+    e = parse_regex(src, letters={"a", "b"})
+    keys = _key_sort(sort)
+    for bound in range(9):
+        assert rx._enum(e, keys, bound, {}) == reference_enum(e, keys, bound)
+
+
+def _counting(sort):
+    """The key sort of `sort` with its `concat` and `bind` calls counted."""
+    from collections import Counter
+    from dataclasses import replace
+
+    calls = Counter()
+    keys = _key_sort(sort)
+
+    def counted(op):
+        f = getattr(keys, op)
+
+        def call(*args):
+            calls[op] += 1
+            return f(*args)
+        return call
+
+    return replace(keys, concat=counted("concat"), bind=counted("bind")), calls
+
+
+@pytest.mark.parametrize("src", ["( a + b )* 0", "0 ( a + b )*"])
+def test_a_product_with_no_word_makes_nothing(src):
+    # the reference made 2 ** 25 - 2 products here
+    ops, calls = _counting("M")
+    assert rx._enum(parse_regex(src, letters={"a", "b"}), ops, 24, {}) == {}
+    assert not calls
+
+
+def test_a_product_enumerates_its_operand_only_as_far_as_it_is_used():
+    # six names after the star leave it two tokens: 4 products make its
+    # slice of 7 words, and each of the six names is put after 7 words
+    e = parse_regex("( a + b )* #n #n #n #n #n #n", letters={"a", "b"})
+    ops, calls = _counting("M")
+    slice_ = rx._enum(e, ops, 8, {})
+    assert calls == {"concat": 4 + 6 * 7}
+    assert {k: len(ws) for k, ws in slice_.items()} == {6: 1, 7: 2, 8: 4}
+    ref, ref_calls = _counting("M")
+    assert reference_enum(e, ref, 8) == slice_
+    # the reference took the star to length 8 and put each name after
+    # every word up to one token short of the bound
+    assert ref_calls == {"concat": 2 ** 9 - 2 + sum(2 ** (9 - i) - 1 for i in range(1, 7))}
