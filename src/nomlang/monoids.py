@@ -25,6 +25,12 @@ arise; a free name or a letter is its own key element:
   by first occurrence; binding a name that does not occur is the
   identity.
 
+An L or S key is what the sort's `bind` makes from a body key: a value's
+key is ``(0, body)`` with its binders bound in turn, by `_bind_l` from
+the rightmost binder leftwards or by `_bind_s` in any order.  So the two
+rules above are written once, in the binds, and the L and S encoders
+and `quot_ls` are folds of them.
+
 Equal keys mean alpha-equivalent words.  Every sort in `SORTS`, M
 included, is built from its key sort by `_on_keys`: a value operation
 encodes its arguments, applies the key operation and decodes the result
@@ -32,15 +38,17 @@ to the canonical value, whose binders take the first names of the one
 reserved-name table that do not occur free (`names.binder_names`).  A
 key with no binder is decoded without a copy: an M or G key is then the
 row, and an L or S key's body is the value's body.
-Embeddings connect the sorts: s -> l -> g -> m.  The quotients in the
-other direction start from the canonical word, whose binders have
-distinct names that occur free nowhere, so moving a binder captures
-nothing.
+Embeddings connect the sorts: s -> l -> g -> m.  Every quotient in the
+other direction returns the canonical value: `quot_mg` and `quot_gl`
+start from the canonical word, whose binders have distinct names that
+occur free nowhere, so moving a binder captures nothing, and `quot_ls`
+decodes the S key that `_bind_s` makes of the l-word's binders.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Callable, Optional, Union
 
 from .names import Letter, Name, Permutation, binder_names
@@ -116,11 +124,6 @@ def _shift(body: tuple, k: int) -> tuple:
     return tuple([x + k if type(x) is int else x for x in body])
 
 
-def _decode_g(key: tuple) -> GWord:
-    # a G key is an M key with no closes, and `from_key` names its binders
-    return GWord(from_key(key).tokens)
-
-
 def _tok_len_g(key: tuple) -> int:
     # each binder also costs the close `embed_gm` appends; `is` keeps the
     # scan off the Python-level `__eq__` that `__lt__` gives names and letters
@@ -132,10 +135,17 @@ def _bind_g(n: Name, key: tuple) -> tuple:
     return key_bind(n, key)[:-1]
 
 
+def _bound_key(bind: Callable, bound, body: tuple) -> tuple:
+    """The key of `body` with the names of `bound` bound by `bind`, in turn."""
+    key = (0, body)
+    for n in bound:
+        key = bind(n, key)
+    return key
+
+
 def _encode_l(x: LWord) -> tuple:
-    p = len(x.prefix)
-    pos = {n: p - 1 - j for j, n in enumerate(x.prefix)}  # the rightmost binder wins
-    return (p, tuple(pos.get(s, s) for s in x.body))
+    # the rightmost binder is bound first, so it holds the occurrences of its name
+    return _bound_key(_bind_l, reversed(x.prefix), x.body)
 
 
 def _decode_l(key: tuple) -> LWord:
@@ -157,11 +167,8 @@ def _bind_l(n: Name, key: tuple) -> tuple:
 
 
 def _encode_s(x: SWord) -> tuple:
-    number: dict[Name, int] = {}
-    for s in x.body:
-        if s in x.bound:
-            number.setdefault(s, len(number))
-    return (len(number), tuple(number.get(s, s) for s in x.body))
+    # `_bind_s` numbers bound names by first occurrence, so any order binds alike
+    return _bound_key(_bind_s, x.bound, x.body)
 
 
 def _decode_s(key: tuple) -> SWord:
@@ -234,9 +241,9 @@ def quot_gl(w: GWord) -> LWord:
 
 def quot_ls(x: LWord) -> SWord:
     """Forget the order of the binder prefix, and drop the binders of no occurrence."""
-    x = canon_l(x)
-    occurring = set(x.body)
-    return SWord(frozenset(n for n in x.prefix if n in occurring), x.body)
+    # an outer binder of a name bound again further right binds nothing, and
+    # `_bind_s` drops it
+    return _decode_s(_bound_key(_bind_s, reversed(x.prefix), x.body))
 
 
 # ---------------------------------------------------------------------------
@@ -298,8 +305,9 @@ class SortOps:
     same sort on its nameless keys, and `encode`, which maps a value to
     its key; so its operations return canonical values.  A key sort's
     `canon` is the identity, its `to_mword` decodes a key to the
-    canonical value of this sort, and it has no `keyed` or `encode` of
-    its own.
+    canonical value of this sort (`words.from_key` for M and, making a
+    `GWord`, for G; `_decode_l` and `_decode_s` for L and S), and it has
+    no `keyed` or `encode` of its own.
     `regex.enumerate_slice` runs on the keys and decodes each output
     word once; `regex.member` encodes its candidate and decodes nothing.
     """
@@ -356,7 +364,7 @@ SORT_M = _on_keys("M", SORT_M_KEYS, words.alpha_key, _identity)
 # A G key is an M key without closes: `alpha_key` reads a G row as it
 # reads an M row, and the closes `embed_gm` would append all come last.
 SORT_G = _on_keys("G", replace(
-    SORT_M_KEYS, tag="G", bind=_bind_g, tok_len=_tok_len_g, to_mword=_decode_g,
+    SORT_M_KEYS, tag="G", bind=_bind_g, tok_len=_tok_len_g, to_mword=partial(from_key, word=GWord),
 ), words.alpha_key, embed_gm)
 
 SORT_L_KEYS = SortOps(

@@ -34,6 +34,7 @@ from typing import NoReturn
 
 from .names import Letter, Name
 from . import regex as rx
+from .hds import MOVES
 from .words import TCLOSE, MWord, TOpen, Tok, parse_tokens
 
 
@@ -262,11 +263,13 @@ _DECLARATION_RE = re.compile(r"\s*(letters)\b([^;]*)(;?)")
 def parse_nre(text: str) -> tuple[rx.Regex, frozenset[str]]:
     """Parse an expression file: letter declarations, then the expression.
 
-    Each declared letter must be an identifier.  A ``letters`` with no
-    ``;`` after it is a declaration missing its ``;``, unless ``letters``
-    is itself a declared letter: then it starts the expression.  The
-    declarations read are blanked out, not cut off, so an error's
-    position counts from the start of the file.
+    Each declared letter must be an identifier and no move keyword of
+    the ``.hds`` format (``eps``, ``push``, ``pop``, ``open``, ``close``;
+    `hds.MOVES`), so that a compiled automaton can be written and read
+    back.  A ``letters`` with no ``;`` after it is a declaration missing
+    its ``;``, unless ``letters`` is itself a declared letter: then it
+    starts the expression.  The declarations read are blanked out, not
+    cut off, so an error's position counts from the start of the file.
     """
     letters: set[str] = set()
     pos = 0
@@ -276,6 +279,8 @@ def parse_nre(text: str) -> tuple[rx.Regex, frozenset[str]]:
         for w in re.compile(r"\S+").finditer(text, m.start(2), m.end(2)):
             if not (w[0].isascii() and w[0].isidentifier()):
                 raise ParseError(f"declared letter {w[0]!r} is not an identifier", w.start())
+            if w[0] in {move.keyword for move in MOVES}:  # the `.hds` format reads it as the move
+                raise ParseError(f"declared letter {w[0]!r} is a move keyword", w.start())
             letters.add(w[0])
         pos = m.end()
     return parse_regex(" " * pos + text[pos:], frozenset(letters)), frozenset(letters)

@@ -210,16 +210,17 @@ def key_bind(n: Name, key: Key) -> Key:
     return tuple(out)
 
 
-def from_key(key: Key) -> MWord:
-    """The canonical word of a key.
+def from_key(key: Key, word: type = MWord):
+    """The canonical word of a key, a `word` made of its row.
 
     Binders are named from the reserved sequence in traversal order,
     skipping any reserved name that occurs free (`names.binder_names`).
-    A key with no binder is its own row.
+    A key with no binder is its own row.  A G key (`monoids`) is an M key
+    with no closes, and decodes with ``word=GWord``.
     """
     k = len([x for x in key if x is KEY_OPEN])
     if not k:  # about two in three keys a sort_enum pass decodes
-        return MWord(key)
+        return word(key)
     fresh = iter(binder_names(k, key))
     binders: list[Name] = []
     out: list[Tok] = []
@@ -232,7 +233,7 @@ def from_key(key: Key) -> MWord:
         elif x is TCLOSE:
             binders.pop()
         out.append(x)
-    return MWord(tuple(out))
+    return word(tuple(out))
 
 
 def canonical_row(w: MWord, avoid: Collection[Name] = ()) -> tuple[Tok, ...]:

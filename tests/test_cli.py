@@ -259,6 +259,16 @@ def test_parse_error_exit_code(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_a_move_keyword_declared_as_a_letter_is_a_usage_error(tmp_path, capsys):
+    # `compile` could not write it: a letter `eps` would read back as the move
+    p = tmp_path / "eps.nre"
+    p.write_text("letters eps;\neps\n")
+    for command in ("check", "compile"):
+        assert main([command, str(p)]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: declared letter 'eps' is a move keyword (at position 8)\n"
+
+
 def test_missing_file_exit_code(capsys):
     assert main(["compile", "/no/such/file.nre"]) == 2
 

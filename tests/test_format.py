@@ -8,7 +8,7 @@ import sys
 import pytest
 
 import nomlang
-from nomlang.names import Name
+from nomlang.names import Letter, Name
 from nomlang.cli import main
 from nomlang.compiler import compile_regex
 from nomlang.oracle import random_regex
@@ -42,6 +42,15 @@ def test_serialize_parse_roundtrip(src):
     assert h2.finals == h.finals
     for q in h.states:
         assert set(h2.trans.get(q, ())) == set(h.trans.get(q, ()))
+    assert language_slice(h2, 6) == language_slice(h, 6)
+
+
+def test_section_words_are_letters_that_read_back():
+    e, letters = parse_nre("letters states initial finals trans relaxed;\n"
+                           "states initial finals trans relaxed")
+    h = compile_regex(e)
+    h2 = parse(serialize(h))
+    assert {t.label.symbol for _, t in h2.transitions() if type(t.label) is Letter} == letters
     assert language_slice(h2, 6) == language_slice(h, 6)
 
 
@@ -164,8 +173,10 @@ def test_serialize_rejects_a_state_id_parse_cannot_read_back(bad):
 @pytest.mark.parametrize("kw", ["eps", "push", "pop", "open", "close"])
 def test_serialize_rejects_a_letter_named_after_a_move_keyword(kw):
     # the letter was written as the keyword: `letters eps push; eps push`
-    # read back as an automaton that rejects `eps push` and accepts `^`
-    e, _ = parse_nre(f"letters {kw} a; {kw} a")
+    # read back as an automaton that rejects `eps push` and accepts `^`.
+    # `parse_nre` refuses such a declaration, so the expression is
+    # parsed with its letters given
+    e = parse_regex(f"{kw} a", {kw, "a"})
     with pytest.raises(FormatError, match=re.escape(f"letter {kw!r}")):
         serialize(compile_regex(e))
 

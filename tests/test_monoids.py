@@ -9,6 +9,9 @@ from nomlang.monoids import (
     SORT_M,
     SORT_S,
     SORTS,
+    GWord,
+    LWord,
+    SWord,
     embed_gm,
     embed_lg,
     embed_lm,
@@ -426,6 +429,97 @@ def test_decoders_agree_with_a_reference_on_canonical_supply(tag, rng):
         assert words.alpha_canonical(w) == want
         assert words.alpha_canonical(fresh_binder_variant(w)) == want
     assert seen == {"no binder", "table grows", "free below", "free at", "free beyond"}
+
+
+# -- L and S keys are folds of their sort's bind -----------------------------
+#
+# The referees write the binding rules out by hand: a position table in
+# which the rightmost binder of a name wins (L), a numbering of the bound
+# names by first occurrence (S), and a quotient that canonicalizes in L,
+# drops the binders of no occurrence and rebuilds the s-word, whose value
+# is canonical only after `canon_s`.
+
+def reference_encode_l(x):
+    p = len(x.prefix)
+    pos = {n: p - 1 - j for j, n in enumerate(x.prefix)}  # the rightmost binder wins
+    return (p, tuple(pos.get(s, s) for s in x.body))
+
+
+def reference_encode_s(x):
+    number = {}
+    for s in x.body:
+        if s in x.bound:
+            number.setdefault(s, len(number))
+    return (len(number), tuple(number.get(s, s) for s in x.body))
+
+
+def reference_quot_ls(x):
+    x = canon_l(x)
+    occurring = set(x.body)
+    return SWord(frozenset(n for n in x.prefix if n in occurring), x.body)
+
+
+# the reserved names `~0` and `~1` occur free and bound, and a prefix may repeat a name
+RAW_NAMES = (n, m, k, Name("~0"), Name("~1"))
+
+
+def _raw_body(rng):
+    return tuple(rng.choice(RAW_NAMES + (a,)) for _ in range(rng.randint(0, 6)))
+
+
+def _raw_l(rng):
+    return LWord(tuple(rng.choice(RAW_NAMES) for _ in range(rng.randint(0, 4))), _raw_body(rng))
+
+
+def _raw_s(rng):
+    body = _raw_body(rng)
+    occurring = sorted({x for x in body if type(x) is Name})
+    return SWord(frozenset(rng.sample(occurring, rng.randint(0, len(occurring)))), body)
+
+
+def test_l_keys_and_quot_ls_agree_with_the_referees(rng):
+    from nomlang.monoids import _encode_l, quot_ls
+
+    seen = set()
+    for _ in range(20_000):
+        x = _raw_l(rng)
+        assert _encode_l(x) == reference_encode_l(x)
+        got = quot_ls(x)
+        assert got == canon_s(reference_quot_ls(x))
+        assert got == canon_s(got)
+        if len(set(x.prefix)) < len(x.prefix):
+            seen.add("repeated binder")
+        if got != reference_quot_ls(x):
+            seen.add("referee not canonical")
+        if set(RAW_NAMES[3:]) & set(x.body) - set(x.prefix):
+            seen.add("reserved name free")
+    assert seen == {"repeated binder", "referee not canonical", "reserved name free"}
+
+
+def test_s_keys_agree_with_the_referee_in_any_binding_order(rng):
+    from nomlang.monoids import _bind_s, _bound_key, _encode_s
+
+    for _ in range(20_000):
+        x = _raw_s(rng)
+        want = reference_encode_s(x)
+        assert _encode_s(x) == want
+        order = sorted(x.bound)
+        rng.shuffle(order)
+        assert _bound_key(_bind_s, order, x.body) == want
+        assert _bound_key(_bind_s, order[::-1], x.body) == want
+
+
+def test_g_keys_decode_to_g_words_with_the_m_row():
+    from nomlang.regex import _enumerate_keys
+    from nomlang.syntax import parse_regex
+
+    e = parse_regex("( <#n. #n #m > + a + #m )*", {"a"})
+    keys = list(_enumerate_keys(e, SORT_G, 12))
+    assert len(keys) == 12_640
+    for key in keys:
+        w = SORT_G.keyed.to_mword(key)
+        assert type(w) is GWord
+        assert w.tokens == words.from_key(key).tokens
 
 
 # -- projection to binder-free words -----------------------------------------

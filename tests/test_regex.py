@@ -70,6 +70,9 @@ def test_undeclared_letter_rejected():
     # in a file, a position counts from its start, declarations included
     (parse_nre, "letters a b;\nc* #n", "undeclared letter 'c'", 13),
     (parse_nre, "letters a, b;\na", "declared letter 'a,' is not an identifier", 8),
+    # the `.hds` format would read such a letter back as the move
+    *[(parse_nre, f"letters a {kw};\n{kw}", f"declared letter {kw!r} is a move keyword", 10)
+      for kw in ("eps", "push", "pop", "open", "close")],
     (parse_nre, "letters a b\nc* #n", "letter declaration without ';'", 0),
     (parse_nre, "letters a;\nletters b\na b", "letter declaration without ';'", 11),
 ])
