@@ -20,7 +20,7 @@ from .words import (
     tokenize,
 )
 from .syntax import ParseError, parse_nre, parse_regex, parse_word, render_regex, render_word
-from .regex import Atom, Binder, Cat, ONE, One, Regex, Star, Sum, ZERO, Zero, enumerate_slice, member
+from .regex import Atom, Binder, Cat, ONE, Regex, Star, Sum, ZERO, enumerate_slice, member
 from .monoids import SORTS
 from .hds import Hds, NameMap, Transition, Undecided, accepts, accepts_word, language_slice, run, validate
 from .compiler import compile_regex

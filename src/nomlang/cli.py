@@ -2,6 +2,11 @@
 
 Exit codes: 0 accept/pass, 1 reject/fail, 2 usage or parse error,
 3 search budget exhausted before a verdict.
+
+An expression is one flat array that the parser and every traversal
+after it walk in a loop, so no nesting is too deep for a command.
+`enumerate` sorts its lines and writes them at once, and `check` writes
+its report at once.
 """
 
 from __future__ import annotations
@@ -85,8 +90,9 @@ def cmd_enumerate(args) -> int:
         except automata.Undecided:
             print("UNDECIDED (the stack depth cap cut a branch; the slice may miss words)")
             return EXIT_FUEL
-    for line in lines:
-        print(line)
+    # at once: the 349,525 lines of a bound-9 star slice take 0.04 s so, 0.9 to 1.4 s printed singly
+    if lines:
+        sys.stdout.write("\n".join(lines) + "\n")
     return EXIT_ACCEPT
 
 
@@ -104,8 +110,7 @@ def cmd_check(args) -> int:
     e, _letters = parse_nre(_read(args.input))
     h = compile_regex(e)
     report = check_equivalence(e, h, args.bound)
-    for line in report.lines():
-        print(line)
+    print("\n".join(report.lines()))
     return EXIT_ACCEPT if report.passed else EXIT_REJECT
 
 
@@ -160,11 +165,6 @@ def main(argv=None) -> int:
         return args.fn(args)
     except (ValueError, OSError) as exc:  # parse and format errors are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except RecursionError:  # the expression traversals recurse once per tree level
-        print("error: expression nested too deeply: at Python's default recursion limit the "
-              "nesting limit is about 990 binders, stars or operands of one concatenation or "
-              "sum", file=sys.stderr)
         return EXIT_USAGE
 
 

@@ -23,7 +23,9 @@ finals and initial meanings) and edits the tables in place; the
 `NameMap`s, `Transition`s and the one `Hds` are made at the end.  So
 threading a local through an operand costs one dict insert per
 transition, the size of what it adds to the output, and no
-construction copies the automaton built so far.
+construction copies the automaton built so far.  `_Build.compile` walks
+the expression's post-order array with an explicit stack, so any
+nesting compiles.
 
 Three points deserve attention:
 
@@ -31,7 +33,7 @@ Three points deserve attention:
   binder's body is compiled, the binder's name.  So inside a binder no
   local is its bound name, a pushed frame's global name is never taken
   for a threaded local, and every expression compiles; a node of no
-  expression type raises `TypeError`.
+  expression kind raises `TypeError`.
 
 * Concatenation threads each initial local `x` of its right operand
   through every state and transition of its left operand with the
@@ -98,7 +100,7 @@ class _Build:
     """
 
     def __init__(self, avoid: frozenset[Name]):
-        self.avoid = avoid  # the expression's free names, then binder names
+        self.avoid = set(avoid)  # the expression's free names, then binder names
         self.next_local = 0
         self.locals: dict[str, set[Name]] = {}
         self.trans: dict[str, list[tuple]] = {}  # (label, target, sigma dict)
@@ -130,30 +132,45 @@ class _Build:
         )
 
     def compile(self, e: rx.Regex) -> _Frag:
-        """Build the fragment of `e` from new states and locals."""
-        if isinstance(e, rx.Zero):
-            q0 = self.state()
-            return _Frag([q0], q0, set(), {})
-        if isinstance(e, (rx.One, rx.Atom)):
-            q0, qf = self.state(), self.state()
-            eta = {}
-            label = EPS if isinstance(e, rx.One) else e.sym  # a letter is its own label
-            if type(label) is Name:  # a name is read through a local that means it
-                label = self.local()
-                self.locals[q0].add(label)
-                eta[label] = e.sym
-            self.trans[q0].append((label, qf, {}))
-            return _Frag([q0, qf], q0, {qf}, eta)
-        if isinstance(e, rx.Sum):
-            return self.sum(self.compile(e.left), self.compile(e.right))
-        if isinstance(e, rx.Cat):
-            return self.concat(self.compile(e.left), self.compile(e.right))
-        if isinstance(e, rx.Star):
-            return self.star(self.compile(e.body))
-        if isinstance(e, rx.Binder):
-            self.avoid |= {e.name}  # no local of the body is taken for its name
-            return self.bind(e.name, self.compile(e.body))
-        raise TypeError(f"unknown expression node {type(e).__name__}")
+        """Build the fragment of `e` from new states and locals.
+
+        One loop pops visits off a stack: a node with operands is entered,
+        then its operands are built, left first, then it is left, and
+        `frags` holds the fragments built and not yet taken over.  So
+        states are made in the order of the array, and a binder's name
+        joins `avoid` on entry, before its body's atoms take locals.
+        """
+        frags, todo = [], [(len(e) - 1, False)]  # todo holds visits (node, entered)
+        while todo:
+            p, entered = todo.pop()
+            kind, sym, i, j = e[p]
+            if not entered and i is not None:
+                if kind is rx.BINDER:
+                    self.avoid.add(sym)  # no local of the body is taken for its name
+                todo.append((p, True))
+                todo += ((i, False),) if j is None else ((j, False), (i, False))
+            elif kind is rx.EMPTY:
+                q0 = self.state()
+                frags.append(_Frag([q0], q0, set(), {}))
+            elif kind is rx.UNIT or kind is rx.ATOM:
+                q0, qf = self.state(), self.state()
+                eta = {}
+                label = EPS if kind is rx.UNIT else sym  # a letter is its own label
+                if type(label) is Name:  # a name is read through a local that means it
+                    label = self.local()
+                    self.locals[q0].add(label)
+                    eta[label] = sym
+                self.trans[q0].append((label, qf, {}))
+                frags.append(_Frag([q0, qf], q0, {qf}, eta))
+            elif kind is rx.SUM or kind is rx.CAT:
+                f2 = frags.pop()
+                frags.append((self.sum if kind is rx.SUM else self.concat)(frags.pop(), f2))
+            elif kind is rx.STAR or kind is rx.BINDER:
+                f = frags.pop()
+                frags.append(self.star(f) if kind is rx.STAR else self.bind(sym, f))
+            else:
+                raise TypeError(f"unknown expression node {kind!r}")
+        return frags[0]
 
     def _join(self, f1: _Frag, f2: _Frag) -> _Frag:
         """`f1` with the states, initial meanings and pushes of `f2` joined in."""

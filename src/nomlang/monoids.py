@@ -171,12 +171,19 @@ def _encode_s(x: SWord) -> tuple:
     return _bound_key(_bind_s, x.bound, x.body)
 
 
+# A decoded S word skips `SWord.__post_init__`: a key's bound occurrences
+# are the numbers of its bound names, which all occur in the body.  The
+# check took a third of the decoding.
+_set_bound, _set_body = SWord.bound.__set__, SWord.body.__set__
+
+
 def _decode_s(key: tuple) -> SWord:
     k, body = key
-    if not k:  # about three in four words of sort_enum's S slices
-        return SWord(_NO_NAMES, body)
-    names = binder_names(k, body)
-    return SWord(frozenset(names), _decode_body(body, names))
+    names = binder_names(k, body) if k else ()  # none in about three in four of sort_enum's words
+    x = object.__new__(SWord)
+    _set_bound(x, frozenset(names) if k else _NO_NAMES)
+    _set_body(x, _decode_body(body, names) if k else body)
+    return x
 
 
 def _concat_s(x: tuple, y: tuple) -> tuple:

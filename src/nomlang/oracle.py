@@ -13,6 +13,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Iterable, Optional
 
 from .names import Letter, Name, fresh_name
@@ -301,19 +302,14 @@ def random_regex(
     roll = rng.random()
     if roll < 0.15:
         return random_regex(rng, pool, letters, 0)
+    sub = partial(random_regex, rng, pool, letters, depth - 1)  # operands are drawn left first
     if roll < 0.40:
-        return rx.Sum(
-            random_regex(rng, pool, letters, depth - 1),
-            random_regex(rng, pool, letters, depth - 1),
-        )
+        return rx.Sum(sub(), sub())
     if roll < 0.65:
-        return rx.Cat(
-            random_regex(rng, pool, letters, depth - 1),
-            random_regex(rng, pool, letters, depth - 1),
-        )
+        return rx.Cat(sub(), sub())
     if roll < 0.85:
-        return rx.Binder(rng.choice(pool), random_regex(rng, pool, letters, depth - 1))
-    return rx.Star(random_regex(rng, pool, letters, depth - 1))
+        return rx.Binder(rng.choice(pool), sub())
+    return rx.Star(sub())
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,18 @@
 """Regular expressions over names and letters, with binders.
 
-An atom (`Atom`) is a name or a letter, and stands for the one-symbol
-word it spells; the type of its symbol says which it is, and only
-`free_names` and the compiler ask.  The other nodes are the unit `One`,
-the empty language `Zero`, `Sum`, `Cat`, `Star` and `Binder`.
+An expression (`Regex`) is one immutable tuple of nodes in post-order:
+children come before their parents and the root is last, so equality
+and hashing are those of a flat tuple, and every traversal is one loop
+over the array, however deep the expression nests.  A node is a tuple
+(kind, symbol, left, right): its kind, the symbol of an atom or the
+name of a binder (None for the other kinds), and the indices of its
+children, None where it has none.  A sum or a product has two, and a
+star or a binder one, its body, in `left`.  An atom (kind `ATOM`) is a
+name or a letter, and stands for the one-symbol word it spells; the
+type of its symbol says which it is, and only `free_names` and the
+compiler ask.  The constructors `Atom`, `Sum`, `Cat`, `Star` and
+`Binder`, and the unit `ONE` and the empty language `ZERO`, build the
+array that `syntax.parse_regex` gives for the same tree.
 
 The denotation of an expression in a chosen word sort is in general an
 infinite set; `enumerate_slice` computes its finite window of words up
@@ -22,100 +31,86 @@ the bound and is filed without measuring it.
 
 A product enumerates each operand only as far as the other leaves room
 for.  Every node has a lower bound on the token length of its words
-(`_shortest`): none for `Zero`, 0 for `One` and `Star`, 1 for an atom,
-the least over a sum, the sum over a product, and the body's for a
-binder, since binding never shortens a word in any sort.  The left
-operand goes up to the bound less the right one's lower bound, the
-right one up to the bound less the length of the shortest word in the
-left slice, and a product that has an operand with no word, or lower
-bounds past the bound, returns at once.  A star drops the unit from its
-base, where it would only rebuild words it has.  Keys form no cycles,
-so `enumerate_slice` and `member` run under one collector pause
+(`_shortest`): none for the empty language, 0 for the unit and a star,
+1 for an atom, the least over a sum, the sum over a product, and the
+body's for a binder, since binding never shortens a word in any sort.
+The left operand goes up to the bound less the right one's lower bound,
+the right one up to the bound less the length of the shortest word in
+the left slice, and a product that has an operand with no word, or
+lower bounds past the bound, stops there.  A star drops the unit from
+its base, where it would only rebuild words it has.  Keys form no
+cycles, so `enumerate_slice` and `member` run under one collector pause
 (`words.collector_paused`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from math import inf
 
 from .names import Letter, Name, Permutation
 from .monoids import SORTS, SortOps
 from .words import collector_paused
 
+# The kinds of node.
+UNIT, EMPTY, ATOM, SUM, CAT, STAR, BINDER = "1", "0", "atom", "+", "cat", "*", "bind"
 
-class Regex:
+
+class Regex(tuple):
+    """An expression: its nodes in post-order, the root last."""
+
     __slots__ = ()
 
 
-@dataclass(frozen=True)
-class One(Regex):
-    pass
+ONE = Regex(((UNIT, None, None, None),))
+ZERO = Regex(((EMPTY, None, None, None),))
 
 
-@dataclass(frozen=True)
-class Zero(Regex):
-    pass
-
-
-@dataclass(frozen=True)
-class Atom(Regex):
+def Atom(sym: Name | Letter) -> Regex:
     """The one-symbol word of a name or a letter."""
-
-    sym: Name | Letter
-
-
-@dataclass(frozen=True)
-class Sum(Regex):
-    left: Regex
-    right: Regex
+    return Regex(((ATOM, sym, None, None),))
 
 
-@dataclass(frozen=True)
-class Cat(Regex):
-    left: Regex
-    right: Regex
+def Star(body: Regex) -> Regex:
+    return Regex((*body, (STAR, None, len(body) - 1, None)))
 
 
-@dataclass(frozen=True)
-class Binder(Regex):
-    name: Name
-    body: Regex
+def Binder(name: Name, body: Regex) -> Regex:
+    return Regex((*body, (BINDER, name, len(body) - 1, None)))
 
 
-@dataclass(frozen=True)
-class Star(Regex):
-    body: Regex
+def _binary(kind: str, left: Regex, right: Regex) -> Regex:
+    k = len(left)  # the right operand's nodes move past the left one's
+    moved = [(t, s, i if i is None else i + k, j if j is None else j + k) for t, s, i, j in right]
+    return Regex((*left, *moved, (kind, None, k - 1, k + len(right) - 1)))
 
 
-ONE = One()
-ZERO = Zero()
+Sum, Cat = partial(_binary, SUM), partial(_binary, CAT)  # Sum(left, right), Cat(left, right)
 
 
 def free_names(e: Regex) -> frozenset[Name]:
-    if isinstance(e, Atom) and type(e.sym) is Name:
-        return frozenset((e.sym,))
-    if isinstance(e, (Sum, Cat)):
-        return free_names(e.left) | free_names(e.right)
-    if isinstance(e, Binder):
-        return free_names(e.body) - {e.name}
-    if isinstance(e, Star):
-        return free_names(e.body)
-    return frozenset()
+    out: list[set[Name]] = []  # the free names of each node; a parent takes its operands' sets over
+    for kind, sym, i, j in e:
+        if kind is ATOM and type(sym) is Name:
+            s = {sym}
+        elif kind is SUM or kind is CAT:
+            s = out[i]  # the left one, which grows along the parser's chains
+            s |= out[j]
+        elif kind is BINDER:
+            s = out[i]
+            s.discard(sym)
+        elif kind is STAR:
+            s = out[i]
+        else:
+            s = set()
+        out.append(s)
+    return frozenset(out[-1])
 
 
 def permute_regex(pi: Permutation, e: Regex) -> Regex:
-    if isinstance(e, Atom):  # a permutation fixes every letter
-        return Atom(pi(e.sym))
-    if isinstance(e, Sum):
-        return Sum(permute_regex(pi, e.left), permute_regex(pi, e.right))
-    if isinstance(e, Cat):
-        return Cat(permute_regex(pi, e.left), permute_regex(pi, e.right))
-    if isinstance(e, Binder):
-        return Binder(pi(e.name), permute_regex(pi, e.body))
-    if isinstance(e, Star):
-        return Star(permute_regex(pi, e.body))
-    return e
+    # `pi` fixes every letter, and None, the symbol of a node of no atom or binder
+    return Regex([(kind, pi(sym), i, j) for kind, sym, i, j in e])
 
 
 @dataclass(frozen=True)
@@ -132,26 +127,25 @@ class LangSlice:
 # results.
 
 
-def _shortest(e: Regex, memo: dict) -> float:
-    """A lower bound on the token length of the words of `e`, `inf` if
-    it has none; `memo` holds it by node id for one enumeration."""
-    n = memo.get(id(e))
-    if n is None:
-        t = type(e)
-        if t is Atom:
+def _shortest(e: Regex) -> list[float]:
+    """A lower bound on the token length of the words of each node of
+    `e`, by index; `inf` for a node with no word."""
+    out: list[float] = []
+    for kind, _, i, j in e:
+        if kind is ATOM:
             n = 1
-        elif t is Cat:
-            n = _shortest(e.left, memo) + _shortest(e.right, memo)
-        elif t is Sum:
-            n = min(_shortest(e.left, memo), _shortest(e.right, memo))
-        elif t is Binder:  # binding never shortens a word in any sort
-            n = _shortest(e.body, memo)
-        elif t is Zero:
+        elif kind is CAT:
+            n = out[i] + out[j]
+        elif kind is SUM:  # the least, with no call to `min`, which made the loop 1.7 times as slow
+            n = out[i] if out[i] <= out[j] else out[j]
+        elif kind is BINDER:  # binding never shortens a word in any sort
+            n = out[i]
+        elif kind is EMPTY:
             n = inf
-        else:  # One, Star
+        else:  # UNIT, STAR
             n = 0
-        memo[id(e)] = n
-    return n
+        out.append(n)
+    return out
 
 
 def _concat_slices(a: dict, b: dict, ops: SortOps, bound: int) -> dict[int, set]:
@@ -166,62 +160,84 @@ def _concat_slices(a: dict, b: dict, ops: SortOps, bound: int) -> dict[int, set]
     return out
 
 
-def _enum(e: Regex, ops: SortOps, bound: int, memo: dict) -> dict[int, set]:
-    """The slice of `e` up to `bound` (at least 0); `memo` is `_shortest`'s."""
-    t = type(e)
-    if t is Cat:
-        # each operand only as far as the other leaves room for
-        right = _shortest(e.right, memo)
-        if _shortest(e.left, memo) + right > bound:
-            return {}
-        a = _enum(e.left, ops, bound - right, memo)
-        if not a:
-            return {}
-        return _concat_slices(a, _enum(e.right, ops, bound - min(a), memo), ops, bound)
-    if t is Atom:
-        return {1: {ops.atom(e.sym)}} if bound else {}
-    if t is Sum:
-        out = _enum(e.left, ops, bound, memo)
-        for n, ws in _enum(e.right, ops, bound, memo).items():
-            if n in out:
-                out[n] |= ws
+def _enum(e: Regex, ops: SortOps, bound: int) -> dict[int, set]:
+    """The slice of `e` up to `bound` (at least 0).
+
+    One loop pops visits (node, bound, stage) off a stack.  A first
+    visit (stage 0) enters its node and then, in the same visit, the
+    node's left operand and so on down to a leaf, pushing each node's
+    later visit and the first visit of a sum's right operand; the leaf
+    leaves its slice on `done`.  A later visit takes its operands'
+    slices off `done` and leaves its node's.
+    """
+    shortest, done, todo = _shortest(e), [], [(len(e) - 1, bound, 0)]
+    while todo:
+        p, b, stage = todo.pop()
+        kind, sym, i, j = e[p]
+        if not stage:
+            # a product's left operand goes only as far as its right one
+            # leaves room for, and a product whose lower bounds are past
+            # the bound is not entered
+            while i is not None and (kind is not CAT or shortest[i] + shortest[j] <= b):
+                todo.append((p, b, 1))
+                if kind is SUM:
+                    todo.append((j, b, 0))
+                elif kind is CAT:
+                    b -= shortest[j]
+                p = i
+                kind, sym, i, j = e[p]
+            if kind is ATOM:
+                done.append({1: {ops.atom(sym)}} if b else {})
+            else:  # the unit, the empty language, or a product not entered
+                done.append({0: {ops.unit}} if kind is UNIT else {})
+        elif kind is CAT:
+            if stage == 1:
+                # the right operand goes as far as the left slice leaves
+                # room for; an empty left slice is the product's slice too
+                if done[-1]:
+                    todo += ((p, b, 2), (j, b - min(done[-1]), 0))
             else:
-                out[n] = ws
-        return out
-    if t is Binder:
-        out = {}
-        bind, tok_len, name = ops.bind, ops.tok_len, e.name
-        for ws in _enum(e.body, ops, bound, memo).values():
-            for w in ws:
-                v = bind(name, w)
-                n = tok_len(v)
-                if n <= bound:
-                    out.setdefault(n, set()).add(v)
-        return out
-    if t is Star:
-        base = _enum(e.body, ops, bound, memo)
-        base.pop(0, None)  # the unit, the one word of length 0, adds nothing
-        acc = {n: set(ws) for n, ws in base.items()}
-        acc[0] = {ops.unit}
-        frontier = base
-        while frontier:
-            fresh = {}
-            for n, ws in _concat_slices(frontier, base, ops, bound).items():
-                have = acc.get(n)
-                if have is None:
-                    fresh[n] = acc[n] = ws
-                    continue
-                ws -= have
-                if ws:
-                    fresh[n] = ws
-                    have |= ws
-            # a fresh set may be acc's own bucket: it is only read before acc grows
-            frontier = fresh
-        return acc
-    if t is One:
-        return {0: {ops.unit}}
-    assert t is Zero
-    return {}
+                right = done.pop()
+                done.append(_concat_slices(done.pop(), right, ops, b))
+        elif kind is SUM:
+            right = done.pop()
+            out = done[-1]
+            for n, ws in right.items():
+                if n in out:
+                    out[n] |= ws
+                else:
+                    out[n] = ws
+        elif kind is BINDER:
+            out = {}
+            bind, tok_len = ops.bind, ops.tok_len
+            for ws in done.pop().values():
+                for w in ws:
+                    v = bind(sym, w)
+                    n = tok_len(v)
+                    if n <= b:
+                        out.setdefault(n, set()).add(v)
+            done.append(out)
+        else:  # STAR
+            base = done.pop()
+            base.pop(0, None)  # the unit, the one word of length 0, adds nothing
+            acc = {n: set(ws) for n, ws in base.items()}
+            acc[0] = {ops.unit}
+            frontier = base
+            while frontier:
+                fresh = {}
+                for n, ws in _concat_slices(frontier, base, ops, b).items():
+                    have = acc.get(n)
+                    if have is None:
+                        fresh[n] = acc[n] = ws
+                        continue
+                    ws -= have
+                    if ws:
+                        fresh[n] = ws
+                        have |= ws
+                # a fresh set may be acc's own bucket: it is only read before acc grows
+                frontier = fresh
+            done.append(acc)
+    return done[0]
 
 
 def _drain(buckets: dict[int, set]):
@@ -237,7 +253,7 @@ def _enumerate_keys(e: Regex, ops: SortOps, bound: int):
     most `bound`, each once."""
     if bound < 0:
         raise ValueError("bound must be non-negative")
-    return _drain(_enum(e, ops.keyed, bound, {}))
+    return _drain(_enum(e, ops.keyed, bound))
 
 
 def enumerate_slice(e: Regex, sort: str | SortOps, bound: int) -> LangSlice:
@@ -260,4 +276,4 @@ def member(e: Regex, w, sort: str | SortOps = "M") -> bool:
     with collector_paused():
         key = ops.encode(w)
         n = keys.tok_len(key)
-        return key in _enum(e, keys, n, {}).get(n, ())
+        return key in _enum(e, keys, n).get(n, ())

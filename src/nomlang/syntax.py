@@ -21,8 +21,10 @@ Regular expressions reuse the word syntax and add ``1``, ``0``, ``+``
 `parse_regex` reads them in one loop over the tokens of `_lex`, not by
 recursive descent: a stack holds the groups open around the current
 one (parentheses and binders), each with its sum and its last product
-so far, so parentheses nest without limit, and sums and products
-associate to the left.
+so far, and sums and products associate to the left.  Each node joins
+the expression's post-order array (`regex.Regex`) as its operand
+completes, and `render_regex` writes an expression from a stack too, so
+expressions nest without limit.
 Expression files (extension ``.nre``) start with a letter declaration
 such as ``letters a b ENCR;`` followed by the expression.
 """
@@ -177,11 +179,20 @@ def parse_regex(text: str, letters: frozenset[str] | set[str]) -> rx.Regex:
     left as they come.  The loop alternates between two states: it reads
     an operand, which is an atom or the opening of a group, and then the
     stars after it, the end of its term (`+`) or the end of its group.
+    Operands complete in post-order, so each node is appended to the
+    expression's array as it completes, and a sum, a term or an operand
+    is the index of its root there.
     """
     toks = iter(_lex(text))
     t = next(toks, None)  # the token to read next; None past the last
     end = len(text)
-    stack: list[tuple[Name | str | None, rx.Regex | None, rx.Regex | None]] = []
+    nodes: list[tuple] = []
+
+    def add(*node) -> int:
+        nodes.append(node)
+        return len(nodes) - 1
+
+    stack: list[tuple[Name | str | None, int | None, int | None]] = []
     group: Name | str | None = None  # "(", a binder's name, or None at the top
     total = term = None  # the group's sum of the terms before the last, and its last term
     while True:
@@ -198,59 +209,64 @@ def parse_regex(text: str, letters: frozenset[str] | set[str]) -> rx.Regex:
                 t = next(toks, None)
             continue
         if kind == "digit":
-            e = rx.ONE if tok == "1" else rx.ZERO
-        elif kind == "name":
-            e = rx.Atom(Name(tok[1:]))
-        elif kind == "ident" and tok in letters:
-            e = rx.Atom(Letter(tok))
+            e = add(rx.UNIT if tok == "1" else rx.EMPTY, None, None, None)
+        elif kind == "name" or kind == "ident" and tok in letters:
+            e = add(rx.ATOM, Name(tok[1:]) if kind == "name" else Letter(tok), None, None)
         elif kind == "ident":
             raise ParseError(f"undeclared letter {tok!r}", pos)
         else:
             raise ParseError(f"unexpected {tok!r} in expression", pos)
         while True:  # e is an operand: read its stars, then what ends it
             while t is not None and t[0] == "*":
-                e = rx.Star(e)
+                e = add(rx.STAR, None, e, None)
                 t = next(toks, None)
-            term = e if term is None else rx.Cat(term, e)
+            term = e if term is None else add(rx.CAT, None, term, e)
             if t is not None and t[0] in _OPERAND_STARTERS:
                 break
             if t is not None and t[0] == "+":
-                total, term = term if total is None else rx.Sum(total, term), None
+                total, term = term if total is None else add(rx.SUM, None, total, term), None
                 t = next(toks, None)
                 break
-            e = term if total is None else rx.Sum(total, term)
+            e = term if total is None else add(rx.SUM, None, total, term)
             if group is None:
                 if t is not None:
                     raise ParseError(f"unexpected {t[1]!r}", t[2])
-                return e
+                return rx.Regex(nodes)
             _expect(t, ")" if group == "(" else ">", end)
             t = next(toks, None)
             if group != "(":
-                e = rx.Binder(group, e)
+                e = add(rx.BINDER, group, e, None)
             group, total, term = stack.pop()
 
 
 def render_regex(e: rx.Regex) -> str:
-    def go(e, level: int) -> str:
-        # level: the precedence `e` needs, 0 in a sum or a binder, 1 in a product, 2 under a star
-        if isinstance(e, rx.One):
-            return "1"
-        if isinstance(e, rx.Zero):
-            return "0"
-        if isinstance(e, rx.Atom):
-            return repr(e.sym)  # `#label` for a name, the symbol for a letter
-        if isinstance(e, rx.Binder):
-            return f"<#{e.name.label}. {go(e.body, 0)} >"
-        if isinstance(e, rx.Star):
-            return go(e.body, 2) + "*"
-        if isinstance(e, rx.Sum):
-            s, prec = f"{go(e.left, 0)} + {go(e.right, 0)}", 0
-        else:
-            assert isinstance(e, rx.Cat)
-            s, prec = f"{go(e.left, 1)} {go(e.right, 1)}", 1
-        return f"( {s} )" if prec < level else s
+    """The concrete syntax of `e`, written from the root down.
 
-    return go(e, 0)
+    A stack holds what is left to write: text, or a node with the
+    precedence its place needs (0 in a sum or a binder, 1 in a product,
+    2 under a star); only a sum or a product can fall short of it, and
+    is then parenthesized.
+    """
+    out: list[str] = []
+    todo: list = [(len(e) - 1, 0)]
+    while todo:
+        item = todo.pop()
+        if type(item) is str:
+            out.append(item)
+            continue
+        p, level = item
+        kind, sym, i, j = e[p]
+        if kind is rx.BINDER:
+            todo += (" >", (i, 0), f"<#{sym.label}. ")
+        elif kind is rx.STAR:
+            todo += ("*", (i, 2))
+        elif kind is rx.SUM or kind is rx.CAT:
+            prec = 0 if kind is rx.SUM else 1
+            parts = [(j, prec), " + " if prec == 0 else " ", (i, prec)]
+            todo += [" )", *parts, "( "] if prec < level else parts
+        else:  # an atom, `#label` for a name and the symbol for a letter, or `1` or `0`
+            out.append(repr(sym) if kind is rx.ATOM else "1" if kind is rx.UNIT else "0")
+    return "".join(out)
 
 
 # ---------------------------------------------------------------------------

@@ -342,6 +342,19 @@ def test_s_word_rejects_bound_names_it_cannot_bind():
         SWord(frozenset({a}), (n, a))  # a occurs, but a letter binds nothing
 
 
+def test_decoded_s_words_equal_checked_constructions():
+    # decoding skips `SWord`'s check, which a key's numbering guarantees
+    from nomlang.regex import _enumerate_keys
+    from nomlang.syntax import parse_regex
+
+    e = parse_regex("( <#n. #n #m > + a + #m )*", letters={"a"})
+    keys = list(_enumerate_keys(e, SORT_S, 12))
+    assert len(keys) == 12640
+    for key in keys:
+        x = SORT_S.keyed.to_mword(key)
+        assert type(x) is SWord and x == SWord(x.bound, x.body)
+
+
 # -- decoding keys -----------------------------------------------------------
 #
 # The decoders take binder names from the reserved-name table; the

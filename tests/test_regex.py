@@ -32,14 +32,28 @@ def test_parser_precedence():
 
 def test_parser_binder_and_groups():
     e = parse_regex("<#n. #n ( a + b ) >", letters={"a", "b"})
-    assert isinstance(e, rx.Binder)
-    assert e.name is n
+    assert e == rx.Binder(n, parse_regex("#n ( a + b )", letters={"a", "b"}))
+    assert e[-1][:2] == (rx.BINDER, n)
 
 
 def test_render_parse_roundtrip_examples():
     for src in ("#n* + a", "<#n. #n <#m. #n #m > >", "( #n + 0 ) ( 1 + b )"):
         e = parse_regex(src, letters={"a", "b"})
         assert parse_regex(render_regex(e), letters={"a", "b"}) == e
+
+
+@pytest.mark.parametrize("src", [" ".join(["a"] * 20000), "<#n. " * 20000 + "a" + " >" * 20000,
+                                 "(" * 20000 + "a" + ")*" * 20000],
+                         ids=["20000-letter concatenation", "20000-deep binders",
+                              "20000-deep stars"])
+def test_deep_expressions_compare_hash_and_render(src):
+    # an expression is one flat tuple: comparing, hashing, rendering and
+    # finding its free names take no recursion per level of its tree
+    e = parse_regex(src, letters={"a"})
+    assert e == parse_regex(src, letters={"a"})
+    assert hash(e) == hash(parse_regex(src, letters={"a"}))
+    assert parse_regex(render_regex(e), letters={"a"}) == e
+    assert free_names(e) == frozenset()
 
 
 def test_undeclared_letter_rejected():
@@ -259,10 +273,10 @@ def test_permute_regex_is_equivariant():
 
     rng = random.Random(7)
     exprs = [random_regex(rng, NAMES, LETTERS, 4) for _ in range(300)]
-    # every node type occurs, so each branch of `permute_regex` is taken
-    nodes = {type(x) for e in exprs for x in _subexpressions(e)}
-    assert nodes == {rx.One, rx.Zero, rx.Atom, rx.Sum, rx.Cat, rx.Star, rx.Binder}
-    assert any(type(x) is rx.Atom and x.sym in LETTERS for e in exprs for x in _subexpressions(e))
+    # every node kind occurs, letters among the atoms
+    kinds = {kind for e in exprs for kind, _, _, _ in e}
+    assert kinds == {rx.UNIT, rx.EMPTY, rx.ATOM, rx.SUM, rx.CAT, rx.STAR, rx.BINDER}
+    assert any(kind is rx.ATOM and sym in LETTERS for e in exprs for kind, sym, _, _ in e)
     for x, y in ((n, m), (n, k), (m, k)):
         pi = Permutation.transposition(x, y)
         for e in exprs:
@@ -270,18 +284,11 @@ def test_permute_regex_is_equivariant():
             assert enumerate_slice(rx.permute_regex(pi, e), "M", 6).words == want
 
 
-def _subexpressions(e):
-    yield e
-    for f in ("left", "right", "body"):
-        if hasattr(e, f):
-            yield from _subexpressions(getattr(e, f))
-
-
 # -- the enumeration it replaced ---------------------------------------------
 #
 # Before each product enumerated an operand only as far as the other left
 # room for, both operands went to the full bound.  Verbatim but for the
-# names.
+# names and for `reference_enum`, which walks the expression's array.
 
 def _reference_single(v, ops, bound):
     n = ops.tok_len(v)
@@ -301,51 +308,54 @@ def _reference_concat_slices(a, b, ops, bound):
 
 
 def reference_enum(e, ops, bound):
-    if isinstance(e, rx.Zero):
-        return {}
-    if isinstance(e, rx.One):
-        return _reference_single(ops.unit, ops, bound)
-    if isinstance(e, rx.Atom):
-        return _reference_single(ops.atom(e.sym), ops, bound)
-    if isinstance(e, rx.Sum):
-        out = reference_enum(e.left, ops, bound)
-        for n, ws in reference_enum(e.right, ops, bound).items():
-            if n in out:
-                out[n] |= ws
-            else:
-                out[n] = ws
-        return out
-    if isinstance(e, rx.Cat):
-        return _reference_concat_slices(
-            reference_enum(e.left, ops, bound), reference_enum(e.right, ops, bound), ops, bound
-        )
-    if isinstance(e, rx.Binder):
-        out = {}
-        for ws in reference_enum(e.body, ops, bound).values():
-            for w in ws:
-                v = ops.bind(e.name, w)
-                n = ops.tok_len(v)
-                if n <= bound:
-                    out.setdefault(n, set()).add(v)
-        return out
-    assert isinstance(e, rx.Star)
-    base = reference_enum(e.body, ops, bound)
-    acc = _reference_single(ops.unit, ops, bound)
-    frontier = {n: set(ws) for n, ws in acc.items()}
-    while frontier:
-        fresh = {}
-        for n, ws in _reference_concat_slices(frontier, base, ops, bound).items():
-            have = acc.get(n)
-            if have is None:
-                fresh[n] = acc[n] = ws
-                continue
-            ws -= have
-            if ws:
-                fresh[n] = ws
-                have |= ws
-        # a fresh set may be acc's own bucket: it is only read before acc grows
-        frontier = fresh
-    return acc
+    # every node to the full bound, so one loop over the array makes the
+    # slice of each node from its operands'
+    out = []
+    for kind, sym, i, j in e:
+        if kind is rx.EMPTY:
+            got = {}
+        elif kind is rx.UNIT:
+            got = _reference_single(ops.unit, ops, bound)
+        elif kind is rx.ATOM:
+            got = _reference_single(ops.atom(sym), ops, bound)
+        elif kind is rx.SUM:
+            got = out[i]
+            for n, ws in out[j].items():
+                if n in got:
+                    got[n] |= ws
+                else:
+                    got[n] = ws
+        elif kind is rx.CAT:
+            got = _reference_concat_slices(out[i], out[j], ops, bound)
+        elif kind is rx.BINDER:
+            got = {}
+            for ws in out[i].values():
+                for w in ws:
+                    v = ops.bind(sym, w)
+                    n = ops.tok_len(v)
+                    if n <= bound:
+                        got.setdefault(n, set()).add(v)
+        else:
+            assert kind is rx.STAR
+            base = out[i]
+            acc = _reference_single(ops.unit, ops, bound)
+            frontier = {n: set(ws) for n, ws in acc.items()}
+            while frontier:
+                fresh = {}
+                for n, ws in _reference_concat_slices(frontier, base, ops, bound).items():
+                    have = acc.get(n)
+                    if have is None:
+                        fresh[n] = acc[n] = ws
+                        continue
+                    ws -= have
+                    if ws:
+                        fresh[n] = ws
+                        have |= ws
+                # a fresh set may be acc's own bucket: it is only read before acc grows
+                frontier = fresh
+            got = acc
+        out.append(got)
+    return out[-1]
 
 
 def _key_sort(sort):
@@ -364,7 +374,7 @@ def test_budgeted_enumeration_gives_the_reference_buckets(seed):
     for sort in "MGLS":
         keys = _key_sort(sort)
         for e in exprs:
-            assert rx._enum(e, keys, 7, {}) == reference_enum(e, keys, 7), render_regex(e)
+            assert rx._enum(e, keys, 7) == reference_enum(e, keys, 7), render_regex(e)
 
 
 @pytest.mark.parametrize("src", [
@@ -379,7 +389,7 @@ def test_budgeted_enumeration_on_hand_picked_products(src, sort):
     e = parse_regex(src, letters={"a", "b"})
     keys = _key_sort(sort)
     for bound in range(9):
-        assert rx._enum(e, keys, bound, {}) == reference_enum(e, keys, bound)
+        assert rx._enum(e, keys, bound) == reference_enum(e, keys, bound)
 
 
 def _counting(sort):
@@ -405,8 +415,19 @@ def _counting(sort):
 def test_a_product_with_no_word_makes_nothing(src):
     # the reference made 2 ** 25 - 2 products here
     ops, calls = _counting("M")
-    assert rx._enum(parse_regex(src, letters={"a", "b"}), ops, 24, {}) == {}
+    assert rx._enum(parse_regex(src, letters={"a", "b"}), ops, 24) == {}
     assert not calls
+
+
+def test_a_product_enumerates_its_right_operand_only_as_far_as_the_left_slice_leaves_room():
+    # the binder's word has three tokens, though its lower bound is one, so
+    # the star goes to five: 60 products make its 63 words and 63 put the
+    # binder before them (to seven, the star alone would make 252)
+    e = parse_regex("<#n. #n > ( a + b )*", letters={"a", "b"})
+    ops, calls = _counting("M")
+    slice_ = rx._enum(e, ops, 8)
+    assert {k: len(ws) for k, ws in slice_.items()} == {k: 2 ** (k - 3) for k in range(3, 9)}
+    assert calls == {"bind": 1, "concat": 60 + 63}
 
 
 def test_a_product_enumerates_its_operand_only_as_far_as_it_is_used():
@@ -414,7 +435,7 @@ def test_a_product_enumerates_its_operand_only_as_far_as_it_is_used():
     # slice of 7 words, and each of the six names is put after 7 words
     e = parse_regex("( a + b )* #n #n #n #n #n #n", letters={"a", "b"})
     ops, calls = _counting("M")
-    slice_ = rx._enum(e, ops, 8, {})
+    slice_ = rx._enum(e, ops, 8)
     assert calls == {"concat": 4 + 6 * 7}
     assert {k: len(ws) for k, ws in slice_.items()} == {6: 1, 7: 2, 8: 4}
     ref, ref_calls = _counting("M")
