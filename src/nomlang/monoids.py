@@ -317,6 +317,10 @@ class SortOps:
     no `keyed` or `encode` of its own.
     `regex.enumerate_slice` runs on the keys and decodes each output
     word once; `regex.member` encodes its candidate and decodes nothing.
+    `bind_tokens` is the fewest tokens `bind` adds to a word, so a
+    binder's body is enumerated only to the bound less it: 2 in M, G
+    and L, where a binder is an open and a close, and 0 in S, where
+    binding a name that does not occur is the identity.
     """
 
     tag: str
@@ -329,6 +333,7 @@ class SortOps:
     to_mword: Callable
     keyed: Optional["SortOps"] = None
     encode: Optional[Callable] = None
+    bind_tokens: int = 0
 
 
 def _identity(x):
@@ -350,6 +355,7 @@ def _on_keys(tag: str, keys: SortOps, encode: Callable, to_mword: Callable) -> S
         to_mword=to_mword,
         keyed=keys,
         encode=encode,
+        bind_tokens=keys.bind_tokens,
     )
 
 
@@ -364,6 +370,7 @@ SORT_M_KEYS = SortOps(
     canon=_identity,
     tok_len=len,
     to_mword=from_key,
+    bind_tokens=2,
 )
 
 SORT_M = _on_keys("M", SORT_M_KEYS, words.alpha_key, _identity)
@@ -383,11 +390,12 @@ SORT_L_KEYS = SortOps(
     canon=_identity,
     tok_len=lambda key: 2 * key[0] + len(key[1]),  # a binder is an open and a close
     to_mword=_decode_l,
+    bind_tokens=2,
 )
 SORT_L = _on_keys("L", SORT_L_KEYS, _encode_l, embed_lm)
 
 SORT_S = _on_keys("S", replace(
-    SORT_L_KEYS, tag="S", concat=_concat_s, bind=_bind_s, to_mword=_decode_s,
+    SORT_L_KEYS, tag="S", concat=_concat_s, bind=_bind_s, to_mword=_decode_s, bind_tokens=0,
 ), _encode_s, embed_sm)
 
 SORTS = {"M": SORT_M, "G": SORT_G, "L": SORT_L, "S": SORT_S}

@@ -30,14 +30,17 @@ concatenation, so a product is built only for pairs whose lengths fit
 the bound and is filed without measuring it.
 
 A product enumerates each operand only as far as the other leaves room
-for.  Every node has a lower bound on the token length of its words
+for, and a binder its body only as far as binding leaves room for.
+Every node has a lower bound on the token length of its words
 (`_shortest`): none for the empty language, 0 for the unit and a star,
-1 for an atom, the least over a sum, the sum over a product, and the
-body's for a binder, since binding never shortens a word in any sort.
-The left operand goes up to the bound less the right one's lower bound,
-the right one up to the bound less the length of the shortest word in
-the left slice, and a product that has an operand with no word, or
-lower bounds past the bound, stops there.  A star drops the unit from
+1 for an atom, the least over a sum, the sum over a product, and for a
+binder the body's plus the fewest tokens binding adds in the sort
+(`SortOps.bind_tokens`).  A node whose lower bound is past the bound is
+not entered: its slice is empty.  The left operand of a product goes up to
+the bound less the right one's lower bound, the right one up to the
+bound less the length of the shortest word in the left slice, and a
+product with an empty left slice stops there; a binder's body goes up
+to the bound less the binding tokens.  A star drops the unit from
 its base, where it would only rebuild words it has.  Keys form no
 cycles, so `enumerate_slice` and `member` run under one collector pause
 (`words.collector_paused`).
@@ -127,10 +130,11 @@ class LangSlice:
 # results.
 
 
-def _shortest(e: Regex) -> list[float]:
+def _shortest(e: Regex, ops: SortOps) -> list[float]:
     """A lower bound on the token length of the words of each node of
-    `e`, by index; `inf` for a node with no word."""
+    `e` in the sort of `ops`, by index; `inf` for a node with no word."""
     out: list[float] = []
+    bind_tokens = ops.bind_tokens
     for kind, _, i, j in e:
         if kind is ATOM:
             n = 1
@@ -138,8 +142,8 @@ def _shortest(e: Regex) -> list[float]:
             n = out[i] + out[j]
         elif kind is SUM:  # the least, with no call to `min`, which made the loop 1.7 times as slow
             n = out[i] if out[i] <= out[j] else out[j]
-        elif kind is BINDER:  # binding never shortens a word in any sort
-            n = out[i]
+        elif kind is BINDER:  # the body's, plus the fewest tokens binding adds
+            n = out[i] + bind_tokens
         elif kind is EMPTY:
             n = inf
         else:  # UNIT, STAR
@@ -170,25 +174,28 @@ def _enum(e: Regex, ops: SortOps, bound: int) -> dict[int, set]:
     leaves its slice on `done`.  A later visit takes its operands'
     slices off `done` and leaves its node's.
     """
-    shortest, done, todo = _shortest(e), [], [(len(e) - 1, bound, 0)]
+    shortest, done, todo = _shortest(e, ops), [], [(len(e) - 1, bound, 0)]
+    bind_tokens = ops.bind_tokens
     while todo:
         p, b, stage = todo.pop()
         kind, sym, i, j = e[p]
         if not stage:
-            # a product's left operand goes only as far as its right one
-            # leaves room for, and a product whose lower bounds are past
-            # the bound is not entered
-            while i is not None and (kind is not CAT or shortest[i] + shortest[j] <= b):
+            # a node whose lower bound is past the bound is not entered; a
+            # product's left operand goes only as far as its right one
+            # leaves room for, and a binder's body as far as binding does
+            while i is not None and shortest[p] <= b:
                 todo.append((p, b, 1))
                 if kind is SUM:
                     todo.append((j, b, 0))
                 elif kind is CAT:
                     b -= shortest[j]
+                elif kind is BINDER:
+                    b -= bind_tokens
                 p = i
                 kind, sym, i, j = e[p]
             if kind is ATOM:
                 done.append({1: {ops.atom(sym)}} if b else {})
-            else:  # the unit, the empty language, or a product not entered
+            else:  # the unit, the empty language, or a node not entered
                 done.append({0: {ops.unit}} if kind is UNIT else {})
         elif kind is CAT:
             if stage == 1:

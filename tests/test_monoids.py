@@ -178,6 +178,23 @@ def test_token_length_adds_up_under_concat(rng, ops):
         assert ops.tok_len(w) == ops.tok_len(x) + ops.tok_len(y)
 
 
+@pytest.mark.parametrize("tag", sorted(SORTS))
+def test_bind_tokens_is_the_least_binding_adds(tag, rng):
+    # a binder's body is enumerated only to the bound less `bind_tokens`
+    from nomlang.oracle import _build
+
+    keyed = SORTS[tag].keyed
+    assert SORTS[tag].bind_tokens == keyed.bind_tokens == (0 if tag == "S" else 2)
+    keys = [keyed.unit] + [_build(keyed, rng, NAMES, LETTERS, rng.randint(0, 6)) for _ in range(200)]
+    for key in keys:
+        for x in NAMES:
+            added = keyed.tok_len(keyed.bind(x, key)) - keyed.tok_len(key)
+            if tag == "S":  # binding an absent name is the identity
+                assert added == (2 if any(y is x for y in key[1]) else 0)
+            else:
+                assert added == keyed.bind_tokens
+
+
 def test_keyed_m_sort_decodes_to_canonical_words(rng):
     from nomlang.oracle import random_mword
 

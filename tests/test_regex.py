@@ -380,12 +380,13 @@ def test_budgeted_enumeration_gives_the_reference_buckets(seed):
 @pytest.mark.parametrize("src", [
     "0 ( a + #n )*", "( a + #n )* 0", "a 0 b", "0*", "( 0 + 1 ) a", "( #n* )*", "( ( a + 1 ) #n* )*",
     "<#n. 0 >", "<#n. 0 > a", "<#n. a >", "<#n. a > <#m. #m >* #n", "( <#n. a > + b )* #n",
-    "<#n. <#m. b > #n >*", "( a b b )* ( a + <#n. #n #n > )",
+    "<#n. <#m. b > #n >*", "( a b b )* ( a + <#n. #n #n > )", "<#n. <#m. ( a + #n + #m )* > >",
 ])
 @pytest.mark.parametrize("sort", "MGLS")
 def test_budgeted_enumeration_on_hand_picked_products(src, sort):
     # zero on either side of a product, stars of the unit and of stars,
-    # an empty binder body, and binders that are vacuous (free in S)
+    # an empty binder body, binders that are vacuous (free in S), and
+    # nested binders over a star, whose bodies are cut to the bound
     e = parse_regex(src, letters={"a", "b"})
     keys = _key_sort(sort)
     for bound in range(9):
@@ -420,9 +421,10 @@ def test_a_product_with_no_word_makes_nothing(src):
 
 
 def test_a_product_enumerates_its_right_operand_only_as_far_as_the_left_slice_leaves_room():
-    # the binder's word has three tokens, though its lower bound is one, so
-    # the star goes to five: 60 products make its 63 words and 63 put the
-    # binder before them (to seven, the star alone would make 252)
+    # the binder's word has three tokens, its lower bound (the name's one
+    # and binding's two), so the star goes to five: 60 products make its
+    # 63 words and 63 put the binder before them (to seven, the star alone
+    # would make 252)
     e = parse_regex("<#n. #n > ( a + b )*", letters={"a", "b"})
     ops, calls = _counting("M")
     slice_ = rx._enum(e, ops, 8)
@@ -443,3 +445,35 @@ def test_a_product_enumerates_its_operand_only_as_far_as_it_is_used():
     # the reference took the star to length 8 and put each name after
     # every word up to one token short of the bound
     assert ref_calls == {"concat": 2 ** 9 - 2 + sum(2 ** (9 - i) - 1 for i in range(1, 7))}
+
+
+@pytest.mark.parametrize("sort, concats, binds", [
+    ("M", 124, 127), ("G", 124, 127), ("L", 124, 127), ("S", 508, 511),
+])
+def test_a_binder_enumerates_its_body_only_as_far_as_binding_leaves_room(sort, concats, binds):
+    # binding adds an open and a close in M, G and L, so the star goes to
+    # six: 124 products make its 127 words, each bound once; in S a binder
+    # of an absent name adds nothing, and the star goes to eight
+    e = parse_regex("<#n. ( a + b )* >", letters={"a", "b"})
+    ops, calls = _counting(sort)
+    assert rx._enum(e, ops, 8) == reference_enum(e, _key_sort(sort), 8)
+    assert calls == {"concat": concats, "bind": binds}
+
+
+@pytest.mark.parametrize("sort", "MGL")
+def test_a_binder_whose_lower_bound_is_past_the_bound_makes_nothing(sort):
+    # a binder's word has an open and a close, so its body is not entered
+    ops, calls = _counting(sort)
+    assert rx._enum(parse_regex("<#n. ( a + b )* >", letters={"a", "b"}), ops, 1) == {}
+    assert not calls
+
+
+def test_nested_binders_enumerate_their_bodies_only_as_far_as_binding_leaves_room():
+    # the star goes to nine, the inner binder to eleven: the star's 29,524
+    # words take 29,520 products, and each is bound twice (with every body
+    # enumerated to the full bound, 2,391,480 products and 2,657,204 binds)
+    e = parse_regex("<#n. <#m. ( a + #n + #m )* > >", letters={"a"})
+    ops, calls = _counting("M")
+    keys = rx._enum(e, ops, 13)
+    assert sum(map(len, keys.values())) == 29524
+    assert calls == {"concat": 29520, "bind": 59048}
