@@ -40,10 +40,13 @@ not entered: its slice is empty.  The left operand of a product goes up to
 the bound less the right one's lower bound, the right one up to the
 bound less the length of the shortest word in the left slice, and a
 product with an empty left slice stops there; a binder's body goes up
-to the bound less the binding tokens.  A star drops the unit from
-its base, where it would only rebuild words it has.  Keys form no
-cycles, so `enumerate_slice` and `member` run under one collector pause
-(`words.collector_paused`).
+to the bound less the binding tokens.  In S, where binding adds two
+tokens to a word in which the name occurs and none to another, the
+body goes up to the bound less two, and its words without the name
+(its free atoms of the name make no word) up to the bound.  A star
+drops the unit from its base, where it would only rebuild words it
+has.  Keys form no cycles, so `enumerate_slice` and `member` run under
+one collector pause (`words.collector_paused`).
 """
 
 from __future__ import annotations
@@ -164,6 +167,36 @@ def _concat_slices(a: dict, b: dict, ops: SortOps, bound: int) -> dict[int, set]
     return out
 
 
+_NO_NAMES: frozenset[Name] = frozenset()
+
+
+def _free_by_node(e: Regex) -> list[frozenset[Name]]:
+    """The free names of each node of `e`, by index."""
+    out: list[frozenset[Name]] = []
+    for kind, sym, i, j in e:
+        if kind is ATOM:
+            s = frozenset((sym,)) if type(sym) is Name else _NO_NAMES
+        elif kind is SUM or kind is CAT:
+            s = out[i] | out[j]
+        elif kind is BINDER:
+            s = out[i] - {sym}
+        elif kind is STAR:
+            s = out[i]
+        else:
+            s = _NO_NAMES
+        out.append(s)
+    return out
+
+
+def _merge(right: dict, out: dict) -> None:
+    """Add the buckets of `right` to those of `out`."""
+    for n, ws in right.items():
+        if n in out:
+            out[n] |= ws
+        else:
+            out[n] = ws
+
+
 def _enum(e: Regex, ops: SortOps, bound: int) -> dict[int, set]:
     """The slice of `e` up to `bound` (at least 0).
 
@@ -173,28 +206,52 @@ def _enum(e: Regex, ops: SortOps, bound: int) -> dict[int, set]:
     later visit and the first visit of a sum's right operand; the leaf
     leaves its slice on `done`.  A later visit takes its operands'
     slices off `done` and leaves its node's.
+
+    Where binding adds more tokens to a word in which the name occurs
+    than to another (S, where it leaves another word as it is), a binder
+    whose name occurs free in its body takes the body's slice in two
+    parts: up to the bound less `ops.occurs_tokens`, to be bound, and
+    the words without the name up to the bound, kept as they are; a
+    binder whose name does not occur free in its body is its body.  A
+    visit's last field is None, or, inside the second part, the names
+    whose free atoms make no word there; no binder splits inside it, so
+    a node is visited at most once more per binder around it.
     """
-    shortest, done, todo = _shortest(e, ops), [], [(len(e) - 1, bound, 0)]
-    bind_tokens = ops.bind_tokens
+    shortest, done, todo = _shortest(e, ops), [], [(len(e) - 1, bound, 0, None)]
+    bind_tokens, occurs_tokens = ops.bind_tokens, ops.occurs_tokens
+    free = _free_by_node(e) if occurs_tokens > bind_tokens else None
     while todo:
-        p, b, stage = todo.pop()
+        p, b, stage, x = todo.pop()
         kind, sym, i, j = e[p]
         if not stage:
             # a node whose lower bound is past the bound is not entered; a
             # product's left operand goes only as far as its right one
             # leaves room for, and a binder's body as far as binding does
             while i is not None and shortest[p] <= b:
-                todo.append((p, b, 1))
-                if kind is SUM:
-                    todo.append((j, b, 0))
-                elif kind is CAT:
-                    b -= shortest[j]
-                elif kind is BINDER:
+                if kind is not BINDER:
+                    todo.append((p, b, 1, x))
+                    if kind is SUM:
+                        todo.append((j, b, 0, x))
+                    elif kind is CAT:
+                        b -= shortest[j]
+                elif free is None:  # binding adds the same to every word
+                    todo.append((p, b, 1, x))
                     b -= bind_tokens
+                elif sym not in free[i]:
+                    pass  # the binder is its body: binding leaves every word as it is
+                elif x is None and shortest[i] + occurs_tokens <= b:
+                    # the body in two parts: to be bound, and without the name
+                    todo += ((p, b, 2, x), (i, b, 0, frozenset((sym,))))
+                    b -= occurs_tokens
+                else:
+                    todo.append((p, b, 1, x))
+                    b -= bind_tokens
+                    if x:  # the binder's own name may occur in its body
+                        x = x - {sym}
                 p = i
                 kind, sym, i, j = e[p]
             if kind is ATOM:
-                done.append({1: {ops.atom(sym)}} if b else {})
+                done.append({1: {ops.atom(sym)}} if b and (x is None or sym not in x) else {})
             else:  # the unit, the empty language, or a node not entered
                 done.append({0: {ops.unit}} if kind is UNIT else {})
         elif kind is CAT:
@@ -202,19 +259,15 @@ def _enum(e: Regex, ops: SortOps, bound: int) -> dict[int, set]:
                 # the right operand goes as far as the left slice leaves
                 # room for; an empty left slice is the product's slice too
                 if done[-1]:
-                    todo += ((p, b, 2), (j, b - min(done[-1]), 0))
+                    todo += ((p, b, 2, x), (j, b - min(done[-1]), 0, x))
             else:
                 right = done.pop()
                 done.append(_concat_slices(done.pop(), right, ops, b))
         elif kind is SUM:
-            right = done.pop()
-            out = done[-1]
-            for n, ws in right.items():
-                if n in out:
-                    out[n] |= ws
-                else:
-                    out[n] = ws
+            _merge(done.pop(), done[-1])
         elif kind is BINDER:
+            # the words of a split body's part without the name stay as they are
+            kept = done.pop() if stage == 2 else {}
             out = {}
             bind, tok_len = ops.bind, ops.tok_len
             for ws in done.pop().values():
@@ -223,6 +276,7 @@ def _enum(e: Regex, ops: SortOps, bound: int) -> dict[int, set]:
                     n = tok_len(v)
                     if n <= b:
                         out.setdefault(n, set()).add(v)
+            _merge(kept, out)
             done.append(out)
         else:  # STAR
             base = done.pop()

@@ -180,19 +180,24 @@ def test_token_length_adds_up_under_concat(rng, ops):
 
 @pytest.mark.parametrize("tag", sorted(SORTS))
 def test_bind_tokens_is_the_least_binding_adds(tag, rng):
-    # a binder's body is enumerated only to the bound less `bind_tokens`
+    # a binder's body is enumerated only to the bound less `bind_tokens`,
+    # and, in S, where binding adds `occurs_tokens` to a word in which the
+    # name occurs, to the bound less that, apart from its words without it
     from nomlang.oracle import _build
 
     keyed = SORTS[tag].keyed
     assert SORTS[tag].bind_tokens == keyed.bind_tokens == (0 if tag == "S" else 2)
+    assert SORTS[tag].occurs_tokens == keyed.occurs_tokens == 2
     keys = [keyed.unit] + [_build(keyed, rng, NAMES, LETTERS, rng.randint(0, 6)) for _ in range(200)]
     for key in keys:
         for x in NAMES:
             added = keyed.tok_len(keyed.bind(x, key)) - keyed.tok_len(key)
             if tag == "S":  # binding an absent name is the identity
-                assert added == (2 if any(y is x for y in key[1]) else 0)
+                occurs = any(y is x for y in key[1])
+                assert added == (keyed.occurs_tokens if occurs else keyed.bind_tokens)
+                assert occurs or keyed.bind(x, key) == key
             else:
-                assert added == keyed.bind_tokens
+                assert added == keyed.bind_tokens == keyed.occurs_tokens
 
 
 def test_keyed_m_sort_decodes_to_canonical_words(rng):

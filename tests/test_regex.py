@@ -381,12 +381,15 @@ def test_budgeted_enumeration_gives_the_reference_buckets(seed):
     "0 ( a + #n )*", "( a + #n )* 0", "a 0 b", "0*", "( 0 + 1 ) a", "( #n* )*", "( ( a + 1 ) #n* )*",
     "<#n. 0 >", "<#n. 0 > a", "<#n. a >", "<#n. a > <#m. #m >* #n", "( <#n. a > + b )* #n",
     "<#n. <#m. b > #n >*", "( a b b )* ( a + <#n. #n #n > )", "<#n. <#m. ( a + #n + #m )* > >",
+    "<#n. ( a + #n )* > <#m. #m >*", "<#n. <#n. #n a > #n + b >", "<#n. #n* <#m. ( #m + #n )* > >*",
 ])
 @pytest.mark.parametrize("sort", "MGLS")
 def test_budgeted_enumeration_on_hand_picked_products(src, sort):
     # zero on either side of a product, stars of the unit and of stars,
-    # an empty binder body, binders that are vacuous (free in S), and
-    # nested binders over a star, whose bodies are cut to the bound
+    # an empty binder body, binders that are vacuous (free in S), nested
+    # binders over a star, whose bodies are cut to the bound, and, in S,
+    # bodies taken in two parts, with a binder of the same name or of
+    # another name inside the part without the name
     e = parse_regex(src, letters={"a", "b"})
     keys = _key_sort(sort)
     for bound in range(9):
@@ -448,16 +451,17 @@ def test_a_product_enumerates_its_operand_only_as_far_as_it_is_used():
 
 
 @pytest.mark.parametrize("sort, concats, binds", [
-    ("M", 124, 127), ("G", 124, 127), ("L", 124, 127), ("S", 508, 511),
+    ("M", 124, 127), ("G", 124, 127), ("L", 124, 127), ("S", 508, 0),
 ])
 def test_a_binder_enumerates_its_body_only_as_far_as_binding_leaves_room(sort, concats, binds):
     # binding adds an open and a close in M, G and L, so the star goes to
     # six: 124 products make its 127 words, each bound once; in S a binder
-    # of an absent name adds nothing, and the star goes to eight
+    # of an absent name leaves every word as it is, so the star goes to
+    # eight and nothing is bound
     e = parse_regex("<#n. ( a + b )* >", letters={"a", "b"})
     ops, calls = _counting(sort)
     assert rx._enum(e, ops, 8) == reference_enum(e, _key_sort(sort), 8)
-    assert calls == {"concat": concats, "bind": binds}
+    assert (calls["concat"], calls["bind"]) == (concats, binds)
 
 
 @pytest.mark.parametrize("sort", "MGL")
@@ -477,3 +481,27 @@ def test_nested_binders_enumerate_their_bodies_only_as_far_as_binding_leaves_roo
     keys = rx._enum(e, ops, 13)
     assert sum(map(len, keys.values())) == 29524
     assert calls == {"concat": 29520, "bind": 59048}
+
+
+def test_an_s_binder_takes_its_body_in_two_parts():
+    # binding adds two tokens in S only where the name occurs: the body
+    # goes to eleven, to be bound, and its words without #n, kept as they
+    # are, to thirteen (with the body to thirteen, 2,391,480 products and
+    # 2,669,492 binds); the inner binder is split only outside that part
+    e = parse_regex("<#n. <#m. ( a + #n + #m )* > >", letters={"a"})
+    ops, calls = _counting("S")
+    keys = rx._enum(e, ops, 13)
+    assert sum(map(len, keys.values())) == 17841
+    assert calls == {"concat": 49992, "bind": 78503}
+
+
+def test_s_binders_do_not_split_inside_a_part_without_their_name():
+    # twelve nested binders: each splits once along the part with its
+    # name, so the products grow as the square of the nesting (66), not
+    # as a power of two (2,047 if every part split again)
+    names = "abcdefghijkl"
+    src = "".join(f"<#{x}. " for x in names) + " ".join(f"#{x}" for x in names) + " >" * len(names)
+    ops, calls = _counting("S")
+    keys = rx._enum(parse_regex(src, letters=set()), ops, 40)
+    assert sum(map(len, keys.values())) == 1
+    assert calls == {"concat": 66, "bind": 12}
