@@ -37,7 +37,11 @@ encodes its arguments, applies the key operation and decodes the result
 to the canonical value, whose binders take the first names of the one
 reserved-name table that do not occur free (`names.binder_names`).  A
 key with no binder is decoded without a copy: an M or G key is then the
-row, and an L or S key's body is the value's body.
+row, and an L or S key's body is the value's body.  A value of every
+sort is a `words.Word`, the tuple of its fields (``(tokens,)``,
+``(prefix, body)`` or ``(bound, body)``), built and hashed in C and
+equal only to a value of its own sort; the decoders build it with
+`tuple.__new__`, which runs no Python frame.
 Embeddings connect the sorts: s -> l -> g -> m.  Every quotient in the
 other direction returns the canonical value: `quot_mg` and `quot_gl`
 start from the canonical word, whose binders have distinct names that
@@ -54,7 +58,8 @@ from typing import Callable, Optional, Union
 
 from .names import Letter, Name, Permutation, binder_names
 from . import words
-from .words import KEY_OPEN, TCLOSE, TClose, MWord, TOpen, alpha_canonical, from_key, key_bind
+from .words import (KEY_OPEN, TCLOSE, TClose, MWord, TOpen, Word, _new_word, alpha_canonical,
+                    from_key, key_bind)
 
 AtomSym = Union[Name, Letter]
 
@@ -62,11 +67,12 @@ AtomSym = Union[Name, Letter]
 # ---------------------------------------------------------------------------
 # g-words
 
-@dataclass(frozen=True, slots=True)
-class GWord:
+class GWord(Word):
     """A row of names, letters and binders; a binder's scope runs to the end."""
 
-    tokens: tuple[AtomSym | TOpen, ...]
+    __slots__ = ()
+
+    tokens = property(itemgetter(0))
 
     def __repr__(self):
         return repr(embed_gm(self))
@@ -75,10 +81,13 @@ class GWord:
 # ---------------------------------------------------------------------------
 # l-words
 
-@dataclass(frozen=True, slots=True)
-class LWord:
-    prefix: tuple[Name, ...]
-    body: tuple[AtomSym, ...]
+class LWord(Word):
+    """The pair (prefix, body): a row of binder names and a binder-free body."""
+
+    __slots__ = ()
+
+    prefix = property(itemgetter(0))
+    body = property(itemgetter(1))
 
     def __repr__(self):
         pre = "".join(f"[{n.label}]" for n in self.prefix)
@@ -88,13 +97,10 @@ class LWord:
 # ---------------------------------------------------------------------------
 # s-words
 
-class SWord(tuple):
+class SWord(Word):
     """The pair (bound, body): a set of bound names and a binder-free body.
 
-    It is a tuple, so that building, hashing and comparing one run in C.
-    Decoding the 636 keys of an S slice into a frozenset took 0.40 ms with
-    a frozen dataclass, whose `__hash__` is Python code, and 0.21 ms as
-    tuples (in-process, collector paused, on a shared 2-vCPU x86-64 VM).
+    Its constructor checks what a decoded S word skips (`_decode_s`).
     """
 
     __slots__ = ()
@@ -104,9 +110,6 @@ class SWord(tuple):
         if not (bound.issubset(body) and all(map(Name.__instancecheck__, bound))):
             raise ValueError("bound names must occur in the body")
         return tuple.__new__(cls, (bound, body))
-
-    def __getnewargs__(self):
-        return tuple(self)
 
     bound = property(itemgetter(0))
     body = property(itemgetter(1))
@@ -165,9 +168,9 @@ def _encode_l(x: LWord) -> tuple:
 def _decode_l(key: tuple) -> LWord:
     p, body = key
     if not p:  # about two in three words of sort_enum's L slices
-        return LWord((), body)
+        return _new_word(LWord, ((), body))
     prefix = binder_names(p, body)
-    return LWord(prefix, _decode_body(body, prefix[::-1]))
+    return _new_word(LWord, (prefix, _decode_body(body, prefix[::-1])))
 
 
 def _concat_l(x: tuple, y: tuple) -> tuple:
@@ -188,15 +191,12 @@ def _encode_s(x: SWord) -> tuple:
 # A decoded S word skips the check of `SWord.__new__`: a key's bound
 # occurrences are the numbers of its bound names, which all occur in the
 # body.  The check took a third of the decoding.
-_new_tuple = tuple.__new__
-
-
 def _decode_s(key: tuple) -> SWord:
     k, body = key
     if not k:  # about three in four of sort_enum's words
-        return _new_tuple(SWord, (_NO_NAMES, body))
+        return _new_word(SWord, (_NO_NAMES, body))
     names = binder_names(k, body)
-    return _new_tuple(SWord, (frozenset(names), _decode_body(body, names)))
+    return _new_word(SWord, (frozenset(names), _decode_body(body, names)))
 
 
 def _concat_s(x: tuple, y: tuple) -> tuple:

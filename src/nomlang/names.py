@@ -3,10 +3,16 @@
 The alphabet is split into a countably infinite set of *names* (testable
 only for equality) and a finite, user-declared set of *letters*.  Both
 are hash-consed (`Interned`): constructing ``Name("n1")`` or
-``Letter("a")`` twice gives the same object, so equality is identity
-and hashing is the identity hash, in C.  Names order by label and letters by
-symbol, so no output depends on the order in which they were first
-made.  The placeholder ``STAR`` used in automaton name maps is
+``Letter("a")`` twice gives the same object, so two are equal iff they
+are one object, and hashing is the identity hash, in C.  Names order by
+label and letters by symbol, so no output depends on the order in which
+they were first made.  That order costs `==` its C path: a class that
+defines `__lt__` compares through Python's slot path, so every `==`
+against a name or a letter looks a method up.  On an 8-element key,
+``key.count(KEY_OPEN)`` took 0.53-0.67 us, and 0.16-0.17 us with
+`__lt__` deleted (on a shared 2-vCPU x86-64 VM); so hot scans
+(`words.from_key`, the G token length in `monoids`) test with `is`.
+The placeholder ``STAR`` used in automaton name maps is
 deliberately not a ``Name`` so it can never leak into words.
 
 Canonical words name their binders ``~0, ~1, ...``.  One table holds
@@ -22,8 +28,9 @@ from typing import Iterable, Iterator
 
 class Interned:
     """Hash-consed values: one object per key, so `==` is identity and
-    `hash` is the identity hash, in C.  A subclass names its one field in
-    `__slots__`."""
+    `hash` is the identity hash, in C, unless a subclass orders its
+    values (`Name`, `Letter`; see above).  A subclass names its one field
+    in `__slots__`."""
 
     __slots__ = ()
 

@@ -53,6 +53,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
+from itertools import product, starmap
 from math import inf
 
 from .names import Letter, Name, Permutation
@@ -163,7 +164,7 @@ def _concat_slices(a: dict, b: dict, ops: SortOps, bound: int) -> dict[int, set]
             if na + nb > bound:
                 continue
             bucket = out.setdefault(na + nb, set())
-            bucket.update([concat(x, y) for x in xs for y in ys])
+            bucket.update(starmap(concat, product(xs, ys)))  # in C, in the order of a nested loop
     return out
 
 

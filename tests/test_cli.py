@@ -327,6 +327,19 @@ def test_enumerate_output_does_not_depend_on_the_hash_seed():
     assert outs[0].count(b"ENCR") == 4 * (3 + 6)
 
 
+PINNED_ENUMERATE = {"M": "e1dd44b23ecf377f", "G": "adbd80c308692714", "L": "e56b38823ca27773"}
+
+
+@pytest.mark.parametrize("sort", sorted(PINNED_ENUMERATE))
+def test_enumerate_output_is_pinned(monkeypatch, capsys, sort):
+    # the first 16 hex digits of the sha256 of stdout; 12,640 words in each sort
+    monkeypatch.setattr("sys.stdin", io.StringIO("letters a;\n( <#n. #n #m > + a + #m )*\n"))
+    assert main(["enumerate", "-", "--bound", "12", "--sort", sort]) == 0
+    out = capsys.readouterr().out
+    assert out.count("\n") == 12640
+    assert hashlib.sha256(out.encode()).hexdigest()[:16] == PINNED_ENUMERATE[sort]
+
+
 def test_python_dash_m_runs_from_a_checkout():
     env = dict(os.environ, PYTHONPATH="src")
     done = subprocess.run(

@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -375,6 +378,68 @@ def test_decoded_s_words_equal_checked_constructions():
     for key in keys:
         x = SORT_S.keyed.to_mword(key)
         assert type(x) is SWord and x == SWord(x.bound, x.body)
+        assert tuple(map(type, x)) == (frozenset, tuple)
+
+
+# -- word values -------------------------------------------------------------
+#
+# Every word value is the tuple of its fields (`words.Word`), equal only to
+# a word of its own class.
+
+def _same_fields():
+    """A word of each class, and plain tuples, of the binder-free row n a."""
+    row = (n, a)
+    return [words.MWord(row), GWord(row), LWord((), row), SWord(frozenset(), row),
+            (row,), ((), row), (frozenset(), row)]
+
+
+def test_words_equal_only_within_their_class():
+    for i, x in enumerate(_same_fields()):
+        for j, y in enumerate(_same_fields()):
+            assert (x == y) is (i == j) and (x != y) is (i != j), (x, y)
+
+
+@pytest.mark.parametrize("word, fields, text", [
+    (words.MWord, {"tokens": (words.TOpen(n), n, words.TCLOSE, a)}, "<#n. #n > a"),
+    (GWord, {"tokens": (words.TOpen(n), n, a)}, "<#n. #n a >"),
+    (LWord, {"prefix": (n,), "body": (n, a)}, "[n]#n a"),
+    (SWord, {"bound": frozenset({n}), "body": (n, a)}, "[n]#n a"),
+], ids="MGLS")
+def test_word_values(word, fields, text):
+    w = word(*fields.values())
+    for name, value in fields.items():
+        # `hds.run` dispatches on the type of each token of a plain tuple
+        assert getattr(w, name) == value and type(getattr(w, name)) is type(value)
+    assert repr(w) == text
+    # names and letters do not pickle, so the round trip takes empty fields
+    empty = word(*(type(value)() for value in fields.values()))
+    for x, y in ((copy.copy(w), w), (pickle.loads(pickle.dumps(empty)), empty)):
+        assert type(x) is word and x == y and hash(x) == hash(y)
+
+
+def test_empty_words_are_truthy():
+    assert all([words.EPSILON, GWord(()), LWord((), ()), SWord(frozenset(), ())])
+
+
+@pytest.mark.parametrize("tag, word, types", [
+    ("M", words.MWord, (tuple,)),
+    ("G", GWord, (tuple,)),
+    ("L", LWord, (tuple, tuple)),
+])
+def test_decoded_words_equal_public_constructions(tag, word, types):
+    # as S words do (`test_decoded_s_words_equal_checked_constructions`)
+    from nomlang.compiler import compile_regex
+    from nomlang.hds import language_slice
+    from nomlang.regex import enumerate_slice
+    from nomlang.syntax import parse_regex
+
+    e = parse_regex("( <#n. #n #m > + a + #m )*", letters={"a"})
+    got = enumerate_slice(e, tag, 9).words
+    if tag == "M":
+        assert language_slice(compile_regex(e), 9) == got
+    assert len(got) == 1351
+    for x in got:
+        assert type(x) is word and tuple(map(type, x)) == types and x == word(*x)
 
 
 # -- decoding keys -----------------------------------------------------------
