@@ -147,6 +147,10 @@ class NameMap:
     def __setattr__(self, key, value):
         raise AttributeError("NameMap is immutable")
 
+    def __reduce__(self):
+        # a copy or an unpickled map is the one map of its entries
+        return NameMap, (self.entries,)
+
     @classmethod
     def of(cls, mapping: dict | None = None) -> "NameMap":
         if not mapping:  # about half the maps a compile makes are empty

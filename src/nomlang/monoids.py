@@ -31,17 +31,20 @@ the rightmost binder leftwards or by `_bind_s` in any order.  So the two
 rules above are written once, in the binds, and the L and S encoders
 and `quot_ls` are folds of them.
 
-Equal keys mean alpha-equivalent words.  Every sort in `SORTS`, M
-included, is built from its key sort by `_on_keys`: a value operation
-encodes its arguments, applies the key operation and decodes the result
-to the canonical value, whose binders take the first names of the one
-reserved-name table that do not occur free (`names.binder_names`).  A
-key with no binder is decoded without a copy: an M or G key is then the
-row, and an L or S key's body is the value's body.  A value of every
-sort is a `words.Word`, the tuple of its fields (``(tokens,)``,
+Equal keys mean alpha-equivalent words.  A sort on its keys is a
+`KeySort`, whose `decode` makes the sort's canonical value of a key.
+Every sort in `SORTS`, M included, is a `SortOps` built from its key
+sort by `_on_keys`: a value operation encodes its arguments, applies
+the key operation and decodes the result to the canonical value,
+whose binders take the first names of the one reserved-name table that
+do not occur free (`names.binder_names`); its `to_mword` embeds a value
+in M.  A key with no binder is decoded without a copy: an M or G key is
+then the row, and an L or S key's body is the value's body.  A value of
+every sort is a `words.Word`, the tuple of its fields (``(tokens,)``,
 ``(prefix, body)`` or ``(bound, body)``), built and hashed in C and
 equal only to a value of its own sort; the decoders build it with
 `tuple.__new__`, which runs no Python frame.
+
 Embeddings connect the sorts: s -> l -> g -> m.  Every quotient in the
 other direction returns the canonical value: `quot_mg` and `quot_gl`
 start from the canonical word, whose binders have distinct names that
@@ -54,7 +57,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from functools import partial
 from operator import itemgetter
-from typing import Callable, Optional, Union
+from typing import Callable, Union
 
 from .names import Letter, Name, Permutation, binder_names
 from . import words
@@ -318,30 +321,41 @@ def _project(w: MWord, pool: frozenset[Name]) -> set[PlainWord]:
 # Uniform interface used by the regular-expression semantics
 
 @dataclass(frozen=True)
-class SortOps:
-    """The operations a sort must provide to interpret regular expressions.
+class KeySort:
+    """A sort on its nameless keys, the operations `regex` enumerates with.
 
-    A sort's words are generated by `unit`, the empty word, and `atom`,
-    which makes the one-symbol word of a name or a letter, under
-    `concat` and `bind`.  Token length adds up under `concat` in every
-    sort.  Every sort in `SORTS` is made by `_on_keys` from `keyed`, the
-    same sort on its nameless keys, and `encode`, which maps a value to
-    its key; so its operations return canonical values.  A key sort's
-    `canon` is the identity, its `to_mword` decodes a key to the
-    canonical value of this sort (`words.from_key` for M and, making a
-    `GWord`, for G; `_decode_l` and `_decode_s` for L and S), and it has
-    no `keyed` or `encode` of its own.
-    `regex.enumerate_slice` runs on the keys and decodes each output
-    word once; `regex.member` encodes its candidate and decodes nothing.
-    `bind_tokens` is the fewest tokens `bind` adds to a word, so a
-    binder's body is enumerated only to the bound less it: 2 in M, G
-    and L, where a binder is an open and a close, and 0 in S, where
-    binding a name that does not occur is the identity.  `occurs_tokens`
-    is what `bind` adds to a word in which the name occurs: 2 in every
-    sort.  Where it is more than `bind_tokens` (S), binding leaves a word
-    without the name as it is, so a binder's body is enumerated to the
-    bound less `occurs_tokens`, and, apart, its words without the name
-    to the bound.
+    Its words are generated by `unit`, the empty key, and `atom`, which
+    makes the key of the one-symbol word of a name or a letter, under
+    `concat` and `bind`; every key is canonical by construction.  Token
+    length (`tok_len`) adds up under `concat`.  `decode` makes the
+    canonical value of the sort from a key: `words.from_key` for M and,
+    making a `GWord`, for G; `_decode_l` and `_decode_s` for L and S.
+    `bind_tokens` is the fewest tokens `bind` adds to a key, so a
+    binder's body is enumerated only to the bound less it: 2 in M, G and
+    L, where a binder is an open and a close, and 0 in S, where binding a
+    name that does not occur is the identity.
+    """
+
+    unit: object
+    atom: Callable
+    concat: Callable
+    bind: Callable
+    tok_len: Callable
+    decode: Callable
+    bind_tokens: int
+
+
+@dataclass(frozen=True)
+class SortOps:
+    """The operations of a sort on its canonical values.
+
+    Every sort in `SORTS` is made by `_on_keys` from `keyed`, the same
+    sort on its nameless keys (`KeySort`), and `encode`, which maps a
+    value to its key; so its operations return canonical values, and
+    `canon` maps a value to the canonical one of its alpha-class.
+    `to_mword` embeds a value in M.  `regex.enumerate_slice` runs on the
+    keys and decodes each output word once; `regex.member` encodes its
+    candidate and decodes nothing.
     """
 
     tag: str
@@ -352,20 +366,18 @@ class SortOps:
     canon: Callable
     tok_len: Callable
     to_mword: Callable
-    keyed: Optional["SortOps"] = None
-    encode: Optional[Callable] = None
-    bind_tokens: int = 0
-    occurs_tokens: int = 0
+    keyed: KeySort
+    encode: Callable
 
 
 def _identity(x):
     return x
 
 
-def _on_keys(tag: str, keys: SortOps, encode: Callable, to_mword: Callable) -> SortOps:
+def _on_keys(tag: str, keys: KeySort, encode: Callable, to_mword: Callable) -> SortOps:
     """The sort whose values are decoded keys: each operation encodes its
     arguments, applies the operation of `keys` and decodes the result."""
-    decode = keys.to_mword
+    decode = keys.decode
     return SortOps(
         tag=tag,
         unit=decode(keys.unit),
@@ -377,24 +389,19 @@ def _on_keys(tag: str, keys: SortOps, encode: Callable, to_mword: Callable) -> S
         to_mword=to_mword,
         keyed=keys,
         encode=encode,
-        bind_tokens=keys.bind_tokens,
-        occurs_tokens=keys.occurs_tokens,
     )
 
 
 # M-words as alpha keys (see `words`): bound names are de Bruijn
 # indices, so concatenation is tuple concatenation, with no renaming.
-SORT_M_KEYS = SortOps(
-    tag="M",
+SORT_M_KEYS = KeySort(
     unit=(),
     atom=lambda s: (s,),
     concat=tuple.__add__,
     bind=key_bind,
-    canon=_identity,
     tok_len=len,
-    to_mword=from_key,
+    decode=from_key,
     bind_tokens=2,
-    occurs_tokens=2,
 )
 
 SORT_M = _on_keys("M", SORT_M_KEYS, words.alpha_key, _identity)
@@ -402,25 +409,22 @@ SORT_M = _on_keys("M", SORT_M_KEYS, words.alpha_key, _identity)
 # A G key is an M key without closes: `alpha_key` reads a G row as it
 # reads an M row, and the closes `embed_gm` would append all come last.
 SORT_G = _on_keys("G", replace(
-    SORT_M_KEYS, tag="G", bind=_bind_g, tok_len=_tok_len_g, to_mword=partial(from_key, word=GWord),
+    SORT_M_KEYS, bind=_bind_g, tok_len=_tok_len_g, decode=partial(from_key, word=GWord),
 ), words.alpha_key, embed_gm)
 
-SORT_L_KEYS = SortOps(
-    tag="L",
+SORT_L_KEYS = KeySort(
     unit=(0, ()),
     atom=lambda s: (0, (s,)),
     concat=_concat_l,
     bind=_bind_l,
-    canon=_identity,
     tok_len=lambda key: 2 * key[0] + len(key[1]),  # a binder is an open and a close
-    to_mword=_decode_l,
+    decode=_decode_l,
     bind_tokens=2,
-    occurs_tokens=2,
 )
 SORT_L = _on_keys("L", SORT_L_KEYS, _encode_l, embed_lm)
 
 SORT_S = _on_keys("S", replace(
-    SORT_L_KEYS, tag="S", concat=_concat_s, bind=_bind_s, to_mword=_decode_s, bind_tokens=0,
+    SORT_L_KEYS, concat=_concat_s, bind=_bind_s, decode=_decode_s, bind_tokens=0,
 ), _encode_s, embed_sm)
 
 SORTS = {"M": SORT_M, "G": SORT_G, "L": SORT_L, "S": SORT_S}

@@ -23,7 +23,6 @@ first k that a body leaves free from it.
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Iterator
 
 
 class Interned:
@@ -49,6 +48,10 @@ class Interned:
     def __setattr__(self, key, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
+    def __reduce__(self):
+        # a copy or an unpickled value is the one object of its key
+        return type(self), (getattr(self, self._field),)
+
 
 class Name(Interned):
     """A name: one object per label."""
@@ -73,11 +76,6 @@ def fresh_name(prefix: str = "n") -> Name:
             return Name(label)
 
 
-def bound_name(k: int) -> Name:
-    """The k-th name of the reserved sequence used for canonical binders."""
-    return Name(f"~{k}")
-
-
 # The reserved names interned so far, in order, and as a set; both grow
 # together, on demand, in `binder_names`.
 _reserved: tuple[Name, ...] = ()
@@ -85,30 +83,21 @@ _reserved_set: set[Name] = set()
 
 
 def binder_names(k: int, body) -> tuple[Name, ...]:
-    """The first k reserved names that do not occur in `body`.
+    """The first k reserved names ``~0, ~1, ...`` that do not occur in `body`.
 
     One test in C, with no name built, decides the common case: no
     reserved name occurs in `body`, and the answer is the table's prefix.
     """
     global _reserved
     if len(_reserved) < k:
-        grown = tuple(bound_name(i) for i in range(len(_reserved), k))
+        grown = tuple([Name(f"~{i}") for i in range(len(_reserved), k)])
         _reserved += grown
         _reserved_set.update(grown)
     if _reserved_set.isdisjoint(body):
         return _reserved[:k]
-    return tuple(itertools.islice(canonical_supply([x for x in body if type(x) is Name]), k))
-
-
-def canonical_supply(avoid: Iterable[Name]) -> Iterator[Name]:
-    """Yield reserved binder names, skipping any that occur in `avoid`."""
-    blocked = set(avoid)
-    k = 0
-    while True:
-        c = bound_name(k)
-        k += 1
-        if c not in blocked:
-            yield c
+    blocked = set(body)
+    supply = (Name(f"~{i}") for i in itertools.count())
+    return tuple(itertools.islice((c for c in supply if c not in blocked), k))
 
 
 class Letter(Interned):
@@ -125,10 +114,14 @@ class Letter(Interned):
 
 class _Star:
     """Placeholder in name-map codomains marking the slot filled at
-    allocation; `STAR` is its one object."""
+    allocation; `STAR` is its one object, which copies and pickles as
+    itself."""
 
     def __repr__(self) -> str:
         return "*"
+
+    def __reduce__(self):
+        return "STAR"
 
 
 STAR = _Star()

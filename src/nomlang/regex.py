@@ -22,10 +22,10 @@ length of the candidate word, and `member` does so on keys, decoding
 nothing.
 
 One enumeration serves every sort.  It runs on the sort's nameless
-keys (`SortOps.keyed`), which are canonical by construction, so
-concatenation and binding need no renaming and no set insert
-re-canonicalizes; each output key is decoded once.  It keeps each
-partial slice bucketed by token length, which adds up under
+keys (`SortOps.keyed`, a `monoids.KeySort`), which are canonical by
+construction, so concatenation and binding need no renaming and no set
+insert re-canonicalizes; each output key is decoded once.  It keeps
+each partial slice bucketed by token length, which adds up under
 concatenation, so a product is built only for pairs whose lengths fit
 the bound and is filed without measuring it.
 
@@ -35,18 +35,22 @@ Every node has a lower bound on the token length of its words
 (`_shortest`): none for the empty language, 0 for the unit and a star,
 1 for an atom, the least over a sum, the sum over a product, and for a
 binder the body's plus the fewest tokens binding adds in the sort
-(`SortOps.bind_tokens`).  A node whose lower bound is past the bound is
-not entered: its slice is empty.  The left operand of a product goes up to
-the bound less the right one's lower bound, the right one up to the
+(`KeySort.bind_tokens`).  A node whose lower bound is past the bound is
+not entered: its slice is empty.  The left operand of a product goes up
+to the bound less the right one's lower bound, the right one up to the
 bound less the length of the shortest word in the left slice, and a
 product with an empty left slice stops there; a binder's body goes up
 to the bound less the binding tokens.  In S, where binding adds two
-tokens to a word in which the name occurs and none to another, the
-body goes up to the bound less two, and its words without the name
-(its free atoms of the name make no word) up to the bound.  A star
-drops the unit from its base, where it would only rebuild words it
-has.  Keys form no cycles, so `enumerate_slice` and `member` run under
-one collector pause (`words.collector_paused`).
+tokens (`BINDER_TOKENS`) to a word in which the name occurs and none to
+another, the body of a binder whose name occurs free in it goes up to
+the bound less two, and its words without the name (its free atoms of
+the name make no word) up to the bound; a binder whose name does not
+occur free in its body is its body.  One linear pass (`_scopes`) gives
+both the free names of an expression and the binders whose name occurs
+free in their body.  A star drops the unit from its base, where it
+would only rebuild words it has.  Keys form no cycles, so
+`enumerate_slice` and `member` run under one collector pause
+(`words.collector_paused`).
 """
 
 from __future__ import annotations
@@ -57,8 +61,12 @@ from itertools import product, starmap
 from math import inf
 
 from .names import Letter, Name, Permutation
-from .monoids import SORTS, SortOps
+from .monoids import SORTS, KeySort, SortOps
 from .words import collector_paused
+
+# The tokens binding adds to a word in which the name occurs, in every
+# sort: an open and a close.
+BINDER_TOKENS = 2
 
 # The kinds of node.
 UNIT, EMPTY, ATOM, SUM, CAT, STAR, BINDER = "1", "0", "atom", "+", "cat", "*", "bind"
@@ -96,23 +104,38 @@ def _binary(kind: str, left: Regex, right: Regex) -> Regex:
 Sum, Cat = partial(_binary, SUM), partial(_binary, CAT)  # Sum(left, right), Cat(left, right)
 
 
-def free_names(e: Regex) -> frozenset[Name]:
-    out: list[set[Name]] = []  # the free names of each node; a parent takes its operands' sets over
-    for kind, sym, i, j in e:
+def _scopes(e: Regex) -> tuple[set[Name], set[int]]:
+    """The free names of `e`, and the indices of its binders whose name
+    occurs free in their body.
+
+    A parent takes its operands' sets over: a sum or a product its left
+    one's, which grows along the parser's chains, and a binder its
+    body's, which it tests for its name before it drops the name, so one
+    loop over the nodes takes linear time and memory.
+    """
+    out: list[set[Name]] = []  # the free names of each node, until its parent takes them over
+    binding: set[int] = set()
+    for p, (kind, sym, i, j) in enumerate(e):
         if kind is ATOM and type(sym) is Name:
             s = {sym}
         elif kind is SUM or kind is CAT:
-            s = out[i]  # the left one, which grows along the parser's chains
+            s = out[i]
             s |= out[j]
         elif kind is BINDER:
             s = out[i]
-            s.discard(sym)
+            if sym in s:
+                binding.add(p)
+                s.remove(sym)
         elif kind is STAR:
             s = out[i]
         else:
             s = set()
         out.append(s)
-    return frozenset(out[-1])
+    return out[-1], binding
+
+
+def free_names(e: Regex) -> frozenset[Name]:
+    return frozenset(_scopes(e)[0])
 
 
 def permute_regex(pi: Permutation, e: Regex) -> Regex:
@@ -134,7 +157,7 @@ class LangSlice:
 # results.
 
 
-def _shortest(e: Regex, ops: SortOps) -> list[float]:
+def _shortest(e: Regex, ops: KeySort) -> list[float]:
     """A lower bound on the token length of the words of each node of
     `e` in the sort of `ops`, by index; `inf` for a node with no word."""
     out: list[float] = []
@@ -156,7 +179,7 @@ def _shortest(e: Regex, ops: SortOps) -> list[float]:
     return out
 
 
-def _concat_slices(a: dict, b: dict, ops: SortOps, bound: int) -> dict[int, set]:
+def _concat_slices(a: dict, b: dict, ops: KeySort, bound: int) -> dict[int, set]:
     out: dict[int, set] = {}
     concat = ops.concat
     for na, xs in a.items():
@@ -165,27 +188,6 @@ def _concat_slices(a: dict, b: dict, ops: SortOps, bound: int) -> dict[int, set]
                 continue
             bucket = out.setdefault(na + nb, set())
             bucket.update(starmap(concat, product(xs, ys)))  # in C, in the order of a nested loop
-    return out
-
-
-_NO_NAMES: frozenset[Name] = frozenset()
-
-
-def _free_by_node(e: Regex) -> list[frozenset[Name]]:
-    """The free names of each node of `e`, by index."""
-    out: list[frozenset[Name]] = []
-    for kind, sym, i, j in e:
-        if kind is ATOM:
-            s = frozenset((sym,)) if type(sym) is Name else _NO_NAMES
-        elif kind is SUM or kind is CAT:
-            s = out[i] | out[j]
-        elif kind is BINDER:
-            s = out[i] - {sym}
-        elif kind is STAR:
-            s = out[i]
-        else:
-            s = _NO_NAMES
-        out.append(s)
     return out
 
 
@@ -198,7 +200,7 @@ def _merge(right: dict, out: dict) -> None:
             out[n] = ws
 
 
-def _enum(e: Regex, ops: SortOps, bound: int) -> dict[int, set]:
+def _enum(e: Regex, ops: KeySort, bound: int) -> dict[int, set]:
     """The slice of `e` up to `bound` (at least 0).
 
     One loop pops visits (node, bound, stage) off a stack.  A first
@@ -208,10 +210,11 @@ def _enum(e: Regex, ops: SortOps, bound: int) -> dict[int, set]:
     leaves its slice on `done`.  A later visit takes its operands'
     slices off `done` and leaves its node's.
 
-    Where binding adds more tokens to a word in which the name occurs
-    than to another (S, where it leaves another word as it is), a binder
-    whose name occurs free in its body takes the body's slice in two
-    parts: up to the bound less `ops.occurs_tokens`, to be bound, and
+    Where binding adds fewer tokens to some word than `BINDER_TOKENS`,
+    which it adds to a word in which the name occurs (S, where it leaves
+    another word as it is), a binder whose name occurs free in its body
+    (`_scopes`) takes the body's slice in two parts: up to the bound
+    less `BINDER_TOKENS`, to be bound, and
     the words without the name up to the bound, kept as they are; a
     binder whose name does not occur free in its body is its body.  A
     visit's last field is None, or, inside the second part, the names
@@ -219,8 +222,8 @@ def _enum(e: Regex, ops: SortOps, bound: int) -> dict[int, set]:
     a node is visited at most once more per binder around it.
     """
     shortest, done, todo = _shortest(e, ops), [], [(len(e) - 1, bound, 0, None)]
-    bind_tokens, occurs_tokens = ops.bind_tokens, ops.occurs_tokens
-    free = _free_by_node(e) if occurs_tokens > bind_tokens else None
+    bind_tokens = ops.bind_tokens
+    binding = _scopes(e)[1] if bind_tokens < BINDER_TOKENS else None
     while todo:
         p, b, stage, x = todo.pop()
         kind, sym, i, j = e[p]
@@ -235,15 +238,15 @@ def _enum(e: Regex, ops: SortOps, bound: int) -> dict[int, set]:
                         todo.append((j, b, 0, x))
                     elif kind is CAT:
                         b -= shortest[j]
-                elif free is None:  # binding adds the same to every word
+                elif binding is None:  # binding adds the same to every word
                     todo.append((p, b, 1, x))
                     b -= bind_tokens
-                elif sym not in free[i]:
+                elif p not in binding:
                     pass  # the binder is its body: binding leaves every word as it is
-                elif x is None and shortest[i] + occurs_tokens <= b:
+                elif x is None and shortest[i] + BINDER_TOKENS <= b:
                     # the body in two parts: to be bound, and without the name
                     todo += ((p, b, 2, x), (i, b, 0, frozenset((sym,))))
-                    b -= occurs_tokens
+                    b -= BINDER_TOKENS
                 else:
                     todo.append((p, b, 1, x))
                     b -= bind_tokens
@@ -326,7 +329,7 @@ def enumerate_slice(e: Regex, sort: str | SortOps, bound: int) -> LangSlice:
     """
     ops = SORTS[sort] if isinstance(sort, str) else sort
     with collector_paused():
-        words = map(ops.keyed.to_mword, _enumerate_keys(e, ops, bound))
+        words = map(ops.keyed.decode, _enumerate_keys(e, ops, bound))
         return LangSlice(frozenset(words))
 
 

@@ -51,12 +51,16 @@ class TOpen(Interned):
 
 
 class TClose:
-    """The close of a binder; `TCLOSE` is its one object."""
+    """The close of a binder; `TCLOSE` is its one object, which copies and
+    pickles as itself."""
 
     __slots__ = ()
 
     def __repr__(self):
         return ">"
+
+    def __reduce__(self):
+        return "TCLOSE"
 
 
 Tok = Union[Name, Letter, TOpen, TClose]
@@ -169,13 +173,16 @@ def permute(pi: Permutation, w: MWord) -> MWord:
 
 class _KeyOpen:
     """A binder's open in a key, which drops the binder's name; `KEY_OPEN`
-    is its one object, hashed and compared by identity.  A close is its
-    own key element."""
+    is its one object, hashed and compared by identity, which copies and
+    pickles as itself.  A close is its own key element."""
 
     __slots__ = ()
 
     def __repr__(self):
         return "<."
+
+    def __reduce__(self):
+        return "KEY_OPEN"
 
 
 KEY_OPEN = _KeyOpen()
@@ -292,7 +299,7 @@ def canonical_row(w: MWord, avoid: Collection[Name] = ()) -> tuple[Tok, ...]:
     tokens = w.tokens
     reserved_set = names._reserved_set
     if reserved_set.isdisjoint(tokens) and reserved_set.isdisjoint(avoid):
-        reserved = names._reserved
+        reserved, opens = names._reserved, TOpen._registry
         out: list[Tok] = []
         renamed: dict[Name, Name] = {}  # bound name -> its innermost binder's new name
         shadowed: list = []  # per open binder: its name and the new name it hides
@@ -309,7 +316,8 @@ def canonical_row(w: MWord, avoid: Collection[Name] = ()) -> tuple[Tok, ...]:
                 shadowed.append((t.name, renamed.get(t.name)))
                 renamed[t.name] = new = reserved[k]
                 k += 1
-                t = TOpen(new)
+                # a reserved name's open is made once, by the first word that binds it
+                t = opens.get(new) or TOpen(new)
             elif kind is TClose:
                 n, hidden = shadowed.pop()
                 if hidden is None:

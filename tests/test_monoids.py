@@ -15,6 +15,7 @@ from nomlang.monoids import (
     GWord,
     LWord,
     SWord,
+    SortOps,
     embed_gm,
     embed_lg,
     embed_lm,
@@ -90,7 +91,7 @@ def test_canon_idempotent(tag, rng):
         assert ops.canon(c) == c
     # the key operations keep keys canonical, so a decoded key is too
     for _ in range(200):
-        c = ops.keyed.to_mword(_build(ops.keyed, rng, NAMES, LETTERS, 8))
+        c = ops.keyed.decode(_build(ops.keyed, rng, NAMES, LETTERS, 8))
         assert ops.canon(c) == c
 
 
@@ -174,33 +175,37 @@ def test_token_length_adds_up_under_concat(rng, ops):
     # enumerate_slice files a product under the sum of its operands' lengths
     from nomlang.oracle import _build
 
+    def canon(x):  # a key is canonical by construction
+        return ops.canon(x) if isinstance(ops, SortOps) else x
+
     for _ in range(80):
-        x, y = (ops.canon(_build(ops, rng, NAMES, LETTERS, rng.randint(0, 5)))
-                for _ in range(2))
-        w = ops.canon(ops.concat(x, y))
+        x, y = (canon(_build(ops, rng, NAMES, LETTERS, rng.randint(0, 5))) for _ in range(2))
+        w = canon(ops.concat(x, y))
         assert ops.tok_len(w) == ops.tok_len(x) + ops.tok_len(y)
 
 
 @pytest.mark.parametrize("tag", sorted(SORTS))
 def test_bind_tokens_is_the_least_binding_adds(tag, rng):
     # a binder's body is enumerated only to the bound less `bind_tokens`,
-    # and, in S, where binding adds `occurs_tokens` to a word in which the
-    # name occurs, to the bound less that, apart from its words without it
+    # and, in S, where binding adds 2 (`regex.BINDER_TOKENS`) to a word in
+    # which the name occurs, to the bound less that, apart from its words
+    # without it
     from nomlang.oracle import _build
+    from nomlang.regex import BINDER_TOKENS
 
     keyed = SORTS[tag].keyed
-    assert SORTS[tag].bind_tokens == keyed.bind_tokens == (0 if tag == "S" else 2)
-    assert SORTS[tag].occurs_tokens == keyed.occurs_tokens == 2
+    assert keyed.bind_tokens == (0 if tag == "S" else 2)
+    assert BINDER_TOKENS == 2
     keys = [keyed.unit] + [_build(keyed, rng, NAMES, LETTERS, rng.randint(0, 6)) for _ in range(200)]
     for key in keys:
         for x in NAMES:
             added = keyed.tok_len(keyed.bind(x, key)) - keyed.tok_len(key)
             if tag == "S":  # binding an absent name is the identity
                 occurs = any(y is x for y in key[1])
-                assert added == (keyed.occurs_tokens if occurs else keyed.bind_tokens)
+                assert added == (BINDER_TOKENS if occurs else keyed.bind_tokens)
                 assert occurs or keyed.bind(x, key) == key
             else:
-                assert added == keyed.bind_tokens == keyed.occurs_tokens
+                assert added == keyed.bind_tokens == BINDER_TOKENS
 
 
 def test_keyed_m_sort_decodes_to_canonical_words(rng):
@@ -210,8 +215,8 @@ def test_keyed_m_sort_decodes_to_canonical_words(rng):
     for _ in range(100):
         u, v = (random_mword(rng, NAMES, LETTERS, 4) for _ in range(2))
         ku, kv = words.alpha_key(u), words.alpha_key(v)
-        assert keyed.to_mword(keyed.concat(ku, kv)) == SORT_M.canon(SORT_M.concat(u, v))
-        assert keyed.to_mword(keyed.bind(n, ku)) == SORT_M.canon(SORT_M.bind(n, u))
+        assert keyed.decode(keyed.concat(ku, kv)) == SORT_M.canon(SORT_M.concat(u, v))
+        assert keyed.decode(keyed.bind(n, ku)) == SORT_M.canon(SORT_M.bind(n, u))
 
 
 # -- embeddings and the quotients they section -------------------------------
@@ -376,7 +381,7 @@ def test_decoded_s_words_equal_checked_constructions():
     keys = list(_enumerate_keys(e, SORT_S, 12))
     assert len(keys) == 12640
     for key in keys:
-        x = SORT_S.keyed.to_mword(key)
+        x = SORT_S.keyed.decode(key)
         assert type(x) is SWord and x == SWord(x.bound, x.body)
         assert tuple(map(type, x)) == (frozenset, tuple)
 
@@ -411,10 +416,12 @@ def test_word_values(word, fields, text):
         # `hds.run` dispatches on the type of each token of a plain tuple
         assert getattr(w, name) == value and type(getattr(w, name)) is type(value)
     assert repr(w) == text
-    # names and letters do not pickle, so the round trip takes empty fields
     empty = word(*(type(value)() for value in fields.values()))
-    for x, y in ((copy.copy(w), w), (pickle.loads(pickle.dumps(empty)), empty)):
+    for x, y in ((copy.copy(w), w), (copy.deepcopy(w), w), (pickle.loads(pickle.dumps(w)), w),
+                 (pickle.loads(pickle.dumps(empty)), empty)):
         assert type(x) is word and x == y and hash(x) == hash(y)
+        # a copy holds the tokens themselves, which `is` tests find
+        assert [sorted(map(id, u)) for u in x] == [sorted(map(id, v)) for v in y]
 
 
 def test_empty_words_are_truthy():
@@ -445,21 +452,23 @@ def test_decoded_words_equal_public_constructions(tag, word, types):
 # -- decoding keys -----------------------------------------------------------
 #
 # The decoders take binder names from the reserved-name table; the
-# reference below names them with `canonical_supply`, one generator per key.
+# reference below names them from its own generator of ``~0, ~1, ...``,
+# one per key.
 
 def _body_and_binders(tag: str, key):
     return (key[1], key[0]) if tag in "LS" else (key, key.count(words.KEY_OPEN))
 
 
 def _reference_decode(tag: str, key):
-    from itertools import islice
+    from itertools import count, islice
 
     from nomlang.monoids import GWord, LWord, SWord
-    from nomlang.names import canonical_supply
     from nomlang.words import KEY_OPEN, TCLOSE, MWord, TOpen
 
     body, k = _body_and_binders(tag, key)
-    names = list(islice(canonical_supply([x for x in body if type(x) is Name]), k))
+    blocked = {x for x in body if type(x) is Name}
+    supply = (Name(f"~{i}") for i in count())
+    names = list(islice((c for c in supply if c not in blocked), k))
     if tag == "L":
         return LWord(tuple(names), tuple(names[-1 - x] if type(x) is int else x for x in body))
     if tag == "S":
@@ -482,14 +491,14 @@ def _reference_decode(tag: str, key):
 @pytest.mark.parametrize("tag", sorted(SORTS))
 def test_decoders_agree_with_a_reference_on_canonical_supply(tag, rng):
     from nomlang import names
-    from nomlang.names import binder_names, bound_name
+    from nomlang.names import binder_names
     from nomlang.oracle import _build, fresh_binder_variant
 
     ops = SORTS[tag]
     keyed = ops.keyed
     binder_names(2, ())  # the table holds ~0 and ~1 at least
     size = len(names._reserved)
-    reserved = [bound_name(0), bound_name(size - 1), bound_name(size), bound_name(size + 2)]
+    reserved = [Name(f"~{j}") for j in (0, size - 1, size, size + 2)]
 
     def deep(j):  # j binders, each binding an occurrence of n
         key = keyed.unit
@@ -500,8 +509,8 @@ def test_decoders_agree_with_a_reference_on_canonical_supply(tag, rng):
     # more binders than the table holds: first with no reserved name
     # free, then around the reserved names at and beyond its new end
     grown = size + 1
-    around = keyed.concat(keyed.atom(bound_name(grown)),
-                          keyed.concat(deep(grown + 2), keyed.atom(bound_name(grown + 2))))
+    around = keyed.concat(keyed.atom(Name(f"~{grown}")),
+                          keyed.concat(deep(grown + 2), keyed.atom(Name(f"~{grown + 2}"))))
     keys = [deep(grown), around] + [
         _build(keyed, rng, NAMES + reserved, LETTERS, rng.randint(0, 8)) for _ in range(300)]
     seen = set()
@@ -514,7 +523,7 @@ def test_decoders_agree_with_a_reference_on_canonical_supply(tag, rng):
             if type(x) is Name and x.label.startswith("~"):
                 j = int(x.label[1:])
                 seen.add("free below" if j < table else "free at" if j == table else "free beyond")
-        got = keyed.to_mword(key)
+        got = keyed.decode(key)
         assert got == _reference_decode(tag, key)
         if not k:
             seen.add("no binder")
@@ -617,7 +626,7 @@ def test_g_keys_decode_to_g_words_with_the_m_row():
     keys = list(_enumerate_keys(e, SORT_G, 12))
     assert len(keys) == 12_640
     for key in keys:
-        w = SORT_G.keyed.to_mword(key)
+        w = SORT_G.keyed.decode(key)
         assert type(w) is GWord
         assert w.tokens == words.from_key(key).tokens
 

@@ -111,6 +111,85 @@ def test_free_names():
     assert free_names(e) == {n, k}
 
 
+# The free names of each node, as the enumeration once computed them: a
+# new frozenset per node.  The referees for `_scopes`, which gives the
+# same free names, and the same binders whose name occurs in their body,
+# in one linear pass.
+
+def referee_free_names(e):
+    out = []  # the free names of each node; a parent takes its operands' sets over
+    for kind, sym, i, j in e:
+        if kind is rx.ATOM and type(sym) is Name:
+            s = {sym}
+        elif kind is rx.SUM or kind is rx.CAT:
+            s = out[i]  # the left one, which grows along the parser's chains
+            s |= out[j]
+        elif kind is rx.BINDER:
+            s = out[i]
+            s.discard(sym)
+        elif kind is rx.STAR:
+            s = out[i]
+        else:
+            s = set()
+        out.append(s)
+    return frozenset(out[-1])
+
+
+def referee_free_names_by_node(e):
+    """The free names of each node of `e`, by index."""
+    out = []
+    for kind, sym, i, j in e:
+        if kind is rx.ATOM:
+            s = frozenset((sym,)) if type(sym) is Name else frozenset()
+        elif kind is rx.SUM or kind is rx.CAT:
+            s = out[i] | out[j]
+        elif kind is rx.BINDER:
+            s = out[i] - {sym}
+        elif kind is rx.STAR:
+            s = out[i]
+        else:
+            s = frozenset()
+        out.append(s)
+    return out
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+def test_scopes_agree_with_the_per_node_referees(seed):
+    from nomlang.oracle import random_regex
+
+    rng = random.Random(seed)
+    pool = [n, Name("~0"), m]  # the campaigns' reserved-name pool
+    seen = set()
+    for _ in range(2000):
+        e = random_regex(rng, pool, LETTERS, 5)
+        free, binding = rx._scopes(e)
+        by_node = referee_free_names_by_node(e)
+        assert free == referee_free_names(e) == by_node[-1] == free_names(e)
+        binders = {p for p, (kind, sym, i, _) in enumerate(e) if kind is rx.BINDER}
+        want = {p for p in binders if e[p][1] in by_node[e[p][2]]}
+        assert binding == want
+        seen.update("binds" if p in want else "binds nothing" for p in binders)
+    assert seen == {"binds", "binds nothing"}
+
+
+def test_an_s_slice_of_many_free_names_takes_linear_memory():
+    # finding the binders whose name occurs in their body kept every
+    # node's free names apart: 206 MB on this sum, which grows with the
+    # square of its distinct names
+    import tracemalloc
+
+    src = " + ".join(f"#x{i}" for i in range(3000))
+    e = parse_regex(src, letters=set())
+    tracemalloc.start()
+    try:
+        words = enumerate_slice(e, "S", 1).words
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(words) == 3000
+    assert peak < 10 * 2**20
+
+
 # -- bounded enumeration -----------------------------------------------------
 
 def test_slice_atoms():
@@ -212,11 +291,10 @@ def test_slice_with_free_reserved_name_decodes_canonically():
 def test_enumeration_interns_no_names(sort):
     # bound names are numbers in a key, so nothing is renamed apart; the
     # decoder names binders from the reserved sequence, interned up front
-    from nomlang.names import bound_name
+    from nomlang.names import binder_names
 
     e = parse_regex("( <#n. #n #m > + a + #m )*", letters={"a"})
-    for i in range(12):
-        bound_name(i)
+    binder_names(12, ())
     before = len(Name._registry)
     assert len(enumerate_slice(e, sort, 12).words) == 12640
     assert len(Name._registry) == before

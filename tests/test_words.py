@@ -155,9 +155,8 @@ def test_alpha_canonical_is_its_decoded_key(rng, monkeypatch):
     from nomlang import names
 
     made = []
-    bound_name = names.bound_name
-    monkeypatch.setattr(names, "bound_name", lambda j: made.append(j) or bound_name(j))
-    reserved = [bound_name(j) for j in range(5)]
+    monkeypatch.setattr(names, "Name", lambda label: made.append(label) or Name(label))
+    reserved = [Name(f"~{j}") for j in range(5)]
 
     def from_table(size, canon, *args):
         monkeypatch.setattr(names, "_reserved", tuple(reserved[:size]))
@@ -241,6 +240,26 @@ def test_tokens_are_hash_consed():
     for cls in (Letter, TOpen, type(TCLOSE)):
         assert cls.__hash__ is object.__hash__
         assert cls.__eq__ is object.__eq__
+
+
+def _one_of_each():
+    from nomlang.hds import BOTTOM, PUSH, NameMap
+
+    return [n, Letter("a"), TOpen(n), PUSH, NameMap.of({n: STAR}), BOTTOM, TCLOSE, KEY_OPEN, STAR]
+
+
+@pytest.mark.parametrize("value", _one_of_each(),
+                         ids=["Name", "Letter", "TOpen", "Move", "NameMap", "BOTTOM", "TCLOSE",
+                              "KEY_OPEN", "STAR"])
+def test_tokens_copy_and_pickle_as_themselves(value):
+    # one object per key, so a copy or an unpickled token is the token,
+    # and `is` tests still find it
+    import copy
+    import pickle
+
+    assert copy.copy(value) is value
+    assert copy.deepcopy(value) is value
+    assert pickle.loads(pickle.dumps(value)) is value
 
 
 # -- token streams -----------------------------------------------------------
