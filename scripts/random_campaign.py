@@ -21,11 +21,11 @@ never say CUTOFF, and its verdict must equal that of the referee
 fires a push transition at most once between two consumed tokens.
 `run` with a depth cap of one more than the stream's tokens, which no
 pop-free search reaches, must give the default run's verdict.  A capped
-run takes the exact subset construction, and the default run the
+run takes the exact depth-first search, and the default run the
 forward walk over the node graph wherever the walk decides, so the
 `CAP` check (a `CAP` line per mismatch) compares the two on every
 campaign stream.  The trace of each accepted stream, which the
-subset construction records, must be a run of `step` on its tokens.
+depth-first search records, must be a run of `step` on its tokens.
 Each of these M words and raw spellings, rendered, must parse back to
 its own token row, also with each binder's dot spaced off.  Each
 expression, rendered, must parse back to an expression that renders

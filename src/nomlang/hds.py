@@ -10,32 +10,31 @@ the word's own alphabet: a local `Name` reads the name it denotes, a
 keywords `EPS`, `PUSH`, `POP`, `OPEN` and `CLOSE`.
 
 `step` is the one definition of the moves: what each of the seven
-kinds of label reads and what it does to the stack.  Both searches are
-subset constructions, and both take a configuration set's successors
-from `_closure`, built on `step`: it closes the set under the moves that
-read nothing, groups the moves that read a token by that token, and
-after each move applies one rule -- drop a configuration with no path
-to a final state, keep the frames a close can still read, cap the
-stack depth, and kill the name of a binder just closed.  A node is a
-configuration set and a depth (below), and its row (`_expand`) holds the
-successor node itself per token read, so a walk goes from node to node
-with one lookup per token.  `language_slice` walks the tree of
-emitted prefixes one length at a time: each prefix holds the set of
-configurations that generate it, and the prefixes of one length are
-grouped by node, so each node's row is made once; the walk counts the
-tokens left under the bound.  It emits keys (`words.alpha_key`), not
-tokens, so no word is parsed or canonicalized, and each accepted word
-is decoded once.  `run` holds, at each input position, the set of
-configurations the moves reading the tokens so far lead to; on a
-pop-free automaton, with no depth cap and no trace, it reads them from
-the same rows, in one forward walk (below).
+kinds of label reads and what it does to the stack.  The node graph is
+a subset construction on it.  A node is a configuration set and a
+depth (below); its closure (`_closure`) closes the set under the moves
+that read nothing, groups the moves that read a token by that token,
+and after each move applies one rule -- drop a configuration with no
+path to a final state, keep the frames a close can still read, cap the
+stack depth, and kill the name of a binder just closed.  The node's row
+(`_expand`) holds the successor node itself per token read, so a walk
+goes from node to node with one lookup per token.  `language_slice`
+walks the tree of emitted prefixes one length at a time: each prefix
+holds the set of configurations that generate it, and the prefixes of
+one length are grouped by node, so each node's row is made once; the
+walk counts the tokens left under the bound.  It emits keys
+(`words.alpha_key`), not tokens, so no word is parsed or
+canonicalized, and each accepted word is decoded once.  `run` on a
+pop-free automaton, with no depth cap and no trace, reads the same
+rows in one forward walk; every other run is one depth-first search
+over the input's configurations (below).
 
-Both searches name binders one way.  A binder's level is the int depth
-it opens at: its open depth plus the unmatched closes still to come in
-the stream (a slice has none).  A node's depth is that sum, and the
-node keeps one frame more.  An open reads `KEY_OPEN` and allocates its
-level; an int is apart from every name by its type, so no input name
-and no constant equals a level.  When the binder closes, its level
+The slice and the walk name binders one way.  A binder's level is the
+int depth it opens at: its open depth plus the unmatched closes still
+to come in the stream (a slice has none).  A node's depth is that sum,
+and the node keeps one frame more.  An open reads `KEY_OPEN` and
+allocates its level; an int is apart from every name by its type, so
+no input name and no constant equals a level.  When the binder closes, its level
 becomes `DEAD` in every frame: the placeholder, which no name move
 reads.
 
@@ -96,9 +95,10 @@ decides: a binder that is not private -- named after a constant or a
 name already seen, or its name read after its close -- hands the
 stream back, and a run with a `max_depth` or a trace never takes the
 walk.  Those runs and every run on a pop automaton take the general
-path: a plain subset construction over the input's own names, which
-renames nothing, takes each step from `_closure`, and records a
-trace's links as it goes.
+path (`_depth_first`): one depth-first search over (state, position,
+stack) configurations on the input's own names, which renames nothing,
+takes each move from `step`, and keeps for each configuration the one
+it came from, so a trace is that chain followed back.
 """
 
 from __future__ import annotations
@@ -108,7 +108,7 @@ from collections import deque
 from itertools import chain
 from dataclasses import dataclass
 from functools import cached_property
-from types import MappingProxyType, NoneType
+from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Optional
 
 from .names import Interned, Letter, Name, STAR
@@ -345,7 +345,7 @@ def validate(h: Hds) -> list[str]:
 # ---------------------------------------------------------------------------
 # Moves
 
-Config = tuple  # (state id, Stack) in the searches; (state id, position, Stack) in a trace
+Config = tuple  # (state id, Stack) in a node; (state id, position, Stack) in the general path
 
 END = object()  # the input token past the last one: no consuming move reads it
 
@@ -429,24 +429,21 @@ def _forget(stk: Stack, level: int) -> Stack:
                   for f in stk])
 
 
-def _closure(h: Hds, configs, tok, fresh: Optional[int], rules: dict, max_depth: int,
-             links: Optional[dict] = None):
-    """The closure of `configs` under the moves that read nothing, and
-    the configurations the moves out of it reach, per token read.
+def _closure(h: Hds, configs, depth: int, max_depth: int):
+    """The node graph's closure: the closure of the configurations
+    `configs` of a node at open depth `depth` under the moves that read
+    nothing, and the configurations the moves out of it reach, per token
+    read, as `step` generates them (an open allocates the level `depth`).
 
-    `tok` and `fresh` go to `step`.  `rules` maps the type of the token
-    a move reads (`NoneType` for none) to (frames, dead level or None): a
-    move is dropped if its token has no rule or its target has no path
-    to a final state (is absent from `h._search.need`).  Without pop
-    transitions a move's stack keeps its top `frames` frames; a stack
-    deeper than `max_depth` is cut, and the dead level becomes DEAD in
-    every frame.
+    A move is dropped if its target has no path to a final state (is
+    absent from `h._search.need`), or if it is a close read at depth 0.
+    Without pop transitions a move's stack keeps one frame more than the
+    open depth after it: `depth` frames after a close, `depth + 2` after
+    an open, and `depth + 1` after any other move.  A stack deeper than
+    `max_depth` is cut, and a close kills level depth - 1 in every frame.
     Returns (closure, reached per token, cut): cut is None, or the
     fewest tokens a cut move still needed -- the one it read, and enough
-    to reach a final state and to close all but one of its frames.  With
-    `links`, a configuration the closure adds maps there to the
-    (configuration, transition) it came from, and one a token reaches
-    does so under (token, configuration).
+    to reach a final state and to close all but one of its frames.
     """
     search = h._search
     need, has_pop = search.need, search.has_pop
@@ -454,37 +451,31 @@ def _closure(h: Hds, configs, tok, fresh: Optional[int], rules: dict, max_depth:
     frontier = list(configs)
     reads: dict = {}
     cut = None
-    silent = rules[NoneType]
     while frontier:
-        cfg = frontier.pop()
-        state, stk = cfg
-        for t, tok_read, stk2 in step(h, state, stk, tok, fresh):
-            rule = silent if tok_read is None else rules.get(type(tok_read))
-            if rule is None or t.target not in need:
+        state, stk = frontier.pop()
+        for t, tok_read, stk2 in step(h, state, stk, None, depth):
+            # the open depth after the move; a move keeps one frame more
+            depth2 = depth + (tok_read is KEY_OPEN) - (tok_read is TCLOSE)
+            if depth2 < 0 or t.target not in need:
                 continue
-            frames, dead = rule
             if not has_pop:
-                stk2 = stk2[:frames]
+                stk2 = stk2[:depth2 + 1]
             if len(stk2) > max_depth:
-                req = (tok_read is not None) + max(need[t.target], frames - 1)
+                req = (tok_read is not None) + max(need[t.target], depth2)
                 if cut is None or req < cut:
                     cut = req
                 continue
-            if dead is not None:
-                stk2 = _forget(stk2, dead)
+            if tok_read is TCLOSE:
+                stk2 = _forget(stk2, depth2)
             cfg2 = (t.target, stk2)
             if tok_read is None:
                 if cfg2 not in seen:
                     seen.add(cfg2)
                     frontier.append(cfg2)
-                    if links is not None:
-                        links[cfg2] = (cfg, t)
                 continue
             group = reads.get(tok_read)
             if group is None:
                 reads[tok_read] = group = set()
-            if links is not None and cfg2 not in group:
-                links[tok_read, cfg2] = (cfg, t)
             group.add(cfg2)
     return seen, reads, cut
 
@@ -546,13 +537,14 @@ def run(
     max_depth: Optional[int] = None,
     want_trace: bool = False,
 ) -> RunResult:
-    """Decide whether `h` accepts the token stream, by a subset construction.
+    """Decide whether `h` accepts the token stream.
 
-    At each input position the search holds the set of (state, stack)
-    configurations that the moves reading the tokens so far lead to, and
-    takes the next set from `_closure`: the set's closure under the moves
-    that read nothing, then the moves that read the token; past the last
-    token it keeps the final configurations of its closure.
+    On a pop-free automaton, with no `max_depth` and no trace, one
+    forward walk over the node graph (`_walk`) decides the stream,
+    naming each binder after its level as it reads it.  Every other run,
+    and a stream the walk hands back, takes the general path: one
+    depth-first search over the input's own names, which renames nothing
+    (`_depth_first`).
 
     Unless `h` has pop transitions, a stack keeps one frame more than
     the most by which closes outnumber opens over any stretch of the
@@ -560,20 +552,8 @@ def run(
     search is exhaustive.  `max_depth` caps the stack depth (default:
     input length + state count + 1, which only a pop automaton can
     reach); a branch the cap cuts makes the outcome CUTOFF unless a run
-    accepts.
-
-    On a pop-free automaton, with no `max_depth` and no trace, one
-    forward walk over the node graph (`_walk`) decides the stream,
-    naming each binder after its level as it reads it.  Every other run,
-    and a stream the walk hands back, takes the general path below: a
-    plain subset construction over the input's own names, which renames
-    nothing.
-
-    With `want_trace`, the general path explores each set in
-    `_config_order` and keeps, per position, where each configuration of
-    the closure and of the next set came from (`_closure`'s links); an
-    accepting run is followed back through them and replayed on the real
-    tokens with whole stacks (`_trace`).
+    accepts.  With `want_trace`, an accepting run carries its trace,
+    replayed on the real tokens with whole stacks.
     """
     state = h._search
     if max_depth is None:
@@ -582,23 +562,58 @@ def run(
             if result is not None:
                 return result
         max_depth = len(tokens) + len(h.states) + 1
-    keep = _keep(tokens)
-    configs, cut = state.start, False
-    trail: list = []  # `_closure`'s links per input position, with `want_trace`
-    for pos, tok in enumerate(chain(tokens, (END,))):
-        links = None
-        if want_trace:
-            configs, links = sorted(configs, key=_config_order), {}
-            trail.append(links)
-        rules = {NoneType: (keep[pos], None), type(tok): (keep[pos + 1], None)}
-        closure, reads, cut_here = _closure(h, configs, tok, None, rules, max_depth, links)
-        cut = cut or cut_here is not None
-        configs = [c for c in closure if c[0] in h.finals] if tok is END else reads.get(tok)
-        if not configs:
-            return RunResult(CUTOFF if cut else REJECT)
-    if want_trace:
-        return _trace(h, tokens, trail, min(configs, key=_config_order))
-    return RunResult(ACCEPT)
+    return _depth_first(h, tokens, max_depth, want_trace)
+
+
+def _depth_first(h: Hds, tokens: tuple[Tok, ...], max_depth: int, want_trace: bool) -> RunResult:
+    """`run`'s general path: one depth-first search over the (state,
+    position, stack) configurations the input's own tokens lead to.
+
+    It explores the moves `step` lists in their order, drops a move
+    whose target has no path to a final state, keeps the frames `_keep`
+    gives unless `h` pops, and cuts a stack deeper than `max_depth`.
+    One dict maps each configuration reached to the (configuration,
+    transition) it came from, and is the search's seen set.  The search
+    stops at the first final configuration past the last token; with
+    `want_trace` it follows the dict back and replays the moves on whole
+    stacks (`_replay`).  The order of the moves alone fixes the trace,
+    so no hash seed changes it.
+    """
+    search = h._search
+    need, has_pop, finals = search.need, search.has_pop, h.finals
+    keep, last = _keep(tokens), len(tokens)
+    start = initial_config(h)
+    came = {start: None}
+    todo = [start]
+    cut = False
+    while todo:
+        cfg = todo.pop()
+        state, pos, stk = cfg
+        if pos == last and state in finals:
+            break
+        for t, tok_read, stk2 in reversed(step(h, state, stk, tokens[pos] if pos < last else END)):
+            if t.target not in need:
+                continue
+            pos2 = pos if tok_read is None else pos + 1
+            if not has_pop:
+                stk2 = stk2[:keep[pos2]]
+            if len(stk2) > max_depth:
+                cut = True
+                continue
+            cfg2 = (t.target, pos2, stk2)
+            if cfg2 not in came:
+                came[cfg2] = (cfg, t)
+                todo.append(cfg2)
+    else:
+        return RunResult(CUTOFF if cut else REJECT)
+    if not want_trace:
+        return RunResult(ACCEPT)
+    path: list = []
+    while came[cfg] is not None:
+        cfg, t = came[cfg]
+        path.append(t)
+    path.reverse()
+    return RunResult(ACCEPT, _replay(h, tokens, start, path))
 
 
 def _keep(tokens: tuple[Tok, ...]) -> list[int]:
@@ -639,9 +654,10 @@ def _walk(h: Hds, tokens: tuple[Tok, ...], u: int) -> Optional[RunResult]:
     every binder the walk names is private (module docstring).  Each set
     the walk holds is then the image of the set the automaton's exact
     run reaches there, under truncation and the renaming of binders to
-    their levels, and so is each set of the general path.  One is empty
-    exactly when the other is: a token with no entry in its row rejects
-    at once, also ahead of a token that would hand the stream back.  A
+    their levels, and so are the configurations the general path reaches
+    there.  One is empty exactly when the other is: a token with no
+    entry in its row rejects at once, also ahead of a token that would
+    hand the stream back.  A
     pop-free closure's states do not depend on the stack, so a row has
     END at every depth where its closure holds a final state, and the
     walk accepts there.  Its frames never pass the default cap of `run`
@@ -684,38 +700,6 @@ def _walk(h: Hds, tokens: tuple[Tok, ...], u: int) -> Optional[RunResult]:
             return RunResult(REJECT)
         node = hit[1]
     return RunResult(ACCEPT)
-
-
-def _trace(h: Hds, tokens: tuple[Tok, ...], trail: list, cfg: Config) -> RunResult:
-    """The accepting run that ends in the final configuration `cfg`,
-    followed back through the links `run`'s forward pass kept: `trail[pos]`
-    maps each configuration the closure at position pos added to the
-    (configuration, transition) it came from, and each configuration the
-    token there reached, under (token, configuration), likewise.
-
-    Every configuration of a set is reachable, so each position's links
-    lead back to one configuration of the set before.  `run` takes the
-    least final configuration and explores each set in order, so no hash
-    seed changes the trace.
-    """
-    path: list = []
-    for pos in range(len(tokens), -1, -1):
-        links = trail[pos]
-        if pos < len(tokens):
-            cfg, t = links[tokens[pos], cfg]
-            path.append(t)
-        while cfg in links:
-            cfg, t = links[cfg]
-            path.append(t)
-    path.reverse()
-    return RunResult(ACCEPT, _replay(h, tokens, initial_config(h), path))
-
-
-def _config_order(cfg: Config) -> tuple:
-    """A configuration's place in an order that no hash seed changes:
-    its state, then its frames' labels."""
-    state, stk = cfg
-    return state, tuple(map(repr, stk))
 
 
 def _replay(h: Hds, tokens: tuple[Tok, ...], start: Config, path: list) -> list:
@@ -861,11 +845,13 @@ def _expand(h: Hds, node: _Node, max_depth: int, graph: dict, sets: dict) -> dic
     from each token a move reads, as `run`'s walk looks it up, to its
     key element, the next node itself, and the fewest tokens a word
     needs after that token (to close the next node's binders and take
-    one of its states to a final one).  An open allocates the level
-    `depth` and is filed under `KEY_OPEN`; a level is filed under
-    itself, and its key element is the index depth - 1 - level; a close
-    is filed under `TCLOSE` and kills level depth - 1; any other token
-    is its own key element.  A node whose closure holds a final state
+    one of its states to a final one).  The next node's depth is the
+    open depth after the token, as in `_closure`: one more after an
+    open, one less after a close, and `depth` after any other token.  An open
+    allocates the level `depth` and is filed under `KEY_OPEN`; a level
+    is filed under itself, and its key element is the index
+    depth - 1 - level; a close is filed under `TCLOSE` and kills level
+    depth - 1; any other token is its own key element.  A node whose closure holds a final state
     files END under (None, node, 0), at every depth: without pop
     transitions, which states a closure holds does not depend on the
     stack, so `run` accepts there, while `_language_keys` emits only at
@@ -874,12 +860,7 @@ def _expand(h: Hds, node: _Node, max_depth: int, graph: dict, sets: dict) -> dic
     (`_node`), unexpanded if it is new."""
     configs, depth = node.configs, node.depth
     need = h._search.need
-    # a move keeps one frame more than the open depth after it
-    rules = {NoneType: (depth + 1, None), Name: (depth + 1, None), int: (depth + 1, None),
-             Letter: (depth + 1, None), type(KEY_OPEN): (depth + 2, None)}
-    if depth:
-        rules[TClose] = (depth, depth - 1)
-    closure, reads, cut = _closure(h, configs, None, depth, rules, max_depth)
+    closure, reads, cut = _closure(h, configs, depth, max_depth)
     row = {}
     if any(q in h.finals for q, _ in closure):
         row[END] = (None, node, 0)
@@ -887,7 +868,7 @@ def _expand(h: Hds, node: _Node, max_depth: int, graph: dict, sets: dict) -> dic
         # a level read at depth d is the index d - 1 - level, and any other
         # token (an open's KEY_OPEN and a close too) is its own element
         elem = depth - 1 - read if type(read) is int else read
-        depth2 = rules[type(read)][0] - 1
+        depth2 = depth + (read is KEY_OPEN) - (read is TCLOSE)
         req = max(depth2, min([need[q] for q, _ in group]))
         group = frozenset(group)
         row[read] = (elem, _node(graph, sets.setdefault(group, group), depth2), req)

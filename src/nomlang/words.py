@@ -4,9 +4,10 @@ A word is a balanced row of tokens over one alphabet: a name or a
 letter is its own token, and a binder that binds the free occurrences
 of ``n`` in a subword is a matched `TOpen(n)` ... `TCLOSE` pair around
 it.  A row is the word modulo the monoid laws: concatenation is row
-concatenation and the empty word is the empty row.  Words are compared
-up to renaming of bound names; `alpha_canonical` computes the canonical
-representative used for hashing and set membership.
+concatenation and the empty word is the empty row.  Two words are
+alpha-equivalent when one is the other with its bound names renamed:
+`alpha_key` or `alpha_equal` decides it, and `alpha_canonical` gives
+the canonical word of a class.
 
 Every operation on a word is one loop over its row, so no nesting depth
 of binders is too deep for it.
@@ -137,17 +138,9 @@ def bind(n: Name, w: MWord) -> MWord:
 
 
 def support(w: MWord) -> frozenset[Name]:
-    """The free names of `w`."""
-    free = set()
-    binders: list[Name] = []
-    for t in w.tokens:
-        if type(t) is TOpen:
-            binders.append(t.name)
-        elif type(t) is TClose:
-            binders.pop()
-        elif type(t) is Name and t not in binders:
-            free.add(t)
-    return frozenset(free)
+    """The free names of `w`: the names of its key, where a free name is
+    its own element and a bound one an index."""
+    return frozenset([x for x in alpha_key(w) if type(x) is Name])
 
 
 def all_names(w: MWord) -> frozenset[Name]:

@@ -1322,19 +1322,15 @@ def test_unmatched_closes_step_through_the_node_graph(monkeypatch):
     # a private binder takes the level of the frames kept at its open, so
     # every close kills the level of the frames kept at it, less two, as
     # the row does: a close that no open matches reads the row too, and
-    # these runs pass no token to `_closure`
-    from nomlang import hds
-
+    # no run takes the general path
     h = _session_hds()
     word = tokenize(alpha_canonical(parse_word("#m" + " <#n. #m #n >" * 4)))
     depths = itertools.accumulate((isinstance(t, TOpen) - (t is TCLOSE) for t in word), initial=0)
     streams = [word[:i] + (TCLOSE,) + word[i:] for i, d in enumerate(depths) if d == 0]
     assert len(streams) == 6
-    closure, toks = hds._closure, []
-    monkeypatch.setattr(hds, "_closure", lambda h, configs, tok, *rest:
-                        toks.append(tok) or closure(h, configs, tok, *rest))
+    searches = _record(monkeypatch, "_depth_first")
     assert _verdicts(h, streams) == [REJECT] * len(streams)
-    assert toks and all(tok is None for tok in toks)
+    assert searches == []
 
 
 def test_a_node_reached_again_is_expanded_once(monkeypatch):
@@ -1619,22 +1615,61 @@ def test_a_capped_or_traced_run_takes_the_general_path(monkeypatch):
 
 
 def test_a_trace_is_recorded_in_one_forward_pass(monkeypatch):
-    # `run` keeps each position's links as it goes, so a traced run calls
-    # `_closure` once per token and once at the end, and `_trace` none
+    # the search keeps where each configuration came from as it goes, so
+    # a traced run is one depth-first search, and takes no walk
+    with open(NS_FILE) as f:
+        ns = compile_regex(parse_nre(f.read())[0])
+    searches = _record(monkeypatch, "_depth_first")
+    walks = _record(monkeypatch, "_walk")
+    for h, tokens in ((ns, _ns_tokens(4)),
+                      (RAW_AUTOMATA["session"](), _raw("#m <#n. #m #n > <#n. #m #n >"))):
+        searches.clear()
+        r = run(h, tokens, want_trace=True)
+        assert r.outcome == ACCEPT
+        assert len(searches) == 1 and walks == []
+        _assert_trace_follows_step(h, tokens, r.trace)
+
+
+def test_the_general_path_meets_each_configuration_once(monkeypatch):
+    # the search calls `step` once on each configuration it meets, and on
+    # the 64-block NS word and a near-miss of it, which it must exhaust, it
+    # meets fewer than two per position; a trace adds one call per traced
+    # move, which `_replay` makes
     from nomlang import hds
 
     with open(NS_FILE) as f:
-        ns = compile_regex(parse_nre(f.read())[0])
-    calls = []
-    closure = hds._closure
-    monkeypatch.setattr(hds, "_closure", lambda *args: calls.append(1) or closure(*args))
-    for h, tokens in ((ns, _ns_tokens(4)),
-                      (RAW_AUTOMATA["session"](), _raw("#m <#n. #m #n > <#n. #m #n >"))):
+        h = compile_regex(parse_nre(f.read())[0])
+    tokens = _ns_tokens(64)
+    block = "<#n. ENCR #n A FOR B <#m. ENCR #n #m FOR A ENCR #m FOR B > >"
+    miss = tokenize(alpha_canonical(parse_word(
+        " ".join([block] * 63 + [block.replace("FOR B >", "FOR A >")]))))
+    bound, calls = 2 * (len(tokens) + 1), []
+
+    def counted(*args):
+        # a search that meets configurations again may not end at all
+        assert len(calls) < 4 * bound, "the search meets configurations again"
+        calls.append(args)
+        return step(*args)
+
+    monkeypatch.setattr(hds, "step", counted)
+    for t, outcome in ((tokens, ACCEPT), (miss, REJECT)):
         calls.clear()
-        r = run(h, tokens, want_trace=True)
-        assert r.outcome == ACCEPT
-        assert len(calls) == len(tokens) + 1
-        _assert_trace_follows_step(h, tokens, r.trace)
+        assert run(h, t, max_depth=len(tokens) + 1).outcome == outcome
+        assert len(calls) <= bound
+    calls.clear()
+    r = run(h, tokens, max_depth=len(tokens) + 1, want_trace=True)
+    assert r.outcome == ACCEPT
+    assert len(calls) <= bound + len(r.trace) - 1
+
+
+def _record(monkeypatch, name):
+    """The argument tuples of every call of `hds.<name>` from now on,
+    until the patch is undone."""
+    from nomlang import hds
+
+    calls, f = [], getattr(hds, name)
+    monkeypatch.setattr(hds, name, lambda *args: calls.append(args) or f(*args))
+    return calls
 
 
 def _binder_not_private(tokens, constants) -> bool:
@@ -1714,37 +1749,31 @@ def test_the_walk_agrees_with_the_general_path(monkeypatch):
 def test_a_balanced_word_is_decided_without_renaming(monkeypatch):
     # the walk names binders as it reads them: a balanced word, and the
     # same word after a leading close, walked again from the node of one
-    # unmatched close, read rows only and pass no token to `_closure`
+    # unmatched close, read rows only and take no general path
     from nomlang import hds
 
     with open(NS_FILE) as f:
         h = compile_regex(parse_nre(f.read())[0])
-    walks, toks = [], []
-    walk, closure = hds._walk, hds._closure
+    walks = []
+    walk = hds._walk
     monkeypatch.setattr(hds, "_walk", lambda *args: walks.append(args[2]) or walk(*args))
-    monkeypatch.setattr(hds, "_closure", lambda h, configs, tok, *rest:
-                        toks.append(tok) or closure(h, configs, tok, *rest))
+    searches = _record(monkeypatch, "_depth_first")
     t = _ns_tokens(4)
     assert run(h, t).outcome == ACCEPT
     assert walks == [0]
     assert run(h, (TCLOSE,) + t).outcome == REJECT
     assert walks == [0, 0, 1]
-    assert toks and all(tok is None for tok in toks)
+    assert searches == []
 
 
 def test_a_late_fault_is_decided_by_the_walk(monkeypatch):
     # an open after a long balanced word, or a close before or after it:
-    # the walk decides each, so no `_closure` call reads a token
-    from nomlang import hds
-
+    # the walk decides each, so no run takes the general path
     with open(NS_FILE) as f:
         h = compile_regex(parse_nre(f.read())[0])
     word = _ns_tokens(64)
     assert run(h, word).outcome == ACCEPT
-    toks = []
-    closure = hds._closure
-    monkeypatch.setattr(hds, "_closure", lambda h, configs, tok, *rest:
-                        toks.append(tok) or closure(h, configs, tok, *rest))
+    searches = _record(monkeypatch, "_depth_first")
     for tokens in (word + (TOpen(Name("z")),), (TCLOSE,) + word, word + (TCLOSE,)):
         assert run(h, tokens).outcome == REJECT
-    assert toks and all(tok is None for tok in toks)
+    assert searches == []
