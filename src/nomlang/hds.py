@@ -12,13 +12,13 @@ keywords `EPS`, `PUSH`, `POP`, `OPEN` and `CLOSE`.
 `step` is the one definition of the moves: what each of the seven
 kinds of label reads and what it does to the stack.  The node graph is
 a subset construction on it.  A node is a configuration set and a
-depth (below); its closure (`_closure`) closes the set under the moves
-that read nothing, groups the moves that read a token by that token,
-and after each move applies one rule -- drop a configuration with no
-path to a final state, keep the frames a close can still read, cap the
-stack depth, and kill the name of a binder just closed.  The node's row
-(`_expand`) holds the successor node itself per token read, so a walk
-goes from node to node with one lookup per token.  `language_slice`
+depth (below), and one loop makes its row (`_expand`): it closes the
+set under the moves that read nothing, groups the moves that read a
+token by that token, and after each move applies one rule -- drop a
+configuration with no path to a final state, keep the frames a close
+can still read, cap the stack depth, and kill the name of a binder just
+closed.  The row holds the successor node itself per token read, so a
+walk goes from node to node with one lookup per token.  `language_slice`
 walks the tree of emitted prefixes one length at a time: each prefix
 holds the set of configurations that generate it, and the prefixes of
 one length are grouped by node, so each node's row is made once; the
@@ -74,16 +74,16 @@ shape meet the same nodes, and every block after the first is a walk
 through rows already made.
 
 Each automaton carries one search state, built at its first search
-(`Hds._search`): its constants, whether it pops, `steps_to_final`, one
-table of the configuration sets the searches keep, and the node graph,
-which holds one `_Node` per (configuration set, depth), with its row
-once it is expanded.  An automaton is immutable, so its search state
-never goes stale, and it dies with the automaton.  A row depends on
-its node alone unless the depth cap can cut, so the graph serves both
-searches on a pop-free automaton: a slice at any bound reuses every
-node an earlier slice or run expanded, and a run on a word of a slice
-makes no `step` call.  A pop automaton's slice keeps a graph of its
-own per call.
+(`Hds._search`): its constants, whether it pops, `steps_to_final`, and
+the node graph, which holds one `_Node` per (configuration set, depth),
+with its row once it is expanded.  An automaton is immutable, so its
+search state never goes stale, and it dies with the automaton.  A row
+depends on its node alone unless the depth cap can cut, and a pop-free
+search never reaches a cap, so the graph serves both searches on a
+pop-free automaton: a slice at any bound reuses every node an earlier
+slice or run expanded, and a run on a word of a slice makes no `step`
+call.  A pop automaton's slice makes a search state of its own per
+call, whose graph carries the slice's depth cap.
 
 On a pop-free automaton `run` walks the stream forward (`_walk`): it
 keeps its node, the level of each open binder, and the names no
@@ -103,6 +103,7 @@ it came from, so a trace is that chain followed back.
 
 from __future__ import annotations
 
+import math
 import weakref
 from collections import deque
 from itertools import chain
@@ -429,57 +430,6 @@ def _forget(stk: Stack, level: int) -> Stack:
                   for f in stk])
 
 
-def _closure(h: Hds, configs, depth: int, max_depth: int):
-    """The node graph's closure: the closure of the configurations
-    `configs` of a node at open depth `depth` under the moves that read
-    nothing, and the configurations the moves out of it reach, per token
-    read, as `step` generates them (an open allocates the level `depth`).
-
-    A move is dropped if its target has no path to a final state (is
-    absent from `h._search.need`), or if it is a close read at depth 0.
-    Without pop transitions a move's stack keeps one frame more than the
-    open depth after it: `depth` frames after a close, `depth + 2` after
-    an open, and `depth + 1` after any other move.  A stack deeper than
-    `max_depth` is cut, and a close kills level depth - 1 in every frame.
-    Returns (closure, reached per token, cut): cut is None, or the
-    fewest tokens a cut move still needed -- the one it read, and enough
-    to reach a final state and to close all but one of its frames.
-    """
-    search = h._search
-    need, has_pop = search.need, search.has_pop
-    seen = set(configs)
-    frontier = list(configs)
-    reads: dict = {}
-    cut = None
-    while frontier:
-        state, stk = frontier.pop()
-        for t, tok_read, stk2 in step(h, state, stk, None, depth):
-            # the open depth after the move; a move keeps one frame more
-            depth2 = depth + (tok_read is KEY_OPEN) - (tok_read is TCLOSE)
-            if depth2 < 0 or t.target not in need:
-                continue
-            if not has_pop:
-                stk2 = stk2[:depth2 + 1]
-            if len(stk2) > max_depth:
-                req = (tok_read is not None) + max(need[t.target], depth2)
-                if cut is None or req < cut:
-                    cut = req
-                continue
-            if tok_read is TCLOSE:
-                stk2 = _forget(stk2, depth2)
-            cfg2 = (t.target, stk2)
-            if tok_read is None:
-                if cfg2 not in seen:
-                    seen.add(cfg2)
-                    frontier.append(cfg2)
-                continue
-            group = reads.get(tok_read)
-            if group is None:
-                reads[tok_read] = group = set()
-            group.add(cfg2)
-    return seen, reads, cut
-
-
 def _constants_and_pops(h: Hds) -> tuple[frozenset, bool]:
     """The automaton's constants (eta and push-sigma values), and whether
     it pops."""
@@ -496,8 +446,9 @@ def _constants_and_pops(h: Hds) -> tuple[frozenset, bool]:
 
 class _Node:
     """A node of the graph: a configuration set and an open depth, and
-    once `_expand` has made its row, `_closure`'s cut and the row, whose
-    entries hold the successor nodes themselves."""
+    once `_expand` has made its row, the row, whose entries hold the
+    successor nodes themselves, and the cut: None, or the fewest tokens a
+    move the depth cap cut still needed."""
 
     __slots__ = ("configs", "depth", "cut", "row")
 
@@ -506,29 +457,29 @@ class _Node:
         self.cut = self.row = None
 
 
-def _node(graph: dict, configs: frozenset, depth: int) -> _Node:
-    """The graph's one node for (configs, depth), made on first use."""
-    node = graph.get((configs, depth))
-    if node is None:
-        node = graph[configs, depth] = _Node(configs, depth)
-    return node
-
-
 class _SearchState:
     """What the searches keep of one automaton between calls (module
-    docstring).  `sets` holds one object per configuration set, so equal
-    sets are stored once, which keeps the graphs a crosscheck pass leaves
-    smaller; `graph` maps (configuration set, open depth) to its one
+    docstring).  `graph` maps (configuration set, open depth) to its one
     `_Node`, and holds the nodes the rows of its expanded nodes lead to,
-    expanded or not, so a walk follows rows without a graph lookup."""
+    expanded or not, so a walk follows rows without a graph lookup.
+    `max_depth` caps the stacks of the graph's nodes: no cap on the state
+    an automaton keeps, where a pop-free search never reaches one, and
+    the slice's cap on the state a pop automaton's slice makes per call."""
 
-    __slots__ = ("constants", "has_pop", "need", "start", "sets", "graph")
+    __slots__ = ("constants", "has_pop", "need", "start", "max_depth", "graph")
 
-    def __init__(self, h: Hds):
+    def __init__(self, h: Hds, max_depth: float = math.inf):
         self.constants, self.has_pop = _constants_and_pops(h)
         self.need = steps_to_final(h)
         self.start = frozenset({(h.initial, initial_config(h)[2])})
-        self.sets, self.graph = {self.start: self.start}, {}
+        self.max_depth, self.graph = max_depth, {}
+
+    def node(self, configs: frozenset, depth: int) -> _Node:
+        """The graph's one node for (configs, depth), made on first use."""
+        node = self.graph.get((configs, depth))
+        if node is None:
+            node = self.graph[configs, depth] = _Node(configs, depth)
+        return node
 
 
 def run(
@@ -665,13 +616,12 @@ def _walk(h: Hds, tokens: tuple[Tok, ...], u: int) -> Optional[RunResult]:
     length + 1).
     """
     state = h._search
-    graph, sets = state.graph, state.sets
     # name -> whether it is a closed binder, for every name no binder may take
     seen = dict.fromkeys(state.constants, False)
     # open binder -> its level, innermost last: no name is opened twice,
     # so the dict keeps the open order
     bound: dict = {}
-    node = _node(graph, state.start, u)
+    node = state.node(state.start, u)
     for tok in chain(tokens, (END,)):
         kind = type(tok)
         if kind is Name:
@@ -694,7 +644,7 @@ def _walk(h: Hds, tokens: tuple[Tok, ...], u: int) -> Optional[RunResult]:
             key = tok
         row = node.row
         if row is None:
-            row = _expand(h, node, node.depth + 2, graph, sets)
+            row = _expand(h, node, state)
         hit = row.get(key)
         if hit is None:
             return RunResult(REJECT)
@@ -792,8 +742,10 @@ def _language_keys(h: Hds, bound: int) -> Iterator[tuple]:
     its word.  A row maps distinct tokens to distinct key elements, so a
     prefix has one node, and a prefix is yielded when it reaches END at
     open depth 0, so no key is yielded twice.  The rows live in the
-    automaton's node graph, which `run` reads too and which its search
-    state keeps across calls unless it pops (module docstring).
+    node graph of the automaton's search state, which `run` reads too
+    and which it keeps across calls; a pop automaton's slice makes a
+    search state of its own, whose graph has the slice's depth cap
+    (module docstring).
 
     The walk counts the tokens left under the bound, and takes a
     successor only if fewer tokens than are left can close its binders
@@ -801,26 +753,25 @@ def _language_keys(h: Hds, bound: int) -> Iterator[tuple]:
     falls by at most one per token, so a configuration that cannot
     finish in time has no descendant that can).  Without pop transitions
     no close reads a dropped frame (module docstring), so the walk is
-    exhaustive; with pop transitions, stacks deeper than the
-    bound + state count + 1 are cut, as `run` cuts them, and a cut move
+    exhaustive; with pop transitions, that graph cuts stacks deeper than
+    the bound + state count + 1, as `run` cuts them, and a cut move
     that could still finish in the tokens left raises `Undecided`, also
     after some keys were yielded.
     """
     if bound < 0:
         raise ValueError("bound must be non-negative")
-    max_depth = bound + len(h.states) + 1
     state = h._search
-    # a pop-free walk never reaches the cap, so a row holds at every bound
-    graph, sets = ({}, {}) if state.has_pop else (state.graph, state.sets)
+    if state.has_pop:  # a row that the cap can cut holds at this bound alone
+        state = _SearchState(h, bound + len(h.states) + 1)
     # node -> its key prefixes of one length; nodes hash by identity
-    nodes = {_node(graph, state.start, 0): [()]}
+    nodes = {state.node(state.start, 0): [()]}
     left = bound
     while nodes:
         grown: dict = {}
         for node, prefixes in nodes.items():
             row = node.row
             if row is None:
-                row = _expand(h, node, max_depth, graph, sets)
+                row = _expand(h, node, state)
             if node.cut is not None and node.cut <= left:
                 raise Undecided("the slice reached its depth cap and may miss words")
             for elem, succ, req in row.values():
@@ -839,39 +790,77 @@ def _language_keys(h: Hds, bound: int) -> Iterator[tuple]:
         left -= 1
 
 
-def _expand(h: Hds, node: _Node, max_depth: int, graph: dict, sets: dict) -> dict:
-    """Make the row of a node (configurations, open depth) and return it:
-    set the node's `cut` to `_closure`'s cut, and its `row` to a dict
-    from each token a move reads, as `run`'s walk looks it up, to its
-    key element, the next node itself, and the fewest tokens a word
-    needs after that token (to close the next node's binders and take
-    one of its states to a final one).  The next node's depth is the
-    open depth after the token, as in `_closure`: one more after an
-    open, one less after a close, and `depth` after any other token.  An open
-    allocates the level `depth` and is filed under `KEY_OPEN`; a level
-    is filed under itself, and its key element is the index
-    depth - 1 - level; a close is filed under `TCLOSE` and kills level
-    depth - 1; any other token is its own key element.  A node whose closure holds a final state
-    files END under (None, node, 0), at every depth: without pop
-    transitions, which states a closure holds does not depend on the
-    stack, so `run` accepts there, while `_language_keys` emits only at
-    depth 0.  Each next node's configurations are a frozenset interned
-    through `sets`, and the next node is interned through `graph`
-    (`_node`), unexpanded if it is new."""
-    configs, depth = node.configs, node.depth
-    need = h._search.need
-    closure, reads, cut = _closure(h, configs, depth, max_depth)
-    row = {}
-    if any(q in h.finals for q, _ in closure):
-        row[END] = (None, node, 0)
-    for read, group in reads.items():
+def _expand(h: Hds, node: _Node, state: _SearchState) -> dict:
+    """Make the row of a node (configurations, open depth) of the graph
+    of `state` and return it.
+
+    One loop closes the node's configurations under the moves that read
+    nothing and groups the configurations the moves that read a token
+    reach, as `step` generates them, by that token.  A move is dropped
+    if its target has no path to a final state (is absent from `need`),
+    or if it is a close read at depth 0.  The open depth after a move is
+    one more after an open, one less after a close, and `depth` after
+    any other move, and without pop transitions the move's stack keeps
+    one frame more than that.  A stack deeper than the state's
+    `max_depth` is cut, and the node's `cut` is then the fewest tokens a
+    cut move still needed -- the one it read, and enough to reach a final
+    state and to close all but one of its frames.  A close kills level
+    depth - 1 in every frame.
+
+    The row is a dict from each token read, as `run`'s walk looks it up,
+    to its key element, the next node itself, and the fewest tokens a
+    word needs after that token (to close the next node's binders and
+    take one of its states to a final one).  An open allocates the level
+    `depth` and is filed under `KEY_OPEN`; a level is filed under itself,
+    and its key element is the index depth - 1 - level; a close is filed
+    under `TCLOSE`; any other token is its own key element.  A node whose
+    closure holds a final state files END under (None, node, 0), at
+    every depth: without pop transitions, which states a closure holds
+    does not depend on the stack, so `run` accepts there, while
+    `_language_keys` emits only at depth 0.  The next node is the
+    graph's one node for its configurations and depth (`node`),
+    unexpanded if it is new.
+    """
+    depth = node.depth
+    need, has_pop, max_depth, finals = state.need, state.has_pop, state.max_depth, h.finals
+    seen, frontier = set(node.configs), list(node.configs)
+    reads: dict = {}  # token read -> (configurations reached, open depth after it)
+    final, cut = False, None
+    while frontier:
+        q, stk = frontier.pop()
+        if q in finals:
+            final = True
+        for t, tok_read, stk2 in step(h, q, stk, None, depth):
+            # the open depth after the move; a move keeps one frame more
+            depth2 = depth + (tok_read is KEY_OPEN) - (tok_read is TCLOSE)
+            if depth2 < 0 or t.target not in need:
+                continue
+            if not has_pop:
+                stk2 = stk2[:depth2 + 1]
+            if len(stk2) > max_depth:
+                req = (tok_read is not None) + max(need[t.target], depth2)
+                if cut is None or req < cut:
+                    cut = req
+                continue
+            if tok_read is TCLOSE:
+                stk2 = _forget(stk2, depth2)
+            cfg2 = (t.target, stk2)
+            if tok_read is None:
+                if cfg2 not in seen:
+                    seen.add(cfg2)
+                    frontier.append(cfg2)
+                continue
+            group = reads.get(tok_read)
+            if group is None:
+                reads[tok_read] = group = (set(), depth2)
+            group[0].add(cfg2)
+    row = {END: (None, node, 0)} if final else {}
+    for read, (group, depth2) in reads.items():
         # a level read at depth d is the index d - 1 - level, and any other
         # token (an open's KEY_OPEN and a close too) is its own element
         elem = depth - 1 - read if type(read) is int else read
-        depth2 = depth + (read is KEY_OPEN) - (read is TCLOSE)
         req = max(depth2, min([need[q] for q, _ in group]))
-        group = frozenset(group)
-        row[read] = (elem, _node(graph, sets.setdefault(group, group), depth2), req)
+        row[read] = (elem, state.node(frozenset(group), depth2), req)
     node.cut, node.row = cut, row
     return row
 

@@ -1245,17 +1245,17 @@ def _expanded(h):
 def test_near_misses_with_fresh_names_leave_the_memo_as_it_was():
     # a name that no frame can hold has no entry in the row of the node
     # where it is reached, so it rejects there, and fresh free names cannot
-    # grow the expanded nodes or the table of sets
+    # grow the expanded nodes or the graph, where each new set makes a node
     h = _session_hds()
     block = "<#n. #m #n >"
     sizes = set()
     for i in range(1000):
         w = parse_word(f"#m {block} {block} <#n. #m #fresh{i} > {block}")
         assert not accepts_word(h, w)
-        sizes.add((len(_expanded(h)), len(h._search.sets)))
+        sizes.add((len(_expanded(h)), len(h._search.graph)))
     assert len(sizes) == 1
     assert not accepts_word(h, parse_word(f"#m {block} c"))
-    assert (len(_expanded(h)), len(h._search.sets)) in sizes
+    assert (len(_expanded(h)), len(h._search.graph)) in sizes
     assert accepts_word(h, parse_word(f"#m {block} {block}"))
 
 
@@ -1375,9 +1375,37 @@ def test_each_row_holds_the_graph_s_own_successor_nodes():
     assert len(entries) > len(_expanded(h)) > 1
     for node in graph.values():
         assert graph[node.configs, node.depth] is node
-        assert h._search.sets[node.configs] is node.configs
     for _, succ, _ in entries:
         assert graph[succ.configs, succ.depth] is succ
+
+
+def test_the_node_graph_of_500_slices_is_pinned():
+    # the graph's shape over 500 random automata sliced at bound 7: its
+    # expanded nodes, all its nodes and the entries of its rows
+    rng = random.Random(0)
+    expanded = nodes = entries = 0
+    for _ in range(500):
+        h = compile_regex(random_regex(rng, NAMES, LETTERS, 4))
+        language_slice(h, 7)
+        rows = [node.row for node in _expanded(h)]
+        expanded, nodes = expanded + len(rows), nodes + len(h._search.graph)
+        entries += sum(map(len, rows))
+    assert (expanded, nodes, entries) == (2753, 2795, 4231)
+
+
+def test_a_node_keeps_one_frame_more_than_its_depth():
+    # so no configuration set is the set of two nodes at different depths,
+    # after slices and after runs on every word of them
+    rng = random.Random(3)
+    total = 0
+    for _ in range(200):
+        h = compile_regex(random_regex(rng, [n, Name("~0"), m], LETTERS, 4))
+        for w in language_slice(h, 7):
+            assert accepts_word(h, w)
+        for node in h._search.graph.values():
+            assert all(len(stk) == node.depth + 1 for _, stk in node.configs)
+        total += len(h._search.graph)
+    assert total == 1012
 
 
 def test_a_warm_walk_expands_no_node(monkeypatch):
@@ -1473,7 +1501,7 @@ def test_a_pop_automaton_keeps_no_node_graph(push_pop_hds):
     # its walk can reach the cap, so each call keeps a graph of its own
     h = push_pop_hds
     assert language_slice(h, 3) == language_slice(h, 3) == {parse_word("#m #n")}
-    assert h._search.graph == {} and len(h._search.sets) == 1
+    assert h._search.graph == {}
 
 
 def test_slices_and_verdicts_do_not_depend_on_the_calls_before():
