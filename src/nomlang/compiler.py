@@ -3,12 +3,16 @@
 The translation is structural: a base automaton for the empty
 language, and one base case for the unit and an atom, a single move
 that reads nothing, the atom's letter, or a local whose initial meaning
-is the atom's name; a sum construction joining two automata under a
-fresh initial state; concatenation linking the (unique) final state of
-the first automaton to the initial state of the second after extending
-the first with the second's initial locals; iteration via a push
-transition re-establishing the initial name bindings; and name binding
-via an allocating open transition and a deallocating close transition.
+is the atom's name; a sum construction giving the entry of the first
+automaton a silent move into the initial state of the second;
+concatenation linking every final state of the first automaton to the
+initial state of the second after extending the first with the
+second's initial locals; iteration via a push transition
+re-establishing the initial name bindings; and name binding via an
+allocating open transition and a deallocating close transition.  A
+sum or a concatenation makes no state; the entry of an automaton is its
+initial state, or a fresh state in front of it when a transition
+re-enters it (`_Build._entry`).
 Every construction takes its new state ids and local names from the
 one `_Build` of the compile, so the operands of a construction never
 share a state or a local name.
@@ -83,7 +87,7 @@ class _Frag:
     initial: str
     finals: set[str]
     eta: dict[Name, Name]  # initial meaning of the initial state's locals
-    reentered: bool = False  # some transition targets `initial`
+    reentered: bool = False  # some transition targets `initial`; `_entry` clears it
     pushes: list[dict] = field(default_factory=list)  # the sigma of each push
     pushed: set[Name] = field(default_factory=set)  # the global names they hold
 
@@ -181,7 +185,10 @@ class _Build:
         return f1
 
     def _unique_final(self, f: _Frag) -> str:
-        """Give `f` a fresh no-name final state (always, even if it has one)."""
+        """Give `f` a fresh no-name final state (always, even if it has one).
+
+        Iteration and binding need one source state for their push and
+        their close; a sum or a concatenation never calls this."""
         qf = self.state()
         for q in f.finals:
             self.trans[q].append((EPS, qf, {}))
@@ -197,34 +204,49 @@ class _Build:
                 for x in names:
                     sigma.setdefault(x, x)
 
+    def _entry(self, f: _Frag) -> str:
+        """The initial state of `f`, made one that no transition enters.
+
+        If a transition of `f` re-enters its initial state, a fresh state
+        with the same locals goes in front of it, with one silent move into
+        it under the identity, and becomes the initial state.  A move added
+        to the entry then fires only before `f` has started.
+        """
+        if f.reentered:
+            q0, loc0 = f.initial, self.locals[f.initial]
+            f.initial = self.state(loc0)
+            self.trans[f.initial].append((EPS, q0, _identity(loc0)))
+            f.states.append(f.initial)
+            f.reentered = False
+        return f.initial
+
     def sum(self, f1: _Frag, f2: _Frag) -> _Frag:
-        """Union: fresh initial state with silent transitions into both operands."""
-        loc1, loc2 = self.locals[f1.initial], self.locals[f2.initial]
-        q0 = self.state(loc1 | loc2)
-        self.trans[q0] += [
-            (EPS, f1.initial, _identity(loc1)),
-            (EPS, f2.initial, _identity(loc2)),
-        ]
+        """Union: the entry of F1 also moves silently into F2's initial state.
+
+        The entry takes over F2's initial locals, and its move into F2 comes
+        after F1's own moves, so a run tries F1 first.  No transition enters
+        the entry and no initial state is final, so a run leaves the entry
+        once, into F1 or into F2, and the sum makes no state of its own.
+        """
+        q0, loc2 = self._entry(f1), self.locals[f2.initial]
+        self.locals[q0] |= loc2
+        self.trans[q0].append((EPS, f2.initial, _identity(loc2)))
         f = self._join(f1, f2)
-        f.states.append(q0)
-        f.initial = q0
-        f.reentered = False
         f.finals |= f2.finals
         return f
 
     def concat(self, f1: _Frag, f2: _Frag) -> _Frag:
-        """Sequential composition: F1's final feeds F2's initial.
+        """Sequential composition: every final state of F1 feeds F2's initial.
 
         F2's initial locals are first threaded through F1 so the linking
-        silent transition can hand over their initial meanings.
+        silent transitions can hand over their initial meanings.  An F1
+        with no final state (the empty language) gets no link.
         """
-        if len(f1.finals) != 1:
-            self._unique_final(f1)
-        (qf1,) = f1.finals
         loc2 = self.locals[f2.initial]
         if loc2:
             self._thread(f1, loc2)
-        self.trans[qf1].append((EPS, f2.initial, _identity(loc2)))
+        for qf1 in f1.finals:
+            self.trans[qf1].append((EPS, f2.initial, _identity(loc2)))
         f = self._join(f1, f2)
         f.finals = f2.finals
         return f
@@ -232,27 +254,20 @@ class _Build:
     def star(self, f: _Frag) -> _Frag:
         """Iteration: silent skip for the empty word, push transition looping back.
 
-        The pushed frame is the initial name map, so each iteration starts
-        from the initial meanings while the previous frame is preserved
-        below.
+        The skip leaves the entry (`_entry`), so it fires only before the
+        body has started.  The pushed frame is the initial name map, so
+        each iteration starts from the initial meanings while the previous
+        frame is preserved below.
         """
         qf = self._unique_final(f)
         q0 = f.initial
-        # The empty-word skip must fire only before the body has started.
-        # If the body can re-enter its initial state (an inner loop targets
-        # it), hang the skip on a fresh state in front of it instead.
-        if f.reentered:
-            loc0 = self.locals[q0]
-            f.initial = self.state(loc0)
-            self.trans[f.initial].append((EPS, q0, _identity(loc0)))
-            f.states.append(f.initial)
-        self.trans[f.initial].append((EPS, qf, {}))
+        self.trans[self._entry(f)].append((EPS, qf, {}))
         push = dict(f.eta)
         self.trans[qf].append((PUSH, q0, push))
         f.pushes.append(push)
         f.pushed.update(push.values())
-        # the push re-enters q0, which is still initial unless the skip's
-        # fresh state was put in front of it
+        # the push re-enters q0, which is still initial unless `_entry`
+        # put a fresh state in front of it
         f.reentered = f.initial == q0
         return f
 

@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from nomlang.names import Name, STAR
+from nomlang.names import Letter, Name, STAR
 from nomlang import regex as rx
 from nomlang.hds_format import serialize
 from nomlang.regex import enumerate_slice
@@ -22,8 +22,8 @@ n, m, k = NAMES
 a, b = LETTERS
 
 
-def compiled(src, bound=None):
-    e = parse_regex(src, letters={s.symbol for s in LETTERS})
+def compiled(src, bound=None, letters=LETTERS):
+    e = parse_regex(src, letters={s.symbol for s in letters})
     h = compile_regex(e)
     assert validate(h) == []
     if bound is None:
@@ -57,6 +57,22 @@ def test_compile_sum_cat_star_bind():
     compiled("#n a #m", bound=5)
     compiled("( #n a )*", bound=8)
     compiled("<#n. #n a >", bound=6)
+
+
+@pytest.mark.parametrize("src, states", [
+    # the sum's entry is a fresh state in front of the star's initial
+    # state, which the star's push re-enters
+    ("a* + b", 6),
+    ("( a* + b )*", 7),
+    ("( a + b ) c", 6),
+    ("( 0 + a ) b", 5),
+    ("0 a", 3),
+    ("( a + 1 ) ( b + 1 )", 8),
+    ("( ( a + b )* + c )*", 9),
+])
+def test_a_sum_or_a_concatenation_adds_no_state(src, states):
+    _, h = compiled(src, bound=5, letters=LETTERS + [Letter("c")])
+    assert len(h.states) == states
 
 
 def test_compile_binder_binds_only_its_scope():
@@ -137,6 +153,22 @@ def test_a_long_binder_chain_compiles_in_time():
     assert validate(h) == []
 
 
+def test_a_sum_compiles_in_linear_size():
+    # the parser nests sums to the left, and a sum shares its left
+    # operand's entry, which takes over only the right operand's initial
+    # locals: one local per name, and one identity entry per sum
+    sizes = []
+    for k in (1000, 8000):
+        e = parse_regex(" + ".join(f"#x{i}" for i in range(k)), letters=set())
+        h = compile_regex(e)
+        locs = sum(len(v) for v in h.states.values())
+        entries = sum(len(t.sigma.entries) for _, t in h.transitions())
+        assert (len(h.states), locs, entries) == (2 * k, 2 * k - 1, k - 1)
+        sizes.append((locs, entries))
+    (locs1, entries1), (locs8, entries8) = sizes
+    assert locs8 <= 9 * locs1 and entries8 <= 9 * entries1
+
+
 def test_relaxed_star_flag_for_shared_bindings():
     # both locals of the doubled state denote the bound name, so the
     # allocation map sends two locals to the placeholder
@@ -185,7 +217,7 @@ EXPRESSIONS = os.path.join(os.path.dirname(__file__), os.pardir, "expressions")
 
 # sha256 over the serialized automaton of the corpus files and 3,000
 # random expressions, each followed by a NUL byte
-PINNED_DIGEST = "a833e1cad6872e1fb1944aa190100f73d588dc1cd8516624a6b83c734582be43"
+PINNED_DIGEST = "bec51ae855fd71217e80d4c9c55605b75ee5d8dc5221182e08a80b44521a6d70"
 
 
 def test_compiled_output_is_pinned():
