@@ -128,7 +128,7 @@ class NameMap:
     freed when the search ends.
     """
 
-    __slots__ = ("entries", "key_row", "identity", "__weakref__")
+    __slots__ = ("entries", "key_row", "identity", "fixing_star", "__weakref__")
 
     _table: "weakref.WeakValueDictionary[tuple, NameMap]" = weakref.WeakValueDictionary()
 
@@ -142,6 +142,7 @@ class NameMap:
             # leaves the top frame as it is
             object.__setattr__(m, "key_row", tuple([k for k, _ in entries]))
             object.__setattr__(m, "identity", all(k is v for k, v in entries))
+            object.__setattr__(m, "fixing_star", None)  # made by `stack_update`
             cls._table[entries] = m
         return m
 
@@ -211,10 +212,18 @@ def stack_update(stack: Stack, sigma: NameMap) -> Stack:
     """Replace the top frame by sigma post-composed with it (star kept fixed)."""
     # most moves leave the top frame as it is, and keeping the stack spares
     # the general path (capped, traced and pop-automaton runs) a new frame
-    if sigma.identity and sigma.key_row == stack[0].key_row:
+    top_frame = stack[0]
+    if sigma.identity and sigma.key_row == top_frame.key_row:
         return stack
-    f = dict(stack[0].entries)
-    f[STAR] = STAR
+    # the top frame as a dict that fixes the star, made once per map: the
+    # entry of a sum of k names makes k - 1 moves from one k-name frame, and
+    # `check --bound 1` on 20,000 names took 19.9 s with a dict per move and
+    # takes 1.4 s so (whole process, shared 2-vCPU x86-64 VM)
+    f = top_frame.fixing_star
+    if f is None:
+        f = dict(top_frame.entries)
+        f[STAR] = STAR
+        object.__setattr__(top_frame, "fixing_star", f)
     return (compose(sigma, f),) + stack[1:]
 
 

@@ -10,8 +10,9 @@ they were first made.  That order costs `==` its C path: a class that
 defines `__lt__` compares through Python's slot path, so every `==`
 against a name or a letter looks a method up.  On an 8-element key,
 ``key.count(KEY_OPEN)`` took 0.53-0.67 us, and 0.16-0.17 us with
-`__lt__` deleted (on a shared 2-vCPU x86-64 VM); so hot scans
-(`words.from_key`, the G token length in `monoids`) test with `is`.
+`__lt__` deleted (on a shared 2-vCPU x86-64 VM); so hot scans (the G
+token length in `monoids`) test with `is`, and `words.key_decoder`
+looks for a binder by hashing, which is by identity.
 The placeholder ``STAR`` used in automaton name maps is
 deliberately not a ``Name`` so it can never leak into words.
 

@@ -306,7 +306,17 @@ def _enum(e: Regex, ops: KeySort, bound: int) -> dict[int, set]:
 
 
 def _drain(buckets: dict[int, set]):
-    """Every value of the buckets, removed from them as it is yielded."""
+    """Every value of the buckets, each once, removed from them as it is
+    yielded: each set leaves the dict, and each key its set, so a key
+    with binders is freed once its caller has decoded it.
+
+    It stays a generator, a frame resume per key.  Popping each set in C
+    instead, ``map(set.pop, ...)`` chained over the buckets, made the
+    median crosscheck item 1.1 us (4%) slower, as its slices hold 1 to 7
+    keys, and kept every emptied set to the end; sort_enum's `wall_s`
+    fell 13.1% without it and 13.5% with it (10 pairs each; in-process,
+    on a shared 2-vCPU x86-64 VM).
+    """
     while buckets:
         _, ws = buckets.popitem()
         while ws:

@@ -26,7 +26,12 @@ so a letter, a name or the close is its own key element.  Indices
 make concatenation plain tuple concatenation, `key_bind` binds a name
 in a key, the token length of a word is the length of its key, and
 `from_key` decodes a key to the canonical word, whose binder names come
-from the one table of reserved names (`names.binder_names`).
+from the one table of reserved names (`names.binder_names`).  Decoding
+costs what a key's binders cost: a key with no binder is its row, found
+by one C call, and a key with binders is decoded in one pass that reads
+each binder's name and open from the reserved names and the table of
+their opens beside them.  `key_decoder` makes the decoder for a word
+class, so G (`monoids`) decodes into a `GWord` with the same loop.
 """
 
 from __future__ import annotations
@@ -251,31 +256,75 @@ def key_bind(n: Name, key: Key) -> Key:
     return tuple(out)
 
 
-def from_key(key: Key, word: type = MWord):
-    """The canonical word of a key, a `word` made of its row.
+# The open of each reserved name, beside the names: ``_opens[i]`` is
+# ``TOpen(names._reserved[i])``.  `_reserved_opens` grows both together.
+# Reading a binder's name and open from the two tables, in place of a
+# supply of `binder_names` and a lookup in the `TOpen` registry, took the
+# decoding of a key with binders of sort_enum's M slice from 2.17 to
+# 1.58 us (best of 21, in-process, on a shared 2-vCPU x86-64 VM).
+_opens: tuple[TOpen, ...] = ()
+
+
+def _reserved_opens(k: int) -> tuple[tuple[Name, ...], tuple[TOpen, ...]]:
+    """The reserved names and their opens, both grown to at least `k`."""
+    global _opens
+    binder_names(k, ())
+    reserved = names._reserved
+    if len(_opens) < len(reserved):
+        _opens += tuple(map(TOpen, reserved[len(_opens):]))
+    return reserved, _opens
+
+
+_KEY_OPENS = frozenset({KEY_OPEN})
+
+
+def key_decoder(word: type):
+    """The decoder of M keys into canonical `word`s: `from_key` makes an
+    `MWord`, and G (`monoids`), whose keys are M keys with no closes,
+    makes a `GWord`.
 
     Binders are named from the reserved sequence in traversal order,
     skipping any reserved name that occurs free (`names.binder_names`).
-    A key with no binder is its own row.  A G key (`monoids`) is an M key
-    with no closes, and decodes with ``word=GWord``.
+    A key with no binder is its own row.  Any other is decoded in one
+    pass, which takes the i-th binder's name and open from the reserved
+    names and `_opens`, and grows both as the binders need.
     """
-    k = len([x for x in key if x is KEY_OPEN])
-    if not k:  # about two in three keys a sort_enum pass decodes
-        return _new_word(word, (key,))
-    fresh, opens = iter(binder_names(k, key)), TOpen._registry
-    binders: list[Name] = []
-    out: list[Tok] = []
-    for x in key:
-        if type(x) is int:
-            x = binders[-1 - x]
-        elif x is KEY_OPEN:
-            binders.append(next(fresh))
-            # a reserved name's open is made once, by the first key that binds it
-            x = opens.get(binders[-1]) or TOpen(binders[-1])
-        elif x is TCLOSE:
-            binders.pop()
-        out.append(x)
-    return _new_word(word, (tuple(out),))
+
+    def decode(key: Key):
+        """The canonical word of `key` (`key_decoder`)."""
+        # one C call, which hashes each element by identity, finds a key
+        # with no binder, as 8,191 of the 12,640 keys of sort_enum's M slice
+        # are; decoding one took 0.58 us with a scan for `KEY_OPEN` in
+        # Python and 0.49 us with this test (G: 0.75 and 0.48 us)
+        if _KEY_OPENS.isdisjoint(key):
+            return _new_word(word, (key,))
+        reserved, opens = names._reserved, _opens
+        if not names._reserved_set.isdisjoint(key):
+            reserved = binder_names(len([x for x in key if x is KEY_OPEN]), key)
+            opens = tuple(map(TOpen, reserved))
+        binders: list[Name] = []
+        out: list[Tok] = []
+        k = 0  # binders so far
+        for x in key:
+            if type(x) is int:
+                x = binders[-1 - x]
+            elif x is KEY_OPEN:
+                if k == len(opens):
+                    reserved, opens = _reserved_opens(k + 1)
+                    if reserved[k] in key:  # a reserved name just made occurs free
+                        return decode(key)
+                binders.append(reserved[k])
+                x = opens[k]
+                k += 1
+            elif x is TCLOSE:
+                binders.pop()
+            out.append(x)
+        return _new_word(word, (tuple(out),))
+
+    return decode
+
+
+from_key = key_decoder(MWord)
 
 
 def canonical_row(w: MWord, avoid: Collection[Name] = ()) -> tuple[Tok, ...]:
@@ -292,7 +341,7 @@ def canonical_row(w: MWord, avoid: Collection[Name] = ()) -> tuple[Tok, ...]:
     tokens = w.tokens
     reserved_set = names._reserved_set
     if reserved_set.isdisjoint(tokens) and reserved_set.isdisjoint(avoid):
-        reserved, opens = names._reserved, TOpen._registry
+        reserved, opens = names._reserved, _opens
         out: list[Tok] = []
         renamed: dict[Name, Name] = {}  # bound name -> its innermost binder's new name
         shadowed: list = []  # per open binder: its name and the new name it hides
@@ -302,15 +351,14 @@ def canonical_row(w: MWord, avoid: Collection[Name] = ()) -> tuple[Tok, ...]:
             if kind is Name:
                 t = renamed.get(t, t)
             elif kind is TOpen:
-                if k == len(reserved):
-                    reserved = binder_names(k + 1, ())
+                if k == len(opens):
+                    reserved, opens = _reserved_opens(k + 1)
                     if reserved[k] in tokens or reserved[k] in avoid:
                         break
                 shadowed.append((t.name, renamed.get(t.name)))
-                renamed[t.name] = new = reserved[k]
+                renamed[t.name] = reserved[k]
+                t = opens[k]
                 k += 1
-                # a reserved name's open is made once, by the first word that binds it
-                t = opens.get(new) or TOpen(new)
             elif kind is TClose:
                 n, hidden = shadowed.pop()
                 if hidden is None:

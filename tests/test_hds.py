@@ -112,6 +112,34 @@ def test_compose_and_stack_update():
     assert stack_update(stack, BOTTOM) == (BOTTOM,) + stack[1:]
 
 
+def test_stack_update_composes_through_one_dict_per_top_frame():
+    frame, below = NM({x: n, y: m}), NM({x: k})
+    stack = (frame, below)
+    # the placeholder is kept fixed, as sigma post-composed with the frame
+    # and the placeholder's own fixed point
+    assert stack_update(stack, NM({x: STAR, y: x})) == (NM({x: STAR, y: n}), below)
+    fixing = frame.fixing_star
+    assert fixing == {x: n, y: m, STAR: STAR}
+    assert stack_update(stack, NM({y: y})) == (NM({y: m}), below)
+    assert frame.fixing_star is fixing  # made once, the first time the frame is a top
+    assert below.fixing_star is None
+    # the pop and close compositions and the open move read copies without
+    # the placeholder, and the open move does not write to the cached dict
+    h = Hds(
+        states={"p": {x, y}, "q": {x, y}},
+        initial="p", eta={}, finals=set(),
+        trans={"p": (Transition(POP, "q", NM({x: x, y: STAR})),
+                     Transition(CLOSE, "q", NM({y: STAR})),
+                     Transition(OPEN, "q", NM({x: y, y: STAR})))},
+    )
+    moves = {t.label: stk for t, _, stk in step(h, "p", (below, frame), None, fresh=0)}
+    assert moves[POP] == (NM({x: n}),)
+    assert moves[CLOSE] == (BOTTOM,)
+    moves = {t.label: stk for t, _, stk in step(h, "p", stack, None, fresh=0)}
+    assert moves[OPEN] == (NM({x: m, y: 0}), frame, below)
+    assert frame.fixing_star == {x: n, y: m, STAR: STAR}
+
+
 def test_push_frame_resolves_through_top():
     top = NM({x: n})
     # a push value that is a local of the current state means "whatever

@@ -540,6 +540,144 @@ def test_decoders_agree_with_a_reference_on_canonical_supply(tag, rng):
     assert seen == {"no binder", "table grows", "free below", "free at", "free beyond"}
 
 
+# -- the decoders against the loops they replaced ---------------------------
+#
+# The referees are the per-key decoders the table-driven ones replaced: a
+# scan for binders, then a loop over the key that takes each open from the
+# `TOpen` registry (M, and G with ``word=GWord``), and a list
+# comprehension over the body (L and S), each naming the binders with
+# `binder_names` per key.
+
+def _referee_from_key(key, word=words.MWord):
+    from nomlang.names import binder_names
+
+    k = len([x for x in key if x is words.KEY_OPEN])
+    if not k:
+        return tuple.__new__(word, (key,))
+    fresh, opens = iter(binder_names(k, key)), words.TOpen._registry
+    binders: list = []
+    out = []
+    for x in key:
+        if type(x) is int:
+            x = binders[-1 - x]
+        elif x is words.KEY_OPEN:
+            binders.append(next(fresh))
+            x = opens.get(binders[-1]) or words.TOpen(binders[-1])
+        elif x is words.TCLOSE:
+            binders.pop()
+        out.append(x)
+    return tuple.__new__(word, (tuple(out),))
+
+
+def _referee_body(body, names):
+    return tuple([names[x] if type(x) is int else x for x in body])
+
+
+def _referee_decode_l(key):
+    from nomlang.names import binder_names
+
+    p, body = key
+    if not p:
+        return tuple.__new__(LWord, ((), body))
+    prefix = binder_names(p, body)
+    return tuple.__new__(LWord, (prefix, _referee_body(body, prefix[::-1])))
+
+
+def _referee_decode_s(key):
+    from nomlang.names import binder_names
+
+    k, body = key
+    if not k:
+        return tuple.__new__(SWord, (frozenset(), body))
+    names = binder_names(k, body)
+    return tuple.__new__(SWord, (frozenset(names), _referee_body(body, names)))
+
+
+REFEREES = {
+    "M": _referee_from_key,
+    "G": lambda key: _referee_from_key(key, GWord),
+    "L": _referee_decode_l,
+    "S": _referee_decode_s,
+}
+
+
+def _decodes_as_the_referee(tag, key):
+    got, want = SORTS[tag].keyed.decode(key), REFEREES[tag](key)
+    assert type(got) is type(want)
+    assert tuple(got) == tuple(want)  # the fields
+    assert got == want
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+def test_decoders_agree_with_the_loops_they_replaced(seed):
+    import random
+
+    from nomlang.oracle import random_regex
+    from nomlang.regex import _enumerate_keys
+
+    rng = random.Random(seed)
+    pool = [Name("n"), Name("~0"), Name("m")]
+    keys = 0
+    for _ in range(500):
+        e = random_regex(rng, pool, LETTERS, 4)
+        for tag in "MGLS":
+            for key in _enumerate_keys(e, SORTS[tag], 7):
+                _decodes_as_the_referee(tag, key)
+                keys += 1
+    assert keys > 10_000
+
+
+def test_decoders_agree_with_the_loops_they_replaced_on_hand_made_keys():
+    from nomlang import names
+    from nomlang.monoids import _encode_l
+
+    free = [Name("~0"), Name("~1"), Name("~10")]
+    for tag in "MGLS":
+        keyed = SORTS[tag].keyed
+        # more nested binders than the tables hold, alternating two names,
+        # so an occurrence of the outer name is an index above 0
+        depth = len(names._reserved) + 70
+        deep = keyed.unit
+        for i in range(depth):
+            x = (n, m)[i % 2]
+            deep = keyed.bind(x, keyed.concat(keyed.atom(n), keyed.concat(deep, keyed.atom(m))))
+        body = deep if tag in "MG" else deep[1]
+        assert any(type(x) is int and x > 0 for x in body)
+        keys = [deep]
+        for t in free:  # a free reserved name beside binders, at either end
+            keys.append(keyed.concat(keyed.atom(t), keyed.bind(n, keyed.concat(keyed.atom(n), deep))))
+            keys.append(keyed.concat(deep, keyed.atom(t)))
+        keys.append(keyed.concat(keyed.atom(free[2]), keyed.concat(deep, keyed.atom(free[1]))))
+        for key in keys:
+            _decodes_as_the_referee(tag, key)
+        assert len(names._reserved) >= depth
+    # an L prefix whose names repeat: the rightmost binder of a name wins
+    for prefix in [(n, m, n), (n, n, n), (m, n, m, n)]:
+        key = _encode_l(LWord(prefix, (n, a, m, free[0])))
+        _decodes_as_the_referee("L", key)
+
+
+def test_slices_of_compiled_automata_decode_as_the_referee():
+    import random
+
+    from nomlang.compiler import compile_regex
+    from nomlang.hds import _language_keys, language_slice
+    from nomlang.oracle import random_regex
+    from nomlang.syntax import parse_regex
+
+    rng = random.Random(0)
+    pool = [Name("n"), Name("~0"), Name("m")]
+    exprs = [parse_regex("( <#n. #n #~0 > + a + #~0 )*", letters={"a"})]
+    exprs += [random_regex(rng, pool, LETTERS, 4) for _ in range(40)]
+    decoded = 0
+    for e in exprs:
+        h = compile_regex(e)
+        got = language_slice(h, 7)
+        assert got == frozenset(map(_referee_from_key, _language_keys(h, 7)))
+        decoded += len(got)
+    assert decoded > 1_500
+
+
 # -- L and S keys are folds of their sort's bind -----------------------------
 #
 # The referees write the binding rules out by hand: a position table in

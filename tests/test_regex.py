@@ -583,3 +583,23 @@ def test_s_binders_do_not_split_inside_a_part_without_their_name():
     keys = rx._enum(parse_regex(src, letters=set()), ops, 40)
     assert sum(map(len, keys.values())) == 1
     assert calls == {"concat": 66, "bind": 12}
+
+
+@pytest.mark.parametrize("sort", "MS")
+def test_drain_yields_every_key_once_and_empties_every_bucket(sort):
+    from nomlang.monoids import SORTS
+
+    e = parse_regex("( <#n. #n #m > + a + #m )*", letters={"a"})
+    buckets = rx._enum(e, SORTS[sort].keyed, 9)
+    sets = list(buckets.values())
+    want = [key for ws in sets for key in ws]
+    assert len(want) == len(set(want)) == 1351
+    got = list(rx._drain(buckets))
+    assert sorted(got, key=repr) == sorted(want, key=repr)
+    assert all(not ws for ws in sets)
+    # and a hand-made dict of buckets, one of them empty
+    buckets = {0: set(), 1: {(a,), (b,)}, 3: {(a, b, a)}}
+    sets = list(buckets.values())
+    got = list(rx._drain(buckets))
+    assert len(got) == 3 and set(got) == {(a,), (b,), (a, b, a)}
+    assert all(not ws for ws in sets)

@@ -152,7 +152,7 @@ def test_alpha_canonical_is_its_decoded_key(rng, monkeypatch):
     # names, are those the key decodes to, with reserved names free and
     # bound and with more binders than the table holds; from the same
     # table, both make the same reserved names and grow it alike
-    from nomlang import names
+    from nomlang import names, words
 
     made = []
     monkeypatch.setattr(names, "Name", lambda label: made.append(label) or Name(label))
@@ -161,6 +161,7 @@ def test_alpha_canonical_is_its_decoded_key(rng, monkeypatch):
     def from_table(size, canon, *args):
         monkeypatch.setattr(names, "_reserved", tuple(reserved[:size]))
         monkeypatch.setattr(names, "_reserved_set", set(reserved[:size]))
+        monkeypatch.setattr(words, "_opens", tuple(map(TOpen, reserved[:size])))
         made.clear()
         return canon(*args), names._reserved, sorted(made)
 
