@@ -96,8 +96,9 @@ def check_truncation(h, w, pool: list, where: str) -> tuple[int, int, int]:
     exhaustive: a CUTOFF from it is a mismatch.  The referee gets the
     most frames the default run can hold, one more than the tokens.
     Where that cap cuts the referee (CUTOFF), there is no verdict to
-    compare.  `run` under the same cap, which takes the exact subset
-    construction, must give the verdict of the default run's walk, and
+    compare.  `run` under the same cap, which takes the depth-first
+    search `hds._depth_first`, must give the verdict of the default
+    run's walk, and
     an accepted stream's trace must follow `step` (`trace_follows_step`).
     """
     bad = undecided = 0

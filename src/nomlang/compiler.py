@@ -7,11 +7,13 @@ is the atom's name; a sum construction giving the entry of the first
 automaton a silent move into the initial state of the second;
 concatenation linking every final state of the first automaton to the
 initial state of the second after extending the first with the
-second's initial locals; iteration via a push transition
-re-establishing the initial name bindings; and name binding via an
-allocating open transition and a deallocating close transition.  A
-sum or a concatenation makes no state; the entry of an automaton is its
-initial state, or a fresh state in front of it when a transition
+second's initial locals; iteration via a push transition from one
+fresh final state, re-establishing the initial name bindings; and name
+binding via an allocating open transition and a deallocating close
+transition from every final state of the body.  A sum or a
+concatenation makes no state, and a binder makes only its open state
+and its close state, no joining state; the entry of an automaton is
+its initial state, or a fresh state in front of it when a transition
 re-enters it (`_Build._entry`).
 Every construction takes its new state ids and local names from the
 one `_Build` of the compile, so the operands of a construction never
@@ -184,18 +186,6 @@ class _Build:
         f1.pushed |= f2.pushed
         return f1
 
-    def _unique_final(self, f: _Frag) -> str:
-        """Give `f` a fresh no-name final state (always, even if it has one).
-
-        Iteration and binding need one source state for their push and
-        their close; a sum or a concatenation never calls this."""
-        qf = self.state()
-        for q in f.finals:
-            self.trans[q].append((EPS, qf, {}))
-        f.states.append(qf)
-        f.finals = {qf}
-        return qf
-
     def _thread(self, f: _Frag, names: set[Name]) -> None:
         """Add `names` to every state of `f` and `x>x` to every sigma not yet defined on `x`."""
         for q in f.states:
@@ -254,12 +244,19 @@ class _Build:
     def star(self, f: _Frag) -> _Frag:
         """Iteration: silent skip for the empty word, push transition looping back.
 
-        The skip leaves the entry (`_entry`), so it fires only before the
-        body has started.  The pushed frame is the initial name map, so
-        each iteration starts from the initial meanings while the previous
-        frame is preserved below.
+        Every final state of F moves silently into one fresh no-name final
+        state, the source of the push and the star's only final state: a
+        star that kept F's final states would add them to every star around
+        it, one more final per level of nesting.  The skip leaves the entry
+        (`_entry`), so it fires only before the body has started.  The
+        pushed frame is the initial name map, so each iteration starts from
+        the initial meanings while the previous frame is preserved below.
         """
-        qf = self._unique_final(f)
+        qf = self.state()
+        for q in f.finals:
+            self.trans[q].append((EPS, qf, {}))
+        f.states.append(qf)
+        f.finals = {qf}
         q0 = f.initial
         self.trans[self._entry(f)].append((EPS, qf, {}))
         push = dict(f.eta)
@@ -276,16 +273,18 @@ class _Build:
 
         Every initial local denoting `n`, one or several, is sent to the
         placeholder by the open transition, so each picks up the allocated
-        name.
+        name.  Every final state of F closes into the binder's one final
+        state, so a binder adds its open state and its close state and no
+        other.
         """
-        qf = self._unique_final(f)
         loc0 = frozenset(self.locals[f.initial])
         bound = {x for x in loc0 if f.eta.get(x) is n}
         self._repoint_stale_pushes(f, n, bound)
         q_open, q_close = self.state(loc0 - bound), self.state()
         sigma = {x: (STAR if x in bound else x) for x in loc0}
         self.trans[q_open].append((OPEN, f.initial, sigma))
-        self.trans[qf].append((CLOSE, q_close, {}))
+        for qf in f.finals:
+            self.trans[qf].append((CLOSE, q_close, {}))
         f.states += (q_open, q_close)
         f.initial = q_open
         f.reentered = False

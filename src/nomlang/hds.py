@@ -10,7 +10,10 @@ the word's own alphabet: a local `Name` reads the name it denotes, a
 keywords `EPS`, `PUSH`, `POP`, `OPEN` and `CLOSE`.
 
 `step` is the one definition of the moves: what each of the seven
-kinds of label reads and what it does to the stack.  The node graph is
+kinds of label reads and what it does to the stack.  Every move reads a
+frame through the frame's one dict, `NameMap.table`, in which the
+placeholder means itself; an open copies it and sets the placeholder
+to the name it allocates.  The node graph is
 a subset construction on it.  A node is a configuration set and a
 depth (below), and one loop makes its row (`_expand`): it closes the
 set under the moves that read nothing, groups the moves that read a
@@ -124,11 +127,21 @@ class NameMap:
 
     Name maps are hash-consed: one object per `entries` tuple, so
     equality and hashing are identity and a stack of maps hashes in C.
-    The table holds its maps weakly, so the frames a search makes are
-    freed when the search ends.
+    The class's `_table` holds its maps weakly, so the frames a search
+    makes are freed when the search ends.
+
+    Every move reads a frame through its `table`: a dict of its entries
+    with the placeholder `STAR -> STAR` added, so a composition through
+    it keeps the placeholder fixed.  The table is made the first time a
+    move reads the map, and kept as long as the map: the entry of a sum
+    of k names makes k - 1 moves from one k-name frame, and `check
+    --bound 1` on 20,000 names took 19.9 s with a dict per move and
+    takes 1.4 s so (whole process, shared 2-vCPU x86-64 VM); a table
+    made with every map raised `compile`'s peak on those names from 81
+    to 85 MB, where no move reads most of them.
     """
 
-    __slots__ = ("entries", "key_row", "identity", "fixing_star", "__weakref__")
+    __slots__ = ("entries", "key_row", "identity", "table", "__weakref__")
 
     _table: "weakref.WeakValueDictionary[tuple, NameMap]" = weakref.WeakValueDictionary()
 
@@ -142,9 +155,17 @@ class NameMap:
             # leaves the top frame as it is
             object.__setattr__(m, "key_row", tuple([k for k, _ in entries]))
             object.__setattr__(m, "identity", all(k is v for k, v in entries))
-            object.__setattr__(m, "fixing_star", None)  # made by `stack_update`
             cls._table[entries] = m
         return m
+
+    def __getattr__(self, attr):
+        # called only for an unset slot: `table` is made on its first read
+        if attr != "table":
+            raise AttributeError(attr)
+        table = dict(self.entries)
+        table[STAR] = STAR
+        object.__setattr__(self, "table", table)
+        return table
 
     def __setattr__(self, key, value):
         raise AttributeError("NameMap is immutable")
@@ -159,15 +180,6 @@ class NameMap:
             return BOTTOM
         # names order by label: sorting on it compares strings in C
         return cls(tuple(sorted(mapping.items(), key=lambda kv: kv[0].label)))
-
-    def get(self, n: Name, default=None):
-        for k, v in self.entries:
-            if k is n:
-                return v
-        return default
-
-    def as_dict(self) -> dict:
-        return dict(self.entries)
 
     @property
     def domain(self) -> frozenset[Name]:
@@ -191,15 +203,13 @@ class NameMap:
 
 BOTTOM = NameMap(())
 
-Stack = tuple  # of NameMap, index 0 is the top
+Stack = tuple  # of NameMap, index 0 is the top; never empty
 
 
-def top(stack: Stack) -> NameMap:
-    return stack[0] if stack else BOTTOM
-
-
-def pop(stack: Stack) -> Stack:
-    return stack[1:] if stack else ()
+def _below(stack: Stack) -> dict:
+    """The table of the frame below the top, which pop and close read, or
+    BOTTOM's when there is none."""
+    return (stack[1] if len(stack) > 1 else BOTTOM).table
 
 
 def compose(sigma: NameMap, f: dict) -> NameMap:
@@ -209,22 +219,14 @@ def compose(sigma: NameMap, f: dict) -> NameMap:
 
 
 def stack_update(stack: Stack, sigma: NameMap) -> Stack:
-    """Replace the top frame by sigma post-composed with it (star kept fixed)."""
+    """Replace the top frame by sigma post-composed with its table (star
+    kept fixed)."""
     # most moves leave the top frame as it is, and keeping the stack spares
     # the general path (capped, traced and pop-automaton runs) a new frame
     top_frame = stack[0]
     if sigma.identity and sigma.key_row == top_frame.key_row:
         return stack
-    # the top frame as a dict that fixes the star, made once per map: the
-    # entry of a sum of k names makes k - 1 moves from one k-name frame, and
-    # `check --bound 1` on 20,000 names took 19.9 s with a dict per move and
-    # takes 1.4 s so (whole process, shared 2-vCPU x86-64 VM)
-    f = top_frame.fixing_star
-    if f is None:
-        f = dict(top_frame.entries)
-        f[STAR] = STAR
-        object.__setattr__(top_frame, "fixing_star", f)
-    return (compose(sigma, f),) + stack[1:]
+    return (compose(sigma, top_frame.table),) + stack[1:]
 
 
 def push_frame(sigma: NameMap, top_frame: NameMap) -> NameMap:
@@ -234,7 +236,7 @@ def push_frame(sigma: NameMap, top_frame: NameMap) -> NameMap:
     the source state) stands for its current meaning and is resolved;
     any other value is a global name and is pushed as such.
     """
-    f = top_frame.as_dict()
+    f = top_frame.table
     return NameMap(tuple([(k, f.get(v, v)) for k, v in sigma.entries]))
 
 
@@ -384,7 +386,7 @@ def step(
         kind = type(label)
         # a consuming move reads the generated token, or else the input token
         if kind is Name:
-            v = top(stk).get(label, STAR)
+            v = stk[0].table.get(label, STAR)
             if v is not STAR and (tok is None or tok is v):
                 out.append((t, v, stack_update(stk, t.sigma)))
         elif kind is Letter:
@@ -393,18 +395,18 @@ def step(
         elif label is EPS:
             out.append((t, None, stack_update(stk, t.sigma)))
         elif label is PUSH:
-            out.append((t, None, (push_frame(t.sigma, top(stk)),) + stk))
+            out.append((t, None, (push_frame(t.sigma, stk[0]),) + stk))
         elif label is POP:
-            out.append((t, None, (compose(t.sigma, top(pop(stk)).as_dict()),) + stk[2:]))
+            out.append((t, None, (compose(t.sigma, _below(stk)),) + stk[2:]))
         elif label is OPEN:
             if tok is None or type(tok) is TOpen:
-                f = top(stk).as_dict()
+                f = dict(stk[0].table)
                 f[STAR] = fresh if tok is None else tok.name
                 out.append((t, KEY_OPEN if tok is None else tok, (compose(t.sigma, f),) + stk))
         elif label is CLOSE:
             tok_read = TCLOSE if tok is None else tok
             if isinstance(tok_read, TClose):
-                frame = compose(t.sigma, top(pop(stk)).as_dict())
+                frame = compose(t.sigma, _below(stk))
                 out.append((t, tok_read, (frame,) + stk[2:]))
     return out
 

@@ -36,7 +36,7 @@ def junk_below(h: Hds, frames: tuple) -> Hds:
     return Hds(
         states=dict(h.states) | {q: f.domain for q, f in zip(ids, frames)},
         initial=ids[-1] if frames else h.initial,
-        eta=frames[-1].as_dict() if frames else h.eta,
+        eta=dict(frames[-1].entries) if frames else h.eta,
         finals=h.finals,
         trans=dict(h.trans) | {q: (Transition(PUSH, target, sigma),)
                                for q, target, sigma in zip(ids, targets, chain)},

@@ -166,7 +166,7 @@ def _with_added_local(h: Hds, x: Name) -> Hds:
     """`h` with the local name `x` in every state, threaded through every
     move with the identity; `x` has no initial meaning."""
     states = {q: locs | {x} for q, locs in h.states.items()}
-    trans = {q: tuple(Transition(t.label, t.target, NameMap.of(t.sigma.as_dict() | {x: x}))
+    trans = {q: tuple(Transition(t.label, t.target, NameMap.of(dict(t.sigma.entries) | {x: x}))
                       for t in ts)
              for q, ts in h.trans.items()}
     return Hds(states, h.initial, h.eta, h.finals, trans)

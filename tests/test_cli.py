@@ -144,7 +144,7 @@ def test_accept_trace_does_not_depend_on_the_hash_seed(tmp_path):
     assert outs[0].startswith(b"ACCEPT\n")
 
 
-PINNED_TRACES = "1ac4e9ca347cdeb17567f5af39645fde0a289f4836581c53cfbd14a7ebc26ba1"
+PINNED_TRACES = "9f201474b9f5064e2e3cd3bd95ba4f61d986b5ea27a1d93752c193b44f32ef15"
 
 
 def test_accept_trace_is_pinned(tmp_path, capsys):

@@ -38,7 +38,7 @@ from nomlang.hds import (
 )
 from nomlang.compiler import compile_regex
 from nomlang.words import (
-    KEY_OPEN, TCLOSE, MWord, TOpen, alpha_canonical, alpha_key, canonical_row, from_key,
+    KEY_OPEN, TCLOSE, MWord, TClose, TOpen, alpha_canonical, alpha_key, canonical_row, from_key,
     parse_tokens, tokenize,
 )
 from nomlang.syntax import parse_nre, parse_regex, parse_word, render_regex, render_word
@@ -47,6 +47,7 @@ from nomlang.oracle import (
 )
 from nomlang.regex import enumerate_slice
 from nomlang.hds_format import FormatError, parse, serialize
+from nomlang import oracle
 
 from conftest import NAMES, LETTERS, junk_below
 
@@ -64,8 +65,8 @@ def NM(d):
 
 def test_namemap_basics():
     f = NM({x: n, y: m})
-    assert f.get(x) is n
-    assert f.get(k) is None
+    assert f.table[x] is n
+    assert k not in f.table
     assert f.domain == {x, y}
     assert set(f.values()) == {n, m}
     assert NM({y: m, x: n}) == f  # entry order is canonical
@@ -103,7 +104,7 @@ def test_namemap_injectivity():
 def test_compose_and_stack_update():
     frame = NM({x: n, y: m})
     sigma = NM({y: x})  # new y takes old x's meaning
-    assert compose(sigma, frame.as_dict()) == NM({y: n})
+    assert compose(sigma, frame.table) == NM({y: n})
     stack = (frame, NM({x: k}))
     assert stack_update(stack, sigma) == (NM({y: n}), NM({x: k}))
     # a move that leaves the top frame as it is keeps the stack itself
@@ -112,19 +113,29 @@ def test_compose_and_stack_update():
     assert stack_update(stack, BOTTOM) == (BOTTOM,) + stack[1:]
 
 
+def _has_table(m: NameMap) -> bool:
+    """Whether the table of `m` is made, without making it."""
+    try:
+        object.__getattribute__(m, "table")
+    except AttributeError:
+        return False
+    return True
+
+
 def test_stack_update_composes_through_one_dict_per_top_frame():
     frame, below = NM({x: n, y: m}), NM({x: k})
     stack = (frame, below)
     # the placeholder is kept fixed, as sigma post-composed with the frame
     # and the placeholder's own fixed point
     assert stack_update(stack, NM({x: STAR, y: x})) == (NM({x: STAR, y: n}), below)
-    fixing = frame.fixing_star
-    assert fixing == {x: n, y: m, STAR: STAR}
+    table = frame.table
+    assert table == {x: n, y: m, STAR: STAR}
     assert stack_update(stack, NM({y: y})) == (NM({y: m}), below)
-    assert frame.fixing_star is fixing  # made once, the first time the frame is a top
-    assert below.fixing_star is None
-    # the pop and close compositions and the open move read copies without
-    # the placeholder, and the open move does not write to the cached dict
+    assert frame.table is table  # made once, the first time a move reads the frame
+    assert not _has_table(below)
+    # the pop and close compositions read the same table, so a placeholder
+    # value stays the placeholder (a sigma `validate` rejects), and the open
+    # move sets the placeholder in a copy of the table
     h = Hds(
         states={"p": {x, y}, "q": {x, y}},
         initial="p", eta={}, finals=set(),
@@ -133,11 +144,11 @@ def test_stack_update_composes_through_one_dict_per_top_frame():
                      Transition(OPEN, "q", NM({x: y, y: STAR})))},
     )
     moves = {t.label: stk for t, _, stk in step(h, "p", (below, frame), None, fresh=0)}
-    assert moves[POP] == (NM({x: n}),)
-    assert moves[CLOSE] == (BOTTOM,)
+    assert moves[POP] == (NM({x: n, y: STAR}),)
+    assert moves[CLOSE] == (NM({y: STAR}),)
     moves = {t.label: stk for t, _, stk in step(h, "p", stack, None, fresh=0)}
     assert moves[OPEN] == (NM({x: m, y: 0}), frame, below)
-    assert frame.fixing_star == {x: n, y: m, STAR: STAR}
+    assert frame.table == {x: n, y: m, STAR: STAR}
 
 
 def test_push_frame_resolves_through_top():
@@ -862,6 +873,152 @@ def test_run_agrees_with_the_naive_run_on_hand_built_automata(automaton):
                 assert (got, want) == (ACCEPT, REJECT), t
                 _assert_trace_follows_step(h, t, run(h, t, max_depth=cap, want_trace=True).trace)
     assert compared > 200
+
+
+# -- the referee of frame reads ----------------------------------------------
+# `step` as it read frames before every move read a frame through its one
+# table: a name move looked its local up in a loop, a push, a pop, a close
+# and an open each copied a frame into a dict of their own, and
+# `stack_update` composed through a dict of the top frame that fixes the
+# placeholder.  Only tests use these copies.
+
+def _referee_get(f: NameMap, name: Name, default=None):
+    for key, v in f.entries:
+        if key is name:
+            return v
+    return default
+
+
+def _referee_as_dict(f: NameMap) -> dict:
+    return dict(f.entries)
+
+
+def _referee_stack_update(stack: tuple, sigma: NameMap) -> tuple:
+    top_frame = stack[0]
+    if sigma.identity and sigma.key_row == top_frame.key_row:
+        return stack
+    f = _referee_as_dict(top_frame)
+    f[STAR] = STAR
+    return (compose(sigma, f),) + stack[1:]
+
+
+def _referee_push_frame(sigma: NameMap, top_frame: NameMap) -> NameMap:
+    f = _referee_as_dict(top_frame)
+    return NameMap(tuple([(key, f.get(v, v)) for key, v in sigma.entries]))
+
+
+def _referee_step(h, state, stk, tok, fresh=None):
+    top = stk[0] if stk else BOTTOM
+    below = stk[1] if len(stk) > 1 else BOTTOM
+    out = []
+    for t in h.trans.get(state, ()):
+        label = t.label
+        kind = type(label)
+        if kind is Name:
+            v = _referee_get(top, label, STAR)
+            if v is not STAR and (tok is None or tok is v):
+                out.append((t, v, _referee_stack_update(stk, t.sigma)))
+        elif kind is Letter:
+            if tok is None or tok is label:
+                out.append((t, label, _referee_stack_update(stk, t.sigma)))
+        elif label is EPS:
+            out.append((t, None, _referee_stack_update(stk, t.sigma)))
+        elif label is PUSH:
+            out.append((t, None, (_referee_push_frame(t.sigma, top),) + stk))
+        elif label is POP:
+            out.append((t, None, (compose(t.sigma, _referee_as_dict(below)),) + stk[2:]))
+        elif label is OPEN:
+            if tok is None or type(tok) is TOpen:
+                f = _referee_as_dict(top)
+                f[STAR] = fresh if tok is None else tok.name
+                out.append((t, KEY_OPEN if tok is None else tok, (compose(t.sigma, f),) + stk))
+        elif label is CLOSE:
+            tok_read = TCLOSE if tok is None else tok
+            if isinstance(tok_read, TClose):
+                frame = compose(t.sigma, _referee_as_dict(below))
+                out.append((t, tok_read, (frame,) + stk[2:]))
+    return out
+
+
+def _refereed(monkeypatch) -> list:
+    """Make `naive_run` check each `step` it takes against `_referee_step`;
+    the list returned grows by one per checked call."""
+    calls = []
+
+    def checked(h, state, stk, tok, fresh=None):
+        got = step(h, state, stk, tok, fresh)
+        assert got == _referee_step(h, state, stk, tok, fresh), (state, stk, tok)
+        calls.append(None)
+        return got
+
+    monkeypatch.setattr(oracle, "step", checked)
+    return calls
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+def test_step_reads_frames_as_the_referee_on_random_automata(seed, monkeypatch):
+    # every (state, stack, token) the every-frame search meets on a few
+    # slice words of each automaton and on their near-misses
+    calls = _refereed(monkeypatch)
+    rng = random.Random(seed)
+    pool = [n, Name("~0"), m]
+    for _ in range(300):
+        h = compile_regex(random_regex(rng, pool, LETTERS, 4))
+        for t in _words_and_near_misses(h, 6):
+            naive_run(h, t)
+    assert len(calls) > 250_000
+
+
+# the hand-built pop automata of this module that `validate` accepts, but for
+# the fixture `push_pop_hds`: that of `test_step_defines_every_move`, of the
+# double push with its pop loop, of the three tests that cut a push loop,
+# and of acceptance criterion 3's push/pop loop
+POP_AUTOMATA = {
+    "every move": lambda: Hds(
+        {q: frozenset({x, y}) for q in ("q", "name", "unmapped", "letter", "eps", "push", "pop",
+                                        "open", "close")}, "q", {x: n}, frozenset(),
+        {"q": (Transition(x, "name", NM({x: x})), Transition(y, "unmapped", NM({x: x})),
+               Transition(a, "letter", BOTTOM), Transition(EPS, "eps", NM({y: x})),
+               Transition(PUSH, "push", NM({x: x, y: m})), Transition(POP, "pop", NM({x: x})),
+               Transition(OPEN, "open", NM({y: STAR, x: x})),
+               Transition(CLOSE, "close", NM({x: x})))}),
+    "double push, pop": lambda: _double_push_hds(with_pop=True),
+    "cut push loop": lambda: Hds(
+        {"q0": frozenset({x}), "q1": frozenset({x}), "q2": frozenset()}, "q0", {x: n},
+        frozenset({"q2"}),
+        {"q0": (Transition(PUSH, "q0", NM({x: x})), Transition(x, "q1", NM({x: x}))),
+         "q1": (Transition(POP, "q2", NM({})),), "q2": ()}),
+    "cut before three letters": lambda: _pop_hds({
+        "q0": (Transition(a, "qf", NM({})), Transition(EPS, "q1", NM({}))),
+        "q1": (Transition(PUSH, "q1", NM({})), Transition(a, "q2", NM({}))),
+        "q2": (Transition(a, "q3", NM({})),),
+        "q3": (Transition(a, "q4", NM({})),),
+    }, {"qf", "q4"}),
+    "cut where no final is": lambda: _pop_hds({
+        "q0": (Transition(a, "qf", NM({})), Transition(EPS, "qd", NM({}))),
+        "qd": (Transition(PUSH, "qd", NM({})),),
+    }, {"qf"}),
+    "push/pop loop": lambda: Hds(
+        {q: frozenset({x}) for q in ("q0", "q1", "q2", "q3")}, "q0", {x: n}, frozenset({"q1"}),
+        {"q0": (Transition(x, "q1", NM({x: x})),), "q1": (Transition(PUSH, "q2", NM({x: x})),),
+         "q2": (Transition(x, "q3", NM({x: x})),), "q3": (Transition(POP, "q1", NM({x: x})),)}),
+}
+
+
+def test_step_reads_frames_as_the_referee_on_hand_built_pop_automata(push_pop_hds, monkeypatch):
+    # slice words, where the slice is decided, a few fixed streams, and the
+    # near-misses of each
+    calls = _refereed(monkeypatch)
+    for h in [push_pop_hds, *(make() for make in POP_AUTOMATA.values())]:
+        assert validate(h) == [] and any(t.label is POP for _, t in h.transitions())
+        try:
+            words = [tokenize(w) for w in sorted(language_slice(h, 6), key=repr)]
+        except Undecided:
+            words = []
+        for t in words + [(n,), (m, n), (a, a, a), _binder_then(m)]:
+            for stream in [t, *near_misses(t, (n, m))]:
+                naive_run(h, stream)
+    assert len(calls) > 1_000
 
 
 def test_truncation_keeps_the_top_frame_before_an_unclosed_open():
