@@ -24,11 +24,11 @@ two mutable tables holding the local names of each state (a set) and
 the transitions out of each state, in order, as (label, target, sigma
 dict) triples.  A label is what the move reads: the local of a name
 move, the letter of a letter move, or one of the `hds.MOVES`.  A
-construction works on fragments (`_Frag`: a state list, initial state,
-finals and initial meanings) and edits the tables in place; the
-`NameMap`s, `Transition`s and the one `Hds` are made at the end.  So
-threading a local through an operand costs one dict insert per
-transition, the size of what it adds to the output, and no
+construction works on fragments (`_Frag`: where its states begin,
+initial state, finals and initial meanings) and edits the tables in
+place; the `NameMap`s, `Transition`s and the one `Hds` are made at the
+end.  So threading a local through an operand costs one dict insert
+per transition, the size of what it adds to the output, and no
 construction copies the automaton built so far.  `_Build.compile` walks
 the expression's post-order array with an explicit stack, so any
 nesting compiles.
@@ -79,13 +79,16 @@ def compile_regex(e: rx.Regex) -> Hds:
 
 @dataclass
 class _Frag:
-    """A part of the automaton under construction.  `states` lists its
-    states in the order the automaton lists them; no other fragment
-    holds any of them.  A transition of a fragment targets one of its
-    states, so `reentered`, `pushes` and `pushed` follow from the
-    constructions and no construction scans its operand for them."""
+    """A part of the automaton under construction.  Its states are the
+    ones made since it began: `start` is the index of its first state in
+    `_Build.order`, and the states made after it are its own up to the
+    first state of the next fragment built, or to the end while it is
+    the last; no other fragment holds any of them.  A transition of a
+    fragment targets one of its states, so `reentered`, `pushes` and
+    `pushed` follow from the constructions and no construction scans its
+    operand for them."""
 
-    states: list[str]
+    start: int
     initial: str
     finals: set[str]
     eta: dict[Name, Name]  # initial meaning of the initial state's locals
@@ -108,11 +111,13 @@ class _Build:
     def __init__(self, avoid: frozenset[Name]):
         self.avoid = set(avoid)  # the expression's free names, then binder names
         self.next_local = 0
+        self.order: list[str] = []  # every state, in the order it was made
         self.locals: dict[str, set[Name]] = {}
         self.trans: dict[str, list[tuple]] = {}  # (label, target, sigma dict)
 
     def state(self, locs: Iterable[Name] = ()) -> str:
-        q = f"q{len(self.locals)}"
+        q = f"q{len(self.order)}"
+        self.order.append(q)
         self.locals[q] = set(locs)
         self.trans[q] = []
         return q
@@ -125,15 +130,17 @@ class _Build:
                 return n
 
     def hds(self, f: _Frag) -> Hds:
+        """The automaton of `f`, the fragment of the whole expression,
+        which holds every state made."""
         return Hds(
-            states={q: frozenset(self.locals[q]) for q in f.states},
+            states={q: frozenset(locs) for q, locs in self.locals.items()},
             initial=f.initial,
             eta=f.eta,
             finals=f.finals,
             trans={
                 q: tuple([Transition(label, target, NameMap.of(sigma))
-                          for label, target, sigma in self.trans[q]])
-                for q in f.states
+                          for label, target, sigma in ts])
+                for q, ts in self.trans.items()
             },
         )
 
@@ -156,10 +163,9 @@ class _Build:
                 todo.append((p, True))
                 todo += ((i, False),) if j is None else ((j, False), (i, False))
             elif kind is rx.EMPTY:
-                q0 = self.state()
-                frags.append(_Frag([q0], q0, set(), {}))
+                frags.append(_Frag(len(self.order), self.state(), set(), {}))
             elif kind is rx.UNIT or kind is rx.ATOM:
-                q0, qf = self.state(), self.state()
+                start, q0, qf = len(self.order), self.state(), self.state()
                 eta = {}
                 label = EPS if kind is rx.UNIT else sym  # a letter is its own label
                 if type(label) is Name:  # a name is read through a local that means it
@@ -167,7 +173,7 @@ class _Build:
                     self.locals[q0].add(label)
                     eta[label] = sym
                 self.trans[q0].append((label, qf, {}))
-                frags.append(_Frag([q0, qf], q0, {qf}, eta))
+                frags.append(_Frag(start, q0, {qf}, eta))
             elif kind is rx.SUM or kind is rx.CAT:
                 f2 = frags.pop()
                 frags.append((self.sum if kind is rx.SUM else self.concat)(frags.pop(), f2))
@@ -179,16 +185,17 @@ class _Build:
         return frags[0]
 
     def _join(self, f1: _Frag, f2: _Frag) -> _Frag:
-        """`f1` with the states, initial meanings and pushes of `f2` joined in."""
-        f1.states += f2.states
+        """`f1` with the initial meanings and pushes of `f2` joined in; its
+        states run on through those of `f2`, made after its own."""
         f1.eta |= f2.eta
         f1.pushes += f2.pushes
         f1.pushed |= f2.pushed
         return f1
 
-    def _thread(self, f: _Frag, names: set[Name]) -> None:
-        """Add `names` to every state of `f` and `x>x` to every sigma not yet defined on `x`."""
-        for q in f.states:
+    def _thread(self, states: list[str], names: set[Name]) -> None:
+        """Add `names` to every state of `states` and `x>x` to every sigma
+        not yet defined on `x`."""
+        for q in states:
             self.locals[q] |= names
             for _, _, sigma in self.trans[q]:
                 for x in names:
@@ -206,7 +213,6 @@ class _Build:
             q0, loc0 = f.initial, self.locals[f.initial]
             f.initial = self.state(loc0)
             self.trans[f.initial].append((EPS, q0, _identity(loc0)))
-            f.states.append(f.initial)
             f.reentered = False
         return f.initial
 
@@ -233,8 +239,8 @@ class _Build:
         with no final state (the empty language) gets no link.
         """
         loc2 = self.locals[f2.initial]
-        if loc2:
-            self._thread(f1, loc2)
+        if loc2:  # F1's states end where F2's begin
+            self._thread(self.order[f1.start:f2.start], loc2)
         for qf1 in f1.finals:
             self.trans[qf1].append((EPS, f2.initial, _identity(loc2)))
         f = self._join(f1, f2)
@@ -255,7 +261,6 @@ class _Build:
         qf = self.state()
         for q in f.finals:
             self.trans[q].append((EPS, qf, {}))
-        f.states.append(qf)
         f.finals = {qf}
         q0 = f.initial
         self.trans[self._entry(f)].append((EPS, qf, {}))
@@ -285,7 +290,6 @@ class _Build:
         self.trans[q_open].append((OPEN, f.initial, sigma))
         for qf in f.finals:
             self.trans[qf].append((CLOSE, q_close, {}))
-        f.states += (q_open, q_close)
         f.initial = q_open
         f.reentered = False
         f.finals = {q_close}
@@ -316,4 +320,4 @@ class _Build:
                 if v is n:
                     sigma[k] = anchor
         f.pushed.discard(n)
-        self._thread(f, bound)
+        self._thread(self.order[f.start:], bound)  # F is the last fragment built

@@ -11,22 +11,22 @@ keywords `EPS`, `PUSH`, `POP`, `OPEN` and `CLOSE`.
 
 `step` is the one definition of the moves: what each of the seven
 kinds of label reads and what it does to the stack.  Every move reads a
-frame through the frame's one dict, `NameMap.table`, in which the
-placeholder means itself; an open copies it and sets the placeholder
-to the name it allocates.  The node graph is
-a subset construction on it.  A node is a configuration set and a
-depth (below), and one loop makes its row (`_expand`): it closes the
-set under the moves that read nothing, groups the moves that read a
-token by that token, and after each move applies one rule -- drop a
-configuration with no path to a final state, keep the frames a close
-can still read, cap the stack depth, and kill the name of a binder just
-closed.  The row holds the successor node itself per token read, so a
-walk goes from node to node with one lookup per token.  `language_slice`
-walks the tree of emitted prefixes one length at a time: each prefix
-holds the set of configurations that generate it, and the prefixes of
-one length are grouped by node, so each node's row is made once; the
-walk counts the tokens left under the bound.  It emits keys
-(`words.alpha_key`), not tokens, so no word is parsed or
+frame through the frame's one dict of its entries, `NameMap.table`; an
+open copies it and sets the placeholder to the name it allocates.  The
+node graph is a subset construction on it.  A node is a configuration
+set and a depth (below), and one loop makes its row (`_expand`): it
+closes the set under the moves that read nothing, groups the moves that
+read a token by that token, and after each move applies one rule --
+drop a configuration with no path to a final state, keep the frames a
+close can still read, cap the stack depth, and kill the name of a
+binder just closed.  The row maps each token read to the successor node
+itself, and END to the node, so a walk goes from node to node with one
+lookup per token; a node carries the fewest tokens a word needs from
+it.  `language_slice` walks the tree of emitted prefixes one length at
+a time: each prefix holds the set of configurations that generate it,
+and the prefixes of one length are grouped by node, so each node's row
+is made once; the walk counts the tokens left under the bound.  It
+emits keys (`words.alpha_key`), not tokens, so no word is parsed or
 canonicalized, and each accepted word is decoded once.  `run` on a
 pop-free automaton, with no depth cap and no trace, reads the same
 rows in one forward walk; every other run is one depth-first search
@@ -130,15 +130,13 @@ class NameMap:
     The class's `_table` holds its maps weakly, so the frames a search
     makes are freed when the search ends.
 
-    Every move reads a frame through its `table`: a dict of its entries
-    with the placeholder `STAR -> STAR` added, so a composition through
-    it keeps the placeholder fixed.  The table is made the first time a
-    move reads the map, and kept as long as the map: the entry of a sum
-    of k names makes k - 1 moves from one k-name frame, and `check
-    --bound 1` on 20,000 names took 19.9 s with a dict per move and
-    takes 1.4 s so (whole process, shared 2-vCPU x86-64 VM); a table
-    made with every map raised `compile`'s peak on those names from 81
-    to 85 MB, where no move reads most of them.
+    Every move reads a frame through its `table`, a dict of its entries.
+    The table is made the first time a move reads the map, and kept as
+    long as the map: the entry of a sum of k names makes k - 1 moves from
+    one k-name frame, and `check --bound 1` on 20,000 names took 19.9 s
+    with a dict per move and takes 1.4 s so (whole process, shared 2-vCPU
+    x86-64 VM); a table made with every map raised `compile`'s peak on
+    those names from 81 to 85 MB, where no move reads most of them.
     """
 
     __slots__ = ("entries", "key_row", "identity", "table", "__weakref__")
@@ -163,7 +161,6 @@ class NameMap:
         if attr != "table":
             raise AttributeError(attr)
         table = dict(self.entries)
-        table[STAR] = STAR
         object.__setattr__(self, "table", table)
         return table
 
@@ -219,8 +216,7 @@ def compose(sigma: NameMap, f: dict) -> NameMap:
 
 
 def stack_update(stack: Stack, sigma: NameMap) -> Stack:
-    """Replace the top frame by sigma post-composed with its table (star
-    kept fixed)."""
+    """Replace the top frame by sigma post-composed with its table."""
     # most moves leave the top frame as it is, and keeping the stack spares
     # the general path (capped, traced and pop-automaton runs) a new frame
     top_frame = stack[0]
@@ -456,15 +452,17 @@ def _constants_and_pops(h: Hds) -> tuple[frozenset, bool]:
 
 
 class _Node:
-    """A node of the graph: a configuration set and an open depth, and
-    once `_expand` has made its row, the row, whose entries hold the
-    successor nodes themselves, and the cut: None, or the fewest tokens a
-    move the depth cap cut still needed."""
+    """A node of the graph: a configuration set, an open depth and `req`,
+    the fewest tokens a word needs from the node (to close its binders and
+    take one of its states to a final one); and once `_expand` has made
+    its row, the row, which maps each token read to the successor node
+    itself, and the cut: None, or the fewest tokens a move the depth cap
+    cut still needed."""
 
-    __slots__ = ("configs", "depth", "cut", "row")
+    __slots__ = ("configs", "depth", "req", "cut", "row")
 
-    def __init__(self, configs: frozenset, depth: int):
-        self.configs, self.depth = configs, depth
+    def __init__(self, configs: frozenset, depth: int, req: float):
+        self.configs, self.depth, self.req = configs, depth, req
         self.cut = self.row = None
 
 
@@ -472,7 +470,10 @@ class _SearchState:
     """What the searches keep of one automaton between calls (module
     docstring).  `graph` maps (configuration set, open depth) to its one
     `_Node`, and holds the nodes the rows of its expanded nodes lead to,
-    expanded or not, so a walk follows rows without a graph lookup.
+    expanded or not, so a walk follows rows without a graph lookup.  A
+    node's `req` is computed once, when the node is made: its depth, or
+    the fewest consuming moves from one of its states to a final one
+    (`need`) if more; `inf` if none of its states has a path there.
     `max_depth` caps the stacks of the graph's nodes: no cap on the state
     an automaton keeps, where a pop-free search never reaches one, and
     the slice's cap on the state a pop automaton's slice makes per call."""
@@ -489,7 +490,9 @@ class _SearchState:
         """The graph's one node for (configs, depth), made on first use."""
         node = self.graph.get((configs, depth))
         if node is None:
-            node = self.graph[configs, depth] = _Node(configs, depth)
+            need = self.need
+            req = max(depth, min([need.get(q, math.inf) for q, _ in configs]))
+            node = self.graph[configs, depth] = _Node(configs, depth, req)
         return node
 
 
@@ -607,9 +610,9 @@ def _walk(h: Hds, tokens: tuple[Tok, ...], u: int) -> Optional[RunResult]:
     of each open binder, and the names no binder may take: the
     constants, every name read so far and every binder so far.  It looks
     an open up under `KEY_OPEN`, a bound name under its level and any
-    other token under itself, and at each token, END included, follows
-    the row of the node it is at to the successor node the row holds;
-    only a node not yet expanded costs more than that lookup.
+    other token under itself, and at each token, END included, goes to
+    the node the row of the node it is at maps it to; only a node not yet
+    expanded costs more than that lookup.
 
     It hands the stream back at a binder named after a constant or a
     name already seen, and at a closed binder's name read again.  So
@@ -656,10 +659,9 @@ def _walk(h: Hds, tokens: tuple[Tok, ...], u: int) -> Optional[RunResult]:
         row = node.row
         if row is None:
             row = _expand(h, node, state)
-        hit = row.get(key)
-        if hit is None:
+        node = row.get(key)
+        if node is None:
             return RunResult(REJECT)
-        node = hit[1]
     return RunResult(ACCEPT)
 
 
@@ -749,8 +751,10 @@ def _language_keys(h: Hds, bound: int) -> Iterator[tuple]:
     are grouped by node, and `_expand` makes each node's row once: a
     node at open depth 0 is final if its row has END (its closure has a
     final state), and each token read from it extends all its prefixes
-    by the token's key element, so a final prefix is already the key of
-    its word.  A row maps distinct tokens to distinct key elements, so a
+    by the token's key element -- a level read at depth d is the index
+    d - 1 - level, and any other token (an open's `KEY_OPEN` and a close
+    too) is its own element -- so a final prefix is already the key of
+    its word.  Distinct tokens of a row are distinct key elements, so a
     prefix has one node, and a prefix is yielded when it reaches END at
     open depth 0, so no key is yielded twice.  The rows live in the
     node graph of the automaton's search state, which `run` reads too
@@ -760,12 +764,13 @@ def _language_keys(h: Hds, bound: int) -> Iterator[tuple]:
 
     The walk counts the tokens left under the bound, and takes a
     successor only if fewer tokens than are left can close its binders
-    and take one of its states to a final one (`steps_to_final`, which
-    falls by at most one per token, so a configuration that cannot
-    finish in time has no descendant that can).  Without pop transitions
-    no close reads a dropped frame (module docstring), so the walk is
-    exhaustive; with pop transitions, that graph cuts stacks deeper than
-    the bound + state count + 1, as `run` cuts them, and a cut move
+    and take one of its states to a final one (its `req`, from
+    `steps_to_final`, which falls by at most one per token, so a
+    configuration that cannot finish in time has no descendant that
+    can).  Without pop transitions no close reads a dropped frame
+    (module docstring), so the walk is exhaustive; with pop
+    transitions, that graph cuts stacks deeper than the bound + state
+    count + 1, as `run` cuts them, and a cut move
     that could still finish in the tokens left raises `Undecided`, also
     after some keys were yielded.
     """
@@ -785,12 +790,12 @@ def _language_keys(h: Hds, bound: int) -> Iterator[tuple]:
                 row = _expand(h, node, state)
             if node.cut is not None and node.cut <= left:
                 raise Undecided("the slice reached its depth cap and may miss words")
-            for elem, succ, req in row.values():
-                if elem is None:  # END: a node at open depth 0 emits its prefixes
+            for read, succ in row.items():
+                if read is END:  # a node at open depth 0 emits its prefixes
                     if not node.depth:
                         yield from prefixes
-                elif req < left:
-                    elem = (elem,)
+                elif succ.req < left:
+                    elem = (node.depth - 1 - read if type(read) is int else read,)
                     more = [p + elem for p in prefixes]
                     have = grown.get(succ)
                     if have is None:
@@ -819,18 +824,14 @@ def _expand(h: Hds, node: _Node, state: _SearchState) -> dict:
     depth - 1 in every frame.
 
     The row is a dict from each token read, as `run`'s walk looks it up,
-    to its key element, the next node itself, and the fewest tokens a
-    word needs after that token (to close the next node's binders and
-    take one of its states to a final one).  An open allocates the level
-    `depth` and is filed under `KEY_OPEN`; a level is filed under itself,
-    and its key element is the index depth - 1 - level; a close is filed
-    under `TCLOSE`; any other token is its own key element.  A node whose
-    closure holds a final state files END under (None, node, 0), at
-    every depth: without pop transitions, which states a closure holds
-    does not depend on the stack, so `run` accepts there, while
-    `_language_keys` emits only at depth 0.  The next node is the
-    graph's one node for its configurations and depth (`node`),
-    unexpanded if it is new.
+    to the next node itself: the graph's one node for its configurations
+    and depth (`_SearchState.node`), unexpanded if it is new.  An open
+    allocates the level `depth` and is filed under `KEY_OPEN`; a level is
+    filed under itself; a close is filed under `TCLOSE`; any other token
+    under itself.  A node whose closure holds a final state maps END to
+    itself, at every depth: without pop transitions, which states a
+    closure holds does not depend on the stack, so `run` accepts there,
+    while `_language_keys` emits only at depth 0.
     """
     depth = node.depth
     need, has_pop, max_depth, finals = state.need, state.has_pop, state.max_depth, h.finals
@@ -865,13 +866,9 @@ def _expand(h: Hds, node: _Node, state: _SearchState) -> dict:
             if group is None:
                 reads[tok_read] = group = (set(), depth2)
             group[0].add(cfg2)
-    row = {END: (None, node, 0)} if final else {}
+    row = {END: node} if final else {}
     for read, (group, depth2) in reads.items():
-        # a level read at depth d is the index d - 1 - level, and any other
-        # token (an open's KEY_OPEN and a close too) is its own element
-        elem = depth - 1 - read if type(read) is int else read
-        req = max(depth2, min([need[q] for q, _ in group]))
-        row[read] = (elem, state.node(frozenset(group), depth2), req)
+        row[read] = state.node(frozenset(group), depth2)
     node.cut, node.row = cut, row
     return row
 

@@ -48,8 +48,11 @@ the name make no word) up to the bound; a binder whose name does not
 occur free in its body is its body.  One linear pass (`_scopes`) gives
 both the free names of an expression and the binders whose name occurs
 free in their body.  A star drops the unit from its base, where it
-would only rebuild words it has.  Keys form no cycles, so
-`enumerate_slice` and `member` run under one collector pause
+would only rebuild words it has, and is built one length at a time, as
+the union of the base's powers: its words of length n are the base's,
+and each base word of length k put before each star word of length
+n - k, so each star word meets each base word once.  Keys form no
+cycles, so `enumerate_slice` and `member` run under one collector pause
 (`words.collector_paused`).
 """
 
@@ -200,6 +203,29 @@ def _merge(right: dict, out: dict) -> None:
             out[n] = ws
 
 
+def _star(base: dict, ops: KeySort, bound: int) -> dict[int, set]:
+    """The slice of a star up to `bound` from the slice of its base, one
+    length at a time.
+
+    Bucket n, for n = 1 up to the bound, holds the base words of length
+    n, and every base word of length k < n concatenated before every star
+    word of length n - k, whose bucket is already full.  The unit joins
+    last, so no base word is put before it.  So each star word meets
+    each base word it leaves room for exactly once.
+    """
+    base.pop(0, None)  # the unit, the one word of length 0, adds nothing
+    acc, concat = {}, ops.concat
+    for n in range(1, bound + 1):
+        ws = set(base.get(n, ()))
+        for k, xs in base.items():
+            if n - k in acc:  # never for k >= n: the unit joins acc last
+                ws.update(starmap(concat, product(xs, acc[n - k])))
+        if ws:
+            acc[n] = ws
+    acc[0] = {ops.unit}
+    return acc
+
+
 def _enum(e: Regex, ops: KeySort, bound: int) -> dict[int, set]:
     """The slice of `e` up to `bound` (at least 0).
 
@@ -220,6 +246,9 @@ def _enum(e: Regex, ops: KeySort, bound: int) -> dict[int, set]:
     visit's last field is None, or, inside the second part, the names
     whose free atoms make no word there; no binder splits inside it, so
     a node is visited at most once more per binder around it.
+
+    A star's later visit builds the star's slice from its base's one
+    length at a time (`_star`).
     """
     shortest, done, todo = _shortest(e, ops), [], [(len(e) - 1, bound, 0, None)]
     bind_tokens = ops.bind_tokens
@@ -283,25 +312,7 @@ def _enum(e: Regex, ops: KeySort, bound: int) -> dict[int, set]:
             _merge(kept, out)
             done.append(out)
         else:  # STAR
-            base = done.pop()
-            base.pop(0, None)  # the unit, the one word of length 0, adds nothing
-            acc = {n: set(ws) for n, ws in base.items()}
-            acc[0] = {ops.unit}
-            frontier = base
-            while frontier:
-                fresh = {}
-                for n, ws in _concat_slices(frontier, base, ops, b).items():
-                    have = acc.get(n)
-                    if have is None:
-                        fresh[n] = acc[n] = ws
-                        continue
-                    ws -= have
-                    if ws:
-                        fresh[n] = ws
-                        have |= ws
-                # a fresh set may be acc's own bucket: it is only read before acc grows
-                frontier = fresh
-            done.append(acc)
+            done.append(_star(done.pop(), ops, b))
     return done[0]
 
 

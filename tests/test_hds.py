@@ -1,6 +1,7 @@
 import gc
 import hashlib
 import itertools
+import math
 import os
 import random
 import time
@@ -125,30 +126,23 @@ def _has_table(m: NameMap) -> bool:
 def test_stack_update_composes_through_one_dict_per_top_frame():
     frame, below = NM({x: n, y: m}), NM({x: k})
     stack = (frame, below)
-    # the placeholder is kept fixed, as sigma post-composed with the frame
-    # and the placeholder's own fixed point
-    assert stack_update(stack, NM({x: STAR, y: x})) == (NM({x: STAR, y: n}), below)
-    table = frame.table
-    assert table == {x: n, y: m, STAR: STAR}
+    assert not _has_table(frame)
     assert stack_update(stack, NM({y: y})) == (NM({y: m}), below)
+    table = frame.table
+    assert table == {x: n, y: m}  # the frame's entries and nothing more
+    assert stack_update(stack, NM({x: y})) == (NM({x: m}), below)
     assert frame.table is table  # made once, the first time a move reads the frame
     assert not _has_table(below)
-    # the pop and close compositions read the same table, so a placeholder
-    # value stays the placeholder (a sigma `validate` rejects), and the open
-    # move sets the placeholder in a copy of the table
+    # the open move sets the placeholder in a copy of the table
     h = Hds(
         states={"p": {x, y}, "q": {x, y}},
         initial="p", eta={}, finals=set(),
-        trans={"p": (Transition(POP, "q", NM({x: x, y: STAR})),
-                     Transition(CLOSE, "q", NM({y: STAR})),
-                     Transition(OPEN, "q", NM({x: y, y: STAR})))},
+        trans={"p": (Transition(OPEN, "q", NM({x: y, y: STAR})),)},
     )
-    moves = {t.label: stk for t, _, stk in step(h, "p", (below, frame), None, fresh=0)}
-    assert moves[POP] == (NM({x: n, y: STAR}),)
-    assert moves[CLOSE] == (NM({y: STAR}),)
+    assert validate(h) == []
     moves = {t.label: stk for t, _, stk in step(h, "p", stack, None, fresh=0)}
     assert moves[OPEN] == (NM({x: m, y: 0}), frame, below)
-    assert frame.table == {x: n, y: m, STAR: STAR}
+    assert frame.table is table and table == {x: n, y: m}
 
 
 def test_push_frame_resolves_through_top():
@@ -1556,12 +1550,40 @@ def test_each_row_holds_the_graph_s_own_successor_nodes():
     assert accepts_word(h, parse_word("#m <#n. #m #n > <#n. #m #n >"))
     assert not accepts_word(h, parse_word("#m <#n. #m #n > #m"))
     graph = h._search.graph
-    entries = [entry for node in _expanded(h) for entry in node.row.values()]
+    entries = [(node, read, succ) for node in _expanded(h) for read, succ in node.row.items()]
     assert len(entries) > len(_expanded(h)) > 1
     for node in graph.values():
         assert graph[node.configs, node.depth] is node
-    for _, succ, _ in entries:
+    for node, read, succ in entries:
         assert graph[succ.configs, succ.depth] is succ
+        # END leads to the node itself, and only END does
+        assert (succ is node) == (read is END)
+    assert any(read is END for _, read, _ in entries)
+
+
+def test_each_node_carries_the_fewest_tokens_a_word_needs_from_it():
+    # a node's `req`, made with the node, is its depth or the fewest
+    # consuming moves from one of its states to a final one if more, on
+    # the graphs the corpus slices and the runs on their words make; the
+    # runs on three unmatched closes start at depth 3, where the depth
+    # can be the larger
+    from nomlang.hds import steps_to_final
+
+    corpus = os.path.dirname(NS_FILE)
+    nodes = deeper = 0
+    for fname in sorted(os.listdir(corpus)):
+        with open(os.path.join(corpus, fname), encoding="utf-8") as f:
+            h = compile_regex(parse_nre(f.read())[0])
+        for w in language_slice(h, 18 if "ns_protocol" in fname else 8):
+            assert accepts_word(h, w)
+            run(h, (TCLOSE,) * 3 + word_stream(h, w))
+        need = steps_to_final(h)
+        for node in h._search.graph.values():
+            fewest = min(need.get(q, math.inf) for q, _ in node.configs)
+            assert node.req == max(node.depth, fewest)
+            deeper += node.depth > fewest
+        nodes += len(h._search.graph)
+    assert nodes > 40 and deeper > 0
 
 
 def test_the_node_graph_of_500_slices_is_pinned():

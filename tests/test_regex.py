@@ -493,6 +493,59 @@ def _counting(sort):
     return replace(keys, concat=counted("concat"), bind=counted("bind")), calls
 
 
+# -- the star it replaced ----------------------------------------------------
+#
+# Before a star was built one length at a time (`_star`), it was closed by
+# a semi-naive fixpoint: each round put the base after the words the last
+# round found new.  Verbatim but for the names.
+
+def _semi_naive_star(base, ops, bound):
+    base.pop(0, None)  # the unit, the one word of length 0, adds nothing
+    acc = {n: set(ws) for n, ws in base.items()}
+    acc[0] = {ops.unit}
+    frontier = base
+    while frontier:
+        fresh = {}
+        for n, ws in rx._concat_slices(frontier, base, ops, bound).items():
+            have = acc.get(n)
+            if have is None:
+                fresh[n] = acc[n] = ws
+                continue
+            ws -= have
+            if ws:
+                fresh[n] = ws
+                have |= ws
+        # a fresh set may be acc's own bucket: it is only read before acc grows
+        frontier = fresh
+    return acc
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+def test_a_star_by_length_makes_the_fixpoint_s_buckets_with_as_many_products(seed, monkeypatch):
+    # the whole enumeration with each star closed by the fixpoint instead:
+    # the same buckets, none empty, and the same number of products, on
+    # every expression in every sort at bound 7
+    from nomlang.oracle import random_regex
+
+    rng = random.Random(seed)
+    pool = [n, Name("~0"), m]  # a free reserved name, as the campaign draws it
+    exprs = [random_regex(rng, pool, LETTERS, 4) for _ in range(1000)]
+    assert sum(node[0] is rx.STAR for e in exprs for node in e) > 900
+    for sort in "MGLS":
+        ops, calls = _counting(sort)
+        got = []
+        for e in exprs:
+            calls.clear()
+            got.append((rx._enum(e, ops, 7), calls["concat"]))
+        with monkeypatch.context() as patch:
+            patch.setattr(rx, "_star", _semi_naive_star)
+            for e, (buckets, products) in zip(exprs, got):
+                calls.clear()
+                assert buckets == rx._enum(e, ops, 7), render_regex(e)
+                assert products == calls["concat"], render_regex(e)
+                assert all(buckets.values())
+
+
 @pytest.mark.parametrize("src", ["( a + b )* 0", "0 ( a + b )*"])
 def test_a_product_with_no_word_makes_nothing(src):
     # the reference made 2 ** 25 - 2 products here
