@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
 """Survey which equational laws hold in which word sort.
 
-Samples random premise-satisfying instances of each law in each sort
-and prints a table: 'yes' if every sampled instance held, otherwise
-the count of counterexamples.
+Samples random premise-satisfying instances of each law of
+`nomlang.oracle.LAWS` in each sort and prints a table: 'yes' if every
+sampled instance held, otherwise the count of counterexamples.
 
 Usage: python3 scripts/axiom_survey.py [--count 200] [--seed 0]
 """
@@ -17,17 +17,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "src"))
 
 from nomlang.names import Letter, Name
 from nomlang.monoids import SORTS
-from nomlang.oracle import gen_axiom_instances
-
-AXIOMS = ["Ax1", "Ax2", "Ax3", "Ax4", "Ax5", "Ax6"]
-DESCRIPTIONS = {
-    "Ax1": "n#Y  |- [n]X . Y = [n](X . Y)",
-    "Ax2": "     |- s . [m]Y = [m](s . Y)",
-    "Ax3": "n#m  |- n . [m]Y = [m](n . Y)",
-    "Ax4": "     |- [n][m]X = [m][n]X",
-    "Ax5": "n#X  |- [n]X = X",
-    "Ax6": "n#X  |- X . [n]Y = [n](X . Y)",
-}
+from nomlang.oracle import LAWS, gen_axiom_instances
 
 
 def main() -> int:
@@ -44,8 +34,8 @@ def main() -> int:
     header = f"{'law':4} {'statement':34}" + "".join(f"{s:>8}" for s in sorts)
     print(header)
     print("-" * len(header))
-    for ax in AXIOMS:
-        row = f"{ax:4} {DESCRIPTIONS[ax]:34}"
+    for ax, (statement, _) in LAWS.items():
+        row = f"{ax:4} {statement:34}"
         for sort in sorts:
             ops = SORTS[sort]
             insts = gen_axiom_instances(ax, sort, args.count, names, letters, rng)

@@ -3,7 +3,8 @@
 Everything here is deliberately naive: a rewriting-closure decision
 procedure for alpha-equivalence, exhaustive balanced-stream
 enumeration for automaton languages, an automaton run that keeps every
-stack frame, random word/expression generators, and a slice-equivalence
+stack frame, random word/expression generators, the six binder laws
+(`LAWS`) with a generator of their instances, and a slice-equivalence
 checker.  The naive procedures serve as oracles for the optimized
 implementations elsewhere.
 """
@@ -340,6 +341,30 @@ def _build(ops: SortOps, rng, pool, letters, size, avoid=frozenset()):
     return w
 
 
+# The six laws that relate binding and concatenation, by name: each
+# law's statement, premise first, and its two sides, built with a
+# sort's operations `o` from the names n and m, the letter atom s and the
+# words X and Y.  An instance draws s if the statement reads it, then X
+# and Y if it reads them, each over the names other than n where the
+# premise makes n fresh for it (n#X, n#Y); the premise n#m holds because
+# n and m are drawn distinct.
+LAWS = {
+    "Ax1": ("n#Y  |- [n]X . Y = [n](X . Y)",
+            lambda o, n, m, s, x, y: (o.concat(o.bind(n, x), y), o.bind(n, o.concat(x, y)))),
+    "Ax2": ("     |- s . [m]Y = [m](s . Y)",
+            lambda o, n, m, s, x, y: (o.concat(s, o.bind(m, y)), o.bind(m, o.concat(s, y)))),
+    "Ax3": ("n#m  |- n . [m]Y = [m](n . Y)",
+            lambda o, n, m, s, x, y: (o.concat(o.atom(n), o.bind(m, y)),
+                                      o.bind(m, o.concat(o.atom(n), y)))),
+    "Ax4": ("     |- [n][m]X = [m][n]X",
+            lambda o, n, m, s, x, y: (o.bind(n, o.bind(m, x)), o.bind(m, o.bind(n, x)))),
+    "Ax5": ("n#X  |- [n]X = X",
+            lambda o, n, m, s, x, y: (o.bind(n, x), x)),
+    "Ax6": ("n#X  |- X . [n]Y = [n](X . Y)",
+            lambda o, n, m, s, x, y: (o.concat(x, o.bind(n, y)), o.bind(n, o.concat(x, y)))),
+}
+
+
 def gen_axiom_instances(
     axiom: str,
     sort: str,
@@ -348,46 +373,21 @@ def gen_axiom_instances(
     letters: list[Letter],
     rng: random.Random,
 ) -> list[AxiomInstance]:
-    """Random instances of one of the six binder/concatenation laws.
-
-    Premises (freshness side conditions) are satisfied by construction:
-    the word metavariables are built over names excluding the ones the
-    premise requires them to avoid.
-    """
+    """Random instances of one of the six laws of `LAWS`, their premises
+    satisfied by construction."""
+    if axiom not in LAWS:
+        raise ValueError(f"unknown axiom {axiom!r}")
+    statement, sides = LAWS[axiom]
+    premise, equation = statement.split("|-")
     ops = SORTS[sort]
     out = []
     for _ in range(count):
         n, m = rng.sample(pool, 2)
         size = rng.randint(0, 4)
-        if axiom == "Ax1":  # n#Y |- [n]X . Y = [n](X . Y)
-            x = _build(ops, rng, pool, letters, size)
-            y = _build(ops, rng, pool, letters, size, avoid={n})
-            out.append(AxiomInstance(axiom, ops.concat(ops.bind(n, x), y),
-                                     ops.bind(n, ops.concat(x, y))))
-        elif axiom == "Ax2":  # |- s.[m]Y = [m](s.Y)
-            s = ops.atom(rng.choice(letters))
-            y = _build(ops, rng, pool, letters, size)
-            out.append(AxiomInstance(axiom, ops.concat(s, ops.bind(m, y)),
-                                     ops.bind(m, ops.concat(s, y))))
-        elif axiom == "Ax3":  # n#m |- n.[m]Y = [m](n.Y)
-            y = _build(ops, rng, pool, letters, size)
-            out.append(AxiomInstance(axiom,
-                                     ops.concat(ops.atom(n), ops.bind(m, y)),
-                                     ops.bind(m, ops.concat(ops.atom(n), y))))
-        elif axiom == "Ax4":  # |- [n][m]X = [m][n]X
-            x = _build(ops, rng, pool, letters, size)
-            out.append(AxiomInstance(axiom, ops.bind(n, ops.bind(m, x)),
-                                     ops.bind(m, ops.bind(n, x))))
-        elif axiom == "Ax5":  # n#X |- [n]X = X
-            x = _build(ops, rng, pool, letters, size, avoid={n})
-            out.append(AxiomInstance(axiom, ops.bind(n, x), x))
-        elif axiom == "Ax6":  # n#X |- X.[n]Y = [n](X . Y)
-            x = _build(ops, rng, pool, letters, size, avoid={n})
-            y = _build(ops, rng, pool, letters, size)
-            out.append(AxiomInstance(axiom, ops.concat(x, ops.bind(n, y)),
-                                     ops.bind(n, ops.concat(x, y))))
-        else:
-            raise ValueError(f"unknown axiom {axiom!r}")
+        s = ops.atom(rng.choice(letters)) if "s" in equation else None
+        x, y = (_build(ops, rng, pool, letters, size, {n} if f"n#{v}" in premise else ())
+                if v in equation else None for v in "XY")
+        out.append(AxiomInstance(axiom, *sides(ops, n, m, s, x, y)))
     return out
 
 

@@ -1,4 +1,7 @@
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -15,7 +18,11 @@ from nomlang.words import (
 )
 from nomlang.syntax import parse_word, render_regex
 from nomlang.compiler import compile_regex
+from nomlang.monoids import SORTS
 from nomlang.oracle import (
+    LAWS,
+    AxiomInstance,
+    _build,
     alpha_oracle,
     balanced_streams,
     check_equivalence,
@@ -133,6 +140,83 @@ def test_axiom_instances_satisfy_premises(rng):
 def test_unknown_axiom_rejected(rng):
     with pytest.raises(ValueError):
         gen_axiom_instances("Ax7", "S", 1, NAMES, LETTERS, rng)
+
+
+# `gen_axiom_instances` as it was before the laws were one table: a branch
+# per law, with the law as its comment.  Only tests use this copy.
+
+def _referee_gen_axiom_instances(axiom, sort, count, pool, letters, rng):
+    """Random instances of one of the six binder/concatenation laws.
+
+    Premises (freshness side conditions) are satisfied by construction:
+    the word metavariables are built over names excluding the ones the
+    premise requires them to avoid.
+    """
+    ops = SORTS[sort]
+    out = []
+    for _ in range(count):
+        n, m = rng.sample(pool, 2)
+        size = rng.randint(0, 4)
+        if axiom == "Ax1":  # n#Y |- [n]X . Y = [n](X . Y)
+            x = _build(ops, rng, pool, letters, size)
+            y = _build(ops, rng, pool, letters, size, avoid={n})
+            out.append(AxiomInstance(axiom, ops.concat(ops.bind(n, x), y),
+                                     ops.bind(n, ops.concat(x, y))))
+        elif axiom == "Ax2":  # |- s.[m]Y = [m](s.Y)
+            s = ops.atom(rng.choice(letters))
+            y = _build(ops, rng, pool, letters, size)
+            out.append(AxiomInstance(axiom, ops.concat(s, ops.bind(m, y)),
+                                     ops.bind(m, ops.concat(s, y))))
+        elif axiom == "Ax3":  # n#m |- n.[m]Y = [m](n.Y)
+            y = _build(ops, rng, pool, letters, size)
+            out.append(AxiomInstance(axiom,
+                                     ops.concat(ops.atom(n), ops.bind(m, y)),
+                                     ops.bind(m, ops.concat(ops.atom(n), y))))
+        elif axiom == "Ax4":  # |- [n][m]X = [m][n]X
+            x = _build(ops, rng, pool, letters, size)
+            out.append(AxiomInstance(axiom, ops.bind(n, ops.bind(m, x)),
+                                     ops.bind(m, ops.bind(n, x))))
+        elif axiom == "Ax5":  # n#X |- [n]X = X
+            x = _build(ops, rng, pool, letters, size, avoid={n})
+            out.append(AxiomInstance(axiom, ops.bind(n, x), x))
+        elif axiom == "Ax6":  # n#X |- X.[n]Y = [n](X . Y)
+            x = _build(ops, rng, pool, letters, size, avoid={n})
+            y = _build(ops, rng, pool, letters, size)
+            out.append(AxiomInstance(axiom, ops.concat(x, ops.bind(n, y)),
+                                     ops.bind(n, ops.concat(x, y))))
+        else:
+            raise ValueError(f"unknown axiom {axiom!r}")
+    return out
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_the_law_table_draws_the_instances_the_branches_drew(seed):
+    assert list(LAWS) == ["Ax1", "Ax2", "Ax3", "Ax4", "Ax5", "Ax6"]
+    for axiom in LAWS:
+        for sort in ("M", "G", "L", "S"):
+            got = gen_axiom_instances(axiom, sort, 50, NAMES, LETTERS, random.Random(seed))
+            want = _referee_gen_axiom_instances(axiom, sort, 50, NAMES, LETTERS,
+                                                random.Random(seed))
+            assert got == want, (axiom, sort)  # axiom, lhs and rhs, in order
+
+
+SURVEY = """\
+law  statement                                G       L       S
+---------------------------------------------------------------
+Ax1  n#Y  |- [n]X . Y = [n](X . Y)          yes     yes     yes
+Ax2       |- s . [m]Y = [m](s . Y)      200 cex     yes     yes
+Ax3  n#m  |- n . [m]Y = [m](n . Y)      200 cex     yes     yes
+Ax4       |- [n][m]X = [m][n]X           74 cex  75 cex     yes
+Ax5  n#X  |- [n]X = X                   200 cex 200 cex     yes
+Ax6  n#X  |- X . [n]Y = [n](X . Y)      136 cex  43 cex     yes
+"""
+
+
+def test_the_axiom_survey_prints_its_table():
+    script = os.path.join(os.path.dirname(__file__), os.pardir, "scripts", "axiom_survey.py")
+    done = subprocess.run([sys.executable, script], capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == SURVEY
 
 
 # -- equivalence reports -----------------------------------------------------
